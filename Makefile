@@ -81,7 +81,7 @@ bench-scale:
 
 # ECO delta-latency bench (DESIGN.md §15): the `eco` section of
 # BENCH_mgl.json — resident-session 64-cell deltas on a 100k-cell base vs
-# a from-scratch `run_eco` of the same mutation (p50/p99 delta ms,
+# a from-scratch ECO run of the same mutation (p50/p99 delta ms,
 # windows_dirty, speedup_vs_full). Knobs: MCL_ECO_CELLS, MCL_ECO_DELTA,
 # MCL_ECO_DELTAS, MCL_ECO_THREADS, MCL_ECO_SEED, MCL_ECO_DENSITY_PCT; CI
 # gates via MCL_ECO_MAX_P99_MS / MCL_ECO_MIN_SPEEDUP.

@@ -8,15 +8,29 @@
 
 use mcl_core::config::{DisplacementReference, LegalizerConfig};
 use mcl_core::mgl::MglStats;
-use mcl_core::Legalizer;
+use mcl_core::{Engine, RunSpec};
 use mcl_db::prelude::*;
 
-/// Runs the MLL baseline.
+/// Runs the MLL baseline. A run that fails as a whole (reachable only under
+/// injected faults) returns the design unplaced, every movable cell counted
+/// as failed.
 pub fn legalize_mll(design: &Design) -> (Design, MglStats) {
     let cfg = LegalizerConfig::mll_baseline();
     debug_assert_eq!(cfg.reference, DisplacementReference::Current);
-    let (out, stats) = Legalizer::new(cfg).run(design);
-    (out, stats.mgl)
+    match Engine::new(cfg).run_one(design, &RunSpec::default()) {
+        Ok(out) => (out.design, out.stats.mgl),
+        Err(_) => {
+            let mut out = design.clone();
+            for c in out.cells.iter_mut().filter(|c| !c.fixed) {
+                c.pos = None;
+            }
+            let stats = MglStats {
+                failed: design.movable_cells().count(),
+                ..MglStats::default()
+            };
+            (out, stats)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -107,7 +121,10 @@ mod tests {
         let d = packed_design(123); // ~95% density, locally overfull GP
         let (mll_out, s1) = legalize_mll(&d);
         assert_eq!(s1.failed, 0);
-        let (mgl_out, s2) = Legalizer::new(LegalizerConfig::total_displacement()).run(&d);
+        let mgl = Engine::new(LegalizerConfig::total_displacement())
+            .run_one(&d, &RunSpec::default())
+            .unwrap();
+        let (mgl_out, s2) = (mgl.design, mgl.stats);
         assert_eq!(s2.mgl.failed, 0);
         let mll_m = Metrics::measure(&mll_out);
         let mgl_m = Metrics::measure(&mgl_out);

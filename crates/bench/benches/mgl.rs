@@ -1,7 +1,7 @@
 //! End-to-end legalization benchmark on a generated design.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_core::{Engine, LegalizerConfig, RunSpec};
 use mcl_gen::{generate, GeneratorConfig};
 
 fn mgl_benches(c: &mut Criterion) {
@@ -16,8 +16,10 @@ fn mgl_benches(c: &mut Criterion) {
         let g = generate(&cfg).unwrap();
         group.bench_with_input(BenchmarkId::new("contest_flow", n), &g.design, |b, d| {
             b.iter(|| {
-                let (out, _) = Legalizer::new(LegalizerConfig::contest()).run(d);
-                std::hint::black_box(out.cells.len())
+                let out = Engine::new(LegalizerConfig::contest())
+                    .run_one(d, &RunSpec::default())
+                    .unwrap();
+                std::hint::black_box(out.design.cells.len())
             });
         });
     }

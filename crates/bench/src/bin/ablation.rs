@@ -4,8 +4,8 @@
 //! stages toggled, curve normalization, displacement reference, `n₀`,
 //! `δ₀`, window size and processing order.
 
-use mcl_bench::{evaluate, fnum, save_artifact, scale_from_env, threads_from_env};
-use mcl_core::{CellOrder, DisplacementReference, Legalizer, LegalizerConfig};
+use mcl_bench::{evaluate, fnum, legalize, save_artifact, scale_from_env, threads_from_env};
+use mcl_core::{CellOrder, DisplacementReference, LegalizerConfig, RunSpec};
 use mcl_gen::generate::generate;
 use mcl_gen::presets::{iccad17_config, ICCAD17};
 
@@ -112,7 +112,7 @@ fn main() {
 
     let mut table = String::new();
     for (name, cfg) in variants {
-        let e = evaluate(d, |d| Legalizer::new(cfg.clone()).run(d).0);
+        let e = evaluate(d, |d| legalize(&cfg, d, &RunSpec::default()).0);
         assert!(e.report.is_legal(), "{name} must stay legal");
         let line = format!(
             "| {:<28} | {:>8} | {:>8} | {:>5} | {:>5} | {:>8} | {:>6} |",

@@ -1,11 +1,12 @@
-//! ECO delta-latency bench — resident-session deltas vs full `run_eco`.
+//! ECO delta-latency bench — resident-session deltas vs a full ECO run.
 //!
 //! Generates a 100k-cell mcl-gen benchmark, legalizes a base placement with
 //! the full pipeline, then measures two ways of absorbing a small delta
 //! (default 64 re-targeted cells):
 //!
-//! - **full**: a from-scratch `run_eco` on the mutated candidate with
-//!   `eco_delta` off — every post stage walks the whole design;
+//! - **full**: a from-scratch ECO run (`RunSpec::eco`) on the mutated
+//!   candidate with `eco_delta` off — every post stage walks the whole
+//!   design;
 //! - **delta**: a resident [`EcoSession`] pushing the same-sized deltas
 //!   through the dirty-window pipeline, including certificate splicing.
 //!
@@ -24,8 +25,9 @@
 //! non-zero on regression, so the `eco-smoke` job needs no JSON
 //! post-processing.
 
+use mcl_bench::legalize;
 use mcl_core::config::LegalizerConfig;
-use mcl_core::{EcoSession, Legalizer};
+use mcl_core::{EcoSession, RunSpec};
 use mcl_gen::{generate, GeneratorConfig};
 use mcl_obs::clock::Stopwatch;
 use mcl_obs::CounterKind;
@@ -111,12 +113,12 @@ fn main() {
 
     let cfg = eco_config(n, threads);
     let t = Stopwatch::start();
-    let (base, base_stats) = Legalizer::new(cfg.clone()).run(&gen.design);
+    let (base, base_stats) = legalize(&cfg, &gen.design, &RunSpec::default());
     assert_eq!(base_stats.mgl.failed, 0, "base legalization failed cells");
     println!("base legalize: {:.2}s", t.elapsed_seconds());
 
     // Full-run reference: the same delta absorbed by a from-scratch
-    // `run_eco` (eco_delta off) — post stages walk all `n` cells.
+    // ECO run (eco_delta off) — post stages walk all `n` cells.
     let moves = EcoSession::synthesize_delta(&base, delta_cells, seed ^ 0xf011);
     let mut candidate = base.clone();
     for &(cell, gp) in &moves {
@@ -125,12 +127,10 @@ fn main() {
         c.pos = None;
     }
     let t = Stopwatch::start();
-    let (_full_out, full_stats) = Legalizer::new(cfg.clone())
-        .run_eco(&candidate)
-        .expect("full run_eco reference must succeed");
+    let (_full_out, full_stats) = legalize(&cfg, &candidate, &RunSpec::eco());
     let full_ms = t.elapsed_seconds() * 1e3;
-    assert_eq!(full_stats.mgl.failed, 0, "full run_eco failed cells");
-    println!("full run_eco reference: {full_ms:.2}ms");
+    assert_eq!(full_stats.mgl.failed, 0, "full ECO run failed cells");
+    println!("full ECO reference: {full_ms:.2}ms");
 
     // Resident session: the same-sized deltas through the dirty-window
     // pipeline, certificate splicing included.
@@ -182,7 +182,7 @@ fn main() {
     if let Some(floor) = min_speedup {
         assert!(
             speedup >= floor,
-            "speedup floor violated: {speedup:.1}x < {floor}x vs full run_eco"
+            "speedup floor violated: {speedup:.1}x < {floor}x vs full ECO run"
         );
         println!("speedup ok: {speedup:.1} >= {floor}x");
     }

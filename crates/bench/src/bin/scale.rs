@@ -2,7 +2,7 @@
 //!
 //! Generates mcl-gen benchmarks at each requested size (ascending, so the
 //! process-lifetime `VmHWM` high-water mark approximates a per-size peak),
-//! runs the MGL stage through the production parallel scheduler, and
+//! runs the MGL stage alone through `Engine::run`, and
 //! splices a `scale` entry — `cells_per_sec` and `peak_rss_kb` per size —
 //! into `BENCH_mgl.json` next to the speedup bench's sections, so the
 //! scaling trajectory is tracked per PR alongside the 4k-cell numbers.
@@ -16,11 +16,10 @@
 //! RSS) make the binary exit non-zero on regression, so the `scale-smoke`
 //! job needs no JSON post-processing.
 
-use mcl_bench::{parse_vm_hwm_kb, peak_rss_kb};
+use mcl_bench::{legalize, parse_vm_hwm_kb, peak_rss_kb};
 use mcl_core::config::LegalizerConfig;
-use mcl_core::mgl::compute_weights;
-use mcl_core::scheduler::run_parallel;
-use mcl_core::PlacementState;
+use mcl_core::pipeline::MglStage;
+use mcl_core::RunSpec;
 use mcl_gen::{generate, GeneratorConfig};
 use mcl_obs::clock::Stopwatch;
 
@@ -130,20 +129,19 @@ fn main() {
         // Round capacity scales with the design: a fixed small L_p would
         // make round count — not throughput — the variable under test.
         cfg.window_list_capacity = (n / 32).max(64);
-        let weights = compute_weights(d, cfg.weights);
 
-        let mut state = PlacementState::new(d);
-        let t = Stopwatch::start();
-        let stats = run_parallel(&mut state, &cfg, &weights, None);
-        let mgl_s = t.elapsed_seconds();
+        let (placed, run) = legalize(&cfg, d, &RunSpec::stages(&[&MglStage]));
+        // The MGL stage's own wall time: setup (weights, state, pool spawn)
+        // and output write-back are excluded, as in a pipeline report.
+        let mgl_s = run.stage_seconds_for("mgl").unwrap_or(f64::NAN);
+        let stats = run.mgl;
         assert_eq!(
             stats.failed, 0,
             "scale run failed {} cells at n={n}",
             stats.failed
         );
-        assert_eq!(
-            state.unplaced_count(),
-            0,
+        assert!(
+            placed.cells.iter().all(|c| c.pos.is_some()),
             "scale run left cells unplaced at n={n}"
         );
 

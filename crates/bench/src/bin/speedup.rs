@@ -3,8 +3,9 @@
 //! Replays the *seed* parallel scheduler (per-round `std::thread::scope`
 //! with static slice chunking, O(|pending| × |selected|) window selection,
 //! and the allocating reference insertion evaluator) against the current
-//! `run_parallel` (persistent worker pool, row-band window index,
-//! scratch-arena evaluator) on a dense synthetic design, at 1/2/4/8
+//! MGL stage run through `Engine::run` (persistent worker pool, row-band
+//! window index, scratch-arena evaluator) on a dense synthetic design, at
+//! 1/2/4/8
 //! threads, and writes the cells-per-second numbers to `BENCH_mgl.json`
 //! in the current directory so the perf trajectory is tracked per PR.
 //!
@@ -20,18 +21,19 @@
 //! A batch-throughput comparison (`MCL_BENCH_BATCH` small sparse design
 //! variants, default 16 × `MCL_BENCH_BATCH_CELLS` (40) cells at
 //! `MCL_BENCH_BATCH_DENSITY_PCT` (25), through one shared `Engine`'s
-//! cross-design batch scheduler vs sequential per-design `Legalizer::run`,
+//! cross-design batch scheduler vs one fresh single-design engine per design,
 //! at 1/2/4/8 threads) is written under `batch`, with `designs_per_sec`
 //! and `engine_speedup` per thread count plus one throttled-admission run
 //! exercising the shared-worker interleaving. Outputs are asserted
 //! bit-identical per thread count, so every ratio is pure scheduling.
 
+use mcl_bench::legalize;
 use mcl_core::config::LegalizerConfig;
 use mcl_core::insertion::{CostModel, Insertion};
 use mcl_core::insertion_reference::best_insertion_reference;
 use mcl_core::mgl::{apply_insertion, cell_order, compute_weights, fallback_scan, window_for};
-use mcl_core::scheduler::run_parallel;
-use mcl_core::{build_run_report, Engine, Legalizer, PlacementState};
+use mcl_core::pipeline::MglStage;
+use mcl_core::{build_run_report, Engine, PlacementState, RunSpec};
 use mcl_db::prelude::*;
 use mcl_obs::clock::Stopwatch;
 use std::collections::VecDeque;
@@ -81,10 +83,10 @@ fn dense_design(n_cells: usize, density: f64, seed: u64) -> Design {
     d
 }
 
-/// Faithful replica of the seed `run_parallel` (commit f6f06c3), with the
+/// Faithful replica of the seed parallel MGL scheduler (commit f6f06c3), with the
 /// seed-faithful allocating evaluator. Kept here, out of the library, so the
 /// optimized crate keeps no dead baseline code.
-fn seed_run_parallel(
+fn seed_scheduler(
     state: &mut PlacementState<'_>,
     config: &LegalizerConfig,
     weights: &[i64],
@@ -185,6 +187,22 @@ fn positions(d: &Design, state: &PlacementState<'_>) -> Vec<Option<Point>> {
     d.movable_cells().map(|c| state.pos(c)).collect()
 }
 
+/// Every cell position of every design of one engine batch, in order.
+fn batch_positions(engine: &mut Engine, designs: &[Design], spec: &RunSpec) -> Vec<Option<Point>> {
+    engine
+        .run(designs, spec)
+        .into_iter()
+        .zip(designs)
+        .flat_map(|(r, d)| match r {
+            Ok(out) => out.design.cells.iter().map(|c| c.pos).collect::<Vec<_>>(),
+            Err(e) => {
+                eprintln!("batch job `{}` failed: {e}", d.name);
+                std::process::exit(1);
+            }
+        })
+        .collect()
+}
+
 /// Best-of-`reps` wall-clock seconds of `f` (each rep on a fresh state).
 fn time_best<F: FnMut() -> Vec<Option<Point>>>(reps: usize, mut f: F) -> (f64, Vec<Option<Point>>) {
     let mut best = f64::INFINITY;
@@ -211,6 +229,7 @@ fn main() {
     let mut cfg = LegalizerConfig::total_displacement();
     cfg.window_list_capacity = 64;
     let weights = compute_weights(&d, cfg.weights);
+    let mgl_only = RunSpec::stages(&[&MglStage]);
 
     println!(
         "# MGL speedup bench — {} cells, density {:.0}%, core {}x{}, capacity {}, best of {}",
@@ -237,17 +256,21 @@ fn main() {
 
         let (seed_s, seed_pos) = time_best(reps, || {
             let mut state = PlacementState::new(&d);
-            let failed = seed_run_parallel(&mut state, &c, &weights);
+            let failed = seed_scheduler(&mut state, &c, &weights);
             assert_eq!(failed, 0, "seed scheduler failed cells");
             positions(&d, &state)
         });
         let mut perf = mcl_core::perf::PerfStats::default();
         let (new_s, new_pos) = time_best(reps, || {
-            let mut state = PlacementState::new(&d);
-            let stats = run_parallel(&mut state, &c, &weights, None);
-            assert_eq!(stats.failed, 0, "new scheduler failed cells");
-            perf = stats.perf;
-            positions(&d, &state)
+            let (placed, stats) = legalize(&c, &d, &mgl_only);
+            assert_eq!(stats.mgl.failed, 0, "new scheduler failed cells");
+            perf = stats.mgl.perf;
+            placed
+                .cells
+                .iter()
+                .filter(|c| !c.fixed)
+                .map(|c| c.pos)
+                .collect()
         });
         assert_eq!(
             seed_pos, new_pos,
@@ -311,7 +334,7 @@ fn main() {
     let mut pcfg = cfg.clone();
     pcfg.threads = 4;
     pcfg.clamp_threads_to_hardware = false;
-    let (placed, pstats) = Legalizer::new(pcfg.clone()).run(&d);
+    let (placed, pstats) = legalize(&pcfg, &d, &RunSpec::default());
     assert_eq!(pstats.mgl.failed, 0, "pipeline failed cells");
     let report = build_run_report(&placed, &pstats, &pcfg);
     if want_report {
@@ -326,7 +349,7 @@ fn main() {
 
     // Batch throughput: `MCL_BENCH_BATCH` design variants through one
     // shared Engine (cross-design batch scheduler, DESIGN.md §12) vs one
-    // sequential `Legalizer::run` per design, at each thread count.
+    // fresh single-design engine per design, at each thread count.
     // Bit-identity between the two is asserted per thread count, so the
     // ratio is pure scheduling: the batch runs designs on runner threads
     // with no per-design pool spawn, replica clone or round-sync traffic.
@@ -342,14 +365,12 @@ fn main() {
     let variants: Vec<Design> = (0..batch_n)
         .map(|i| dense_design(batch_cells, batch_density, seed.wrapping_add(1 + i as u64)))
         .collect();
-    // MGL-only, production window-list capacity: the batch scheduler moves
-    // MGL rounds between threads; stages 2/3 are serial and identical in
-    // both columns, so including them would only dilute the measured ratio
-    // (the main sweep above is MGL-only for the same reason).
+    // MGL-only (`mgl_only`), production window-list capacity: the batch
+    // scheduler moves MGL rounds between threads; stages 2/3 are serial and
+    // identical in both columns, so including them would only dilute the
+    // measured ratio (the main sweep above is MGL-only for the same reason).
     let batch_cfg = {
         let mut c = LegalizerConfig::total_displacement();
-        c.max_disp_matching = false;
-        c.fixed_order_refine = false;
         c.clamp_threads_to_hardware = false;
         c
     };
@@ -367,7 +388,7 @@ fn main() {
             variants
                 .iter()
                 .flat_map(|d| {
-                    let (placed, stats) = Legalizer::new(bc.clone()).run(d);
+                    let (placed, stats) = legalize(&bc, d, &mgl_only);
                     assert_eq!(stats.mgl.failed, 0, "solo run failed cells");
                     placed.cells.iter().map(|c| c.pos).collect::<Vec<_>>()
                 })
@@ -375,11 +396,7 @@ fn main() {
         });
         let (batch_s, batch_pos) = time_best(reps, || {
             let mut engine = Engine::new(bc.clone());
-            engine
-                .legalize_batch(&variants)
-                .iter()
-                .flat_map(|(placed, _)| placed.cells.iter().map(|c| c.pos))
-                .collect()
+            batch_positions(&mut engine, &variants, &mgl_only)
         });
         assert_eq!(
             solo_pos, batch_pos,
@@ -412,11 +429,7 @@ fn main() {
     let mut steals = 0u64;
     let (inter_s, inter_pos) = time_best(reps, || {
         let mut engine = Engine::new(icfg.clone());
-        let out = engine
-            .legalize_batch(&variants)
-            .iter()
-            .flat_map(|(placed, _)| placed.cells.iter().map(|c| c.pos))
-            .collect();
+        let out = batch_positions(&mut engine, &variants, &mgl_only);
         steals = steals.max(engine.diag().cross_design_steals);
         out
     });
@@ -426,8 +439,7 @@ fn main() {
         let solo_pos: Vec<Option<Point>> = variants
             .iter()
             .flat_map(|d| {
-                Legalizer::new(bc.clone())
-                    .run(d)
+                legalize(&bc, d, &mgl_only)
                     .0
                     .cells
                     .iter()

@@ -6,8 +6,10 @@
 //! and the full three-stage legalizer ("Ours").
 
 use mcl_baselines::legalize_tetris;
-use mcl_bench::{evaluate, fnum, norm_avg, save_artifact, scale_from_env, threads_from_env};
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_bench::{
+    evaluate, fnum, legalize, norm_avg, save_artifact, scale_from_env, threads_from_env,
+};
+use mcl_core::{LegalizerConfig, RunSpec};
 use mcl_gen::generate::generate;
 use mcl_gen::presets::{iccad17_config, ICCAD17};
 
@@ -38,7 +40,7 @@ fn main() {
         let champ = evaluate(d, |d| legalize_tetris(d).0);
         let mut lcfg = LegalizerConfig::contest();
         lcfg.threads = threads_from_env();
-        let ours = evaluate(d, |d| Legalizer::new(lcfg.clone()).run(d).0);
+        let ours = evaluate(d, |d| legalize(&lcfg, d, &RunSpec::default()).0);
 
         assert!(ours.report.is_legal(), "{}: ours must be legal", stats.name);
         assert!(

@@ -7,8 +7,10 @@
 //! routability constraints are disabled, objective = total displacement.
 
 use mcl_baselines::{legalize_abacus, legalize_lcp, legalize_mll};
-use mcl_bench::{evaluate, fnum, norm_avg, save_artifact, scale_from_env, threads_from_env};
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_bench::{
+    evaluate, fnum, legalize, norm_avg, save_artifact, scale_from_env, threads_from_env,
+};
+use mcl_core::{LegalizerConfig, RunSpec};
 use mcl_gen::generate::generate;
 use mcl_gen::presets::{ispd15_config, ISPD15};
 
@@ -49,7 +51,7 @@ fn main() {
         let lcp = evaluate(d, |d| legalize_lcp(d).0);
         let mut lcfg = LegalizerConfig::total_displacement();
         lcfg.threads = threads_from_env();
-        let ours = evaluate(d, |d| Legalizer::new(lcfg.clone()).run(d).0);
+        let ours = evaluate(d, |d| legalize(&lcfg, d, &RunSpec::default()).0);
         assert!(ours.report.is_legal(), "{}: ours must be legal", stats.name);
 
         let line = format!(

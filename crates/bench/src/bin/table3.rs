@@ -3,8 +3,11 @@
 //! For each IC/CAD 2017 preset: average and maximum displacement before
 //! (MGL only) and after (MGL + matching + fixed row & order MCF).
 
-use mcl_bench::{evaluate, fnum, norm_avg, save_artifact, scale_from_env, threads_from_env};
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_bench::{
+    evaluate, fnum, legalize, norm_avg, save_artifact, scale_from_env, threads_from_env,
+};
+use mcl_core::pipeline::POST_PIPELINE;
+use mcl_core::{LegalizerConfig, RunSpec};
 use mcl_gen::generate::generate;
 use mcl_gen::presets::{iccad17_config, ICCAD17};
 
@@ -36,17 +39,14 @@ fn main() {
         stage1_cfg.threads = threads_from_env();
         stage1_cfg.max_disp_matching = false;
         stage1_cfg.fixed_order_refine = false;
-        let before = evaluate(d, |d| Legalizer::new(stage1_cfg.clone()).run(d).0);
+        let before = evaluate(d, |d| legalize(&stage1_cfg, d, &RunSpec::default()).0);
 
         // Run the post-processing on the stage-1 output (the paper's
         // "before/after" is exactly this refinement).
         let mut full_cfg = LegalizerConfig::contest();
         full_cfg.threads = threads_from_env();
         let after = evaluate(&before.design, |d| {
-            Legalizer::new(full_cfg.clone())
-                .refine(d)
-                .expect("stage-1 output is legal")
-                .0
+            legalize(&full_cfg, d, &RunSpec::stages(&POST_PIPELINE)).0
         });
         assert!(after.report.is_legal());
 

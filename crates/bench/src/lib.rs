@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 
+use mcl_core::{Engine, LegalizeStats, LegalizerConfig, RunSpec};
 use mcl_db::prelude::*;
 use mcl_obs::clock::Stopwatch;
 
@@ -46,6 +47,23 @@ pub fn out_dir() -> std::path::PathBuf {
     let p = std::path::PathBuf::from(dir);
     let _ = std::fs::create_dir_all(&p);
     p
+}
+
+/// Runs `spec` on one design through a fresh [`Engine`], as a one-shot CLI
+/// run does. Bench configurations arm no faults, so a failed run is a
+/// defect: the binary reports the classed error and exits non-zero.
+pub fn legalize(
+    config: &LegalizerConfig,
+    design: &Design,
+    spec: &RunSpec,
+) -> (Design, LegalizeStats) {
+    match Engine::new(config.clone()).run_one(design, spec) {
+        Ok(out) => (out.design, out.stats),
+        Err(e) => {
+            eprintln!("legalization of `{}` failed: {e}", design.name);
+            std::process::exit(1);
+        }
+    }
 }
 
 /// One legalizer evaluation on one benchmark.

@@ -1,4 +1,4 @@
-//! Legalizer configuration.
+//! Legalization configuration.
 
 use crate::faultinject::FaultPlan;
 use mcl_db::geom::Dbu;
@@ -97,15 +97,16 @@ pub struct LegalizerConfig {
     /// dirty member (restricted to closure members), stage 3 solves the
     /// flow over closure members with their nearest clean neighbors as
     /// fixed walls. Only effective when the state adopted existing
-    /// positions (`run_eco` / [`crate::legalizer::EcoSession`]); a fresh
+    /// positions ([`crate::RunSpec::eco`] / [`crate::legalizer::EcoSession`]); a fresh
     /// full run ignores it. Off by default: batch runs keep today's
     /// whole-design post stages.
     pub eco_delta: bool,
     /// `n₀`: weight of the max-displacement terms in stage 3, relative to a
     /// unit cell weight (0 disables the extension).
     pub n0_factor: i64,
-    /// Number of worker threads for MGL (1 = serial). Results are identical
-    /// for any value.
+    /// Thread budget for MGL: design runners plus shared eval workers
+    /// (1 = every round runs inline on the calling thread). Results are
+    /// identical for any value.
     pub threads: usize,
     /// Clamp `threads` to the hardware's available parallelism. Oversub-
     /// scribing buys nothing (results are thread-count-invariant) and costs
@@ -120,15 +121,17 @@ pub struct LegalizerConfig {
     /// size, and per-design results are identical for any value.
     pub max_inflight_designs: usize,
     /// Capacity of the concurrent-window list `L_p` (§3.5). Determinism is
-    /// per capacity value; small capacities track the sequential schedule
-    /// closely (capacity 1 reproduces it exactly), large ones admit more
-    /// parallelism at some displacement cost.
+    /// per capacity value; small capacities track the cell-by-cell
+    /// sequential schedule closely, large ones admit more parallelism at
+    /// some displacement cost. Capacity 1 is still not that schedule
+    /// whenever a cell falls back: the scheduler runs every fallback scan
+    /// after the last round, not at the cell's turn.
     pub window_list_capacity: usize,
     /// Wall-clock budget for the whole pipeline, checked at stage
     /// boundaries only (never mid-stage, so fault-free results stay
     /// deterministic). Once exceeded, remaining stages take their
-    /// degradation rung: MGL runs serially, maxdisp and refine are
-    /// skipped. `None` disables the budget.
+    /// degradation rung: MGL runs inline without the shared pool (same
+    /// placement), maxdisp and refine are skipped. `None` disables the budget.
     pub stage_budget_secs: Option<f64>,
     /// Deterministic retry budget for a failed per-cell insertion
     /// evaluation before the cell is quarantined (DESIGN.md §11). Retries
@@ -162,10 +165,14 @@ impl LegalizerConfig {
         }
     }
 
-    /// MLL baseline: stage 1 only, current-position reference.
+    /// MLL baseline: stage 1 only, current-position reference, one window
+    /// per round. MLL (Chow et al., DAC 2016) inserts cells one at a time;
+    /// the concurrent window list is this paper's §3.5 addition, so the
+    /// baseline runs with a list capacity of 1.
     pub fn mll_baseline() -> Self {
         Self {
             reference: DisplacementReference::Current,
+            window_list_capacity: 1,
             weights: WeightMode::Uniform,
             routability: false,
             max_disp_matching: false,

@@ -1,16 +1,17 @@
-//! Reusable legalization engine for batch workloads.
+//! The legalization engine: the one way to run the pipeline.
 //!
-//! [`Legalizer`](crate::Legalizer) is stateless: every call pays full setup
-//! (thread spawn, scratch-arena growth) again. The [`Engine`] owns that
-//! state instead — a small pool of [`InsertionScratch`] arenas and, for the
-//! whole of a batch call, one shared [`EvalPool`] of worker threads — and
-//! runs each design through the same [`crate::pipeline`] driver. Results
-//! are bit-identical to the equivalent [`Legalizer`](crate::Legalizer)
-//! calls (pinned by the golden corpus); only the setup cost is amortized.
+//! [`Engine::run`] takes a batch of designs and a [`RunSpec`] (stage list,
+//! whether to adopt existing positions, optional per-job budgets) and
+//! returns one fallible [`RunOutput`] per design. A single design is a
+//! batch of one ([`Engine::run_one`]). The engine owns the setup state that
+//! is worth keeping across calls — a small pool of [`InsertionScratch`]
+//! arenas — and, for the whole of one call, one shared [`EvalPool`] of
+//! worker threads; it runs each design through the same
+//! [`crate::pipeline`] driver.
 //!
 //! ## Batch scheduling
 //!
-//! A batch call splits `config.threads` into **runners** and **workers**
+//! A call splits `config.threads` into **runners** and **workers**
 //! (DESIGN.md §12). Runners pull whole designs off a shared cursor —
 //! bounded admission: at most `max_inflight_designs` designs are in flight,
 //! so memory scales with in-flight work, never batch size — and each drives
@@ -19,27 +20,26 @@
 //! from different designs interleave freely (work conservation — no worker
 //! idles while any design has runnable jobs). When the batch is at least as
 //! wide as the thread budget, every thread is a runner and designs run
-//! inline with zero cross-thread round traffic — the engine's throughput
-//! lever over per-design solo runs, which pay replica clones, apply
-//! replays and round synchronization on every design.
+//! inline with zero cross-thread round traffic. A stage list without MGL
+//! has no rounds to fan out, so it spawns no pool at all.
 //!
 //! Determinism is per design: selection, retry and apply order are decided
 //! by each design's own runner, so outputs, replay logs and reports are
-//! bit-identical to solo runs at any thread count, any admission bound and
+//! bit-identical at any thread count (1 included), any admission bound and
 //! any batch composition (pinned by `tests/batch_parity.rs`).
 //!
 //! Buffer-reuse contract (asserted by tests via [`EngineDiag`] and the
-//! scratch `created` counter): within one [`Engine::legalize_batch`] call,
-//! at most one pool is spawned, and every scratch — one per runner plus one
-//! per worker — is constructed at most once for the engine's lifetime.
+//! scratch `created` counter): within one [`Engine::run`] call at most one
+//! pool is spawned, and every scratch — one per runner plus one per worker
+//! — is constructed at most once for the engine's lifetime.
 
 use crate::config::LegalizerConfig;
 use crate::error::LegalizeError;
 use crate::insertion::InsertionScratch;
 use crate::legalizer::LegalizeStats;
-use crate::pipeline::{self, includes_mgl, MglExec, Prep, Stage, FULL_PIPELINE, POST_PIPELINE};
+use crate::pipeline::{self, includes_mgl, Prep, Stage, FULL_PIPELINE};
 use crate::scheduler::{EvalPool, PoolClient};
-use crate::state::{PlaceError, PlacementState};
+use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -50,17 +50,15 @@ use std::sync::{Mutex, PoisonError};
 pub struct EngineDiag {
     /// Pipeline runs driven by this engine (one per design).
     pub runs: u64,
-    /// Shared worker pools spawned. A batch call spawns **at most one**
-    /// pool for its whole lifetime — and only when threads are left over
-    /// after admission (`threads` exceeds the runner count); a batch whose
-    /// every thread is a design runner spawns none. Single-design calls
-    /// spawn one per call when `threads > 1`.
+    /// Shared worker pools spawned. A call spawns **at most one** pool for
+    /// its whole lifetime — and only when its stage list includes MGL and
+    /// threads are left over after admission (`threads` exceeds the runner
+    /// count); a call whose every thread is a design runner spawns none.
     pub pool_spawns: u64,
     /// Total shared eval worker threads spawned across all pools.
     pub worker_spawns: u64,
-    /// Runner threads spawned by batch calls. The calling thread doubles
-    /// as runner 0 and is not counted, so a batch at `R` in-flight designs
-    /// adds `R − 1`.
+    /// Runner threads spawned. The calling thread doubles as runner 0 and
+    /// is not counted, so a call at `R` in-flight designs adds `R − 1`.
     pub runner_spawns: u64,
     /// Rounds in which a shared pool worker switched designs: incremented
     /// when a worker claims at least one eval job from a different design
@@ -69,33 +67,80 @@ pub struct EngineDiag {
     pub cross_design_steals: u64,
 }
 
-/// A seed error from a position-adopting batch run: design `design` could
-/// not adopt `cell`'s existing position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchSeedError {
-    /// Index of the offending design in the batch slice.
-    pub design: usize,
-    /// The cell whose position could not be adopted.
-    pub cell: CellId,
-    /// Why adoption failed.
-    pub error: PlaceError,
+/// What an [`Engine::run`] call does to each design.
+#[derive(Clone)]
+pub struct RunSpec {
+    /// The stages to run, in canonical order ([`FULL_PIPELINE`],
+    /// [`pipeline::POST_PIPELINE`] or a [`pipeline::parse_stages`] list).
+    pub stages: Vec<&'static dyn Stage>,
+    /// Adopt each design's existing positions before the first stage
+    /// (ECO). Always on when `stages` skips MGL: post-processing needs a
+    /// placed input. An unadoptable position fails that job with
+    /// [`LegalizeError::SeedRejected`].
+    pub adopt_positions: bool,
+    /// Per-job deadline budgets in seconds: job `i` runs under
+    /// `budgets[i]` (when set) instead of the engine's `stage_budget_secs`;
+    /// when both are set the tighter one wins. Shorter than the batch
+    /// leaves the tail on the engine config. This is how `mclegal serve`
+    /// maps a client's deadline onto the degradation ladder; it never
+    /// changes a fault-free result.
+    pub budgets: Vec<Option<f64>>,
 }
 
-/// One batch job's successful output.
-type BatchItem = (Design, LegalizeStats, mcl_audit::ReplayLog);
+impl RunSpec {
+    /// An explicit stage list; positions are adopted only when it skips
+    /// MGL.
+    pub fn stages(stages: &[&'static dyn Stage]) -> Self {
+        Self {
+            stages: stages.to_vec(),
+            adopt_positions: false,
+            budgets: Vec::new(),
+        }
+    }
+
+    /// The full pipeline over adopted positions: cells that already have a
+    /// legal position keep it as their starting point and only unplaced
+    /// cells go through MGL insertion.
+    pub fn eco() -> Self {
+        Self {
+            adopt_positions: true,
+            ..Self::default()
+        }
+    }
+}
+
+impl Default for RunSpec {
+    /// The full pipeline from scratch (input positions are ignored).
+    fn default() -> Self {
+        Self::stages(&FULL_PIPELINE)
+    }
+}
+
+/// One job's successful output.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// The input design with the legalized positions written back.
+    pub design: Design,
+    /// The run's statistics.
+    pub stats: LegalizeStats,
+    /// Every committed placement mutation, for the determinism auditor
+    /// (`mcl_audit::replay`): two runs are bit-identical iff their logs are
+    /// equal. Empty unless the `replay-log` feature (default) is enabled.
+    pub replay: mcl_audit::ReplayLog,
+}
 
 /// One design's seed-in / result-out cell. Each slot is claimed by exactly
 /// one runner (via the shared admission cursor), so the lock is always
 /// uncontended; it exists to let runners write results without aliasing.
 struct Slot<'d> {
     seed: Option<PlacementState<'d>>,
-    out: Option<Result<BatchItem, LegalizeError>>,
+    out: Option<Result<RunOutput, LegalizeError>>,
 }
 
 /// A reusable legalization engine: configuration plus long-lived scratch.
 ///
 /// ```
-/// use mcl_core::{Engine, LegalizerConfig};
+/// use mcl_core::{Engine, LegalizerConfig, RunSpec};
 /// use mcl_db::prelude::*;
 ///
 /// let mut designs = Vec::new();
@@ -107,18 +152,19 @@ struct Slot<'d> {
 ///     designs.push(d);
 /// }
 /// let mut engine = Engine::new(LegalizerConfig::contest());
-/// let results = engine.legalize_batch(&designs);
+/// let results = engine.run(&designs, &RunSpec::default());
 /// assert_eq!(results.len(), 3);
-/// for (legal, stats) in &results {
-///     assert_eq!(stats.mgl.failed, 0);
-///     assert!(Checker::new(legal).check().is_legal());
+/// for r in &results {
+///     let out = r.as_ref().expect("legalized");
+///     assert_eq!(out.stats.mgl.failed, 0);
+///     assert!(Checker::new(&out.design).check().is_legal());
 /// }
 /// ```
 #[derive(Debug)]
 pub struct Engine {
     config: LegalizerConfig,
-    /// Runner scratch arenas, grown lazily to the batch runner count and
-    /// reused across calls (index 0 doubles as the solo-path scratch).
+    /// Runner scratch arenas, grown lazily to the runner count and reused
+    /// across calls.
     scratches: Vec<InsertionScratch>,
     diag: EngineDiag,
 }
@@ -153,10 +199,6 @@ impl Engine {
         self.diag
     }
 
-    fn pool_workers(&self) -> usize {
-        self.config.threads - 1
-    }
-
     /// How many runner threads a batch of `n` designs gets: the admission
     /// bound (`config.max_inflight_designs`, 0 = auto meaning `threads`),
     /// clamped to the thread budget and the batch size. The remaining
@@ -169,68 +211,8 @@ impl Engine {
         limit.min(self.config.threads).min(n.max(1)).max(1)
     }
 
-    /// Legalizes one design from scratch (the engine twin of
-    /// [`crate::Legalizer::run`]).
-    pub fn legalize(&mut self, design: &Design) -> (Design, LegalizeStats) {
-        let (out, stats, _) = self.legalize_with_replay(design);
-        (out, stats)
-    }
-
-    /// Fallible variant of [`Self::legalize`]: a run whose degradation
-    /// ladder is exhausted returns the typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// The terminal [`LegalizeError`] of the run.
-    pub fn try_legalize(
-        &mut self,
-        design: &Design,
-    ) -> Result<(Design, LegalizeStats), LegalizeError> {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::new(design);
-        let stats = self.run_single(design, &mut state, &FULL_PIPELINE, &prep)?;
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        Ok((out, stats))
-    }
-
-    /// Like [`Self::legalize`], additionally returning the replay log.
-    pub fn legalize_with_replay(
-        &mut self,
-        design: &Design,
-    ) -> (Design, LegalizeStats, mcl_audit::ReplayLog) {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::new(design);
-        let stats = crate::error::expect_run(
-            "legalization",
-            &design.name,
-            self.run_single(design, &mut state, &FULL_PIPELINE, &prep),
-        );
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        let log = state.take_replay_log();
-        (out, stats, log)
-    }
-
-    /// Incremental legalization adopting existing positions (the engine
-    /// twin of [`crate::Legalizer::run_eco`]).
-    ///
-    /// # Errors
-    ///
-    /// The classed [`LegalizeError`] of the run: unadoptable input
-    /// positions map to [`LegalizeError::SeedRejected`] (the pre-placed
-    /// part must be legal), and pipeline failures surface typed instead of
-    /// panicking.
-    pub fn legalize_eco(
-        &mut self,
-        design: &Design,
-    ) -> Result<(Design, LegalizeStats), LegalizeError> {
-        self.try_legalize_eco(design)
-    }
-
     /// Opens a resident incremental-legalization session over `design`
-    /// with this engine's configuration (the interactive twin of
-    /// [`Self::legalize_eco`]; see [`crate::EcoSession`]).
+    /// with this engine's configuration (see [`crate::EcoSession`]).
     ///
     /// # Errors
     ///
@@ -240,255 +222,62 @@ impl Engine {
         crate::EcoSession::open(design, self.config.clone())
     }
 
-    /// Alias of [`Self::legalize_eco`], kept for callers written against
-    /// the older panicking variant: every ECO entry point is now fallible
-    /// with the same classed error.
+    /// Runs one design: exactly [`Self::run`] on a one-element batch.
     ///
     /// # Errors
     ///
-    /// The terminal [`LegalizeError`] of the run.
-    pub fn try_legalize_eco(
-        &mut self,
-        design: &Design,
-    ) -> Result<(Design, LegalizeStats), LegalizeError> {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::from_design_positions(design).map_err(|(cell, e)| {
-            LegalizeError::SeedRejected {
-                cell: Some(cell.0),
-                message: e.to_string(),
-            }
-        })?;
-        let stats = self.run_single(design, &mut state, &FULL_PIPELINE, &prep)?;
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        Ok((out, stats))
+    /// The job's terminal [`LegalizeError`] (see [`Self::run`]).
+    pub fn run_one(&mut self, design: &Design, spec: &RunSpec) -> Result<RunOutput, LegalizeError> {
+        self.run(std::slice::from_ref(design), spec)
+            .pop()
+            .unwrap_or(Err(LegalizeError::PoolBroken {
+                during: "batch slot",
+            }))
     }
 
-    /// Post-processing only (the engine twin of
-    /// [`crate::Legalizer::refine`]).
+    /// Runs `spec` over every design, interleaving up to
+    /// [`Self::batch_runners`] designs on the thread budget. Every design
+    /// gets its own result: one job failing to seed or exhausting its
+    /// degradation ladder does not abort the batch, and the other jobs'
+    /// outputs are bit-identical to fault-free solo runs (pinned by the
+    /// chaos suite, including under cross-design interleaving).
     ///
-    /// # Errors
-    ///
-    /// Returns the offending cell when the input positions are not
-    /// adoptable (i.e. the input is not legal).
-    pub fn refine(
-        &mut self,
-        design: &Design,
-    ) -> Result<(Design, LegalizeStats), (CellId, PlaceError)> {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::from_design_positions(design)?;
-        let stats = crate::error::expect_run(
-            "refine",
-            &design.name,
-            self.run_single(design, &mut state, &POST_PIPELINE, &prep),
-        );
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        Ok((out, stats))
-    }
-
-    /// Legalizes a batch of designs from scratch, interleaving up to
-    /// [`Self::batch_runners`] designs on the thread budget. Output is
-    /// bit-identical to calling [`Self::legalize`] per design; only the
-    /// per-design overhead is eliminated.
-    pub fn legalize_batch(&mut self, designs: &[Design]) -> Vec<(Design, LegalizeStats)> {
-        // Fresh seeding never adopts positions, so it cannot fail.
-        crate::error::expect_run(
-            "batch legalization",
-            "batch",
-            self.legalize_batch_with(designs, &FULL_PIPELINE, false)
-                .map_err(|e| format!("design {} cell {}: {}", e.design, e.cell.0, e.error)),
-        )
-    }
-
-    /// ECO-legalizes a batch: every design's existing positions are adopted
-    /// before the full pipeline runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first design/cell whose position could not be adopted;
-    /// no design is legalized in that case.
-    pub fn legalize_batch_eco(
+    /// Runner 0 is the calling thread; each runner claims the next
+    /// unprocessed design off a shared cursor and drives it start to
+    /// finish, so results land in deterministic slots while the *schedule*
+    /// (which runner gets which design, how rounds interleave) is free to
+    /// race.
+    pub fn run(
         &mut self,
         designs: &[Design],
-    ) -> Result<Vec<(Design, LegalizeStats)>, BatchSeedError> {
-        self.legalize_batch_with(designs, &FULL_PIPELINE, true)
-    }
-
-    /// The general batch entry point: run an explicit stage list over every
-    /// design. Positions are adopted when `adopt_positions` is set *or* the
-    /// stage list skips MGL (post-processing needs a placed input).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first design/cell whose position could not be adopted;
-    /// no design is legalized in that case.
-    pub fn legalize_batch_with(
-        &mut self,
-        designs: &[Design],
-        stages: &[&dyn Stage],
-        adopt_positions: bool,
-    ) -> Result<Vec<(Design, LegalizeStats)>, BatchSeedError> {
-        let adopt = adopt_positions || !includes_mgl(stages);
-        // Seed every state up-front so seed errors surface before any work
-        // is done (the fault-isolating path seeds per job instead).
-        let preps: Vec<Prep<'_>> = designs.iter().map(|d| Prep::new(d, &self.config)).collect();
-        let mut seeds: Vec<Result<PlacementState<'_>, LegalizeError>> =
-            Vec::with_capacity(designs.len());
-        for (i, d) in designs.iter().enumerate() {
-            seeds.push(Ok(if adopt {
-                PlacementState::from_design_positions(d).map_err(|(cell, error)| {
-                    BatchSeedError {
-                        design: i,
-                        cell,
-                        error,
-                    }
-                })?
-            } else {
-                PlacementState::new(d)
-            }));
-        }
-        let out = self
-            .run_batch(designs, &preps, seeds, stages, None)
-            .into_iter()
-            .zip(designs)
-            .map(|(r, d)| {
-                let (out, stats, _) = crate::error::expect_run("batch legalization", &d.name, r);
-                (out, stats)
-            })
-            .collect();
-        Ok(out)
-    }
-
-    /// Fault-isolating batch entry point: every design gets its own
-    /// [`Result`]. One job exhausting its degradation ladder (or failing to
-    /// seed) does not abort the batch — the remaining jobs still run, and
-    /// their outputs are bit-identical to fault-free solo runs (pinned by
-    /// the chaos suite, including under cross-design interleaving).
-    pub fn try_legalize_batch(
-        &mut self,
-        designs: &[Design],
-    ) -> Vec<Result<(Design, LegalizeStats), LegalizeError>> {
-        self.try_legalize_batch_with(designs, &FULL_PIPELINE, false)
-    }
-
-    /// The general fault-isolating batch entry point (see
-    /// [`Self::try_legalize_batch`]). Seeding happens per job: a design
-    /// whose positions cannot be adopted yields
-    /// [`LegalizeError::SeedRejected`] for that job only.
-    pub fn try_legalize_batch_with(
-        &mut self,
-        designs: &[Design],
-        stages: &[&dyn Stage],
-        adopt_positions: bool,
-    ) -> Vec<Result<(Design, LegalizeStats), LegalizeError>> {
-        self.try_legalize_batch_with_replay(designs, stages, adopt_positions)
-            .into_iter()
-            .map(|r| r.map(|(d, s, _)| (d, s)))
-            .collect()
-    }
-
-    /// Like [`Self::try_legalize_batch_with`], additionally returning each
-    /// successful job's replay log — the batch twin of
-    /// [`Self::legalize_with_replay`], used by the batch-parity suite to
-    /// pin per-design replay logs against solo runs.
-    pub fn try_legalize_batch_with_replay(
-        &mut self,
-        designs: &[Design],
-        stages: &[&dyn Stage],
-        adopt_positions: bool,
-    ) -> Vec<Result<BatchItem, LegalizeError>> {
-        self.try_legalize_batch_budgeted_with_replay(designs, stages, adopt_positions, &[])
-    }
-
-    /// Fault-isolating batch run with **per-job deadline budgets**: job `i`
-    /// runs under `budgets[i]` seconds (when set), overriding the engine's
-    /// `stage_budget_secs` for that design only. This is how `mclegal
-    /// serve` maps a client's deadline onto the degradation ladder — a
-    /// deadline-pressed job degrades and re-certifies inside its own slot
-    /// while peers keep the engine-wide configuration (and stay
-    /// bit-identical to solo runs; the budget is the *only* config field
-    /// that differs per job, and it never changes the fault-free result).
-    ///
-    /// `budgets` shorter than `designs` leaves the tail on the engine
-    /// config; when both the engine and the job set a budget, the tighter
-    /// one wins.
-    pub fn try_legalize_batch_budgeted(
-        &mut self,
-        designs: &[Design],
-        budgets: &[Option<f64>],
-    ) -> Vec<Result<(Design, LegalizeStats), LegalizeError>> {
-        self.try_legalize_batch_budgeted_with_replay(designs, &FULL_PIPELINE, false, budgets)
-            .into_iter()
-            .map(|r| r.map(|(d, s, _)| (d, s)))
-            .collect()
-    }
-
-    /// The replay-carrying core of the budgeted batch path (see
-    /// [`Self::try_legalize_batch_budgeted`]).
-    pub fn try_legalize_batch_budgeted_with_replay(
-        &mut self,
-        designs: &[Design],
-        stages: &[&dyn Stage],
-        adopt_positions: bool,
-        budgets: &[Option<f64>],
-    ) -> Vec<Result<BatchItem, LegalizeError>> {
-        let adopt = adopt_positions || !includes_mgl(stages);
-        let overrides: Option<Vec<LegalizerConfig>> = if budgets.iter().any(Option::is_some) {
-            Some(
-                designs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| {
+        spec: &RunSpec,
+    ) -> Vec<Result<RunOutput, LegalizeError>> {
+        let stages = spec.stages.as_slice();
+        let adopt = spec.adopt_positions || !includes_mgl(stages);
+        // Per-job configs exist only when some job carries its own budget;
+        // everything schedule-relevant is identical across jobs.
+        let overrides: Option<Vec<LegalizerConfig>> =
+            spec.budgets.iter().any(Option::is_some).then(|| {
+                (0..designs.len())
+                    .map(|i| {
                         let mut c = self.config.clone();
-                        if let Some(b) = budgets.get(i).copied().flatten() {
-                            c.stage_budget_secs = Some(match c.stage_budget_secs {
-                                Some(engine_b) => engine_b.min(b),
-                                None => b,
-                            });
+                        if let Some(b) = spec.budgets.get(i).copied().flatten() {
+                            c.stage_budget_secs =
+                                Some(c.stage_budget_secs.map_or(b, |engine_b| engine_b.min(b)));
                         }
                         c
                     })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+                    .collect()
+            });
         let preps: Vec<Prep<'_>> = designs.iter().map(|d| Prep::new(d, &self.config)).collect();
-        let seeds: Vec<Result<PlacementState<'_>, LegalizeError>> = designs
-            .iter()
-            .map(|d| {
-                if adopt {
-                    PlacementState::from_design_positions(d).map_err(|(cell, e)| {
-                        LegalizeError::SeedRejected {
-                            cell: Some(cell.0),
-                            message: e.to_string(),
-                        }
-                    })
-                } else {
-                    Ok(PlacementState::new(d))
-                }
-            })
-            .collect();
-        self.run_batch(designs, &preps, seeds, stages, overrides.as_deref())
-    }
-
-    /// The batch core: admission-bounded runners interleaving on a shared
-    /// worker pool. Runner 0 is the calling thread; each runner claims the
-    /// next unprocessed design off a shared cursor and drives it start to
-    /// finish, so design results land in deterministic slots while the
-    /// *schedule* (which runner gets which design, how rounds interleave)
-    /// is free to race.
-    fn run_batch<'d>(
-        &mut self,
-        designs: &'d [Design],
-        preps: &[Prep<'d>],
-        seeds: Vec<Result<PlacementState<'d>, LegalizeError>>,
-        stages: &[&dyn Stage],
-        overrides: Option<&[LegalizerConfig]>,
-    ) -> Vec<Result<BatchItem, LegalizeError>> {
         let runners = self.batch_runners(designs.len());
-        let workers = self.config.threads.saturating_sub(runners);
+        // Only MGL fans out onto the pool; post stages would leave every
+        // worker idle.
+        let workers = if includes_mgl(stages) {
+            self.config.threads.saturating_sub(runners)
+        } else {
+            0
+        };
         while self.scratches.len() < runners {
             self.scratches.push(InsertionScratch::new());
         }
@@ -497,10 +286,20 @@ impl Engine {
             scratches,
             diag,
         } = self;
-        let slots: Vec<Mutex<Slot<'d>>> = seeds
-            .into_iter()
-            .map(|s| {
-                Mutex::new(match s {
+        let slots: Vec<Mutex<Slot<'_>>> = designs
+            .iter()
+            .map(|d| {
+                let seed = if adopt {
+                    PlacementState::from_design_positions(d).map_err(|(cell, e)| {
+                        LegalizeError::SeedRejected {
+                            cell: Some(cell.0),
+                            message: e.to_string(),
+                        }
+                    })
+                } else {
+                    Ok(PlacementState::new(d))
+                };
+                Mutex::new(match seed {
                     Ok(state) => Slot {
                         seed: Some(state),
                         out: None,
@@ -527,6 +326,16 @@ impl Engine {
                 })
                 .collect();
         };
+        let job = Job {
+            designs,
+            preps: &preps,
+            slots: &slots,
+            next: &next,
+            runs: &runs,
+            config,
+            overrides: overrides.as_deref(),
+            stages,
+        };
         std::thread::scope(|scope| {
             let pool = (workers > 0).then(|| EvalPool::spawn(scope, workers));
             if let Some(p) = &pool {
@@ -537,36 +346,10 @@ impl Engine {
             for scratch in rest_scratches.iter_mut().take(runners - 1) {
                 diag.runner_spawns += 1;
                 let client = pool.as_ref().map(EvalPool::client);
-                let (slots, next, runs) = (&slots, &next, &runs);
-                let config: &LegalizerConfig = config;
-                scope.spawn(move || {
-                    batch_runner(
-                        designs,
-                        preps,
-                        slots,
-                        next,
-                        runs,
-                        config,
-                        overrides,
-                        stages,
-                        scratch,
-                        client.as_ref(),
-                    );
-                });
+                scope.spawn(move || job.runner(scratch, client.as_ref()));
             }
             let client = pool.as_ref().map(EvalPool::client);
-            batch_runner(
-                designs,
-                preps,
-                &slots,
-                &next,
-                &runs,
-                config,
-                overrides,
-                stages,
-                main_scratch,
-                client.as_ref(),
-            );
+            job.runner(main_scratch, client.as_ref());
             // The scope joins the extra runners (and, once every client is
             // dropped, the pool workers) before returning.
         });
@@ -590,159 +373,81 @@ impl Engine {
             })
             .collect()
     }
+}
 
-    /// Runs one prepared design through the pipeline, spawning a pool for
-    /// the call when the configuration is multi-threaded.
-    fn run_single<'d>(
-        &mut self,
-        design: &'d Design,
-        state: &mut PlacementState<'d>,
-        stages: &[&dyn Stage],
-        prep: &Prep<'d>,
-    ) -> Result<LegalizeStats, LegalizeError> {
-        let workers = self.pool_workers();
-        let Self {
-            config,
-            scratches,
-            diag,
-        } = self;
-        // Constructed with one scratch and never shrunk; degrade to a typed
-        // error rather than index-panic if that invariant ever breaks.
-        let Some(scratch) = scratches.first_mut() else {
-            return Err(LegalizeError::ResourceExhausted {
-                stage: "mgl",
-                what: "runner scratch pool",
-            });
-        };
-        diag.runs += 1;
-        if workers == 0 {
-            pipeline::run_stages(
+/// Everything the runners of one [`Engine::run`] call share.
+#[derive(Clone, Copy)]
+struct Job<'a, 'd> {
+    designs: &'d [Design],
+    preps: &'a [Prep<'d>],
+    slots: &'a [Mutex<Slot<'d>>],
+    next: &'a AtomicUsize,
+    runs: &'a AtomicU64,
+    config: &'a LegalizerConfig,
+    overrides: Option<&'a [LegalizerConfig]>,
+    stages: &'a [&'static dyn Stage],
+}
+
+impl<'a, 'd> Job<'a, 'd> {
+    /// One runner's admission loop: claim the next unprocessed design, run
+    /// it start to finish, repeat until the batch cursor runs dry.
+    fn runner(self, scratch: &mut InsertionScratch, client: Option<&PoolClient<'a>>) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let (Some(design), Some(prep), Some(slot)) =
+                (self.designs.get(i), self.preps.get(i), self.slots.get(i))
+            else {
+                break; // cursor ran past the batch: done
+            };
+            // The guard is scoped to the seed takeout: the run below sends
+            // on the pool channels, and no lock guard may be live across a
+            // send (`cargo xtask analyze`, rule pool-lock-across-send). The
+            // slot is claimed by exactly one runner, so re-locking to store
+            // the result races with nobody; a panic escaping the run leaves
+            // `out` empty, which the collector degrades to a typed
+            // PoolBroken error.
+            let seed = slot
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .seed
+                .take();
+            let Some(mut state) = seed else {
+                continue; // seed error, result already recorded
+            };
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            let config = self.overrides.and_then(|c| c.get(i)).unwrap_or(self.config);
+            // `i` is the design's batch index: it tags this design's
+            // messages on the shared pool.
+            let out = pipeline::run_stages(
                 design,
-                state,
+                &mut state,
                 config,
-                stages,
-                &prep.weights,
-                prep.oracle(),
-                MglExec::Batch {
-                    client: None,
-                    run: 0,
-                },
+                self.stages,
+                prep,
+                client.map(|c| (c, i)),
                 scratch,
-                "engine",
             )
-        } else {
-            std::thread::scope(|scope| {
-                let pool = EvalPool::spawn(scope, workers);
-                diag.pool_spawns += 1;
-                diag.worker_spawns += workers as u64;
-                let client = pool.client();
-                pipeline::run_stages(
-                    design,
-                    state,
-                    config,
-                    stages,
-                    &prep.weights,
-                    prep.oracle(),
-                    MglExec::Batch {
-                        client: Some(&client),
-                        run: 0,
-                    },
-                    scratch,
-                    "engine",
-                )
-            })
+            .map(|stats| {
+                let mut out = design.clone();
+                state.write_back(&mut out);
+                RunOutput {
+                    design: out,
+                    stats,
+                    replay: state.take_replay_log(),
+                }
+            });
+            slot.lock().unwrap_or_else(PoisonError::into_inner).out = Some(out);
+            // `state` drops here: a finished design's working memory is
+            // released immediately, keeping residency proportional to the
+            // in-flight count.
         }
     }
-}
-
-/// One runner's admission loop: claim the next unprocessed design, run it
-/// start to finish, repeat until the batch cursor runs dry. A free function
-/// (not a closure) because the `'d: 'p` bound between the designs and the
-/// pool's prepared borrows cannot be spelled on closure parameters.
-#[allow(clippy::too_many_arguments)]
-fn batch_runner<'d: 'p, 'p>(
-    designs: &'d [Design],
-    preps: &'p [Prep<'d>],
-    slots: &[Mutex<Slot<'d>>],
-    next: &AtomicUsize,
-    runs: &AtomicU64,
-    config: &LegalizerConfig,
-    overrides: Option<&[LegalizerConfig]>,
-    stages: &[&dyn Stage],
-    scratch: &mut InsertionScratch,
-    client: Option<&PoolClient<'p>>,
-) {
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let (Some(design), Some(prep), Some(slot)) = (designs.get(i), preps.get(i), slots.get(i))
-        else {
-            break; // cursor ran past the batch: done
-        };
-        // The guard is scoped to the seed takeout: the run below sends on
-        // the pool channels, and no lock guard may be live across a send
-        // (`cargo xtask analyze`, rule pool-lock-across-send). The slot is
-        // claimed by exactly one runner, so re-locking to store the result
-        // races with nobody; a panic escaping the run leaves `out` empty,
-        // which the collector degrades to a typed PoolBroken error.
-        let seed = slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .seed
-            .take();
-        let Some(mut state) = seed else {
-            continue; // seed error, result already recorded
-        };
-        runs.fetch_add(1, Ordering::Relaxed);
-        // Per-job config override (today: the serve path's per-job deadline
-        // budget); everything schedule-relevant is identical across jobs.
-        let job_config = match overrides {
-            Some(c) => c.get(i).unwrap_or(config),
-            None => config,
-        };
-        let out = batch_run_one(
-            job_config, scratch, stages, design, prep, &mut state, client, i,
-        );
-        slot.lock().unwrap_or_else(PoisonError::into_inner).out = Some(out);
-        // `state` drops here: a finished design's working memory is
-        // released immediately, keeping residency proportional to the
-        // in-flight count.
-    }
-}
-
-/// Runs one batch member through the pipeline and writes its output design.
-/// `run` is the design's batch index, tagging its messages on the shared
-/// pool.
-#[allow(clippy::too_many_arguments)]
-fn batch_run_one<'d: 'p, 'p>(
-    config: &LegalizerConfig,
-    scratch: &mut InsertionScratch,
-    stages: &[&dyn Stage],
-    d: &'d Design,
-    prep: &'p Prep<'d>,
-    state: &mut PlacementState<'d>,
-    client: Option<&PoolClient<'p>>,
-    run: usize,
-) -> Result<BatchItem, LegalizeError> {
-    let stats = pipeline::run_stages(
-        d,
-        state,
-        config,
-        stages,
-        &prep.weights,
-        prep.oracle(),
-        MglExec::Batch { client, run },
-        scratch,
-        "batch",
-    )?;
-    let mut out = d.clone();
-    state.write_back(&mut out);
-    Ok((out, stats, state.take_replay_log()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legalizer::Legalizer;
+    use crate::pipeline::{MglStage, POST_PIPELINE};
 
     fn batch_designs(n: usize) -> Vec<Design> {
         (0..n)
@@ -779,20 +484,39 @@ mod tests {
         c
     }
 
+    fn solo(threads: usize, d: &Design) -> RunOutput {
+        Engine::new(cfg(threads))
+            .run_one(d, &RunSpec::default())
+            .expect("solo run")
+    }
+
+    fn positions(d: &Design) -> Vec<Option<Point>> {
+        d.cells.iter().map(|c| c.pos).collect()
+    }
+
+    fn batch(engine: &mut Engine, designs: &[Design]) -> Vec<RunOutput> {
+        engine
+            .run(designs, &RunSpec::default())
+            .into_iter()
+            .map(|r| r.expect("batch job"))
+            .collect()
+    }
+
     #[test]
     fn batch_matches_individual_runs_bit_identically() {
         let designs = batch_designs(4);
         for threads in [1usize, 3] {
             let mut engine = Engine::new(cfg(threads));
-            let batch = engine.legalize_batch(&designs);
-            for (d, (out, stats)) in designs.iter().zip(&batch) {
-                let (solo_out, solo_stats) = Legalizer::new(cfg(threads)).run(d);
+            let batch = batch(&mut engine, &designs);
+            for (d, out) in designs.iter().zip(&batch) {
+                let solo = solo(threads, d);
                 assert_eq!(
-                    solo_out.cells.iter().map(|c| c.pos).collect::<Vec<_>>(),
-                    out.cells.iter().map(|c| c.pos).collect::<Vec<_>>(),
-                    "engine batch diverged from Legalizer::run at {threads} threads"
+                    positions(&solo.design),
+                    positions(&out.design),
+                    "engine batch diverged from a solo run at {threads} threads"
                 );
-                assert_eq!(&solo_stats, stats);
+                assert_eq!(solo.stats, out.stats);
+                assert_eq!(solo.replay, out.replay);
             }
         }
     }
@@ -806,18 +530,18 @@ mod tests {
         c.max_inflight_designs = 2;
         let mut engine = Engine::new(c);
         assert_eq!(engine.batch_runners(designs.len()), 2);
-        let batch = engine.legalize_batch(&designs);
+        let batch = batch(&mut engine, &designs);
         assert_eq!(engine.diag().pool_spawns, 1);
         assert_eq!(engine.diag().worker_spawns, 2);
-        for (d, (out, stats)) in designs.iter().zip(&batch) {
-            let (solo_out, solo_stats) = Legalizer::new(cfg(4)).run(d);
+        for (d, out) in designs.iter().zip(&batch) {
+            let solo = solo(4, d);
             assert_eq!(
-                solo_out.cells.iter().map(|c| c.pos).collect::<Vec<_>>(),
-                out.cells.iter().map(|c| c.pos).collect::<Vec<_>>(),
+                positions(&solo.design),
+                positions(&out.design),
                 "interleaved batch diverged from solo for `{}`",
                 d.name
             );
-            assert_eq!(&solo_stats, stats, "stats diverged for `{}`", d.name);
+            assert_eq!(solo.stats, out.stats, "stats diverged for `{}`", d.name);
         }
     }
 
@@ -826,7 +550,7 @@ mod tests {
         let designs = batch_designs(4);
         // Default admission: every thread is a runner, so no pool at all.
         let mut engine = Engine::new(cfg(3));
-        let batch = engine.legalize_batch(&designs);
+        let batch1 = batch(&mut engine, &designs);
         let diag = engine.diag();
         assert_eq!(diag.runs, 4);
         assert_eq!(
@@ -838,95 +562,98 @@ mod tests {
         // the cursor drains reports nothing), but the lifetime bound is
         // exact: at most one construction per runner scratch, ever. Without
         // reuse each of the 8 runs below would construct its own.
-        let created: u64 = batch.iter().map(|(_, s)| s.mgl.perf.scratch.created).sum();
-        assert!((1..=3).contains(&created), "saw {created} constructions");
-        let batch2 = engine.legalize_batch(&designs);
-        let created2: u64 = batch2.iter().map(|(_, s)| s.mgl.perf.scratch.created).sum();
+        let created =
+            |b: &[RunOutput]| -> u64 { b.iter().map(|o| o.stats.mgl.perf.scratch.created).sum() };
+        let created1 = created(&batch1);
+        assert!((1..=3).contains(&created1), "saw {created1} constructions");
+        let created2 = created(&batch(&mut engine, &designs));
         assert!(
-            created + created2 <= 3,
-            "second batch call must reuse runner scratches (saw {created} then {created2})"
+            created1 + created2 <= 3,
+            "second batch call must reuse runner scratches (saw {created1} then {created2})"
         );
 
-        // Legacy admission (one in-flight design) keeps the old sequential
-        // schedule: one pool, deterministic per-design scratch charging.
+        // One in-flight design: sequential schedule, one pool, deterministic
+        // per-design scratch charging.
         let mut c = cfg(3);
         c.max_inflight_designs = 1;
         let mut engine = Engine::new(c);
-        let batch = engine.legalize_batch(&designs);
+        let batch1 = batch(&mut engine, &designs);
         let diag = engine.diag();
         assert_eq!(diag.runs, 4);
         assert_eq!(diag.pool_spawns, 1, "single-runner batch shares one pool");
         assert_eq!(diag.worker_spawns, 2);
         assert_eq!(diag.runner_spawns, 0);
-        let created: Vec<u64> = batch
+        let per_design: Vec<u64> = batch1
             .iter()
-            .map(|(_, s)| s.mgl.perf.scratch.created)
+            .map(|o| o.stats.mgl.perf.scratch.created)
             .collect();
-        assert_eq!(created, vec![3, 0, 0, 0]);
+        assert_eq!(per_design, vec![3, 0, 0, 0]);
 
         // Per-design engines pay the pool (and scratches) once per design.
         let mut spawns = 0u64;
         for d in &designs {
             let mut solo = Engine::new(cfg(3));
-            let _ = solo.legalize(d);
+            solo.run_one(d, &RunSpec::default()).expect("solo run");
             spawns += solo.diag().pool_spawns;
         }
         assert_eq!(spawns, 4);
     }
 
     #[test]
-    fn engine_single_design_paths_match_legalizer() {
+    fn mgl_less_stage_lists_spawn_no_pool() {
         let designs = batch_designs(2);
-        let d = &designs[0];
-        let mut engine = Engine::new(cfg(4));
-        let legalizer = Legalizer::new(cfg(4));
-
-        let (eo, es, elog) = engine.legalize_with_replay(d);
-        let (lo, ls, llog) = legalizer.run_with_replay(d);
-        assert_eq!(
-            eo.cells.iter().map(|c| c.pos).collect::<Vec<_>>(),
-            lo.cells.iter().map(|c| c.pos).collect::<Vec<_>>()
-        );
-        assert_eq!(es, ls);
-        assert_eq!(elog, llog, "replay logs must be bit-identical");
-
-        // refine twins: run stage 1 only, then refine the result both ways.
         let mut s1 = cfg(4);
         s1.max_disp_matching = false;
         s1.fixed_order_refine = false;
-        let (placed, _) = Legalizer::new(s1).run(d);
-        let (er, ers) = engine.refine(&placed).unwrap();
-        let (lr, lrs) = legalizer.refine(&placed).unwrap();
-        assert_eq!(
-            er.cells.iter().map(|c| c.pos).collect::<Vec<_>>(),
-            lr.cells.iter().map(|c| c.pos).collect::<Vec<_>>()
-        );
-        assert_eq!(ers, lrs);
+        let placed: Vec<Design> = Engine::new(s1)
+            .run(&designs, &RunSpec::default())
+            .into_iter()
+            .map(|r| r.expect("stage 1").design)
+            .collect();
+        let mut engine = Engine::new(cfg(4));
+        engine
+            .run_one(&placed[0], &RunSpec::stages(&POST_PIPELINE))
+            .expect("refine");
+        let mut c = cfg(4);
+        c.max_inflight_designs = 1;
+        let mut throttled = Engine::new(c);
+        for r in throttled.run(&placed, &RunSpec::stages(&POST_PIPELINE)) {
+            r.expect("refine");
+        }
+        for e in [&engine, &throttled] {
+            assert_eq!(e.diag().pool_spawns, 0, "post-only run spawned a pool");
+            assert_eq!(e.diag().worker_spawns, 0);
+        }
+        // An MGL stage list at the same width does spawn one.
+        engine
+            .run_one(&designs[0], &RunSpec::stages(&[&MglStage]))
+            .expect("mgl");
+        assert_eq!(engine.diag().pool_spawns, 1);
     }
 
     #[test]
-    fn batch_eco_adopts_and_reports_seed_errors() {
+    fn adopting_runs_report_seed_errors_per_job() {
         let designs = batch_designs(2);
         let mut engine = Engine::new(cfg(2));
         // Legal inputs: stage-1 legalize, then batch-ECO adopts cleanly.
-        let placed: Vec<Design> = {
-            let mut s1 = cfg(2);
-            s1.max_disp_matching = false;
-            s1.fixed_order_refine = false;
-            designs
-                .iter()
-                .map(|d| Legalizer::new(s1.clone()).run(d).0)
-                .collect()
-        };
-        let out = engine.legalize_batch_eco(&placed);
-        assert!(out.is_ok());
+        let placed: Vec<Design> = engine
+            .run(&designs, &RunSpec::stages(&[&MglStage]))
+            .into_iter()
+            .map(|r| r.expect("stage 1").design)
+            .collect();
+        assert!(engine
+            .run(&placed, &RunSpec::eco())
+            .iter()
+            .all(Result::is_ok));
 
-        // An illegal position in design 1 is reported with its index.
+        // An illegal position in design 1 fails that job only.
         let mut bad = placed.clone();
         bad[1].cells[0].pos = Some(Point::new(13, 7));
-        match engine.legalize_batch_eco(&bad) {
-            Err(e) => assert_eq!((e.design, e.cell), (1, CellId(0))),
-            Ok(_) => panic!("misaligned seed position must be rejected"),
+        let out = engine.run(&bad, &RunSpec::eco());
+        assert!(out[0].is_ok());
+        match &out[1] {
+            Err(LegalizeError::SeedRejected { cell, .. }) => assert_eq!(*cell, Some(0)),
+            other => panic!("misaligned seed position must be rejected, got {other:?}"),
         }
     }
 }

@@ -9,7 +9,7 @@
 //!   deterministic number of times and quarantines the cell if it keeps
 //!   failing.
 //! * [`FailureClass::Degradable`] — the stage as a whole cannot complete,
-//!   but a declared fallback rung exists (parallel MGL → serial MGL,
+//!   but a declared fallback rung exists (pooled MGL → inline MGL,
 //!   maxdisp → skip with identity assignment, refine → skip). The driver
 //!   rolls the placement back to the pre-stage checkpoint and takes the
 //!   rung; the rung taken is recorded as a [`Degradation`].
@@ -93,8 +93,9 @@ pub enum LegalizeError {
         /// Message of the last failure.
         message: String,
     },
-    /// The worker pool broke (a worker hung up mid-protocol); the parallel
-    /// MGL round loop cannot continue and the serial rung takes over.
+    /// The worker pool broke (a worker hung up mid-protocol); the pooled
+    /// MGL round loop cannot continue and the inline (`"serial"`) rung
+    /// takes over.
     PoolBroken {
         /// What the coordinator was doing when the pool went away.
         during: &'static str,
@@ -212,26 +213,12 @@ pub struct FailureRecord {
 pub struct Degradation {
     /// Stage the rung applies to.
     pub stage: &'static str,
-    /// The rung taken: `"serial"` (parallel MGL fell back to the serial
-    /// algorithm) or `"skip"` (the stage was skipped; for maxdisp this is
-    /// the identity assignment).
+    /// The rung taken: `"serial"` (MGL reran inline, off the shared pool;
+    /// its output equals the fault-free run's) or `"skip"` (the stage was
+    /// skipped; for maxdisp this is the identity assignment).
     pub rung: &'static str,
     /// Why the rung was taken (deadline, panic message, ...).
     pub reason: String,
-}
-
-/// Bridges an infallible-claiming entry point onto the fallible core:
-/// unwraps a run result, panicking with the operation and design name on
-/// failure. The legacy `run`/`refine`-style APIs document this panic as
-/// their contract; fallible callers use the `try_*` twins instead. Keeping
-/// the panic in one audited function (allowlisted in
-/// `xtask/analyze-allow.txt`) is what lets the `panic-uncontained` ratchet
-/// hold the always-on daemon path at zero ad-hoc panic sites.
-pub(crate) fn expect_run<T, E: fmt::Display>(op: &str, design: &str, r: Result<T, E>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("{op} of `{design}` failed: {e}"),
-    }
 }
 
 /// Extracts a printable message from a `catch_unwind` payload.

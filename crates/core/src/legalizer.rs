@@ -1,21 +1,17 @@
-//! The complete three-stage legalization flow (Fig. 2).
+//! Results of the three-stage legalization flow (Fig. 2) and the resident
+//! ECO session.
 //!
-//! [`Legalizer`] is a thin wrapper over the declarative stage pipeline in
-//! [`crate::pipeline`]: each entry point builds the initial
-//! [`PlacementState`] (fresh for [`Legalizer::run`], adopted from existing
-//! positions for [`Legalizer::run_eco`] / [`Legalizer::refine`]) and hands
-//! off to [`pipeline::run_stages`] with the appropriate stage list. All
-//! span/audit/histogram middleware lives in the pipeline, not here. For
-//! batch workloads that should reuse threads and scratch buffers across
-//! designs, see [`crate::Engine`].
+//! The flow itself runs through [`crate::Engine::run`]; this module holds
+//! what a run returns ([`LegalizeStats`]) and [`EcoSession`], which keeps a
+//! legal base placement resident and re-legalizes small deltas of it.
 
 use crate::config::LegalizerConfig;
+use crate::engine::{Engine, RunOutput, RunSpec};
 use crate::error::{Degradation, FailureRecord, LegalizeError};
 use crate::fixed_order::FixedOrderStats;
-use crate::insertion::InsertionScratch;
 use crate::maxdisp::MaxDispStats;
 use crate::mgl::MglStats;
-use crate::pipeline::{self, MglExec, Prep, StageTiming, FULL_PIPELINE, POST_PIPELINE};
+use crate::pipeline::StageTiming;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use mcl_obs::Meter;
@@ -88,236 +84,8 @@ impl PartialEq for LegalizeStats {
     }
 }
 
-/// The top-level legalizer.
-///
-/// ```
-/// use mcl_core::{Legalizer, LegalizerConfig};
-/// use mcl_db::prelude::*;
-///
-/// let mut d = Design::new("demo", Technology::example(), Rect::new(0, 0, 1000, 900));
-/// let inv = d.add_cell_type(CellType::new("INV", 20, 1));
-/// d.add_cell(Cell::new("u1", inv, Point::new(33, 47)));
-/// d.add_cell(Cell::new("u2", inv, Point::new(41, 52)));
-/// let (legal, stats) = Legalizer::new(LegalizerConfig::contest()).run(&d);
-/// assert_eq!(stats.mgl.failed, 0);
-/// assert!(Checker::new(&legal).check().is_legal());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Legalizer {
-    config: LegalizerConfig,
-}
-
-impl Legalizer {
-    /// Creates a legalizer with the given configuration.
-    pub fn new(config: LegalizerConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &LegalizerConfig {
-        &self.config
-    }
-
-    /// Legalizes a design, returning the placed design and statistics.
-    /// The input design is not modified; its `pos` fields are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the fault-containment ladder is exhausted (only
-    /// reachable under injected faults or real stage panics); callers that
-    /// want the typed error use [`Self::try_run`].
-    pub fn run(&self, design: &Design) -> (Design, LegalizeStats) {
-        let (out, stats, _) = self.run_with_replay(design);
-        (out, stats)
-    }
-
-    /// Fallible variant of [`Self::run`]: a run whose degradation ladder is
-    /// exhausted (or whose degraded result fails certification) returns the
-    /// typed [`LegalizeError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// The terminal [`LegalizeError`] of the run.
-    pub fn try_run(&self, design: &Design) -> Result<(Design, LegalizeStats), LegalizeError> {
-        let (out, stats, _) = self.try_run_with_replay(design)?;
-        Ok((out, stats))
-    }
-
-    /// Like [`Self::run`], additionally returning the replay log of every
-    /// committed placement mutation, for the determinism auditor
-    /// (`mcl_audit::replay`). Two runs are bit-identical iff their logs are
-    /// equal. Empty unless the `replay-log` feature (default) is enabled.
-    pub fn run_with_replay(
-        &self,
-        design: &Design,
-    ) -> (Design, LegalizeStats, mcl_audit::ReplayLog) {
-        crate::error::expect_run(
-            "legalization",
-            &design.name,
-            self.try_run_with_replay(design),
-        )
-    }
-
-    /// Fallible variant of [`Self::run_with_replay`].
-    ///
-    /// # Errors
-    ///
-    /// The terminal [`LegalizeError`] of the run.
-    pub fn try_run_with_replay(
-        &self,
-        design: &Design,
-    ) -> Result<(Design, LegalizeStats, mcl_audit::ReplayLog), LegalizeError> {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::new(design);
-        let mut scratch = InsertionScratch::new();
-        let stats = pipeline::run_stages(
-            design,
-            &mut state,
-            &self.config,
-            &FULL_PIPELINE,
-            &prep.weights,
-            prep.oracle(),
-            MglExec::Standalone,
-            &mut scratch,
-            "run",
-        )?;
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        let log = state.take_replay_log();
-        Ok((out, stats, log))
-    }
-
-    /// Incremental (ECO) legalization: cells that already have a legal
-    /// position keep it as their starting point; only unplaced cells (e.g.
-    /// newly inserted by an engineering change order) go through MGL
-    /// insertion, followed by the configured post-processing over the whole
-    /// design.
-    ///
-    /// # Errors
-    ///
-    /// The classed [`LegalizeError`] of the run: unadoptable input positions
-    /// map to [`LegalizeError::SeedRejected`] (the pre-placed part must be
-    /// legal), and an exhausted degradation ladder or failed certification
-    /// surfaces as its terminal pipeline error instead of a panic.
-    pub fn run_eco(&self, design: &Design) -> Result<(Design, LegalizeStats), LegalizeError> {
-        let (out, stats, _) = self.run_eco_with_replay(design)?;
-        Ok((out, stats))
-    }
-
-    /// Like [`Self::run_eco`], additionally returning the replay log (which
-    /// includes the adoption of the pre-placed positions).
-    ///
-    /// # Errors
-    ///
-    /// The classed [`LegalizeError`] of the run (see [`Self::run_eco`]).
-    pub fn run_eco_with_replay(
-        &self,
-        design: &Design,
-    ) -> Result<(Design, LegalizeStats, mcl_audit::ReplayLog), LegalizeError> {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::from_design_positions(design).map_err(|(cell, e)| {
-            LegalizeError::SeedRejected {
-                cell: Some(cell.0),
-                message: e.to_string(),
-            }
-        })?;
-        let mut scratch = InsertionScratch::new();
-        let stats = pipeline::run_stages(
-            design,
-            &mut state,
-            &self.config,
-            &FULL_PIPELINE,
-            &prep.weights,
-            prep.oracle(),
-            MglExec::Standalone,
-            &mut scratch,
-            "ECO",
-        )?;
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        let log = state.take_replay_log();
-        Ok((out, stats, log))
-    }
-
-    /// Alias of [`Self::run_eco`], kept for callers written against the
-    /// older panicking `run_eco`: every ECO entry point is now fallible
-    /// with the same classed error.
-    ///
-    /// # Errors
-    ///
-    /// The terminal [`LegalizeError`] of the run.
-    pub fn try_run_eco(&self, design: &Design) -> Result<(Design, LegalizeStats), LegalizeError> {
-        self.run_eco(design)
-    }
-
-    /// Runs only the two post-processing stages on an already-legal design
-    /// (used by the Table 3 ablation).
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending cell when the input positions are not adoptable
-    /// (i.e. the input is not legal).
-    pub fn refine(
-        &self,
-        design: &Design,
-    ) -> Result<(Design, LegalizeStats), (CellId, crate::state::PlaceError)> {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::from_design_positions(design)?;
-        let mut scratch = InsertionScratch::new();
-        let stats = crate::error::expect_run(
-            "refine",
-            &design.name,
-            pipeline::run_stages(
-                design,
-                &mut state,
-                &self.config,
-                &POST_PIPELINE,
-                &prep.weights,
-                prep.oracle(),
-                MglExec::Standalone,
-                &mut scratch,
-                "refine",
-            ),
-        );
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        Ok((out, stats))
-    }
-
-    /// Fallible variant of [`Self::refine`].
-    ///
-    /// # Errors
-    ///
-    /// The terminal [`LegalizeError`] of the run; unadoptable input maps to
-    /// [`LegalizeError::SeedRejected`].
-    pub fn try_refine(&self, design: &Design) -> Result<(Design, LegalizeStats), LegalizeError> {
-        let prep = Prep::new(design, &self.config);
-        let mut state = PlacementState::from_design_positions(design).map_err(|(cell, e)| {
-            LegalizeError::SeedRejected {
-                cell: Some(cell.0),
-                message: e.to_string(),
-            }
-        })?;
-        let mut scratch = InsertionScratch::new();
-        let stats = pipeline::run_stages(
-            design,
-            &mut state,
-            &self.config,
-            &POST_PIPELINE,
-            &prep.weights,
-            prep.oracle(),
-            MglExec::Standalone,
-            &mut scratch,
-            "refine",
-        )?;
-        let mut out = design.clone();
-        state.write_back(&mut out);
-        Ok((out, stats))
-    }
-}
-
 /// A resident incremental-legalization session: the interactive-service
-/// counterpart of the one-shot [`Legalizer::run_eco`].
+/// counterpart of a one-shot ECO run ([`RunSpec::eco`]).
 ///
 /// The session owns the evolving base placement. Each [`Self::apply_delta`]
 /// re-targets a handful of cells (new GP homes, positions vacated) and
@@ -327,8 +95,8 @@ impl Legalizer {
 /// committed as the next base, ready for the next delta.
 ///
 /// Determinism contract: a delta's output (positions, stats rows, replay
-/// log, audit certificate) is byte-identical to a from-scratch
-/// [`Legalizer::run_eco`] on the same mutated design under the same
+/// log, audit certificate) is byte-identical to a from-scratch ECO run
+/// ([`RunSpec::eco`]) on the same mutated design under the same
 /// configuration, at any thread count — pinned by the `eco_parity` suite.
 /// Each delta's end-to-end wall time lands in the `eco.delta_nanos`
 /// histogram of the returned stats (observability stratum, never golden).
@@ -435,8 +203,8 @@ impl EcoSession {
     /// # Errors
     ///
     /// [`LegalizeError::SeedRejected`] for a move naming an out-of-range
-    /// or fixed cell, otherwise the classed error of the underlying run
-    /// (see [`Legalizer::run_eco`]).
+    /// or fixed cell, otherwise the classed error of the underlying ECO
+    /// run.
     pub fn apply_delta(
         &mut self,
         moves: &[(CellId, Point)],
@@ -465,8 +233,11 @@ impl EcoSession {
             c.gp = gp;
             c.pos = None;
         }
-        let (out, mut stats, log) =
-            Legalizer::new(self.config.clone()).run_eco_with_replay(&candidate)?;
+        let RunOutput {
+            design: out,
+            mut stats,
+            replay,
+        } = Engine::new(self.config.clone()).run_one(&candidate, &RunSpec::eco())?;
         // Per-delta deadline: the session budget (`stage_budget_secs`)
         // bounds the *whole* delta. Inside the run the same budget drives
         // the pipeline's degradation ladder; if even the degraded result
@@ -507,14 +278,28 @@ impl EcoSession {
         stats
             .obs
             .observe(mcl_obs::HistoKind::EcoDeltaNanos, sw.elapsed_nanos());
-        Ok((stats, log))
+        Ok((stats, replay))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::POST_PIPELINE;
     use mcl_db::score::Metrics;
+
+    fn run_with(
+        config: LegalizerConfig,
+        d: &Design,
+        spec: &RunSpec,
+    ) -> Result<(Design, LegalizeStats), LegalizeError> {
+        let out = Engine::new(config).run_one(d, spec)?;
+        Ok((out.design, out.stats))
+    }
+
+    fn run(config: LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
+        run_with(config, d, &RunSpec::default()).expect("fault-free run")
+    }
 
     fn messy_design(n: usize, seed: u64) -> Design {
         let mut d = Design::new("t", Technology::example(), Rect::new(0, 0, 3000, 2700));
@@ -544,14 +329,13 @@ mod tests {
     #[test]
     fn full_flow_is_legal_and_better_than_stage1_alone() {
         let d = messy_design(250, 31);
-        let full = Legalizer::new(LegalizerConfig::total_displacement());
+        let full = LegalizerConfig::total_displacement();
         let mut cfg1 = LegalizerConfig::total_displacement();
         cfg1.max_disp_matching = false;
         cfg1.fixed_order_refine = false;
-        let stage1 = Legalizer::new(cfg1);
 
-        let (out_full, s_full) = full.run(&d);
-        let (out_1, s_1) = stage1.run(&d);
+        let (out_full, s_full) = run(full, &d);
+        let (out_1, s_1) = run(cfg1, &d);
         assert_eq!(s_full.mgl.failed, 0);
         assert_eq!(s_1.mgl.failed, 0);
         assert!(Checker::new(&out_full).check().is_legal());
@@ -573,7 +357,7 @@ mod tests {
     #[test]
     fn stage_timings_are_named_and_follow_enablement() {
         let d = messy_design(120, 9);
-        let (_, full) = Legalizer::new(LegalizerConfig::total_displacement()).run(&d);
+        let (_, full) = run(LegalizerConfig::total_displacement(), &d);
         let names: Vec<_> = full.stage_seconds.iter().map(|t| t.name).collect();
         assert_eq!(names, ["mgl", "maxdisp", "fixed_order"]);
         assert!(full.stage_seconds_for("mgl").is_some());
@@ -581,7 +365,7 @@ mod tests {
         let mut cfg1 = LegalizerConfig::total_displacement();
         cfg1.max_disp_matching = false;
         cfg1.fixed_order_refine = false;
-        let (_, only1) = Legalizer::new(cfg1).run(&d);
+        let (_, only1) = run(cfg1, &d);
         let names: Vec<_> = only1.stage_seconds.iter().map(|t| t.name).collect();
         assert_eq!(names, ["mgl"], "disabled stages must emit no timing row");
         assert_eq!(only1.stage_seconds_for("maxdisp"), None);
@@ -594,9 +378,9 @@ mod tests {
         let mut stage1_cfg = cfg.clone();
         stage1_cfg.max_disp_matching = false;
         stage1_cfg.fixed_order_refine = false;
-        let (legal, _) = Legalizer::new(stage1_cfg).run(&d);
+        let (legal, _) = run(stage1_cfg, &d);
         let before = Metrics::measure(&legal);
-        let (refined, stats) = Legalizer::new(cfg).refine(&legal).unwrap();
+        let (refined, stats) = run_with(cfg, &legal, &RunSpec::stages(&POST_PIPELINE)).unwrap();
         assert!(stats.fixed_order.applied);
         let after = Metrics::measure(&refined);
         assert!(after.total_disp_dbu <= before.total_disp_dbu);
@@ -615,7 +399,7 @@ mod tests {
             c.fixed_order_refine = false;
             c
         };
-        let (mut placed, _) = Legalizer::new(stage1_only).run(&d);
+        let (mut placed, _) = run(stage1_only, &d);
         let n_old = placed.cells.len();
         let baseline: Vec<Point> = placed.cells.iter().map(|c| c.pos.unwrap()).collect();
         for i in 0..10 {
@@ -625,9 +409,12 @@ mod tests {
                 Point::new(200 + i * 150, 400),
             ));
         }
-        let (out, stats) = Legalizer::new(LegalizerConfig::total_displacement())
-            .run_eco(&placed)
-            .unwrap();
+        let (out, stats) = run_with(
+            LegalizerConfig::total_displacement(),
+            &placed,
+            &RunSpec::eco(),
+        )
+        .unwrap();
         assert_eq!(stats.mgl.failed, 0);
         assert!(Checker::new(&out).check().is_legal());
         // Old cells: placed, and the vast majority untouched by the ECO.
@@ -652,7 +439,7 @@ mod tests {
     fn budget_exceeded_delta_rolls_back_atomically() {
         let d = messy_design(120, 9);
         let base_cfg = LegalizerConfig::total_displacement();
-        let (placed, _) = Legalizer::new(base_cfg.clone()).run(&d);
+        let (placed, _) = run(base_cfg.clone(), &d);
 
         // A session whose budget is impossible to meet: every delta must
         // fail with `DeadlineExceeded{stage: "eco_delta"}` and leave the
@@ -690,9 +477,7 @@ mod tests {
     fn eco_rejects_illegal_input() {
         let mut d = messy_design(10, 3);
         d.cells[0].pos = Some(Point::new(13, 7)); // misaligned
-        assert!(Legalizer::new(LegalizerConfig::total_displacement())
-            .run_eco(&d)
-            .is_err());
+        assert!(run_with(LegalizerConfig::total_displacement(), &d, &RunSpec::eco()).is_err());
     }
 
     #[test]
@@ -721,7 +506,7 @@ mod tests {
         for i in ids {
             d.cells[i as usize].fence = f;
         }
-        let (out, stats) = Legalizer::new(LegalizerConfig::contest()).run(&d);
+        let (out, stats) = run(LegalizerConfig::contest(), &d);
         assert_eq!(stats.mgl.failed, 0, "{stats:?}");
         let rep = Checker::new(&out).check();
         assert!(rep.is_legal(), "{:?}", rep.details);

@@ -12,7 +12,8 @@
 //!    solved through its dual min-cost flow with positions recovered from
 //!    network-simplex potentials.
 //!
-//! Entry point: [`Legalizer`].
+//! Entry point: [`Engine::run`], which runs a [`RunSpec`] over a batch of
+//! designs (a single design is a batch of one, [`Engine::run_one`]).
 
 #![forbid(unsafe_code)]
 
@@ -39,10 +40,10 @@ pub mod winindex;
 
 pub use config::{CellOrder, DisplacementReference, LegalizerConfig, WeightMode};
 pub use dirty::DirtyClosure;
-pub use engine::{BatchSeedError, Engine, EngineDiag};
+pub use engine::{Engine, EngineDiag, RunOutput, RunSpec};
 pub use error::{Degradation, FailureClass, FailureRecord, LegalizeError};
 pub use faultinject::{FaultPlan, FaultSite};
-pub use legalizer::{EcoSession, LegalizeStats, Legalizer};
+pub use legalizer::{EcoSession, LegalizeStats};
 pub use pipeline::{Stage, StageStats, StageTiming};
 pub use report::build_run_report;
 pub use spatial::{HierGrid, ItemId};

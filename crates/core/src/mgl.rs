@@ -1,19 +1,21 @@
-//! Multi-row global legalization — stage 1 (§3.1, Algorithm 1).
+//! Multi-row global legalization — stage 1 (§3.1, Algorithm 1): the
+//! building blocks the deterministic window scheduler
+//! ([`crate::scheduler`]) drives.
 //!
-//! Cells are legalized sequentially. For each target cell a window around
-//! its GP location is searched with [`crate::insertion::best_insertion`];
-//! failed windows expand geometrically; cells that still fail fall back to a
-//! whole-design scan for the nearest feasible gap (guaranteeing completion
+//! Cells are visited in a fixed order ([`cell_order`]). For each target cell
+//! a window around its GP location ([`window_for`]) is searched with
+//! [`crate::insertion::best_insertion`]; failed windows expand
+//! geometrically; cells that still fail fall back to a whole-design scan
+//! for the nearest feasible gap ([`fallback_scan`], guaranteeing completion
 //! whenever capacity exists).
 
 use crate::config::{CellOrder, LegalizerConfig, WeightMode};
-use crate::error::{FailureClass, FailureRecord, LegalizeError};
-use crate::faultinject::FaultSite;
-use crate::insertion::{best_insertion_in, CostModel, Insertion, InsertionScratch};
+use crate::error::{FailureClass, FailureRecord};
+use crate::insertion::{Insertion, InsertionScratch};
 use crate::routability::RoutOracle;
 use crate::state::{PlaceError, PlacementState};
 use mcl_db::prelude::*;
-use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
+use mcl_obs::{CounterKind, Meter};
 
 /// Statistics of one MGL run.
 ///
@@ -209,174 +211,6 @@ pub fn apply_insertion_with(
         // is the designed fault signal, contained at the Apply-replay and
         // stage catch_unwind boundaries.
         panic!("insertion must be placeable: {e}");
-    }
-}
-
-/// Runs MGL sequentially over all unplaced movable cells.
-pub fn run_serial(
-    state: &mut PlacementState<'_>,
-    config: &LegalizerConfig,
-    weights: &[i64],
-    oracle: Option<&RoutOracle<'_>>,
-) -> MglStats {
-    let mut scratch = InsertionScratch::new();
-    run_serial_with_scratch(state, config, weights, oracle, &mut scratch)
-}
-
-/// [`run_serial`] with a caller-owned scratch, so the engine can reuse one
-/// warmed scratch across a whole batch of designs. The scratch's work
-/// counters are taken (and reset) into the returned stats.
-pub fn run_serial_with_scratch(
-    state: &mut PlacementState<'_>,
-    config: &LegalizerConfig,
-    weights: &[i64],
-    oracle: Option<&RoutOracle<'_>>,
-    scratch: &mut InsertionScratch,
-) -> MglStats {
-    let t_total = Stopwatch::start();
-    let design = state.design();
-    let order = cell_order(design, config.order);
-    let model = CostModel {
-        reference: config.reference,
-        normalize: config.normalize_curves,
-        weights,
-        oracle,
-        io_penalty: config.io_penalty,
-        rail_penalty: config.rail_penalty,
-    };
-    let mut stats = MglStats::default();
-    for cell in order {
-        if state.pos(cell).is_some() {
-            continue;
-        }
-        stats.perf.rounds += 1;
-        let mut done = false;
-        let mut quarantined = false;
-        let t_window = Stopwatch::start();
-        for n in 0..=config.max_expansions {
-            let window = window_for(design, cell, config, n);
-            let t_eval = Stopwatch::start();
-            let Ok(ins) = eval_contained(state, cell, window, &model, scratch, config, &mut stats)
-            else {
-                quarantined = true;
-                break;
-            };
-            let dt = t_eval.elapsed_nanos();
-            stats.perf.eval_nanos += dt;
-            stats.perf.eval_cpu_nanos += dt;
-            stats.perf.windows_evaluated += 1;
-            stats.obs.record_span(SpanKind::InsertionEval, dt, 0);
-            stats.obs.observe(HistoKind::InsertionEvalNanos, dt);
-            stats.obs.add(CounterKind::WindowsEvaluated, 1);
-            if let Some(ins) = ins {
-                let site = FaultSite::MglApply { cell: cell.0 };
-                if crate::faultinject::fires(config.faults.as_ref(), &design.name, &site) {
-                    crate::faultinject::injected_panic(&site);
-                }
-                let t_apply = Stopwatch::start();
-                apply_insertion_with(state, cell, &ins, scratch);
-                stats.perf.apply_nanos += t_apply.elapsed_nanos();
-                stats.placed_in_window += 1;
-                done = true;
-                break;
-            }
-            // Stop expanding once the window covers the whole core.
-            if window == design.core && n > 0 {
-                break;
-            }
-            // The next iteration (if any) retries with a grown window:
-            // count that expansion when it is performed, so retries that
-            // end in fallback are counted too.
-            if n < config.max_expansions {
-                stats.expansions += 1;
-                stats.obs.add(CounterKind::WindowsExpanded, 1);
-            }
-        }
-        stats
-            .obs
-            .record_span(SpanKind::Window, t_window.elapsed_nanos(), 0);
-        if quarantined {
-            // Quarantined cells take no fallback either: they stay
-            // unplaced, and the failure row already explains why.
-            continue;
-        }
-        if !done {
-            // Last resorts: nearest gap honoring routability, then nearest
-            // gap accepting pin violations (a placed cell with a soft
-            // violation beats an unplaced cell).
-            let t_fb = Stopwatch::start();
-            stats.obs.add(CounterKind::FallbackScans, 1);
-            let p = match fallback_scan(state, cell, oracle) {
-                Some(p) => Some(p),
-                None => {
-                    stats.obs.add(CounterKind::FallbackScans, 1);
-                    fallback_scan(state, cell, None)
-                }
-            };
-            match p {
-                Some(p) => match state.place(cell, p) {
-                    Ok(()) => stats.fallbacks += 1,
-                    Err(e) => record_fallback_reject(&mut stats, cell, p, &e),
-                },
-                None => stats.failed += 1,
-            }
-            let fb = t_fb.elapsed_nanos();
-            stats.perf.fallback_nanos += fb;
-            stats.obs.record_span(SpanKind::FallbackScan, fb, 0);
-        }
-    }
-    stats.perf.scratch = std::mem::take(&mut scratch.stats);
-    record_scratch_counters(&mut stats.obs, &stats.perf.scratch);
-    stats.perf.total_nanos = t_total.elapsed_nanos();
-    stats
-}
-
-/// Serial-path guarded evaluation with the same deterministic
-/// retry/quarantine semantics as the parallel scheduler's repair pass.
-/// Only engaged while a fault plan is armed: without one, the evaluator is
-/// called directly and a (hypothetical) real panic propagates to the
-/// pipeline's stage boundary, which rolls back and classifies it.
-/// `Err(())` means the cell was quarantined and must be skipped entirely.
-fn eval_contained(
-    state: &PlacementState<'_>,
-    cell: CellId,
-    window: Rect,
-    model: &CostModel<'_>,
-    scratch: &mut InsertionScratch,
-    config: &LegalizerConfig,
-    stats: &mut MglStats,
-) -> Result<Option<Insertion>, ()> {
-    if config.faults.is_none() {
-        return Ok(best_insertion_in(state, cell, window, model, scratch));
-    }
-    let mut attempts = 0u32;
-    loop {
-        let last = match crate::scheduler::eval_job(
-            state,
-            cell,
-            window,
-            model,
-            scratch,
-            config.faults.as_ref(),
-        ) {
-            Ok(r) => return Ok(r),
-            Err(m) => m,
-        };
-        if attempts >= config.fault_retry_budget {
-            stats.quarantined += 1;
-            stats.failures.push(
-                LegalizeError::CellQuarantined {
-                    stage: "mgl",
-                    cell: cell.0,
-                    retries: attempts,
-                    message: last,
-                }
-                .to_record(),
-            );
-            return Err(());
-        }
-        attempts += 1;
-        stats.retries += 1;
     }
 }
 
@@ -715,34 +549,23 @@ pub fn fallback_scan(
     best.map(|(_, p)| p)
 }
 
-/// Convenience wrapper: builds state, weights and oracle, then runs MGL.
-pub fn legalize_mgl(design: &Design, config: &LegalizerConfig) -> (Design, MglStats) {
-    let weights = compute_weights(design, config.weights);
-    let oracle_store;
-    let oracle = if config.routability {
-        oracle_store = Some(RoutOracle::new(design));
-        oracle_store.as_ref()
-    } else {
-        None
-    };
-    let mut state = PlacementState::new(design);
-    let stats = if config.threads > 1 {
-        crate::scheduler::run_parallel(&mut state, config, &weights, oracle)
-    } else {
-        run_serial(&mut state, config, &weights, oracle)
-    };
-    let mut out = design.clone();
-    state.write_back(&mut out);
-    (out, stats)
-}
-
 /// Reference-mode re-export for baselines.
 pub use crate::config::DisplacementReference as Reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, RunSpec};
+    use crate::pipeline::MglStage;
     use mcl_db::legal::Checker;
+
+    /// Stage 1 alone through the engine.
+    fn run_mgl(design: &Design, config: &LegalizerConfig) -> (Design, MglStats) {
+        let out = Engine::new(config.clone())
+            .run_one(design, &RunSpec::stages(&[&MglStage]))
+            .expect("MGL run");
+        (out.design, out.stats.mgl)
+    }
 
     fn dense_design(n_cells: usize, seed: u64) -> Design {
         let mut d = Design::new("t", Technology::example(), Rect::new(0, 0, 2000, 1800));
@@ -774,7 +597,7 @@ mod tests {
     fn legalizes_a_dense_block() {
         let d = dense_design(120, 42);
         let cfg = LegalizerConfig::total_displacement();
-        let (out, stats) = legalize_mgl(&d, &cfg);
+        let (out, stats) = run_mgl(&d, &cfg);
         assert_eq!(stats.failed, 0, "{stats:?}");
         let rep = Checker::new(&out).check();
         assert!(rep.is_legal(), "{:?}", rep.details);
@@ -784,8 +607,8 @@ mod tests {
     fn deterministic_across_runs() {
         let d = dense_design(80, 7);
         let cfg = LegalizerConfig::total_displacement();
-        let (a, _) = legalize_mgl(&d, &cfg);
-        let (b, _) = legalize_mgl(&d, &cfg);
+        let (a, _) = run_mgl(&d, &cfg);
+        let (b, _) = run_mgl(&d, &cfg);
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca.pos, cb.pos);
         }
@@ -856,7 +679,7 @@ mod tests {
             rect: Rect::new(4, 30, 12, 50),
         });
         let cfg = LegalizerConfig::contest();
-        let (out, stats) = legalize_mgl(&d, &cfg);
+        let (out, stats) = run_mgl(&d, &cfg);
         assert_eq!(stats.failed, 0);
         let rep = Checker::new(&out).check();
         assert!(rep.is_legal(), "{:?}", rep.details);

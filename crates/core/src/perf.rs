@@ -10,9 +10,7 @@ use crate::insertion::ScratchStats;
 /// Per-stage wall-clock and throughput counters of one MGL run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfStats {
-    /// Scheduler rounds executed (1 for the serial path... one per
-    /// select/evaluate/apply cycle in the parallel scheduler; for the serial
-    /// path, one per target cell).
+    /// Scheduler rounds executed: one per select/evaluate/apply cycle.
     pub rounds: u64,
     /// Windows evaluated (`best_insertion` calls, including re-evaluations
     /// of expanded windows).

@@ -7,10 +7,9 @@
 //! wrapped uniformly by the same middleware — wall-clock timing into
 //! [`StageTiming`], a stage span in the meter, the per-stage displacement
 //! histogram, and the independent clean-room audit. A new stage therefore
-//! cannot forget to be timed, metered or audited; and the three public
-//! drivers ([`crate::Legalizer::run`], `run_eco`, `refine`) plus the batch
-//! [`crate::Engine`] are thin wrappers that differ only in how the initial
-//! [`PlacementState`] is built and which stage list they pass.
+//! cannot forget to be timed, metered or audited. The one public entry
+//! point, [`crate::Engine::run`], differs per job only in how the initial
+//! [`PlacementState`] is built and which stage list it passes.
 //!
 //! Middleware order per enabled stage (fixed; meter merging is commutative
 //! so the aggregate is insensitive to it, but the order is kept identical to
@@ -32,9 +31,9 @@ use crate::fixed_order::optimize_fixed_order_metered;
 use crate::insertion::InsertionScratch;
 use crate::legalizer::LegalizeStats;
 use crate::maxdisp::optimize_max_disp_metered;
-use crate::mgl::{compute_weights, run_serial_with_scratch};
+use crate::mgl::compute_weights;
 use crate::routability::RoutOracle;
-use crate::scheduler::{drive_rounds, try_run_parallel, PoolClient};
+use crate::scheduler::{drive_rounds, PoolClient};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
@@ -62,25 +61,6 @@ pub struct StageTiming {
     pub seconds: f64,
 }
 
-/// How the MGL stage executes its evaluation rounds.
-#[derive(Clone, Copy)]
-pub enum MglExec<'run, 'p> {
-    /// Standalone run: the stage manages its own threads per
-    /// `config.threads` (a private pool per run, or fully serial).
-    Standalone,
-    /// One run of an engine batch, driven by a runner thread. `run` is the
-    /// design's index in the batch — it tags this design's messages on the
-    /// shared workers. `client` connects to the batch-wide shared pool;
-    /// `None` means every configured thread is a design runner, so rounds
-    /// run inline on this runner (same rounds, same results).
-    Batch {
-        /// Connection to the batch's shared worker pool, if it has one.
-        client: Option<&'run PoolClient<'p>>,
-        /// This design's run id on the shared pool.
-        run: usize,
-    },
-}
-
 /// Everything a stage body may read or mutate. `'d` is the design's
 /// lifetime; `'p` (with `'d: 'p`) bounds the prepared per-run data (weights,
 /// oracle) that worker threads may borrow.
@@ -97,14 +77,12 @@ pub struct PipelineCtx<'run, 'd: 'p, 'p> {
     pub oracle: Option<&'p RoutOracle<'p>>,
     /// The run's meter; stage bodies may record directly into it.
     pub obs: &'run mut Meter,
-    /// How the MGL stage should execute its rounds (standalone threads, a
-    /// shared batch pool, or inline on a batch runner).
-    pub exec: MglExec<'run, 'p>,
+    /// The shared eval pool the MGL stage fans its rounds out to, with this
+    /// design's run id on it. `None` runs every round inline on the calling
+    /// thread — same rounds, same results.
+    pub pool: Option<(&'run PoolClient<'p>, usize)>,
     /// Caller-owned insertion scratch, reused across runs by the engine.
     pub scratch: &'run mut InsertionScratch,
-    /// Set by the driver when the deadline ladder demands the serial MGL
-    /// rung: the MGL stage must not fan out (no replicas, no pool rounds).
-    pub force_serial: bool,
     /// ECO delta closure, computed once by the driver before the first
     /// post stage when `config.eco_delta` is on and the state tracks a
     /// dirty epoch. Post stages restrict themselves to its members.
@@ -151,52 +129,14 @@ impl Stage for MglStage {
         HistoKind::DispSitesMgl
     }
     fn run(&self, ctx: &mut PipelineCtx<'_, '_, '_>) -> Result<StageStats, LegalizeError> {
-        let stats = if ctx.force_serial {
-            // Degradation rung: the driver demands the serial algorithm
-            // (deadline hit, or the parallel attempt already failed).
-            run_serial_with_scratch(ctx.state, ctx.config, ctx.weights, ctx.oracle, ctx.scratch)
-        } else {
-            match ctx.exec {
-                // Engine batch path with shared workers: this design's
-                // rounds interleave with its batch peers' on the pool.
-                MglExec::Batch {
-                    client: Some(client),
-                    run,
-                } if client.workers() > 0 => drive_rounds(
-                    ctx.state,
-                    ctx.config,
-                    ctx.weights,
-                    ctx.oracle,
-                    Some((client, run)),
-                    ctx.scratch,
-                )?,
-                // Batch runner without shared workers: every thread is a
-                // runner, so rounds run inline here. The scheduler's output
-                // is thread-count invariant, so this is bit-identical to
-                // the pooled path.
-                MglExec::Batch { .. } if ctx.config.threads > 1 => drive_rounds(
-                    ctx.state,
-                    ctx.config,
-                    ctx.weights,
-                    ctx.oracle,
-                    None,
-                    ctx.scratch,
-                )?,
-                // Standalone multi-threaded: a private pool per run,
-                // bit-identical to the pre-pipeline drivers.
-                MglExec::Standalone if ctx.config.threads > 1 => {
-                    try_run_parallel(ctx.state, ctx.config, ctx.weights, ctx.oracle)?
-                }
-                // Single-threaded (either flavor): the serial algorithm.
-                _ => run_serial_with_scratch(
-                    ctx.state,
-                    ctx.config,
-                    ctx.weights,
-                    ctx.oracle,
-                    ctx.scratch,
-                ),
-            }
-        };
+        let stats = drive_rounds(
+            ctx.state,
+            ctx.config,
+            ctx.weights,
+            ctx.oracle,
+            ctx.pool,
+            ctx.scratch,
+        )?;
         Ok(StageStats::Mgl(stats))
     }
 }
@@ -253,10 +193,11 @@ impl Stage for FixedOrderStage {
     }
 }
 
-/// The full three-stage flow (`run` / `run_eco` / batch legalization).
+/// The full three-stage flow (fresh and ECO runs).
 pub static FULL_PIPELINE: [&dyn Stage; 3] = [&MglStage, &MaxDispStage, &FixedOrderStage];
 
-/// The two post-processing stages only (`refine`, Table 3 ablations).
+/// The two post-processing stages only (refinement of a legal input,
+/// Table 3 ablations).
 pub static POST_PIPELINE: [&dyn Stage; 2] = [&MaxDispStage, &FixedOrderStage];
 
 /// Resolves a CLI-style comma-separated stage spec (`mgl,maxdisp,fixed`)
@@ -311,7 +252,7 @@ pub fn includes_mgl(stages: &[&dyn Stage]) -> bool {
 
 /// Per-run prepared inputs shared by every stage: displacement weights and
 /// the optional routability oracle. Building one of these (plus the initial
-/// [`PlacementState`]) is all a driver does before handing off to
+/// [`PlacementState`]) is all the engine does before handing off to
 /// [`run_stages`].
 pub struct Prep<'d> {
     /// Per-cell displacement weights.
@@ -372,20 +313,21 @@ fn record_disp_histogram(
 /// Active under `debug_assertions` and in `--features audit` builds; CI runs
 /// the latter so every stage of every test design is independently checked.
 #[cfg(any(debug_assertions, feature = "audit"))]
-fn audit_stage(state: &PlacementState<'_>, design: &Design, label: &str, stage: &str) {
+fn audit_stage(state: &PlacementState<'_>, design: &Design, stage: &str) {
     let mut snapshot = design.clone();
     state.write_back(&mut snapshot);
     let rep = mcl_audit::verify(&snapshot);
     assert_eq!(
         rep.placement_violations(),
         0,
-        "independent audit failed after {label} stage `{stage}`: {:?}",
+        "independent audit failed after stage `{stage}` of `{}`: {:?}",
+        design.name,
         rep.notes
     );
 }
 
 #[cfg(not(any(debug_assertions, feature = "audit")))]
-fn audit_stage(_state: &PlacementState<'_>, _design: &Design, _label: &str, _stage: &str) {}
+fn audit_stage(_state: &PlacementState<'_>, _design: &Design, _stage: &str) {}
 
 /// One guarded stage attempt: fault probes at the boundary (injected
 /// allocation failure, injected stage panic), then the stage body under
@@ -397,12 +339,10 @@ fn run_stage_guarded<'d: 'p, 'p>(
     design: &'d Design,
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
-    weights: &'p [i64],
-    oracle: Option<&'p RoutOracle<'p>>,
+    prep: &'p Prep<'d>,
     obs: &mut Meter,
-    exec: MglExec<'_, 'p>,
+    pool: Option<(&PoolClient<'p>, usize)>,
     scratch: &mut InsertionScratch,
-    force_serial: bool,
     delta: Option<&DirtyClosure>,
 ) -> Result<StageStats, LegalizeError> {
     let name = stage.name();
@@ -422,12 +362,11 @@ fn run_stage_guarded<'d: 'p, 'p>(
             design,
             state: &mut *state,
             config,
-            weights,
-            oracle,
+            weights: &prep.weights,
+            oracle: prep.oracle(),
             obs,
-            exec,
+            pool,
             scratch: &mut *scratch,
-            force_serial,
             delta,
         };
         stage.run(&mut ctx)
@@ -460,10 +399,10 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
     Ok(())
 }
 
-/// The single pipeline driver behind `run`, `run_eco`, `refine` and the
-/// engine. Walks `stages`, skipping disabled ones, applying the module-doc
-/// middleware around each, and finishes with the run-level span. `label`
-/// names the driver in audit panics ("run", "ECO", "refine", "batch").
+/// The single pipeline driver behind [`crate::Engine::run`]. Walks
+/// `stages`, skipping disabled ones, applying the module-doc middleware
+/// around each, and finishes with the run-level span. `pool` is the shared
+/// eval pool plus this design's run id on it; `None` runs MGL inline.
 ///
 /// # Fault containment (DESIGN.md §11)
 ///
@@ -472,8 +411,10 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 /// partial mutation ever escapes a failed stage — and the declared
 /// degradation ladder decides what happens next:
 ///
-/// - `mgl`: retry once on the serial algorithm (rung `"serial"`); if that
-///   also fails the job fails.
+/// - `mgl`: retry once inline, off the pool (rung `"serial"`: no replicas,
+///   bounded memory). MGL output does not depend on the pool, so the rung
+///   reproduces the fault-free placement; if the retry also fails the job
+///   fails.
 /// - `maxdisp` / `fixed_order`: skip the stage (rung `"skip"`), keeping the
 ///   pre-stage assignment.
 ///
@@ -488,17 +429,14 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 /// A [`LegalizeError`] when the ladder is exhausted (the placement is the
 /// caller's seeded state for `mgl` failures) or when a degraded result fails
 /// certification.
-#[allow(clippy::too_many_arguments)]
 pub fn run_stages<'d: 'p, 'p>(
     design: &'d Design,
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
     stages: &[&dyn Stage],
-    weights: &'p [i64],
-    oracle: Option<&'p RoutOracle<'p>>,
-    exec: MglExec<'_, 'p>,
+    prep: &'p Prep<'d>,
+    pool: Option<(&PoolClient<'p>, usize)>,
     scratch: &mut InsertionScratch,
-    label: &str,
 ) -> Result<LegalizeStats, LegalizeError> {
     let mut stats = LegalizeStats::default();
     let run_sw = Stopwatch::start();
@@ -539,32 +477,24 @@ pub fn run_stages<'d: 'p, 'p>(
         let budget = config.stage_budget_secs;
         let deadline_hit = budget.is_some_and(|b| run_sw.elapsed_seconds() > b)
             || crate::faultinject::fires(config.faults.as_ref(), &design.name, &deadline_site);
-        let mut force_serial = false;
         if deadline_hit {
             let err = LegalizeError::DeadlineExceeded {
                 stage: name,
                 budget_secs: budget.unwrap_or(0.0),
             };
             stats.failures.push(err.to_record());
-            if name == "mgl" {
-                // Rung: parallel MGL → serial MGL (bounded memory and
-                // threads; insertion still happens).
-                stats.degradations.push(Degradation {
-                    stage: name,
-                    rung: "serial",
-                    reason: err.to_string(),
-                });
-                force_serial = true;
-            } else {
-                // Rung: skip the stage, keeping the current assignment.
-                stats.degradations.push(Degradation {
-                    stage: name,
-                    rung: "skip",
-                    reason: err.to_string(),
-                });
+            // MGL still inserts (inline, off the pool); later stages are
+            // skipped, keeping the current assignment.
+            stats.degradations.push(Degradation {
+                stage: name,
+                rung: if name == "mgl" { "serial" } else { "skip" },
+                reason: err.to_string(),
+            });
+            if name != "mgl" {
                 continue;
             }
         }
+        let stage_pool = if deadline_hit { None } else { pool };
         let t = Stopwatch::start();
         // Checkpoint so a failed stage can never leak partial mutation.
         let checkpoint = state.clone();
@@ -573,72 +503,29 @@ pub fn run_stages<'d: 'p, 'p>(
             design,
             state,
             config,
-            weights,
-            oracle,
+            prep,
             &mut stats.obs,
-            exec,
+            stage_pool,
             scratch,
-            force_serial,
             delta.as_ref(),
         );
         let folded = match first {
             Ok(s) => s,
             Err(e) => {
                 *state = checkpoint.clone();
-                if name == "mgl" {
-                    // The shared pool may hold in-flight rounds from the
-                    // failed attempt; cancel this design's run so the
-                    // workers drop its replica and its stale traffic dies
-                    // in the abandoned reply channels. Batch peers on the
-                    // same pool are untouched.
-                    if let MglExec::Batch {
-                        client: Some(c),
-                        run,
-                    } = exec
-                    {
-                        let _ = c.cancel_run(run);
-                    }
+                // The shared pool may hold in-flight rounds from the failed
+                // attempt; cancel this design's run so the workers drop its
+                // replica and its stale traffic dies in the abandoned reply
+                // channels. Batch peers on the same pool are untouched.
+                if let Some((client, run)) = stage_pool {
+                    let _ = client.cancel_run(run);
                 }
                 if e.class() == FailureClass::Fatal {
                     return Err(e);
                 }
                 stats.failures.push(e.to_record());
                 let reason = e.to_string();
-                if name == "mgl" {
-                    if force_serial {
-                        // Already at the bottom rung.
-                        *state = checkpoint;
-                        return Err(e);
-                    }
-                    // Rung: rerun serially from the restored checkpoint.
-                    match run_stage_guarded(
-                        *stage,
-                        design,
-                        state,
-                        config,
-                        weights,
-                        oracle,
-                        &mut stats.obs,
-                        exec,
-                        scratch,
-                        true,
-                        delta.as_ref(),
-                    ) {
-                        Ok(s) => {
-                            stats.degradations.push(Degradation {
-                                stage: name,
-                                rung: "serial",
-                                reason,
-                            });
-                            s
-                        }
-                        Err(e2) => {
-                            // Ladder exhausted: restore and fail the job.
-                            *state = checkpoint;
-                            return Err(e2);
-                        }
-                    }
-                } else {
+                if name != "mgl" {
                     // Rung: skip. The placement is back to the pre-stage
                     // state; like a disabled stage, no timing row is pushed.
                     stats.degradations.push(Degradation {
@@ -647,6 +534,36 @@ pub fn run_stages<'d: 'p, 'p>(
                         reason,
                     });
                     continue;
+                }
+                if deadline_hit {
+                    // Already at the bottom rung.
+                    return Err(e);
+                }
+                // Rung: rerun inline from the restored checkpoint.
+                match run_stage_guarded(
+                    *stage,
+                    design,
+                    state,
+                    config,
+                    prep,
+                    &mut stats.obs,
+                    None,
+                    scratch,
+                    delta.as_ref(),
+                ) {
+                    Ok(s) => {
+                        stats.degradations.push(Degradation {
+                            stage: name,
+                            rung: "serial",
+                            reason,
+                        });
+                        s
+                    }
+                    Err(e2) => {
+                        // Ladder exhausted: restore and fail the job.
+                        *state = checkpoint;
+                        return Err(e2);
+                    }
                 }
             }
         };
@@ -664,7 +581,7 @@ pub fn run_stages<'d: 'p, 'p>(
             StageStats::FixedOrder(s) => stats.fixed_order = s,
         }
         record_disp_histogram(&mut stats.obs, state, design, stage.histo());
-        audit_stage(state, design, label, name);
+        audit_stage(state, design, name);
     }
     // Certification: a run that took any rung must still prove legality.
     if !stats.degradations.is_empty() {

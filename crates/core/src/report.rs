@@ -20,15 +20,15 @@ use mcl_obs::report::RunReport;
 /// configuration.
 ///
 /// ```
-/// use mcl_core::{build_run_report, Legalizer, LegalizerConfig};
+/// use mcl_core::{build_run_report, Engine, LegalizerConfig, RunSpec};
 /// use mcl_db::prelude::*;
 ///
 /// let mut d = Design::new("demo", Technology::example(), Rect::new(0, 0, 1000, 900));
 /// let inv = d.add_cell_type(CellType::new("INV", 20, 1));
 /// d.add_cell(Cell::new("u1", inv, Point::new(33, 47)));
 /// let config = LegalizerConfig::contest();
-/// let (placed, stats) = Legalizer::new(config.clone()).run(&d);
-/// let report = build_run_report(&placed, &stats, &config);
+/// let out = Engine::new(config.clone()).run_one(&d, &RunSpec::default()).unwrap();
+/// let report = build_run_report(&out.design, &out.stats, &config);
 /// assert_eq!(report.design, "demo");
 /// assert!(report.golden_json().contains("\"quality\""));
 /// ```
@@ -88,7 +88,14 @@ pub fn build_run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legalizer::Legalizer;
+    use crate::engine::{Engine, RunSpec};
+
+    fn run(config: &LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
+        let out = Engine::new(config.clone())
+            .run_one(d, &RunSpec::default())
+            .expect("fault-free run");
+        (out.design, out.stats)
+    }
 
     fn design() -> Design {
         let mut d = Design::new("rep", Technology::example(), Rect::new(0, 0, 2000, 1800));
@@ -118,8 +125,8 @@ mod tests {
         let mut c2 = c1.clone();
         c2.threads = 2;
         c2.clamp_threads_to_hardware = false;
-        let (p1, s1) = Legalizer::new(c1.clone()).run(&d);
-        let (p2, s2) = Legalizer::new(c2.clone()).run(&d);
+        let (p1, s1) = run(&c1, &d);
+        let (p2, s2) = run(&c2, &d);
         let mut g1 = build_run_report(&p1, &s1, &c1);
         let mut g2 = build_run_report(&p2, &s2, &c2);
         // Thread count is an input descriptor, not a result; normalize it
@@ -133,7 +140,7 @@ mod tests {
     fn report_carries_quality_outcome_and_stages() {
         let d = design();
         let config = LegalizerConfig::total_displacement();
-        let (placed, stats) = Legalizer::new(config.clone()).run(&d);
+        let (placed, stats) = run(&config, &d);
         let rep = build_run_report(&placed, &stats, &config);
         assert_eq!(rep.cells, 120);
         let quality: Vec<&str> = rep.quality.iter().map(|(n, _)| n.as_str()).collect();

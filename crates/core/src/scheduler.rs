@@ -1,4 +1,4 @@
-//! Deterministic multi-threaded MGL (§3.5).
+//! Deterministic multi-threaded MGL (§3.5) — the one MGL algorithm.
 //!
 //! The scheduler runs in rounds. Each round selects, in the fixed cell
 //! order, up to `window_list_capacity` cells whose search windows do not
@@ -8,7 +8,8 @@
 //! later round (`L_w`), and failed windows re-enter expanded. Because the
 //! selected set, the evaluation inputs and the application order are all
 //! independent of thread count, results are bit-identical for any number of
-//! threads (given a fixed list capacity).
+//! threads (given a fixed list capacity), including one thread, where every
+//! round runs inline on the calling thread.
 //!
 //! ## Execution model
 //!
@@ -16,9 +17,9 @@
 //! **any number of concurrent runs** — every message is tagged with a run
 //! id, so eval jobs from multiple in-flight designs interleave on the same
 //! workers (the [`crate::engine::Engine`] drives a whole batch of designs
-//! through one pool; the standalone [`run_parallel`] spawns a pool for its
-//! single run). Each run starts with a `Begin` message carrying a full
-//! replica of the placement state, which the worker keeps in lockstep by
+//! through one pool, and a single design is a batch of one). Each run
+//! starts with a `Begin` message carrying a full replica of the placement
+//! state, which the worker keeps in lockstep by
 //! replaying the applied insertions broadcast after every round — so
 //! evaluation needs no locks at all. Jobs are pulled from a per-round
 //! atomic cursor (work stealing), which keeps all workers busy even when
@@ -75,8 +76,8 @@ type EvalResult = Result<Option<Insertion>, String>;
 /// Evaluates one window with panic containment: an injected [`FaultSite::
 /// MglEval`] fault or a real panic inside the evaluator surfaces as
 /// `Err(message)` instead of unwinding into the caller. Shared by workers,
-/// the coordinator's steal loop, the deterministic retry pass and the
-/// serial algorithm, so every path contains failures identically.
+/// the coordinator's steal loop and the deterministic retry pass, so every
+/// path contains failures identically.
 pub(crate) fn eval_job(
     state: &PlacementState<'_>,
     cell: CellId,
@@ -101,7 +102,7 @@ pub(crate) fn eval_job(
 /// lockstep via [`Msg::Apply`]. Reply channels are per run so results from
 /// interleaved designs can never mix: a result lands in its own design's
 /// coordinator or (if the run was abandoned) in a closed channel.
-struct RunSpec<'a> {
+struct RunSetup<'a> {
     replica: PlacementState<'a>,
     weights: &'a [i64],
     oracle: Option<&'a RoutOracle<'a>>,
@@ -114,7 +115,7 @@ struct RunSpec<'a> {
     report_tx: mpsc::Sender<WorkerReport>,
 }
 
-impl<'a> RunSpec<'a> {
+impl<'a> RunSetup<'a> {
     fn model(&self) -> CostModel<'_> {
         CostModel {
             reference: self.reference,
@@ -132,7 +133,7 @@ impl<'a> RunSpec<'a> {
 /// interleave freely on the same worker channels.
 enum Msg<'a> {
     /// Start run `run`: adopt its replica and cost model.
-    Begin { run: usize, spec: Box<RunSpec<'a>> },
+    Begin { run: usize, spec: Box<RunSetup<'a>> },
     /// Evaluate `run`'s jobs pulled from the shared cursor against that
     /// run's replica.
     Round {
@@ -167,7 +168,7 @@ struct WorkerReport {
 
 /// One run's live state inside a worker.
 struct WorkerRun<'a> {
-    spec: Box<RunSpec<'a>>,
+    spec: Box<RunSetup<'a>>,
     /// Set when a panic escaped an `Apply` replay or the run's coordinator
     /// went away: the replica may be half-mutated (or orphaned), so the
     /// worker sits this run out. Safe — each round's shared cursor lets
@@ -377,7 +378,7 @@ impl<'a> PoolClient<'a> {
     /// Creates the reply channels for run `run`. The handle is the run's
     /// private mailbox: results and end-of-run reports from interleaved
     /// runs can never land here because workers answer on the channels
-    /// carried by each run's own [`RunSpec`].
+    /// carried by each run's own [`RunSetup`].
     fn run_handle(&self, run: usize) -> RunHandle<'_, 'a> {
         let (results_tx, results_rx) = mpsc::channel::<(usize, EvalResult)>();
         let (report_tx, report_rx) = mpsc::channel::<WorkerReport>();
@@ -426,7 +427,7 @@ impl<'a> RunHandle<'_, 'a> {
         oracle: Option<&'a RoutOracle<'a>>,
     ) -> Result<(), LegalizeError> {
         for tx in &self.client.senders {
-            let spec = Box::new(RunSpec {
+            let spec = Box::new(RunSetup {
                 replica: state.clone(),
                 weights,
                 oracle,
@@ -502,73 +503,14 @@ impl<'a> RunHandle<'_, 'a> {
     }
 }
 
-/// Runs MGL with the parallel window scheduler, spawning a private
-/// [`EvalPool`] for this one run. The engine path reuses a long-lived pool
-/// instead — see [`drive_rounds`].
-///
-/// This is the raw, infallible entry point used by benches and the
-/// determinism tests; a pool failure here (impossible in practice: workers
-/// contain every panic) escalates to a panic. Fallible callers — the
-/// pipeline driver, which owns the degradation ladder — use
-/// [`try_run_parallel`] instead.
-pub fn run_parallel(
-    state: &mut PlacementState<'_>,
-    config: &LegalizerConfig,
-    weights: &[i64],
-    oracle: Option<&RoutOracle<'_>>,
-) -> MglStats {
-    match try_run_parallel(state, config, weights, oracle) {
-        Ok(stats) => stats,
-        Err(e) => panic!("parallel MGL failed outside a containing pipeline: {e}"),
-    }
-}
-
-/// Fallible [`run_parallel`]: pool-protocol failures surface as
-/// [`LegalizeError::PoolBroken`] so the pipeline driver can take the
-/// serial degradation rung instead of crashing the job.
-pub fn try_run_parallel(
-    state: &mut PlacementState<'_>,
-    config: &LegalizerConfig,
-    weights: &[i64],
-    oracle: Option<&RoutOracle<'_>>,
-) -> Result<MglStats, LegalizeError> {
-    // Results are bit-identical for any worker count, so clamping to the
-    // hardware is free: extra workers past the core count only add context
-    // switches and replica clones.
-    let hw = if config.clamp_threads_to_hardware {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        usize::MAX
-    };
-    let threads = config.threads.max(1).min(hw);
-    let unplaced = state.unplaced_count();
-    let workers = threads.saturating_sub(1).min(unplaced.saturating_sub(1));
-    let mut scratch = InsertionScratch::new();
-    std::thread::scope(|scope| {
-        let pool = EvalPool::spawn(scope, workers);
-        let client = pool.client();
-        drive_rounds(
-            state,
-            config,
-            weights,
-            oracle,
-            Some((&client, 0)),
-            &mut scratch,
-        )
-    })
-}
-
 /// The deterministic round loop: select non-overlapping windows, evaluate
 /// them on the pool behind `pool`'s client (coordinator steals too), apply
 /// in selection order, broadcast the applied ops. This is the single MGL
-/// driver behind [`run_parallel`], the engine's solo path and every run of
-/// an engine batch; `pool` carries the run id that tags this design's
-/// messages on the shared workers, and `None` (or a workerless pool) runs
-/// every round inline on the calling thread — same rounds, same results.
-/// The caller owns the pool and the coordinator scratch, so both survive
-/// across runs.
+/// driver behind every engine run; `pool` carries the run id that tags
+/// this design's messages on the shared workers, and `None` (or a
+/// workerless pool) runs every round inline on the calling thread — same
+/// rounds, same results. The caller owns the pool and the coordinator
+/// scratch, so both survive across runs.
 pub(crate) fn drive_rounds<'d: 'p, 'p>(
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
@@ -799,16 +741,15 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
                     ops.push((cell, ins));
                 }
                 Some(Ok(None)) => {
-                    // Mirror the serial algorithm: stop expanding once
-                    // the window already covers the whole core.
+                    // Stop expanding once the window already covers the
+                    // whole core: a bigger window finds nothing new.
                     let full_core = win == design.core && n > 0;
                     if n < config.max_expansions && !full_core {
                         stats.expansions += 1;
                         stats.obs.add(CounterKind::WindowsExpanded, 1);
                         // Retry the expanded window first thing next
-                        // round, like the sequential algorithm's
-                        // immediate retry — otherwise neighbours fill
-                        // the cell's space while it waits.
+                        // round — otherwise neighbours fill the cell's
+                        // space while it waits.
                         deferred.push_front((cell, n + 1));
                     } else {
                         fallback_queue.push(cell);
@@ -874,6 +815,30 @@ mod tests {
     use crate::mgl::compute_weights;
     use mcl_db::legal::Checker;
 
+    /// One MGL run on a private pool of `threads - 1` workers (none at one
+    /// thread: every round runs inline).
+    fn run_mgl(
+        state: &mut PlacementState<'_>,
+        config: &LegalizerConfig,
+        weights: &[i64],
+        oracle: Option<&RoutOracle<'_>>,
+    ) -> MglStats {
+        let mut scratch = InsertionScratch::new();
+        std::thread::scope(|scope| {
+            let pool = EvalPool::spawn(scope, config.threads.saturating_sub(1));
+            let client = pool.client();
+            drive_rounds(
+                state,
+                config,
+                weights,
+                oracle,
+                Some((&client, 0)),
+                &mut scratch,
+            )
+            .expect("pool run")
+        })
+    }
+
     fn dense_design(n_cells: usize, seed: u64) -> Design {
         let mut d = Design::new("t", Technology::example(), Rect::new(0, 0, 3000, 1800));
         d.add_cell_type(CellType::new("s", 20, 1));
@@ -905,7 +870,7 @@ mod tests {
         cfg.window_list_capacity = 8;
         let weights = compute_weights(d, cfg.weights);
         let mut state = PlacementState::new(d);
-        let stats = run_parallel(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg, &weights, None);
         assert_eq!(stats.failed, 0);
         d.movable_cells().map(|c| state.pos(c)).collect()
     }
@@ -949,7 +914,7 @@ mod tests {
             c.clamp_threads_to_hardware = false;
             let weights = compute_weights(&d, c.weights);
             let mut state = PlacementState::new(&d);
-            let stats = run_parallel(&mut state, &c, &weights, Some(&oracle));
+            let stats = run_mgl(&mut state, &c, &weights, Some(&oracle));
             assert_eq!(stats.failed, 0, "{stats:?}");
             d.movable_cells()
                 .map(|cl| state.pos(cl))
@@ -975,7 +940,7 @@ mod tests {
             cfg.order = CellOrder::HeightThenShuffled;
             let weights = compute_weights(&d, cfg.weights);
             let mut state = PlacementState::new(&d);
-            let stats = run_parallel(&mut state, &cfg, &weights, None);
+            let stats = run_mgl(&mut state, &cfg, &weights, None);
             assert_eq!(stats.failed, 0);
             d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
         };
@@ -998,7 +963,7 @@ mod tests {
             cfg.window_list_capacity = cap;
             let weights = compute_weights(&d, cfg.weights);
             let mut state = PlacementState::new(&d);
-            let stats = run_parallel(&mut state, &cfg, &weights, None);
+            let stats = run_mgl(&mut state, &cfg, &weights, None);
             assert_eq!(stats.failed, 0);
             let mut out = d.clone();
             state.write_back(&mut out);
@@ -1018,7 +983,7 @@ mod tests {
         cfg.clamp_threads_to_hardware = false;
         let weights = compute_weights(&d, cfg.weights);
         let mut state = PlacementState::new(&d);
-        let stats = run_parallel(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg, &weights, None);
         assert_eq!(stats.failed, 0, "{stats:?}");
         let mut out = d.clone();
         state.write_back(&mut out);
@@ -1044,7 +1009,7 @@ mod tests {
         cfg.max_expansions = 40;
         let weights = compute_weights(&d, cfg.weights);
         let mut state = PlacementState::new(&d);
-        let stats = run_parallel(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg, &weights, None);
         // Core holds two rows of one wide cell each: 2 placed, 2 impossible.
         assert_eq!(stats.placed_in_window + stats.fallbacks, 2, "{stats:?}");
         assert_eq!(stats.failed, 2, "{stats:?}");
@@ -1066,7 +1031,7 @@ mod tests {
         cfg.clamp_threads_to_hardware = false;
         let weights = compute_weights(&d, cfg.weights);
         let mut state = PlacementState::new(&d);
-        let stats = run_parallel(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg, &weights, None);
         assert!(stats.perf.rounds > 0);
         assert!(stats.perf.windows_evaluated >= stats.placed_in_window as u64);
         assert!(stats.perf.total_nanos > 0);
@@ -1092,7 +1057,7 @@ mod tests {
 
         let solo = |d: &Design, w: &[i64]| {
             let mut state = PlacementState::new(d);
-            let stats = run_parallel(&mut state, &cfg, w, None);
+            let stats = run_mgl(&mut state, &cfg, w, None);
             assert_eq!(stats.failed, 0);
             d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
         };
@@ -1153,7 +1118,7 @@ mod tests {
 
         let solo = |d: &Design, w: &[i64]| {
             let mut state = PlacementState::new(d);
-            let stats = run_parallel(&mut state, &cfg, w, None);
+            let stats = run_mgl(&mut state, &cfg, w, None);
             assert_eq!(stats.failed, 0);
             d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
         };

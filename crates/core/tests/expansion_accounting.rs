@@ -1,12 +1,12 @@
 //! Expansion-counter accounting: on a crafted design where the number of
-//! window expansions is known by construction, both MGL algorithms must
-//! report that exact count (regression test: the parallel scheduler used
-//! to add `n` again on success after already counting each retry, so any
-//! cell that expanded before placing was double-counted).
+//! window expansions is known by construction, MGL must report that exact
+//! count at every thread count (regression test: the scheduler used to add
+//! `n` again on success after already counting each retry, so any cell
+//! that expanded before placing was double-counted).
 
-use mcl_core::mgl::{compute_weights, run_serial};
-use mcl_core::scheduler::run_parallel;
-use mcl_core::{LegalizerConfig, PlacementState};
+use mcl_core::mgl::MglStats;
+use mcl_core::pipeline::MglStage;
+use mcl_core::{Engine, LegalizerConfig, RunSpec};
 use mcl_db::prelude::*;
 
 /// One row, three movable 20-wide cells, two fixed blockers sized so the
@@ -51,28 +51,21 @@ fn crafted_config() -> LegalizerConfig {
 
 const EXPECTED_EXPANSIONS: usize = 4 + 1; // c0: 4, c1: 1, c2: 0
 
-#[test]
-fn serial_counts_each_performed_expansion_once() {
-    let d = crafted_design();
-    let cfg = crafted_config();
-    let weights = compute_weights(&d, cfg.weights);
-    let mut state = PlacementState::new(&d);
-    let stats = run_serial(&mut state, &cfg, &weights, None);
-    assert_eq!(stats.failed, 0, "{stats:?}");
-    assert_eq!(stats.placed_in_window, 3, "{stats:?}");
-    assert_eq!(stats.fallbacks, 0, "{stats:?}");
-    assert_eq!(stats.expansions, EXPECTED_EXPANSIONS, "{stats:?}");
+/// Stage 1 alone on the crafted design.
+fn mgl_stats(cfg: LegalizerConfig) -> MglStats {
+    Engine::new(cfg)
+        .run_one(&crafted_design(), &RunSpec::stages(&[&MglStage]))
+        .expect("MGL run")
+        .stats
+        .mgl
 }
 
 #[test]
-fn parallel_counts_match_serial_at_every_thread_count() {
-    let d = crafted_design();
+fn counts_each_performed_expansion_once_at_every_thread_count() {
     for threads in [1usize, 2, 4] {
         let mut cfg = crafted_config();
         cfg.threads = threads;
-        let weights = compute_weights(&d, cfg.weights);
-        let mut state = PlacementState::new(&d);
-        let stats = run_parallel(&mut state, &cfg, &weights, None);
+        let stats = mgl_stats(cfg);
         assert_eq!(stats.failed, 0, "threads={threads}: {stats:?}");
         assert_eq!(stats.placed_in_window, 3, "threads={threads}: {stats:?}");
         assert_eq!(stats.fallbacks, 0, "threads={threads}: {stats:?}");
@@ -87,11 +80,7 @@ fn parallel_counts_match_serial_at_every_thread_count() {
 fn expansion_counter_matches_obs_counter() {
     // The typed observability counter and the legacy stats field are two
     // views of the same events; they must never drift apart.
-    let d = crafted_design();
-    let cfg = crafted_config();
-    let weights = compute_weights(&d, cfg.weights);
-    let mut state = PlacementState::new(&d);
-    let stats = run_serial(&mut state, &cfg, &weights, None);
+    let stats = mgl_stats(crafted_config());
     if mcl_obs::compiled() {
         assert_eq!(
             stats.obs.counter(mcl_obs::CounterKind::WindowsExpanded),

@@ -1,7 +1,7 @@
 //! Property test: the legalizer produces legal placements on arbitrary
 //! (feasible) random designs.
 
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_core::{Engine, LegalizeStats, LegalizerConfig, RunSpec};
 use mcl_db::prelude::*;
 use proptest::prelude::*;
 
@@ -26,6 +26,13 @@ fn build_design(
     d
 }
 
+fn legalize(config: LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
+    let out = Engine::new(config)
+        .run_one(d, &RunSpec::default())
+        .expect("fault-free run");
+    (out.design, out.stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -37,7 +44,7 @@ proptest! {
         // Sized so the density stays feasible.
         let width = (cells.len() as i64 * 40).max(800);
         let d = build_design(&cells, width, rows);
-        let (placed, stats) = Legalizer::new(LegalizerConfig::total_displacement()).run(&d);
+        let (placed, stats) = legalize(LegalizerConfig::total_displacement(), &d);
         prop_assert_eq!(stats.mgl.failed, 0);
         let rep = Checker::new(&placed).check();
         prop_assert!(rep.is_legal(), "{:?}", rep.details);
@@ -67,7 +74,7 @@ proptest! {
             layer: 2,
             rect: Rect::new(4, 40, 12, 50),
         });
-        let (placed, stats) = Legalizer::new(LegalizerConfig::contest()).run(&d);
+        let (placed, stats) = legalize(LegalizerConfig::contest(), &d);
         prop_assert_eq!(stats.mgl.failed, 0);
         let rep = Checker::new(&placed).check();
         prop_assert!(rep.is_legal(), "{:?}", rep.details);

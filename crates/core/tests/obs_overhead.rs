@@ -7,7 +7,7 @@
 //! recording calls, not the compile-time gate) and requires the recorded
 //! run to stay within the 2% budget promised by DESIGN.md §9.
 
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_core::{Engine, LegalizerConfig, RunSpec};
 use mcl_gen::generate;
 use mcl_gen::presets::{iccad17_config, ICCAD17};
 use mcl_obs::clock::Stopwatch;
@@ -27,9 +27,11 @@ fn run_once(design: &mcl_db::prelude::Design) -> f64 {
     lc.threads = 4;
     lc.clamp_threads_to_hardware = false;
     let sw = Stopwatch::start();
-    let (_, stats) = Legalizer::new(lc).run(design);
+    let out = Engine::new(lc)
+        .run_one(design, &RunSpec::default())
+        .expect("fault-free run");
     let secs = sw.elapsed_seconds();
-    assert_eq!(stats.mgl.failed, 0);
+    assert_eq!(out.stats.mgl.failed, 0);
     secs
 }
 

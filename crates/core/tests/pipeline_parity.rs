@@ -1,17 +1,19 @@
-//! Parity of the pipeline entry points (satellite of the stage-pipeline
-//! refactor): the three thin drivers must be *the same flow* wearing
-//! different seeding, not three re-implementations.
+//! Parity of the pipeline's seeding and stage splits: fresh runs, ECO runs
+//! and refinement are *the same flow* wearing different seeding, not three
+//! re-implementations.
 //!
-//! - `run_eco` on a fully-unplaced design is exactly `run` (bit-identical
-//!   placements, equal stats, equal replay logs): adopting zero positions
-//!   must not perturb anything downstream.
-//! - `refine` after a stage-1-only `run` reproduces the full `run`
-//!   placements: splitting the flow at the stage-1/stage-2 boundary is
-//!   lossless.
+//! - An ECO run ([`RunSpec::eco`]) on a fully-unplaced design is exactly a
+//!   fresh run (bit-identical placements, equal stats, equal replay logs):
+//!   adopting zero positions must not perturb anything downstream.
+//! - Refinement ([`POST_PIPELINE`]) after a stage-1-only run reproduces the
+//!   full run's placements: splitting the flow at the stage-1/stage-2
+//!   boundary is lossless.
 //!
-//! Both are checked at 1 and 4 threads (serial and pooled MGL paths).
+//! Both are checked at 1, 2 and 4 threads (inline and pooled MGL), and the
+//! outputs must also agree across those thread counts.
 
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_core::pipeline::{MglStage, POST_PIPELINE};
+use mcl_core::{Engine, LegalizerConfig, RunOutput, RunSpec};
 use mcl_db::prelude::*;
 
 fn messy_design(n: usize, seed: u64) -> Design {
@@ -50,26 +52,53 @@ fn positions(d: &Design) -> Vec<Option<Point>> {
     d.cells.iter().map(|c| c.pos).collect()
 }
 
-#[test]
-fn eco_on_fully_unplaced_design_is_run() {
-    let d = messy_design(180, 2027);
-    for threads in [1usize, 4] {
-        let lg = Legalizer::new(config(threads));
-        let (run_out, run_stats, run_log) = lg.run_with_replay(&d);
-        let (eco_out, eco_stats, eco_log) = lg
-            .run_eco_with_replay(&d)
-            .expect("unplaced design has no positions to reject");
+fn run(config: LegalizerConfig, d: &Design, spec: &RunSpec) -> RunOutput {
+    Engine::new(config)
+        .run_one(d, spec)
+        .expect("fault-free run")
+}
+
+/// Fresh vs ECO on a fully-unplaced design at 1/2/4 threads; the fresh
+/// outputs must also agree across thread counts.
+fn assert_eco_is_run(d: &Design, base: &LegalizerConfig) {
+    let mut first: Option<RunOutput> = None;
+    for threads in [1usize, 2, 4] {
+        let mut c = base.clone();
+        c.threads = threads;
+        c.clamp_threads_to_hardware = false;
+        let fresh = run(c.clone(), d, &RunSpec::default());
+        let eco = run(c, d, &RunSpec::eco());
         assert_eq!(
-            positions(&run_out),
-            positions(&eco_out),
+            positions(&fresh.design),
+            positions(&eco.design),
             "placements diverged at {threads} threads"
         );
-        assert_eq!(run_stats, eco_stats, "stats diverged at {threads} threads");
         assert_eq!(
-            run_log, eco_log,
+            fresh.stats, eco.stats,
+            "stats diverged at {threads} threads"
+        );
+        assert_eq!(
+            fresh.replay, eco.replay,
             "replay logs diverged at {threads} threads"
         );
+        match &first {
+            None => first = Some(fresh),
+            Some(one) => {
+                assert_eq!(
+                    positions(&one.design),
+                    positions(&fresh.design),
+                    "1 vs {threads} threads: placements"
+                );
+                assert_eq!(one.stats, fresh.stats, "1 vs {threads} threads: stats");
+                assert_eq!(one.replay, fresh.replay, "1 vs {threads} threads: replay");
+            }
+        }
     }
+}
+
+#[test]
+fn eco_on_fully_unplaced_design_is_run() {
+    assert_eco_is_run(&messy_design(180, 2027), &config(1));
 }
 
 #[test]
@@ -90,52 +119,38 @@ fn eco_on_fully_unplaced_design_is_run_with_routability() {
         layer: 1,
         rect: Rect::new(4, 30, 12, 50),
     });
-    for threads in [1usize, 4] {
-        let mut c = LegalizerConfig::contest();
-        c.threads = threads;
-        c.clamp_threads_to_hardware = false;
-        let lg = Legalizer::new(c);
-        let (run_out, run_stats, run_log) = lg.run_with_replay(&d);
-        let (eco_out, eco_stats, eco_log) = lg
-            .run_eco_with_replay(&d)
-            .expect("unplaced design has no positions to reject");
-        assert_eq!(
-            positions(&run_out),
-            positions(&eco_out),
-            "{threads} threads"
-        );
-        assert_eq!(run_stats, eco_stats, "{threads} threads");
-        assert_eq!(run_log, eco_log, "{threads} threads");
-    }
+    assert_eco_is_run(&d, &LegalizerConfig::contest());
 }
 
 #[test]
 fn refine_after_stage1_run_reproduces_full_run() {
     let d = messy_design(180, 4242);
-    for threads in [1usize, 4] {
-        let full_cfg = config(threads);
-        let mut stage1_cfg = full_cfg.clone();
-        stage1_cfg.max_disp_matching = false;
-        stage1_cfg.fixed_order_refine = false;
-
-        let (full_out, full_stats) = Legalizer::new(full_cfg.clone()).run(&d);
-        let (stage1_out, stage1_stats) = Legalizer::new(stage1_cfg).run(&d);
-        assert_eq!(full_stats.mgl, stage1_stats.mgl, "{threads} threads");
-        let (refined_out, refined_stats) = Legalizer::new(full_cfg)
-            .refine(&stage1_out)
-            .expect("stage-1 output is legal");
+    let mut first: Option<Vec<Option<Point>>> = None;
+    for threads in [1usize, 2, 4] {
+        let full = run(config(threads), &d, &RunSpec::default());
+        let stage1 = run(config(threads), &d, &RunSpec::stages(&[&MglStage]));
+        assert_eq!(full.stats.mgl, stage1.stats.mgl, "{threads} threads");
+        let refined = run(
+            config(threads),
+            &stage1.design,
+            &RunSpec::stages(&POST_PIPELINE),
+        );
         assert_eq!(
-            positions(&full_out),
-            positions(&refined_out),
+            positions(&full.design),
+            positions(&refined.design),
             "run ≠ stage1+refine at {threads} threads"
         );
         assert_eq!(
-            full_stats.max_disp, refined_stats.max_disp,
+            full.stats.max_disp, refined.stats.max_disp,
             "{threads} threads"
         );
         assert_eq!(
-            full_stats.fixed_order, refined_stats.fixed_order,
+            full.stats.fixed_order, refined.stats.fixed_order,
             "{threads} threads"
         );
+        match &first {
+            None => first = Some(positions(&full.design)),
+            Some(one) => assert_eq!(one, &positions(&full.design), "1 vs {threads} threads"),
+        }
     }
 }

@@ -5,7 +5,8 @@
 
 #![cfg(feature = "replay-log")]
 
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_core::pipeline::MglStage;
+use mcl_core::{Engine, LegalizerConfig, RunSpec};
 use mcl_db::prelude::*;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -34,68 +35,53 @@ fn messy_design(n: usize, seed: u64) -> Design {
     d
 }
 
-fn run_with_threads(d: &Design, threads: usize) -> (Design, mcl_audit::ReplayLog) {
+fn run_with_threads(d: &Design, threads: usize, spec: &RunSpec) -> (Design, mcl_audit::ReplayLog) {
     let mut cfg = LegalizerConfig::contest();
     cfg.threads = threads;
-    let (out, stats, log) = Legalizer::new(cfg).run_with_replay(d);
-    assert_eq!(stats.mgl.failed, 0, "all cells must place");
-    (out, log)
+    cfg.clamp_threads_to_hardware = false;
+    let out = Engine::new(cfg).run_one(d, spec).expect("fault-free run");
+    assert_eq!(out.stats.mgl.failed, 0, "all cells must place");
+    (out.design, out.replay)
 }
 
-#[test]
-fn scheduler_mutation_sequence_invariant_across_thread_counts() {
-    // The parallel scheduler must commit the exact same mutation sequence
-    // whether windows are evaluated inline (1 thread) or by worker replicas
-    // (2, 4 threads). This is stronger than comparing final positions: two
-    // runs with equal logs are bit-identical step by step.
-    use mcl_core::mgl::compute_weights;
-    use mcl_core::scheduler::run_parallel;
-    use mcl_core::state::PlacementState;
-
-    let d = messy_design(160, 0xC0FFEE);
-    let run = |threads: usize| {
-        let mut cfg = LegalizerConfig::contest();
-        cfg.threads = threads;
-        cfg.clamp_threads_to_hardware = false;
-        let weights = compute_weights(&d, cfg.weights);
-        let mut state = PlacementState::new(&d);
-        let stats = run_parallel(&mut state, &cfg, &weights, None);
-        assert_eq!(stats.failed, 0);
-        state.take_replay_log()
-    };
-    let log1 = run(1);
-    let log2 = run(2);
-    let log4 = run(4);
-    // Digest is the cheap fleet check; op-for-op equality gives a usable
-    // failure message.
-    assert_eq!(log1.digest(), log2.digest());
-    assert_eq!(log1.digest(), log4.digest());
-    assert_eq!(log1.ops(), log2.ops());
-    assert_eq!(log1.ops(), log4.ops());
-}
-
-#[test]
-fn full_pipeline_log_invariant_across_thread_counts() {
-    // End-to-end: MGL + max-disp matching + fixed-order refinement, 2 vs 4
-    // threads, must record identical logs and produce identical outputs.
-    // (The 1-thread path runs a different serial MGL algorithm and is
-    // audited separately by the replay verifier below.)
-    let d = messy_design(160, 0xC0FFEE);
-    let (out2, log2) = run_with_threads(&d, 2);
-    let (out4, log4) = run_with_threads(&d, 4);
-    assert_eq!(log2.digest(), log4.digest());
-    assert_eq!(log2.ops(), log4.ops());
-    for (a, b) in out2.cells.iter().zip(&out4.cells) {
-        assert_eq!(a.pos, b.pos);
-        assert_eq!(a.orient, b.orient);
+/// Runs `spec` at 1, 2 and 4 threads and asserts identical mutation
+/// sequences and outputs. This is stronger than comparing final positions:
+/// two runs with equal logs are bit-identical step by step.
+fn assert_log_invariant_across_thread_counts(d: &Design, spec: &RunSpec) {
+    let (out1, log1) = run_with_threads(d, 1, spec);
+    for threads in [2usize, 4] {
+        let (out, log) = run_with_threads(d, threads, spec);
+        // Digest is the cheap fleet check; op-for-op equality gives a
+        // usable failure message.
+        assert_eq!(log1.digest(), log.digest(), "{threads} threads");
+        assert_eq!(log1.ops(), log.ops(), "{threads} threads");
+        for (a, b) in out1.cells.iter().zip(&out.cells) {
+            assert_eq!(a.pos, b.pos);
+            assert_eq!(a.orient, b.orient);
+        }
     }
 }
 
 #[test]
-fn serial_path_log_replays_cleanly() {
+fn scheduler_mutation_sequence_invariant_across_thread_counts() {
+    // MGL alone: windows evaluated inline (1 thread) or by worker replicas
+    // (2, 4 threads) must commit the exact same mutation sequence.
+    let d = messy_design(160, 0xC0FFEE);
+    assert_log_invariant_across_thread_counts(&d, &RunSpec::stages(&[&MglStage]));
+}
+
+#[test]
+fn full_pipeline_log_invariant_across_thread_counts() {
+    // End-to-end: MGL + max-disp matching + fixed-order refinement.
+    let d = messy_design(160, 0xC0FFEE);
+    assert_log_invariant_across_thread_counts(&d, &RunSpec::default());
+}
+
+#[test]
+fn single_thread_log_replays_cleanly() {
     let d = messy_design(100, 0xFACADE);
-    let (out, log) = run_with_threads(&d, 1);
-    let final_pos = log.verify(&d).expect("serial run must replay legally");
+    let (out, log) = run_with_threads(&d, 1, &RunSpec::default());
+    let final_pos = log.verify(&d).expect("1-thread run must replay legally");
     for (c, p) in out.cells.iter().zip(&final_pos) {
         if !c.fixed {
             assert_eq!(c.pos, *p);
@@ -106,7 +92,7 @@ fn serial_path_log_replays_cleanly() {
 #[test]
 fn replay_verifier_accepts_the_real_run_and_matches_final_positions() {
     let d = messy_design(120, 0xBADC0DE);
-    let (out, log) = run_with_threads(&d, 4);
+    let (out, log) = run_with_threads(&d, 4, &RunSpec::default());
     assert!(!log.is_empty());
     // Independent replay: every op must be legal at the moment it applies.
     let final_pos = log.verify(&d).expect("replayed run must be legal");
@@ -121,7 +107,7 @@ fn replay_verifier_accepts_the_real_run_and_matches_final_positions() {
 fn tampered_log_is_rejected() {
     use mcl_audit::ReplayOp;
     let d = messy_design(60, 0x5EED);
-    let (_, log) = run_with_threads(&d, 1);
+    let (_, log) = run_with_threads(&d, 1, &RunSpec::default());
     // Re-place the first placed cell at a misaligned x: the verifier must
     // reject the doctored sequence.
     let mut ops = log.ops().to_vec();

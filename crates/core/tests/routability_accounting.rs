@@ -6,7 +6,7 @@
 
 use mcl_core::report::build_run_report;
 use mcl_core::routability::RoutOracle;
-use mcl_core::{Legalizer, LegalizerConfig};
+use mcl_core::{Engine, LegalizerConfig, RunSpec};
 use mcl_db::prelude::*;
 use mcl_obs::report::Value;
 use proptest::prelude::*;
@@ -159,7 +159,10 @@ proptest! {
         let d = build_design(&cells, width, 12);
         let mut config = LegalizerConfig::contest();
         config.routability = routability;
-        let (placed, stats) = Legalizer::new(config.clone()).run(&d);
+        let out = Engine::new(config.clone())
+            .run_one(&d, &RunSpec::default())
+            .expect("fault-free run");
+        let (placed, stats) = (out.design, out.stats);
         prop_assert_eq!(stats.mgl.failed, 0);
 
         let rep = build_run_report(&placed, &stats, &config);

@@ -12,9 +12,8 @@
 //! run inflates the total past the pool size.
 
 use mcl_core::config::LegalizerConfig;
-use mcl_core::mgl::compute_weights;
-use mcl_core::scheduler::run_parallel;
-use mcl_core::state::PlacementState;
+use mcl_core::pipeline::MglStage;
+use mcl_core::{Engine, RunSpec};
 use mcl_gen::{generate, GeneratorConfig};
 
 fn busy_run(threads: usize) -> mcl_core::mgl::MglStats {
@@ -36,16 +35,18 @@ fn busy_run(threads: usize) -> mcl_core::mgl::MglStats {
     // forces fallback scans — both paths must reuse pooled buffers.
     c.window_list_capacity = 64;
     c.max_expansions = 3;
-    let weights = compute_weights(&g.design, c.weights);
-    let mut state = PlacementState::new(&g.design);
-    let stats = run_parallel(&mut state, &c, &weights, None);
+    let stats = Engine::new(c)
+        .run_one(&g.design, &RunSpec::stages(&[&MglStage]))
+        .expect("MGL run")
+        .stats
+        .mgl;
     assert_eq!(stats.failed, 0, "all cells must place");
     stats
 }
 
 #[test]
 fn steady_state_constructs_one_scratch_per_thread() {
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let stats = busy_run(threads);
         // The run must actually be busy for the pin to mean anything:
         // thousands of applies over many rounds, with both the expansion

@@ -24,8 +24,8 @@ use crate::journal::{self, InterruptedJob, Journal};
 use crate::signal;
 use crate::wire::{self, DeltaSpec, Request, Status};
 use mcl_core::{
-    build_run_report, EcoSession, Engine, FaultPlan, FaultSite, LegalizeError, LegalizeStats,
-    LegalizerConfig,
+    build_run_report, EcoSession, Engine, FaultPlan, FaultSite, LegalizeError, LegalizerConfig,
+    RunOutput, RunSpec,
 };
 use mcl_db::prelude::Design;
 use mcl_obs::clock::Stopwatch;
@@ -307,8 +307,11 @@ fn scheduler_loop(shared: &Arc<Shared>, mut engine: Engine) {
             metas.push(job.meta);
             designs.push(job.design);
         }
-        let budgets: Vec<Option<f64>> = metas.iter().map(|m| m.deadline).collect();
-        let results = engine.try_legalize_batch_budgeted(&designs, &budgets);
+        let spec = RunSpec {
+            budgets: metas.iter().map(|m| m.deadline).collect(),
+            ..RunSpec::default()
+        };
+        let results = engine.run(&designs, &spec);
         for (meta, result) in metas.into_iter().zip(results) {
             finalize(shared, meta, &result);
         }
@@ -317,13 +320,13 @@ fn scheduler_loop(shared: &Arc<Shared>, mut engine: Engine) {
 
 /// Publishes one job's outcome: report files (tmp-then-rename), journal
 /// `DONE`, latency histogram, and the final response line.
-fn finalize(
-    shared: &Shared,
-    meta: JobMeta,
-    result: &Result<(Design, LegalizeStats), LegalizeError>,
-) {
+fn finalize(shared: &Shared, meta: JobMeta, result: &Result<RunOutput, LegalizeError>) {
     let (status, line) = match result {
-        Ok((placed, stats)) => {
+        Ok(RunOutput {
+            design: placed,
+            stats,
+            ..
+        }) => {
             let rep = build_run_report(placed, stats, &shared.cfg.engine);
             let persisted = match &shared.cfg.report_dir {
                 Some(rd) => {

@@ -6,7 +6,7 @@
 //! cargo run --release --example fence_regions
 //! ```
 
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::viz::{render_svg, SvgOptions};
 
@@ -53,7 +53,10 @@ fn main() {
         design.add_cell(c);
     }
 
-    let (placed, stats) = Legalizer::new(LegalizerConfig::contest()).run(&design);
+    let out = Engine::new(LegalizerConfig::contest())
+        .run_one(&design, &RunSpec::default())
+        .expect("fault-free run");
+    let (placed, stats) = (out.design, out.stats);
     println!(
         "placed {} cells ({} fallbacks)",
         stats.mgl.placed_in_window + stats.mgl.fallbacks,

@@ -6,7 +6,7 @@
 //! cargo run --release --example file_io
 //! ```
 
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::{generate, GeneratorConfig};
 use mclegal::parsers;
@@ -64,7 +64,10 @@ fn main() {
     );
 
     // --- Legalize the parsed design and export the result ----------------
-    let (placed, _) = Legalizer::new(LegalizerConfig::contest()).run(&parsed_def);
+    let placed = Engine::new(LegalizerConfig::contest())
+        .run_one(&parsed_def, &RunSpec::default())
+        .expect("fault-free run")
+        .design;
     let report = Checker::new(&placed).check();
     assert!(report.is_legal(), "{:?}", report.details);
     let out = parsers::write_def(&placed);

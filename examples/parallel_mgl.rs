@@ -1,15 +1,14 @@
 //! Deterministic multi-threaded MGL (§3.5 of the paper): the same design
-//! legalized with 2, 4 or 8 worker threads produces bit-identical
-//! placements, because the window scheduler fixes the evaluation inputs and
-//! the application order independent of thread count. (`threads = 1` runs
-//! the plain sequential algorithm — a different, equally deterministic
-//! schedule — and is shown for comparison.)
+//! legalized with 1, 2, 4 or 8 threads produces bit-identical placements,
+//! because the window scheduler fixes the evaluation inputs and the
+//! application order independent of thread count (at 1 thread every round
+//! runs inline).
 //!
 //! ```sh
 //! cargo run --release --example parallel_mgl
 //! ```
 
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::{generate, GeneratorConfig};
 use std::time::Instant;
@@ -33,29 +32,21 @@ fn main() {
         // worker counts (the default clamps threads to the hardware).
         cfg.clamp_threads_to_hardware = false;
         let t = Instant::now();
-        let (placed, stats) = Legalizer::new(cfg).run(design);
+        let out = Engine::new(cfg)
+            .run_one(design, &RunSpec::default())
+            .expect("fault-free run");
         let secs = t.elapsed().as_secs_f64();
-        assert_eq!(stats.mgl.failed, 0);
-        let m = Metrics::measure(&placed);
+        assert_eq!(out.stats.mgl.failed, 0);
+        let m = Metrics::measure(&out.design);
         println!(
-            "threads {threads}: {:.2}s, avg {:.3} rows, max {:.1} rows{}",
-            secs,
-            m.avg_disp_rows,
-            m.max_disp_rows,
-            if threads == 1 {
-                "  (sequential schedule)"
-            } else {
-                ""
-            }
+            "threads {threads}: {:.2}s, avg {:.3} rows, max {:.1} rows",
+            secs, m.avg_disp_rows, m.max_disp_rows,
         );
-        if threads == 1 {
-            continue; // different (sequential) schedule by design
-        }
-        let positions: Vec<Option<Point>> = placed.cells.iter().map(|c| c.pos).collect();
+        let positions: Vec<Option<Point>> = out.design.cells.iter().map(|c| c.pos).collect();
         match &reference {
             None => reference = Some(positions),
             Some(r) => assert_eq!(r, &positions, "results must be thread-count independent"),
         }
     }
-    println!("all multi-threaded runs produced bit-identical placements");
+    println!("every thread count produced bit-identical placements");
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::{generate, GeneratorConfig};
 
@@ -32,8 +32,10 @@ fn main() {
 
     // Legalize with the contest configuration (fences + routability +
     // average/maximum displacement objective).
-    let legalizer = Legalizer::new(LegalizerConfig::contest());
-    let (placed, stats) = legalizer.run(design);
+    let out = Engine::new(LegalizerConfig::contest())
+        .run_one(design, &RunSpec::default())
+        .expect("fault-free run");
+    let (placed, stats) = (out.design, out.stats);
     let secs = |name: &str| stats.stage_seconds_for(name).unwrap_or(0.0);
     println!(
         "stage 1 (MGL): {} in-window, {} fallbacks, {} expansions, {:.2}s",

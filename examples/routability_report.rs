@@ -6,7 +6,7 @@
 //! cargo run --release --example routability_report
 //! ```
 
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::{generate, GeneratorConfig};
 
@@ -29,10 +29,16 @@ fn main() {
 
     let mut blind = LegalizerConfig::contest();
     blind.routability = false;
-    let (placed_blind, _) = Legalizer::new(blind).run(design);
+    let legalize = |config: LegalizerConfig| {
+        Engine::new(config)
+            .run_one(design, &RunSpec::default())
+            .expect("fault-free run")
+            .design
+    };
+    let placed_blind = legalize(blind);
     let rep_blind = Checker::new(&placed_blind).check();
 
-    let (placed_aware, _) = Legalizer::new(LegalizerConfig::contest()).run(design);
+    let placed_aware = legalize(LegalizerConfig::contest());
     let rep_aware = Checker::new(&placed_aware).check();
 
     assert!(rep_blind.is_legal() && rep_aware.is_legal());

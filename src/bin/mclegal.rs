@@ -28,9 +28,9 @@
 //! | 5    | internal   | unexpected internal/environment failure          |
 
 use mclegal::baselines;
-use mclegal::core::pipeline::{self, Stage};
+use mclegal::core::pipeline;
 use mclegal::core::{
-    CellOrder, DisplacementReference, EcoSession, Engine, LegalizeError, Legalizer, LegalizerConfig,
+    CellOrder, DisplacementReference, EcoSession, Engine, LegalizeError, LegalizerConfig, RunSpec,
 };
 use mclegal::db::prelude::*;
 use mclegal::gen::{self, presets};
@@ -354,8 +354,8 @@ fn build_config(flags: &Flags) -> Result<LegalizerConfig, CliError> {
     };
     if let Some(t) = flags.num("threads")? {
         // An explicit thread count is honored exactly (results are
-        // thread-count invariant for threads >= 2, so snapshots taken at
-        // --threads 2 reproduce on any machine, including 1-core CI).
+        // thread-count invariant, so snapshots taken at --threads 2
+        // reproduce at any thread count on any machine).
         cfg.threads = t;
         cfg.clamp_threads_to_hardware = false;
     }
@@ -382,21 +382,19 @@ fn build_config(flags: &Flags) -> Result<LegalizerConfig, CliError> {
     Ok(cfg)
 }
 
-/// The requested stage list: `--stages` parsed, or the full pipeline.
-fn stage_list(flags: &Flags) -> Result<Vec<&'static dyn Stage>, CliError> {
-    match flags.get("stages") {
+/// What to run per design: the `--stages` list (default: the full
+/// pipeline), adopting existing positions under `--eco true`.
+fn run_spec(flags: &Flags) -> Result<RunSpec, CliError> {
+    let stages = match flags.get("stages") {
         Some(spec) => {
-            pipeline::parse_stages(spec).map_err(|e| CliError::Usage(format!("--stages: {e}")))
+            pipeline::parse_stages(spec).map_err(|e| CliError::Usage(format!("--stages: {e}")))?
         }
-        None => Ok(pipeline::FULL_PIPELINE.to_vec()),
-    }
-}
-
-fn eco_flag(flags: &Flags) -> bool {
-    flags
-        .get("eco")
-        .map(|v| v == "true" || v == "1")
-        .unwrap_or(false)
+        None => pipeline::FULL_PIPELINE.to_vec(),
+    };
+    Ok(RunSpec {
+        adopt_positions: flags.get("eco").is_some_and(|v| v == "true" || v == "1"),
+        ..RunSpec::stages(&stages)
+    })
 }
 
 /// `--eco-delta N[:SEED]`: opens a resident [`EcoSession`] over the fresh
@@ -451,29 +449,11 @@ fn cmd_legalize(flags: &Flags) -> Result<(), CliError> {
         }
     } else {
         let cfg = build_config(flags)?;
-        let eco = eco_flag(flags);
-        let (placed, stats) = if let Some(spec) = flags.get("stages") {
-            // A stage subset runs through the engine's general entry point.
-            let stages = pipeline::parse_stages(spec)
-                .map_err(|e| CliError::Usage(format!("--stages: {e}")))?;
-            let mut engine = Engine::new(cfg.clone());
-            let mut results =
-                engine.try_legalize_batch_with(std::slice::from_ref(&design), &stages, eco);
-            results
-                .pop()
-                .ok_or_else(|| CliError::Internal("empty batch result".into()))?
-                .map_err(|e| legalize_error(&e))?
-        } else if eco {
-            Legalizer::new(cfg.clone())
-                .try_run_eco(&design)
-                .map_err(|e| legalize_error(&e))?
-        } else {
-            Legalizer::new(cfg.clone())
-                .try_run(&design)
-                .map_err(|e| legalize_error(&e))?
-        };
-        run_info = Some((stats, cfg));
-        placed
+        let out = Engine::new(cfg.clone())
+            .run_one(&design, &run_spec(flags)?)
+            .map_err(|e| legalize_error(&e))?;
+        run_info = Some((out.stats, cfg));
+        out.design
     };
     let secs = t.elapsed_seconds();
     print_report(&placed);
@@ -594,10 +574,10 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
     }
 
     let cfg = build_config(flags)?;
-    let stages = stage_list(flags)?;
+    let spec = run_spec(flags)?;
     let t = mclegal::obs::clock::Stopwatch::start();
     let mut engine = Engine::new(cfg.clone());
-    let results = engine.try_legalize_batch_with(&designs, &stages, eco_flag(flags));
+    let results = engine.run(&designs, &spec);
     let secs = t.elapsed_seconds();
 
     let report_dir = flags.get("report-dir").map(PathBuf::from);
@@ -608,7 +588,8 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
     let mut succeeded = 0usize;
     for (d, result) in designs.iter().zip(&results) {
         match result {
-            Ok((placed, stats)) => {
+            Ok(out) => {
+                let (placed, stats) = (&out.design, &out.stats);
                 succeeded += 1;
                 let check = Checker::new(placed).check();
                 println!(

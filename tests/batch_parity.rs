@@ -4,12 +4,12 @@
 //! For every batch composition — shuffled member order, 1/2/4 threads,
 //! full-width and throttled admission (`max_inflight_designs` 0 and 2) —
 //! each design's output positions, replay log, stats and golden report
-//! must be byte-identical to its solo `Legalizer` run. Throttled admission
+//! must be byte-identical to its solo run (a one-design engine). Throttled admission
 //! at 4 threads leaves shared eval workers serving several in-flight
 //! designs at once, so these runs exercise genuine cross-design
 //! interleaving, not just runner parallelism.
 
-use mclegal::core::{build_run_report, Engine, Legalizer, LegalizerConfig};
+use mclegal::core::{build_run_report, Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 
 fn parity_designs(n: usize) -> Vec<Design> {
@@ -66,12 +66,14 @@ fn solo_refs(designs: &[Design], threads: usize) -> Vec<SoloRef> {
         .iter()
         .map(|d| {
             let c = cfg(threads, 0);
-            let (out, stats, log) = Legalizer::new(c.clone()).run_with_replay(d);
-            let golden = build_run_report(&out, &stats, &c).golden_json();
+            let out = Engine::new(c.clone())
+                .run_one(d, &RunSpec::default())
+                .unwrap();
+            let golden = build_run_report(&out.design, &out.stats, &c).golden_json();
             SoloRef {
-                positions: positions(&out),
-                stats,
-                log,
+                positions: positions(&out.design),
+                stats: out.stats,
+                log: out.replay,
                 golden,
             }
         })
@@ -96,23 +98,24 @@ fn shuffled_batches_match_solo_bit_identically() {
             for perm in permutations(designs.len()) {
                 let batch: Vec<Design> = perm.iter().map(|&i| designs[i].clone()).collect();
                 let mut engine = Engine::new(cfg(threads, max_inflight));
-                let results = engine.try_legalize_batch_with_replay(
-                    &batch,
-                    &mclegal::core::pipeline::FULL_PIPELINE,
-                    false,
-                );
+                let results = engine.run(&batch, &RunSpec::default());
                 for (slot, &i) in perm.iter().enumerate() {
                     let tag = format!(
                         "design p{i} at slot {slot}, {threads} threads, \
                          max_inflight {max_inflight}"
                     );
-                    let (out, stats, log) = results[slot]
+                    let out = results[slot]
                         .as_ref()
                         .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    assert_eq!(positions(out), solo[i].positions, "{tag}: positions");
-                    assert_eq!(stats, &solo[i].stats, "{tag}: stats");
-                    assert_eq!(log, &solo[i].log, "{tag}: replay log");
-                    let golden = build_run_report(out, stats, engine.config()).golden_json();
+                    assert_eq!(
+                        positions(&out.design),
+                        solo[i].positions,
+                        "{tag}: positions"
+                    );
+                    assert_eq!(out.stats, solo[i].stats, "{tag}: stats");
+                    assert_eq!(out.replay, solo[i].log, "{tag}: replay log");
+                    let golden =
+                        build_run_report(&out.design, &out.stats, engine.config()).golden_json();
                     assert_eq!(golden, solo[i].golden, "{tag}: golden report");
                 }
             }
@@ -134,15 +137,11 @@ fn duplicate_members_are_independent() {
     let mut c = cfg(4, 2);
     c.max_inflight_designs = 2;
     let mut engine = Engine::new(c);
-    let results = engine.try_legalize_batch_with_replay(
-        &batch,
-        &mclegal::core::pipeline::FULL_PIPELINE,
-        false,
-    );
+    let results = engine.run(&batch, &RunSpec::default());
     let solo = solo_refs(&designs, 4);
     for (slot, want) in [0usize, 1, 0, 1].iter().enumerate() {
-        let (out, _, log) = results[slot].as_ref().unwrap();
-        assert_eq!(positions(out), solo[*want].positions, "slot {slot}");
-        assert_eq!(log, &solo[*want].log, "slot {slot}");
+        let out = results[slot].as_ref().unwrap();
+        assert_eq!(positions(&out.design), solo[*want].positions, "slot {slot}");
+        assert_eq!(out.replay, solo[*want].log, "slot {slot}");
     }
 }

@@ -6,28 +6,32 @@
 //!
 //! 1. **No partial mutation** — a stage that fails (panic, allocation
 //!    failure, deadline) leaves the placement exactly as it found it; the
-//!    degradation rung (serial MGL, skip) then runs from that checkpoint.
+//!    degradation rung (inline MGL, skip) then runs from that checkpoint.
 //! 2. **No lying reports** — an injected fault never produces a
 //!    `RunReport` that claims full success; the matching failure /
 //!    degradation rows are present.
 //! 3. **Blast-radius isolation** — in a batch of four, faults injected
 //!    into one job leave the other three jobs' golden reports
-//!    byte-identical to a fault-free batch, and (for 2/4 threads) to the
-//!    checked-in golden snapshots.
+//!    byte-identical to a fault-free batch, and to the checked-in golden
+//!    snapshots.
 //! 4. **Degradation costs quality, never legality** — every degraded
 //!    result passes the clean-room legality auditor.
 //! 5. **The harness itself is inert** — with `faultinject` compiled in but
 //!    no plan armed, replay logs stay bit-identical across thread counts.
+//! 6. **The `serial` rung is the fault-free algorithm** — MGL rerun inline,
+//!    off the pool, reproduces the fault-free placement at the same thread
+//!    count.
 
 #![cfg(feature = "faultinject")]
 
 use mclegal::audit;
 use mclegal::core::insertion::InsertionScratch;
 use mclegal::core::pipeline::{self, FULL_PIPELINE};
+use mclegal::core::scheduler::EvalPool;
 use mclegal::core::state::PlacementState;
 use mclegal::core::{
-    build_run_report, Engine, FailureClass, FaultPlan, FaultSite, LegalizeError, Legalizer,
-    LegalizerConfig,
+    build_run_report, Engine, FailureClass, FaultPlan, FaultSite, LegalizeError, LegalizeStats,
+    LegalizerConfig, RunOutput, RunSpec,
 };
 use mclegal::db::prelude::*;
 use mclegal::gen::generate;
@@ -72,6 +76,12 @@ fn positions(d: &Design) -> Vec<Option<Point>> {
     d.cells.iter().map(|c| c.pos).collect()
 }
 
+/// One full-pipeline run of `d` on a fresh engine.
+fn try_run(config: &LegalizerConfig, d: &Design) -> Result<(Design, LegalizeStats), LegalizeError> {
+    let out = Engine::new(config.clone()).run_one(d, &RunSpec::default())?;
+    Ok((out.design, out.stats))
+}
+
 /// Every stage-boundary fault site for one stage.
 fn stage_sites(stage: &'static str) -> Vec<FaultSite> {
     vec![
@@ -103,7 +113,7 @@ fn injected_faults_never_claim_full_success() {
             c.faults = Some(FaultPlan::new().arm_once(site.clone()).shared());
             c
         };
-        match Legalizer::new(cfg.clone()).try_run(&d) {
+        match try_run(&cfg, &d) {
             Ok((placed, stats)) => {
                 assert!(
                     !stats.claims_full_success(),
@@ -133,7 +143,7 @@ fn injected_faults_never_claim_full_success() {
 
 /// Invariant 1 (satellite: the no-partial-mutation property test). For any
 /// injected fault site that makes a stage fail terminally, the post-stage
-/// placement state is bit-identical to the pre-stage state: the parallel
+/// placement state is bit-identical to the pre-stage state: the pooled
 /// MGL attempt commits insertions before the fault fires, and every one of
 /// them must be rolled back.
 #[test]
@@ -141,7 +151,7 @@ fn failed_stage_leaves_no_partial_mutation() {
     let d = messy_design(120, 0x5EED);
     let cfg_base = cfg_threads(2);
     // A spread of per-cell apply faults plus whole-stage panics; persistent
-    // arming defeats the serial retry rung too, so the run fails terminally.
+    // arming defeats the inline retry rung too, so the run fails terminally.
     let mut sites: Vec<FaultSite> = vec![FaultSite::StagePanic { stage: "mgl" }];
     for cell in [11u32, 42, 87, 119] {
         sites.push(FaultSite::MglApply { cell });
@@ -153,17 +163,20 @@ fn failed_stage_leaves_no_partial_mutation() {
         let mut state = PlacementState::new(&d);
         let before: Vec<Option<Point>> = d.cells.iter().map(|_| None).collect();
         let mut scratch = InsertionScratch::new();
-        let r = pipeline::run_stages(
-            &d,
-            &mut state,
-            &cfg,
-            &FULL_PIPELINE,
-            &prep.weights,
-            prep.oracle(),
-            pipeline::MglExec::Standalone,
-            &mut scratch,
-            "chaos",
-        );
+        // The first attempt runs on a pool, the inline retry without it.
+        let r = std::thread::scope(|scope| {
+            let pool = EvalPool::spawn(scope, 1);
+            let client = pool.client();
+            pipeline::run_stages(
+                &d,
+                &mut state,
+                &cfg,
+                &FULL_PIPELINE,
+                &prep,
+                Some((&client, 0)),
+                &mut scratch,
+            )
+        });
         let err = r.expect_err("persistent fault must exhaust the ladder");
         assert!(
             matches!(err, LegalizeError::StagePanicked { stage: "mgl", .. }),
@@ -194,12 +207,10 @@ fn skip_rung_equals_stage_disabled_and_is_reported() {
                 .arm_persistent(FaultSite::StagePanic { stage: "maxdisp" })
                 .shared(),
         );
-        let (placed_f, stats_f) = Legalizer::new(faulted.clone())
-            .try_run(&d)
-            .expect("skip rung absorbs the fault");
+        let (placed_f, stats_f) = try_run(&faulted, &d).expect("skip rung absorbs the fault");
         let mut disabled = cfg_threads(threads);
         disabled.max_disp_matching = false;
-        let (placed_d, _) = Legalizer::new(disabled).try_run(&d).expect("clean run");
+        let (placed_d, _) = try_run(&disabled, &d).expect("clean run");
         assert_eq!(
             positions(&placed_f),
             positions(&placed_d),
@@ -222,33 +233,54 @@ fn skip_rung_equals_stage_disabled_and_is_reported() {
     }
 }
 
-/// A one-shot mgl stage panic is absorbed by the serial rung: the run
-/// succeeds, records the `serial` degradation, and the result is
-/// bit-identical to a straight serial (threads = 1) run — the rung really
-/// is the declared fallback algorithm, not some third behavior.
+/// Invariant 6: every fault that takes the `serial` rung — a one-shot
+/// stage panic, a one-shot panic while committing a cell's insertion on a
+/// mid-round pool run, an expired MGL deadline — is absorbed by rerunning
+/// MGL inline, and the result is byte-identical to the fault-free run at
+/// the same thread count: the rung is the one MGL algorithm, not a second
+/// one. (A pool worker's `MglEval` panic never reaches the rung: the
+/// scheduler's repair pass retries it in place; see the quarantine test.)
 #[test]
-fn serial_rung_equals_serial_algorithm() {
+fn serial_rung_reproduces_the_fault_free_run() {
     let d = messy_design(140, 0xFEED);
-    let mut faulted = cfg_threads(4);
-    faulted.faults = Some(
-        FaultPlan::new()
-            .arm_once(FaultSite::StagePanic { stage: "mgl" })
-            .shared(),
-    );
-    let (placed_f, stats_f) = Legalizer::new(faulted)
-        .try_run(&d)
-        .expect("serial rung absorbs a one-shot stage panic");
-    assert_eq!(stats_f.degradations.len(), 1);
-    assert_eq!(stats_f.degradations[0].stage, "mgl");
-    assert_eq!(stats_f.degradations[0].rung, "serial");
-    let (placed_s, _) = Legalizer::new(cfg_threads(1)).try_run(&d).expect("serial");
-    assert_eq!(positions(&placed_f), positions(&placed_s));
-    assert_eq!(audit::verify(&placed_f).placement_violations(), 0);
+    for threads in [1usize, 2, 4] {
+        let clean = cfg_threads(threads);
+        let (placed_c, stats_c) = try_run(&clean, &d).expect("fault-free run");
+        let report_c = build_run_report(&placed_c, &stats_c, &clean).golden_json();
+        for site in [
+            FaultSite::StagePanic { stage: "mgl" },
+            FaultSite::MglApply { cell: 71 },
+            FaultSite::StageDeadline { stage: "mgl" },
+        ] {
+            let mut faulted = cfg_threads(threads);
+            faulted.faults = Some(FaultPlan::new().arm_once(site.clone()).shared());
+            let (placed_f, stats_f) =
+                try_run(&faulted, &d).expect("the serial rung absorbs a one-shot fault");
+            let tag = format!("{threads} threads, {site:?}");
+            let rungs: Vec<_> = stats_f
+                .degradations
+                .iter()
+                .map(|x| (x.stage, x.rung))
+                .collect();
+            assert_eq!(rungs, vec![("mgl", "serial")], "{tag}");
+            assert_eq!(positions(&placed_f), positions(&placed_c), "{tag}");
+            assert_eq!(stats_f.mgl, stats_c.mgl, "{tag}: MGL stats");
+            assert_eq!(stats_f.max_disp, stats_c.max_disp, "{tag}");
+            assert_eq!(stats_f.fixed_order, stats_c.fixed_order, "{tag}");
+            // Beyond the failure and degradation rows, the report is the
+            // fault-free one.
+            let mut report_f = build_run_report(&placed_f, &stats_f, &faulted);
+            assert!(!report_f.claims_full_success(), "{tag}");
+            report_f.failures.clear();
+            report_f.degradations.clear();
+            assert_eq!(report_f.golden_json(), report_c, "{tag}: report");
+        }
+    }
 }
 
 /// Quarantine: a cell whose evaluation keeps failing past the retry budget
 /// is left unplaced with a typed failure row, deterministically across
-/// thread counts that share the parallel algorithm.
+/// thread counts.
 #[test]
 fn quarantine_is_deterministic_and_reported() {
     let d = messy_design(120, 0xACE);
@@ -260,9 +292,7 @@ fn quarantine_is_deterministic_and_reported() {
                 .arm_persistent(FaultSite::MglEval { cell: victim })
                 .shared(),
         );
-        let (placed, stats) = Legalizer::new(cfg.clone())
-            .try_run(&d)
-            .expect("quarantine is contained");
+        let (placed, stats) = try_run(&cfg, &d).expect("quarantine is contained");
         (placed, stats, cfg)
     };
     let (p2, s2, cfg2) = run(2);
@@ -283,24 +313,23 @@ fn quarantine_is_deterministic_and_reported() {
     assert!(!rep.claims_full_success());
     // Everything that did place is legal.
     assert_eq!(audit::verify(&p2).placement_violations(), 0);
-    // Bit-identical containment at another thread count.
-    let (p4, s4, _) = run(4);
-    assert_eq!(positions(&p2), positions(&p4));
-    assert_eq!(s2.mgl.quarantined, s4.mgl.quarantined);
-    assert_eq!(s2.mgl.failures, s4.mgl.failures);
+    // Bit-identical containment at the other thread counts.
+    for threads in [1usize, 4] {
+        let (p, s, _) = run(threads);
+        assert_eq!(positions(&p2), positions(&p), "{threads} threads");
+        assert_eq!(s2.mgl, s.mgl, "{threads} threads");
+    }
 }
 
 /// The deadline ladder: an exhausted budget at every boundary takes the
-/// declared rung per stage — serial MGL, skip maxdisp, skip refine — and
-/// still yields a certified-legal placement.
+/// declared rung per stage — inline (`serial`) MGL, skip maxdisp, skip
+/// refine — and still yields a certified-legal placement.
 #[test]
 fn exhausted_deadline_takes_declared_ladder() {
     let d = messy_design(120, 0x70FF);
     let mut cfg = cfg_threads(2);
     cfg.stage_budget_secs = Some(0.0);
-    let (placed, stats) = Legalizer::new(cfg.clone())
-        .try_run(&d)
-        .expect("the ladder absorbs an exhausted budget");
+    let (placed, stats) = try_run(&cfg, &d).expect("the ladder absorbs an exhausted budget");
     let rungs: Vec<(&str, &str)> = stats
         .degradations
         .iter()
@@ -318,11 +347,11 @@ fn exhausted_deadline_takes_declared_ladder() {
     let rep = build_run_report(&placed, &stats, &cfg);
     assert!(!rep.claims_full_success());
     assert_eq!(audit::verify(&placed).placement_violations(), 0);
-    // The degraded result is exactly the serial-MGL-only placement.
-    let mut serial_only = cfg_threads(1);
-    serial_only.max_disp_matching = false;
-    serial_only.fixed_order_refine = false;
-    let (placed_s, _) = Legalizer::new(serial_only).try_run(&d).expect("clean");
+    // The degraded result is exactly the fault-free MGL-only placement.
+    let mut mgl_only = cfg_threads(2);
+    mgl_only.max_disp_matching = false;
+    mgl_only.fixed_order_refine = false;
+    let (placed_s, _) = try_run(&mgl_only, &d).expect("clean");
     assert_eq!(positions(&placed), positions(&placed_s));
 }
 
@@ -347,26 +376,24 @@ fn batch_survivors_are_byte_identical_to_goldens() {
         // Fault-free baseline at this thread count.
         let mut engine = Engine::new(cfg.clone());
         let baseline: Vec<String> = engine
-            .try_legalize_batch(&designs)
+            .run(&designs, &RunSpec::default())
             .into_iter()
             .map(|r| {
-                let (placed, stats) = r.expect("fault-free baseline must succeed");
-                build_run_report(&placed, &stats, &cfg).golden_json()
+                let out = r.expect("fault-free baseline must succeed");
+                build_run_report(&out.design, &out.stats, &cfg).golden_json()
             })
             .collect();
-        // The parallel algorithm (threads >= 2) is pinned by the
-        // checked-in snapshots, modulo the threads field.
-        if threads >= 2 {
-            for (d, json) in designs.iter().zip(&baseline) {
-                let snap = fs::read_to_string(golden_path(&d.name))
-                    .unwrap_or_else(|e| panic!("{}: {e}", d.name));
-                assert_eq!(
-                    snap.trim_end().replace("\"threads\":2", "\"threads\":0"),
-                    json.replace(&format!("\"threads\":{threads}"), "\"threads\":0"),
-                    "{}: baseline drifted from checked-in golden",
-                    d.name
-                );
-            }
+        // Every thread count is pinned by the checked-in snapshots, modulo
+        // the threads field.
+        for (d, json) in designs.iter().zip(&baseline) {
+            let snap = fs::read_to_string(golden_path(&d.name))
+                .unwrap_or_else(|e| panic!("{}: {e}", d.name));
+            assert_eq!(
+                snap.trim_end().replace("\"threads\":2", "\"threads\":0"),
+                json.replace(&format!("\"threads\":{threads}"), "\"threads\":0"),
+                "{threads} threads, {}: baseline drifted from checked-in golden",
+                d.name
+            );
         }
         // Poison each job in turn, two ways: terminally (persistent mgl
         // panic beats the serial rung too) and degradably (maxdisp skip).
@@ -381,7 +408,7 @@ fn batch_survivors_are_byte_identical_to_goldens() {
                         .shared(),
                 );
                 let mut engine = Engine::new(faulted.clone());
-                let results = engine.try_legalize_batch(&designs);
+                let results = engine.run(&designs, &RunSpec::default());
                 for (i, r) in results.iter().enumerate() {
                     if i == victim {
                         if terminal {
@@ -391,15 +418,14 @@ fn batch_survivors_are_byte_identical_to_goldens() {
                                 LegalizeError::StagePanicked { stage: "mgl", .. }
                             ));
                         } else {
-                            let (placed, stats) =
-                                r.as_ref().expect("degradable victim must survive");
-                            assert!(!stats.claims_full_success());
-                            assert_eq!(audit::verify(placed).placement_violations(), 0);
+                            let out = r.as_ref().expect("degradable victim must survive");
+                            assert!(!out.stats.claims_full_success());
+                            assert_eq!(audit::verify(&out.design).placement_violations(), 0);
                         }
                         continue;
                     }
-                    let (placed, stats) = r.as_ref().expect("survivor must succeed");
-                    let json = build_run_report(placed, stats, &faulted).golden_json();
+                    let out = r.as_ref().expect("survivor must succeed");
+                    let json = build_run_report(&out.design, &out.stats, &faulted).golden_json();
                     assert_eq!(
                         json, baseline[i],
                         "threads={threads} victim={victim} terminal={terminal}: \
@@ -433,13 +459,13 @@ fn interleaved_batch_fault_leaves_peers_byte_identical() {
     cfg.max_inflight_designs = 2;
     let mut engine = Engine::new(cfg.clone());
     let baseline: Vec<(Vec<Option<Point>>, String)> = engine
-        .try_legalize_batch(&designs)
+        .run(&designs, &RunSpec::default())
         .into_iter()
         .map(|r| {
-            let (placed, stats) = r.expect("fault-free baseline must succeed");
+            let out = r.expect("fault-free baseline must succeed");
             (
-                positions(&placed),
-                build_run_report(&placed, &stats, &cfg).golden_json(),
+                positions(&out.design),
+                build_run_report(&out.design, &out.stats, &cfg).golden_json(),
             )
         })
         .collect();
@@ -455,7 +481,7 @@ fn interleaved_batch_fault_leaves_peers_byte_identical() {
                     .shared(),
             );
             let mut engine = Engine::new(faulted.clone());
-            let results = engine.try_legalize_batch(&designs);
+            let results = engine.run(&designs, &RunSpec::default());
             for (i, r) in results.iter().enumerate() {
                 if i == victim {
                     if terminal {
@@ -463,15 +489,15 @@ fn interleaved_batch_fault_leaves_peers_byte_identical() {
                     }
                     continue;
                 }
-                let (placed, stats) = r.as_ref().expect("peer must succeed");
+                let out = r.as_ref().expect("peer must succeed");
                 assert_eq!(
-                    positions(placed),
+                    positions(&out.design),
                     baseline[i].0,
                     "victim={victim} terminal={terminal}: peer {} positions diverged",
                     designs[i].name
                 );
                 assert_eq!(
-                    build_run_report(placed, stats, &faulted).golden_json(),
+                    build_run_report(&out.design, &out.stats, &faulted).golden_json(),
                     baseline[i].1,
                     "victim={victim} terminal={terminal}: peer {} report diverged",
                     designs[i].name
@@ -482,21 +508,25 @@ fn interleaved_batch_fault_leaves_peers_byte_identical() {
 }
 
 /// Invariant 5: compiling the harness in (probes present, no plan armed)
-/// must not perturb the run — replay logs stay bit-identical across the
-/// parallel thread counts, and positions match the serial contract too.
+/// must not perturb the run — replay logs and positions stay
+/// bit-identical across thread counts.
 #[test]
 fn fault_free_replay_logs_invariant_across_threads() {
     let d = messy_design(160, 0xC0FFEE);
-    let run = |threads: usize| {
-        let cfg = cfg_threads(threads);
-        Legalizer::new(cfg)
-            .try_run_with_replay(&d)
+    let run = |threads: usize| -> RunOutput {
+        Engine::new(cfg_threads(threads))
+            .run_one(&d, &RunSpec::default())
             .expect("fault-free run")
     };
-    let (p2, _, log2) = run(2);
-    let (p4, _, log4) = run(4);
-    assert_eq!(log2, log4, "replay logs diverged across thread counts");
-    assert_eq!(positions(&p2), positions(&p4));
+    let one = run(1);
+    for threads in [2usize, 4] {
+        let other = run(threads);
+        assert_eq!(
+            one.replay, other.replay,
+            "replay logs diverged at {threads} threads"
+        );
+        assert_eq!(positions(&one.design), positions(&other.design));
+    }
 }
 
 fn golden_path(name: &str) -> PathBuf {

@@ -21,7 +21,7 @@
 
 #![cfg(feature = "faultinject")]
 
-use mclegal::core::{FaultPlan, FaultSite, Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, FaultPlan, FaultSite, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::parsers;
 use mclegal::serve::json::parse;
@@ -116,10 +116,13 @@ fn faulted_job_is_contained_at_the_wire() {
         .iter()
         .map(|name| {
             let d = parsers::read_bookshelf_dir(&root.join(name)).unwrap();
-            let (placed, stats) = Legalizer::new(engine_config()).try_run(&d).unwrap();
+            let solo = Engine::new(engine_config())
+                .run_one(&d, &RunSpec::default())
+                .unwrap();
             format!(
                 "{}\n",
-                mclegal::core::build_run_report(&placed, &stats, &engine_config()).golden_json()
+                mclegal::core::build_run_report(&solo.design, &solo.stats, &engine_config())
+                    .golden_json()
             )
         })
         .collect();

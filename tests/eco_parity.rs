@@ -3,7 +3,7 @@
 //!
 //! The invariant pinned here: a resident [`EcoSession`] delta is
 //! byte-identical — positions, stats rows, replay log, golden report JSON
-//! and audit certificate — to a from-scratch `run_eco` on the same mutated
+//! and audit certificate — to a from-scratch ECO run on the same mutated
 //! design under the same configuration, at 1, 2 and 4 threads (which must
 //! also agree with each other). The session's spliced band certificate
 //! must equal a full clean-room `mcl_audit::verify` after every delta.
@@ -11,7 +11,7 @@
 //! Deltas cover the hard cases: cells inside and straddling fence
 //! boundaries, and multi-row cells whose windows span several row bands.
 
-use mclegal::core::{build_run_report, EcoSession, Legalizer, LegalizerConfig};
+use mclegal::core::{build_run_report, EcoSession, Engine, LegalizerConfig, RunOutput, RunSpec};
 use mclegal::db::prelude::*;
 
 /// A dense-ish design with a fence region and a real multi-row population.
@@ -83,31 +83,38 @@ fn hard_delta(base: &Design, n: usize, seed: u64) -> Vec<(CellId, Point)> {
 }
 
 /// The from-scratch reference: the same moves applied to the same base,
-/// legalized by a fresh `run_eco` with the session's exact configuration.
+/// legalized by a fresh ECO run with the session's exact configuration.
 fn scratch_reference(
     base: &Design,
     moves: &[(CellId, Point)],
     config: &LegalizerConfig,
-) -> (
-    Design,
-    mclegal::core::LegalizeStats,
-    mclegal::audit::ReplayLog,
-) {
+) -> RunOutput {
     let mut candidate = base.clone();
     for &(cell, gp) in moves {
         let c = &mut candidate.cells[cell.0 as usize];
         c.gp = gp;
         c.pos = None;
     }
-    Legalizer::new(config.clone())
-        .run_eco_with_replay(&candidate)
+    Engine::new(config.clone())
+        .run_one(&candidate, &RunSpec::eco())
         .expect("scratch ECO must succeed")
+}
+
+/// A fresh full-pipeline base placement.
+fn legalize(d: &Design, config: LegalizerConfig) -> RunOutput {
+    Engine::new(config)
+        .run_one(d, &RunSpec::default())
+        .expect("base legalization")
 }
 
 #[test]
 fn session_delta_matches_scratch_run_eco_at_every_thread_count() {
     let d = eco_design(0xec0_5eed);
-    let (base, stats) = Legalizer::new(cfg(1)).run(&d);
+    let RunOutput {
+        design: base,
+        stats,
+        ..
+    } = legalize(&d, cfg(1));
     assert_eq!(stats.mgl.failed, 0);
     let moves = hard_delta(&base, 24, 7);
 
@@ -118,7 +125,11 @@ fn session_delta_matches_scratch_run_eco_at_every_thread_count() {
         let (s_stats, s_log) = session.apply_delta(&moves).expect("session delta");
         let s_cfg = session.config().clone();
 
-        let (r_out, r_stats, r_log) = scratch_reference(&base, &moves, &s_cfg);
+        let RunOutput {
+            design: r_out,
+            stats: r_stats,
+            replay: r_log,
+        } = scratch_reference(&base, &moves, &s_cfg);
 
         // Positions, stats rows, replay log: byte-identical.
         assert_eq!(
@@ -150,32 +161,32 @@ fn session_delta_matches_scratch_run_eco_at_every_thread_count() {
 #[test]
 fn chained_deltas_keep_certificate_and_base_in_lockstep() {
     let d = eco_design(0xbeef);
-    let (base, _) = Legalizer::new(cfg(1)).run(&d);
+    let base = legalize(&d, cfg(1)).design;
     let mut session = EcoSession::open(base.clone(), cfg(2)).expect("base placement is legal");
     let mut rolling = base;
     for round in 0..4 {
         let moves = hard_delta(session.design(), 8, 100 + round);
         let (_, s_log) = session.apply_delta(&moves).expect("session delta");
-        let (r_out, _, r_log) = scratch_reference(&rolling, &moves, session.config());
+        let r = scratch_reference(&rolling, &moves, session.config());
         assert_eq!(
             positions(session.design()),
-            positions(&r_out),
+            positions(&r.design),
             "round {round}: positions diverge"
         );
-        assert_eq!(s_log, r_log, "round {round}: replay logs diverge");
+        assert_eq!(s_log, r.replay, "round {round}: replay logs diverge");
         assert_eq!(
             session.certificate().report(),
             mclegal::audit::verify(session.design()),
             "round {round}: certificate diverges from full verify"
         );
-        rolling = r_out;
+        rolling = r.design;
     }
 }
 
 #[test]
 fn session_rejects_bad_moves_atomically() {
     let d = eco_design(3);
-    let (base, _) = Legalizer::new(cfg(1)).run(&d);
+    let base = legalize(&d, cfg(1)).design;
     let fixed_like = base.cells.len() as u32; // out of range
     let mut session = EcoSession::open(base.clone(), cfg(1)).unwrap();
     let before = positions(session.design());

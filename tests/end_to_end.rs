@@ -2,10 +2,18 @@
 //! benchmarks, every legalizer, legality, quality orderings, determinism.
 
 use mclegal::baselines::{legalize_abacus, legalize_lcp, legalize_mll, legalize_tetris};
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::pipeline::POST_PIPELINE;
+use mclegal::core::{Engine, LegalizeStats, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::presets::{iccad17_config, ispd15_config, ICCAD17, ISPD15};
 use mclegal::gen::{generate, GeneratorConfig};
+
+fn legalize(config: LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
+    let out = Engine::new(config)
+        .run_one(d, &RunSpec::default())
+        .expect("fault-free run");
+    (out.design, out.stats)
+}
 
 fn tiny_iccad(name: &str) -> Design {
     let stats = ICCAD17.iter().find(|s| s.name == name).unwrap();
@@ -15,7 +23,7 @@ fn tiny_iccad(name: &str) -> Design {
 #[test]
 fn full_flow_on_fenced_routability_benchmark() {
     let d = tiny_iccad("des_perf_b_md2");
-    let (placed, stats) = Legalizer::new(LegalizerConfig::contest()).run(&d);
+    let (placed, stats) = legalize(LegalizerConfig::contest(), &d);
     assert_eq!(stats.mgl.failed, 0);
     let rep = Checker::new(&placed).check();
     assert!(rep.is_legal(), "{:?}", rep.details);
@@ -38,9 +46,7 @@ fn all_legalizers_produce_legal_placements() {
         ("lcp", legalize_lcp(&d).0),
         (
             "ours",
-            Legalizer::new(LegalizerConfig::total_displacement())
-                .run(&d)
-                .0,
+            legalize(LegalizerConfig::total_displacement(), &d).0,
         ),
     ];
     for (name, placed) in runs {
@@ -58,12 +64,8 @@ fn all_legalizers_produce_legal_placements() {
 fn ours_beats_every_baseline_on_dense_total_displacement() {
     let stats = &ISPD15[0]; // des_perf_1, the dense one
     let d = generate(&ispd15_config(stats, 0.01)).unwrap().design;
-    let ours = Metrics::measure(
-        &Legalizer::new(LegalizerConfig::total_displacement())
-            .run(&d)
-            .0,
-    )
-    .total_disp_dbu;
+    let ours =
+        Metrics::measure(&legalize(LegalizerConfig::total_displacement(), &d).0).total_disp_dbu;
     for (name, placed) in [
         ("tetris", legalize_tetris(&d).0),
         ("abacus", legalize_abacus(&d).0),
@@ -83,8 +85,8 @@ fn routability_flow_reduces_pin_violations() {
     let d = tiny_iccad("fft_a_md2");
     let mut blind = LegalizerConfig::contest();
     blind.routability = false;
-    let (pb, _) = Legalizer::new(blind).run(&d);
-    let (pa, _) = Legalizer::new(LegalizerConfig::contest()).run(&d);
+    let (pb, _) = legalize(blind, &d);
+    let (pa, _) = legalize(LegalizerConfig::contest(), &d);
     let vb = Checker::new(&pb).check();
     let va = Checker::new(&pa).check();
     assert!(
@@ -98,8 +100,8 @@ fn routability_flow_reduces_pin_violations() {
 #[test]
 fn legalization_is_deterministic_end_to_end() {
     let d = tiny_iccad("pci_bridge32_a_md2");
-    let (a, _) = Legalizer::new(LegalizerConfig::contest()).run(&d);
-    let (b, _) = Legalizer::new(LegalizerConfig::contest()).run(&d);
+    let (a, _) = legalize(LegalizerConfig::contest(), &d);
+    let (b, _) = legalize(LegalizerConfig::contest(), &d);
     for (ca, cb) in a.cells.iter().zip(&b.cells) {
         assert_eq!(ca.pos, cb.pos);
         assert_eq!(ca.orient, cb.orient);
@@ -112,9 +114,10 @@ fn post_processing_improves_or_preserves_quality() {
     let mut stage1 = LegalizerConfig::contest();
     stage1.max_disp_matching = false;
     stage1.fixed_order_refine = false;
-    let (before, _) = Legalizer::new(stage1).run(&d);
-    let (after, stats) = Legalizer::new(LegalizerConfig::contest())
-        .refine(&before)
+    let (before, _) = legalize(stage1, &d);
+    let (after, stats) = Engine::new(LegalizerConfig::contest())
+        .run_one(&before, &RunSpec::stages(&POST_PIPELINE))
+        .map(|o| (o.design, o.stats))
         .unwrap();
     assert!(stats.fixed_order.applied);
     let mb = Metrics::measure(&before);

@@ -9,7 +9,7 @@
 //! UPDATE_GOLDENS=1 cargo test --test golden_corpus
 //! ```
 
-use mclegal::core::{build_run_report, Engine, Legalizer, LegalizerConfig};
+use mclegal::core::{build_run_report, Engine, LegalizerConfig, RunOutput, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::generate;
 use mclegal::gen::presets::golden_corpus;
@@ -47,6 +47,10 @@ fn golden_path(name: &str) -> PathBuf {
 /// The pinned corpus configuration: the snapshots are taken at two threads
 /// (with hardware clamping off so CI core counts don't matter), which the
 /// scheduler guarantees is bit-identical to any other thread count.
+///
+/// The `threads` field of a report records this knob, so snapshots only
+/// match runs at two threads; [`golden_subset_is_identical_across_thread_counts`]
+/// pins every other field at 1, 2 and 4.
 fn corpus_config() -> LegalizerConfig {
     let mut lc = LegalizerConfig::contest();
     lc.threads = 2;
@@ -54,16 +58,11 @@ fn corpus_config() -> LegalizerConfig {
     lc
 }
 
-fn report_for(cfg_name: &str, threads: usize) -> String {
-    let gen_cfg = golden_corpus()
-        .into_iter()
-        .find(|c| c.name == cfg_name)
-        .unwrap();
-    let g = generate(&gen_cfg).unwrap_or_else(|e| panic!("{cfg_name}: {e}"));
-    let mut lc = corpus_config();
-    lc.threads = threads;
-    let (placed, stats) = Legalizer::new(lc.clone()).run(&g.design);
-    build_run_report(&placed, &stats, &lc).golden_json()
+/// A fault-free solo run of `design`.
+fn solo_run(config: &LegalizerConfig, design: &Design, spec: &RunSpec) -> RunOutput {
+    Engine::new(config.clone())
+        .run_one(design, spec)
+        .unwrap_or_else(|e| panic!("{}: {e}", design.name))
 }
 
 #[test]
@@ -73,7 +72,11 @@ fn golden_corpus_reports_match_snapshots() {
     let mut mismatches = Vec::new();
     for gen_cfg in golden_corpus() {
         let g = generate(&gen_cfg).unwrap_or_else(|e| panic!("{}: {e}", gen_cfg.name));
-        let (placed, stats) = Legalizer::new(lc.clone()).run(&g.design);
+        let RunOutput {
+            design: placed,
+            stats,
+            ..
+        } = solo_run(&lc, &g.design, &RunSpec::default());
         // The corpus must stay fully solvable: snapshots of broken runs
         // would freeze the breakage in.
         assert_eq!(stats.mgl.failed, 0, "{} failed cells", gen_cfg.name);
@@ -111,8 +114,8 @@ fn golden_corpus_reports_match_snapshots() {
 #[test]
 fn engine_batch_matches_individual_goldens() {
     // A batched Engine run over the whole corpus must hit the *same*
-    // snapshots as the per-design `Legalizer::run` above: the shared worker
-    // pool and reused scratch are pure setup amortization, never visible in
+    // snapshots as the per-design runs above: the shared worker pool and
+    // reused scratch are pure setup amortization, never visible in
     // results.
     let lc = corpus_config();
     let designs: Vec<Design> = golden_corpus()
@@ -124,16 +127,19 @@ fn engine_batch_matches_individual_goldens() {
         })
         .collect();
     let mut engine = Engine::new(lc.clone());
-    let results = engine.legalize_batch(&designs);
+    let results = engine.run(&designs, &RunSpec::default());
     assert_eq!(
         engine.diag().pool_spawns,
         0,
         "a batch at least as wide as the thread budget runs all-runner, no pool"
     );
     let mut mismatches = Vec::new();
-    for (cfg, (placed, stats)) in golden_corpus().iter().zip(&results) {
-        assert_eq!(stats.mgl.failed, 0, "{} failed cells", cfg.name);
-        let json = build_run_report(placed, stats, &lc).golden_json();
+    for (cfg, result) in golden_corpus().iter().zip(&results) {
+        let out = result
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{}: {e}", cfg.name));
+        assert_eq!(out.stats.mgl.failed, 0, "{} failed cells", cfg.name);
+        let json = build_run_report(&out.design, &out.stats, &lc).golden_json();
         check_snapshot(&cfg.name, &json, &mut mismatches);
     }
     assert!(
@@ -145,7 +151,7 @@ fn engine_batch_matches_individual_goldens() {
 
 /// The ECO golden scenario: stage-1-legalize `golden_uniform`, insert a
 /// deterministic dozen of new unplaced cells, and ECO-legalize through the
-/// engine. Returns the design ready for `Engine::legalize_eco`.
+/// engine. Returns the design ready for an ECO run ([`RunSpec::eco`]).
 fn eco_scenario() -> Design {
     let gen_cfg = golden_corpus()
         .into_iter()
@@ -155,8 +161,9 @@ fn eco_scenario() -> Design {
     let mut stage1 = corpus_config();
     stage1.max_disp_matching = false;
     stage1.fixed_order_refine = false;
-    let (mut placed, stats) = Legalizer::new(stage1).run(&g.design);
-    assert_eq!(stats.mgl.failed, 0, "eco base must be fully placed");
+    let base = solo_run(&stage1, &g.design, &RunSpec::default());
+    assert_eq!(base.stats.mgl.failed, 0, "eco base must be fully placed");
+    let mut placed = base.design;
     placed.name = "golden_eco".into();
     // Deterministic ECO insertions: a dozen single-height cells on a fixed
     // xorshift stream, scattered over the core.
@@ -184,10 +191,11 @@ fn eco_scenario() -> Design {
 fn golden_eco_report_matches_snapshot() {
     let lc = corpus_config();
     let design = eco_scenario();
-    let mut engine = Engine::new(lc.clone());
-    let (placed, stats) = engine
-        .legalize_eco(&design)
-        .unwrap_or_else(|e| panic!("eco seed rejected: {e:?}"));
+    let RunOutput {
+        design: placed,
+        stats,
+        ..
+    } = solo_run(&lc, &design, &RunSpec::eco());
     assert_eq!(stats.mgl.failed, 0, "eco insertions must all place");
     let rep = Checker::new(&placed).check();
     assert!(rep.is_legal(), "{:?}", rep.details);
@@ -205,16 +213,42 @@ fn golden_eco_report_matches_snapshot() {
 
 #[test]
 fn golden_subset_is_identical_across_thread_counts() {
-    // 2 vs 4 threads: both drive the parallel scheduler, whose results are
-    // thread-count invariant (threads = 1 selects the distinct serial MGL
-    // algorithm, which is not part of this contract).
-    let mut two = report_for("golden_fence_heavy", 2);
-    let mut four = report_for("golden_fence_heavy", 4);
-    // The threads field describes the run configuration; everything else
-    // must be bit-identical.
-    two = two.replace("\"threads\":2", "\"threads\":0");
-    four = four.replace("\"threads\":4", "\"threads\":0");
-    assert_eq!(two, four);
+    // One MGL algorithm at every thread count: 1 (inline rounds), 2 and 4
+    // (pooled rounds) must reproduce the snapshot, positions and replay log
+    // included.
+    let gen_cfg = golden_corpus()
+        .into_iter()
+        .find(|c| c.name == "golden_fence_heavy")
+        .unwrap();
+    let design = generate(&gen_cfg).unwrap().design;
+    let snapshot = fs::read_to_string(golden_path(&gen_cfg.name)).unwrap();
+    let mut reference: Option<RunOutput> = None;
+    for threads in [1usize, 2, 4] {
+        let mut lc = corpus_config();
+        lc.threads = threads;
+        let out = solo_run(&lc, &design, &RunSpec::default());
+        // The threads field describes the run configuration; everything
+        // else must be bit-identical.
+        let mut report = build_run_report(&out.design, &out.stats, &lc);
+        report.threads = 2;
+        assert_eq!(
+            snapshot.trim_end(),
+            report.golden_json(),
+            "{threads} threads: report drifted from the snapshot"
+        );
+        if let Some(r) = &reference {
+            let positions = |d: &Design| d.cells.iter().map(|c| c.pos).collect::<Vec<_>>();
+            assert_eq!(
+                positions(&r.design),
+                positions(&out.design),
+                "{threads} threads"
+            );
+            assert_eq!(r.stats, out.stats, "{threads} threads: stats");
+            assert_eq!(r.replay, out.replay, "{threads} threads: replay log");
+        } else {
+            reference = Some(out);
+        }
+    }
 }
 
 #[test]

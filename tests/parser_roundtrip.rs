@@ -1,10 +1,18 @@
 //! Integration tests: generated designs survive Bookshelf and LEF/DEF round
 //! trips, and the parsed designs legalize identically to the originals.
 
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::{generate, GeneratorConfig};
 use mclegal::parsers;
+
+/// The legalized design of a fault-free full-pipeline run.
+fn legalize(config: LegalizerConfig, d: &Design) -> Design {
+    Engine::new(config)
+        .run_one(d, &RunSpec::default())
+        .expect("fault-free run")
+        .design
+}
 
 fn sample() -> Design {
     let cfg = GeneratorConfig {
@@ -83,8 +91,8 @@ fn parsed_design_legalizes_like_the_original() {
     // ballpark.
     let mut cfg = LegalizerConfig::contest();
     cfg.routability = false;
-    let (orig, _) = Legalizer::new(cfg.clone()).run(&d);
-    let (parsed, _) = Legalizer::new(cfg).run(&p);
+    let orig = legalize(cfg.clone(), &d);
+    let parsed = legalize(cfg, &p);
     assert!(Checker::new(&orig).check().is_legal());
     assert!(Checker::new(&parsed).check().is_legal());
     let mo = Metrics::measure(&orig).total_disp_dbu as f64;
@@ -98,7 +106,7 @@ fn parsed_design_legalizes_like_the_original() {
 #[test]
 fn def_roundtrip_of_placed_design_is_exact() {
     let d = sample();
-    let (placed, _) = Legalizer::new(LegalizerConfig::contest()).run(&d);
+    let placed = legalize(LegalizerConfig::contest(), &d);
     let lef = parsers::write_lef(&placed);
     let def = parsers::write_def(&placed);
     let lib = parsers::read_lef(&lef).unwrap();

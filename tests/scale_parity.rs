@@ -3,18 +3,16 @@
 //!
 //! Two invariants, at 10k and 100k cells on `mcl-gen` designs:
 //!
-//! 1. **Scheduler invariance at 1/2/4 threads.** The parallel MGL
-//!    scheduler commits the exact same mutation sequence whether windows
-//!    are evaluated inline (1 thread) or by worker replicas (2/4). Checked
-//!    on the replay log, op for op, plus a checked-in digest so any change
-//!    to the decision sequence — not just a cross-thread divergence — is
+//! 1. **Scheduler invariance at 1/2/4 threads.** The MGL stage alone
+//!    commits the exact same mutation sequence whether windows are
+//!    evaluated inline (1 thread) or by worker replicas (2/4). Checked on
+//!    the replay log, op for op, plus a checked-in digest so any change to
+//!    the decision sequence — not just a cross-thread divergence — is
 //!    caught at review time.
-//! 2. **Full-pipeline parity at 2 vs 4 threads.** mgl/maxdisp/fixed_order
+//! 2. **Full-pipeline parity at 1/2/4 threads.** mgl/maxdisp/fixed_order
 //!    end to end: positions, stats, replay logs, golden run reports and
-//!    audit certificates byte-identical. (The 1-thread `Legalizer` path
-//!    runs the distinct serial MGL algorithm by design — see
-//!    `crates/core/tests/replay_determinism.rs` — so it is excluded here
-//!    and covered by invariant 1 on the scheduler itself.)
+//!    audit certificates byte-identical, plus a checked-in digest of the
+//!    pipeline's replay log.
 //!
 //! The 100k cases are `#[ignore]`d: they want an optimized build and run
 //! in the CI `scale-smoke` job via
@@ -24,10 +22,8 @@
 //! allocation-free `best_insertion_in` against the seed-faithful
 //! `insertion_reference` on a 10k-cell design.
 
-use mclegal::core::mgl::compute_weights;
-use mclegal::core::scheduler::run_parallel;
-use mclegal::core::state::PlacementState;
-use mclegal::core::{build_run_report, Legalizer, LegalizerConfig};
+use mclegal::core::pipeline::MglStage;
+use mclegal::core::{build_run_report, Engine, LegalizerConfig, RunOutput, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::gen::{generate, GeneratorConfig};
 
@@ -80,17 +76,23 @@ fn check_digest(log: &mclegal::audit::ReplayLog, expected: u64, tag: &str) {
     );
 }
 
-/// Invariant 1: the parallel scheduler's mutation sequence is identical
-/// with inline evaluation (1 thread) and worker replicas (2/4 threads).
+fn run(d: &Design, n: usize, threads: usize, spec: &RunSpec) -> RunOutput {
+    Engine::new(cfg(n, threads))
+        .run_one(d, spec)
+        .unwrap_or_else(|e| panic!("n={n}, {threads} threads: {e}"))
+}
+
+/// Invariant 1: the MGL stage's mutation sequence is identical with inline
+/// evaluation (1 thread) and worker replicas (2/4 threads).
 fn check_scheduler_parity(n: usize, expected_digest: u64) {
     let g = scale_design(n);
     let run = |threads: usize| {
-        let c = cfg(n, threads);
-        let weights = compute_weights(&g.design, c.weights);
-        let mut state = PlacementState::new(&g.design);
-        let stats = run_parallel(&mut state, &c, &weights, None);
-        assert_eq!(stats.failed, 0, "n={n}, {threads} threads: cells failed");
-        state.take_replay_log()
+        let out = run(&g.design, n, threads, &RunSpec::stages(&[&MglStage]));
+        assert_eq!(
+            out.stats.mgl.failed, 0,
+            "n={n}, {threads} threads: cells failed"
+        );
+        out.replay
     };
     let log1 = run(1);
     check_digest(&log1, expected_digest, &format!("scheduler n={n}"));
@@ -118,11 +120,14 @@ struct RunOut {
 }
 
 fn run_pipeline(d: &Design, n: usize, threads: usize) -> RunOut {
-    let c = cfg(n, threads);
-    let (out, stats, log) = Legalizer::new(c.clone()).run_with_replay(d);
+    let RunOutput {
+        design: out,
+        stats,
+        replay: log,
+    } = run(d, n, threads, &RunSpec::default());
     // The report echoes the configured thread count; zero it so the golden
     // compares the *result*, not the knob under test.
-    let mut report = build_run_report(&out, &stats, &c);
+    let mut report = build_run_report(&out, &stats, &cfg(n, threads));
     report.threads = 0;
     let golden = report.golden_json();
     let report = mclegal::audit::verify(&out);
@@ -139,22 +144,24 @@ fn run_pipeline(d: &Design, n: usize, threads: usize) -> RunOut {
     }
 }
 
-/// Invariant 2: mgl/maxdisp/fixed_order end-to-end parity at 2 vs 4
+/// Invariant 2: mgl/maxdisp/fixed_order end-to-end parity at 1/2/4
 /// threads.
 fn check_pipeline_parity(n: usize, expected_digest: u64) {
     let g = scale_design(n);
     let solo = run_pipeline(&g.design, n, 2);
     check_digest(&solo.log, expected_digest, &format!("pipeline n={n}"));
-    let got = run_pipeline(&g.design, n, 4);
-    let tag = format!("n={n}, 4 threads vs 2 threads");
-    assert_eq!(got.positions, solo.positions, "{tag}: positions");
-    assert_eq!(got.stats, solo.stats, "{tag}: stats");
-    assert_eq!(got.log, solo.log, "{tag}: replay log");
-    assert_eq!(got.golden, solo.golden, "{tag}: golden report");
-    assert_eq!(
-        got.certificate, solo.certificate,
-        "{tag}: audit certificate"
-    );
+    for threads in [1usize, 4] {
+        let got = run_pipeline(&g.design, n, threads);
+        let tag = format!("n={n}, {threads} threads vs 2 threads");
+        assert_eq!(got.positions, solo.positions, "{tag}: positions");
+        assert_eq!(got.stats, solo.stats, "{tag}: stats");
+        assert_eq!(got.log, solo.log, "{tag}: replay log");
+        assert_eq!(got.golden, solo.golden, "{tag}: golden report");
+        assert_eq!(
+            got.certificate, solo.certificate,
+            "{tag}: audit certificate"
+        );
+    }
 }
 
 #[test]
@@ -187,6 +194,7 @@ fn pipeline_parity_100k_across_threads() {
 fn insertion_matches_reference_sampled_10k() {
     use mclegal::core::insertion::{best_insertion_in, CostModel, InsertionScratch};
     use mclegal::core::insertion_reference::best_insertion_reference;
+    use mclegal::core::PlacementState;
 
     let g = scale_design(10_000);
     let d = &g.design;

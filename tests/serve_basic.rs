@@ -8,7 +8,7 @@
 //! journal, and a SIGKILLed daemon's successor reports the lost job as
 //! `INTERRUPTED`.
 
-use mclegal::core::{Legalizer, LegalizerConfig};
+use mclegal::core::{Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
 use mclegal::parsers;
 use mclegal::serve::json::parse;
@@ -57,6 +57,13 @@ fn engine_config() -> LegalizerConfig {
     c.threads = 2;
     c.clamp_threads_to_hardware = false;
     c
+}
+
+/// A solo (unserved) run of `design` under [`engine_config`].
+fn solo_run(design: &Design) -> mclegal::core::RunOutput {
+    Engine::new(engine_config())
+        .run_one(design, &RunSpec::default())
+        .unwrap()
 }
 
 fn status_of(line: &str) -> String {
@@ -133,10 +140,10 @@ fn served_job_reports_byte_identical_to_solo_run() {
     // The reference: a solo run of the identical bundle bytes under the
     // identical config.
     let design = parsers::read_bookshelf_dir(&bundle).unwrap();
-    let (placed, stats) = Legalizer::new(engine_config()).try_run(&design).unwrap();
+    let solo = solo_run(&design);
     let solo_golden = format!(
         "{}\n",
-        mclegal::core::build_run_report(&placed, &stats, &engine_config()).golden_json()
+        mclegal::core::build_run_report(&solo.design, &solo.stats, &engine_config()).golden_json()
     );
 
     let mut cfg = ServeConfig::new(engine_config());
@@ -221,9 +228,7 @@ fn eco_session_lifecycle_over_the_wire() {
     // A resident session needs a legal base: legalize first, persist the
     // placed design as the session bundle.
     let placed_dir = root.join("placed");
-    let (placed, _) = Legalizer::new(engine_config())
-        .try_run(&small_design("eco0", 53))
-        .unwrap();
+    let placed = solo_run(&small_design("eco0", 53)).design;
     parsers::write_bookshelf_dir(&placed, &placed_dir, "eco0").unwrap();
 
     let server = Server::start(ServeConfig::new(engine_config())).unwrap();
@@ -299,9 +304,7 @@ fn eco_session_lifecycle_over_the_wire() {
 fn eco_delta_deadline_rolls_back_atomically_over_the_wire() {
     let root = tmp_dir("eco_deadline");
     let placed_dir = root.join("placed");
-    let (placed, _) = Legalizer::new(engine_config())
-        .try_run(&small_design("ecodl", 59))
-        .unwrap();
+    let placed = solo_run(&small_design("ecodl", 59)).design;
     parsers::write_bookshelf_dir(&placed, &placed_dir, "ecodl").unwrap();
 
     let server = Server::start(ServeConfig::new(engine_config())).unwrap();

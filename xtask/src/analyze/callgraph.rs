@@ -193,7 +193,7 @@ impl CallGraph {
                         if q.starts_with(|ch: char| ch.is_ascii_uppercase()) {
                             by_type_name.get(&(q, c.name.as_str())).map_or(&[], |v| v)
                         } else {
-                            // Module path (`clock::now`, `mgl::run_serial`):
+                            // Module path (`clock::now`, `mgl::window_for`):
                             // resolve as a free fn by bare name.
                             free_by_name.get(c.name.as_str()).map_or(&[], |v| v)
                         }

@@ -46,11 +46,10 @@ const INSTANT_EXEMPT_PREFIX: &str = "crates/obs/src/";
 
 /// Raw per-stage entry points that bypass the stage pipeline's middleware
 /// (span recording, displacement histograms, clean-room audit). New code
-/// goes through `pipeline::run_stages` / `Engine`; calling these directly
-/// silently loses the cross-cutting instrumentation.
-const STAGE_BYPASS_FNS: [&str; 4] = [
-    "run_serial",
-    "run_parallel",
+/// goes through `Engine::run` (`pipeline::run_stages`); calling these
+/// directly silently loses the cross-cutting instrumentation.
+const STAGE_BYPASS_FNS: [&str; 3] = [
+    "drive_rounds",
     "optimize_max_disp_metered",
     "optimize_fixed_order_metered",
 ];
@@ -69,7 +68,7 @@ const STAGE_BYPASS_EXEMPT: [&str; 5] = [
 /// defines it, and the engine, which owns the one shared pool of a batch
 /// (DESIGN.md §12). Anywhere else, a raw spawn reintroduces the per-design
 /// pool churn the batch scheduler exists to eliminate — route the work
-/// through `Engine::legalize_batch` (or `Legalizer` for a true solo run).
+/// through `Engine::run` (a solo run is a batch of one).
 const POOL_SPAWN_EXEMPT: [&str; 2] = ["crates/core/src/engine.rs", "crates/core/src/scheduler.rs"];
 
 /// Integer type names a float expression must not be `as`-cast to.
@@ -141,7 +140,7 @@ fn has_instant_use(line: &str) -> bool {
 
 /// Lexical detection of a call to a raw stage entry point. Matches
 /// `name(` with an identifier boundary on the left, so wrappers like
-/// `seed_run_parallel(` or `run_serial_with_scratch(` don't trip it.
+/// `seed_drive_rounds(` or `drive_rounds_inline(` don't trip it.
 fn has_stage_bypass_call(line: &str) -> bool {
     STAGE_BYPASS_FNS.iter().any(|name| {
         line.match_indices(&format!("{name}("))
@@ -369,7 +368,8 @@ mod tests {
 
     #[test]
     fn seeded_stage_bypass_is_caught() {
-        let src = "fn f() {\n    let s = run_parallel(&mut state, &cfg, &w, None);\n}\n";
+        let src =
+            "fn f() {\n    let s = drive_rounds(&mut state, &cfg, &w, None, None, &mut s);\n}\n";
         let v = lint_source("crates/core/src/legalizer.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "stage-bypass");
@@ -382,8 +382,7 @@ mod tests {
     #[test]
     fn stage_bypass_flags_every_raw_entry_point() {
         for call in [
-            "run_serial(s, c, w, o)",
-            "run_parallel(s, c, w, o)",
+            "drive_rounds(s, c, w, o, p, scr)",
             "optimize_max_disp_metered(s, c, m)",
             "optimize_fixed_order_metered(s, c, w, o, m)",
         ] {
@@ -397,12 +396,12 @@ mod tests {
     #[test]
     fn stage_bypass_respects_ident_boundaries() {
         // Prefixed/suffixed identifiers are different functions.
-        let src = "fn f() {\n    seed_run_parallel(&d);\n    \
-                   run_serial_with_scratch(s, c, w, o, scr);\n}\n";
+        let src = "fn f() {\n    seed_drive_rounds(&d);\n    \
+                   drive_rounds_inline(s, c, w, o, scr);\n}\n";
         assert!(lint_source("crates/core/src/engine.rs", src).is_empty());
         // Test code and strings are masked like every other rule.
-        let masked = "fn f() { let _ = \"run_parallel(x)\"; }\n\
-                      #[cfg(test)]\nmod tests {\n    fn g() { run_serial(s, c, w, o); }\n}\n";
+        let masked = "fn f() { let _ = \"drive_rounds(x)\"; }\n\
+                      #[cfg(test)]\nmod tests {\n    fn g() { drive_rounds(s, c, w, o, p, scr); }\n}\n";
         assert!(lint_source("crates/core/src/engine.rs", masked).is_empty());
     }
 
