@@ -66,8 +66,6 @@ pub struct LegalizerConfig {
     pub window_sites: usize,
     /// Initial window half-height in rows.
     pub window_rows: usize,
-    /// Growth factor numerator/denominator on failed insertion (3/2 = ×1.5).
-    pub window_growth: (usize, usize),
     /// Maximum number of window expansions before falling back to a global
     /// scan.
     pub max_expansions: usize,
@@ -113,12 +111,14 @@ pub struct LegalizerConfig {
     /// context switches, so this defaults to on; tests disable it to
     /// exercise the worker pool regardless of the host's core count.
     pub clamp_threads_to_hardware: bool,
-    /// Admission bound for `Engine` batch calls: how many designs may be
-    /// in flight at once (0 = auto, meaning `threads`). Each in-flight
-    /// design gets a runner thread out of the `threads` budget; leftover
-    /// threads become shared eval workers that interleave rounds from all
-    /// in-flight designs. Memory scales with in-flight work, never batch
-    /// size, and per-design results are identical for any value.
+    /// Admission bound for `Engine` calls: how many jobs may be in flight
+    /// at once (0 = auto, meaning `threads`). Each in-flight job gets a
+    /// runner thread out of the `threads` budget; leftover threads become
+    /// shared eval workers that interleave rounds from all in-flight
+    /// designs. A job's working state is built when a runner claims it, so
+    /// memory scales with the in-flight count, never with the batch size
+    /// or stream length, and per-design results are identical for any
+    /// value.
     pub max_inflight_designs: usize,
     /// Capacity of the concurrent-window list `L_p` (§3.5). Determinism is
     /// per capacity value; small capacities track the cell-by-cell
@@ -133,11 +133,6 @@ pub struct LegalizerConfig {
     /// degradation rung: MGL runs inline without the shared pool (same
     /// placement), maxdisp and refine are skipped. `None` disables the budget.
     pub stage_budget_secs: Option<f64>,
-    /// Deterministic retry budget for a failed per-cell insertion
-    /// evaluation before the cell is quarantined (DESIGN.md §11). Retries
-    /// run on the coordinator in cell order, so the outcome is independent
-    /// of thread count.
-    pub fault_retry_budget: u32,
     /// Armed fault-injection plan (chaos testing; see [`crate::faultinject`]).
     /// `None` in production — every probe is then a single branch.
     pub faults: Option<Arc<FaultPlan>>,
@@ -183,22 +178,12 @@ impl LegalizerConfig {
 
     /// The window half-extent after `n` expansions, in sites.
     pub fn window_sites_after(&self, n: usize) -> usize {
-        let (num, den) = self.window_growth;
-        let mut w = self.window_sites.max(1);
-        for _ in 0..n {
-            w = (w * num / den).max(w + 1);
-        }
-        w
+        grown(self.window_sites, n)
     }
 
     /// The window half-extent after `n` expansions, in rows.
     pub fn window_rows_after(&self, n: usize) -> usize {
-        let (num, den) = self.window_growth;
-        let mut w = self.window_rows.max(1);
-        for _ in 0..n {
-            w = (w * num / den).max(w + 1);
-        }
-        w
+        grown(self.window_rows, n)
     }
 
     /// `δ₀` in database units for a given row height.
@@ -209,6 +194,12 @@ impl LegalizerConfig {
     }
 }
 
+/// A window half-extent of `w` (at least 1) after `n` failed insertions,
+/// each of which doubles it.
+fn grown(w: usize, n: usize) -> usize {
+    (0..n).fold(w.max(1), |w, _| w * 2)
+}
+
 impl Default for LegalizerConfig {
     fn default() -> Self {
         Self {
@@ -217,7 +208,6 @@ impl Default for LegalizerConfig {
             weights: WeightMode::ContestAverage,
             window_sites: 24,
             window_rows: 3,
-            window_growth: (2, 1),
             max_expansions: 12,
             routability: true,
             normalize_curves: true,
@@ -234,7 +224,6 @@ impl Default for LegalizerConfig {
             max_inflight_designs: 0,
             window_list_capacity: 8,
             stage_budget_secs: None,
-            fault_retry_budget: 1,
             faults: None,
         }
     }

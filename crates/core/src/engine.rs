@@ -1,27 +1,33 @@
 //! The legalization engine: the one way to run the pipeline.
 //!
-//! [`Engine::run`] takes a batch of designs and a [`RunSpec`] (stage list,
-//! whether to adopt existing positions, optional per-job budgets) and
-//! returns one fallible [`RunOutput`] per design. A single design is a
-//! batch of one ([`Engine::run_one`]). The engine owns the setup state that
-//! is worth keeping across calls — a small pool of [`InsertionScratch`]
-//! arenas — and, for the whole of one call, one shared [`EvalPool`] of
-//! worker threads; it runs each design through the same
+//! [`Engine::run_jobs`] pulls [`Job`]s from a source — a slice, or a queue
+//! that blocks until more work arrives — runs each through a [`RunSpec`]
+//! (stage list, whether to adopt existing positions) and hands each job's
+//! fallible [`RunOutput`] to a callback the moment that job finishes.
+//! [`Engine::run`] (a batch, results in batch order) and [`Engine::run_one`]
+//! (a batch of one) are adaptors over it. The engine owns the setup state
+//! that is worth keeping across calls — a small pool of
+//! [`InsertionScratch`] arenas — and, for the whole of one call, one shared
+//! [`EvalPool`] of worker threads; it runs each job through the same
 //! [`crate::pipeline`] driver.
 //!
-//! ## Batch scheduling
+//! ## Job scheduling
 //!
 //! A call splits `config.threads` into **runners** and **workers**
-//! (DESIGN.md §12). Runners pull whole designs off a shared cursor —
-//! bounded admission: at most `max_inflight_designs` designs are in flight,
-//! so memory scales with in-flight work, never batch size — and each drives
-//! its design's rounds to completion. Leftover threads become shared
-//! [`EvalPool`] workers serving *all* in-flight designs at once: eval jobs
-//! from different designs interleave freely (work conservation — no worker
-//! idles while any design has runnable jobs). When the batch is at least as
-//! wide as the thread budget, every thread is a runner and designs run
-//! inline with zero cross-thread round traffic. A stage list without MGL
-//! has no rounds to fan out, so it spawns no pool at all.
+//! (DESIGN.md §12). Runners claim jobs off the shared source one at a
+//! time and drive each to completion. Admission is bounded: at most
+//! [`Engine::batch_runners`] jobs are in flight, and a job's seed state and
+//! [`Prep`] are built only when a runner claims it and dropped when it
+//! finishes, so memory scales with in-flight work, never with the length of
+//! the source. Leftover threads become shared [`EvalPool`] workers serving
+//! *all* in-flight designs at once: eval jobs from different designs
+//! interleave freely (work conservation — no worker idles while any design
+//! has runnable jobs). When every thread is a runner, designs run inline
+//! with zero cross-thread round traffic. A stage list without MGL has no
+//! rounds to fan out, so it spawns no pool at all. The workers keep a
+//! replica of each design they serve, so only designs borrowed for the
+//! whole call ([`Cow::Borrowed`]) can use them; a design the job owns runs
+//! its rounds inline on its runner.
 //!
 //! Determinism is per design: selection, retry and apply order are decided
 //! by each design's own runner, so outputs, replay logs and reports are
@@ -29,9 +35,9 @@
 //! any batch composition (pinned by `tests/batch_parity.rs`).
 //!
 //! Buffer-reuse contract (asserted by tests via [`EngineDiag`] and the
-//! scratch `created` counter): within one [`Engine::run`] call at most one
-//! pool is spawned, and every scratch — one per runner plus one per worker
-//! — is constructed at most once for the engine's lifetime.
+//! scratch `created` counter): within one call at most one pool is spawned,
+//! and every scratch — one per runner plus one per worker — is constructed
+//! at most once for the engine's lifetime.
 
 use crate::config::LegalizerConfig;
 use crate::error::LegalizeError;
@@ -41,24 +47,25 @@ use crate::pipeline::{self, includes_mgl, Prep, Stage, FULL_PIPELINE};
 use crate::scheduler::{EvalPool, PoolClient};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Setup-cost and scheduling counters for asserting the engine's reuse
 /// contract and observing cross-design work conservation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineDiag {
-    /// Pipeline runs driven by this engine (one per design).
+    /// Pipeline runs driven by this engine (one per seeded job).
     pub runs: u64,
     /// Shared worker pools spawned. A call spawns **at most one** pool for
     /// its whole lifetime — and only when its stage list includes MGL and
     /// threads are left over after admission (`threads` exceeds the runner
-    /// count); a call whose every thread is a design runner spawns none.
+    /// count); a call whose every thread is a runner spawns none.
     pub pool_spawns: u64,
     /// Total shared eval worker threads spawned across all pools.
     pub worker_spawns: u64,
     /// Runner threads spawned. The calling thread doubles as runner 0 and
-    /// is not counted, so a call at `R` in-flight designs adds `R − 1`.
+    /// is not counted, so a call with `R` runners adds `R − 1`.
     pub runner_spawns: u64,
     /// Rounds in which a shared pool worker switched designs: incremented
     /// when a worker claims at least one eval job from a different design
@@ -67,7 +74,7 @@ pub struct EngineDiag {
     pub cross_design_steals: u64,
 }
 
-/// What an [`Engine::run`] call does to each design.
+/// What an [`Engine`] call does to each job.
 #[derive(Clone)]
 pub struct RunSpec {
     /// The stages to run, in canonical order ([`FULL_PIPELINE`],
@@ -78,13 +85,6 @@ pub struct RunSpec {
     /// placed input. An unadoptable position fails that job with
     /// [`LegalizeError::SeedRejected`].
     pub adopt_positions: bool,
-    /// Per-job deadline budgets in seconds: job `i` runs under
-    /// `budgets[i]` (when set) instead of the engine's `stage_budget_secs`;
-    /// when both are set the tighter one wins. Shorter than the batch
-    /// leaves the tail on the engine config. This is how `mclegal serve`
-    /// maps a client's deadline onto the degradation ladder; it never
-    /// changes a fault-free result.
-    pub budgets: Vec<Option<f64>>,
 }
 
 impl RunSpec {
@@ -94,7 +94,6 @@ impl RunSpec {
         Self {
             stages: stages.to_vec(),
             adopt_positions: false,
-            budgets: Vec::new(),
         }
     }
 
@@ -116,6 +115,21 @@ impl Default for RunSpec {
     }
 }
 
+/// One job of an [`Engine::run_jobs`] source.
+pub struct Job<'d, T> {
+    /// The design. Borrowed for the whole call, its MGL rounds may fan out
+    /// onto the call's shared workers; owned by the job, it runs inline on
+    /// its runner and is dropped when the job finishes.
+    pub design: Cow<'d, Design>,
+    /// Deadline budget in seconds. It tightens the engine's
+    /// `stage_budget_secs` (the smaller wins) and never changes a
+    /// fault-free result. This is how `mclegal serve` maps a client's
+    /// deadline onto the degradation ladder.
+    pub budget: Option<f64>,
+    /// The caller's tag, handed back with the job's result.
+    pub ticket: T,
+}
+
 /// One job's successful output.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
@@ -127,14 +141,6 @@ pub struct RunOutput {
     /// (`mcl_audit::replay`): two runs are bit-identical iff their logs are
     /// equal. Empty unless the `replay-log` feature (default) is enabled.
     pub replay: mcl_audit::ReplayLog,
-}
-
-/// One design's seed-in / result-out cell. Each slot is claimed by exactly
-/// one runner (via the shared admission cursor), so the lock is always
-/// uncontended; it exists to let runners write results without aliasing.
-struct Slot<'d> {
-    seed: Option<PlacementState<'d>>,
-    out: Option<Result<RunOutput, LegalizeError>>,
 }
 
 /// A reusable legalization engine: configuration plus long-lived scratch.
@@ -199,10 +205,11 @@ impl Engine {
         self.diag
     }
 
-    /// How many runner threads a batch of `n` designs gets: the admission
-    /// bound (`config.max_inflight_designs`, 0 = auto meaning `threads`),
-    /// clamped to the thread budget and the batch size. The remaining
-    /// `threads − runners` threads become shared eval workers.
+    /// How many runner threads a source of at most `n` jobs gets
+    /// (`usize::MAX` when its length is unknown): the admission bound
+    /// (`config.max_inflight_designs`, 0 = auto meaning `threads`), clamped
+    /// to the thread budget and to `n`. The remaining `threads − runners`
+    /// threads become shared eval workers.
     pub fn batch_runners(&self, n: usize) -> usize {
         let limit = match self.config.max_inflight_designs {
             0 => self.config.threads,
@@ -226,7 +233,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// The job's terminal [`LegalizeError`] (see [`Self::run`]).
+    /// The job's terminal [`LegalizeError`] (see [`Self::run_jobs`]).
     pub fn run_one(&mut self, design: &Design, spec: &RunSpec) -> Result<RunOutput, LegalizeError> {
         self.run(std::slice::from_ref(design), spec)
             .pop()
@@ -235,42 +242,66 @@ impl Engine {
             }))
     }
 
-    /// Runs `spec` over every design, interleaving up to
-    /// [`Self::batch_runners`] designs on the thread budget. Every design
-    /// gets its own result: one job failing to seed or exhausting its
-    /// degradation ladder does not abort the batch, and the other jobs'
-    /// outputs are bit-identical to fault-free solo runs (pinned by the
-    /// chaos suite, including under cross-design interleaving).
-    ///
-    /// Runner 0 is the calling thread; each runner claims the next
-    /// unprocessed design off a shared cursor and drives it start to
-    /// finish, so results land in deterministic slots while the *schedule*
-    /// (which runner gets which design, how rounds interleave) is free to
-    /// race.
+    /// Runs `spec` over every design and returns the results in batch
+    /// order: [`Self::run_jobs`] over the slice, each design borrowed for
+    /// the call and tagged with its index.
     pub fn run(
         &mut self,
         designs: &[Design],
         spec: &RunSpec,
     ) -> Vec<Result<RunOutput, LegalizeError>> {
+        let slots = Mutex::new(designs.iter().map(|_| None).collect::<Vec<_>>());
+        let jobs = designs.iter().enumerate().map(|(i, d)| Job {
+            design: Cow::Borrowed(d),
+            budget: None,
+            ticket: i,
+        });
+        self.run_jobs(jobs, spec, |i, out| {
+            if let Some(slot) = slots
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_mut(i)
+            {
+                *slot = Some(out);
+            }
+        });
+        slots
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_iter()
+            // Unreachable: every claimed job reports; degrade to a typed
+            // error rather than assert.
+            .map(|r| {
+                r.unwrap_or(Err(LegalizeError::PoolBroken {
+                    during: "batch slot",
+                }))
+            })
+            .collect()
+    }
+
+    /// Runs `spec` over every job `jobs` yields, on up to
+    /// [`Self::batch_runners`] runners (the source's `size_hint` upper bound
+    /// is its length), and calls `done` with each job's ticket and result on
+    /// the runner thread as soon as that job finishes. Returns once the
+    /// source is exhausted and every claimed job is done. A source may
+    /// block in `next` to wait for work; the other runners keep running
+    /// their jobs meanwhile.
+    ///
+    /// Every job gets its own result: one job failing to seed or exhausting
+    /// its degradation ladder does not affect the others, whose outputs are
+    /// bit-identical to fault-free solo runs (pinned by the chaos suite,
+    /// including under cross-design interleaving).
+    ///
+    /// Runner 0 is the calling thread. Which runner claims which job and how
+    /// rounds interleave are free to race; each job's result is not.
+    pub fn run_jobs<'d, T: Send>(
+        &mut self,
+        jobs: impl Iterator<Item = Job<'d, T>> + Send,
+        spec: &RunSpec,
+        done: impl Fn(T, Result<RunOutput, LegalizeError>) + Sync,
+    ) {
         let stages = spec.stages.as_slice();
-        let adopt = spec.adopt_positions || !includes_mgl(stages);
-        // Per-job configs exist only when some job carries its own budget;
-        // everything schedule-relevant is identical across jobs.
-        let overrides: Option<Vec<LegalizerConfig>> =
-            spec.budgets.iter().any(Option::is_some).then(|| {
-                (0..designs.len())
-                    .map(|i| {
-                        let mut c = self.config.clone();
-                        if let Some(b) = spec.budgets.get(i).copied().flatten() {
-                            c.stage_budget_secs =
-                                Some(c.stage_budget_secs.map_or(b, |engine_b| engine_b.min(b)));
-                        }
-                        c
-                    })
-                    .collect()
-            });
-        let preps: Vec<Prep<'_>> = designs.iter().map(|d| Prep::new(d, &self.config)).collect();
-        let runners = self.batch_runners(designs.len());
+        let runners = self.batch_runners(jobs.size_hint().1.unwrap_or(usize::MAX));
         // Only MGL fans out onto the pool; post stages would leave every
         // worker idle.
         let workers = if includes_mgl(stages) {
@@ -286,56 +317,16 @@ impl Engine {
             scratches,
             diag,
         } = self;
-        let slots: Vec<Mutex<Slot<'_>>> = designs
-            .iter()
-            .map(|d| {
-                let seed = if adopt {
-                    PlacementState::from_design_positions(d).map_err(|(cell, e)| {
-                        LegalizeError::SeedRejected {
-                            cell: Some(cell.0),
-                            message: e.to_string(),
-                        }
-                    })
-                } else {
-                    Ok(PlacementState::new(d))
-                };
-                Mutex::new(match seed {
-                    Ok(state) => Slot {
-                        seed: Some(state),
-                        out: None,
-                    },
-                    Err(e) => Slot {
-                        seed: None,
-                        out: Some(Err(e)),
-                    },
-                })
-            })
-            .collect();
-        let next = AtomicUsize::new(0);
-        let runs = AtomicU64::new(0);
-        let mut steal_counter = None;
-        // The scratch pool is pre-grown to `runners >= 1` above; degrade to
-        // typed errors rather than assert if that invariant ever breaks.
-        let Some((main_scratch, rest_scratches)) = scratches.split_first_mut() else {
-            return (0..designs.len())
-                .map(|_| {
-                    Err(LegalizeError::ResourceExhausted {
-                        stage: "mgl",
-                        what: "runner scratch pool",
-                    })
-                })
-                .collect();
-        };
-        let job = Job {
-            designs,
-            preps: &preps,
-            slots: &slots,
-            next: &next,
-            runs: &runs,
+        let call = Call {
+            // The claim counter doubles as the job's run id on the pool.
+            source: Mutex::new(jobs.fuse().zip(0usize..)),
             config,
-            overrides: overrides.as_deref(),
             stages,
+            adopt: spec.adopt_positions || !includes_mgl(stages),
+            runs: AtomicU64::new(0),
+            done,
         };
+        let mut steal_counter = None;
         std::thread::scope(|scope| {
             let pool = (workers > 0).then(|| EvalPool::spawn(scope, workers));
             if let Some(p) = &pool {
@@ -343,104 +334,115 @@ impl Engine {
                 diag.worker_spawns += workers as u64;
                 steal_counter = Some(p.steal_counter());
             }
-            for scratch in rest_scratches.iter_mut().take(runners - 1) {
+            let mut scratches = scratches.iter_mut().take(runners);
+            let main_scratch = scratches.next();
+            for scratch in scratches {
                 diag.runner_spawns += 1;
                 let client = pool.as_ref().map(EvalPool::client);
-                scope.spawn(move || job.runner(scratch, client.as_ref()));
+                let call = &call;
+                scope.spawn(move || call.runner(scratch, client.as_ref()));
             }
-            let client = pool.as_ref().map(EvalPool::client);
-            job.runner(main_scratch, client.as_ref());
+            if let Some(scratch) = main_scratch {
+                let client = pool.as_ref().map(EvalPool::client);
+                call.runner(scratch, client.as_ref());
+            }
             // The scope joins the extra runners (and, once every client is
             // dropped, the pool workers) before returning.
         });
-        diag.runs += runs.load(Ordering::Relaxed);
+        diag.runs += call.runs.load(Ordering::Relaxed);
         if let Some(c) = steal_counter {
             diag.cross_design_steals += c.load(Ordering::Relaxed);
         }
-        slots
-            .into_iter()
-            .map(|m| {
-                let slot = m.into_inner().unwrap_or_else(PoisonError::into_inner);
-                match slot.out {
-                    Some(r) => r,
-                    // Unreachable: every claimed slot stores a result and
-                    // every seed error is stored up front; degrade to a
-                    // typed error rather than assert.
-                    None => Err(LegalizeError::PoolBroken {
-                        during: "batch slot",
-                    }),
-                }
-            })
-            .collect()
     }
 }
 
-/// Everything the runners of one [`Engine::run`] call share.
-#[derive(Clone, Copy)]
-struct Job<'a, 'd> {
-    designs: &'d [Design],
-    preps: &'a [Prep<'d>],
-    slots: &'a [Mutex<Slot<'d>>],
-    next: &'a AtomicUsize,
-    runs: &'a AtomicU64,
+/// Everything the runners of one [`Engine::run_jobs`] call share.
+struct Call<'a, I, F> {
+    /// The job source and claim counter. Runners claim under this lock, so
+    /// a source that blocks for work holds back only other claims.
+    source: Mutex<I>,
     config: &'a LegalizerConfig,
-    overrides: Option<&'a [LegalizerConfig]>,
     stages: &'a [&'static dyn Stage],
+    adopt: bool,
+    runs: AtomicU64,
+    done: F,
 }
 
-impl<'a, 'd> Job<'a, 'd> {
-    /// One runner's admission loop: claim the next unprocessed design, run
-    /// it start to finish, repeat until the batch cursor runs dry.
-    fn runner(self, scratch: &mut InsertionScratch, client: Option<&PoolClient<'a>>) {
+impl<'a, 'd, T, I, F> Call<'a, I, F>
+where
+    I: Iterator<Item = (Job<'d, T>, usize)>,
+    F: Fn(T, Result<RunOutput, LegalizeError>),
+{
+    /// One runner's admission loop: claim the next job, run it, report it,
+    /// repeat until the source runs dry.
+    fn runner(&self, scratch: &mut InsertionScratch, client: Option<&PoolClient<'d>>) {
         loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            let (Some(design), Some(prep), Some(slot)) =
-                (self.designs.get(i), self.preps.get(i), self.slots.get(i))
-            else {
-                break; // cursor ran past the batch: done
-            };
-            // The guard is scoped to the seed takeout: the run below sends
-            // on the pool channels, and no lock guard may be live across a
-            // send (`cargo xtask analyze`, rule pool-lock-across-send). The
-            // slot is claimed by exactly one runner, so re-locking to store
-            // the result races with nobody; a panic escaping the run leaves
-            // `out` empty, which the collector degrades to a typed
-            // PoolBroken error.
-            let seed = slot
+            // The guard drops at the end of this statement: the run below
+            // sends on the pool channels, and no lock guard may be live
+            // across a send (`cargo xtask analyze`, rule
+            // pool-lock-across-send).
+            let claimed = self
+                .source
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .seed
-                .take();
-            let Some(mut state) = seed else {
-                continue; // seed error, result already recorded
+                .next();
+            let Some((job, run)) = claimed else {
+                break;
             };
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            let config = self.overrides.and_then(|c| c.get(i)).unwrap_or(self.config);
-            // `i` is the design's batch index: it tags this design's
-            // messages on the shared pool.
-            let out = pipeline::run_stages(
-                design,
-                &mut state,
-                config,
-                self.stages,
-                prep,
-                client.map(|c| (c, i)),
-                scratch,
-            )
-            .map(|stats| {
-                let mut out = design.clone();
-                state.write_back(&mut out);
-                RunOutput {
-                    design: out,
-                    stats,
-                    replay: state.take_replay_log(),
-                }
-            });
-            slot.lock().unwrap_or_else(PoisonError::into_inner).out = Some(out);
-            // `state` drops here: a finished design's working memory is
-            // released immediately, keeping residency proportional to the
-            // in-flight count.
+            let mut config = Cow::Borrowed(self.config);
+            if let Some(b) = job.budget {
+                let engine_b = config.stage_budget_secs;
+                config.to_mut().stage_budget_secs = Some(engine_b.map_or(b, |e| e.min(b)));
+            }
+            let out = match &job.design {
+                Cow::Borrowed(d) => self.run_job(d, &config, client.map(|c| (c, run)), scratch),
+                Cow::Owned(d) => self.run_job(d, &config, None, scratch),
+            };
+            // The seed state and prep died with `run_job`; an owned design
+            // goes too, before the result is published, so residency
+            // follows the in-flight count.
+            drop(job.design);
+            (self.done)(job.ticket, out);
         }
+    }
+
+    /// Seeds one claimed job and runs it through the pipeline. `pool` is
+    /// the shared pool plus the job's run id on it; `None` runs inline.
+    fn run_job<'x>(
+        &self,
+        design: &'x Design,
+        config: &LegalizerConfig,
+        pool: Option<(&PoolClient<'x>, usize)>,
+        scratch: &mut InsertionScratch,
+    ) -> Result<RunOutput, LegalizeError> {
+        let mut state = if self.adopt {
+            PlacementState::from_design_positions(design).map_err(|(cell, e)| {
+                LegalizeError::SeedRejected {
+                    cell: Some(cell.0),
+                    message: e.to_string(),
+                }
+            })?
+        } else {
+            PlacementState::new(design)
+        };
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        let prep = Prep::new(design, config);
+        let stats = pipeline::run_stages(
+            design,
+            &mut state,
+            config,
+            self.stages,
+            &prep,
+            pool,
+            scratch,
+        )?;
+        let mut out = design.clone();
+        state.write_back(&mut out);
+        Ok(RunOutput {
+            design: out,
+            stats,
+            replay: state.take_replay_log(),
+        })
     }
 }
 
@@ -448,6 +450,8 @@ impl<'a, 'd> Job<'a, 'd> {
 mod tests {
     use super::*;
     use crate::pipeline::{MglStage, POST_PIPELINE};
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     fn batch_designs(n: usize) -> Vec<Design> {
         (0..n)
@@ -629,6 +633,100 @@ mod tests {
             .run_one(&designs[0], &RunSpec::stages(&[&MglStage]))
             .expect("mgl");
         assert_eq!(engine.diag().pool_spawns, 1);
+    }
+
+    /// Positions and stats of every streamed result, by ticket.
+    type Streamed = Mutex<Vec<Option<(Vec<Option<Point>>, LegalizeStats)>>>;
+
+    fn record(results: &Streamed, k: usize, out: Result<RunOutput, LegalizeError>) {
+        let out = out.expect("streamed job");
+        results.lock().unwrap()[k] = Some((positions(&out.design), out.stats));
+    }
+
+    fn assert_matches_solo(threads: usize, designs: &[Design], results: Streamed) {
+        for (d, r) in designs.iter().zip(results.into_inner().unwrap()) {
+            let (pos, stats) = r.expect("every job reported");
+            let solo = solo(threads, d);
+            assert_eq!(positions(&solo.design), pos, "`{}` diverged", d.name);
+            assert_eq!(solo.stats, stats, "`{}` stats diverged", d.name);
+        }
+    }
+
+    #[test]
+    fn streamed_jobs_are_admitted_while_others_run() {
+        // Job k+2 only becomes available once job k has reported: a wave or
+        // batch barrier that waits for the whole source before reporting
+        // would deadlock here (the timeout turns that into a failure).
+        let designs = batch_designs(6);
+        let finished = (Mutex::new(vec![false; designs.len()]), Condvar::new());
+        let results: Streamed = Mutex::new(vec![None; designs.len()]);
+        let mut next = 0;
+        let jobs = std::iter::from_fn(|| {
+            let k = next;
+            let d = designs.get(k)?;
+            next += 1;
+            if k >= 2 {
+                let (done, cv) = &finished;
+                let (guard, wait) = cv
+                    .wait_timeout_while(done.lock().unwrap(), Duration::from_secs(30), |f| {
+                        !f[k - 2]
+                    })
+                    .unwrap();
+                drop(guard);
+                assert!(!wait.timed_out(), "job {k} waited on job {} forever", k - 2);
+            }
+            Some(Job {
+                design: Cow::Borrowed(d),
+                budget: None,
+                ticket: k,
+            })
+        });
+        let mut engine = Engine::new(cfg(3));
+        engine.run_jobs(jobs, &RunSpec::default(), |k, out| {
+            record(&results, k, out);
+            finished.0.lock().unwrap()[k] = true;
+            finished.1.notify_all();
+        });
+        assert_eq!(engine.diag().runs, 6);
+        assert_matches_solo(3, &designs, results);
+    }
+
+    #[test]
+    fn stream_admission_is_bounded_by_the_runner_count() {
+        // A source of unknown length gets min(max_inflight, threads)
+        // runners and the rest of the threads as pool workers; at no pull
+        // are more than that many jobs claimed and unreported. The jobs own
+        // their designs, which therefore run inline on their runners.
+        let designs = batch_designs(5);
+        for inflight in [1usize, 2] {
+            let mut c = cfg(3);
+            c.max_inflight_designs = inflight;
+            let mut engine = Engine::new(c);
+            let completed = AtomicU64::new(0);
+            let results: Streamed = Mutex::new(vec![None; designs.len()]);
+            let mut pulled = 0u64;
+            let mut owned = designs.iter().cloned().enumerate();
+            let jobs = std::iter::from_fn(|| {
+                let (k, d) = owned.next()?;
+                pulled += 1;
+                let in_flight = pulled - completed.load(Ordering::SeqCst);
+                assert!(in_flight <= inflight as u64, "{in_flight} jobs in flight");
+                Some(Job {
+                    design: Cow::Owned(d),
+                    budget: None,
+                    ticket: k,
+                })
+            });
+            engine.run_jobs(jobs, &RunSpec::default(), |k, out| {
+                record(&results, k, out);
+                completed.fetch_add(1, Ordering::SeqCst);
+            });
+            let diag = engine.diag();
+            assert_eq!(diag.runner_spawns, inflight as u64 - 1);
+            assert_eq!(diag.worker_spawns, 3 - inflight as u64);
+            assert_eq!(diag.runs, 5);
+            assert_matches_solo(3, &designs, results);
+        }
     }
 
     #[test]

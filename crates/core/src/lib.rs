@@ -12,8 +12,9 @@
 //!    solved through its dual min-cost flow with positions recovered from
 //!    network-simplex potentials.
 //!
-//! Entry point: [`Engine::run`], which runs a [`RunSpec`] over a batch of
-//! designs (a single design is a batch of one, [`Engine::run_one`]).
+//! Entry point: [`Engine::run_jobs`], which runs a [`RunSpec`] over a
+//! stream of [`Job`]s and reports each as it finishes; [`Engine::run`] (a
+//! batch of designs) and [`Engine::run_one`] (a batch of one) adapt it.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +41,7 @@ pub mod winindex;
 
 pub use config::{CellOrder, DisplacementReference, LegalizerConfig, WeightMode};
 pub use dirty::DirtyClosure;
-pub use engine::{Engine, EngineDiag, RunOutput, RunSpec};
+pub use engine::{Engine, EngineDiag, Job, RunOutput, RunSpec};
 pub use error::{Degradation, FailureClass, FailureRecord, LegalizeError};
 pub use faultinject::{FaultPlan, FaultSite};
 pub use legalizer::{EcoSession, LegalizeStats};

@@ -38,6 +38,7 @@ use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 
 /// Statistics returned by one stage, folded into [`LegalizeStats`] by the
 /// driver.
@@ -62,8 +63,8 @@ pub struct StageTiming {
 }
 
 /// Everything a stage body may read or mutate. `'d` is the design's
-/// lifetime; `'p` (with `'d: 'p`) bounds the prepared per-run data (weights,
-/// oracle) that worker threads may borrow.
+/// lifetime; `'p` (with `'d: 'p`) is the shared pool's, whose workers
+/// borrow the design for as long as they serve the run.
 pub struct PipelineCtx<'run, 'd: 'p, 'p> {
     /// The design being legalized.
     pub design: &'d Design,
@@ -71,10 +72,8 @@ pub struct PipelineCtx<'run, 'd: 'p, 'p> {
     pub state: &'run mut PlacementState<'d>,
     /// The run's configuration.
     pub config: &'run LegalizerConfig,
-    /// Per-cell displacement weights (from [`compute_weights`]).
-    pub weights: &'p [i64],
-    /// Routability oracle, when `config.routability` is on.
-    pub oracle: Option<&'p RoutOracle<'p>>,
+    /// Per-cell displacement weights and the routability oracle.
+    pub prep: &'run Prep<'d>,
     /// The run's meter; stage bodies may record directly into it.
     pub obs: &'run mut Meter,
     /// The shared eval pool the MGL stage fans its rounds out to, with this
@@ -129,14 +128,7 @@ impl Stage for MglStage {
         HistoKind::DispSitesMgl
     }
     fn run(&self, ctx: &mut PipelineCtx<'_, '_, '_>) -> Result<StageStats, LegalizeError> {
-        let stats = drive_rounds(
-            ctx.state,
-            ctx.config,
-            ctx.weights,
-            ctx.oracle,
-            ctx.pool,
-            ctx.scratch,
-        )?;
+        let stats = drive_rounds(ctx.state, ctx.config, ctx.prep, ctx.pool, ctx.scratch)?;
         Ok(StageStats::Mgl(stats))
     }
 }
@@ -185,8 +177,8 @@ impl Stage for FixedOrderStage {
         Ok(StageStats::FixedOrder(optimize_fixed_order_metered(
             ctx.state,
             ctx.config,
-            ctx.weights,
-            ctx.oracle,
+            &ctx.prep.weights,
+            ctx.prep.oracle(),
             ctx.obs,
             ctx.delta,
         )))
@@ -253,29 +245,32 @@ pub fn includes_mgl(stages: &[&dyn Stage]) -> bool {
 /// Per-run prepared inputs shared by every stage: displacement weights and
 /// the optional routability oracle. Building one of these (plus the initial
 /// [`PlacementState`]) is all the engine does before handing off to
-/// [`run_stages`].
+/// [`run_stages`]. Both are reference-counted so shared pool workers hold
+/// them for the run's lifetime while the engine builds and drops each
+/// job's `Prep` at claim time.
 pub struct Prep<'d> {
-    /// Per-cell displacement weights.
-    pub weights: Vec<i64>,
-    oracle: Option<RoutOracle<'d>>,
+    /// Per-cell displacement weights. Not an `Arc<[i64]>`: converting would
+    /// copy the vector and free the original, and freeing a block that
+    /// large raises glibc's dynamic mmap threshold, which slowed stage 3 by
+    /// about a quarter at 100k cells.
+    pub weights: Arc<Vec<i64>>,
+    pub(crate) oracle: Option<Arc<RoutOracle<'d>>>,
 }
 
 impl<'d> Prep<'d> {
     /// Computes weights and (when configured) the routability oracle.
     pub fn new(design: &'d Design, config: &LegalizerConfig) -> Self {
         Prep {
-            weights: compute_weights(design, config.weights),
-            oracle: if config.routability {
-                Some(RoutOracle::new(design))
-            } else {
-                None
-            },
+            weights: Arc::new(compute_weights(design, config.weights)),
+            oracle: config
+                .routability
+                .then(|| Arc::new(RoutOracle::new(design))),
         }
     }
 
     /// The oracle, when routability mode is on.
     pub fn oracle(&self) -> Option<&RoutOracle<'d>> {
-        self.oracle.as_ref()
+        self.oracle.as_deref()
     }
 }
 
@@ -339,7 +334,7 @@ fn run_stage_guarded<'d: 'p, 'p>(
     design: &'d Design,
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
-    prep: &'p Prep<'d>,
+    prep: &Prep<'d>,
     obs: &mut Meter,
     pool: Option<(&PoolClient<'p>, usize)>,
     scratch: &mut InsertionScratch,
@@ -362,8 +357,7 @@ fn run_stage_guarded<'d: 'p, 'p>(
             design,
             state: &mut *state,
             config,
-            weights: &prep.weights,
-            oracle: prep.oracle(),
+            prep,
             obs,
             pool,
             scratch: &mut *scratch,
@@ -434,7 +428,7 @@ pub fn run_stages<'d: 'p, 'p>(
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
     stages: &[&dyn Stage],
-    prep: &'p Prep<'d>,
+    prep: &Prep<'d>,
     pool: Option<(&PoolClient<'p>, usize)>,
     scratch: &mut InsertionScratch,
 ) -> Result<LegalizeStats, LegalizeError> {

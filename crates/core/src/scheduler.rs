@@ -49,6 +49,7 @@ use crate::insertion::{best_insertion_in, CostModel, Insertion, InsertionScratch
 use crate::mgl::{
     apply_insertion_with, cell_order, fallback_scan, record_fallback_reject, window_for, MglStats,
 };
+use crate::pipeline::Prep;
 use crate::routability::RoutOracle;
 use crate::state::PlacementState;
 use crate::winindex::WindowIndex;
@@ -68,6 +69,11 @@ type Job = (CellId, usize, Rect);
 /// pool broken. Only reachable on error paths — the happy path never
 /// blocks this long because workers answer every message.
 const POOL_WAIT: Duration = Duration::from_mins(1);
+
+/// Deterministic retries of a failed per-cell insertion evaluation before
+/// the cell is quarantined (DESIGN.md §11). Retries run on the coordinator
+/// in cell order, so the outcome is independent of thread count.
+const FAULT_RETRY_BUDGET: u32 = 1;
 
 /// One evaluation outcome: the best insertion (or none), or the message of
 /// a panic the worker contained at its job boundary.
@@ -104,8 +110,8 @@ pub(crate) fn eval_job(
 /// coordinator or (if the run was abandoned) in a closed channel.
 struct RunSetup<'a> {
     replica: PlacementState<'a>,
-    weights: &'a [i64],
-    oracle: Option<&'a RoutOracle<'a>>,
+    weights: Arc<Vec<i64>>,
+    oracle: Option<Arc<RoutOracle<'a>>>,
     reference: crate::config::DisplacementReference,
     normalize: bool,
     io_penalty: i64,
@@ -120,8 +126,8 @@ impl<'a> RunSetup<'a> {
         CostModel {
             reference: self.reference,
             normalize: self.normalize,
-            weights: self.weights,
-            oracle: self.oracle,
+            weights: &self.weights,
+            oracle: self.oracle.as_deref(),
             io_penalty: self.io_penalty,
             rail_penalty: self.rail_penalty,
         }
@@ -423,14 +429,13 @@ impl<'a> RunHandle<'_, 'a> {
         &self,
         state: &PlacementState<'a>,
         config: &LegalizerConfig,
-        weights: &'a [i64],
-        oracle: Option<&'a RoutOracle<'a>>,
+        prep: &Prep<'a>,
     ) -> Result<(), LegalizeError> {
         for tx in &self.client.senders {
             let spec = Box::new(RunSetup {
                 replica: state.clone(),
-                weights,
-                oracle,
+                weights: Arc::clone(&prep.weights),
+                oracle: prep.oracle.clone(),
                 reference: config.reference,
                 normalize: config.normalize_curves,
                 io_penalty: config.io_penalty,
@@ -514,12 +519,12 @@ impl<'a> RunHandle<'_, 'a> {
 pub(crate) fn drive_rounds<'d: 'p, 'p>(
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
-    weights: &'p [i64],
-    oracle: Option<&'p RoutOracle<'p>>,
+    prep: &Prep<'d>,
     pool: Option<(&PoolClient<'p>, usize)>,
     main_scratch: &mut InsertionScratch,
 ) -> Result<MglStats, LegalizeError> {
     let t_total = Stopwatch::start();
+    let (weights, oracle) = (&prep.weights[..], prep.oracle());
     let design = state.design();
     let capacity = config.window_list_capacity.max(1);
     let mut stats = MglStats::default();
@@ -546,7 +551,7 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
         Some((client, run)) if client.workers() > 0 && backlog.len() > 1 => {
             let h = client.run_handle(run);
             let replica_src: &PlacementState<'p> = &*state;
-            h.begin(replica_src, config, weights, oracle)?;
+            h.begin(replica_src, config, prep)?;
             Some(h)
         }
         _ => None,
@@ -679,7 +684,7 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
             };
             let mut attempts = 0u32;
             loop {
-                if attempts >= config.fault_retry_budget {
+                if attempts >= FAULT_RETRY_BUDGET {
                     stats.quarantined += 1;
                     stats.failures.push(
                         LegalizeError::CellQuarantined {
@@ -812,30 +817,17 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
 mod tests {
     use super::*;
     use crate::config::CellOrder;
-    use crate::mgl::compute_weights;
     use mcl_db::legal::Checker;
 
     /// One MGL run on a private pool of `threads - 1` workers (none at one
     /// thread: every round runs inline).
-    fn run_mgl(
-        state: &mut PlacementState<'_>,
-        config: &LegalizerConfig,
-        weights: &[i64],
-        oracle: Option<&RoutOracle<'_>>,
-    ) -> MglStats {
+    fn run_mgl(state: &mut PlacementState<'_>, config: &LegalizerConfig) -> MglStats {
+        let prep = Prep::new(state.design(), config);
         let mut scratch = InsertionScratch::new();
         std::thread::scope(|scope| {
             let pool = EvalPool::spawn(scope, config.threads.saturating_sub(1));
             let client = pool.client();
-            drive_rounds(
-                state,
-                config,
-                weights,
-                oracle,
-                Some((&client, 0)),
-                &mut scratch,
-            )
-            .expect("pool run")
+            drive_rounds(state, config, &prep, Some((&client, 0)), &mut scratch).expect("pool run")
         })
     }
 
@@ -868,9 +860,8 @@ mod tests {
         cfg.threads = threads;
         cfg.clamp_threads_to_hardware = false;
         cfg.window_list_capacity = 8;
-        let weights = compute_weights(d, cfg.weights);
         let mut state = PlacementState::new(d);
-        let stats = run_mgl(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg);
         assert_eq!(stats.failed, 0);
         d.movable_cells().map(|c| state.pos(c)).collect()
     }
@@ -907,14 +898,12 @@ mod tests {
         });
         let mut cfg = LegalizerConfig::contest();
         cfg.window_list_capacity = 8;
-        let oracle = RoutOracle::new(&d);
         let run = |threads: usize| {
             let mut c = cfg.clone();
             c.threads = threads;
             c.clamp_threads_to_hardware = false;
-            let weights = compute_weights(&d, c.weights);
             let mut state = PlacementState::new(&d);
-            let stats = run_mgl(&mut state, &c, &weights, Some(&oracle));
+            let stats = run_mgl(&mut state, &c);
             assert_eq!(stats.failed, 0, "{stats:?}");
             d.movable_cells()
                 .map(|cl| state.pos(cl))
@@ -938,9 +927,8 @@ mod tests {
             cfg.threads = threads;
             cfg.window_list_capacity = 8;
             cfg.order = CellOrder::HeightThenShuffled;
-            let weights = compute_weights(&d, cfg.weights);
             let mut state = PlacementState::new(&d);
-            let stats = run_mgl(&mut state, &cfg, &weights, None);
+            let stats = run_mgl(&mut state, &cfg);
             assert_eq!(stats.failed, 0);
             d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
         };
@@ -961,9 +949,8 @@ mod tests {
             cfg.threads = 2;
             cfg.clamp_threads_to_hardware = false;
             cfg.window_list_capacity = cap;
-            let weights = compute_weights(&d, cfg.weights);
             let mut state = PlacementState::new(&d);
-            let stats = run_mgl(&mut state, &cfg, &weights, None);
+            let stats = run_mgl(&mut state, &cfg);
             assert_eq!(stats.failed, 0);
             let mut out = d.clone();
             state.write_back(&mut out);
@@ -981,9 +968,8 @@ mod tests {
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 4;
         cfg.clamp_threads_to_hardware = false;
-        let weights = compute_weights(&d, cfg.weights);
         let mut state = PlacementState::new(&d);
-        let stats = run_mgl(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg);
         assert_eq!(stats.failed, 0, "{stats:?}");
         let mut out = d.clone();
         state.write_back(&mut out);
@@ -1007,9 +993,8 @@ mod tests {
         cfg.threads = 2;
         cfg.clamp_threads_to_hardware = false;
         cfg.max_expansions = 40;
-        let weights = compute_weights(&d, cfg.weights);
         let mut state = PlacementState::new(&d);
-        let stats = run_mgl(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg);
         // Core holds two rows of one wide cell each: 2 placed, 2 impossible.
         assert_eq!(stats.placed_in_window + stats.fallbacks, 2, "{stats:?}");
         assert_eq!(stats.failed, 2, "{stats:?}");
@@ -1029,9 +1014,8 @@ mod tests {
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 2;
         cfg.clamp_threads_to_hardware = false;
-        let weights = compute_weights(&d, cfg.weights);
         let mut state = PlacementState::new(&d);
-        let stats = run_mgl(&mut state, &cfg, &weights, None);
+        let stats = run_mgl(&mut state, &cfg);
         assert!(stats.perf.rounds > 0);
         assert!(stats.perf.windows_evaluated >= stats.placed_in_window as u64);
         assert!(stats.perf.total_nanos > 0);
@@ -1052,16 +1036,16 @@ mod tests {
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 3;
         cfg.clamp_threads_to_hardware = false;
-        let w1 = compute_weights(&d1, cfg.weights);
-        let w2 = compute_weights(&d2, cfg.weights);
+        let w1 = Prep::new(&d1, &cfg);
+        let w2 = Prep::new(&d2, &cfg);
 
-        let solo = |d: &Design, w: &[i64]| {
+        let solo = |d: &Design| {
             let mut state = PlacementState::new(d);
-            let stats = run_mgl(&mut state, &cfg, w, None);
+            let stats = run_mgl(&mut state, &cfg);
             assert_eq!(stats.failed, 0);
             d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
         };
-        let (solo1, solo2) = (solo(&d1, &w1), solo(&d2, &w2));
+        let (solo1, solo2) = (solo(&d1), solo(&d2));
 
         let mut scratch = InsertionScratch::new();
         let mut created = Vec::new();
@@ -1069,28 +1053,14 @@ mod tests {
             let pool = EvalPool::spawn(scope, 2);
             let client = pool.client();
             let mut state1 = PlacementState::new(&d1);
-            let s1 = drive_rounds(
-                &mut state1,
-                &cfg,
-                &w1,
-                None,
-                Some((&client, 0)),
-                &mut scratch,
-            )
-            .unwrap();
+            let s1 =
+                drive_rounds(&mut state1, &cfg, &w1, Some((&client, 0)), &mut scratch).unwrap();
             assert_eq!(s1.failed, 0);
             created.push(s1.perf.scratch.created);
             let p1: Vec<_> = d1.movable_cells().map(|c| state1.pos(c)).collect();
             let mut state2 = PlacementState::new(&d2);
-            let s2 = drive_rounds(
-                &mut state2,
-                &cfg,
-                &w2,
-                None,
-                Some((&client, 1)),
-                &mut scratch,
-            )
-            .unwrap();
+            let s2 =
+                drive_rounds(&mut state2, &cfg, &w2, Some((&client, 1)), &mut scratch).unwrap();
             assert_eq!(s2.failed, 0);
             created.push(s2.perf.scratch.created);
             let p2: Vec<_> = d2.movable_cells().map(|c| state2.pos(c)).collect();
@@ -1113,16 +1083,16 @@ mod tests {
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 3;
         cfg.clamp_threads_to_hardware = false;
-        let w1 = compute_weights(&d1, cfg.weights);
-        let w2 = compute_weights(&d2, cfg.weights);
+        let w1 = Prep::new(&d1, &cfg);
+        let w2 = Prep::new(&d2, &cfg);
 
-        let solo = |d: &Design, w: &[i64]| {
+        let solo = |d: &Design| {
             let mut state = PlacementState::new(d);
-            let stats = run_mgl(&mut state, &cfg, w, None);
+            let stats = run_mgl(&mut state, &cfg);
             assert_eq!(stats.failed, 0);
             d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
         };
-        let (solo1, solo2) = (solo(&d1, &w1), solo(&d2, &w2));
+        let (solo1, solo2) = (solo(&d1), solo(&d2));
 
         for _ in 0..4 {
             let (pool1, pool2) = std::thread::scope(|scope| {
@@ -1135,15 +1105,14 @@ mod tests {
                 let runner2 = scope.spawn(move || {
                     let mut scratch = InsertionScratch::new();
                     let mut state = PlacementState::new(d2);
-                    let s = drive_rounds(&mut state, cfg2, w2, None, Some((&c2, 1)), &mut scratch)
-                        .unwrap();
+                    let s =
+                        drive_rounds(&mut state, cfg2, w2, Some((&c2, 1)), &mut scratch).unwrap();
                     assert_eq!(s.failed, 0);
                     d2.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
                 });
                 let mut scratch = InsertionScratch::new();
                 let mut state = PlacementState::new(&d1);
-                let s = drive_rounds(&mut state, &cfg, &w1, None, Some((&c1, 0)), &mut scratch)
-                    .unwrap();
+                let s = drive_rounds(&mut state, &cfg, &w1, Some((&c1, 0)), &mut scratch).unwrap();
                 assert_eq!(s.failed, 0);
                 let p1: Vec<_> = d1.movable_cells().map(|c| state.pos(c)).collect();
                 (p1, runner2.join().unwrap())
@@ -1162,11 +1131,11 @@ mod tests {
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 4;
         cfg.clamp_threads_to_hardware = false;
-        let w = compute_weights(&d, cfg.weights);
+        let w = Prep::new(&d, &cfg);
         let pooled = run_with_threads(&d, 4);
         let mut scratch = InsertionScratch::new();
         let mut state = PlacementState::new(&d);
-        let stats = drive_rounds(&mut state, &cfg, &w, None, None, &mut scratch).unwrap();
+        let stats = drive_rounds(&mut state, &cfg, &w, None, &mut scratch).unwrap();
         assert_eq!(stats.failed, 0);
         let inline: Vec<_> = d.movable_cells().map(|c| state.pos(c)).collect();
         assert_eq!(pooled, inline);

@@ -42,7 +42,6 @@ fn crafted_config() -> LegalizerConfig {
     let mut cfg = LegalizerConfig::contest();
     cfg.window_sites = 2;
     cfg.window_rows = 1;
-    cfg.window_growth = (2, 1);
     cfg.max_expansions = 12;
     cfg.routability = false;
     cfg.clamp_threads_to_hardware = false;

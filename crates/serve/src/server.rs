@@ -1,22 +1,25 @@
-//! The daemon: admission control, the scheduler wave loop, resident ECO
-//! sessions, graceful drain, and the wire client.
+//! The daemon: admission control, the job source feeding the engine,
+//! resident ECO sessions, graceful drain, and the wire client.
 //!
 //! # Threading model
 //!
-//! One **accept thread** polls the listener and spawns a short-lived
-//! thread per connection. Connection threads do all parsing (a corrupt
-//! bundle is refused *before* admission, so it never consumes queue or
-//! journal space) and own the resident ECO sessions. One **scheduler
-//! thread** owns the [`Engine`] and drains the queue in waves: every job
-//! queued at wake-up runs as one batch over the engine's shared worker
-//! pool, so per-design outputs stay byte-identical to solo runs (the
-//! engine's batch-invariance contract, DESIGN.md §13).
+//! One **accept thread** polls the listener, spawns a short-lived thread
+//! per connection and, on each idle poll tick, evicts idle ECO sessions.
+//! Connection threads do all parsing (a corrupt bundle is refused *before*
+//! admission, so it never consumes queue or journal space) and own the
+//! resident ECO sessions. One **engine thread** makes a single
+//! [`Engine::run_jobs`] call for the daemon's whole life, with the
+//! admission queue as its job source: each of the engine's runners claims
+//! the next queued job as soon as it is free and publishes that job's
+//! outcome (reports, journal `DONE`, reply) the moment it finishes. Per-job
+//! outputs stay byte-identical to solo runs (the engine's batch-invariance
+//! contract, DESIGN.md §12).
 //!
 //! # Fault containment
 //!
 //! A job that panics, exhausts its degradation ladder, or rejects its
-//! seed produces one classed failure response; every other job in the
-//! same wave completes and reports normally. Admission is fail-closed:
+//! seed produces one classed failure response; every other job in flight
+//! completes and reports normally. Admission is fail-closed:
 //! if the write-ahead journal cannot record the acceptance, the job is
 //! refused — the daemon never holds work it could forget.
 
@@ -24,18 +27,19 @@ use crate::journal::{self, InterruptedJob, Journal};
 use crate::signal;
 use crate::wire::{self, DeltaSpec, Request, Status};
 use mcl_core::{
-    build_run_report, EcoSession, Engine, FaultPlan, FaultSite, LegalizeError, LegalizerConfig,
-    RunOutput, RunSpec,
+    build_run_report, EcoSession, Engine, FaultPlan, FaultSite, Job, LegalizeError,
+    LegalizerConfig, RunOutput, RunSpec,
 };
 use mcl_db::prelude::Design;
 use mcl_obs::clock::Stopwatch;
 use mcl_obs::{count_to_float, CounterKind, HistoKind, JsonWriter, Meter};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration;
 
 /// Daemon configuration.
@@ -45,8 +49,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// The engine configuration every job runs under.
     pub engine: LegalizerConfig,
-    /// Bounded queue capacity; admission past it answers `RETRY_AFTER`
-    /// instead of buffering (explicit backpressure, never unbounded).
+    /// Bound on jobs waiting for a runner; admission past it answers
+    /// `RETRY_AFTER` instead of buffering (explicit backpressure, never
+    /// unbounded). Jobs being legalized are not counted: at most the
+    /// engine's runner count of them are in flight on top.
     pub queue_cap: usize,
     /// Default per-job wall-clock budget when the request names none.
     pub default_deadline_secs: Option<f64>,
@@ -59,9 +65,9 @@ pub struct ServeConfig {
     pub retry_after_ms: u64,
     /// Evict ECO sessions idle longer than this; 0 disables eviction.
     pub idle_evict_secs: u64,
-    /// Test hook: the scheduler sleeps this long before each wave, so a
-    /// kill-recovery test can deterministically die between acceptance
-    /// and completion. 0 in production.
+    /// Test hook: the engine's job source sleeps this long before handing
+    /// out each job, so a kill-recovery test can deterministically die
+    /// between acceptance and completion. 0 in production.
     pub admit_hold_secs: f64,
     /// Server-layer fault plan (admission race, client disconnect,
     /// journal failure); the engine's own plan lives in
@@ -87,26 +93,20 @@ impl ServeConfig {
     }
 }
 
-/// An admitted job waiting for the scheduler.
-struct Job {
-    meta: JobMeta,
-    design: Design,
-}
-
-/// Everything the scheduler needs besides the design itself.
+/// What publishing a job's outcome needs: the ticket of its engine job.
 struct JobMeta {
     id: u64,
     name: String,
-    deadline: Option<f64>,
     /// Started at admission: the latency histogram covers queue + run.
     sw: Stopwatch,
     reply: mpsc::Sender<String>,
 }
 
 struct SessionSlot {
-    session: EcoSession,
+    /// Locked for the length of each request on the session.
+    session: Mutex<EcoSession>,
     /// Last-touched instant, in nanos of [`Shared::clock`].
-    last_used_nanos: u64,
+    last_used_nanos: AtomicU64,
 }
 
 #[derive(Default)]
@@ -121,14 +121,14 @@ struct Counters {
 
 struct Shared {
     cfg: ServeConfig,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<Job<'static, JobMeta>>>,
     wake: Condvar,
     draining: AtomicBool,
     stopped: AtomicBool,
     next_job: AtomicU64,
     next_session: AtomicU64,
     journal: Mutex<Option<Journal>>,
-    sessions: Mutex<HashMap<u64, Arc<Mutex<SessionSlot>>>>,
+    sessions: Mutex<HashMap<u64, Arc<SessionSlot>>>,
     counters: Counters,
     meter: Mutex<Meter>,
     /// Monotonic reference for session idle-eviction.
@@ -159,7 +159,7 @@ pub struct Server {
 
 impl Server {
     /// Recovers the journal, binds the listener, and starts the accept
-    /// and scheduler threads.
+    /// and engine threads.
     ///
     /// # Errors
     ///
@@ -209,10 +209,10 @@ impl Server {
             .store(recovered.len() as u64, Ordering::SeqCst);
         lock(&shared.meter).add(CounterKind::ServeJobsInterrupted, recovered.len() as u64);
 
-        let sched_shared = Arc::clone(&shared);
+        let engine_shared = Arc::clone(&shared);
         let accept_shared = Arc::clone(&shared);
         let threads = vec![
-            std::thread::spawn(move || scheduler_loop(&sched_shared, Engine::new(engine_cfg))),
+            std::thread::spawn(move || serve_jobs(&engine_shared, Engine::new(engine_cfg))),
             std::thread::spawn(move || accept_loop(&accept_shared, &listener)),
         ];
         Ok(Self {
@@ -271,51 +271,43 @@ fn begin_drain(shared: &Shared) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler: wave loop over the shared engine.
+// The engine call: the admission queue as its job source.
 // ---------------------------------------------------------------------------
 
-fn scheduler_loop(shared: &Arc<Shared>, mut engine: Engine) {
-    loop {
-        let wave: Vec<Job> = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if !q.is_empty() {
-                    break q.drain(..).collect();
-                }
-                // Empty queue + draining, decided under the queue lock
-                // (admission refuses under the same lock once draining is
-                // set): nothing can slip in after this check.
-                if shared.draining.load(Ordering::SeqCst) {
-                    drop(q);
-                    finish_shutdown(shared);
-                    return;
-                }
-                q = shared
-                    .wake
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-        };
-        evict_idle_sessions(shared);
-        if shared.cfg.admit_hold_secs > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(shared.cfg.admit_hold_secs));
+fn serve_jobs(shared: &Shared, mut engine: Engine) {
+    engine.run_jobs(
+        std::iter::from_fn(|| next_admitted(shared)),
+        &RunSpec::default(),
+        |meta, result| finalize(shared, meta, &result),
+    );
+    finish_shutdown(shared);
+}
+
+/// Pops the next admitted job, blocking while the queue is empty; `None`
+/// once the daemon is draining and the queue is empty.
+fn next_admitted(shared: &Shared) -> Option<Job<'static, JobMeta>> {
+    let mut q = lock(&shared.queue);
+    let job = loop {
+        if let Some(job) = q.pop_front() {
+            break job;
         }
-        let mut metas = Vec::with_capacity(wave.len());
-        let mut designs = Vec::with_capacity(wave.len());
-        for job in wave {
-            metas.push(job.meta);
-            designs.push(job.design);
+        // Empty queue + draining, decided under the queue lock (admission
+        // refuses under the same lock once draining is set): nothing can
+        // slip in after this check.
+        if shared.draining.load(Ordering::SeqCst) {
+            return None;
         }
-        let spec = RunSpec {
-            budgets: metas.iter().map(|m| m.deadline).collect(),
-            ..RunSpec::default()
-        };
-        let results = engine.run(&designs, &spec);
-        for (meta, result) in metas.into_iter().zip(results) {
-            finalize(shared, meta, &result);
-        }
+        q = shared
+            .wake
+            .wait_timeout(q, Duration::from_millis(50))
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    };
+    drop(q);
+    if shared.cfg.admit_hold_secs > 0.0 {
+        std::thread::sleep(Duration::from_secs_f64(shared.cfg.admit_hold_secs));
     }
+    Some(job)
 }
 
 /// Publishes one job's outcome: report files (tmp-then-rename), journal
@@ -400,11 +392,13 @@ fn write_failure_file(rd: &Path, name: &str, class: &str, error: &str) -> std::i
     )
 }
 
-/// Tmp-then-rename publish: a crash mid-write leaves `<file>.tmp` (swept
-/// by recovery), never a torn report.
+/// Tmp-then-rename publish: a crash mid-write leaves `<file>.<n>.tmp`
+/// (swept by recovery), never a torn report. Runners publish concurrently
+/// and two jobs may share a design name, so every write gets its own `n`.
 fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
+    tmp.push(format!(".{}.tmp", NEXT_TMP.fetch_add(1, Ordering::Relaxed)));
     let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, content)?;
     std::fs::rename(&tmp, path)
@@ -429,10 +423,11 @@ fn evict_idle_sessions(shared: &Shared) {
     let mut sessions = lock(&shared.sessions);
     let before = sessions.len();
     sessions.retain(|_, slot| {
-        lock(slot)
-            .last_used_nanos
-            .checked_add(limit)
-            .is_none_or(|deadline| now <= deadline)
+        let idle = now.saturating_sub(slot.last_used_nanos.load(Ordering::SeqCst)) > limit;
+        // A session locked by a running request is busy, not idle; never
+        // wait for it.
+        let busy = matches!(slot.session.try_lock(), Err(TryLockError::WouldBlock));
+        !idle || busy
     });
     let evicted = (before - sessions.len()) as u64;
     if evicted > 0 {
@@ -451,10 +446,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 let conn_shared = Arc::clone(shared);
                 std::thread::spawn(move || connection(&conn_shared, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            // Nothing to accept (or a transient error): the poll tick.
+            Err(_) => {
+                evict_idle_sessions(shared);
                 std::thread::sleep(Duration::from_millis(10));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
@@ -536,19 +532,24 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, line: &str) -> bool {
 }
 
 /// The two-phase legalize flow: parse → admit (acceptance is durable
-/// before the client sees it) → block for the scheduler's final line.
+/// before the client sees it) → block for the job's final line.
 fn handle_legalize(
     shared: &Shared,
     stream: &mut TcpStream,
     dir: &str,
     deadline_secs: Option<f64>,
 ) -> bool {
+    let depth = lock(&shared.queue).len() as u64;
     if shared.draining.load(Ordering::SeqCst) {
-        let depth = lock(&shared.queue).len() as u64;
         return send_line(
             stream,
             &wire::retry_after_line(shared.cfg.retry_after_ms, depth, true),
         );
+    }
+    // A full queue is refused before paying for the parse; admission
+    // re-checks under the queue lock.
+    if depth >= shared.cfg.queue_cap as u64 {
+        return send_line(stream, &reject_full(shared, depth));
     }
     // Parse on the connection thread: a corrupt bundle is refused here
     // and never consumes queue capacity or journal space.
@@ -602,10 +603,7 @@ fn admit(
     // concurrent admitter: the correct answer is the same backpressure
     // response a genuinely full queue earns.
     if q.len() >= shared.cfg.queue_cap || fault(shared, &name, &FaultSite::ServeAdmission) {
-        shared.counters.rejected.fetch_add(1, Ordering::SeqCst);
-        lock(&shared.meter).add(CounterKind::ServeJobsRejected, 1);
-        let line = wire::retry_after_line(shared.cfg.retry_after_ms, depth, false);
-        return (line, None);
+        return (reject_full(shared, depth), None);
     }
     let id = shared.next_job.fetch_add(1, Ordering::SeqCst);
     // Fail closed: if the acceptance cannot be made durable, the job is
@@ -630,20 +628,27 @@ fn admit(
     }
     let (tx, rx) = mpsc::channel();
     q.push_back(Job {
-        meta: JobMeta {
+        design: Cow::Owned(design),
+        budget: deadline,
+        ticket: JobMeta {
             id,
             name: name.clone(),
-            deadline,
             sw: Stopwatch::start(),
             reply: tx,
         },
-        design,
     });
     drop(q);
     shared.wake.notify_all();
     shared.counters.admitted.fetch_add(1, Ordering::SeqCst);
     lock(&shared.meter).add(CounterKind::ServeJobsAdmitted, 1);
     (wire::accepted_line(id, &name), Some(rx))
+}
+
+/// Counts a capacity refusal and returns its `RETRY_AFTER` line.
+fn reject_full(shared: &Shared, depth: u64) -> String {
+    shared.counters.rejected.fetch_add(1, Ordering::SeqCst);
+    lock(&shared.meter).add(CounterKind::ServeJobsRejected, 1);
+    wire::retry_after_line(shared.cfg.retry_after_ms, depth, false)
 }
 
 fn stats_line(shared: &Shared) -> String {
@@ -700,10 +705,10 @@ fn eco_open(shared: &Shared, dir: &str, deadline_secs: Option<f64>) -> String {
     let cells = session.design().cells.len() as u64;
     lock(&shared.sessions).insert(
         id,
-        Arc::new(Mutex::new(SessionSlot {
-            session,
-            last_used_nanos: shared.clock.elapsed_nanos(),
-        })),
+        Arc::new(SessionSlot {
+            session: Mutex::new(session),
+            last_used_nanos: AtomicU64::new(shared.clock.elapsed_nanos()),
+        }),
     );
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -716,10 +721,10 @@ fn eco_open(shared: &Shared, dir: &str, deadline_secs: Option<f64>) -> String {
 }
 
 /// Fetches a session slot, bumping its idle clock.
-fn session_slot(shared: &Shared, id: u64) -> Option<Arc<Mutex<SessionSlot>>> {
-    let sessions = lock(&shared.sessions);
-    let slot = sessions.get(&id).map(Arc::clone)?;
-    lock(&slot).last_used_nanos = shared.clock.elapsed_nanos();
+fn session_slot(shared: &Shared, id: u64) -> Option<Arc<SessionSlot>> {
+    let slot = lock(&shared.sessions).get(&id).map(Arc::clone)?;
+    slot.last_used_nanos
+        .store(shared.clock.elapsed_nanos(), Ordering::SeqCst);
     Some(slot)
 }
 
@@ -730,17 +735,17 @@ fn eco_delta(shared: &Shared, id: u64, delta: &DeltaSpec) -> String {
     let Some(slot) = session_slot(shared, id) else {
         return wire::error_line(Status::Usage, &format!("unknown session {id}"));
     };
-    // The slot lock serializes deltas on one session (they mutate its
+    // The session lock serializes deltas on one session (they mutate its
     // base) while other sessions and the job queue proceed in parallel.
-    let mut slot = lock(&slot);
+    let mut session = lock(&slot.session);
     let moves = match delta {
         DeltaSpec::Moves(m) => m.clone(),
         DeltaSpec::Synth { cells, seed } => {
-            EcoSession::synthesize_delta(slot.session.design(), *cells, *seed)
+            EcoSession::synthesize_delta(session.design(), *cells, *seed)
         }
     };
     let sw = Stopwatch::start();
-    match slot.session.apply_delta(&moves) {
+    match session.apply_delta(&moves) {
         Ok((stats, _log)) => {
             let mut w = JsonWriter::new();
             w.begin_object();
@@ -782,8 +787,8 @@ fn eco_commit(shared: &Shared, id: u64, out: &str) -> String {
     let Some(slot) = session_slot(shared, id) else {
         return wire::error_line(Status::Usage, &format!("unknown session {id}"));
     };
-    let slot = lock(&slot);
-    let design = slot.session.design();
+    let session = lock(&slot.session);
+    let design = session.design();
     match mcl_parsers::write_bookshelf_dir(design, Path::new(out), &design.name) {
         Ok(()) => {
             let mut w = JsonWriter::new();
@@ -868,5 +873,33 @@ impl Client {
     pub fn request(&mut self, line: &str) -> std::io::Result<Option<String>> {
         self.send(line)?;
         self.recv()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn concurrent_publishes_of_one_report_all_succeed() {
+        // Same-named jobs finishing on different runners publish the same
+        // report path at once; no rename may lose its tmp file to another.
+        let dir = std::env::temp_dir().join(format!("mcl_serve_publish_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("same.json");
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let path = &path;
+                s.spawn(move || {
+                    for i in 0..200 {
+                        write_atomically(path, &format!("{t}:{i}")).unwrap();
+                    }
+                });
+            }
+        });
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "only the published report remains");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

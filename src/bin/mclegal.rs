@@ -186,7 +186,7 @@ COMMANDS
                                 as INTERRUPTED failure records
              --idle-evict-secs <n>  evict idle ECO sessions (default 300)
              --retry-after-ms <n>   backpressure backoff hint (default 100)
-             --admit-hold-secs <f>  test hook: delay each scheduler wave
+             --admit-hold-secs <f>  test hook: delay handing out each job
              SIGTERM (or an `{\"op\":\"drain\"}` request) drains gracefully:
              stop admitting, finish in-flight jobs, flush, exit 0
   rpc        send one request line to a running daemon and print the

@@ -11,7 +11,7 @@
 //! 3. **Journal fail-closed** — if the acceptance cannot be journaled,
 //!    the job is refused (no enqueue, no report, no ghost work), and the
 //!    daemon keeps serving.
-//! 4. **Drain under fault** — a drain issued while a faulted wave is in
+//! 4. **Drain under fault** — a drain issued while a faulted job is in
 //!    flight still finishes every admitted job, persists the survivors'
 //!    reports and the victim's failure record, and leaves an empty
 //!    journal.
@@ -138,7 +138,8 @@ fn faulted_job_is_contained_at_the_wire() {
     let mut cfg = ServeConfig::new(engine);
     cfg.report_dir = Some(reports.clone());
     cfg.journal_path = Some(journal.clone());
-    // Hold the first wave briefly so all three jobs land in one batch.
+    // Hold each job briefly before it is handed to a runner, so all three
+    // are admitted before the first one starts.
     cfg.admit_hold_secs = 0.4;
     let server = Server::start(cfg).unwrap();
     let addr = server.local_addr();
@@ -278,8 +279,8 @@ fn drain_under_fault_finishes_admitted_work() {
     let mut cfg = ServeConfig::new(engine);
     cfg.report_dir = Some(reports.clone());
     cfg.journal_path = Some(journal.clone());
-    // Park the wave long enough to issue the drain while both jobs are
-    // admitted-but-unfinished.
+    // Hold each job long enough before it is handed to a runner to issue
+    // the drain while both jobs are admitted-but-unfinished.
     cfg.admit_hold_secs = 0.6;
     let server = Server::start(cfg).unwrap();
     let addr = server.local_addr();

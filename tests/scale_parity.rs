@@ -14,6 +14,9 @@
 //!    audit certificates byte-identical, plus a checked-in digest of the
 //!    pipeline's replay log.
 //!
+//! Replay logs are recorded only with the default `replay-log` feature;
+//! without it the digest checks are skipped and the rest still runs.
+//!
 //! The 100k cases are `#[ignore]`d: they want an optimized build and run
 //! in the CI `scale-smoke` job via
 //! `cargo test --release --test scale_parity -- --include-ignored`.
@@ -66,7 +69,13 @@ fn cfg(n: usize, threads: usize) -> LegalizerConfig {
     c
 }
 
+/// Checks a replay log against its checked-in digest. Without the
+/// `replay-log` feature every log is empty, so there is nothing to check;
+/// the position, stats and report parity checks still run.
 fn check_digest(log: &mclegal::audit::ReplayLog, expected: u64, tag: &str) {
+    if !cfg!(feature = "replay-log") {
+        return;
+    }
     assert_eq!(
         log.digest(),
         expected,

@@ -133,48 +133,73 @@ fn ping_stats_and_usage_errors() {
 #[test]
 fn served_job_reports_byte_identical_to_solo_run() {
     let root = tmp_dir("solo_parity");
-    let bundle = write_bundle(&root, "parity0", 41);
     let reports = root.join("reports");
     let journal = root.join("jobs.journal");
+    // More concurrent clients than the daemon's two runners, so jobs are
+    // admitted and claimed while others are still running. Two designs
+    // are submitted twice, so same-named jobs publish their reports
+    // concurrently.
+    let names: Vec<String> = (0..5).map(|k| format!("parity{k}")).collect();
+    let bundles: Vec<PathBuf> = names
+        .iter()
+        .zip(41..)
+        .map(|(name, seed)| write_bundle(&root, name, seed))
+        .collect();
 
-    // The reference: a solo run of the identical bundle bytes under the
+    // The references: solo runs of the identical bundle bytes under the
     // identical config.
-    let design = parsers::read_bookshelf_dir(&bundle).unwrap();
-    let solo = solo_run(&design);
-    let solo_golden = format!(
-        "{}\n",
-        mclegal::core::build_run_report(&solo.design, &solo.stats, &engine_config()).golden_json()
-    );
+    let solo_golden: Vec<String> = bundles
+        .iter()
+        .map(|b| {
+            let solo = solo_run(&parsers::read_bookshelf_dir(b).unwrap());
+            format!(
+                "{}\n",
+                mclegal::core::build_run_report(&solo.design, &solo.stats, &engine_config())
+                    .golden_json()
+            )
+        })
+        .collect();
 
     let mut cfg = ServeConfig::new(engine_config());
     cfg.report_dir = Some(reports.clone());
     cfg.journal_path = Some(journal.clone());
     let server = Server::start(cfg).unwrap();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let addr = server.local_addr();
 
-    let (ack, done) = run_job(&mut c, &bundle, "");
-    assert_eq!(status_of(&ack), "OK");
-    assert!(ack.contains(r#""phase":"ACCEPTED""#), "{ack}");
-    assert_eq!(status_of(&done), "OK");
-    assert!(done.contains(r#""report":{"#), "{done}");
+    let clients: Vec<_> = bundles
+        .iter()
+        .chain(&bundles[..2])
+        .cloned()
+        .map(|b| std::thread::spawn(move || run_job(&mut Client::connect(addr).unwrap(), &b, "")))
+        .collect();
+    for h in clients {
+        let (ack, done) = h.join().unwrap();
+        assert_eq!(status_of(&ack), "OK");
+        assert!(ack.contains(r#""phase":"ACCEPTED""#), "{ack}");
+        assert_eq!(status_of(&done), "OK");
+        assert!(done.contains(r#""report":{"#), "{done}");
+    }
 
     // Parse/corrupt input is refused before admission: PARSE, nothing
     // admitted, nothing journaled for it.
+    let mut c = Client::connect(addr).unwrap();
     let missing = root.join("no_such_bundle");
     let (parse_resp, _) = run_job(&mut c, &missing, "");
     assert_eq!(status_of(&parse_resp), "PARSE");
 
     let stats_line = c.request(r#"{"op":"stats"}"#).unwrap().unwrap();
-    assert_eq!(field_u64(&stats_line, "admitted"), 1);
-    assert_eq!(field_u64(&stats_line, "completed"), 1);
+    assert_eq!(field_u64(&stats_line, "admitted"), 7);
+    assert_eq!(field_u64(&stats_line, "completed"), 7);
 
     c.request(r#"{"op":"drain"}"#).unwrap().unwrap();
     server.join();
 
-    // The persisted golden report is byte-identical to the solo run's.
-    let served = std::fs::read_to_string(reports.join("parity0.golden.json")).unwrap();
-    assert_eq!(served, solo_golden, "served golden != solo golden");
-    assert!(reports.join("parity0.json").exists());
+    // Every persisted golden report is byte-identical to its solo run's.
+    for (name, solo) in names.iter().zip(&solo_golden) {
+        let served = std::fs::read_to_string(reports.join(format!("{name}.golden.json"))).unwrap();
+        assert_eq!(&served, solo, "{name}: served golden != solo golden");
+        assert!(reports.join(format!("{name}.json")).exists());
+    }
     // Clean drain leaves an empty journal.
     assert_eq!(std::fs::read_to_string(&journal).unwrap(), "");
     std::fs::remove_dir_all(&root).ok();
@@ -294,6 +319,45 @@ fn eco_session_lifecycle_over_the_wire() {
         .unwrap()
         .unwrap();
     assert_eq!(status_of(&gone), "USAGE");
+
+    c.request(r#"{"op":"drain"}"#).unwrap().unwrap();
+    server.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn idle_sessions_are_evicted_without_any_job_traffic() {
+    let root = tmp_dir("evict");
+    let placed_dir = root.join("placed");
+    let placed = solo_run(&small_design("evict0", 59)).design;
+    parsers::write_bookshelf_dir(&placed, &placed_dir, "evict0").unwrap();
+
+    let mut cfg = ServeConfig::new(engine_config());
+    cfg.idle_evict_secs = 1;
+    let server = Server::start(cfg).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let opened = c
+        .request(&format!(
+            r#"{{"op":"eco_open","dir":"{}"}}"#,
+            placed_dir.display()
+        ))
+        .unwrap()
+        .unwrap();
+    assert_eq!(status_of(&opened), "OK", "{opened}");
+
+    // No legalize job is ever sent: eviction must not depend on one.
+    let start = std::time::Instant::now();
+    loop {
+        let stats = c.request(r#"{"op":"stats"}"#).unwrap().unwrap();
+        if field_u64(&stats, "evicted") == 1 && field_u64(&stats, "sessions") == 0 {
+            break;
+        }
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "idle session not evicted within 5 s: {stats}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
 
     c.request(r#"{"op":"drain"}"#).unwrap().unwrap();
     server.join();
