@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test fmt clippy lint analyze tsan audit chaos check bench-json bench-batch bench-scale bench-eco bench-serve tables
+.PHONY: build test fmt clippy analyze tsan audit chaos check bench-json bench-batch bench-scale bench-eco bench-serve tables
 
 build:
 	cargo build --release
@@ -14,16 +14,12 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# Custom static-analysis pass (xtask/): unwrap/expect in library code, bare
-# float<->int `as` casts outside db::geom, HashMap/HashSet iteration in
-# legalization hot paths. Ratcheted via xtask/lint-allow.txt; regenerate the
-# baseline with `cargo xtask lint --bless`.
-lint:
-	cargo xtask lint
-
-# Call-graph static analysis (DESIGN.md §13): determinism taint from the
-# scheduler/stage seed set, EvalPool protocol invariants (run ids, no lock
-# guard live across a send), and the panic-surface audit against the
+# The static-analysis pass (DESIGN.md §13): determinism taint from the
+# scheduler/stage seed set, the sanctioned-site rules (Instant only in
+# obs::clock, float<->int casts only in db::geom, raw stage entry points
+# only in the pipeline, EvalPool::spawn only in the scheduler and engine),
+# EvalPool protocol invariants (run ids, no lock guard live across a send),
+# unwrap/expect in library code, and the panic-surface audit against the
 # catch_unwind containment boundaries. Ratcheted via xtask/analyze-allow.txt;
 # re-baseline with `cargo xtask analyze --bless`. JSON report lands in
 # target/analyze-report.json.
@@ -56,7 +52,7 @@ audit:
 chaos:
 	cargo test --features faultinject --test chaos --test chaos_serve
 
-check: build test fmt clippy lint analyze audit chaos
+check: build test fmt clippy analyze audit chaos
 
 # Regenerate BENCH_mgl.json (cells/s at 1/2/4/8 threads, seed scheduler vs
 # current). Knobs: MCL_BENCH_CELLS, MCL_BENCH_DENSITY_PCT, MCL_BENCH_REPS.

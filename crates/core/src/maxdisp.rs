@@ -80,7 +80,7 @@ pub fn optimize_max_disp_metered(
     // Group placed movable cells by (type, fence). A BTreeMap so that the
     // group visit order below is the sorted key order by construction —
     // deterministic without a separate key sort (and without tripping the
-    // analyzer's det-hash-iter rule: this loop is reachable from
+    // analyzer's hash-iter rule: this loop is reachable from
     // `MaxDispStage::run`).
     let mut groups: BTreeMap<(u32, u16), Vec<CellId>> = BTreeMap::new();
     match delta {

@@ -14,7 +14,7 @@ pub type Dbu = i64;
 ///
 /// This is the single sanctioned float→integer conversion point for
 /// coordinates: everywhere else, bare `as` casts between float and integer
-/// types are rejected by `cargo xtask lint` so that silent truncation cannot
+/// types are rejected by `cargo xtask analyze` so that silent truncation cannot
 /// creep into displacement math.
 ///
 /// ```

@@ -1,6 +1,6 @@
 //! Monotonic timing. This module is the one place in the workspace allowed
-//! to call `std::time::Instant::now()` (enforced by the `instant-now` xtask
-//! lint rule); everything else times through [`Stopwatch`].
+//! to call `std::time::Instant::now()` (enforced by the `instant-now` rule
+//! of `cargo xtask analyze`); everything else times through [`Stopwatch`].
 //!
 //! The clock is *not* feature-gated: always-on throughput counters (e.g.
 //! `mcl-core`'s `PerfStats`) need real wall-clock readings even in builds

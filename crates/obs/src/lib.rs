@@ -5,9 +5,9 @@
 //!
 //! - [`clock`]: the workspace's **single sanctioned wall-clock site**
 //!   ([`clock::Stopwatch`] wraps `std::time::Instant`). The `cargo xtask
-//!   lint` rule `instant-now` forbids ad-hoc `Instant::now()` timing in
-//!   every other library crate, so all timing flows through here whether or
-//!   not metrics are compiled in.
+//!   analyze` rule `instant-now` forbids `Instant` anywhere else in the
+//!   workspace, the rest of this crate included, so all timing flows through
+//!   here whether or not metrics are compiled in.
 //! - [`Meter`]: typed span/counter/histogram aggregation. Hierarchical
 //!   spans (run → stage → window → insertion-eval) carry monotonic nanos
 //!   and a thread-attribution bitmask; counters and log₂ histograms cover

@@ -62,7 +62,7 @@ pub fn read(bundle: &Bundle) -> Result<Design> {
     let mut type_cache: HashMap<(Dbu, Dbu), CellTypeId> = HashMap::new();
     let mut name_to_id: HashMap<String, CellId> = HashMap::new();
     for n in &nodes {
-        let h_rows = n.height / scl.row_height;
+        let h_rows = u32::try_from(n.height / scl.row_height).unwrap_or(0);
         if n.height % scl.row_height != 0 || h_rows == 0 {
             return Err(ParseError::new(
                 ".nodes",
@@ -77,7 +77,7 @@ pub fn read(bundle: &Bundle) -> Result<Design> {
             design.add_cell_type(CellType::new(
                 format!("BS_W{}_H{}", n.width, h_rows),
                 n.width,
-                h_rows as u32,
+                h_rows,
             ))
         });
         let mut cell = Cell::new(n.name.clone(), tid, Point::new(0, 0));
@@ -405,6 +405,13 @@ fn parse_nodes(text: &str) -> Result<Vec<NodeRec>> {
             .ok_or_else(|| ParseError::new(".nodes", line, "missing name"))?;
         let width: Dbu = parse_num(it.next(), ".nodes", line)?;
         let height: Dbu = parse_num(it.next(), ".nodes", line)?;
+        if width <= 0 || height <= 0 {
+            return Err(ParseError::new(
+                ".nodes",
+                line,
+                format!("node {name} size {width}x{height} is not positive"),
+            ));
+        }
         let terminal = it
             .next()
             .map(|t| t.eq_ignore_ascii_case("terminal"))
@@ -640,6 +647,13 @@ fn apply_types(
                     format!("unknown node {name}"),
                 ));
             };
+            if std::mem::replace(&mut assigned[id.0 as usize], true) {
+                return Err(ParseError::new(
+                    ".types",
+                    *line,
+                    format!("node {name} is listed twice"),
+                ));
+            }
             let cell = &mut design.cells[id.0 as usize];
             // Dimensions must agree with the `.nodes` record (captured by
             // the synthesized type the node mapped to).
@@ -655,7 +669,6 @@ fn apply_types(
                 ));
             }
             cell.type_id = CellTypeId(ti as u32);
-            assigned[id.0 as usize] = true;
         }
     }
     if let Some(i) = assigned.iter().position(|a| !a) {
@@ -724,8 +737,10 @@ fn parse_types(text: &str) -> Result<(Vec<TypeRec>, Option<TechExtras>)> {
                 .trim()
                 .parse()
                 .map_err(|_| bad("bad EdgeSpacing class count"))?;
-            if n == 0 {
-                return Err(bad("EdgeSpacing needs at least one class"));
+            // Edge classes are `u8` ids, so a larger table is corrupt (and
+            // would be an n² allocation).
+            if n == 0 || n > 256 {
+                return Err(bad("EdgeSpacing needs 1 to 256 classes"));
             }
             let Some((_, _, table)) = tech.as_mut() else {
                 return Err(bad("EdgeSpacing before Tech"));

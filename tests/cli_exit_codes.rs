@@ -104,6 +104,24 @@ fn parse_errors_exit_3() {
         .output()
         .unwrap();
     assert_eq!(exit_code(&out), 3);
+
+    // A zero-width node record is a parse error, not a panic (exit 101).
+    let bundle = write_bundle(&dir, "p1", 13);
+    let nodes = bundle.join("p1.nodes");
+    let text = std::fs::read_to_string(&nodes).unwrap();
+    let record = text.lines().find(|l| l.starts_with("c0 ")).unwrap();
+    let height = record.split_whitespace().nth(2).unwrap();
+    std::fs::write(&nodes, text.replacen(record, &format!("c0 0 {height}"), 1)).unwrap();
+    let out = mclegal()
+        .args(["legalize", "--bookshelf", bundle.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        exit_code(&out),
+        3,
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

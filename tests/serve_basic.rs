@@ -206,6 +206,34 @@ fn served_job_reports_byte_identical_to_solo_run() {
 }
 
 #[test]
+fn bundles_that_used_to_panic_the_parser_get_a_parse_reply() {
+    // A zero-width `.nodes` record once tripped a `CellType` assertion on
+    // the connection thread, which dropped the connection with no reply.
+    let root = tmp_dir("parse_panic");
+    let dir = write_bundle(&root, "z0", 41);
+    let nodes = dir.join("z0.nodes");
+    let text = std::fs::read_to_string(&nodes).unwrap();
+    let record = text.lines().find(|l| l.starts_with("c0 ")).unwrap();
+    let height = record.split_whitespace().nth(2).unwrap();
+    std::fs::write(&nodes, text.replacen(record, &format!("c0 0 {height}"), 1)).unwrap();
+
+    let server = Server::start(ServeConfig::new(engine_config())).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let (resp, _) = run_job(&mut c, &dir, "");
+    assert_eq!(status_of(&resp), "PARSE", "{resp}");
+    let open = format!(r#"{{"op":"eco_open","dir":"{}"}}"#, dir.display());
+    let resp = c.request(&open).unwrap().expect("eco_open reply");
+    assert_eq!(status_of(&resp), "PARSE", "{resp}");
+    // The connection survives both refusals.
+    let pong = c.request(r#"{"op":"ping"}"#).unwrap().unwrap();
+    assert_eq!(status_of(&pong), "OK");
+
+    c.request(r#"{"op":"drain"}"#).unwrap().unwrap();
+    server.join();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn admission_backpressure_is_explicit() {
     let root = tmp_dir("backpressure");
     let bundle = write_bundle(&root, "bp0", 43);

@@ -289,7 +289,7 @@ mod tests {
 
     fn graph(src: &str) -> (Vec<FnDef>, CallGraph) {
         let masked = mask_code(src);
-        let fns = extract_fns(0, &parse_trees(&masked), &test_line_mask(src));
+        let fns = extract_fns(0, &parse_trees(&masked), &test_line_mask(&masked));
         let g = CallGraph::build(&fns);
         (fns, g)
     }

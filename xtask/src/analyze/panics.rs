@@ -13,7 +13,10 @@
 //! Uncontained sites surface as ratcheted `panic-uncontained` findings (the
 //! existing baseline is blessed; new ones fail). Contained sites are counted
 //! in the JSON report but are not findings — panicking into a boundary is
-//! the designed fault-containment signal.
+//! the designed fault-containment signal. Independently, every line with an
+//! `.unwrap()`/`.expect(…)` site, contained or not, is an `unwrap` finding:
+//! library code propagates errors (parsers return `ParseError`, core must
+//! not panic on degenerate designs).
 
 use std::collections::BTreeSet;
 
@@ -164,33 +167,47 @@ fn is_value_end(t: &Tt) -> bool {
     }
 }
 
-/// Runs the audit. Returns `(all sites, uncontained findings)`.
+/// Runs the audit. Returns `(all sites, findings)`: one `panic-uncontained`
+/// per uncontained site, plus one `unwrap` per line holding an
+/// `.unwrap()`/`.expect(…)`, contained or not.
 pub fn analyze(ws: &Workspace, graph: &CallGraph) -> (Vec<PanicSite>, Vec<Finding>) {
     let (roots, spans) = containment_roots(ws, graph);
     let contained_fns: BTreeSet<usize> = graph.reach(&roots).into_keys().collect();
 
     let mut sites = Vec::new();
     let mut findings = Vec::new();
+    let mut unwrap_lines: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (fi, f) in ws.fns.iter().enumerate() {
         if f.is_test {
             continue;
         }
+        let file = &ws.files[f.file];
         let mut raw: Vec<(&'static str, usize)> = Vec::new();
         sites_in_body(&f.body.items, &mut raw);
         for (kind, line) in raw {
             let lexically_contained = spans[fi].iter().any(|&(lo, hi)| line >= lo && line <= hi);
             let contained = contained_fns.contains(&fi) || lexically_contained;
-            if !contained {
+            let mut report = |rule: &str, why: &str| {
                 findings.push(Finding {
-                    rule: "panic-uncontained".to_string(),
-                    file: ws.files[f.file].rel.clone(),
+                    rule: rule.to_string(),
+                    file: file.rel.clone(),
                     line,
-                    excerpt: ws.files[f.file].excerpt(line),
-                    path: vec![format!(
-                        "{} ({kind}) outside any catch_unwind boundary",
-                        f.display()
-                    )],
+                    excerpt: file.excerpt(line),
+                    path: vec![format!("{} ({kind}) {why}", f.display())],
                 });
+            };
+            if !contained {
+                report("panic-uncontained", "outside any catch_unwind boundary");
+            }
+            if matches!(kind, "unwrap" | "expect") && unwrap_lines.insert((f.file, line)) {
+                report(
+                    "unwrap",
+                    if contained {
+                        "in library code (contained)"
+                    } else {
+                        "in library code"
+                    },
+                );
             }
             sites.push(PanicSite {
                 kind,
@@ -208,10 +225,12 @@ mod tests {
     use super::*;
     use crate::analyze::callgraph::CallGraph;
 
+    /// Sites, `panic-uncontained` findings and the workspace.
     fn run(files: &[(&str, &str)]) -> (Vec<PanicSite>, Vec<Finding>, Workspace) {
         let ws = Workspace::from_sources(files);
         let g = CallGraph::build(&ws.fns);
-        let (s, f) = analyze(&ws, &g);
+        let (s, mut f) = analyze(&ws, &g);
+        f.retain(|f| f.rule == "panic-uncontained");
         (s, f, ws)
     }
 
@@ -253,6 +272,25 @@ mod tests {
         assert_eq!(sites.len(), 2, "{sites:?}");
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 5);
+    }
+
+    #[test]
+    fn unwrap_rule_reports_each_line_once_contained_or_not() {
+        let ws = Workspace::from_sources(&[(
+            "crates/core/src/lib.rs",
+            "fn guarded(v: &[u32]) {\n\
+                 let _ = std::panic::catch_unwind(|| v.first().unwrap());\n\
+                 v.first().expect(\"outside\"); v.last().unwrap();\n\
+                 let _ = v[0];\n\
+             }\n",
+        )]);
+        let (_, findings) = analyze(&ws, &CallGraph::build(&ws.fns));
+        let unwraps: Vec<usize> = findings
+            .iter()
+            .filter(|f| f.rule == "unwrap")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(unwraps, [2, 3]);
     }
 
     #[test]

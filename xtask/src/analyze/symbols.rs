@@ -58,7 +58,8 @@ pub fn extract_fns(file: usize, trees: &[Tt], test_lines: &[bool]) -> Vec<FnDef>
     out
 }
 
-fn is_test_line(test_lines: &[bool], line: usize) -> bool {
+/// Whether a 1-based line lies in test-only code.
+pub fn is_test_line(test_lines: &[bool], line: usize) -> bool {
     line >= 1 && test_lines.get(line - 1).copied().unwrap_or(false)
 }
 
@@ -214,7 +215,7 @@ mod tests {
     fn fns(src: &str) -> Vec<FnDef> {
         let masked = mask_code(src);
         let trees = parse_trees(&masked);
-        let tl = test_line_mask(src);
+        let tl = test_line_mask(&masked);
         extract_fns(0, &trees, &tl)
     }
 

@@ -1,11 +1,11 @@
-//! A minimal Rust lexer for the lint pass.
+//! The masking lexer under the static analyzer.
 //!
 //! We cannot depend on `syn` (the workspace builds offline, without a
-//! registry), so rules run over a *masked* copy of each source file:
-//! comments, string/char literal contents, and raw strings are replaced by
-//! spaces, byte-for-byte, preserving every line/column position. Rule
-//! matching on the mask can then use plain substring search without being
-//! fooled by `"a.unwrap()"` inside a string or a doc comment.
+//! registry), so the analyzer tokenizes a *masked* copy of each source
+//! file: comments, string/char literal contents, and raw strings are
+//! replaced by spaces, byte-for-byte, preserving every line/column
+//! position. Nothing downstream can then be fooled by `"a.unwrap()"`
+//! inside a string or a doc comment.
 
 /// Replaces comment and literal contents with spaces, preserving length and
 /// newlines exactly.

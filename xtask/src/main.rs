@@ -1,50 +1,36 @@
 //! Workspace automation tasks. Run as `cargo xtask <task>`.
 //!
-//! Two tasks:
-//!
-//! * `lint` — the lexical pass described in DESIGN.md ("Verification
-//!   architecture"): `unwrap`, `float-cast`, `hash-iter` (hot-path files)
-//!   and `instant-now` rules over masked source lines.
-//! * `analyze` — the syntax-aware pass (DESIGN.md "Static analysis
-//!   architecture"): token trees, a symbol table and a conservative call
-//!   graph feeding determinism-taint reachability, EvalPool protocol checks
-//!   and a panic-surface audit. `--json` prints the stable JSON report to
-//!   stdout instead of `target/analyze-report.json`.
-//!
-//! Both passes ratchet against an allowlist (`xtask/lint-allow.txt`,
-//! `xtask/analyze-allow.txt`): they fail only when a (rule, file) group
-//! exceeds its recorded count, and `--bless` re-baselines after fixes.
+//! One task, `analyze`: the static-analysis pass (DESIGN.md "Static
+//! analysis architecture"). Token trees, a symbol table and a conservative
+//! call graph feed the determinism-taint and sanctioned-site rules, the
+//! EvalPool protocol checks and the panic-surface audit. Findings ratchet
+//! against `xtask/analyze-allow.txt`: the pass fails only when a
+//! (rule, file) group exceeds its recorded count, and `--bless`
+//! re-baselines after fixes. `--json` prints the stable JSON report to
+//! stdout instead of `target/analyze-report.json`.
 
 mod analyze;
 mod lexer;
 mod ratchet;
-mod rules;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-use ratchet::Counts;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bless = args.iter().any(|a| a == "--bless");
     let json = args.iter().any(|a| a == "--json");
-    match args.first().map(String::as_str) {
-        Some("lint") => lint(bless),
-        Some("analyze") => {
-            let root = workspace_root();
-            let files = library_sources(&root);
-            if files.is_empty() {
-                eprintln!("xtask analyze: no sources found under crates/*/src");
-                return ExitCode::FAILURE;
-            }
-            analyze::analyze_cmd(&root, &files, bless, json)
-        }
-        _ => {
-            eprintln!("usage: cargo xtask <lint|analyze> [--bless] [--json]");
-            ExitCode::FAILURE
-        }
+    if args.first().map(String::as_str) != Some("analyze") {
+        eprintln!("usage: cargo xtask analyze [--bless] [--json]");
+        return ExitCode::FAILURE;
     }
+    let root = workspace_root();
+    let files = library_sources(&root);
+    if files.is_empty() {
+        eprintln!("xtask analyze: no sources found under crates/*/src");
+        return ExitCode::FAILURE;
+    }
+    analyze::analyze_cmd(&root, &files, bless, json)
 }
 
 fn workspace_root() -> PathBuf {
@@ -93,82 +79,5 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
                 .replace('\\', "/");
             out.push(rel);
         }
-    }
-}
-
-const LINT_ALLOW_HEADER: &str = "\
-# Lint ratchet baseline: `rule count file`, one line per (rule, file).\n\
-# Maintained by `cargo xtask lint --bless`. The lint pass fails when a\n\
-# file exceeds its recorded count; shrink counts by fixing violations\n\
-# and re-blessing. Do not raise counts by hand.\n";
-
-fn lint_allow_path(root: &Path) -> PathBuf {
-    root.join("xtask").join("lint-allow.txt")
-}
-
-fn lint(bless: bool) -> ExitCode {
-    let root = workspace_root();
-    let files = library_sources(&root);
-    if files.is_empty() {
-        eprintln!("xtask lint: no sources found under crates/*/src");
-        return ExitCode::FAILURE;
-    }
-
-    let mut all = Vec::new();
-    for rel in &files {
-        let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
-            eprintln!("xtask lint: unreadable {rel}");
-            return ExitCode::FAILURE;
-        };
-        all.extend(rules::lint_source(rel, &src));
-    }
-
-    let mut counts = Counts::new();
-    for v in &all {
-        *counts
-            .entry((v.rule.to_string(), v.file.clone()))
-            .or_default() += 1;
-    }
-
-    if bless {
-        ratchet::write_counts(&lint_allow_path(&root), LINT_ALLOW_HEADER, &counts);
-        println!(
-            "xtask lint: blessed {} violations across {} (rule, file) pairs",
-            all.len(),
-            counts.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let allowed = ratchet::read_counts(&lint_allow_path(&root));
-    let enforcement = ratchet::enforce(&allowed, &counts);
-    for ((rule, file), n, cap) in &enforcement.exceeded {
-        eprintln!("lint[{rule}] {file}: {n} violations (allowlisted: {cap})");
-        for v in all
-            .iter()
-            .filter(|v| v.rule == rule.as_str() && &v.file == file)
-        {
-            eprintln!("  {}:{}: {}", v.file, v.line, v.excerpt);
-        }
-    }
-    // Stale entries mean violations were fixed: tighten the ratchet.
-    for ((rule, file), n, cap) in &enforcement.stale {
-        println!(
-            "lint[{rule}] {file}: down to {n} from {cap} — run `cargo xtask lint --bless` to ratchet"
-        );
-    }
-
-    if enforcement.failed() {
-        eprintln!(
-            "xtask lint: FAILED (new violations; fix them or route through the sanctioned helpers)"
-        );
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "xtask lint: ok ({} files, {} allowlisted violations)",
-            files.len(),
-            all.len()
-        );
-        ExitCode::SUCCESS
     }
 }

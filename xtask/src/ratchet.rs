@@ -1,5 +1,4 @@
-//! Ratcheted allowlist plumbing, shared by `cargo xtask lint` and
-//! `cargo xtask analyze`.
+//! Ratcheted allowlist plumbing for `cargo xtask analyze`.
 //!
 //! An allowlist file records pre-existing findings per (rule, file) as
 //! `rule count file` lines. A pass fails only when a file exceeds its
@@ -41,14 +40,14 @@ pub fn read_counts(path: &Path) -> Counts {
 }
 
 /// Writes the baseline back with the given `#`-prefixed header comment.
-pub fn write_counts(path: &Path, header: &str, counts: &Counts) {
+pub fn write_counts(path: &Path, header: &str, counts: &Counts) -> std::io::Result<()> {
     let mut s = String::from(header);
     for ((rule, file), n) in counts {
         if *n > 0 {
             s.push_str(&format!("{rule} {n} {file}\n"));
         }
     }
-    std::fs::write(path, s).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    std::fs::write(path, s)
 }
 
 /// Outcome of checking actual counts against the baseline.
@@ -128,7 +127,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("allow.txt");
         let c = counts(&[("r", "f.rs", 3), ("zero", "g.rs", 0)]);
-        write_counts(&path, "# header\n", &c);
+        write_counts(&path, "# header\n", &c).expect("write");
         let back = read_counts(&path);
         // Zero entries are dropped on write.
         assert_eq!(back, counts(&[("r", "f.rs", 3)]));
