@@ -17,8 +17,7 @@ clippy:
 # The static-analysis pass (DESIGN.md §13): determinism taint from the
 # scheduler/stage seed set, the sanctioned-site rules (Instant only in
 # obs::clock, float<->int casts only in db::geom, raw stage entry points
-# only in the pipeline, EvalPool::spawn only in the scheduler and engine),
-# EvalPool protocol invariants (run ids, no lock guard live across a send),
+# only in the pipeline), no lock guard live across a channel send,
 # unwrap/expect in library code, and the panic-surface audit against the
 # catch_unwind containment boundaries. Ratcheted via xtask/analyze-allow.txt;
 # re-baseline with `cargo xtask analyze --bless`. JSON report lands in
@@ -61,7 +60,8 @@ bench-json:
 
 # Batch-scheduler throughput (DESIGN.md §12): the `batch` section of
 # BENCH_mgl.json — engine vs sequential solo on 16 small designs at
-# 1/2/4/8 threads, plus one throttled-admission interleaved run, with
+# 1/2/4/8 threads, plus one throttled-admission run (4 threads, 2 in
+# flight, one MGL helper per runner), with
 # per-thread-count bit-identity asserted. Knobs: MCL_BENCH_BATCH,
 # MCL_BENCH_BATCH_CELLS, MCL_BENCH_BATCH_DENSITY_PCT, MCL_BENCH_REPS.
 bench-batch:

@@ -1,9 +1,9 @@
-//! MGL throughput benchmark — seed scheduler vs the persistent-pool one.
+//! MGL throughput benchmark — seed scheduler vs the current one.
 //!
 //! Replays the *seed* parallel scheduler (per-round `std::thread::scope`
 //! with static slice chunking, O(|pending| × |selected|) window selection,
 //! and the allocating reference insertion evaluator) against the current
-//! MGL stage run through `Engine::run` (persistent worker pool, row-band
+//! MGL stage run through `Engine::run` (per-stage helper threads, row-band
 //! window index, scratch-arena evaluator) on a dense synthetic design, at
 //! 1/2/4/8
 //! threads, and writes the cells-per-second numbers to `BENCH_mgl.json`
@@ -21,10 +21,10 @@
 //! A batch-throughput comparison (`MCL_BENCH_BATCH` small sparse design
 //! variants, default 16 × `MCL_BENCH_BATCH_CELLS` (40) cells at
 //! `MCL_BENCH_BATCH_DENSITY_PCT` (25), through one shared `Engine`'s
-//! cross-design batch scheduler vs one fresh single-design engine per design,
+//! batch scheduler vs one fresh single-design engine per design,
 //! at 1/2/4/8 threads) is written under `batch`, with `designs_per_sec`
 //! and `engine_speedup` per thread count plus one throttled-admission run
-//! exercising the shared-worker interleaving. Outputs are asserted
+//! that gives each runner a helper. Outputs are asserted
 //! bit-identical per thread count, so every ratio is pure scheduling.
 
 use mcl_bench::legalize;
@@ -348,15 +348,15 @@ fn main() {
         .join(", ");
 
     // Batch throughput: `MCL_BENCH_BATCH` design variants through one
-    // shared Engine (cross-design batch scheduler, DESIGN.md §12) vs one
-    // fresh single-design engine per design, at each thread count.
+    // shared Engine (batch scheduler, DESIGN.md §12) vs one fresh
+    // single-design engine per design, at each thread count.
     // Bit-identity between the two is asserted per thread count, so the
-    // ratio is pure scheduling: the batch runs designs on runner threads
-    // with no per-design pool spawn, replica clone or round-sync traffic.
+    // ratio is pure scheduling: the batch runs designs side by side on
+    // runner threads instead of one at a time on a runner and its helpers.
     // The batch workload is many small, sparse designs — the regime batch
     // scheduling exists for: per-design runtime is short, so the solo
-    // column's fixed costs (pool spawn, replica clones, round sync) are a
-    // large fraction of each run. Density is a separate knob from the main
+    // column's fixed costs (helper spawns, round hand-offs, scratch
+    // construction) are a large fraction of each run. Density is a separate knob from the main
     // sweep's because the two sections measure different things.
     let batch_n = env_usize("MCL_BENCH_BATCH", 16);
     let batch_cells = env_usize("MCL_BENCH_BATCH_CELLS", 40);
@@ -419,19 +419,14 @@ fn main() {
     }
     let batch_rows = batch_rows.trim_end_matches(",\n").to_string();
 
-    // The shared-worker regime: throttled admission (4 threads, 2 designs
-    // in flight) leaves 2 eval workers interleaving both runners' rounds.
-    // Still bit-identical; `cross_design_steals` > 0 shows the work
-    // conservation actually engaged.
+    // Throttled admission (4 threads, 2 designs in flight): each runner
+    // gets one helper. Still bit-identical.
     let mut icfg = batch_cfg.clone();
     icfg.threads = 4;
     icfg.max_inflight_designs = 2;
-    let mut steals = 0u64;
     let (inter_s, inter_pos) = time_best(reps, || {
         let mut engine = Engine::new(icfg.clone());
-        let out = batch_positions(&mut engine, &variants, &mgl_only);
-        steals = steals.max(engine.diag().cross_design_steals);
-        out
+        batch_positions(&mut engine, &variants, &mgl_only)
     });
     {
         let mut bc = batch_cfg.clone();
@@ -456,7 +451,7 @@ fn main() {
     let inter_rate = mcl_db::geom::dbu_to_f64(inter_n) / inter_s;
     println!(
         "batch interleaved (4 threads, max-inflight 2): {inter_s:.3}s, \
-         {inter_rate:.1} designs/sec, {steals} cross-design steals"
+         {inter_rate:.1} designs/sec"
     );
 
     let json =
@@ -472,8 +467,8 @@ fn main() {
          \"batch\": {{\"designs\": {batch_n}, \"cells_per_design\": {batch_cells}, \
          \"density\": {batch_density}, \
          \"engine_speedup_at_4_threads\": {batch_speedup4:.3}, \
-         \"interleaved_seconds\": {inter_s:.6}, \
-         \"cross_design_steals\": {steals},\n    \"results\": [\n{batch_rows}\n    ]}}\n}}\n",
+         \"interleaved_seconds\": {inter_s:.6},\n    \
+         \"results\": [\n{batch_rows}\n    ]}}\n}}\n",
         cross = seed1 / new4,
         cap = cfg.window_list_capacity,
     );

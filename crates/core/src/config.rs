@@ -102,20 +102,21 @@ pub struct LegalizerConfig {
     /// `n₀`: weight of the max-displacement terms in stage 3, relative to a
     /// unit cell weight (0 disables the extension).
     pub n0_factor: i64,
-    /// Thread budget for MGL: design runners plus shared eval workers
-    /// (1 = every round runs inline on the calling thread). Results are
-    /// identical for any value.
+    /// Thread budget of an `Engine` call: design runners plus their
+    /// helpers, which evaluate MGL windows and solve stage-2 matchings
+    /// alongside their runner (1 = everything runs on the calling thread).
+    /// Results are identical for any value.
     pub threads: usize,
     /// Clamp `threads` to the hardware's available parallelism. Oversub-
     /// scribing buys nothing (results are thread-count-invariant) and costs
     /// context switches, so this defaults to on; tests disable it to
-    /// exercise the worker pool regardless of the host's core count.
+    /// exercise helper threads regardless of the host's core count.
     pub clamp_threads_to_hardware: bool,
     /// Admission bound for `Engine` calls: how many jobs may be in flight
     /// at once (0 = auto, meaning `threads`). Each in-flight job gets a
-    /// runner thread out of the `threads` budget; leftover threads become
-    /// shared eval workers that interleave rounds from all in-flight
-    /// designs. A job's working state is built when a runner claims it, so
+    /// runner thread out of the `threads` budget; leftover threads are split
+    /// statically among the runners as helpers. A job's working state is
+    /// built when a runner claims it, so
     /// memory scales with the in-flight count, never with the batch size
     /// or stream length, and per-design results are identical for any
     /// value.
@@ -130,8 +131,8 @@ pub struct LegalizerConfig {
     /// Wall-clock budget for the whole pipeline, checked at stage
     /// boundaries only (never mid-stage, so fault-free results stay
     /// deterministic). Once exceeded, remaining stages take their
-    /// degradation rung: MGL runs inline without the shared pool (same
-    /// placement), maxdisp and refine are skipped. `None` disables the budget.
+    /// degradation rung: MGL runs inline without helpers (same placement),
+    /// maxdisp and refine are skipped. `None` disables the budget.
     pub stage_budget_secs: Option<f64>,
     /// Armed fault-injection plan (chaos testing; see [`crate::faultinject`]).
     /// `None` in production — every probe is then a single branch.

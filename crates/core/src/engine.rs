@@ -6,72 +6,58 @@
 //! fallible [`RunOutput`] to a callback the moment that job finishes.
 //! [`Engine::run`] (a batch, results in batch order) and [`Engine::run_one`]
 //! (a batch of one) are adaptors over it. The engine owns the setup state
-//! that is worth keeping across calls — a small pool of
-//! [`InsertionScratch`] arenas — and, for the whole of one call, one shared
-//! [`EvalPool`] of worker threads; it runs each job through the same
-//! [`crate::pipeline`] driver.
+//! that is worth keeping across calls — one [`InsertionScratch`] arena per
+//! thread — and runs each job through the same [`crate::pipeline`] driver.
 //!
 //! ## Job scheduling
 //!
-//! A call splits `config.threads` into **runners** and **workers**
+//! A call splits `config.threads` into **runners** and **helpers**
 //! (DESIGN.md §12). Runners claim jobs off the shared source one at a
 //! time and drive each to completion. Admission is bounded: at most
 //! [`Engine::batch_runners`] jobs are in flight, and a job's seed state and
 //! [`Prep`] are built only when a runner claims it and dropped when it
 //! finishes, so memory scales with in-flight work, never with the length of
-//! the source. Leftover threads become shared [`EvalPool`] workers serving
-//! *all* in-flight designs at once: eval jobs from different designs
-//! interleave freely (work conservation — no worker idles while any design
-//! has runnable jobs). When every thread is a runner, designs run inline
-//! with zero cross-thread round traffic. A stage list without MGL has no
-//! rounds to fan out, so it spawns no pool at all. The workers keep a
-//! replica of each design they serve, so only designs borrowed for the
-//! whole call ([`Cow::Borrowed`]) can use them; a design the job owns runs
-//! its rounds inline on its runner.
+//! the source. The `W = threads − R` leftover threads are split statically:
+//! runner `i` gets `W / R` helpers, plus one for the first `W mod R`
+//! runners. A runner hands its job the scratches of its share, its own
+//! first; the job's MGL stage spawns one helper per extra scratch for the
+//! stage's duration, and stage 2 solves its matchings on that many
+//! threads. Helpers read the runner's own placement, so a design borrowed
+//! for the call and one the job owns fan out alike.
 //!
 //! Determinism is per design: selection, retry and apply order are decided
 //! by each design's own runner, so outputs, replay logs and reports are
 //! bit-identical at any thread count (1 included), any admission bound and
 //! any batch composition (pinned by `tests/batch_parity.rs`).
 //!
-//! Buffer-reuse contract (asserted by tests via [`EngineDiag`] and the
-//! scratch `created` counter): within one call at most one pool is spawned,
-//! and every scratch — one per runner plus one per worker — is constructed
-//! at most once for the engine's lifetime.
+//! Buffer-reuse contract (asserted by tests via the scratch `created`
+//! counter): every scratch — one per thread — is constructed at most once
+//! for the engine's lifetime.
 
 use crate::config::LegalizerConfig;
 use crate::error::LegalizeError;
 use crate::insertion::InsertionScratch;
 use crate::legalizer::LegalizeStats;
 use crate::pipeline::{self, includes_mgl, Prep, Stage, FULL_PIPELINE};
-use crate::scheduler::{EvalPool, PoolClient};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Setup-cost and scheduling counters for asserting the engine's reuse
-/// contract and observing cross-design work conservation.
+/// Setup-cost and scheduling counters for asserting the engine's thread
+/// split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineDiag {
     /// Pipeline runs driven by this engine (one per seeded job).
     pub runs: u64,
-    /// Shared worker pools spawned. A call spawns **at most one** pool for
-    /// its whole lifetime — and only when its stage list includes MGL and
-    /// threads are left over after admission (`threads` exceeds the runner
-    /// count); a call whose every thread is a runner spawns none.
-    pub pool_spawns: u64,
-    /// Total shared eval worker threads spawned across all pools.
-    pub worker_spawns: u64,
     /// Runner threads spawned. The calling thread doubles as runner 0 and
     /// is not counted, so a call with `R` runners adds `R − 1`.
     pub runner_spawns: u64,
-    /// Rounds in which a shared pool worker switched designs: incremented
-    /// when a worker claims at least one eval job from a different design
-    /// than the one it last served. Nonzero means cross-design work
-    /// conservation actually happened.
-    pub cross_design_steals: u64,
+    /// Helper threads handed to runners: each call adds its
+    /// `threads − runners` leftover threads. A job's MGL stage spawns its
+    /// runner's helpers once per stage.
+    pub helpers: u64,
 }
 
 /// What an [`Engine`] call does to each job.
@@ -117,9 +103,8 @@ impl Default for RunSpec {
 
 /// One job of an [`Engine::run_jobs`] source.
 pub struct Job<'d, T> {
-    /// The design. Borrowed for the whole call, its MGL rounds may fan out
-    /// onto the call's shared workers; owned by the job, it runs inline on
-    /// its runner and is dropped when the job finishes.
+    /// The design, borrowed for the call or owned by the job; an owned
+    /// design is dropped when the job finishes.
     pub design: Cow<'d, Design>,
     /// Deadline budget in seconds. It tightens the engine's
     /// `stage_budget_secs` (the smaller wins) and never changes a
@@ -169,8 +154,7 @@ pub struct RunOutput {
 #[derive(Debug)]
 pub struct Engine {
     config: LegalizerConfig,
-    /// Runner scratch arenas, grown lazily to the runner count and reused
-    /// across calls.
+    /// Scratch arenas, one per thread, reused across calls.
     scratches: Vec<InsertionScratch>,
     diag: EngineDiag,
 }
@@ -189,8 +173,10 @@ impl Engine {
             config.threads = config.threads.max(1);
         }
         Self {
+            scratches: (0..config.threads)
+                .map(|_| InsertionScratch::new())
+                .collect(),
             config,
-            scratches: vec![InsertionScratch::new()],
             diag: EngineDiag::default(),
         }
     }
@@ -209,7 +195,7 @@ impl Engine {
     /// (`usize::MAX` when its length is unknown): the admission bound
     /// (`config.max_inflight_designs`, 0 = auto meaning `threads`), clamped
     /// to the thread budget and to `n`. The remaining `threads − runners`
-    /// threads become shared eval workers.
+    /// threads are split among the runners as helpers.
     pub fn batch_runners(&self, n: usize) -> usize {
         let limit = match self.config.max_inflight_designs {
             0 => self.config.threads,
@@ -289,11 +275,10 @@ impl Engine {
     ///
     /// Every job gets its own result: one job failing to seed or exhausting
     /// its degradation ladder does not affect the others, whose outputs are
-    /// bit-identical to fault-free solo runs (pinned by the chaos suite,
-    /// including under cross-design interleaving).
+    /// bit-identical to fault-free solo runs (pinned by the chaos suite).
     ///
-    /// Runner 0 is the calling thread. Which runner claims which job and how
-    /// rounds interleave are free to race; each job's result is not.
+    /// Runner 0 is the calling thread. Which runner claims which job is
+    /// free to race; each job's result is not.
     pub fn run_jobs<'d, T: Send>(
         &mut self,
         jobs: impl Iterator<Item = Job<'d, T>> + Send,
@@ -302,64 +287,48 @@ impl Engine {
     ) {
         let stages = spec.stages.as_slice();
         let runners = self.batch_runners(jobs.size_hint().1.unwrap_or(usize::MAX));
-        // Only MGL fans out onto the pool; post stages would leave every
-        // worker idle.
-        let workers = if includes_mgl(stages) {
-            self.config.threads.saturating_sub(runners)
-        } else {
-            0
-        };
-        while self.scratches.len() < runners {
-            self.scratches.push(InsertionScratch::new());
-        }
+        let helpers = self.config.threads - runners;
         let Self {
             config,
             scratches,
             diag,
         } = self;
         let call = Call {
-            // The claim counter doubles as the job's run id on the pool.
-            source: Mutex::new(jobs.fuse().zip(0usize..)),
+            source: Mutex::new(jobs.fuse()),
             config,
             stages,
             adopt: spec.adopt_positions || !includes_mgl(stages),
             runs: AtomicU64::new(0),
             done,
         };
-        let mut steal_counter = None;
         std::thread::scope(|scope| {
-            let pool = (workers > 0).then(|| EvalPool::spawn(scope, workers));
-            if let Some(p) = &pool {
-                diag.pool_spawns += 1;
-                diag.worker_spawns += workers as u64;
-                steal_counter = Some(p.steal_counter());
-            }
-            let mut scratches = scratches.iter_mut().take(runners);
-            let main_scratch = scratches.next();
-            for scratch in scratches {
+            let mut rest = scratches.as_mut_slice();
+            let mut shares = (0..runners).map(|i| {
+                let n = 1 + helpers / runners + usize::from(i < helpers % runners);
+                let (share, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                rest = tail;
+                share
+            });
+            let main_share = shares.next();
+            for share in shares {
                 diag.runner_spawns += 1;
-                let client = pool.as_ref().map(EvalPool::client);
                 let call = &call;
-                scope.spawn(move || call.runner(scratch, client.as_ref()));
+                scope.spawn(move || call.runner(share));
             }
-            if let Some(scratch) = main_scratch {
-                let client = pool.as_ref().map(EvalPool::client);
-                call.runner(scratch, client.as_ref());
+            if let Some(share) = main_share {
+                call.runner(share);
             }
-            // The scope joins the extra runners (and, once every client is
-            // dropped, the pool workers) before returning.
+            // The scope joins the extra runners before returning.
         });
         diag.runs += call.runs.load(Ordering::Relaxed);
-        if let Some(c) = steal_counter {
-            diag.cross_design_steals += c.load(Ordering::Relaxed);
-        }
+        diag.helpers += helpers as u64;
     }
 }
 
 /// Everything the runners of one [`Engine::run_jobs`] call share.
 struct Call<'a, I, F> {
-    /// The job source and claim counter. Runners claim under this lock, so
-    /// a source that blocks for work holds back only other claims.
+    /// The job source. Runners claim under this lock, so a source that
+    /// blocks for work holds back only other claims.
     source: Mutex<I>,
     config: &'a LegalizerConfig,
     stages: &'a [&'static dyn Stage],
@@ -370,23 +339,21 @@ struct Call<'a, I, F> {
 
 impl<'a, 'd, T, I, F> Call<'a, I, F>
 where
-    I: Iterator<Item = (Job<'d, T>, usize)>,
+    I: Iterator<Item = Job<'d, T>>,
     F: Fn(T, Result<RunOutput, LegalizeError>),
 {
-    /// One runner's admission loop: claim the next job, run it, report it,
-    /// repeat until the source runs dry.
-    fn runner(&self, scratch: &mut InsertionScratch, client: Option<&PoolClient<'d>>) {
+    /// One runner's admission loop: claim the next job, run it on the
+    /// runner's thread share, report it, repeat until the source runs dry.
+    fn runner(&self, share: &mut [InsertionScratch]) {
         loop {
-            // The guard drops at the end of this statement: the run below
-            // sends on the pool channels, and no lock guard may be live
-            // across a send (`cargo xtask analyze`, rule
-            // pool-lock-across-send).
+            // The guard drops at the end of this statement, so no other
+            // claim waits on a running job.
             let claimed = self
                 .source
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .next();
-            let Some((job, run)) = claimed else {
+            let Some(job) = claimed else {
                 break;
             };
             let mut config = Cow::Borrowed(self.config);
@@ -394,10 +361,7 @@ where
                 let engine_b = config.stage_budget_secs;
                 config.to_mut().stage_budget_secs = Some(engine_b.map_or(b, |e| e.min(b)));
             }
-            let out = match &job.design {
-                Cow::Borrowed(d) => self.run_job(d, &config, client.map(|c| (c, run)), scratch),
-                Cow::Owned(d) => self.run_job(d, &config, None, scratch),
-            };
+            let out = self.run_job(&job.design, &config, share);
             // The seed state and prep died with `run_job`; an owned design
             // goes too, before the result is published, so residency
             // follows the in-flight count.
@@ -406,14 +370,12 @@ where
         }
     }
 
-    /// Seeds one claimed job and runs it through the pipeline. `pool` is
-    /// the shared pool plus the job's run id on it; `None` runs inline.
-    fn run_job<'x>(
+    /// Seeds one claimed job and runs it through the pipeline on `share`.
+    fn run_job(
         &self,
-        design: &'x Design,
+        design: &Design,
         config: &LegalizerConfig,
-        pool: Option<(&PoolClient<'x>, usize)>,
-        scratch: &mut InsertionScratch,
+        share: &mut [InsertionScratch],
     ) -> Result<RunOutput, LegalizeError> {
         let mut state = if self.adopt {
             PlacementState::from_design_positions(design).map_err(|(cell, e)| {
@@ -427,15 +389,7 @@ where
         };
         self.runs.fetch_add(1, Ordering::Relaxed);
         let prep = Prep::new(design, config);
-        let stats = pipeline::run_stages(
-            design,
-            &mut state,
-            config,
-            self.stages,
-            &prep,
-            pool,
-            scratch,
-        )?;
+        let stats = pipeline::run_stages(design, &mut state, config, self.stages, &prep, share)?;
         let mut out = design.clone();
         state.write_back(&mut out);
         Ok(RunOutput {
@@ -449,11 +403,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{MglStage, POST_PIPELINE};
+    use crate::pipeline::MglStage;
+    use mcl_obs::SpanKind;
     use std::sync::Condvar;
     use std::time::Duration;
 
     fn batch_designs(n: usize) -> Vec<Design> {
+        sized_designs(n, 140)
+    }
+
+    fn sized_designs(n: usize, cells: usize) -> Vec<Design> {
         (0..n)
             .map(|k| {
                 let mut d = Design::new(
@@ -470,7 +429,7 @@ mod tests {
                     s ^= s << 17;
                     s
                 };
-                for i in 0..140 {
+                for i in 0..cells {
                     let t = CellTypeId(u32::from(rng() % 5 == 0));
                     let x = (rng() % 2300) as Dbu;
                     let y = (rng() % 1700) as Dbu;
@@ -527,16 +486,15 @@ mod tests {
 
     #[test]
     fn interleaved_batch_matches_solo_bit_identically() {
-        // Force the shared-worker regime: 4 threads but only 2 in flight
-        // leaves 2 pool workers serving both runners' rounds interleaved.
+        // Throttled admission: 4 threads but only 2 in flight gives each
+        // of the 2 runners one helper.
         let designs = batch_designs(6);
         let mut c = cfg(4);
         c.max_inflight_designs = 2;
         let mut engine = Engine::new(c);
         assert_eq!(engine.batch_runners(designs.len()), 2);
         let batch = batch(&mut engine, &designs);
-        assert_eq!(engine.diag().pool_spawns, 1);
-        assert_eq!(engine.diag().worker_spawns, 2);
+        assert_eq!(engine.diag().helpers, 2);
         for (d, out) in designs.iter().zip(&batch) {
             let solo = solo(4, d);
             assert_eq!(
@@ -550,17 +508,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_reuses_pool_and_scratch() {
+    fn batch_reuses_scratch() {
         let designs = batch_designs(4);
-        // Default admission: every thread is a runner, so no pool at all.
+        // Default admission: every thread is a runner, so no helpers.
         let mut engine = Engine::new(cfg(3));
         let batch1 = batch(&mut engine, &designs);
         let diag = engine.diag();
         assert_eq!(diag.runs, 4);
-        assert_eq!(
-            diag.pool_spawns, 0,
-            "full-width admission needs no shared pool"
-        );
+        assert_eq!(diag.helpers, 0, "full-width admission leaves no helpers");
         assert_eq!(diag.runner_spawns, 2, "3 runners = main + 2 spawned");
         // Which runner ran which design races (a runner that arrives after
         // the cursor drains reports nothing), but the lifetime bound is
@@ -576,16 +531,18 @@ mod tests {
             "second batch call must reuse runner scratches (saw {created1} then {created2})"
         );
 
-        // One in-flight design: sequential schedule, one pool, deterministic
-        // per-design scratch charging.
+        // One in-flight design: sequential schedule, the one runner gets
+        // both helpers, deterministic per-design scratch charging.
         let mut c = cfg(3);
         c.max_inflight_designs = 1;
         let mut engine = Engine::new(c);
         let batch1 = batch(&mut engine, &designs);
         let diag = engine.diag();
         assert_eq!(diag.runs, 4);
-        assert_eq!(diag.pool_spawns, 1, "single-runner batch shares one pool");
-        assert_eq!(diag.worker_spawns, 2);
+        assert_eq!(
+            diag.helpers, 2,
+            "the single runner gets both leftover threads"
+        );
         assert_eq!(diag.runner_spawns, 0);
         let per_design: Vec<u64> = batch1
             .iter()
@@ -593,46 +550,49 @@ mod tests {
             .collect();
         assert_eq!(per_design, vec![3, 0, 0, 0]);
 
-        // Per-design engines pay the pool (and scratches) once per design.
-        let mut spawns = 0u64;
+        // Per-design engines construct every scratch again for each design.
         for d in &designs {
-            let mut solo = Engine::new(cfg(3));
-            solo.run_one(d, &RunSpec::default()).expect("solo run");
-            spawns += solo.diag().pool_spawns;
+            let out = Engine::new(cfg(3))
+                .run_one(d, &RunSpec::default())
+                .expect("solo run");
+            assert_eq!(out.stats.mgl.perf.scratch.created, 3);
         }
-        assert_eq!(spawns, 4);
     }
 
     #[test]
-    fn mgl_less_stage_lists_spawn_no_pool() {
+    fn stage_two_runs_on_the_job_share() {
+        // Stage 2 on, with δ₀ small enough that both cell-type groups of
+        // every design need a matching.
+        let matching = |threads: usize| {
+            let mut c = cfg(threads);
+            c.max_disp_matching = true;
+            c.delta0_rows = 0.5;
+            c
+        };
+        // Two designs at 2 threads: two runners and no helpers, so each
+        // job solves its matchings on its runner alone — not on every
+        // thread of the engine.
         let designs = batch_designs(2);
-        let mut s1 = cfg(4);
-        s1.max_disp_matching = false;
-        s1.fixed_order_refine = false;
-        let placed: Vec<Design> = Engine::new(s1)
-            .run(&designs, &RunSpec::default())
-            .into_iter()
-            .map(|r| r.expect("stage 1").design)
-            .collect();
-        let mut engine = Engine::new(cfg(4));
-        engine
-            .run_one(&placed[0], &RunSpec::stages(&POST_PIPELINE))
-            .expect("refine");
-        let mut c = cfg(4);
-        c.max_inflight_designs = 1;
-        let mut throttled = Engine::new(c);
-        for r in throttled.run(&placed, &RunSpec::stages(&POST_PIPELINE)) {
-            r.expect("refine");
+        let mut engine = Engine::new(matching(2));
+        for out in batch(&mut engine, &designs) {
+            let groups = out.stats.obs.span(SpanKind::MatchingGroup);
+            if mcl_obs::compiled() {
+                assert!(groups.count > 1, "{groups:?}");
+            }
+            assert_eq!(groups.threads & !1, 0, "{groups:?}");
         }
-        for e in [&engine, &throttled] {
-            assert_eq!(e.diag().pool_spawns, 0, "post-only run spawned a pool");
-            assert_eq!(e.diag().worker_spawns, 0);
+        // A lone job at 4 threads gets the three leftover threads as
+        // helpers, and its matchings spread over them.
+        let mut engine = Engine::new(matching(4));
+        let out = engine
+            .run_one(&designs[0], &RunSpec::default())
+            .expect("lone job");
+        assert_eq!(engine.diag().helpers, 3);
+        let groups = out.stats.obs.span(SpanKind::MatchingGroup);
+        assert!(groups.threads < 1 << 4, "{groups:?}");
+        if mcl_obs::compiled() {
+            assert!(groups.threads & !1 != 0, "{groups:?}");
         }
-        // An MGL stage list at the same width does spawn one.
-        engine
-            .run_one(&designs[0], &RunSpec::stages(&[&MglStage]))
-            .expect("mgl");
-        assert_eq!(engine.diag().pool_spawns, 1);
     }
 
     /// Positions and stats of every streamed result, by ticket.
@@ -694,10 +654,12 @@ mod tests {
     #[test]
     fn stream_admission_is_bounded_by_the_runner_count() {
         // A source of unknown length gets min(max_inflight, threads)
-        // runners and the rest of the threads as pool workers; at no pull
+        // runners and the rest of the threads as their helpers; at no pull
         // are more than that many jobs claimed and unreported. The jobs own
-        // their designs, which therefore run inline on their runners.
-        let designs = batch_designs(5);
+        // their designs, which fan out onto the helpers all the same. The
+        // designs run enough rounds that a helper gets to claim a window
+        // even when a busy machine wakes it late.
+        let designs = sized_designs(5, 800);
         for inflight in [1usize, 2] {
             let mut c = cfg(3);
             c.max_inflight_designs = inflight;
@@ -723,8 +685,21 @@ mod tests {
             });
             let diag = engine.diag();
             assert_eq!(diag.runner_spawns, inflight as u64 - 1);
-            assert_eq!(diag.worker_spawns, 3 - inflight as u64);
+            assert_eq!(diag.helpers, 3 - inflight as u64);
             assert_eq!(diag.runs, 5);
+            if inflight == 1 && mcl_obs::compiled() {
+                // Owned designs fan out too: the lone runner's two helpers
+                // (thread ids 1 and 2) evaluated windows.
+                let threads = results
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .flatten()
+                    .fold(0u64, |m, (_, s)| {
+                        m | s.obs.span(SpanKind::InsertionEval).threads
+                    });
+                assert!(threads & !1 != 0, "no helper evaluated a window");
+            }
             assert_matches_solo(3, &designs, results);
         }
     }

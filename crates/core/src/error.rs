@@ -93,11 +93,10 @@ pub enum LegalizeError {
         /// Message of the last failure.
         message: String,
     },
-    /// The worker pool broke (a worker hung up mid-protocol); the pooled
-    /// MGL round loop cannot continue and the inline (`"serial"`) rung
-    /// takes over.
+    /// An MGL helper stopped answering (or died) mid-stage; the round loop
+    /// cannot continue and the inline (`"serial"`) rung takes over.
     PoolBroken {
-        /// What the coordinator was doing when the pool went away.
+        /// What the runner was doing when the helper went away.
         during: &'static str,
     },
     /// A degraded (or repaired) result failed the clean-room legality
@@ -179,7 +178,7 @@ impl fmt::Display for LegalizeError {
                 "cell {cell} quarantined in {stage} after {retries} retries: {message}"
             ),
             LegalizeError::PoolBroken { during } => {
-                write!(f, "worker pool broke during {during}")
+                write!(f, "MGL helpers broke during {during}")
             }
             LegalizeError::AuditFailed { stage, violations } => write!(
                 f,
@@ -213,7 +212,7 @@ pub struct FailureRecord {
 pub struct Degradation {
     /// Stage the rung applies to.
     pub stage: &'static str,
-    /// The rung taken: `"serial"` (MGL reran inline, off the shared pool;
+    /// The rung taken: `"serial"` (MGL reran inline, without helpers;
     /// its output equals the fault-free run's) or `"skip"` (the stage was
     /// skipped; for maxdisp this is the identity assignment).
     pub rung: &'static str,
@@ -273,7 +272,7 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let e = LegalizeError::PoolBroken { during: "round" };
-        assert_eq!(e.to_string(), "worker pool broke during round");
+        assert_eq!(e.to_string(), "MGL helpers broke during round");
         assert_eq!(FailureClass::Fatal.label(), "fatal");
     }
 }

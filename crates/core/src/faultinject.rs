@@ -22,8 +22,8 @@ pub const PERSISTENT: u32 = u32::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultSite {
-    /// Panic inside the insertion evaluation of one cell (worker or
-    /// coordinator, whichever evaluates it — the outcome is identical).
+    /// Panic inside the insertion evaluation of one cell (runner or
+    /// helper, whichever evaluates it — the outcome is identical).
     MglEval {
         /// Cell id whose evaluation panics.
         cell: u32,

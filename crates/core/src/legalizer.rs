@@ -30,7 +30,7 @@ pub struct LegalizeStats {
     /// emit no entry.
     pub stage_seconds: Vec<StageTiming>,
     /// Contained pipeline-level failures (stage panics, deadline misses,
-    /// pool breakage) recorded by the driver. Per-cell MGL failures live in
+    /// broken MGL helpers) recorded by the driver. Per-cell MGL failures live in
     /// [`MglStats::failures`]; [`Self::failure_rows`] chains both.
     pub failures: Vec<FailureRecord>,
     /// Degradation-ladder rungs taken by the driver, in order (DESIGN.md
@@ -102,7 +102,8 @@ impl PartialEq for LegalizeStats {
 /// histogram of the returned stats (observability stratum, never golden).
 pub struct EcoSession {
     design: Design,
-    config: LegalizerConfig,
+    /// Runs every delta, so its scratches are built once per session.
+    engine: Engine,
     cert: mcl_audit::BandCert,
 }
 
@@ -126,7 +127,7 @@ impl EcoSession {
         let cert = mcl_audit::BandCert::build(&design);
         Ok(Self {
             design,
-            config,
+            engine: Engine::new(config),
             cert,
         })
     }
@@ -183,7 +184,7 @@ impl EcoSession {
 
     /// The session configuration (with `eco_delta` on).
     pub fn config(&self) -> &LegalizerConfig {
-        &self.config
+        self.engine.config()
     }
 
     /// The session's rolling legality certificate: re-certified band-wise
@@ -237,7 +238,7 @@ impl EcoSession {
             design: out,
             mut stats,
             replay,
-        } = Engine::new(self.config.clone()).run_one(&candidate, &RunSpec::eco())?;
+        } = self.engine.run_one(&candidate, &RunSpec::eco())?;
         // Per-delta deadline: the session budget (`stage_budget_secs`)
         // bounds the *whole* delta. Inside the run the same budget drives
         // the pipeline's degradation ladder; if even the degraded result
@@ -247,10 +248,11 @@ impl EcoSession {
         // until after this check. The injected `StageDeadline { stage:
         // "eco_delta" }` site forces expiry deterministically, mirroring
         // the pipeline's stage-boundary probe.
-        let budget = self.config.stage_budget_secs;
+        let config = self.engine.config();
+        let budget = config.stage_budget_secs;
         let expired = budget.is_some_and(|b| sw.elapsed_seconds() > b)
             || crate::faultinject::fires(
-                self.config.faults.as_ref(),
+                config.faults.as_ref(),
                 &self.design.name,
                 &crate::faultinject::FaultSite::StageDeadline { stage: "eco_delta" },
             );
@@ -471,6 +473,24 @@ mod tests {
         relaxed
             .apply_delta(&moves)
             .expect("unbudgeted delta must succeed");
+    }
+
+    #[test]
+    fn session_deltas_reuse_the_engine_scratches() {
+        let d = messy_design(120, 21);
+        let mut cfg = LegalizerConfig::total_displacement();
+        cfg.threads = 2;
+        cfg.clamp_threads_to_hardware = false;
+        let (placed, _) = run(cfg.clone(), &d);
+        let mut session = EcoSession::open(placed, cfg).expect("legal base must open");
+        let mut created = Vec::new();
+        for seed in [5, 6] {
+            let moves = EcoSession::synthesize_delta(session.design(), 8, seed);
+            let (stats, _) = session.apply_delta(&moves).expect("delta");
+            created.push(stats.mgl.perf.scratch.created);
+        }
+        // The runner's and its helper's scratches, built once.
+        assert_eq!(created, vec![2, 0]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! steep region).
 //!
 //! Groups are independent (their position multisets are disjoint), so they
-//! are solved concurrently when [`LegalizerConfig::threads`] allows, and the
-//! results applied in deterministic key order.
+//! are solved concurrently on the job's thread share, and the results
+//! applied in deterministic key order.
 
 use crate::config::LegalizerConfig;
 use crate::state::PlacementState;
@@ -54,14 +54,16 @@ struct GroupJob {
     gps: Vec<Point>,
 }
 
-/// Runs the matching-based maximum-displacement optimization in place.
+/// Runs the matching-based maximum-displacement optimization in place, on
+/// up to [`LegalizerConfig::threads`] threads.
 pub fn optimize_max_disp(state: &mut PlacementState<'_>, config: &LegalizerConfig) -> MaxDispStats {
     let mut obs = Meter::new();
-    optimize_max_disp_metered(state, config, &mut obs, None)
+    optimize_max_disp_metered(state, config, config.threads, &mut obs, None)
 }
 
-/// [`optimize_max_disp`] that records group spans, matching counters and
-/// the group-size histogram into `obs`.
+/// [`optimize_max_disp`] on up to `threads` threads (an engine job's
+/// share) that records group spans, matching counters and the group-size
+/// histogram into `obs`.
 ///
 /// With `delta` set (ECO delta mode), grouping is restricted to closure
 /// members: clean groups are never visited and clean cells of a dirty
@@ -70,6 +72,7 @@ pub fn optimize_max_disp(state: &mut PlacementState<'_>, config: &LegalizerConfi
 pub fn optimize_max_disp_metered(
     state: &mut PlacementState<'_>,
     config: &LegalizerConfig,
+    threads: usize,
     obs: &mut Meter,
     delta: Option<&crate::dirty::DirtyClosure>,
 ) -> MaxDispStats {
@@ -141,7 +144,7 @@ pub fn optimize_max_disp_metered(
 
     // Solve (possibly in parallel; groups are disjoint so any schedule gives
     // the same per-group answers).
-    let threads = config.threads.max(1).min(jobs.len().max(1));
+    let threads = threads.max(1).min(jobs.len().max(1));
     let dense_limit = config.matching_dense_limit;
     let results: Vec<Vec<(usize, usize)>> = if threads <= 1 {
         jobs.iter()

@@ -18,10 +18,11 @@ pub struct PerfStats {
     /// Wall-clock nanoseconds spent selecting non-overlapping windows.
     pub select_nanos: u64,
     /// Wall-clock nanoseconds of the evaluate phase (as seen by the
-    /// coordinating thread, i.e. elapsed time, not CPU time).
+    /// runner, i.e. elapsed time, not CPU time).
     pub eval_nanos: u64,
-    /// CPU nanoseconds spent inside insertion evaluation, summed over all
-    /// workers (≥ `eval_nanos` when parallelism is effective).
+    /// CPU nanoseconds spent inside insertion evaluation, summed over the
+    /// runner and its helpers (≥ `eval_nanos` when parallelism is
+    /// effective).
     pub eval_cpu_nanos: u64,
     /// Wall-clock nanoseconds applying winning insertions.
     pub apply_nanos: u64,

@@ -19,7 +19,7 @@
 //! 2. push the named [`StageTiming`],
 //! 3. record the stage span,
 //! 4. fold the stage's [`StageStats`] into [`LegalizeStats`] (MGL also
-//!    merges its worker meters),
+//!    merges its helpers' meters),
 //! 5. record the displacement histogram of the current placement,
 //! 6. run the clean-room audit (`debug_assertions` / `audit` feature).
 
@@ -33,12 +33,11 @@ use crate::legalizer::LegalizeStats;
 use crate::maxdisp::optimize_max_disp_metered;
 use crate::mgl::compute_weights;
 use crate::routability::RoutOracle;
-use crate::scheduler::{drive_rounds, PoolClient};
+use crate::scheduler::drive_rounds;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 
 /// Statistics returned by one stage, folded into [`LegalizeStats`] by the
 /// driver.
@@ -63,9 +62,8 @@ pub struct StageTiming {
 }
 
 /// Everything a stage body may read or mutate. `'d` is the design's
-/// lifetime; `'p` (with `'d: 'p`) is the shared pool's, whose workers
-/// borrow the design for as long as they serve the run.
-pub struct PipelineCtx<'run, 'd: 'p, 'p> {
+/// lifetime.
+pub struct PipelineCtx<'run, 'd> {
     /// The design being legalized.
     pub design: &'d Design,
     /// The working placement.
@@ -76,12 +74,12 @@ pub struct PipelineCtx<'run, 'd: 'p, 'p> {
     pub prep: &'run Prep<'d>,
     /// The run's meter; stage bodies may record directly into it.
     pub obs: &'run mut Meter,
-    /// The shared eval pool the MGL stage fans its rounds out to, with this
-    /// design's run id on it. `None` runs every round inline on the calling
-    /// thread — same rounds, same results.
-    pub pool: Option<(&'run PoolClient<'p>, usize)>,
-    /// Caller-owned insertion scratch, reused across runs by the engine.
-    pub scratch: &'run mut InsertionScratch,
+    /// The job's thread share, one caller-owned insertion scratch per
+    /// thread: the runner's own first, then one per helper. MGL spawns a
+    /// helper per extra scratch and stage 2 solves its matchings on that
+    /// many threads; one scratch runs everything on the calling thread —
+    /// same results. The engine reuses the scratches across runs.
+    pub scratches: &'run mut [InsertionScratch],
     /// ECO delta closure, computed once by the driver before the first
     /// post stage when `config.eco_delta` is on and the state tracks a
     /// dirty epoch. Post stages restrict themselves to its members.
@@ -108,7 +106,7 @@ pub trait Stage: Sync {
     /// rolls the placement back to the pre-stage checkpoint and consults
     /// the degradation ladder. Panics out of a stage body are contained by
     /// the driver and classified the same way.
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_, '_>) -> Result<StageStats, LegalizeError>;
+    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError>;
 }
 
 /// Stage 1: MGL window insertion over the unplaced cells.
@@ -127,8 +125,8 @@ impl Stage for MglStage {
     fn histo(&self) -> HistoKind {
         HistoKind::DispSitesMgl
     }
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_, '_>) -> Result<StageStats, LegalizeError> {
-        let stats = drive_rounds(ctx.state, ctx.config, ctx.prep, ctx.pool, ctx.scratch)?;
+    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError> {
+        let stats = drive_rounds(ctx.state, ctx.config, ctx.prep, ctx.scratches)?;
         Ok(StageStats::Mgl(stats))
     }
 }
@@ -150,9 +148,13 @@ impl Stage for MaxDispStage {
     fn histo(&self) -> HistoKind {
         HistoKind::DispSitesMaxDisp
     }
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_, '_>) -> Result<StageStats, LegalizeError> {
+    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError> {
         Ok(StageStats::MaxDisp(optimize_max_disp_metered(
-            ctx.state, ctx.config, ctx.obs, ctx.delta,
+            ctx.state,
+            ctx.config,
+            ctx.scratches.len(),
+            ctx.obs,
+            ctx.delta,
         )))
     }
 }
@@ -173,7 +175,7 @@ impl Stage for FixedOrderStage {
     fn histo(&self) -> HistoKind {
         HistoKind::DispSitesFixedOrder
     }
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_, '_>) -> Result<StageStats, LegalizeError> {
+    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError> {
         Ok(StageStats::FixedOrder(optimize_fixed_order_metered(
             ctx.state,
             ctx.config,
@@ -245,32 +247,29 @@ pub fn includes_mgl(stages: &[&dyn Stage]) -> bool {
 /// Per-run prepared inputs shared by every stage: displacement weights and
 /// the optional routability oracle. Building one of these (plus the initial
 /// [`PlacementState`]) is all the engine does before handing off to
-/// [`run_stages`]. Both are reference-counted so shared pool workers hold
-/// them for the run's lifetime while the engine builds and drops each
-/// job's `Prep` at claim time.
+/// [`run_stages`]. The engine builds each job's `Prep` at claim time and
+/// drops it when the job finishes.
 pub struct Prep<'d> {
-    /// Per-cell displacement weights. Not an `Arc<[i64]>`: converting would
-    /// copy the vector and free the original, and freeing a block that
-    /// large raises glibc's dynamic mmap threshold, which slowed stage 3 by
-    /// about a quarter at 100k cells.
-    pub weights: Arc<Vec<i64>>,
-    pub(crate) oracle: Option<Arc<RoutOracle<'d>>>,
+    /// Per-cell displacement weights. A plain `Vec`, never an `Arc<[i64]>`:
+    /// converting would copy the vector and free the original, and freeing
+    /// a block that large raises glibc's dynamic mmap threshold, which
+    /// slowed stage 3 by about a quarter at 100k cells.
+    pub weights: Vec<i64>,
+    pub(crate) oracle: Option<RoutOracle<'d>>,
 }
 
 impl<'d> Prep<'d> {
     /// Computes weights and (when configured) the routability oracle.
     pub fn new(design: &'d Design, config: &LegalizerConfig) -> Self {
         Prep {
-            weights: Arc::new(compute_weights(design, config.weights)),
-            oracle: config
-                .routability
-                .then(|| Arc::new(RoutOracle::new(design))),
+            weights: compute_weights(design, config.weights),
+            oracle: config.routability.then(|| RoutOracle::new(design)),
         }
     }
 
     /// The oracle, when routability mode is on.
     pub fn oracle(&self) -> Option<&RoutOracle<'d>> {
-        self.oracle.as_deref()
+        self.oracle.as_ref()
     }
 }
 
@@ -329,15 +328,14 @@ fn audit_stage(_state: &PlacementState<'_>, _design: &Design, _stage: &str) {}
 /// `catch_unwind` so a panic anywhere inside is contained and classified
 /// instead of tearing the process down.
 #[allow(clippy::too_many_arguments)]
-fn run_stage_guarded<'d: 'p, 'p>(
+fn run_stage_guarded<'d>(
     stage: &dyn Stage,
     design: &'d Design,
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
     prep: &Prep<'d>,
     obs: &mut Meter,
-    pool: Option<(&PoolClient<'p>, usize)>,
-    scratch: &mut InsertionScratch,
+    scratches: &mut [InsertionScratch],
     delta: Option<&DirtyClosure>,
 ) -> Result<StageStats, LegalizeError> {
     let name = stage.name();
@@ -359,8 +357,7 @@ fn run_stage_guarded<'d: 'p, 'p>(
             config,
             prep,
             obs,
-            pool,
-            scratch: &mut *scratch,
+            scratches: &mut *scratches,
             delta,
         };
         stage.run(&mut ctx)
@@ -395,8 +392,8 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 
 /// The single pipeline driver behind [`crate::Engine::run`]. Walks
 /// `stages`, skipping disabled ones, applying the module-doc middleware
-/// around each, and finishes with the run-level span. `pool` is the shared
-/// eval pool plus this design's run id on it; `None` runs MGL inline.
+/// around each, and finishes with the run-level span. `scratches` is the
+/// job's thread share ([`PipelineCtx::scratches`]).
 ///
 /// # Fault containment (DESIGN.md §11)
 ///
@@ -405,10 +402,9 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 /// partial mutation ever escapes a failed stage — and the declared
 /// degradation ladder decides what happens next:
 ///
-/// - `mgl`: retry once inline, off the pool (rung `"serial"`: no replicas,
-///   bounded memory). MGL output does not depend on the pool, so the rung
-///   reproduces the fault-free placement; if the retry also fails the job
-///   fails.
+/// - `mgl`: retry once inline, without helpers (rung `"serial"`). MGL
+///   output does not depend on the thread count, so the rung reproduces
+///   the fault-free placement; if the retry also fails the job fails.
 /// - `maxdisp` / `fixed_order`: skip the stage (rung `"skip"`), keeping the
 ///   pre-stage assignment.
 ///
@@ -423,14 +419,13 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 /// A [`LegalizeError`] when the ladder is exhausted (the placement is the
 /// caller's seeded state for `mgl` failures) or when a degraded result fails
 /// certification.
-pub fn run_stages<'d: 'p, 'p>(
+pub fn run_stages<'d>(
     design: &'d Design,
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
     stages: &[&dyn Stage],
     prep: &Prep<'d>,
-    pool: Option<(&PoolClient<'p>, usize)>,
-    scratch: &mut InsertionScratch,
+    scratches: &mut [InsertionScratch],
 ) -> Result<LegalizeStats, LegalizeError> {
     let mut stats = LegalizeStats::default();
     let run_sw = Stopwatch::start();
@@ -477,8 +472,8 @@ pub fn run_stages<'d: 'p, 'p>(
                 budget_secs: budget.unwrap_or(0.0),
             };
             stats.failures.push(err.to_record());
-            // MGL still inserts (inline, off the pool); later stages are
-            // skipped, keeping the current assignment.
+            // MGL still inserts (inline, without helpers); later stages
+            // are skipped, keeping the current assignment.
             stats.degradations.push(Degradation {
                 stage: name,
                 rung: if name == "mgl" { "serial" } else { "skip" },
@@ -488,7 +483,12 @@ pub fn run_stages<'d: 'p, 'p>(
                 continue;
             }
         }
-        let stage_pool = if deadline_hit { None } else { pool };
+        let inline = scratches.len().min(1);
+        let share = if deadline_hit {
+            inline
+        } else {
+            scratches.len()
+        };
         let t = Stopwatch::start();
         // Checkpoint so a failed stage can never leak partial mutation.
         let checkpoint = state.clone();
@@ -499,21 +499,13 @@ pub fn run_stages<'d: 'p, 'p>(
             config,
             prep,
             &mut stats.obs,
-            stage_pool,
-            scratch,
+            &mut scratches[..share],
             delta.as_ref(),
         );
         let folded = match first {
             Ok(s) => s,
             Err(e) => {
                 *state = checkpoint.clone();
-                // The shared pool may hold in-flight rounds from the failed
-                // attempt; cancel this design's run so the workers drop its
-                // replica and its stale traffic dies in the abandoned reply
-                // channels. Batch peers on the same pool are untouched.
-                if let Some((client, run)) = stage_pool {
-                    let _ = client.cancel_run(run);
-                }
                 if e.class() == FailureClass::Fatal {
                     return Err(e);
                 }
@@ -541,8 +533,7 @@ pub fn run_stages<'d: 'p, 'p>(
                     config,
                     prep,
                     &mut stats.obs,
-                    None,
-                    scratch,
+                    &mut scratches[..inline],
                     delta.as_ref(),
                 ) {
                     Ok(s) => {

@@ -13,30 +13,22 @@
 //!
 //! ## Execution model
 //!
-//! Workers live in an [`EvalPool`]: OS threads spawned once and shared by
-//! **any number of concurrent runs** — every message is tagged with a run
-//! id, so eval jobs from multiple in-flight designs interleave on the same
-//! workers (the [`crate::engine::Engine`] drives a whole batch of designs
-//! through one pool, and a single design is a batch of one). Each run
-//! starts with a `Begin` message carrying a full replica of the placement
-//! state, which the worker keeps in lockstep by
-//! replaying the applied insertions broadcast after every round — so
-//! evaluation needs no locks at all. Jobs are pulled from a per-round
-//! atomic cursor (work stealing), which keeps all workers busy even when
-//! one window is much more expensive than the rest; the run's coordinator
-//! steals jobs too, and a worker that drains one design's round
-//! immediately serves whichever design publishes next (work conservation —
-//! no worker idles while any in-flight design has runnable jobs). Results
-//! travel on per-run reply channels keyed by job index, making each
-//! design's apply order independent of which worker produced each result
-//! and of what the other designs are doing. An `End` message closes a run:
-//! the worker drops that replica, reports its counters, and keeps serving
-//! the other runs.
+//! A run's parallelism is its own. `drive_rounds` gets one scratch per
+//! thread of its job's share (DESIGN.md §12) and, for the whole stage,
+//! spawns one helper thread per scratch past the first inside a
+//! `std::thread::scope`. Each round the runner publishes the selected jobs;
+//! the runner and its helpers claim them from one atomic cursor (work
+//! stealing, so one expensive window does not stall the rest) and evaluate
+//! them against the one `PlacementState`, which sits behind an `RwLock`:
+//! shared while a round is evaluated, exclusive to the runner while it
+//! applies the results in selection order. Results travel back keyed by job
+//! index, so the apply order never depends on which thread evaluated what.
 //!
-//! Determinism is per design: the selected sets, the evaluation inputs and
-//! the application order are all decided by the design's own coordinator
-//! from its own state, so a design's output is bit-identical to its solo
-//! run for any thread count and any batch composition.
+//! The stage cannot hang on a failure. The runner closes the hand-off when
+//! it leaves the round loop, on unwind too, so helpers blocked on the next
+//! round exit before the scope joins them; a helper that stops answering
+//! costs the runner at most `HELPER_WAIT` (one minute) before
+//! [`LegalizeError::PoolBroken`].
 //!
 //! Window-overlap selection uses a [`WindowIndex`] (row-band interval
 //! index) instead of scanning the selected list per pending cell, keeping
@@ -50,40 +42,38 @@ use crate::mgl::{
     apply_insertion_with, cell_order, fallback_scan, record_fallback_reject, window_for, MglStats,
 };
 use crate::pipeline::Prep;
-use crate::routability::RoutOracle;
 use crate::state::PlacementState;
 use crate::winindex::WindowIndex;
 use mcl_db::prelude::*;
 use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// One evaluation job: target cell, expansion level, search window.
 type Job = (CellId, usize, Rect);
 
-/// How long the coordinator waits on a pool channel before declaring the
-/// pool broken. Only reachable on error paths — the happy path never
-/// blocks this long because workers answer every message.
-const POOL_WAIT: Duration = Duration::from_mins(1);
+/// How long the runner waits for a helper's result before declaring the
+/// stage broken. Only reachable on error paths: a helper answers every job
+/// it claims.
+const HELPER_WAIT: Duration = Duration::from_mins(1);
 
 /// Deterministic retries of a failed per-cell insertion evaluation before
-/// the cell is quarantined (DESIGN.md §11). Retries run on the coordinator
-/// in cell order, so the outcome is independent of thread count.
+/// the cell is quarantined (DESIGN.md §11). Retries run on the runner in
+/// cell order, so the outcome is independent of thread count.
 const FAULT_RETRY_BUDGET: u32 = 1;
 
 /// One evaluation outcome: the best insertion (or none), or the message of
-/// a panic the worker contained at its job boundary.
+/// a panic contained at the job boundary.
 type EvalResult = Result<Option<Insertion>, String>;
 
 /// Evaluates one window with panic containment: an injected [`FaultSite::
 /// MglEval`] fault or a real panic inside the evaluator surfaces as
-/// `Err(message)` instead of unwinding into the caller. Shared by workers,
-/// the coordinator's steal loop and the deterministic retry pass, so every
-/// path contains failures identically.
+/// `Err(message)` instead of unwinding into the caller. Shared by the
+/// runner, its helpers and the deterministic retry pass, so every path
+/// contains failures identically.
 pub(crate) fn eval_job(
     state: &PlacementState<'_>,
     cell: CellId,
@@ -102,432 +92,240 @@ pub(crate) fn eval_job(
     .map_err(|p| panic_message(&*p))
 }
 
-/// Everything a worker needs to evaluate windows for one run: its private
-/// state replica, the run's cost-model inputs, and the run's private reply
-/// channels. Sent once per run via [`Msg::Begin`]; the replica is kept in
-/// lockstep via [`Msg::Apply`]. Reply channels are per run so results from
-/// interleaved designs can never mix: a result lands in its own design's
-/// coordinator or (if the run was abandoned) in a closed channel.
-struct RunSetup<'a> {
-    replica: PlacementState<'a>,
-    weights: Arc<Vec<i64>>,
-    oracle: Option<Arc<RoutOracle<'a>>>,
-    reference: crate::config::DisplacementReference,
-    normalize: bool,
-    io_penalty: i64,
-    rail_penalty: i64,
-    faults: Option<Arc<FaultPlan>>,
-    results_tx: mpsc::Sender<(usize, EvalResult)>,
-    report_tx: mpsc::Sender<WorkerReport>,
+/// One round's selected jobs and the cursor every thread claims them from.
+struct Round {
+    jobs: Vec<Job>,
+    next: AtomicUsize,
 }
 
-impl<'a> RunSetup<'a> {
-    fn model(&self) -> CostModel<'_> {
-        CostModel {
-            reference: self.reference,
-            normalize: self.normalize,
-            weights: &self.weights,
-            oracle: self.oracle.as_deref(),
-            io_penalty: self.io_penalty,
-            rail_penalty: self.rail_penalty,
-        }
+impl Round {
+    fn claim(&self) -> Option<(usize, Job)> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        self.jobs.get(i).map(|&job| (i, job))
     }
 }
 
-/// Messages broadcast from a run's coordinator to every pool worker. Every
-/// message carries its run id, so messages from concurrently-driven runs
-/// interleave freely on the same worker channels.
-enum Msg<'a> {
-    /// Start run `run`: adopt its replica and cost model.
-    Begin { run: usize, spec: Box<RunSetup<'a>> },
-    /// Evaluate `run`'s jobs pulled from the shared cursor against that
-    /// run's replica.
-    Round {
-        run: usize,
-        jobs: Arc<Vec<Job>>,
-        cursor: Arc<AtomicUsize>,
-    },
-    /// Replay `run`'s applied insertions to keep its replica in sync.
-    Apply {
-        run: usize,
-        ops: Arc<Vec<(CellId, Insertion)>>,
-    },
-    /// End run `run`: report its per-run counters on its report channel,
-    /// drop its replica, keep serving the other runs.
-    End { run: usize },
+/// The round hand-off: the newest published round, or the stage's end.
+#[derive(Default)]
+struct Slot {
+    /// Rounds published so far; a helper joins each one at most once.
+    published: u64,
+    round: Option<Arc<Round>>,
+    closed: bool,
 }
 
-/// End-of-run report from one worker.
-struct WorkerReport {
-    /// Scratch counters accumulated since the worker's last report. The
-    /// worker's scratch arena is shared by every run it serves, so under
-    /// interleaving these charge to whichever run ends first; sums over a
-    /// batch are exact.
-    scratch: crate::insertion::ScratchStats,
-    eval_nanos: u64,
-    /// Thread-local spans/histograms. Which worker evaluated which window
-    /// depends on the work-stealing race, so per-thread attribution is
-    /// best-effort; the merged aggregate is well-defined regardless because
-    /// meter merging is commutative.
-    obs: Meter,
+/// What a runner shares with its helpers for one MGL stage: the placement
+/// and the round hand-off. Lock poison is recovered everywhere: the runner
+/// is the only writer of either, and a panic there ends the stage before
+/// any helper can claim another job.
+struct Hub<'s, 'd> {
+    design: &'d Design,
+    state: RwLock<&'s mut PlacementState<'d>>,
+    slot: Mutex<Slot>,
+    wake: Condvar,
 }
 
-/// One run's live state inside a worker.
-struct WorkerRun<'a> {
-    spec: Box<RunSetup<'a>>,
-    /// Set when a panic escaped an `Apply` replay or the run's coordinator
-    /// went away: the replica may be half-mutated (or orphaned), so the
-    /// worker sits this run out. Safe — each round's shared cursor lets
-    /// the coordinator and healthy workers drain it regardless of who
-    /// participates.
-    poisoned: bool,
-    eval_nanos: u64,
-    obs: Meter,
-}
-
-/// A persistent pool of evaluation workers shared by any number of
-/// concurrent runs; each worker keeps one replica per active run and
-/// serves whichever run publishes a round next. Workers own their
-/// [`InsertionScratch`] for the pool's whole lifetime, so scratch arenas
-/// warmed by one design are reused by the next.
-pub struct EvalPool<'a> {
-    senders: Vec<mpsc::Sender<Msg<'a>>>,
-    workers: usize,
-    steals: Arc<AtomicU64>,
-}
-
-impl<'a> EvalPool<'a> {
-    /// Spawns `workers` evaluation threads onto `scope`. The pool lives
-    /// until dropped (closing the channels exits the threads once every
-    /// [`PoolClient`] clone is gone too); the scope must outlive it.
-    pub fn spawn<'scope, 'env>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        workers: usize,
-    ) -> EvalPool<'a>
-    where
-        'a: 'scope,
-    {
-        let steals = Arc::new(AtomicU64::new(0));
-        let mut senders: Vec<mpsc::Sender<Msg<'a>>> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = mpsc::channel::<Msg<'a>>();
-            senders.push(tx);
-            let steals = Arc::clone(&steals);
-            scope.spawn(move || {
-                let mut scratch = InsertionScratch::new();
-                let mut runs: Vec<(usize, WorkerRun<'a>)> = Vec::new();
-                // The run this worker last evaluated a job for; claiming a
-                // job from a different run is a cross-design steal.
-                let mut last_run: Option<usize> = None;
-                // Worker thread ids start at 1; 0 is the coordinator.
-                let thread_id = w + 1;
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        Msg::Begin { run, spec } => {
-                            runs.retain(|(id, _)| *id != run);
-                            runs.push((
-                                run,
-                                WorkerRun {
-                                    spec,
-                                    poisoned: false,
-                                    eval_nanos: 0,
-                                    obs: Meter::new(),
-                                },
-                            ));
-                        }
-                        Msg::Round { run, jobs, cursor } => {
-                            let Some((_, wr)) = runs.iter_mut().find(|(id, _)| *id == run) else {
-                                continue;
-                            };
-                            if wr.poisoned {
-                                continue;
-                            }
-                            let WorkerRun {
-                                spec,
-                                poisoned,
-                                eval_nanos,
-                                obs,
-                            } = wr;
-                            let model = spec.model();
-                            let mut claimed = false;
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= jobs.len() {
-                                    break;
-                                }
-                                if !claimed {
-                                    claimed = true;
-                                    if last_run.is_some_and(|p| p != run) {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        // Attributed to the run being served
-                                        // (the stealing beneficiary); lands
-                                        // in its report via `WorkerReport`.
-                                        obs.add(CounterKind::CrossDesignSteals, 1);
-                                    }
-                                    last_run = Some(run);
-                                }
-                                let (cell, _, win) = jobs[i];
-                                let t = Stopwatch::start();
-                                // Panic-safe boundary: a panicking job
-                                // becomes an `Err` result and the worker
-                                // lives on to serve the next job.
-                                let r = eval_job(
-                                    &spec.replica,
-                                    cell,
-                                    win,
-                                    &model,
-                                    &mut scratch,
-                                    spec.faults.as_ref(),
-                                );
-                                let dt = t.elapsed_nanos();
-                                *eval_nanos += dt;
-                                obs.record_span(SpanKind::InsertionEval, dt, thread_id);
-                                obs.observe(HistoKind::InsertionEvalNanos, dt);
-                                if spec.results_tx.send((i, r)).is_err() {
-                                    // This run's coordinator abandoned it;
-                                    // stop serving the run but keep the
-                                    // worker alive for the other runs.
-                                    *poisoned = true;
-                                    break;
-                                }
-                            }
-                        }
-                        Msg::Apply { run, ops } => {
-                            let Some((_, wr)) = runs.iter_mut().find(|(id, _)| *id == run) else {
-                                continue;
-                            };
-                            if wr.poisoned {
-                                continue;
-                            }
-                            let replayed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                for (cell, ins) in ops.iter() {
-                                    // Reuse the worker's scratch for the
-                                    // apply-ordering buffers: replaying a
-                                    // round's ops must not allocate one
-                                    // throwaway scratch per op.
-                                    apply_insertion_with(
-                                        &mut wr.spec.replica,
-                                        *cell,
-                                        ins,
-                                        &mut scratch,
-                                    );
-                                }
-                            }));
-                            if replayed.is_err() {
-                                wr.poisoned = true;
-                            }
-                        }
-                        Msg::End { run } => {
-                            let Some(pos) = runs.iter().position(|(id, _)| *id == run) else {
-                                continue;
-                            };
-                            let (_, wr) = runs.swap_remove(pos);
-                            let report = WorkerReport {
-                                scratch: std::mem::take(&mut scratch.stats),
-                                eval_nanos: wr.eval_nanos,
-                                obs: wr.obs,
-                            };
-                            // A closed report channel means the run was
-                            // cancelled rather than finished; its counters
-                            // are forfeit but the worker lives on.
-                            let _ = wr.spec.report_tx.send(report);
-                        }
-                    }
-                }
-            });
-        }
-        EvalPool {
-            senders,
-            workers,
-            steals,
+impl<'s, 'd> Hub<'s, 'd> {
+    fn new(state: &'s mut PlacementState<'d>) -> Self {
+        Hub {
+            design: state.design(),
+            state: RwLock::new(state),
+            slot: Mutex::default(),
+            wake: Condvar::new(),
         }
     }
 
-    /// Number of worker threads (run coordinators are not counted).
-    pub fn workers(&self) -> usize {
-        self.workers
+    fn update(&self, f: impl FnOnce(&mut Slot)) {
+        f(&mut self.slot.lock().unwrap_or_else(PoisonError::into_inner));
+        self.wake.notify_all();
     }
 
-    /// An owned connection to this pool. Clients are cheap sender clones,
-    /// so each runner thread of a batch can own one and mint run handles
-    /// without borrowing the pool across threads.
-    pub fn client(&self) -> PoolClient<'a> {
-        PoolClient {
-            senders: self.senders.clone(),
-            workers: self.workers,
+    fn publish(&self, round: &Arc<Round>) {
+        self.update(|s| {
+            s.published += 1;
+            s.round = Some(Arc::clone(round));
+        });
+    }
+
+    fn close(&self) {
+        self.update(|s| s.closed = true);
+    }
+
+    /// The next round this helper has not joined yet, or `None` once the
+    /// stage is over.
+    fn next_round(&self, joined: &mut u64) -> Option<Arc<Round>> {
+        let slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = self
+            .wake
+            .wait_while(slot, |s| !s.closed && s.published == *joined)
+            .unwrap_or_else(PoisonError::into_inner);
+        *joined = slot.published;
+        if slot.closed {
+            None
+        } else {
+            slot.round.clone()
         }
     }
 
-    /// Shared counter of cross-design steals: rounds in which a worker
-    /// switched to a different run than it last served. Read it after the
-    /// pool's scope to fold into engine diagnostics.
-    pub fn steal_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.steals)
-    }
-}
-
-/// An owned, cloneable connection to an [`EvalPool`]: the worker message
-/// senders. Run coordinators use it to mint per-run handles; dropping
-/// every client plus the pool closes the worker channels.
-#[derive(Clone)]
-pub struct PoolClient<'a> {
-    senders: Vec<mpsc::Sender<Msg<'a>>>,
-    workers: usize,
-}
-
-impl<'a> PoolClient<'a> {
-    /// Number of worker threads (run coordinators are not counted).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Creates the reply channels for run `run`. The handle is the run's
-    /// private mailbox: results and end-of-run reports from interleaved
-    /// runs can never land here because workers answer on the channels
-    /// carried by each run's own [`RunSetup`].
-    fn run_handle(&self, run: usize) -> RunHandle<'_, 'a> {
-        let (results_tx, results_rx) = mpsc::channel::<(usize, EvalResult)>();
-        let (report_tx, report_rx) = mpsc::channel::<WorkerReport>();
-        RunHandle {
-            run,
-            client: self,
-            results_tx,
-            results_rx,
-            report_tx,
-            report_rx,
-        }
-    }
-
-    /// Tells every worker run `run` is over after its coordinator
-    /// abandoned it mid-protocol (a contained stage panic or a pool
-    /// error): workers drop that run's replica and keep serving the other
-    /// runs; the abandoned run's stale results and reports go to its
-    /// dropped reply channels. Returns `false` when a worker is
-    /// unreachable, in which case the pool must not be reused.
-    pub(crate) fn cancel_run(&self, run: usize) -> bool {
-        let mut ok = true;
-        for tx in &self.senders {
-            ok &= tx.send(Msg::End { run }).is_ok();
-        }
-        ok
-    }
-}
-
-/// One run's connection to the pool: the broadcast senders plus the run's
-/// private reply channels.
-struct RunHandle<'c, 'a> {
-    run: usize,
-    client: &'c PoolClient<'a>,
-    results_tx: mpsc::Sender<(usize, EvalResult)>,
-    results_rx: mpsc::Receiver<(usize, EvalResult)>,
-    report_tx: mpsc::Sender<WorkerReport>,
-    report_rx: mpsc::Receiver<WorkerReport>,
-}
-
-impl<'a> RunHandle<'_, 'a> {
-    fn begin(
+    /// A helper's loop: join each published round, claim its jobs until the
+    /// cursor runs dry, and hand the results to the runner. Returns the
+    /// helper's evaluation CPU time and meter.
+    fn help(
         &self,
-        state: &PlacementState<'a>,
-        config: &LegalizerConfig,
-        prep: &Prep<'a>,
-    ) -> Result<(), LegalizeError> {
-        for tx in &self.client.senders {
-            let spec = Box::new(RunSetup {
-                replica: state.clone(),
-                weights: Arc::clone(&prep.weights),
-                oracle: prep.oracle.clone(),
-                reference: config.reference,
-                normalize: config.normalize_curves,
-                io_penalty: config.io_penalty,
-                rail_penalty: config.rail_penalty,
-                faults: config.faults.clone(),
-                results_tx: self.results_tx.clone(),
-                report_tx: self.report_tx.clone(),
-            });
-            if tx
-                .send(Msg::Begin {
-                    run: self.run,
-                    spec,
-                })
-                .is_err()
+        model: &CostModel<'_>,
+        faults: Option<&Arc<FaultPlan>>,
+        scratch: &mut InsertionScratch,
+        results: &mpsc::Sender<(usize, EvalResult)>,
+        thread: usize,
+    ) -> (u64, Meter) {
+        let (mut eval_nanos, mut obs) = (0u64, Meter::new());
+        let mut joined = 0u64;
+        let mut done = Vec::new();
+        'rounds: while let Some(round) = self.next_round(&mut joined) {
             {
-                return Err(LegalizeError::PoolBroken { during: "begin" });
+                let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
+                while let Some((i, (cell, _, win))) = round.claim() {
+                    let t = Stopwatch::start();
+                    done.push((i, eval_job(&state, cell, win, model, scratch, faults)));
+                    let dt = t.elapsed_nanos();
+                    eval_nanos += dt;
+                    obs.record_span(SpanKind::InsertionEval, dt, thread);
+                    obs.observe(HistoKind::InsertionEvalNanos, dt);
+                }
+            }
+            // Sent once the read guard is gone. The runner needs every
+            // result of the round before it moves on, so batching costs it
+            // nothing.
+            for r in done.drain(..) {
+                if results.send(r).is_err() {
+                    break 'rounds;
+                }
             }
         }
-        Ok(())
+        (eval_nanos, obs)
     }
+}
 
-    fn round(&self, jobs: &Arc<Vec<Job>>, cursor: &Arc<AtomicUsize>) -> Result<(), LegalizeError> {
-        for tx in &self.client.senders {
-            let msg = Msg::Round {
-                run: self.run,
-                jobs: Arc::clone(jobs),
-                cursor: Arc::clone(cursor),
-            };
-            if tx.send(msg).is_err() {
-                return Err(LegalizeError::PoolBroken { during: "round" });
-            }
-        }
-        Ok(())
-    }
+/// Closes the hub when dropped, on unwind too, so no helper stays blocked
+/// on the next round while the scope waits to join it.
+struct CloseOnDrop<'h, 's, 'd>(&'h Hub<'s, 'd>);
 
-    fn apply(&self, ops: Vec<(CellId, Insertion)>) -> Result<(), LegalizeError> {
-        let ops = Arc::new(ops);
-        for tx in &self.client.senders {
-            let msg = Msg::Apply {
-                run: self.run,
-                ops: Arc::clone(&ops),
-            };
-            if tx.send(msg).is_err() {
-                return Err(LegalizeError::PoolBroken { during: "apply" });
-            }
-        }
-        Ok(())
+impl Drop for CloseOnDrop<'_, '_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
+}
 
-    /// Ends the run: every worker reports this run's counters, which are
-    /// folded into `stats`. Reports arrive in worker-finish order, which
-    /// is nondeterministic; scratch and meter merging are commutative, so
-    /// the fold is order-independent.
-    fn finish(&self, stats: &mut MglStats) -> Result<(), LegalizeError> {
-        for tx in &self.client.senders {
-            if tx.send(Msg::End { run: self.run }).is_err() {
-                return Err(LegalizeError::PoolBroken { during: "finish" });
+/// The single MGL driver behind every engine run: the deterministic round
+/// loop, then the fallback scan for cells no window could take.
+/// `scratches` holds one scratch per thread of the job's share, the
+/// runner's own first; a helper is spawned for each of the others, once
+/// for the whole stage. One scratch (or a run with at most one pending
+/// cell) runs every round inline: same rounds, same results. The caller
+/// owns the scratches, so they survive across runs.
+pub(crate) fn drive_rounds(
+    state: &mut PlacementState<'_>,
+    config: &LegalizerConfig,
+    prep: &Prep<'_>,
+    scratches: &mut [InsertionScratch],
+) -> Result<MglStats, LegalizeError> {
+    let Some((main, helpers)) = scratches.split_first_mut() else {
+        return drive_rounds(state, config, prep, &mut [InsertionScratch::new()]);
+    };
+    let t_total = Stopwatch::start();
+    let oracle = prep.oracle();
+    let mut stats = MglStats::default();
+    let backlog: VecDeque<(CellId, usize)> = cell_order(state.design(), config.order)
+        .into_iter()
+        .filter(|&c| state.pos(c).is_none())
+        .map(|c| (c, 0usize))
+        .collect();
+    let model = CostModel {
+        reference: config.reference,
+        normalize: config.normalize_curves,
+        weights: &prep.weights,
+        oracle,
+        io_penalty: config.io_penalty,
+        rail_penalty: config.rail_penalty,
+    };
+    let hub = Hub::new(&mut *state);
+    let fallback_queue = if helpers.is_empty() || backlog.len() <= 1 {
+        window_rounds(&hub, config, &model, backlog, main, None, &mut stats)?
+    } else {
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = helpers
+                .iter_mut()
+                .enumerate()
+                .map(|(k, scratch)| {
+                    let (hub, model, tx) = (&hub, &model, tx.clone());
+                    // Helper thread ids start at 1; 0 is the runner.
+                    scope
+                        .spawn(move || hub.help(model, config.faults.as_ref(), scratch, &tx, k + 1))
+                })
+                .collect();
+            drop(tx);
+            let close = CloseOnDrop(&hub);
+            let queue = window_rounds(&hub, config, &model, backlog, main, Some(&rx), &mut stats);
+            drop(close);
+            for h in handles {
+                let (nanos, obs) = h
+                    .join()
+                    .map_err(|_| LegalizeError::PoolBroken { during: "join" })?;
+                stats.perf.eval_cpu_nanos += nanos;
+                stats.obs.merge(&obs);
             }
-        }
-        for _ in 0..self.client.workers {
-            let report = self
-                .report_rx
-                .recv_timeout(POOL_WAIT)
-                .map_err(|_| LegalizeError::PoolBroken { during: "finish" })?;
-            stats.perf.scratch.merge(&report.scratch);
-            stats.perf.eval_cpu_nanos += report.eval_nanos;
-            stats.obs.merge(&report.obs);
-        }
-        Ok(())
+            queue
+        })?
+    };
+    drop(hub);
+    for s in scratches.iter_mut() {
+        stats.perf.scratch.merge(&std::mem::take(&mut s.stats));
     }
+    crate::mgl::record_scratch_counters(&mut stats.obs, &stats.perf.scratch);
+
+    let t_fb = Stopwatch::start();
+    for cell in fallback_queue {
+        stats.obs.add(CounterKind::FallbackScans, 1);
+        let p = match fallback_scan(state, cell, oracle) {
+            Some(p) => Some(p),
+            None => {
+                stats.obs.add(CounterKind::FallbackScans, 1);
+                fallback_scan(state, cell, None)
+            }
+        };
+        match p {
+            Some(p) => match state.place(cell, p) {
+                Ok(()) => stats.fallbacks += 1,
+                Err(e) => record_fallback_reject(&mut stats, cell, p, &e),
+            },
+            None => stats.failed += 1,
+        }
+    }
+    let fb_nanos = t_fb.elapsed_nanos();
+    stats.perf.fallback_nanos += fb_nanos;
+    if fb_nanos > 0 && stats.fallbacks + stats.failed > 0 {
+        stats.obs.record_span(SpanKind::FallbackScan, fb_nanos, 0);
+    }
+    stats.perf.total_nanos = t_total.elapsed_nanos();
+    Ok(stats)
 }
 
 /// The deterministic round loop: select non-overlapping windows, evaluate
-/// them on the pool behind `pool`'s client (coordinator steals too), apply
-/// in selection order, broadcast the applied ops. This is the single MGL
-/// driver behind every engine run; `pool` carries the run id that tags
-/// this design's messages on the shared workers, and `None` (or a
-/// workerless pool) runs every round inline on the calling thread — same
-/// rounds, same results. The caller owns the pool and the coordinator
-/// scratch, so both survive across runs.
-pub(crate) fn drive_rounds<'d: 'p, 'p>(
-    state: &mut PlacementState<'d>,
+/// them (on the helpers behind `results` too, when there are any), apply
+/// in selection order. Returns the cells left for the fallback scan.
+fn window_rounds(
+    hub: &Hub<'_, '_>,
     config: &LegalizerConfig,
-    prep: &Prep<'d>,
-    pool: Option<(&PoolClient<'p>, usize)>,
-    main_scratch: &mut InsertionScratch,
-) -> Result<MglStats, LegalizeError> {
-    let t_total = Stopwatch::start();
-    let (weights, oracle) = (&prep.weights[..], prep.oracle());
-    let design = state.design();
+    model: &CostModel<'_>,
+    mut backlog: VecDeque<(CellId, usize)>,
+    scratch: &mut InsertionScratch,
+    results_rx: Option<&mpsc::Receiver<(usize, EvalResult)>>,
+    stats: &mut MglStats,
+) -> Result<Vec<CellId>, LegalizeError> {
+    let design = hub.design;
     let capacity = config.window_list_capacity.max(1);
-    let mut stats = MglStats::default();
+    let faults = config.faults.as_ref();
 
     // (cell, expansion level) in processing order, split in two: `carry`
     // holds cells deferred by the previous round (expanded retries first,
@@ -537,34 +335,9 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
     // untouched backlog tail stays where it is instead of being drained
     // into the deferred queue, turning the total selection work from
     // quadratic in the cell count (ruinous at 1M cells) into linear.
-    let mut backlog: VecDeque<(CellId, usize)> = cell_order(design, config.order)
-        .into_iter()
-        .filter(|&c| state.pos(c).is_none())
-        .map(|c| (c, 0usize))
-        .collect();
     let mut carry: VecDeque<(CellId, usize)> = VecDeque::new();
     let mut fallback_queue: Vec<CellId> = Vec::new();
     let mut windex = WindowIndex::new(design.core, design.tech.row_height);
-    // A run with 0 or 1 pending cells never fans out; skip the replica
-    // clones entirely.
-    let handle = match pool {
-        Some((client, run)) if client.workers() > 0 && backlog.len() > 1 => {
-            let h = client.run_handle(run);
-            let replica_src: &PlacementState<'p> = &*state;
-            h.begin(replica_src, config, prep)?;
-            Some(h)
-        }
-        _ => None,
-    };
-
-    let model = CostModel {
-        reference: config.reference,
-        normalize: config.normalize_curves,
-        weights,
-        oracle,
-        io_penalty: config.io_penalty,
-        rail_penalty: config.rail_penalty,
-    };
     // Reused per round; results are slotted by job index. A slot left at
     // `None` after the repair pass marks a quarantined cell.
     let mut results: Vec<Option<EvalResult>> = Vec::new();
@@ -597,87 +370,60 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
             .obs
             .record_span(SpanKind::SchedSelect, select_nanos, 0);
 
-        // Evaluate concurrently against the immutable round-start state:
-        // broadcast the job list, then steal from the shared cursor
-        // alongside the workers until it runs dry, then collect.
+        // Evaluate against the round-start state: publish the round to the
+        // helpers, claim from the shared cursor alongside them until it
+        // runs dry, then collect their results.
         let t_eval = Stopwatch::start();
-        stats.perf.windows_evaluated += selected.len() as u64;
-        stats
-            .obs
-            .add(CounterKind::WindowsEvaluated, selected.len() as u64);
+        let n_jobs = selected.len();
+        stats.perf.windows_evaluated += n_jobs as u64;
+        stats.obs.add(CounterKind::WindowsEvaluated, n_jobs as u64);
         results.clear();
-        results.resize(selected.len(), None);
-        let mut outstanding = 0usize;
-        if let Some(h) = handle.as_ref().filter(|_| selected.len() > 1) {
-            let jobs = Arc::new(selected.clone());
-            let cursor = Arc::new(AtomicUsize::new(0));
-            h.round(&jobs, &cursor)?;
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let t = Stopwatch::start();
-                let r = eval_job(
-                    state,
-                    jobs[i].0,
-                    jobs[i].2,
-                    &model,
-                    main_scratch,
-                    config.faults.as_ref(),
-                );
-                let dt = t.elapsed_nanos();
-                stats.perf.eval_cpu_nanos += dt;
-                stats.obs.record_span(SpanKind::InsertionEval, dt, 0);
-                stats.obs.observe(HistoKind::InsertionEvalNanos, dt);
-                results[i] = Some(r);
-                outstanding += 1;
-            }
-            // Queue-wait: time this coordinator blocks on results its jobs
-            // spent queued or running on the shared workers. One
-            // observation per pooled round, so interleaved batches expose
-            // per-design queue pressure in the report histograms.
+        results.resize(n_jobs, None);
+        let round = Arc::new(Round {
+            jobs: selected,
+            next: AtomicUsize::new(0),
+        });
+        let helpers_rx = results_rx.filter(|_| n_jobs > 1);
+        let state = hub.state.read().unwrap_or_else(PoisonError::into_inner);
+        if helpers_rx.is_some() {
+            hub.publish(&round);
+        }
+        let mut outstanding = n_jobs;
+        while let Some((i, (cell, _, win))) = round.claim() {
+            let t = Stopwatch::start();
+            results[i] = Some(eval_job(&state, cell, win, model, scratch, faults));
+            let dt = t.elapsed_nanos();
+            stats.perf.eval_cpu_nanos += dt;
+            stats.obs.record_span(SpanKind::InsertionEval, dt, 0);
+            stats.obs.observe(HistoKind::InsertionEvalNanos, dt);
+            outstanding -= 1;
+        }
+        if let Some(rx) = helpers_rx {
+            // Queue-wait: time the runner blocks on results its helpers are
+            // still computing. One observation per fanned-out round.
             let t_wait = Stopwatch::start();
-            while outstanding < selected.len() {
-                let (i, r) = h
-                    .results_rx
-                    .recv_timeout(POOL_WAIT)
+            while outstanding > 0 {
+                let (i, r) = rx
+                    .recv_timeout(HELPER_WAIT)
                     .map_err(|_| LegalizeError::PoolBroken { during: "collect" })?;
                 results[i] = Some(r);
-                outstanding += 1;
+                outstanding -= 1;
             }
             stats
                 .obs
                 .observe(HistoKind::SchedQueueWaitNanos, t_wait.elapsed_nanos());
-        } else {
-            for (i, &(cell, _, win)) in selected.iter().enumerate() {
-                let t = Stopwatch::start();
-                let r = eval_job(
-                    state,
-                    cell,
-                    win,
-                    &model,
-                    main_scratch,
-                    config.faults.as_ref(),
-                );
-                let dt = t.elapsed_nanos();
-                stats.perf.eval_cpu_nanos += dt;
-                stats.obs.record_span(SpanKind::InsertionEval, dt, 0);
-                stats.obs.observe(HistoKind::InsertionEvalNanos, dt);
-                results[i] = Some(r);
-            }
         }
         let eval_nanos = t_eval.elapsed_nanos();
         stats.perf.eval_nanos += eval_nanos;
         stats.obs.record_span(SpanKind::SchedEval, eval_nanos, 0);
 
         // Deterministic repair pass: a job whose evaluation panicked (on
-        // any thread) is retried on the coordinator, in job-index order,
-        // against the same round-start state — so the outcome never
-        // depends on which thread hit the panic or on the thread count.
-        // A job that keeps failing past the retry budget quarantines its
-        // cell: the slot reverts to `None` and the cell is left unplaced.
-        for (i, &(cell, _, win)) in selected.iter().enumerate() {
+        // any thread) is retried on the runner, in job-index order, against
+        // the same round-start state — so the outcome never depends on
+        // which thread hit the panic or on the thread count. A job that
+        // keeps failing past the retry budget quarantines its cell: the
+        // slot reverts to `None` and the cell is left unplaced.
+        for (i, &(cell, _, win)) in round.jobs.iter().enumerate() {
             let mut last = match &results[i] {
                 Some(Err(m)) => m.clone(),
                 _ => continue,
@@ -700,14 +446,7 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
                 }
                 attempts += 1;
                 stats.retries += 1;
-                match eval_job(
-                    state,
-                    cell,
-                    win,
-                    &model,
-                    main_scratch,
-                    config.faults.as_ref(),
-                ) {
+                match eval_job(&state, cell, win, model, scratch, faults) {
                     Ok(r) => {
                         results[i] = Some(Ok(r));
                         break;
@@ -716,12 +455,13 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
                 }
             }
         }
+        drop(state);
 
-        // Apply sequentially in selection order; broadcast the applied
-        // ops so replicas stay in lockstep.
+        // Apply sequentially in selection order, with the placement
+        // exclusive to the runner.
         let t_apply = Stopwatch::start();
-        let mut ops: Vec<(CellId, Insertion)> = Vec::new();
-        for (i, (cell, n, win)) in selected.into_iter().enumerate() {
+        let mut state = hub.state.write().unwrap_or_else(PoisonError::into_inner);
+        for (i, &(cell, n, win)) in round.jobs.iter().enumerate() {
             match results[i].take() {
                 // Quarantined by the repair pass: the cell stays unplaced
                 // and takes no further part in the run.
@@ -731,19 +471,15 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
                 Some(Err(_)) => {}
                 Some(Ok(Some(ins))) => {
                     let site = FaultSite::MglApply { cell: cell.0 };
-                    if crate::faultinject::fires(config.faults.as_ref(), &design.name, &site) {
+                    if crate::faultinject::fires(faults, &design.name, &site) {
                         crate::faultinject::injected_panic(&site);
                     }
                     // Pooled apply buffers: the throwaway-scratch variant
                     // would construct (and count) one scratch per applied
                     // cell — at 1M cells that is 1M needless allocations on
-                    // the coordinator's sequential apply path.
-                    apply_insertion_with(state, cell, &ins, main_scratch);
+                    // the runner's sequential apply path.
+                    apply_insertion_with(&mut state, cell, &ins, scratch);
                     stats.placed_in_window += 1;
-                    // Expansions were already counted one-by-one when
-                    // each failed window re-entered expanded (the
-                    // previous `+= n` here double-counted every retry).
-                    ops.push((cell, ins));
                 }
                 Some(Ok(None)) => {
                     // Stop expanding once the window already covers the
@@ -762,9 +498,7 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
                 }
             }
         }
-        if let Some(h) = handle.as_ref().filter(|_| !ops.is_empty()) {
-            h.apply(ops)?;
-        }
+        drop(state);
         let apply_nanos = t_apply.elapsed_nanos();
         stats.perf.apply_nanos += apply_nanos;
         stats.obs.record_span(SpanKind::SchedApply, apply_nanos, 0);
@@ -774,43 +508,7 @@ pub(crate) fn drive_rounds<'d: 'p, 'p>(
         deferred.append(&mut carry);
         carry = deferred;
     }
-
-    // Close the run and fold worker counters into the run stats. The
-    // workers stay alive for the pool's other (possibly concurrent) runs.
-    if let Some(h) = &handle {
-        h.finish(&mut stats)?;
-    }
-    stats
-        .perf
-        .scratch
-        .merge(&std::mem::take(&mut main_scratch.stats));
-    crate::mgl::record_scratch_counters(&mut stats.obs, &stats.perf.scratch);
-
-    let t_fb = Stopwatch::start();
-    for cell in fallback_queue {
-        stats.obs.add(CounterKind::FallbackScans, 1);
-        let p = match fallback_scan(state, cell, oracle) {
-            Some(p) => Some(p),
-            None => {
-                stats.obs.add(CounterKind::FallbackScans, 1);
-                fallback_scan(state, cell, None)
-            }
-        };
-        match p {
-            Some(p) => match state.place(cell, p) {
-                Ok(()) => stats.fallbacks += 1,
-                Err(e) => record_fallback_reject(&mut stats, cell, p, &e),
-            },
-            None => stats.failed += 1,
-        }
-    }
-    let fb_nanos = t_fb.elapsed_nanos();
-    stats.perf.fallback_nanos += fb_nanos;
-    if fb_nanos > 0 && stats.fallbacks + stats.failed > 0 {
-        stats.obs.record_span(SpanKind::FallbackScan, fb_nanos, 0);
-    }
-    stats.perf.total_nanos = t_total.elapsed_nanos();
-    Ok(stats)
+    Ok(fallback_queue)
 }
 
 #[cfg(test)]
@@ -819,16 +517,19 @@ mod tests {
     use crate::config::CellOrder;
     use mcl_db::legal::Checker;
 
-    /// One MGL run on a private pool of `threads - 1` workers (none at one
-    /// thread: every round runs inline).
+    /// One scratch per thread: the runner's plus a helper's for each
+    /// thread past the first.
+    fn scratches(threads: usize) -> Vec<InsertionScratch> {
+        (0..threads.max(1))
+            .map(|_| InsertionScratch::new())
+            .collect()
+    }
+
+    /// One MGL run with `threads - 1` helpers (none at one thread: every
+    /// round runs inline).
     fn run_mgl(state: &mut PlacementState<'_>, config: &LegalizerConfig) -> MglStats {
         let prep = Prep::new(state.design(), config);
-        let mut scratch = InsertionScratch::new();
-        std::thread::scope(|scope| {
-            let pool = EvalPool::spawn(scope, config.threads.saturating_sub(1));
-            let client = pool.client();
-            drive_rounds(state, config, &prep, Some((&client, 0)), &mut scratch).expect("pool run")
-        })
+        drive_rounds(state, config, &prep, &mut scratches(config.threads)).expect("mgl run")
     }
 
     fn dense_design(n_cells: usize, seed: u64) -> Design {
@@ -880,7 +581,7 @@ mod tests {
     fn thread_count_invariance_with_oracle() {
         // The routability oracle feeds penalties and alternate candidate
         // positions into the evaluation; they must be identical whether a
-        // window was evaluated by the coordinator or any worker replica.
+        // window was evaluated by the runner or any of its helpers.
         let mut d = dense_design(140, 4321);
         d.grid = PowerGrid {
             h_layer: 2,
@@ -1021,123 +722,57 @@ mod tests {
         assert!(stats.perf.total_nanos > 0);
         assert!(stats.perf.scratch.regions > 0);
         assert!(stats.perf.scratch.anchors > 0);
-        // Exactly one coordinator scratch and one worker scratch were
-        // constructed for this standalone run.
+        // Exactly the runner's scratch and one helper's were constructed
+        // for this standalone run.
         assert_eq!(stats.perf.scratch.created, 2);
     }
 
     #[test]
-    fn pool_reuse_across_runs_is_bit_identical() {
-        // One pool serving two consecutive runs must produce exactly what
-        // two private pools produce, and the second run must not allocate
-        // new scratches.
+    fn scratch_reuse_across_runs_is_bit_identical() {
+        // One set of scratches serving two consecutive runs must produce
+        // exactly what fresh scratches produce, and the second run must not
+        // construct new ones.
         let d1 = dense_design(120, 42);
         let d2 = dense_design(130, 43);
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 3;
         cfg.clamp_threads_to_hardware = false;
-        let w1 = Prep::new(&d1, &cfg);
-        let w2 = Prep::new(&d2, &cfg);
-
         let solo = |d: &Design| {
             let mut state = PlacementState::new(d);
             let stats = run_mgl(&mut state, &cfg);
             assert_eq!(stats.failed, 0);
             d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
         };
-        let (solo1, solo2) = (solo(&d1), solo(&d2));
-
-        let mut scratch = InsertionScratch::new();
+        let mut shared = scratches(3);
         let mut created = Vec::new();
-        let (pool1, pool2) = std::thread::scope(|scope| {
-            let pool = EvalPool::spawn(scope, 2);
-            let client = pool.client();
-            let mut state1 = PlacementState::new(&d1);
-            let s1 =
-                drive_rounds(&mut state1, &cfg, &w1, Some((&client, 0)), &mut scratch).unwrap();
-            assert_eq!(s1.failed, 0);
-            created.push(s1.perf.scratch.created);
-            let p1: Vec<_> = d1.movable_cells().map(|c| state1.pos(c)).collect();
-            let mut state2 = PlacementState::new(&d2);
-            let s2 =
-                drive_rounds(&mut state2, &cfg, &w2, Some((&client, 1)), &mut scratch).unwrap();
-            assert_eq!(s2.failed, 0);
-            created.push(s2.perf.scratch.created);
-            let p2: Vec<_> = d2.movable_cells().map(|c| state2.pos(c)).collect();
-            (p1, p2)
-        });
-        assert_eq!(solo1, pool1);
-        assert_eq!(solo2, pool2);
-        // First run sees the coordinator + 2 worker scratch constructions;
-        // the second run reuses all three.
+        for d in [&d1, &d2] {
+            let mut state = PlacementState::new(d);
+            let s = drive_rounds(&mut state, &cfg, &Prep::new(d, &cfg), &mut shared).unwrap();
+            assert_eq!(s.failed, 0);
+            created.push(s.perf.scratch.created);
+            let reused: Vec<_> = d.movable_cells().map(|c| state.pos(c)).collect();
+            assert_eq!(solo(d), reused);
+        }
+        // The first run sees the runner's and both helpers' constructions;
+        // the second reuses all three.
         assert_eq!(created, vec![3, 0]);
     }
 
     #[test]
-    fn concurrent_runs_interleave_without_perturbing_each_other() {
-        // Two coordinator threads drive two designs through ONE shared
-        // pool at the same time: eval jobs interleave on the same workers,
-        // yet each design's result must be byte-identical to its solo run.
-        let d1 = dense_design(150, 2025);
-        let d2 = dense_design(160, 4050);
-        let mut cfg = LegalizerConfig::total_displacement();
-        cfg.threads = 3;
-        cfg.clamp_threads_to_hardware = false;
-        let w1 = Prep::new(&d1, &cfg);
-        let w2 = Prep::new(&d2, &cfg);
-
-        let solo = |d: &Design| {
-            let mut state = PlacementState::new(d);
-            let stats = run_mgl(&mut state, &cfg);
-            assert_eq!(stats.failed, 0);
-            d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
-        };
-        let (solo1, solo2) = (solo(&d1), solo(&d2));
-
-        for _ in 0..4 {
-            let (pool1, pool2) = std::thread::scope(|scope| {
-                let pool = EvalPool::spawn(scope, 2);
-                let c1 = pool.client();
-                let c2 = pool.client();
-                // Shadow with references so the `move` closure captures
-                // borrows of the outer data plus ownership of its client.
-                let (d2, w2, cfg2) = (&d2, &w2, &cfg);
-                let runner2 = scope.spawn(move || {
-                    let mut scratch = InsertionScratch::new();
-                    let mut state = PlacementState::new(d2);
-                    let s =
-                        drive_rounds(&mut state, cfg2, w2, Some((&c2, 1)), &mut scratch).unwrap();
-                    assert_eq!(s.failed, 0);
-                    d2.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
-                });
-                let mut scratch = InsertionScratch::new();
-                let mut state = PlacementState::new(&d1);
-                let s = drive_rounds(&mut state, &cfg, &w1, Some((&c1, 0)), &mut scratch).unwrap();
-                assert_eq!(s.failed, 0);
-                let p1: Vec<_> = d1.movable_cells().map(|c| state.pos(c)).collect();
-                (p1, runner2.join().unwrap())
-            });
-            assert_eq!(solo1, pool1);
-            assert_eq!(solo2, pool2);
-        }
-    }
-
-    #[test]
-    fn inline_rounds_match_pooled_rounds() {
-        // `drive_rounds` with no pool must reproduce the pooled scheduler
-        // bit-for-bit (it runs the same rounds inline) — this is what lets
-        // batch runners skip the pool when every thread is a runner.
+    fn inline_rounds_match_helper_rounds() {
+        // `drive_rounds` with one scratch must reproduce the rounds it runs
+        // with helpers bit-for-bit: this is what lets a runner without
+        // helpers skip the hand-off entirely.
         let d = dense_design(140, 909);
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 4;
         cfg.clamp_threads_to_hardware = false;
         let w = Prep::new(&d, &cfg);
-        let pooled = run_with_threads(&d, 4);
-        let mut scratch = InsertionScratch::new();
+        let helped = run_with_threads(&d, 4);
         let mut state = PlacementState::new(&d);
-        let stats = drive_rounds(&mut state, &cfg, &w, None, &mut scratch).unwrap();
+        let stats = drive_rounds(&mut state, &cfg, &w, &mut scratches(1)).unwrap();
         assert_eq!(stats.failed, 0);
         let inline: Vec<_> = d.movable_cells().map(|c| state.pos(c)).collect();
-        assert_eq!(pooled, inline);
+        assert_eq!(helped, inline);
     }
 }

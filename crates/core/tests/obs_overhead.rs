@@ -43,7 +43,7 @@ fn recording_overhead_within_two_percent() {
         return;
     }
     let design = medium_design();
-    // Warm up caches and the worker pool path once.
+    // Warm up caches and the helper path once.
     run_once(&design);
 
     // Interleave off/on pairs and keep the per-mode minimum: minima are

@@ -64,7 +64,7 @@ fn assert_log_invariant_across_thread_counts(d: &Design, spec: &RunSpec) {
 
 #[test]
 fn scheduler_mutation_sequence_invariant_across_thread_counts() {
-    // MGL alone: windows evaluated inline (1 thread) or by worker replicas
+    // MGL alone: windows evaluated inline (1 thread) or with helpers
     // (2, 4 threads) must commit the exact same mutation sequence.
     let d = messy_design(160, 0xC0FFEE);
     assert_log_invariant_across_thread_counts(&d, &RunSpec::stages(&[&MglStage]));

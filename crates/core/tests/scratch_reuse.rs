@@ -1,15 +1,14 @@
 //! Pins the allocation-free steady state of the parallel MGL scheduler:
-//! one coordinator scratch plus one per eval worker, ever, regardless of
-//! how many rounds, expansions, fallbacks or applies a run performs.
+//! one runner scratch plus one per helper, ever, regardless of how many
+//! rounds, expansions, fallbacks or applies a run performs.
 //!
 //! This guards against the regression class where a hot path quietly
 //! constructs a throwaway [`InsertionScratch`] per window or per applied
-//! cell (the coordinator apply loop and the worker Apply-replay both did
-//! exactly that before being routed through `apply_insertion_with` with
-//! pooled scratches). `ScratchStats::created` counts constructions charged
+//! cell (the apply loop once did exactly that before being routed through
+//! `apply_insertion_with` with pooled scratches). `ScratchStats::created` counts constructions charged
 //! to the run: a fresh scratch starts at 1 and taking the stats resets it,
 //! so any per-round or per-cell construction whose stats merge into the
-//! run inflates the total past the pool size.
+//! run inflates the total past the thread count.
 
 use mcl_core::config::LegalizerConfig;
 use mcl_core::pipeline::MglStage;
@@ -59,7 +58,7 @@ fn steady_state_constructs_one_scratch_per_thread() {
             stats.placed_in_window,
             stats.fallbacks
         );
-        // Coordinator + one per worker. A per-round, per-window or
+        // Runner + one per helper. A per-round, per-window or
         // per-apply construction shows up here as O(rounds) or O(cells).
         assert_eq!(
             stats.perf.scratch.created, threads as u64,

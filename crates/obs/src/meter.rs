@@ -134,11 +134,6 @@ pub enum CounterKind {
     SspAugmentations,
     /// Network-simplex pivots.
     SimplexPivots,
-    /// Rounds in which a shared pool worker switched to this design from a
-    /// different one (cross-design work conservation). Attribution follows
-    /// the scheduler's racing, so the value varies run to run — like wall
-    /// times, it is observability, never golden.
-    CrossDesignSteals,
     /// Dirty windows scanned by the ECO delta closure.
     EcoWindowsDirty,
     /// Placed movable cells outside the dirty closure, whose placement
@@ -155,7 +150,7 @@ pub enum CounterKind {
 
 impl CounterKind {
     /// Every kind, in report order.
-    pub const ALL: [CounterKind; 17] = [
+    pub const ALL: [CounterKind; 16] = [
         CounterKind::WindowsEvaluated,
         CounterKind::WindowsExpanded,
         CounterKind::FallbackScans,
@@ -167,7 +162,6 @@ impl CounterKind {
         CounterKind::MatchingCellsMoved,
         CounterKind::SspAugmentations,
         CounterKind::SimplexPivots,
-        CounterKind::CrossDesignSteals,
         CounterKind::EcoWindowsDirty,
         CounterKind::EcoCellsReused,
         CounterKind::ServeJobsAdmitted,
@@ -192,7 +186,6 @@ impl CounterKind {
             CounterKind::MatchingCellsMoved => "maxdisp.cells_moved",
             CounterKind::SspAugmentations => "flow.ssp_augmentations",
             CounterKind::SimplexPivots => "flow.simplex_pivots",
-            CounterKind::CrossDesignSteals => "sched.cross_design_steals",
             CounterKind::EcoWindowsDirty => "eco.windows_dirty",
             CounterKind::EcoCellsReused => "eco.cells_reused",
             CounterKind::ServeJobsAdmitted => "serve.jobs_admitted",
@@ -216,9 +209,9 @@ pub enum HistoKind {
     InsertionEvalNanos,
     /// Stage-2 matching group sizes, cells.
     MatchingGroupCells,
-    /// Per-round wall time the MGL coordinator spent waiting for results
-    /// evaluated by pool workers, nanoseconds. One observation per pooled
-    /// round, so batch schedulers can see per-design queue pressure.
+    /// Per-round wall time an MGL runner spent waiting for results its
+    /// helpers were still computing, nanoseconds. One observation per
+    /// round that fanned out to helpers.
     SchedQueueWaitNanos,
     /// End-to-end latency of one ECO delta (`EcoSession::apply_delta`),
     /// nanoseconds. Wall time: observability, never golden.

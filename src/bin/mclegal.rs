@@ -146,9 +146,9 @@ COMMANDS
              --mode contest|total|mll    configuration (default contest)
              --threads <n>      MGL worker threads
              --max-inflight <n> batch: designs in flight at once (default:
-                                --threads; fewer leaves threads over as
-                                shared eval workers serving all in-flight
-                                designs — results are identical either way)
+                                --threads; fewer splits the leftover threads
+                                among the in-flight designs as MGL helpers —
+                                results are identical either way)
              --stage-budget-secs <f>   per-run wall-clock budget; a stage
                                 starting past it takes its degradation rung
                                 (serial MGL / skip) instead of running
@@ -519,8 +519,8 @@ fn failure_json(f: &JobFailure) -> String {
 
 /// `legalize --batch <dir>`: legalize every Bookshelf bundle found in the
 /// immediate subdirectories of `<dir>` (sorted by name) through one shared
-/// [`Engine`], so the worker pool and coordinator scratch are set up once
-/// and amortized across the whole batch.
+/// [`Engine`], so the per-thread scratches are set up once and amortized
+/// across the whole batch.
 ///
 /// Fault containment: a bundle that fails to parse, fails to seed, or
 /// exhausts its degradation ladder is recorded as a per-job failure row —
@@ -630,13 +630,11 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
         }
     }
     let jobs = results.len() as Dbu;
-    let diag = engine.diag();
     println!(
-        "batch: {succeeded}/{} designs in {secs:.2}s ({:.1} designs/sec, {} in flight, {} cross-design steals)",
+        "batch: {succeeded}/{} designs in {secs:.2}s ({:.1} designs/sec, {} in flight)",
         bundles.len(),
         mclegal::db::geom::dbu_to_f64(jobs) / secs.max(1e-9),
         engine.batch_runners(designs.len()),
-        diag.cross_design_steals
     );
     if !failures.is_empty() {
         return Err(CliError::Infeasible(format!(

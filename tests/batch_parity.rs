@@ -5,9 +5,9 @@
 //! full-width and throttled admission (`max_inflight_designs` 0 and 2) —
 //! each design's output positions, replay log, stats and golden report
 //! must be byte-identical to its solo run (a one-design engine). Throttled admission
-//! at 4 threads leaves shared eval workers serving several in-flight
-//! designs at once, so these runs exercise genuine cross-design
-//! interleaving, not just runner parallelism.
+//! at 4 threads splits the leftover threads among the in-flight designs as
+//! MGL helpers, so these runs exercise runners and helpers side by side,
+//! not just runner parallelism.
 
 use mclegal::core::{build_run_report, Engine, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
@@ -123,8 +123,8 @@ fn shuffled_batches_match_solo_bit_identically() {
     }
 }
 
-/// Duplicate members must each reproduce the solo run: per-design replicas
-/// on the shared pool are keyed by run id, never by design name.
+/// Duplicate members must each reproduce the solo run: every job runs on
+/// its own seed state, never keyed by design name.
 #[test]
 fn duplicate_members_are_independent() {
     let designs = parity_designs(2);

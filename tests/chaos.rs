@@ -19,15 +19,14 @@
 //! 5. **The harness itself is inert** — with `faultinject` compiled in but
 //!    no plan armed, replay logs stay bit-identical across thread counts.
 //! 6. **The `serial` rung is the fault-free algorithm** — MGL rerun inline,
-//!    off the pool, reproduces the fault-free placement at the same thread
-//!    count.
+//!    without helpers, reproduces the fault-free placement at the same
+//!    thread count.
 
 #![cfg(feature = "faultinject")]
 
 use mclegal::audit;
 use mclegal::core::insertion::InsertionScratch;
 use mclegal::core::pipeline::{self, FULL_PIPELINE};
-use mclegal::core::scheduler::EvalPool;
 use mclegal::core::state::PlacementState;
 use mclegal::core::{
     build_run_report, Engine, FailureClass, FaultPlan, FaultSite, LegalizeError, LegalizeStats,
@@ -143,9 +142,9 @@ fn injected_faults_never_claim_full_success() {
 
 /// Invariant 1 (satellite: the no-partial-mutation property test). For any
 /// injected fault site that makes a stage fail terminally, the post-stage
-/// placement state is bit-identical to the pre-stage state: the pooled
-/// MGL attempt commits insertions before the fault fires, and every one of
-/// them must be rolled back.
+/// placement state is bit-identical to the pre-stage state: the MGL
+/// attempt with a helper commits insertions before the fault fires, and
+/// every one of them must be rolled back.
 #[test]
 fn failed_stage_leaves_no_partial_mutation() {
     let d = messy_design(120, 0x5EED);
@@ -162,21 +161,9 @@ fn failed_stage_leaves_no_partial_mutation() {
         let prep = pipeline::Prep::new(&d, &cfg);
         let mut state = PlacementState::new(&d);
         let before: Vec<Option<Point>> = d.cells.iter().map(|_| None).collect();
-        let mut scratch = InsertionScratch::new();
-        // The first attempt runs on a pool, the inline retry without it.
-        let r = std::thread::scope(|scope| {
-            let pool = EvalPool::spawn(scope, 1);
-            let client = pool.client();
-            pipeline::run_stages(
-                &d,
-                &mut state,
-                &cfg,
-                &FULL_PIPELINE,
-                &prep,
-                Some((&client, 0)),
-                &mut scratch,
-            )
-        });
+        // The first attempt runs with one helper, the inline retry without.
+        let mut scratches = [InsertionScratch::new(), InsertionScratch::new()];
+        let r = pipeline::run_stages(&d, &mut state, &cfg, &FULL_PIPELINE, &prep, &mut scratches);
         let err = r.expect_err("persistent fault must exhaust the ladder");
         assert!(
             matches!(err, LegalizeError::StagePanicked { stage: "mgl", .. }),
@@ -234,11 +221,11 @@ fn skip_rung_equals_stage_disabled_and_is_reported() {
 }
 
 /// Invariant 6: every fault that takes the `serial` rung — a one-shot
-/// stage panic, a one-shot panic while committing a cell's insertion on a
-/// mid-round pool run, an expired MGL deadline — is absorbed by rerunning
-/// MGL inline, and the result is byte-identical to the fault-free run at
-/// the same thread count: the rung is the one MGL algorithm, not a second
-/// one. (A pool worker's `MglEval` panic never reaches the rung: the
+/// stage panic, a one-shot panic while committing a cell's insertion in a
+/// mid-round run with helpers, an expired MGL deadline — is absorbed by
+/// rerunning MGL inline, and the result is byte-identical to the fault-free
+/// run at the same thread count: the rung is the one MGL algorithm, not a
+/// second one. (A helper's `MglEval` panic never reaches the rung: the
 /// scheduler's repair pass retries it in place; see the quarantine test.)
 #[test]
 fn serial_rung_reproduces_the_fault_free_run() {
@@ -438,14 +425,13 @@ fn batch_survivors_are_byte_identical_to_goldens() {
     }
 }
 
-/// Invariant 3 under cross-design interleaving: throttled admission
-/// (threads 4, two designs in flight) leaves two shared eval workers
-/// serving both in-flight designs' rounds interleaved on one pool. A fault
-/// injected into one design — including a terminal failure, which cancels
-/// the victim's run on the shared pool mid-flight — must leave every
-/// peer's output byte-identical to the fault-free baseline: replicas and
-/// reply channels are per run, so a dying run takes nothing shared down
-/// with it.
+/// Invariant 3 under throttled admission: threads 4 with two designs in
+/// flight gives each runner one helper, and the runners' jobs interleave.
+/// A fault injected into one design — including a terminal failure, which
+/// unwinds the victim's MGL stage while its helper waits for the next
+/// round — must leave every peer's output byte-identical to the fault-free
+/// baseline: a job's helpers and placement are its own, so a dying run
+/// takes nothing shared down with it.
 #[test]
 fn interleaved_batch_fault_leaves_peers_byte_identical() {
     let designs: Vec<Design> = (0..6)
@@ -469,7 +455,7 @@ fn interleaved_batch_fault_leaves_peers_byte_identical() {
             )
         })
         .collect();
-    assert_eq!(engine.diag().pool_spawns, 1, "interleaved regime expected");
+    assert_eq!(engine.diag().helpers, 2, "one helper per runner expected");
     for victim in [0usize, 2, 5] {
         for terminal in [true, false] {
             let mut faulted = cfg.clone();

@@ -196,9 +196,9 @@ fn batch_continues_past_corrupt_bundle() {
     let text = std::fs::read_to_string(&nodes).unwrap();
     std::fs::write(&nodes, mclegal::core::faultinject::corrupt_text(&text)).unwrap();
 
-    // `--threads 3 --max-inflight 2` pins the interleaved regime: two
-    // runner threads plus one shared eval worker serving both in-flight
-    // designs, so containment is exercised under cross-design scheduling.
+    // `--threads 3 --max-inflight 2` pins the throttled regime: two
+    // runner threads, the first with one MGL helper, so containment is
+    // exercised with designs in flight side by side.
     let reports = dir.join("reports");
     let out = mclegal()
         .args(["legalize", "--batch", batch.to_str().unwrap()])

@@ -114,8 +114,8 @@ fn golden_corpus_reports_match_snapshots() {
 #[test]
 fn engine_batch_matches_individual_goldens() {
     // A batched Engine run over the whole corpus must hit the *same*
-    // snapshots as the per-design runs above: the shared worker pool and
-    // reused scratch are pure setup amortization, never visible in
+    // snapshots as the per-design runs above: runners side by side and
+    // reused scratches are pure setup amortization, never visible in
     // results.
     let lc = corpus_config();
     let designs: Vec<Design> = golden_corpus()
@@ -129,9 +129,9 @@ fn engine_batch_matches_individual_goldens() {
     let mut engine = Engine::new(lc.clone());
     let results = engine.run(&designs, &RunSpec::default());
     assert_eq!(
-        engine.diag().pool_spawns,
+        engine.diag().helpers,
         0,
-        "a batch at least as wide as the thread budget runs all-runner, no pool"
+        "a batch at least as wide as the thread budget runs all-runner, no helpers"
     );
     let mut mismatches = Vec::new();
     for (cfg, result) in golden_corpus().iter().zip(&results) {

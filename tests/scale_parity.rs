@@ -5,7 +5,7 @@
 //!
 //! 1. **Scheduler invariance at 1/2/4 threads.** The MGL stage alone
 //!    commits the exact same mutation sequence whether windows are
-//!    evaluated inline (1 thread) or by worker replicas (2/4). Checked on
+//!    evaluated inline (1 thread) or with helpers (2/4). Checked on
 //!    the replay log, op for op, plus a checked-in digest so any change to
 //!    the decision sequence — not just a cross-thread divergence — is
 //!    caught at review time.
@@ -92,7 +92,7 @@ fn run(d: &Design, n: usize, threads: usize, spec: &RunSpec) -> RunOutput {
 }
 
 /// Invariant 1: the MGL stage's mutation sequence is identical with inline
-/// evaluation (1 thread) and worker replicas (2/4 threads).
+/// evaluation (1 thread) and with helpers (2/4 threads).
 fn check_scheduler_parity(n: usize, expected_digest: u64) {
     let g = scale_design(n);
     let run = |threads: usize| {

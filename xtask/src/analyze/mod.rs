@@ -6,8 +6,8 @@
 //!
 //! * [`taint`]  — determinism taint from the scheduler/stage seed set, plus
 //!   the workspace-wide sanctioned-site rules (clock, float casts, stage
-//!   entry points, pool spawns)
-//! * [`pool`]   — EvalPool protocol invariants (run ids, lock-vs-send)
+//!   entry points)
+//! * [`pool`]   — no lock guard live across a channel send
 //! * [`panics`] — panic-surface audit against the catch_unwind boundaries,
 //!   plus the `unwrap` rule
 //!
@@ -323,34 +323,21 @@ mod tests {
     use super::*;
 
     /// A miniature workspace exercising all three analyses end to end: the
-    /// acceptance mutations (missing run id, hash iteration newly reachable
-    /// from `Stage::run`) must each produce a failing finding.
-    fn mini_workspace(msg_run: bool, hash_iter_reachable: bool) -> Workspace {
-        let begin = if msg_run {
-            "Msg::Begin { run: 1, spec: 2 }"
-        } else {
-            "Msg::Begin { spec: 2 }"
-        };
+    /// acceptance mutation (hash iteration newly reachable from
+    /// `Stage::run`) must produce a failing finding.
+    fn mini_workspace(hash_iter_reachable: bool) -> Workspace {
         let helper_body = if hash_iter_reachable {
             "let m: HashMap<u32, u32> = HashMap::new(); for k in m.keys() { let _ = k; }"
         } else {
             "let v = vec![1, 2]; for k in &v { let _ = k; }"
         };
-        let scheduler = format!(
-            "pub struct EvalPool;\n\
-             enum Msg {{\n\
-                 Begin {{ run: usize, spec: u32 }},\n\
-                 End {{ run: usize }},\n\
-             }}\n\
-             pub fn eval_job() {{\n\
+        let scheduler = "pub fn eval_job() {\n\
                  let _ = std::panic::catch_unwind(|| contained_leaf());\n\
-             }}\n\
-             fn contained_leaf(v: &[u32]) {{ let _ = v.first().unwrap(); }}\n\
-             pub fn drive_rounds(tx: &Sender<Msg>) {{\n\
-                 tx.send({begin}).ok();\n\
-                 tx.send(Msg::End {{ run: 1 }}).ok();\n\
-             }}\n"
-        );
+             }\n\
+             fn contained_leaf(v: &[u32]) { let _ = v.first().unwrap(); }\n\
+             pub fn drive_rounds(tx: &Sender<u32>) {\n\
+                 tx.send(1).ok();\n\
+             }\n";
         let pipeline = format!(
             "pub trait Stage {{ fn run(&self); }}\n\
              pub struct MglStage;\n\
@@ -360,14 +347,14 @@ mod tests {
              fn helper() {{ {helper_body} }}\n"
         );
         Workspace::from_sources(&[
-            ("crates/core/src/scheduler.rs", &scheduler),
+            ("crates/core/src/scheduler.rs", scheduler),
             ("crates/core/src/pipeline.rs", &pipeline),
         ])
     }
 
     #[test]
     fn clean_mini_workspace_has_no_protocol_or_taint_findings() {
-        let report = run_analyses(&mini_workspace(true, false));
+        let report = run_analyses(&mini_workspace(false));
         let non_panic: Vec<_> = report
             .findings
             .iter()
@@ -381,20 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn acceptance_deleting_run_id_fails() {
-        let report = run_analyses(&mini_workspace(false, false));
-        let hits: Vec<_> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "pool-msg-run-id")
-            .collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].path[0].contains("Begin"), "{:?}", hits[0].path);
-    }
-
-    #[test]
     fn acceptance_hash_iteration_reachable_from_stage_run_fails() {
-        let report = run_analyses(&mini_workspace(true, true));
+        let report = run_analyses(&mini_workspace(true));
         let hits: Vec<_> = report
             .findings
             .iter()
@@ -411,7 +386,7 @@ mod tests {
 
     #[test]
     fn findings_are_sorted_and_json_is_stable() {
-        let report = run_analyses(&mini_workspace(false, true));
+        let report = run_analyses(&mini_workspace(true));
         let sorted = report
             .findings
             .windows(2)
@@ -420,7 +395,7 @@ mod tests {
         let actual = finding_counts(&report.findings);
         let json = report_json(&report, &Counts::new(), &actual);
         assert!(json.contains("\"schema\": 1"));
-        assert!(json.contains("\"rule\": \"pool-msg-run-id\""));
+        assert!(json.contains("\"rule\": \"hash-iter\""));
         assert!(json.contains("\"allowlisted\": false"));
         assert!(json.contains("\"summary\""));
         // Emission is deterministic.
@@ -608,22 +583,6 @@ mod tests {
         let masked = "fn f() { let _ = \"drive_rounds(x)\"; }\n\
                       #[cfg(test)]\nmod tests {\n    fn g() { drive_rounds(s, c, w, o, p, scr); }\n}\n";
         assert!(rules("crates/core/src/engine.rs", masked).is_empty());
-    }
-
-    #[test]
-    fn seeded_pool_spawn_is_caught() {
-        let src = "fn f() {\n    let pool = EvalPool::spawn(scope, 3);\n}\n";
-        assert_eq!(
-            rules("crates/core/src/legalizer.rs", src),
-            hits("pool-spawn", &[2])
-        );
-        // The scheduler (defining module) and the engine (batch owner) are
-        // the sanctioned spawn sites; test code is masked like everywhere.
-        assert!(rules("crates/core/src/scheduler.rs", src).is_empty());
-        assert!(rules("crates/core/src/engine.rs", src).is_empty());
-        let in_test =
-            "#[cfg(test)]\nmod tests {\n    fn g() { let _ = EvalPool::spawn(s, 1); }\n}\n";
-        assert!(rules("crates/core/src/pipeline.rs", in_test).is_empty());
     }
 
     #[test]

@@ -1,19 +1,12 @@
-//! Pool-protocol checks: the PR 6 scheduler invariants, enforced statically.
+//! Lock hand-off check: `pool-lock-across-send`.
 //!
-//! 1. `pool-msg-run-id` — every variant of the `EvalPool` message enum
-//!    (`enum Msg` in the file that defines `EvalPool`) must declare a `run`
-//!    field, and every construction `Msg::Variant { … }` workspace-wide must
-//!    populate it. A group containing a top-level `..` is a match pattern or
-//!    struct-update expression and is skipped (patterns cannot omit fields
-//!    silently, and `..base` fills `run` from a complete message).
-//! 2. `pool-lock-across-send` — no lock guard may be live across a channel
-//!    `send`. Checked two ways: a `let g = …lock()…;` binding whose guard
-//!    stays live to the end of its block, and a `…lock()…` temporary whose
-//!    statement continues (chain or `if let`/`match` body). The "may send"
-//!    test is interprocedural: a call into any function from whose body a
-//!    `.send(` is reachable over the call graph counts, so holding a guard
-//!    around a deep driver like `batch_run_one` is flagged even though the
-//!    `send` is four calls down.
+//! No lock guard may be live across a channel `send`. Checked two ways: a
+//! `let g = …lock()…;` binding whose guard stays live to the end of its
+//! block, and a `…lock()…` temporary whose statement continues (chain or
+//! `if let`/`match` body). The "may send" test is interprocedural: a call
+//! into any function from whose body a `.send(` is reachable over the call
+//! graph counts, so holding a guard around a deep driver like
+//! `batch_run_one` is flagged even though the `send` is four calls down.
 
 use std::collections::BTreeSet;
 
@@ -26,196 +19,13 @@ use super::{Finding, Workspace};
 const GUARD_ADAPTERS: &[&str] = &["unwrap", "expect", "unwrap_or_else", "map_err"];
 
 pub fn analyze(ws: &Workspace, graph: &CallGraph) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    msg_run_id(ws, &mut findings);
-    lock_across_send(ws, graph, &mut findings);
-    findings
-}
-
-// ---------------------------------------------------------------------------
-// Rule 1: pool-msg-run-id
-// ---------------------------------------------------------------------------
-
-/// Variant names of `enum Msg` in the file defining `EvalPool`, if present.
-fn msg_variants(ws: &Workspace) -> Option<(usize, Vec<(String, usize, bool)>)> {
-    for (fi, file) in ws.files.iter().enumerate() {
-        let mentions_pool = file_mentions(&file.trees, "EvalPool");
-        if !mentions_pool {
-            continue;
-        }
-        if let Some(body) = find_enum(&file.trees, "Msg") {
-            return Some((fi, variants_of(body)));
-        }
-    }
-    None
-}
-
-fn file_mentions(items: &[Tt], name: &str) -> bool {
-    items.iter().any(|t| match t {
-        Tt::Leaf(l) => l.text == name,
-        Tt::Group(g) => file_mentions(&g.items, name),
-    })
-}
-
-/// Finds `enum <name> … { }` at any nesting level.
-fn find_enum<'a>(items: &'a [Tt], name: &str) -> Option<&'a Group> {
-    let mut i = 0usize;
-    while i < items.len() {
-        if items[i].ident() == Some("enum") && items.get(i + 1).and_then(Tt::ident) == Some(name) {
-            for t in &items[i + 2..] {
-                if let Some(g) = t.group() {
-                    if g.delim == b'{' {
-                        return Some(g);
-                    }
-                }
-                if t.is_punct(b';') {
-                    break;
-                }
-            }
-        }
-        if let Some(g) = items[i].group() {
-            if let Some(found) = find_enum(&g.items, name) {
-                return Some(found);
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// `(variant name, line, declares a run field)` for each variant.
-fn variants_of(body: &Group) -> Vec<(String, usize, bool)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < body.items.len() {
-        let Some(name) = body.items[i].ident() else {
-            i += 1;
-            continue;
-        };
-        // Variant: ident at top level, optionally followed by a fields group,
-        // terminated by `,` or end. Skip attribute contents (`#[…]`).
-        if i >= 1 && body.items[i - 1].is_punct(b'#') {
-            i += 1;
-            continue;
-        }
-        let mut has_run = false;
-        let mut j = i + 1;
-        if let Some(g) = body.items.get(j).and_then(Tt::group) {
-            if g.delim == b'{' {
-                has_run = group_has_run_field(g);
-            }
-            // Tuple variants (`(…)`) cannot carry a named run id: has_run
-            // stays false and the declaration itself is the finding.
-            j += 1;
-        } else {
-            // Unit variant: no fields at all.
-        }
-        out.push((name.to_string(), body.items[i].line(), has_run));
-        // Advance past the separating comma.
-        while j < body.items.len() && !body.items[j].is_punct(b',') {
-            j += 1;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// True when the braced group has a top-level `run` field (start-of-group or
-/// after a comma, i.e. not the value side of `field: run`).
-fn group_has_run_field(g: &Group) -> bool {
-    for (i, t) in g.items.iter().enumerate() {
-        if t.ident() != Some("run") {
-            continue;
-        }
-        let ok_prev = i == 0 || g.items[i - 1].is_punct(b',');
-        if ok_prev {
-            return true;
-        }
-    }
-    false
-}
-
-/// True when the braced group contains a top-level `..` rest/update token.
-fn group_has_dotdot(g: &Group) -> bool {
-    g.items
-        .windows(2)
-        .any(|w| w[0].is_punct(b'.') && w[1].is_punct(b'.'))
-}
-
-fn msg_run_id(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let Some((enum_file, variants)) = msg_variants(ws) else {
-        return;
-    };
-    // (a) Every variant must declare the run field.
-    for (name, line, has_run) in &variants {
-        if !has_run {
-            findings.push(Finding {
-                rule: "pool-msg-run-id".to_string(),
-                file: ws.files[enum_file].rel.clone(),
-                line: *line,
-                excerpt: ws.files[enum_file].excerpt(*line),
-                path: vec![format!("enum Msg variant {name} declares no run field")],
-            });
-        }
-    }
-    // (b) Every construction must populate it.
-    let names: BTreeSet<&str> = variants.iter().map(|(n, _, _)| n.as_str()).collect();
-    for file in &ws.files {
-        scan_constructions(&file.trees, &names, file, findings);
-    }
-}
-
-fn scan_constructions(
-    items: &[Tt],
-    variants: &BTreeSet<&str>,
-    file: &super::SourceFile,
-    findings: &mut Vec<Finding>,
-) {
-    let mut i = 0usize;
-    while i < items.len() {
-        if let Some(g) = items[i].group() {
-            scan_constructions(&g.items, variants, file, findings);
-            i += 1;
-            continue;
-        }
-        // `Msg :: Variant { … }`
-        if items[i].ident() == Some("Msg")
-            && items.get(i + 1).is_some_and(|t| t.is_punct(b':'))
-            && items.get(i + 2).is_some_and(|t| t.is_punct(b':'))
-        {
-            if let Some(v) = items.get(i + 3).and_then(Tt::ident) {
-                if variants.contains(v) {
-                    if let Some(g) = items.get(i + 4).and_then(Tt::group) {
-                        if g.delim == b'{' && !group_has_dotdot(g) && !group_has_run_field(g) {
-                            findings.push(Finding {
-                                rule: "pool-msg-run-id".to_string(),
-                                file: file.rel.clone(),
-                                line: items[i].line(),
-                                excerpt: file.excerpt(items[i].line()),
-                                path: vec![format!("Msg::{v} built without a run id")],
-                            });
-                        }
-                        // Recursion above already visits g's field values.
-                        i += 5;
-                        continue;
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: pool-lock-across-send
-// ---------------------------------------------------------------------------
-
-fn lock_across_send(ws: &Workspace, graph: &CallGraph, findings: &mut Vec<Finding>) {
     let may_send = graph.may_send();
+    let mut findings = Vec::new();
     for f in ws.fns.iter().filter(|f| !f.is_test) {
         let file = &ws.files[f.file];
-        scan_level(&f.body.items, ws, &may_send, f, file, findings);
+        scan_level(&f.body.items, ws, &may_send, f, file, &mut findings);
     }
+    findings
 }
 
 /// True when `span` directly contains a `.send(`/`.try_send(` call.
@@ -453,68 +263,6 @@ mod tests {
         let ws = Workspace::from_sources(files);
         let g = CallGraph::build(&ws.fns);
         analyze(&ws, &g)
-    }
-
-    const POOL_SRC: &str = "struct EvalPool;\n\
-         enum Msg {\n\
-             Begin { run: usize, spec: u32 },\n\
-             End { run: usize },\n\
-         }\n";
-
-    #[test]
-    fn complete_messages_pass() {
-        let f = findings(&[(
-            "crates/core/src/scheduler.rs",
-            &format!(
-                "{POOL_SRC}fn go(tx: &Sender<Msg>) {{\n\
-                     tx.send(Msg::Begin {{ run: 1, spec: 2 }}).ok();\n\
-                     tx.send(Msg::End {{ run: 1 }}).ok();\n\
-                 }}\n"
-            ),
-        )]);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn construction_missing_run_is_flagged() {
-        let f = findings(&[(
-            "crates/core/src/scheduler.rs",
-            &format!(
-                "{POOL_SRC}fn go(tx: &Sender<Msg>) {{\n\
-                     tx.send(Msg::Begin {{ spec: 2 }}).ok();\n\
-                 }}\n"
-            ),
-        )]);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "pool-msg-run-id");
-        assert_eq!(f[0].line, 7);
-    }
-
-    #[test]
-    fn variant_without_run_field_is_flagged() {
-        let f = findings(&[(
-            "crates/core/src/scheduler.rs",
-            "struct EvalPool;\n\
-             enum Msg { Shutdown, Begin { run: usize } }\n",
-        )]);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "pool-msg-run-id");
-    }
-
-    #[test]
-    fn match_patterns_and_update_syntax_are_not_constructions() {
-        let f = findings(&[(
-            "crates/core/src/scheduler.rs",
-            &format!(
-                "{POOL_SRC}fn recv(m: Msg, base: Msg) {{\n\
-                     match m {{\n\
-                         Msg::Begin {{ run, .. }} => {{ let _ = run; }}\n\
-                         Msg::End {{ .. }} => {{}}\n\
-                     }}\n\
-                 }}\n"
-            ),
-        )]);
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

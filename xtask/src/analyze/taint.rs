@@ -6,7 +6,7 @@
 //! conservative call graph, and flags nondeterminism sources:
 //!
 //! * `hash-iter` — iteration over a `HashMap`/`HashSet`, named or straight
-//!   off a constructor (order is randomized per process; replicas would
+//!   off a constructor (order is randomized per process, so runs would
 //!   diverge), in every fn reachable from a seed and every fn of
 //!   `crates/core/src`. This replaces the old hardcoded hot-path file
 //!   list: new hot-path code is covered the moment it becomes reachable,
@@ -15,7 +15,7 @@
 //! * `det-rand` — entropy-seeded RNG construction
 //! * `det-env-read` — environment reads steering reachable behavior
 //!
-//! Four workspace-wide rules pin a capability to its sanctioned sites,
+//! Three workspace-wide rules pin a capability to its sanctioned sites,
 //! reachable or not:
 //!
 //! * `instant-now` — `Instant::now`/`SystemTime::now` calls and
@@ -24,8 +24,6 @@
 //!   helpers document the saturation semantics
 //! * `stage-bypass` — raw stage entry points called outside the pipeline
 //!   and their defining modules (they skip the stage middleware)
-//! * `pool-spawn` — `EvalPool::spawn` outside the scheduler and the engine,
-//!   which owns the one shared pool of a batch
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,10 +55,6 @@ const STAGE_BYPASS_EXEMPT: &[&str] = &[
     "crates/core/src/maxdisp.rs",
     "crates/core/src/fixed_order.rs",
 ];
-
-/// Files allowed to spawn an `EvalPool`: the scheduler that defines it and
-/// the engine that shares one across a batch (DESIGN.md §12).
-const POOL_SPAWN_EXEMPT: &[&str] = &["crates/core/src/engine.rs", "crates/core/src/scheduler.rs"];
 
 /// Every non-test fn under this prefix is in `hash-iter` scope, reachable
 /// or not.
@@ -119,7 +113,6 @@ fn call_rule(c: &CallSite) -> Option<(&'static str, Scope)> {
     };
     Some(match (qual, c.name.as_str()) {
         ("Instant" | "SystemTime", "now") => ("instant-now", Scope::Except(CLOCK_FILES)),
-        ("EvalPool", "spawn") => ("pool-spawn", Scope::Except(POOL_SPAWN_EXEMPT)),
         (_, name) if c.kind != CallKind::Macro && STAGE_BYPASS_FNS.contains(&name) => {
             ("stage-bypass", Scope::Except(STAGE_BYPASS_EXEMPT))
         }

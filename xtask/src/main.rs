@@ -3,7 +3,7 @@
 //! One task, `analyze`: the static-analysis pass (DESIGN.md "Static
 //! analysis architecture"). Token trees, a symbol table and a conservative
 //! call graph feed the determinism-taint and sanctioned-site rules, the
-//! EvalPool protocol checks and the panic-surface audit. Findings ratchet
+//! lock-across-send check and the panic-surface audit. Findings ratchet
 //! against `xtask/analyze-allow.txt`: the pass fails only when a
 //! (rule, file) group exceeds its recorded count, and `--bless`
 //! re-baselines after fixes. `--json` prints the stable JSON report to
