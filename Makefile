@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test fmt clippy analyze tsan audit chaos check bench-json bench-batch bench-scale bench-eco bench-serve tables
+.PHONY: build test fmt clippy analyze tsan audit chaos check bench-json bench-batch bench-scale stage3-gate bench-eco bench-serve tables
 
 build:
 	cargo build --release
@@ -74,6 +74,21 @@ bench-batch:
 # via MCL_SCALE_FLOOR_CPS / MCL_SCALE_MAX_RSS_KB.
 bench-scale:
 	cargo run --release -p mcl-bench --bin scale
+
+# Stage-3 regression gate: on a fixed 100k-cell fenced design, stage 3
+# (fixed_order, the network simplex) must not take longer than stage 1
+# (mgl). The ratio of two stages in one run does not depend on machine
+# speed; a quadratic simplex pushes it past 1 (over 3 before the O(1) tree
+# unlink, about 0.35 after). Artifacts land in STAGE3_DIR.
+STAGE3_DIR ?= target/stage3-gate
+stage3-gate:
+	cargo run --release -q --bin mclegal -- generate --cells 100000 --density 0.55 \
+		--fences 2 --seed 1000 --out $(STAGE3_DIR)/design
+	cargo run --release -q --bin mclegal -- legalize --bookshelf $(STAGE3_DIR)/design \
+		--mode contest --threads 2 --report-json $(STAGE3_DIR)/report.json
+	python3 -c 'import json, sys; s = json.load(open(sys.argv[1]))["stage_seconds"]; \
+		print("fixed_order", s["fixed_order"], "s, mgl", s["mgl"], "s"); \
+		sys.exit(s["fixed_order"] > s["mgl"])' $(STAGE3_DIR)/report.json
 
 # ECO delta-latency bench (DESIGN.md §15): the `eco` section of
 # BENCH_mgl.json — resident-session 64-cell deltas on a 100k-cell base vs

@@ -130,7 +130,12 @@ fn main() {
     let (_full_out, full_stats) = legalize(&cfg, &candidate, &RunSpec::eco());
     let full_ms = t.elapsed_seconds() * 1e3;
     assert_eq!(full_stats.mgl.failed, 0, "full ECO run failed cells");
-    println!("full ECO reference: {full_ms:.2}ms");
+    let stages: Vec<String> = full_stats
+        .stage_seconds
+        .iter()
+        .map(|t| format!("{} {:.2}s", t.name, t.seconds))
+        .collect();
+    println!("full ECO reference: {full_ms:.2}ms ({})", stages.join(", "));
 
     // Resident session: the same-sized deltas through the dirty-window
     // pipeline, certificate splicing included.

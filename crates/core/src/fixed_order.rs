@@ -237,7 +237,14 @@ pub fn optimize_fixed_order_metered(
     let Ok(sol) = NetworkSimplex::new().solve_metered(&g, obs, 0) else {
         return stats;
     };
-    debug_assert_eq!(sol.verify(&g), None, "dual solution failed certification");
+    // The independent auditor re-derives feasibility and complementary
+    // slackness of the dual flow before its potentials become positions.
+    #[cfg(any(debug_assertions, feature = "audit"))]
+    assert_eq!(
+        mcl_audit::certify(&g, &sol).map(|cert| cert.cost),
+        Ok(sol.cost),
+        "stage-3 dual flow failed its optimality certificate"
+    );
     let pi_z = sol.potential[0];
     let xs: Vec<i64> = (0..k).map(|i| sol.potential[1 + i] - pi_z).collect();
 

@@ -121,15 +121,21 @@ pub struct FlowSolution {
 
 impl FlowSolution {
     /// Verifies complementary slackness of this solution against `g`.
-    /// Returns the first violated arc if any (for tests/debugging).
+    /// Returns the first violated arc if any (for tests/debugging); an arc
+    /// whose flow or endpoint potential is missing counts as violated.
     pub fn verify(&self, g: &FlowGraph) -> Option<ArcId> {
         for (i, a) in g.arcs().iter().enumerate() {
-            let f = self.flow[i];
+            let (Some(&f), Some(&pf), Some(&pt)) = (
+                self.flow.get(i),
+                self.potential.get(a.from.0),
+                self.potential.get(a.to.0),
+            ) else {
+                return Some(ArcId(i));
+            };
             if f < 0 || f > a.cap {
                 return Some(ArcId(i));
             }
-            let rc =
-                a.cost as i128 - self.potential[a.from.0] as i128 + self.potential[a.to.0] as i128;
+            let rc = a.cost as i128 - pf as i128 + pt as i128;
             // Optimality: rc > 0 forces flow 0; rc < 0 forces saturation.
             if rc > 0 && f > 0 {
                 return Some(ArcId(i));
@@ -192,6 +198,25 @@ mod tests {
     fn negative_cap_rejected() {
         let mut g = FlowGraph::with_nodes(2);
         g.add_arc(NodeId(0), NodeId(1), -1, 0);
+    }
+
+    #[test]
+    fn verify_flags_a_truncated_solution() {
+        let mut g = FlowGraph::with_nodes(2);
+        g.add_arc(NodeId(0), NodeId(1), 5, 1);
+        g.add_arc(NodeId(1), NodeId(0), 5, 1);
+        let short_flow = FlowSolution {
+            flow: vec![0],
+            potential: vec![0, 0],
+            cost: 0,
+        };
+        assert_eq!(short_flow.verify(&g), Some(ArcId(1)));
+        let short_potential = FlowSolution {
+            flow: vec![0, 0],
+            potential: vec![0],
+            cost: 0,
+        };
+        assert_eq!(short_potential.verify(&g), Some(ArcId(0)));
     }
 
     #[test]

@@ -106,6 +106,7 @@ struct Solver<'a> {
     parent_arc: Vec<usize>, // arc connecting node to parent
     depth: Vec<u32>,
     children: Vec<Vec<usize>>,
+    slot: Vec<usize>, // per node: its index in its parent's `children`
     pi: Vec<i128>,
     max_pivots: usize,
 }
@@ -122,19 +123,25 @@ impl<'a> Solver<'a> {
             .unwrap_or(0);
         let big: i64 = (1 + (n as i128 + 1) * (max_cost + 1)).min(i64::MAX as i128 / 4) as i64;
 
-        let mut arcs: Vec<Arc> = g.arcs().to_vec();
-        let mut flow = vec![0i64; arcs.len()];
-        let mut state = vec![ArcState::Lower; arcs.len()];
-
-        let mut parent = vec![NONE; n + 1];
-        let mut parent_arc = vec![NONE; n + 1];
-        let mut depth = vec![0u32; n + 1];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        let mut pi = vec![0i128; n + 1];
+        let m = g.num_arcs();
+        let mut solver = Self {
+            g,
+            n,
+            flow: vec![0i64; m],
+            state: vec![ArcState::Lower; m],
+            arcs: g.arcs().to_vec(),
+            parent: vec![NONE; n + 1],
+            parent_arc: vec![NONE; n + 1],
+            depth: vec![1u32; n + 1],
+            children: vec![Vec::new(); n + 1],
+            slot: vec![NONE; n + 1],
+            pi: vec![0i128; n + 1],
+            max_pivots,
+        };
+        solver.depth[root] = 0;
 
         // Artificial arcs form the initial spanning tree (star around root).
-        for v in 0..n {
-            let b = g.supplies()[v];
+        for (v, &b) in g.supplies().iter().enumerate() {
             let arc = if b > 0 {
                 Arc {
                     from: NodeId(v),
@@ -150,30 +157,14 @@ impl<'a> Solver<'a> {
                     cost: big,
                 }
             };
-            let aid = arcs.len();
-            arcs.push(arc);
-            flow.push(b.abs());
-            state.push(ArcState::Tree);
-            parent[v] = root;
-            parent_arc[v] = aid;
-            depth[v] = 1;
-            children[root].push(v);
+            solver.link(v, root, solver.arcs.len());
+            solver.arcs.push(arc);
+            solver.flow.push(b.abs());
+            solver.state.push(ArcState::Tree);
             // Tree arc has rc = 0: π(to) = π(from) − cost.
-            pi[v] = if b > 0 { big as i128 } else { -(big as i128) };
+            solver.pi[v] = if b > 0 { big as i128 } else { -(big as i128) };
         }
-        Self {
-            g,
-            n,
-            flow,
-            state,
-            arcs,
-            parent,
-            parent_arc,
-            depth,
-            children,
-            pi,
-            max_pivots,
-        }
+        solver
     }
 
     /// Runs the simplex to optimality; returns the solution and the number
@@ -189,29 +180,31 @@ impl<'a> Solver<'a> {
         };
         let mut cursor = 0usize;
         let mut pivots = 0usize;
-        loop {
-            // First-eligible entering arc with wraparound.
-            let mut entering = NONE;
-            for step in 0..m {
-                let a = (cursor + step) % m;
-                if self.is_eligible(a) {
-                    entering = a;
-                    cursor = (a + 1) % m;
-                    break;
-                }
-            }
-            if entering == NONE {
-                break; // optimal
-            }
+        while let Some(e) = self.entering(&mut cursor) {
             pivots += 1;
             if pivots > budget {
                 return Err(FlowError::IterationLimit);
             }
-            self.pivot(entering)?;
+            self.pivot(e)?;
         }
+        self.finish(pivots)
+    }
 
+    /// First-eligible entering arc, scanning from `cursor` with wraparound;
+    /// `None` at optimality.
+    fn entering(&self, cursor: &mut usize) -> Option<usize> {
+        let m = self.arcs.len();
+        let a = (0..m)
+            .map(|step| (*cursor + step) % m)
+            .find(|&a| self.is_eligible(a))?;
+        *cursor = (a + 1) % m;
+        Some(a)
+    }
+
+    /// Extracts the solution once no arc is eligible.
+    fn finish(self, pivots: usize) -> Result<(FlowSolution, u64), FlowError> {
         // Any remaining flow on artificial arcs means infeasible supplies.
-        for a in self.g.num_arcs()..m {
+        for a in self.g.num_arcs()..self.arcs.len() {
             if self.flow[a] > 0 {
                 return Err(FlowError::Infeasible);
             }
@@ -373,10 +366,7 @@ impl<'a> Solver<'a> {
         self.state[e] = ArcState::Tree;
 
         // Detach subtree rooted at leave_child.
-        let lp = self.parent[leave_child];
-        self.children[lp].retain(|&c| c != leave_child);
-        self.parent[leave_child] = NONE;
-        self.parent_arc[leave_child] = NONE;
+        self.unlink(leave_child);
 
         // Which endpoint of `e` is inside the detached subtree?
         let (ef, et) = (arc.from.0, arc.to.0);
@@ -401,16 +391,11 @@ impl<'a> Solver<'a> {
         for i in (0..path.len() - 1).rev() {
             let hi = path[i + 1]; // current parent
             let lo = path[i];
-            let a = self.parent_arc[lo];
             // Reverse: hi becomes child of lo.
-            self.children[hi].retain(|&c| c != lo);
-            self.children[lo].push(hi);
-            self.parent[hi] = lo;
-            self.parent_arc[hi] = a;
+            let a = self.unlink(lo);
+            self.link(hi, lo, a);
         }
-        self.parent[s] = t;
-        self.parent_arc[s] = e;
-        self.children[t].push(s);
+        self.link(s, t, e);
 
         // Recompute depth and potentials of the re-hung subtree.
         let mut stack = vec![s];
@@ -430,6 +415,28 @@ impl<'a> Solver<'a> {
         Ok(())
     }
 
+    /// Hangs `c` under `p` via tree arc `arc`.
+    fn link(&mut self, c: usize, p: usize, arc: usize) {
+        self.parent[c] = p;
+        self.parent_arc[c] = arc;
+        self.slot[c] = self.children[p].len();
+        self.children[p].push(c);
+    }
+
+    /// Detaches `c` from its parent in O(1) and returns its old parent arc.
+    /// Child order is free to change: only the re-hang DFS reads it, and
+    /// depth and π there depend on parent pointers alone.
+    fn unlink(&mut self, c: usize) -> usize {
+        let p = self.parent[c];
+        let i = self.slot[c];
+        self.children[p].swap_remove(i);
+        if let Some(&moved) = self.children[p].get(i) {
+            self.slot[moved] = i;
+        }
+        self.parent[c] = NONE;
+        std::mem::replace(&mut self.parent_arc[c], NONE)
+    }
+
     fn child_of(&self, tree_arc: usize) -> usize {
         let a = &self.arcs[tree_arc];
         if self.parent_arc[a.from.0] == tree_arc {
@@ -438,6 +445,32 @@ impl<'a> Solver<'a> {
             debug_assert_eq!(self.parent_arc[a.to.0], tree_arc);
             a.to.0
         }
+    }
+
+    /// Asserts the spanning-tree invariants: every node but the root is
+    /// listed exactly once, under its parent and at its `slot`, one level
+    /// below it, via a tree arc joining the two with zero reduced cost.
+    #[cfg(test)]
+    fn check_tree(&self) {
+        let root = self.n;
+        assert_eq!(self.parent[root], NONE);
+        let mut listed = 0;
+        for (p, kids) in self.children.iter().enumerate() {
+            for (i, &c) in kids.iter().enumerate() {
+                assert_eq!(self.parent[c], p, "child {c} listed under {p}");
+                assert_eq!(self.slot[c], i, "slot of {c}");
+                assert_eq!(self.depth[c], self.depth[p] + 1, "depth of {c}");
+                let a = self.parent_arc[c];
+                assert_eq!(self.state[a], ArcState::Tree);
+                let ends = (self.arcs[a].from.0, self.arcs[a].to.0);
+                assert!(ends == (c, p) || ends == (p, c), "arc {a} joins {c}-{p}");
+                assert_eq!(self.rc(a), 0, "tree arc {a} has nonzero rc");
+                listed += 1;
+            }
+        }
+        assert_eq!(listed, root);
+        let tree_arcs = self.state.iter().filter(|&&st| st == ArcState::Tree);
+        assert_eq!(tree_arcs.count(), root);
     }
 
     /// Walks parent pointers; the detached subtree's root has parent `NONE`,
@@ -459,6 +492,7 @@ impl<'a> Solver<'a> {
 mod tests {
     use super::*;
     use crate::graph::INF_CAP;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn solve(g: &FlowGraph) -> FlowSolution {
         NetworkSimplex::new().solve(g).expect("solvable")
@@ -593,6 +627,67 @@ mod tests {
             assert_eq!(span.count, 1);
             assert_eq!(span.thread_ids(), vec![3]);
         }
+    }
+
+    /// Seeded random feasible instance: a bidirectional ring keeps every
+    /// supply routable, extra random arcs make the tree reshape often.
+    fn random_instance(rng: &mut StdRng, n: usize) -> FlowGraph {
+        let mut g = FlowGraph::with_nodes(n);
+        let mut total = 0;
+        for v in 0..n - 1 {
+            let b = rng.gen_range(-6i64..7);
+            g.set_supply(NodeId(v), b);
+            total += b;
+        }
+        g.set_supply(NodeId(n - 1), -total);
+        for v in 0..n {
+            let w = (v + 1) % n;
+            g.add_arc(NodeId(v), NodeId(w), INF_CAP, rng.gen_range(1i64..50));
+            g.add_arc(NodeId(w), NodeId(v), INF_CAP, rng.gen_range(1i64..50));
+        }
+        for _ in 0..3 * n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            g.add_arc(
+                NodeId(u),
+                NodeId(v),
+                rng.gen_range(0i64..15),
+                rng.gen_range(-5i64..40),
+            );
+        }
+        g
+    }
+
+    #[test]
+    fn tree_invariants_hold_after_every_pivot() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut last, mut middle, mut most_left) = (0, 0, 0.0f64);
+        for n in (8..120).step_by(7) {
+            let g = random_instance(&mut rng, n);
+            let mut s = Solver::new(&g, 0);
+            s.check_tree();
+            let (mut cursor, mut pivots, mut left) = (0, 0, 0);
+            while let Some(e) = s.entering(&mut cursor) {
+                let star = s.children[n].clone();
+                s.pivot(e).expect("bounded instance");
+                s.check_tree();
+                pivots += 1;
+                // A pivot detaches at most one child of the root.
+                if let Some(i) = star.iter().position(|&c| s.parent[c] != n) {
+                    left += 1;
+                    if i + 1 == star.len() {
+                        last += 1;
+                    } else {
+                        middle += 1;
+                    }
+                }
+            }
+            most_left = most_left.max(f64::from(left) / n as f64);
+            let (sol, _) = s.finish(pivots).expect("feasible instance");
+            assert!(sol.verify(&g).is_none());
+            assert_eq!(sol.cost, crate::ssp::solve(&g).expect("feasible").cost);
+        }
+        assert!(last > 0 && middle > 0, "last {last}, middle {middle}");
+        assert!(most_left > 0.5, "at most {most_left} of the star left");
     }
 
     #[test]
