@@ -95,7 +95,8 @@ stage3-gate:
 # a from-scratch ECO run of the same mutation (p50/p99 delta ms,
 # windows_dirty, speedup_vs_full). Knobs: MCL_ECO_CELLS, MCL_ECO_DELTA,
 # MCL_ECO_DELTAS, MCL_ECO_THREADS, MCL_ECO_SEED, MCL_ECO_DENSITY_PCT; CI
-# gates via MCL_ECO_MAX_P99_MS / MCL_ECO_MIN_SPEEDUP.
+# gates via MCL_ECO_MAX_P99_MS / MCL_ECO_MIN_SPEEDUP. Always gated: the
+# full reference's maxdisp may take at most 4x its fixed_order.
 bench-eco:
 	cargo run --release -p mcl-bench --bin eco
 

@@ -23,14 +23,22 @@
 //! CI gates: `MCL_ECO_MAX_P99_MS` (ceiling on the delta p99) and
 //! `MCL_ECO_MIN_SPEEDUP` (floor on `speedup_vs_full`) make the binary exit
 //! non-zero on regression, so the `eco-smoke` job needs no JSON
-//! post-processing.
+//! post-processing. One gate is always on: the full reference's `maxdisp`
+//! stage may take at most [`MAX_MAXDISP_OVER_FIXED_ORDER`] times its
+//! `fixed_order` stage.
 
-use mcl_bench::legalize;
+use mcl_bench::{legalize, splice_entry};
 use mcl_core::config::LegalizerConfig;
 use mcl_core::{EcoSession, RunSpec};
 use mcl_gen::{generate, GeneratorConfig};
 use mcl_obs::clock::Stopwatch;
 use mcl_obs::CounterKind;
+
+/// A slower stage 2 slows only the full reference, which raises
+/// `speedup_vs_full`, so the speedup floor cannot catch it; the ratio of
+/// two stages of one run does not depend on machine speed. About 60 when
+/// stage 2 ran successive shortest paths, about 1 on the network simplex.
+const MAX_MAXDISP_OVER_FIXED_ORDER: f64 = 4.0;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -53,25 +61,6 @@ fn eco_config(n: usize, threads: usize) -> LegalizerConfig {
     cfg.max_expansions = env_usize("MCL_ECO_MAX_EXPANSIONS", 3);
     cfg.window_list_capacity = (n / 32).max(64);
     cfg
-}
-
-/// Replaces or appends the top-level `"eco"` entry of `BENCH_mgl.json`.
-/// Same textual contract as the scale bench's splice: writers of this file
-/// emit a fixed layout and each appender owns its own trailing key, so the
-/// splice truncates at an existing `"eco"` key or at the closing brace and
-/// re-appends.
-fn splice_eco_entry(existing: Option<String>, eco_json: &str) -> String {
-    let entry = format!(",\n  \"eco\": {eco_json}\n}}\n");
-    match existing {
-        Some(doc) => {
-            let head = match doc.find(",\n  \"eco\":") {
-                Some(pos) => &doc[..pos],
-                None => doc.trim_end().trim_end_matches('}').trim_end(),
-            };
-            format!("{head}{entry}")
-        }
-        None => format!("{{\n  \"bench\": \"mgl_speedup\"{entry}"),
-    }
 }
 
 /// Index of the `q`-quantile in a sorted sample of `n` (nearest-rank).
@@ -173,10 +162,25 @@ fn main() {
          \"windows_dirty\": {windows_dirty}, \"cells_reused\": {cells_reused},\n    \
          \"full_eco_ms\": {full_ms:.3}, \"speedup_vs_full\": {speedup:.2}}}"
     );
-    let doc = splice_eco_entry(std::fs::read_to_string("BENCH_mgl.json").ok(), &eco_json);
+    let doc = splice_entry(
+        std::fs::read_to_string("BENCH_mgl.json").ok(),
+        "eco",
+        &eco_json,
+    );
     std::fs::write("BENCH_mgl.json", doc).expect("write BENCH_mgl.json");
     println!("[wrote BENCH_mgl.json eco entry]");
 
+    let stage = |name| full_stats.stage_seconds_for(name).unwrap_or(f64::NAN);
+    let (maxdisp_s, fixed_order_s) = (stage("maxdisp"), stage("fixed_order"));
+    assert!(
+        maxdisp_s <= MAX_MAXDISP_OVER_FIXED_ORDER * fixed_order_s,
+        "stage-2 gate violated: full reference maxdisp {maxdisp_s:.2}s > \
+         {MAX_MAXDISP_OVER_FIXED_ORDER}x fixed_order {fixed_order_s:.2}s"
+    );
+    println!(
+        "stage-2 ok: maxdisp {maxdisp_s:.2}s <= {MAX_MAXDISP_OVER_FIXED_ORDER}x fixed_order \
+         {fixed_order_s:.2}s"
+    );
     if let Some(ceiling) = max_p99 {
         assert!(
             p99 <= ceiling,
@@ -195,34 +199,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{quantile_ms, splice_eco_entry};
-
-    #[test]
-    fn splice_appends_when_absent() {
-        let doc =
-            "{\n  \"bench\": \"mgl_speedup\",\n  \"scale\": {\"threads\": 4}\n}\n".to_string();
-        let out = splice_eco_entry(Some(doc), "{\"deltas\": 12}");
-        assert!(
-            out.contains("\"scale\": {\"threads\": 4},\n  \"eco\": {\"deltas\": 12}\n}\n"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn splice_replaces_when_present() {
-        let doc = "{\n  \"cells\": 4000,\n  \"eco\": {\"deltas\": 2}\n}\n".to_string();
-        let out = splice_eco_entry(Some(doc), "{\"deltas\": 8}");
-        assert!(!out.contains("\"deltas\": 2"), "{out}");
-        assert!(out.contains("\"eco\": {\"deltas\": 8}"), "{out}");
-        assert_eq!(out.matches("\"eco\"").count(), 1);
-    }
-
-    #[test]
-    fn splice_creates_document_when_missing() {
-        let out = splice_eco_entry(None, "{}");
-        assert!(out.starts_with("{\n  \"bench\": \"mgl_speedup\","), "{out}");
-        assert!(out.ends_with("}\n"), "{out}");
-    }
+    use super::quantile_ms;
 
     #[test]
     fn nearest_rank_quantiles() {

@@ -16,7 +16,7 @@
 //! RSS) make the binary exit non-zero on regression, so the `scale-smoke`
 //! job needs no JSON post-processing.
 
-use mcl_bench::{legalize, parse_vm_hwm_kb, peak_rss_kb};
+use mcl_bench::{legalize, parse_vm_hwm_kb, peak_rss_kb, splice_entry};
 use mcl_core::config::LegalizerConfig;
 use mcl_core::pipeline::MglStage;
 use mcl_core::RunSpec;
@@ -65,25 +65,6 @@ fn scale_config(n: usize, seed: u64, density: f64) -> GeneratorConfig {
         edge_classes: env_usize("MCL_SCALE_EDGE_CLASSES", defaults.edge_classes),
         rails: env_usize("MCL_SCALE_RAILS", 1) != 0,
         ..defaults
-    }
-}
-
-/// Replaces or appends the top-level `"scale"` entry of `BENCH_mgl.json`.
-/// Both writers of this file emit a fixed layout (the speedup bench writes
-/// the document, this bin always appends `scale` as the last key), so the
-/// splice is textual: truncate at an existing `"scale"` key or at the
-/// closing brace, then re-append.
-fn splice_scale_entry(existing: Option<String>, scale_json: &str) -> String {
-    let entry = format!(",\n  \"scale\": {scale_json}\n}}\n");
-    match existing {
-        Some(doc) => {
-            let head = match doc.find(",\n  \"scale\":") {
-                Some(pos) => &doc[..pos],
-                None => doc.trim_end().trim_end_matches('}').trim_end(),
-            };
-            format!("{head}{entry}")
-        }
-        None => format!("{{\n  \"bench\": \"mgl_speedup\"{entry}"),
     }
 }
 
@@ -190,7 +171,11 @@ fn main() {
     let scale_json = format!(
         "{{\"threads\": {threads}, \"density\": {density}, \"seed\": {seed},\n    \"results\": [\n{rows}\n    ]}}"
     );
-    let doc = splice_scale_entry(std::fs::read_to_string("BENCH_mgl.json").ok(), &scale_json);
+    let doc = splice_entry(
+        std::fs::read_to_string("BENCH_mgl.json").ok(),
+        "scale",
+        &scale_json,
+    );
     std::fs::write("BENCH_mgl.json", doc).expect("write BENCH_mgl.json");
     println!("[wrote BENCH_mgl.json scale entry]");
 
@@ -211,35 +196,4 @@ fn main() {
     }
     // Keep the parser honest even when /proc is absent.
     let _ = parse_vm_hwm_kb("VmHWM: 1 kB");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::splice_scale_entry;
-
-    #[test]
-    fn splice_appends_when_absent() {
-        let doc = "{\n  \"bench\": \"mgl_speedup\",\n  \"cells\": 4000\n}\n".to_string();
-        let out = splice_scale_entry(Some(doc), "{\"threads\": 4}");
-        assert!(
-            out.contains("\"cells\": 4000,\n  \"scale\": {\"threads\": 4}\n}\n"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn splice_replaces_when_present() {
-        let doc = "{\n  \"cells\": 4000,\n  \"scale\": {\"threads\": 2}\n}\n".to_string();
-        let out = splice_scale_entry(Some(doc), "{\"threads\": 8}");
-        assert!(!out.contains("\"threads\": 2"), "{out}");
-        assert!(out.contains("\"scale\": {\"threads\": 8}"), "{out}");
-        assert_eq!(out.matches("\"scale\"").count(), 1);
-    }
-
-    #[test]
-    fn splice_creates_document_when_missing() {
-        let out = splice_scale_entry(None, "{}");
-        assert!(out.starts_with("{\n  \"bench\": \"mgl_speedup\","), "{out}");
-        assert!(out.ends_with("}\n"), "{out}");
-    }
 }

@@ -24,6 +24,7 @@
 //! the binary exit non-zero on regression, so the `serve-smoke` job needs
 //! no JSON post-processing.
 
+use mcl_bench::splice_entry;
 use mcl_core::config::LegalizerConfig;
 use mcl_gen::{generate, GeneratorConfig};
 use mcl_obs::clock::Stopwatch;
@@ -54,24 +55,6 @@ fn serve_engine(n: usize, threads: usize) -> LegalizerConfig {
     cfg.max_expansions = 3;
     cfg.window_list_capacity = (n / 32).max(64);
     cfg
-}
-
-/// Replaces or appends the top-level `"serve"` entry of `BENCH_mgl.json`.
-/// Same textual contract as the eco bench's splice: each appender owns its
-/// own trailing key, truncating at an existing `"serve"` key or at the
-/// closing brace and re-appending.
-fn splice_serve_entry(existing: Option<String>, serve_json: &str) -> String {
-    let entry = format!(",\n  \"serve\": {serve_json}\n}}\n");
-    match existing {
-        Some(doc) => {
-            let head = match doc.find(",\n  \"serve\":") {
-                Some(pos) => &doc[..pos],
-                None => doc.trim_end().trim_end_matches('}').trim_end(),
-            };
-            format!("{head}{entry}")
-        }
-        None => format!("{{\n  \"bench\": \"mgl_speedup\"{entry}"),
-    }
 }
 
 /// Nearest-rank quantile over sorted nanosecond samples; `pct` in 1..=100.
@@ -229,7 +212,11 @@ fn main() {
         jobs_per_sec.join(", "),
         rejected_counts.join(", ")
     );
-    let doc = splice_serve_entry(std::fs::read_to_string("BENCH_mgl.json").ok(), &serve_json);
+    let doc = splice_entry(
+        std::fs::read_to_string("BENCH_mgl.json").ok(),
+        "serve",
+        &serve_json,
+    );
     std::fs::write("BENCH_mgl.json", doc).expect("write BENCH_mgl.json");
     println!("[wrote BENCH_mgl.json serve entry]");
     let _ = std::fs::remove_dir_all(&root);
@@ -246,33 +233,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{quantile_nanos, splice_serve_entry};
-
-    #[test]
-    fn splice_appends_when_absent() {
-        let doc = "{\n  \"bench\": \"mgl_speedup\",\n  \"eco\": {\"deltas\": 12}\n}\n".to_string();
-        let out = splice_serve_entry(Some(doc), "{\"queue_cap\": 8}");
-        assert!(
-            out.contains("\"eco\": {\"deltas\": 12},\n  \"serve\": {\"queue_cap\": 8}\n}\n"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn splice_replaces_when_present() {
-        let doc = "{\n  \"cells\": 4000,\n  \"serve\": {\"queue_cap\": 2}\n}\n".to_string();
-        let out = splice_serve_entry(Some(doc), "{\"queue_cap\": 8}");
-        assert!(!out.contains("\"queue_cap\": 2"), "{out}");
-        assert!(out.contains("\"serve\": {\"queue_cap\": 8}"), "{out}");
-        assert_eq!(out.matches("\"serve\"").count(), 1);
-    }
-
-    #[test]
-    fn splice_creates_document_when_missing() {
-        let out = splice_serve_entry(None, "{}");
-        assert!(out.starts_with("{\n  \"bench\": \"mgl_speedup\","), "{out}");
-        assert!(out.ends_with("}\n"), "{out}");
-    }
+    use super::quantile_nanos;
 
     #[test]
     fn nearest_rank_quantiles_integer_math() {

@@ -123,6 +123,41 @@ pub fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
         .ok()
 }
 
+/// Replaces the value of the top-level `key` of a `BENCH_mgl.json`
+/// document with `json`, or appends `"key": json` as its last entry when
+/// the key is absent. Every other entry keeps its bytes, so the bins that
+/// share the file (`scale`, `eco`, `serve`) can refresh their own entries
+/// in any order. The writers share one layout: `{`, one entry per
+/// top-level key starting on a line that opens with two spaces and a quote
+/// (continuation lines are indented deeper), then `}`. Without a document,
+/// starts one.
+pub fn splice_entry(doc: Option<String>, key: &str, json: &str) -> String {
+    let mut entries: Vec<String> = Vec::new();
+    for line in doc.as_deref().unwrap_or("").lines() {
+        match entries.last_mut() {
+            _ if line.starts_with("  \"") => entries.push(line.to_owned()),
+            Some(entry) if line != "}" => {
+                entry.push('\n');
+                entry.push_str(line);
+            }
+            _ => {}
+        }
+    }
+    if entries.is_empty() {
+        entries.push("  \"bench\": \"mgl_speedup\"".into());
+    }
+    for entry in &mut entries {
+        entry.truncate(entry.trim_end().trim_end_matches(',').len());
+    }
+    let head = format!("  \"{key}\":");
+    let spliced = format!("{head} {json}");
+    match entries.iter_mut().find(|e| e.starts_with(&head)) {
+        Some(entry) => *entry = spliced,
+        None => entries.push(spliced),
+    }
+    format!("{{\n{}\n}}\n", entries.join(",\n"))
+}
+
 /// Mean of `base[i] / ours[i]` — the "Norm. Avg." rows of the paper: the
 /// `ours` column normalizes to 1.00 and a losing baseline reads above 1.
 pub fn norm_avg(base: &[f64], ours: &[f64]) -> f64 {
@@ -174,6 +209,64 @@ mod tests {
     fn scale_default_positive() {
         assert!(scale_from_env() > 0.0);
         assert!(threads_from_env() >= 1);
+    }
+
+    const DOC: &str = "{\n  \"bench\": \"mgl_speedup\",\n  \"results\": [\n    {\"eco\": 1, \"s\": \"},\\\"eco\\\": \"}\n  ],\n  \"scale\": {\"threads\": 4,\n    \"results\": [{\"cells\": 10}]},\n  \"eco\": {\"deltas\": 12},\n  \"serve\": {\"queue_cap\": 8}\n}\n";
+
+    #[test]
+    fn splice_replaces_only_the_named_entry() {
+        let out = splice_entry(Some(DOC.into()), "eco", "{\"deltas\": 8}");
+        assert_eq!(out, DOC.replace("{\"deltas\": 12}", "{\"deltas\": 8}"));
+        // The entry after `eco` survives.
+        assert!(
+            out.contains(",\n  \"serve\": {\"queue_cap\": 8}\n}\n"),
+            "{out}"
+        );
+        let out = splice_entry(Some(DOC.into()), "scale", "{}");
+        assert_eq!(
+            out,
+            DOC.replace(
+                "{\"threads\": 4,\n    \"results\": [{\"cells\": 10}]}",
+                "{}"
+            )
+        );
+        let out = splice_entry(Some(DOC.into()), "serve", "7");
+        assert!(
+            out.ends_with("\"eco\": {\"deltas\": 12},\n  \"serve\": 7\n}\n"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn splice_appends_when_absent() {
+        let doc = "{\n  \"bench\": \"mgl_speedup\",\n  \"cells\": 4000\n}\n".to_string();
+        let out = splice_entry(Some(doc), "eco", "{\"deltas\": 12}");
+        assert_eq!(
+            out,
+            "{\n  \"bench\": \"mgl_speedup\",\n  \"cells\": 4000,\n  \"eco\": {\"deltas\": 12}\n}\n"
+        );
+        // A key nested deeper in another entry is not the top-level one.
+        let out = splice_entry(
+            Some(DOC.replace(",\n  \"eco\": {\"deltas\": 12}", "")),
+            "eco",
+            "2",
+        );
+        assert!(out.contains("{\"eco\": 1, "), "{out}");
+        assert!(
+            out.ends_with("\"serve\": {\"queue_cap\": 8},\n  \"eco\": 2\n}\n"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn splice_creates_document_when_missing() {
+        for doc in [None, Some(String::new()), Some("{}".into())] {
+            let out = splice_entry(doc, "serve", "{}");
+            assert_eq!(
+                out,
+                "{\n  \"bench\": \"mgl_speedup\",\n  \"serve\": {}\n}\n"
+            );
+        }
     }
 
     #[test]

@@ -268,7 +268,7 @@ fn tail_closure(positions: &[Point], gps: &[Point], delta0: Dbu) -> Vec<usize> {
 
 /// Solves one group; returns the non-identity part of the assignment.
 /// Records a `maxdisp.group` span (attributed to `thread`), the group-size
-/// histogram and the underlying flow work into `obs`.
+/// histogram and the matching's simplex pivots into `obs`.
 fn solve_group(
     job: &GroupJob,
     delta0: Dbu,
@@ -277,7 +277,7 @@ fn solve_group(
     thread: usize,
 ) -> Vec<(usize, usize)> {
     let t_group = Stopwatch::start();
-    let out = solve_group_inner(job, delta0, dense_limit, obs, thread);
+    let out = solve_group_inner(job, delta0, dense_limit, obs);
     obs.record_span(SpanKind::MatchingGroup, t_group.elapsed_nanos(), thread);
     obs.observe(HistoKind::MatchingGroupCells, job.cells.len() as u64);
     out
@@ -288,7 +288,6 @@ fn solve_group_inner(
     delta0: Dbu,
     dense_limit: usize,
     obs: &mut Meter,
-    thread: usize,
 ) -> Vec<(usize, usize)> {
     let n = job.cells.len();
     let edges = if n <= dense_limit {
@@ -364,7 +363,7 @@ fn solve_group_inner(
         }
     }
 
-    match min_cost_matching_with_witness_metered(n, job.positions.len(), &edges, obs, thread) {
+    match min_cost_matching_with_witness_metered(n, job.positions.len(), &edges, obs) {
         Some((m, _witness)) => {
             // Every matching applied to the placement carries an optimality
             // certificate: the independent auditor re-derives feasibility and

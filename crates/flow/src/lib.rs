@@ -4,13 +4,15 @@
 //!
 //! - [`NetworkSimplex`]: primal network simplex with the first-eligible
 //!   pivot rule (the solver configuration the paper uses through LEMON).
-//! - [`ssp`]: successive shortest paths, an independent solver used for
-//!   cross-validation and sparse assignment problems.
+//!   The one production solver: stage 2's matchings and stage 3's dual flow.
+//! - [`ssp`]: successive shortest paths, an independent solver kept only as
+//!   the tests' cross-check of the simplex.
 //! - [`matching`]: min-cost bipartite perfect matching.
 //!
-//! Every solver has a `*_metered` variant that records a span and its work
-//! counter (simplex pivots, SSP augmentations) into an [`mcl_obs::Meter`];
-//! the plain entry points record nothing.
+//! The production entry points have a `*_metered` variant that records
+//! their pivots into an [`mcl_obs::Meter`]: stage 3's solve under
+//! `flow.simplex` / `flow.simplex_pivots`, stage 2's matchings under
+//! `maxdisp.simplex_pivots`. The plain entry points record nothing.
 //!
 //! ```
 //! use mcl_flow::{FlowGraph, NodeId, NetworkSimplex};

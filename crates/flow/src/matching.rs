@@ -2,11 +2,12 @@
 //!
 //! Used by the maximum-displacement optimization (stage 2): cells of one
 //! type within one fence region are matched to the multiset of their current
-//! positions under the convex cost `φ` of Eq. 3.
+//! positions under the convex cost `φ` of Eq. 3. Solved with the same
+//! [`NetworkSimplex`] as stage 3.
 
 use crate::graph::{ArcId, FlowGraph, FlowSolution, NodeId};
-use crate::ssp;
-use mcl_obs::Meter;
+use crate::network_simplex::NetworkSimplex;
+use mcl_obs::{CounterKind, Meter};
 
 /// A perfect matching of all left vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,17 +59,17 @@ pub fn min_cost_matching_with_witness(
     edges: &[(usize, usize, i64)],
 ) -> Option<(Matching, MatchingWitness)> {
     let mut meter = Meter::new();
-    min_cost_matching_with_witness_metered(n_left, n_right, edges, &mut meter, 0)
+    min_cost_matching_with_witness_metered(n_left, n_right, edges, &mut meter)
 }
 
-/// [`min_cost_matching_with_witness`] that records the underlying flow
-/// solve (span + augmentation count, attributed to `thread`) into `meter`.
+/// [`min_cost_matching_with_witness`] that adds the simplex pivots to
+/// `meter`'s `maxdisp.simplex_pivots` counter, kept apart from stage 3's
+/// `flow.simplex_pivots`. The caller's group span covers the time.
 pub fn min_cost_matching_with_witness_metered(
     n_left: usize,
     n_right: usize,
     edges: &[(usize, usize, i64)],
     meter: &mut Meter,
-    thread: usize,
 ) -> Option<(Matching, MatchingWitness)> {
     if n_left == 0 {
         return Some((
@@ -109,7 +110,8 @@ pub fn min_cost_matching_with_witness_metered(
     for r in 0..n_right {
         g.add_arc(NodeId(right0 + r), NodeId(sink), 1, 0);
     }
-    let sol = ssp::solve_metered(&g, meter, thread).ok()?;
+    let (sol, pivots) = NetworkSimplex::new().solve_counted(&g).ok()?;
+    meter.add(CounterKind::MatchingSimplexPivots, pivots);
     let mut assignment = vec![usize::MAX; n_left];
     for (aid, &(l, r, _)) in edge_arcs.iter().zip(edges) {
         if sol.flow[aid.0] > 0 {
@@ -241,11 +243,13 @@ mod tests {
     fn metered_matching_records_flow_work() {
         let edges = [(0, 0, 5), (0, 1, 1), (1, 0, 2), (1, 1, 9)];
         let mut meter = Meter::new();
-        let (m, _) = min_cost_matching_with_witness_metered(2, 2, &edges, &mut meter, 1).unwrap();
+        let (m, _) = min_cost_matching_with_witness_metered(2, 2, &edges, &mut meter).unwrap();
         assert_eq!(m.cost, 3);
         if mcl_obs::compiled() && mcl_obs::recording() {
-            assert!(meter.counter(mcl_obs::CounterKind::SspAugmentations) > 0);
-            assert_eq!(meter.span(mcl_obs::SpanKind::FlowSsp).count, 1);
+            assert!(meter.counter(CounterKind::MatchingSimplexPivots) > 0);
+            // Stage 3's simplex counter and span stay untouched.
+            assert_eq!(meter.counter(CounterKind::SimplexPivots), 0);
+            assert_eq!(meter.span(mcl_obs::SpanKind::FlowSimplex).count, 0);
         }
     }
 

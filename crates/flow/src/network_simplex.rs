@@ -60,10 +60,20 @@ impl NetworkSimplex {
     /// [`FlowError::Unbounded`] when a negative cycle has infinite capacity,
     /// [`FlowError::IterationLimit`] when the pivot cap is exceeded.
     pub fn solve(&self, g: &FlowGraph) -> Result<FlowSolution, FlowError> {
+        self.solve_counted(g).map(|(sol, _)| sol)
+    }
+
+    /// [`NetworkSimplex::solve`] that also returns the number of pivots, for
+    /// callers that book the work under their own counter.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`NetworkSimplex::solve`].
+    pub fn solve_counted(&self, g: &FlowGraph) -> Result<(FlowSolution, u64), FlowError> {
         if !g.is_balanced() {
             return Err(FlowError::Unbalanced);
         }
-        Solver::new(g, self.max_pivots).run().map(|(sol, _)| sol)
+        Solver::new(g, self.max_pivots).run()
     }
 
     /// [`NetworkSimplex::solve`] that also records a `flow.simplex` span
@@ -78,19 +88,12 @@ impl NetworkSimplex {
         meter: &mut Meter,
         thread: usize,
     ) -> Result<FlowSolution, FlowError> {
-        if !g.is_balanced() {
-            return Err(FlowError::Unbalanced);
-        }
         let t = Stopwatch::start();
-        let out = Solver::new(g, self.max_pivots).run();
+        let out = self.solve_counted(g);
         meter.record_span(SpanKind::FlowSimplex, t.elapsed_nanos(), thread);
-        match out {
-            Ok((sol, pivots)) => {
-                meter.add(CounterKind::SimplexPivots, pivots);
-                Ok(sol)
-            }
-            Err(e) => Err(e),
-        }
+        let (sol, pivots) = out?;
+        meter.add(CounterKind::SimplexPivots, pivots);
+        Ok(sol)
     }
 }
 

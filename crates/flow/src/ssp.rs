@@ -1,12 +1,12 @@
 //! Successive shortest paths min-cost flow.
 //!
-//! A second, independent solver used to cross-validate the network simplex
-//! and to solve sparse assignment problems. Negative-cost arcs are handled
-//! by pre-saturation; shortest paths then run Dijkstra with Johnson
-//! potentials on the residual network.
+//! A second, independent solver kept only to cross-check the network
+//! simplex in tests; production solves every flow with
+//! [`crate::NetworkSimplex`]. Negative-cost arcs are handled by
+//! pre-saturation; shortest paths then run Dijkstra with Johnson potentials
+//! on the residual network.
 
 use crate::graph::{FlowError, FlowGraph, FlowSolution};
-use mcl_obs::{clock::Stopwatch, CounterKind, Meter, SpanKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -20,35 +20,6 @@ use std::collections::BinaryHeap;
 /// cycles are capped by [`crate::graph::INF_CAP`] pre-saturation, matching
 /// the behaviour expected from bounded legalization LPs.
 pub fn solve(g: &FlowGraph) -> Result<FlowSolution, FlowError> {
-    solve_inner(g).map(|(sol, _)| sol)
-}
-
-/// [`solve`] that also records a `flow.ssp` span (attributed to `thread`)
-/// and the augmenting-path count into `meter`.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_metered(
-    g: &FlowGraph,
-    meter: &mut Meter,
-    thread: usize,
-) -> Result<FlowSolution, FlowError> {
-    let t = Stopwatch::start();
-    let out = solve_inner(g);
-    meter.record_span(SpanKind::FlowSsp, t.elapsed_nanos(), thread);
-    match out {
-        Ok((sol, augmentations)) => {
-            meter.add(CounterKind::SspAugmentations, augmentations);
-            Ok(sol)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// The solver proper; returns the solution and the number of augmenting
-/// paths pushed.
-fn solve_inner(g: &FlowGraph) -> Result<(FlowSolution, u64), FlowError> {
     if !g.is_balanced() {
         return Err(FlowError::Unbalanced);
     }
@@ -80,7 +51,6 @@ fn solve_inner(g: &FlowGraph) -> Result<(FlowSolution, u64), FlowError> {
         cost.push(-(a.cost as i128));
     }
 
-    let mut augmentations = 0u64;
     let mut pi = vec![0i128; n];
     let mut dist = vec![0i128; n];
     let mut pre: Vec<u32> = vec![u32::MAX; n];
@@ -154,7 +124,6 @@ fn solve_inner(g: &FlowGraph) -> Result<(FlowSolution, u64), FlowError> {
         }
         excess[s] -= push;
         excess[t] += push;
-        augmentations += 1;
     }
 
     // Extract flows: forward residual 2i has cap[2i] = original cap − flow.
@@ -165,14 +134,11 @@ fn solve_inner(g: &FlowGraph) -> Result<(FlowSolution, u64), FlowError> {
         total += a.cost as i128 * flow[i] as i128;
     }
     let potential: Vec<i64> = pi.iter().map(|&p| -(p as i64)).collect();
-    Ok((
-        FlowSolution {
-            flow,
-            potential,
-            cost: total,
-        },
-        augmentations,
-    ))
+    Ok(FlowSolution {
+        flow,
+        potential,
+        cost: total,
+    })
 }
 
 #[cfg(test)]

@@ -61,15 +61,13 @@ pub enum SpanKind {
     FallbackScan,
     /// One (type × fence) matching group solve.
     MatchingGroup,
-    /// One successive-shortest-paths flow solve.
-    FlowSsp,
-    /// One network-simplex flow solve.
+    /// One stage-3 network-simplex flow solve.
     FlowSimplex,
 }
 
 impl SpanKind {
     /// Every kind, in report order.
-    pub const ALL: [SpanKind; 13] = [
+    pub const ALL: [SpanKind; 12] = [
         SpanKind::Run,
         SpanKind::StageMgl,
         SpanKind::StageMaxDisp,
@@ -81,7 +79,6 @@ impl SpanKind {
         SpanKind::InsertionEval,
         SpanKind::FallbackScan,
         SpanKind::MatchingGroup,
-        SpanKind::FlowSsp,
         SpanKind::FlowSimplex,
     ];
     /// Number of kinds.
@@ -102,7 +99,6 @@ impl SpanKind {
             SpanKind::InsertionEval => "mgl.insertion_eval",
             SpanKind::FallbackScan => "mgl.fallback_scan",
             SpanKind::MatchingGroup => "maxdisp.group",
-            SpanKind::FlowSsp => "flow.ssp",
             SpanKind::FlowSimplex => "flow.simplex",
         }
     }
@@ -130,9 +126,9 @@ pub enum CounterKind {
     MatchingGroups,
     /// Cells moved by stage-2 matchings.
     MatchingCellsMoved,
-    /// Augmenting-path iterations of the SSP flow solver.
-    SspAugmentations,
-    /// Network-simplex pivots.
+    /// Network-simplex pivots of the stage-2 matchings.
+    MatchingSimplexPivots,
+    /// Network-simplex pivots of the stage-3 dual flow.
     SimplexPivots,
     /// Dirty windows scanned by the ECO delta closure.
     EcoWindowsDirty,
@@ -160,7 +156,7 @@ impl CounterKind {
         CounterKind::DedupHits,
         CounterKind::MatchingGroups,
         CounterKind::MatchingCellsMoved,
-        CounterKind::SspAugmentations,
+        CounterKind::MatchingSimplexPivots,
         CounterKind::SimplexPivots,
         CounterKind::EcoWindowsDirty,
         CounterKind::EcoCellsReused,
@@ -184,7 +180,7 @@ impl CounterKind {
             CounterKind::DedupHits => "mgl.dedup_hits",
             CounterKind::MatchingGroups => "maxdisp.groups",
             CounterKind::MatchingCellsMoved => "maxdisp.cells_moved",
-            CounterKind::SspAugmentations => "flow.ssp_augmentations",
+            CounterKind::MatchingSimplexPivots => "maxdisp.simplex_pivots",
             CounterKind::SimplexPivots => "flow.simplex_pivots",
             CounterKind::EcoWindowsDirty => "eco.windows_dirty",
             CounterKind::EcoCellsReused => "eco.cells_reused",

@@ -35,8 +35,8 @@ use mclegal::gen::{generate, GeneratorConfig};
 /// change alters the decision sequence.
 const SCHED_DIGEST_10K: u64 = 0x1c0e_b70a_10c9_4377;
 const SCHED_DIGEST_100K: u64 = 0xbc34_a8d1_d904_16c5;
-const PIPELINE_DIGEST_10K: u64 = 0x701a_9c9c_dbdb_2d25;
-const PIPELINE_DIGEST_100K: u64 = 0x7cd7_c1a6_aada_eabb;
+const PIPELINE_DIGEST_10K: u64 = 0x7998_c5e3_5628_c76b;
+const PIPELINE_DIGEST_100K: u64 = 0xb0ea_1a04_e473_c62e;
 
 /// The scale regime of `crates/bench/src/bin/scale.rs` — 80/20 one/two-row
 /// mix at 45% density — plus fence regions, which the bench omits but a
