@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test fmt clippy analyze tsan audit chaos check bench-json bench-batch bench-scale stage3-gate bench-eco bench-serve tables
+.PHONY: build test fmt clippy analyze tsan audit chaos check bench stage3-gate tables
 
 build:
 	cargo build --release
@@ -53,27 +53,15 @@ chaos:
 
 check: build test fmt clippy analyze audit chaos
 
-# Regenerate BENCH_mgl.json (cells/s at 1/2/4/8 threads, seed scheduler vs
-# current). Knobs: MCL_BENCH_CELLS, MCL_BENCH_DENSITY_PCT, MCL_BENCH_REPS.
-bench-json:
-	cargo run --release -p mcl-bench --bin speedup
-
-# Batch-scheduler throughput (DESIGN.md §12): the `batch` section of
-# BENCH_mgl.json — engine vs sequential solo on 16 small designs at
-# 1/2/4/8 threads, plus one throttled-admission run (4 threads, 2 in
-# flight, one MGL helper per runner), with
-# per-thread-count bit-identity asserted. Knobs: MCL_BENCH_BATCH,
-# MCL_BENCH_BATCH_CELLS, MCL_BENCH_BATCH_DENSITY_PCT, MCL_BENCH_REPS.
-bench-batch:
-	cargo run --release -p mcl-bench --bin speedup
-
-# Scale sweep (DESIGN.md §14): the `scale` section of BENCH_mgl.json —
-# MGL throughput and peak RSS at 10k/100k/1M cells through the parallel
-# scheduler. Knobs: MCL_SCALE_SIZES, MCL_SCALE_THREADS, MCL_SCALE_SEED,
-# MCL_SCALE_DENSITY_PCT, MCL_SCALE_MIX, MCL_SCALE_MAX_EXPANSIONS; CI gates
-# via MCL_SCALE_FLOOR_CPS / MCL_SCALE_MAX_RSS_KB.
-bench-scale:
-	cargo run --release -p mcl-bench --bin scale
+# The perf bench (DESIGN.md §6, §12, §14-§16): writes all of BENCH_mgl.json
+# in one run. Sections, in order: mgl (seed scheduler vs current at
+# 1/2/4/8 threads, the pipeline's stage breakdown, batch engine vs solo
+# runs), scale (MGL cells/s and peak RSS at 10k/100k/1M cells), eco
+# (64-cell deltas on a resident 100k session vs a from-scratch ECO run)
+# and serve (closed-loop clients at concurrency 1/4/16). Exits non-zero
+# when a gate is violated. CI runs `perf --smoke`: smaller sizes, no serve.
+bench:
+	cargo run --release -p mcl-bench --bin perf
 
 # Stage-3 regression gate: on a fixed 100k-cell fenced design, stage 3
 # (fixed_order, the network simplex) must not take longer than stage 1
@@ -89,26 +77,6 @@ stage3-gate:
 	python3 -c 'import json, sys; s = json.load(open(sys.argv[1]))["stage_seconds"]; \
 		print("fixed_order", s["fixed_order"], "s, mgl", s["mgl"], "s"); \
 		sys.exit(s["fixed_order"] > s["mgl"])' $(STAGE3_DIR)/report.json
-
-# ECO delta-latency bench (DESIGN.md §15): the `eco` section of
-# BENCH_mgl.json — resident-session 64-cell deltas on a 100k-cell base vs
-# a from-scratch ECO run of the same mutation (p50/p99 delta ms,
-# windows_dirty, speedup_vs_full). Knobs: MCL_ECO_CELLS, MCL_ECO_DELTA,
-# MCL_ECO_DELTAS, MCL_ECO_THREADS, MCL_ECO_SEED, MCL_ECO_DENSITY_PCT; CI
-# gates via MCL_ECO_MAX_P99_MS / MCL_ECO_MIN_SPEEDUP. Always gated: the
-# full reference's maxdisp may take at most 4x its fixed_order.
-bench-eco:
-	cargo run --release -p mcl-bench --bin eco
-
-# Serve latency bench (DESIGN.md §16): the `serve` section of
-# BENCH_mgl.json — closed-loop clients at concurrency 1/4/16 against an
-# in-process daemon (journal + report dir on, so the fsync is in the
-# measured path); per-level p50/p99 job ms, jobs/sec, RETRY_AFTER count.
-# Knobs: MCL_SERVE_CELLS, MCL_SERVE_JOBS, MCL_SERVE_THREADS,
-# MCL_SERVE_QUEUE_CAP, MCL_SERVE_SEED, MCL_SERVE_DENSITY_PCT; CI gate via
-# MCL_SERVE_MAX_P99_MS (single-client p99 ceiling).
-bench-serve:
-	cargo run --release -p mcl-bench --bin serve
 
 # Paper tables/figures (MCL_SCALE scales cell counts, default 0.05).
 tables:

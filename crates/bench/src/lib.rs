@@ -8,15 +8,18 @@
 //!   displacement, runtime).
 //! - `table3`: post-processing ablation (before/after stages 2+3).
 //! - `fig3`, `fig4`, `fig6`: the paper's illustrative figures.
+//! - `perf`: the perf bench that writes `BENCH_mgl.json` (MGL speedup,
+//!   batch, scale, ECO and serve sections; `--smoke` for the CI sizes).
 //!
-//! Scale is controlled with the `MCL_SCALE` environment variable
-//! (default 0.05 = 5% of the published cell counts); artifacts go to
-//! `MCL_OUT` (default `results/`).
+//! The paper bins' scale is controlled with the `MCL_SCALE` environment
+//! variable (default 0.05 = 5% of the published cell counts); artifacts go
+//! to `MCL_OUT` (default `results/`).
 
 #![forbid(unsafe_code)]
 
 use mcl_core::{Engine, LegalizeStats, LegalizerConfig, RunSpec};
 use mcl_db::prelude::*;
+use mcl_gen::{generate, GeneratorConfig};
 use mcl_obs::clock::Stopwatch;
 
 /// Reads the benchmark scale factor from `MCL_SCALE` (default 0.05).
@@ -66,6 +69,59 @@ pub fn legalize(
     }
 }
 
+/// Seed of [`bench_design`].
+pub const BENCH_SEED: u64 = 42;
+/// Movable-area density of [`bench_design`].
+pub const BENCH_DENSITY: f64 = 0.45;
+
+/// The perf bench's synthetic design at `n` cells: an 80/20 one/two-row
+/// mix at 45% density, GP scatter σ = 2 rows, seed 42, no hotspots and no
+/// fences. The scale, ECO and serve sections all legalize this design, so
+/// their numbers line up across sections and across sizes.
+pub fn bench_design(n: usize) -> Design {
+    let gen = generate(&GeneratorConfig {
+        name: format!("bench_{n}"),
+        seed: BENCH_SEED,
+        num_cells: n,
+        density: BENCH_DENSITY,
+        sigma_rows: 2.0,
+        height_mix: [0.80, 0.20, 0.0, 0.0],
+        hotspots: 0,
+        fences: 0,
+        fence_cell_fraction: 0.0,
+        ..GeneratorConfig::default()
+    });
+    match gen {
+        Ok(g) => g.design,
+        Err(e) => {
+            eprintln!("bench design at {n} cells does not pack: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The perf bench's legalizer configuration for an `n`-cell design: the
+/// total-displacement pipeline with bounded local search and a round
+/// capacity that grows with the design.
+///
+/// - `max_expansions` 3: at million-cell scale an unbounded expansion
+///   ladder lets a few infeasible multi-row cells grow their windows to
+///   the whole core and pay O(n) per re-evaluation; the cap hands them to
+///   the fallback scan after a city-block-sized neighbourhood instead.
+/// - capacity `n / 32` (at least 64): a fixed small round capacity would
+///   make the round count, not throughput, the variable under test.
+///
+/// The thread count is explicit and never clamped to the hardware, so
+/// helpers run even on a small machine.
+pub fn bench_config(n: usize, threads: usize) -> LegalizerConfig {
+    let mut cfg = LegalizerConfig::total_displacement();
+    cfg.threads = threads;
+    cfg.clamp_threads_to_hardware = false;
+    cfg.max_expansions = 3;
+    cfg.window_list_capacity = (n / 32).max(64);
+    cfg
+}
+
 /// One legalizer evaluation on one benchmark.
 #[derive(Debug, Clone)]
 pub struct Eval {
@@ -103,7 +159,7 @@ where
 
 /// Peak resident-set size of this process in kilobytes, read from the
 /// `VmHWM` line of Linux `/proc/self/status`. `None` on platforms without
-/// procfs (the scale sweep then omits the RSS column rather than failing).
+/// procfs (the perf bench then writes `null` and its RSS gate fails).
 ///
 /// `VmHWM` is a process-lifetime high-water mark: within one sweep it only
 /// ever grows, so run sizes in ascending order if per-size readings should
@@ -113,7 +169,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Parses the `VmHWM` field (in kB) out of `/proc/<pid>/status` content.
-pub fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
+fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
     status
         .lines()
         .find_map(|l| l.strip_prefix("VmHWM:"))?
@@ -121,41 +177,6 @@ pub fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
         .next()?
         .parse()
         .ok()
-}
-
-/// Replaces the value of the top-level `key` of a `BENCH_mgl.json`
-/// document with `json`, or appends `"key": json` as its last entry when
-/// the key is absent. Every other entry keeps its bytes, so the bins that
-/// share the file (`scale`, `eco`, `serve`) can refresh their own entries
-/// in any order. The writers share one layout: `{`, one entry per
-/// top-level key starting on a line that opens with two spaces and a quote
-/// (continuation lines are indented deeper), then `}`. Without a document,
-/// starts one.
-pub fn splice_entry(doc: Option<String>, key: &str, json: &str) -> String {
-    let mut entries: Vec<String> = Vec::new();
-    for line in doc.as_deref().unwrap_or("").lines() {
-        match entries.last_mut() {
-            _ if line.starts_with("  \"") => entries.push(line.to_owned()),
-            Some(entry) if line != "}" => {
-                entry.push('\n');
-                entry.push_str(line);
-            }
-            _ => {}
-        }
-    }
-    if entries.is_empty() {
-        entries.push("  \"bench\": \"mgl_speedup\"".into());
-    }
-    for entry in &mut entries {
-        entry.truncate(entry.trim_end().trim_end_matches(',').len());
-    }
-    let head = format!("  \"{key}\":");
-    let spliced = format!("{head} {json}");
-    match entries.iter_mut().find(|e| e.starts_with(&head)) {
-        Some(entry) => *entry = spliced,
-        None => entries.push(spliced),
-    }
-    format!("{{\n{}\n}}\n", entries.join(",\n"))
 }
 
 /// Mean of `base[i] / ours[i]` — the "Norm. Avg." rows of the paper: the
@@ -209,64 +230,6 @@ mod tests {
     fn scale_default_positive() {
         assert!(scale_from_env() > 0.0);
         assert!(threads_from_env() >= 1);
-    }
-
-    const DOC: &str = "{\n  \"bench\": \"mgl_speedup\",\n  \"results\": [\n    {\"eco\": 1, \"s\": \"},\\\"eco\\\": \"}\n  ],\n  \"scale\": {\"threads\": 4,\n    \"results\": [{\"cells\": 10}]},\n  \"eco\": {\"deltas\": 12},\n  \"serve\": {\"queue_cap\": 8}\n}\n";
-
-    #[test]
-    fn splice_replaces_only_the_named_entry() {
-        let out = splice_entry(Some(DOC.into()), "eco", "{\"deltas\": 8}");
-        assert_eq!(out, DOC.replace("{\"deltas\": 12}", "{\"deltas\": 8}"));
-        // The entry after `eco` survives.
-        assert!(
-            out.contains(",\n  \"serve\": {\"queue_cap\": 8}\n}\n"),
-            "{out}"
-        );
-        let out = splice_entry(Some(DOC.into()), "scale", "{}");
-        assert_eq!(
-            out,
-            DOC.replace(
-                "{\"threads\": 4,\n    \"results\": [{\"cells\": 10}]}",
-                "{}"
-            )
-        );
-        let out = splice_entry(Some(DOC.into()), "serve", "7");
-        assert!(
-            out.ends_with("\"eco\": {\"deltas\": 12},\n  \"serve\": 7\n}\n"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn splice_appends_when_absent() {
-        let doc = "{\n  \"bench\": \"mgl_speedup\",\n  \"cells\": 4000\n}\n".to_string();
-        let out = splice_entry(Some(doc), "eco", "{\"deltas\": 12}");
-        assert_eq!(
-            out,
-            "{\n  \"bench\": \"mgl_speedup\",\n  \"cells\": 4000,\n  \"eco\": {\"deltas\": 12}\n}\n"
-        );
-        // A key nested deeper in another entry is not the top-level one.
-        let out = splice_entry(
-            Some(DOC.replace(",\n  \"eco\": {\"deltas\": 12}", "")),
-            "eco",
-            "2",
-        );
-        assert!(out.contains("{\"eco\": 1, "), "{out}");
-        assert!(
-            out.ends_with("\"serve\": {\"queue_cap\": 8},\n  \"eco\": 2\n}\n"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn splice_creates_document_when_missing() {
-        for doc in [None, Some(String::new()), Some("{}".into())] {
-            let out = splice_entry(doc, "serve", "{}");
-            assert_eq!(
-                out,
-                "{\n  \"bench\": \"mgl_speedup\",\n  \"serve\": {}\n}\n"
-            );
-        }
     }
 
     #[test]

@@ -522,7 +522,7 @@ mod tests {
         // exact: at most one construction per runner scratch, ever. Without
         // reuse each of the 8 runs below would construct its own.
         let created =
-            |b: &[RunOutput]| -> u64 { b.iter().map(|o| o.stats.mgl.perf.scratch.created).sum() };
+            |b: &[RunOutput]| -> u64 { b.iter().map(|o| o.stats.mgl.scratch.created).sum() };
         let created1 = created(&batch1);
         assert!((1..=3).contains(&created1), "saw {created1} constructions");
         let created2 = created(&batch(&mut engine, &designs));
@@ -544,10 +544,7 @@ mod tests {
             "the single runner gets both leftover threads"
         );
         assert_eq!(diag.runner_spawns, 0);
-        let per_design: Vec<u64> = batch1
-            .iter()
-            .map(|o| o.stats.mgl.perf.scratch.created)
-            .collect();
+        let per_design: Vec<u64> = batch1.iter().map(|o| o.stats.mgl.scratch.created).collect();
         assert_eq!(per_design, vec![3, 0, 0, 0]);
 
         // Per-design engines construct every scratch again for each design.
@@ -555,7 +552,7 @@ mod tests {
             let out = Engine::new(cfg(3))
                 .run_one(d, &RunSpec::default())
                 .expect("solo run");
-            assert_eq!(out.stats.mgl.perf.scratch.created, 3);
+            assert_eq!(out.stats.mgl.scratch.created, 3);
         }
     }
 

@@ -72,7 +72,7 @@ pub(crate) struct Line {
 }
 
 /// Counters describing how much work one scratch has absorbed; cheap enough
-/// to keep always-on and surfaced through `MglStats` perf data.
+/// to keep always-on and surfaced as `MglStats::scratch`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
     /// Aligned regions evaluated (per base row × window).

@@ -6,9 +6,10 @@
 //! 1. **Differential testing** — `best_insertion_reference` must return
 //!    bit-identical results to [`crate::insertion::best_insertion`] on any
 //!    input; `tests/insertion_diff.rs` checks this on randomized designs.
-//! 2. **Benchmark baseline** — `crates/bench/src/bin/speedup.rs` measures
-//!    the new hot path against this implementation (fresh `Vec`s and
-//!    `PwlCurve`s per candidate, owned-`Vec` tuple dedup, `PwlCurve::sum`).
+//! 2. **Benchmark baseline** — the `mgl` section of the perf bench
+//!    (`crates/bench/src/bin/perf.rs`) measures the new hot path against
+//!    this implementation (fresh `Vec`s and `PwlCurve`s per candidate,
+//!    owned-`Vec` tuple dedup, `PwlCurve::sum`).
 //!
 //! Do not optimize this module; its value is being the fixed point of
 //! comparison.

@@ -487,7 +487,7 @@ mod tests {
         for seed in [5, 6] {
             let moves = EcoSession::synthesize_delta(session.design(), 8, seed);
             let (stats, _) = session.apply_delta(&moves).expect("delta");
-            created.push(stats.mgl.perf.scratch.created);
+            created.push(stats.mgl.scratch.created);
         }
         // The runner's and its helper's scratches, built once.
         assert_eq!(created, vec![2, 0]);

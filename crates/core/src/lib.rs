@@ -30,7 +30,6 @@ pub mod insertion_reference;
 pub mod legalizer;
 pub mod maxdisp;
 pub mod mgl;
-pub mod perf;
 pub mod pipeline;
 pub mod report;
 pub mod routability;

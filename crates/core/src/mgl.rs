@@ -19,9 +19,10 @@ use mcl_obs::{CounterKind, Meter};
 
 /// Statistics of one MGL run.
 ///
-/// Equality compares the *placement outcome* counters only; [`Self::perf`]
-/// and [`Self::obs`] carry wall-clock data that legitimately differs
-/// between otherwise identical runs and are excluded from `==`.
+/// Equality compares the *placement outcome* counters only; [`Self::scratch`]
+/// and [`Self::obs`] depend on buffer reuse and wall-clock time, which
+/// legitimately differ between otherwise identical runs, and are excluded
+/// from `==`.
 #[derive(Debug, Clone, Default)]
 pub struct MglStats {
     /// Cells placed through window insertion.
@@ -40,9 +41,13 @@ pub struct MglStats {
     /// Failure rows for quarantines and rejected fallback placements,
     /// surfaced into `LegalizeStats` and the RunReport `failures` array.
     pub failures: Vec<FailureRecord>,
-    /// Per-stage timings and throughput counters (not part of equality).
-    pub perf: crate::perf::PerfStats,
-    /// Structured spans/counters/histograms (not part of equality).
+    /// Merged hot-path counters of every insertion scratch of the run;
+    /// `created` counts scratch constructions charged to it (not part of
+    /// equality).
+    pub scratch: crate::insertion::ScratchStats,
+    /// Structured spans/counters/histograms: rounds (`mgl.select` spans),
+    /// windows evaluated, phase wall times and evaluation time summed over
+    /// the runner and its helpers (not part of equality).
     pub obs: Meter,
 }
 

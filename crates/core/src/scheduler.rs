@@ -169,7 +169,7 @@ impl<'s, 'd> Hub<'s, 'd> {
 
     /// A helper's loop: join each published round, claim its jobs until the
     /// cursor runs dry, and hand the results to the runner. Returns the
-    /// helper's evaluation CPU time and meter.
+    /// helper's meter.
     fn help(
         &self,
         model: &CostModel<'_>,
@@ -177,8 +177,8 @@ impl<'s, 'd> Hub<'s, 'd> {
         scratch: &mut InsertionScratch,
         results: &mpsc::Sender<(usize, EvalResult)>,
         thread: usize,
-    ) -> (u64, Meter) {
-        let (mut eval_nanos, mut obs) = (0u64, Meter::new());
+    ) -> Meter {
+        let mut obs = Meter::new();
         let mut joined = 0u64;
         let mut done = Vec::new();
         'rounds: while let Some(round) = self.next_round(&mut joined) {
@@ -188,7 +188,6 @@ impl<'s, 'd> Hub<'s, 'd> {
                     let t = Stopwatch::start();
                     done.push((i, eval_job(&state, cell, win, model, scratch, faults)));
                     let dt = t.elapsed_nanos();
-                    eval_nanos += dt;
                     obs.record_span(SpanKind::InsertionEval, dt, thread);
                     obs.observe(HistoKind::InsertionEvalNanos, dt);
                 }
@@ -202,7 +201,7 @@ impl<'s, 'd> Hub<'s, 'd> {
                 }
             }
         }
-        (eval_nanos, obs)
+        obs
     }
 }
 
@@ -232,7 +231,6 @@ pub(crate) fn drive_rounds(
     let Some((main, helpers)) = scratches.split_first_mut() else {
         return drive_rounds(state, config, prep, &mut [InsertionScratch::new()]);
     };
-    let t_total = Stopwatch::start();
     let oracle = prep.oracle();
     let mut stats = MglStats::default();
     let backlog: VecDeque<(CellId, usize)> = cell_order(state.design(), config.order)
@@ -269,10 +267,9 @@ pub(crate) fn drive_rounds(
             let queue = window_rounds(&hub, config, &model, backlog, main, Some(&rx), &mut stats);
             drop(close);
             for h in handles {
-                let (nanos, obs) = h
+                let obs = h
                     .join()
                     .map_err(|_| LegalizeError::PoolBroken { during: "join" })?;
-                stats.perf.eval_cpu_nanos += nanos;
                 stats.obs.merge(&obs);
             }
             queue
@@ -280,9 +277,9 @@ pub(crate) fn drive_rounds(
     };
     drop(hub);
     for s in scratches.iter_mut() {
-        stats.perf.scratch.merge(&std::mem::take(&mut s.stats));
+        stats.scratch.merge(&std::mem::take(&mut s.stats));
     }
-    crate::mgl::record_scratch_counters(&mut stats.obs, &stats.perf.scratch);
+    crate::mgl::record_scratch_counters(&mut stats.obs, &stats.scratch);
 
     let t_fb = Stopwatch::start();
     for cell in fallback_queue {
@@ -303,11 +300,9 @@ pub(crate) fn drive_rounds(
         }
     }
     let fb_nanos = t_fb.elapsed_nanos();
-    stats.perf.fallback_nanos += fb_nanos;
     if fb_nanos > 0 && stats.fallbacks + stats.failed > 0 {
         stats.obs.record_span(SpanKind::FallbackScan, fb_nanos, 0);
     }
-    stats.perf.total_nanos = t_total.elapsed_nanos();
     Ok(stats)
 }
 
@@ -343,7 +338,6 @@ fn window_rounds(
     let mut results: Vec<Option<EvalResult>> = Vec::new();
 
     while !(carry.is_empty() && backlog.is_empty()) {
-        stats.perf.rounds += 1;
         // Select non-overlapping windows, preserving order for the rest.
         let t_select = Stopwatch::start();
         let mut selected: Vec<Job> = Vec::new();
@@ -365,7 +359,6 @@ fn window_rounds(
             }
         }
         let select_nanos = t_select.elapsed_nanos();
-        stats.perf.select_nanos += select_nanos;
         stats
             .obs
             .record_span(SpanKind::SchedSelect, select_nanos, 0);
@@ -375,7 +368,6 @@ fn window_rounds(
         // runs dry, then collect their results.
         let t_eval = Stopwatch::start();
         let n_jobs = selected.len();
-        stats.perf.windows_evaluated += n_jobs as u64;
         stats.obs.add(CounterKind::WindowsEvaluated, n_jobs as u64);
         results.clear();
         results.resize(n_jobs, None);
@@ -393,7 +385,6 @@ fn window_rounds(
             let t = Stopwatch::start();
             results[i] = Some(eval_job(&state, cell, win, model, scratch, faults));
             let dt = t.elapsed_nanos();
-            stats.perf.eval_cpu_nanos += dt;
             stats.obs.record_span(SpanKind::InsertionEval, dt, 0);
             stats.obs.observe(HistoKind::InsertionEvalNanos, dt);
             outstanding -= 1;
@@ -414,7 +405,6 @@ fn window_rounds(
                 .observe(HistoKind::SchedQueueWaitNanos, t_wait.elapsed_nanos());
         }
         let eval_nanos = t_eval.elapsed_nanos();
-        stats.perf.eval_nanos += eval_nanos;
         stats.obs.record_span(SpanKind::SchedEval, eval_nanos, 0);
 
         // Deterministic repair pass: a job whose evaluation panicked (on
@@ -500,7 +490,6 @@ fn window_rounds(
         }
         drop(state);
         let apply_nanos = t_apply.elapsed_nanos();
-        stats.perf.apply_nanos += apply_nanos;
         stats.obs.record_span(SpanKind::SchedApply, apply_nanos, 0);
         // Next round processes this round's deferred cells first, then
         // whatever was left unpopped. `append` drains `carry` (bounded by
@@ -717,14 +706,25 @@ mod tests {
         cfg.clamp_threads_to_hardware = false;
         let mut state = PlacementState::new(&d);
         let stats = run_mgl(&mut state, &cfg);
-        assert!(stats.perf.rounds > 0);
-        assert!(stats.perf.windows_evaluated >= stats.placed_in_window as u64);
-        assert!(stats.perf.total_nanos > 0);
-        assert!(stats.perf.scratch.regions > 0);
-        assert!(stats.perf.scratch.anchors > 0);
+        assert!(stats.scratch.regions > 0);
+        assert!(stats.scratch.anchors > 0);
         // Exactly the runner's scratch and one helper's were constructed
         // for this standalone run.
-        assert_eq!(stats.perf.scratch.created, 2);
+        assert_eq!(stats.scratch.created, 2);
+        // The meter is the run's one accounting of rounds, windows and
+        // phase times; builds without it record nothing.
+        if mcl_obs::compiled() {
+            let obs = &stats.obs;
+            assert!(obs.span(SpanKind::SchedSelect).count > 0);
+            let windows = obs.counter(CounterKind::WindowsEvaluated);
+            assert!(windows >= stats.placed_in_window as u64);
+            assert_eq!(obs.span(SpanKind::InsertionEval).count, windows);
+            assert!(obs.span(SpanKind::SchedEval).total_nanos > 0);
+            assert_eq!(
+                obs.counter(CounterKind::AlignedRegions),
+                stats.scratch.regions
+            );
+        }
     }
 
     #[test]
@@ -749,7 +749,7 @@ mod tests {
             let mut state = PlacementState::new(d);
             let s = drive_rounds(&mut state, &cfg, &Prep::new(d, &cfg), &mut shared).unwrap();
             assert_eq!(s.failed, 0);
-            created.push(s.perf.scratch.created);
+            created.push(s.scratch.created);
             let reused: Vec<_> = d.movable_cells().map(|c| state.pos(c)).collect();
             assert_eq!(solo(d), reused);
         }

@@ -356,7 +356,7 @@ impl RunReport {
         w.finish()
     }
 
-    /// A human-readable multi-line summary (the bench binary's `--report`).
+    /// A human-readable multi-line summary (`mclegal legalize --report true`).
     #[must_use]
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;

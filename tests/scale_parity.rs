@@ -18,7 +18,7 @@
 //! without it the digest checks are skipped and the rest still runs.
 //!
 //! The 100k cases are `#[ignore]`d: they want an optimized build and run
-//! in the CI `scale-smoke` job via
+//! in the CI `perf-smoke` job via
 //! `cargo test --release --test scale_parity -- --include-ignored`.
 //!
 //! A `scale-diff` feature gates a sampled differential check of the
@@ -38,9 +38,9 @@ const SCHED_DIGEST_100K: u64 = 0xbc34_a8d1_d904_16c5;
 const PIPELINE_DIGEST_10K: u64 = 0x7998_c5e3_5628_c76b;
 const PIPELINE_DIGEST_100K: u64 = 0xb0ea_1a04_e473_c62e;
 
-/// The scale regime of `crates/bench/src/bin/scale.rs` — 80/20 one/two-row
-/// mix at 45% density — plus fence regions, which the bench omits but a
-/// parity suite for a fence-aware legalizer must exercise.
+/// The scale regime of the perf bench (`mcl_bench::bench_design`) — 80/20
+/// one/two-row mix at 45% density — plus fence regions, which the bench
+/// omits but a parity suite for a fence-aware legalizer must exercise.
 fn scale_design(n: usize) -> mclegal::gen::Generated {
     let cfg = GeneratorConfig {
         name: format!("scale_parity_{n}"),
@@ -57,9 +57,9 @@ fn scale_design(n: usize) -> mclegal::gen::Generated {
     generate(&cfg).expect("scale-parity benchmark must pack")
 }
 
-/// Mirrors the scale bench's legalizer settings (bounded expansion ladder,
-/// design-proportional round capacity) so the suite covers the same code
-/// paths the throughput numbers come from.
+/// Mirrors the perf bench's legalizer settings (`mcl_bench::bench_config`:
+/// bounded expansion ladder, design-proportional round capacity) so the
+/// suite covers the same code paths the throughput numbers come from.
 fn cfg(n: usize, threads: usize) -> LegalizerConfig {
     let mut c = LegalizerConfig::total_displacement();
     c.threads = threads;
@@ -184,13 +184,13 @@ fn pipeline_parity_10k_across_threads() {
 }
 
 #[test]
-#[ignore = "large input; run with --release -- --ignored (CI scale-smoke)"]
+#[ignore = "large input; run with --release -- --ignored (CI perf-smoke)"]
 fn scheduler_parity_100k_across_threads() {
     check_scheduler_parity(100_000, SCHED_DIGEST_100K);
 }
 
 #[test]
-#[ignore = "large input; run with --release -- --ignored (CI scale-smoke)"]
+#[ignore = "large input; run with --release -- --ignored (CI perf-smoke)"]
 fn pipeline_parity_100k_across_threads() {
     check_pipeline_parity(100_000, PIPELINE_DIGEST_100K);
 }
