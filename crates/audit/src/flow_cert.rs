@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use mcl_flow::graph::{FlowGraph, FlowSolution};
+use mcl_flow::{FlowGraph, FlowSolution};
 
 /// Proof that a solution is a feasible, optimal flow for its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +195,7 @@ pub fn certify(g: &FlowGraph, s: &FlowSolution) -> Result<Certificate, Violation
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcl_flow::graph::NodeId;
+    use mcl_flow::NodeId;
 
     /// 0 -> 1 -> 2 path carrying 2 units at cost 3 each.
     fn path() -> (FlowGraph, FlowSolution) {

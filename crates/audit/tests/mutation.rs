@@ -4,7 +4,7 @@
 //! silently bless suboptimal or corrupt matchings in CI.
 
 use mcl_audit::{certify, Violation};
-use mcl_flow::matching::min_cost_matching_with_witness;
+use mcl_flow::min_cost_matching;
 
 fn witness() -> (mcl_flow::FlowGraph, mcl_flow::FlowSolution) {
     // 3x3 assignment with a unique optimum: diagonal is expensive, the
@@ -17,7 +17,7 @@ fn witness() -> (mcl_flow::FlowGraph, mcl_flow::FlowSolution) {
         (2, 2, 9),
         (2, 0, 1),
     ];
-    let (m, w) = min_cost_matching_with_witness(3, 3, &edges).expect("feasible");
+    let (m, w, _) = min_cost_matching(3, 3, &edges).expect("feasible");
     assert_eq!(m.cost, 3);
     (w.graph, w.solution)
 }

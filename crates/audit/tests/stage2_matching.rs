@@ -12,10 +12,12 @@
 //! default; run it with
 //! `cargo test --release -p mcl-audit --test stage2_matching -- --ignored`.
 
+#[path = "../../flow/tests/support/ssp.rs"]
+mod ssp;
+
 use mcl_audit::certify;
 use mcl_db::geom::{dbu_from_f64_saturating, dbu_to_f64};
-use mcl_flow::matching::{min_cost_matching_with_witness, Matching};
-use mcl_flow::ssp;
+use mcl_flow::{min_cost_matching, Matching};
 
 const K: usize = 32;
 const SITE: i64 = 10;
@@ -124,7 +126,7 @@ fn dense_edges(gps: &[(i64, i64)], n_right: usize, delta0: i64) -> Vec<(usize, u
 /// Solves, then checks the three claims against the SSP oracle and the
 /// certifier. Returns the matching for case-specific checks.
 fn check(n_left: usize, n_right: usize, edges: &[(usize, usize, i64)], tag: &str) -> Matching {
-    let (m, w) = min_cost_matching_with_witness(n_left, n_right, edges)
+    let (m, w, _) = min_cost_matching(n_left, n_right, edges)
         .unwrap_or_else(|| panic!("{tag}: a perfect matching exists"));
 
     // A perfect matching over the given edges, at the reported cost.
@@ -209,8 +211,8 @@ fn infeasible_group_is_none() {
             }
         }
     }
-    assert!(min_cost_matching_with_witness(n, n, &edges).is_none());
-    assert!(min_cost_matching_with_witness(3, 2, &[(0, 0, 1), (1, 1, 1), (2, 1, 1)]).is_none());
+    assert!(min_cost_matching(n, n, &edges).is_none());
+    assert!(min_cost_matching(3, 2, &[(0, 0, 1), (1, 1, 1), (2, 1, 1)]).is_none());
 }
 
 /// A third of the cells tens of rows from every slot, at `δ₀` of one

@@ -18,7 +18,7 @@ fn matching_benches(c: &mut Criterion) {
             }
         }
         group.bench_with_input(BenchmarkId::new("sparse_k32", n), &edges, |b, e| {
-            b.iter(|| std::hint::black_box(min_cost_matching(n, n, e).unwrap().cost));
+            b.iter(|| std::hint::black_box(min_cost_matching(n, n, e).unwrap().0.cost));
         });
     }
     group.finish();

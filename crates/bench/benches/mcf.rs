@@ -6,7 +6,7 @@
 //! cells hung off the cold-start root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mcl_flow::{FlowGraph, NetworkSimplex, NodeId, INF_CAP};
+use mcl_flow::{FlowGraph, NodeId, INF_CAP};
 
 /// Builds the dual-MCF of a row of `n` cells with random-ish GPs. The row
 /// is 20,000 sites wide, so it holds at most 10,000 width-2 cells; beyond
@@ -75,13 +75,13 @@ fn mcf_benches(c: &mut Criterion) {
     for n in [100usize, 1_000, 5_000] {
         let g = chain_graph(n);
         group.bench_with_input(BenchmarkId::new("chain", n), &g, |b, g| {
-            b.iter(|| std::hint::black_box(NetworkSimplex::new().solve(g).unwrap().cost));
+            b.iter(|| std::hint::black_box(mcl_flow::solve(g).unwrap().0.cost));
         });
     }
     for n in [5_000usize, 50_000] {
         let g = rows_graph(n);
         group.bench_with_input(BenchmarkId::new("rows", n), &g, |b, g| {
-            b.iter(|| std::hint::black_box(NetworkSimplex::new().solve(g).unwrap().cost));
+            b.iter(|| std::hint::black_box(mcl_flow::solve(g).unwrap().0.cost));
         });
     }
     group.finish();

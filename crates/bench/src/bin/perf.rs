@@ -399,23 +399,27 @@ fn millis(nanos: u64) -> f64 {
 }
 
 /// Prints the MGL phase split of one run from its meter: rounds (one
-/// `mgl.select` span each), windows evaluated, each phase's share of the
-/// stage's wall time, evaluation parallelism (insertion-eval time summed
-/// over the runner and its helpers, over the evaluate phase's wall time)
-/// and the insertion scratch counters.
+/// `mgl.select` span each), windows evaluated, the stage's parallelism
+/// (CPU time of the runner and its helpers over the stage's wall time),
+/// each phase's share of that wall time and the insertion scratch counters.
 fn print_phase_split(obs: &Meter) {
     let total = count_to_float(obs.span(SpanKind::StageMgl).total_nanos.max(1));
-    let nanos = |k: SpanKind| count_to_float(obs.span(k).total_nanos);
-    let pct = |k: SpanKind| 100.0 * nanos(k) / total;
-    let eval = nanos(SpanKind::SchedEval);
+    let pct = |k: SpanKind| 100.0 * count_to_float(obs.span(k).total_nanos) / total;
+    // From each thread's own CPU clock: the parallelism the host really
+    // delivered, never above its core count.
+    let cpu = obs.counter(CounterKind::MglCpuNanos);
+    let par = if cpu > 0 {
+        format!("x{:.2} cpu/wall", count_to_float(cpu) / total)
+    } else {
+        "cpu/wall n/a".to_string()
+    };
     let anchors = obs.counter(CounterKind::InsertionAnchors);
     println!(
-        "    rounds {}, windows {}, eval {:.0}% (x{:.2} par), select {:.1}%, apply {:.1}%, \
+        "    rounds {}, windows {}, {par}, eval {:.0}%, select {:.1}%, apply {:.1}%, \
          fallback {:.1}%, dedup hit {:.0}%",
         obs.span(SpanKind::SchedSelect).count,
         obs.counter(CounterKind::WindowsEvaluated),
         pct(SpanKind::SchedEval),
-        nanos(SpanKind::InsertionEval) / eval.max(1.0),
         pct(SpanKind::SchedSelect),
         pct(SpanKind::SchedApply),
         pct(SpanKind::FallbackScan),
@@ -674,7 +678,6 @@ fn mgl_section(mode: &Mode) -> (Vec<MglRow>, Vec<StageTiming>) {
 
     let mut pcfg = cfg;
     pcfg.threads = 4;
-    pcfg.clamp_threads_to_hardware = false;
     let (_, pstats) = legalize(&pcfg, &d, &RunSpec::default());
     assert_eq!(pstats.mgl.failed, 0, "pipeline failed cells");
     (rows, pstats.stage_seconds)
@@ -692,7 +695,6 @@ fn batch_section(reps: usize) -> (Vec<BatchRow>, f64) {
     let mgl_only = RunSpec::stages(&[&MglStage]);
     let at = |threads: usize| {
         let mut c = LegalizerConfig::total_displacement();
-        c.clamp_threads_to_hardware = false;
         c.threads = threads;
         c
     };

@@ -111,12 +111,11 @@ pub fn bench_design(n: usize) -> Design {
 /// - capacity `n / 32` (at least 64): a fixed small round capacity would
 ///   make the round count, not throughput, the variable under test.
 ///
-/// The thread count is explicit and never clamped to the hardware, so
-/// helpers run even on a small machine.
+/// The engine honors `threads` exactly, so helpers run even on a small
+/// machine.
 pub fn bench_config(n: usize, threads: usize) -> LegalizerConfig {
     let mut cfg = LegalizerConfig::total_displacement();
     cfg.threads = threads;
-    cfg.clamp_threads_to_hardware = false;
     cfg.max_expansions = 3;
     cfg.window_list_capacity = (n / 32).max(64);
     cfg

@@ -84,9 +84,6 @@ pub struct LegalizerConfig {
     pub max_disp_matching: bool,
     /// `δ₀` of Eq. 3: tolerable max displacement, in rows.
     pub delta0_rows: f64,
-    /// Largest group size stage 2 matches densely; bigger groups use a
-    /// sparse neighborhood graph.
-    pub matching_dense_limit: usize,
     /// Enable stage 3 (fixed row & order dual-MCF refinement).
     pub fixed_order_refine: bool,
     /// Delta-first ECO mode: the post stages (2 and 3) restrict themselves
@@ -105,13 +102,9 @@ pub struct LegalizerConfig {
     /// Thread budget of an `Engine` call: design runners plus their
     /// helpers, which evaluate MGL windows and solve stage-2 matchings
     /// alongside their runner (1 = everything runs on the calling thread).
-    /// Results are identical for any value.
+    /// Results are identical for any value. The engine honors it exactly,
+    /// whatever the host's core count (0 counts as 1).
     pub threads: usize,
-    /// Clamp `threads` to the hardware's available parallelism. Oversub-
-    /// scribing buys nothing (results are thread-count-invariant) and costs
-    /// context switches, so this defaults to on; tests disable it to
-    /// exercise helper threads regardless of the host's core count.
-    pub clamp_threads_to_hardware: bool,
     /// Admission bound for `Engine` calls: how many jobs may be in flight
     /// at once (0 = auto, meaning `threads`). Each in-flight job gets a
     /// runner thread out of the `threads` budget; leftover threads are split
@@ -216,12 +209,10 @@ impl Default for LegalizerConfig {
             rail_penalty: 1_000,
             max_disp_matching: true,
             delta0_rows: 10.0,
-            matching_dense_limit: 192,
             fixed_order_refine: true,
             eco_delta: false,
             n0_factor: 4,
             threads: 1,
-            clamp_threads_to_hardware: true,
             max_inflight_designs: 0,
             window_list_capacity: 8,
             stage_budget_secs: None,

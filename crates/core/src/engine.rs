@@ -160,18 +160,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine. The hardware thread clamp is resolved here, once,
-    /// instead of on every run.
+    /// Creates an engine with `config.threads` threads (at least one).
     pub fn new(mut config: LegalizerConfig) -> Self {
-        if config.clamp_threads_to_hardware {
-            let hw = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            config.threads = config.threads.max(1).min(hw);
-            config.clamp_threads_to_hardware = false;
-        } else {
-            config.threads = config.threads.max(1);
-        }
+        config.threads = config.threads.max(1);
         Self {
             scratches: (0..config.threads)
                 .map(|_| InsertionScratch::new())
@@ -181,7 +172,7 @@ impl Engine {
         }
     }
 
-    /// The (clamp-resolved) configuration.
+    /// The configuration, with `threads` at least one.
     pub fn config(&self) -> &LegalizerConfig {
         &self.config
     }
@@ -443,7 +434,6 @@ mod tests {
     fn cfg(threads: usize) -> LegalizerConfig {
         let mut c = LegalizerConfig::total_displacement();
         c.threads = threads;
-        c.clamp_threads_to_hardware = false;
         c
     }
 
@@ -463,6 +453,18 @@ mod tests {
             .into_iter()
             .map(|r| r.expect("batch job"))
             .collect()
+    }
+
+    #[test]
+    fn thread_count_is_honored_on_any_host() {
+        // However many cores the host has: one job at 8 threads is one
+        // runner and 7 helpers.
+        let mut engine = Engine::new(cfg(8));
+        assert_eq!(engine.config().threads, 8);
+        engine
+            .run_one(&batch_designs(1)[0], &RunSpec::default())
+            .expect("solo run");
+        assert_eq!(engine.diag().helpers, 7);
     }
 
     #[test]

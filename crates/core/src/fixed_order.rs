@@ -32,8 +32,8 @@ use crate::config::LegalizerConfig;
 use crate::routability::RoutOracle;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
-use mcl_flow::{FlowGraph, NetworkSimplex, NodeId, INF_CAP};
-use mcl_obs::Meter;
+use mcl_flow::{FlowGraph, NodeId, INF_CAP};
+use mcl_obs::{clock::Stopwatch, CounterKind, Meter, SpanKind};
 use std::collections::HashSet;
 
 /// Statistics of one stage-3 run.
@@ -234,9 +234,13 @@ pub fn optimize_fixed_order_metered(
         g.add_arc(nn, z, n0, max_dy);
     }
 
-    let Ok(sol) = NetworkSimplex::new().solve_metered(&g, obs, 0) else {
+    let t_flow = Stopwatch::start();
+    let solved = mcl_flow::solve(&g);
+    obs.record_span(SpanKind::FlowSimplex, t_flow.elapsed_nanos(), 0);
+    let Ok((sol, pivots)) = solved else {
         return stats;
     };
+    obs.add(CounterKind::SimplexPivots, pivots);
     // The independent auditor re-derives feasibility and complementary
     // slackness of the dual flow before its potentials become positions.
     #[cfg(any(debug_assertions, feature = "audit"))]
@@ -332,6 +336,23 @@ mod tests {
         assert_eq!(out.cells[1].pos.unwrap().x, 400);
         assert_eq!(out.cells[2].pos.unwrap().x, 800);
         assert_eq!(stats.weighted_after, 0);
+    }
+
+    #[test]
+    fn dual_flow_solve_is_metered() {
+        let d = row_design(&[(100, 300), (400, 340), (800, 380)]);
+        let cfg = LegalizerConfig::total_displacement();
+        let mut state = PlacementState::from_design_positions(&d).unwrap();
+        let mut obs = Meter::new();
+        let stats = optimize_fixed_order_metered(&mut state, &cfg, &[1; 3], None, &mut obs, None);
+        assert!(stats.applied);
+        if mcl_obs::compiled() && mcl_obs::recording() {
+            let span = obs.span(SpanKind::FlowSimplex);
+            assert_eq!((span.count, span.thread_ids()), (1, vec![0]));
+            assert!(obs.counter(CounterKind::SimplexPivots) > 0);
+            // Stage 2's matching counter stays untouched.
+            assert_eq!(obs.counter(CounterKind::MatchingSimplexPivots), 0);
+        }
     }
 
     #[test]

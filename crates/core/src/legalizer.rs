@@ -480,7 +480,6 @@ mod tests {
         let d = messy_design(120, 21);
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 2;
-        cfg.clamp_threads_to_hardware = false;
         let (placed, _) = run(cfg.clone(), &d);
         let mut session = EcoSession::open(placed, cfg).expect("legal base must open");
         let mut created = Vec::new();

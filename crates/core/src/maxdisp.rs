@@ -16,7 +16,6 @@ use crate::config::LegalizerConfig;
 use crate::state::PlacementState;
 use mcl_db::geom::{dbu_from_f64_saturating, dbu_to_f64};
 use mcl_db::prelude::*;
-use mcl_flow::matching::min_cost_matching_with_witness_metered;
 use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
 use std::collections::{BTreeMap, HashMap};
 
@@ -46,6 +45,10 @@ pub fn phi(delta: Dbu, delta0: Dbu) -> i64 {
         dbu_from_f64_saturating(v)
     }
 }
+
+/// Largest group stage 2 matches densely (every cell against every
+/// position); bigger groups use a sparse K-nearest-positions graph.
+const DENSE_LIMIT: usize = 192;
 
 /// One group's matching job (immutable snapshot).
 struct GroupJob {
@@ -145,10 +148,9 @@ pub fn optimize_max_disp_metered(
     // Solve (possibly in parallel; groups are disjoint so any schedule gives
     // the same per-group answers).
     let threads = threads.max(1).min(jobs.len().max(1));
-    let dense_limit = config.matching_dense_limit;
     let results: Vec<Vec<(usize, usize)>> = if threads <= 1 {
         jobs.iter()
-            .map(|j| solve_group(j, delta0, dense_limit, obs, 0))
+            .map(|j| solve_group(j, delta0, obs, 0))
             .collect()
     } else {
         let jobs_ref = &jobs;
@@ -166,7 +168,7 @@ pub fn optimize_max_disp_metered(
                     let mut local = Meter::new();
                     let results = jobs_ref[lo..hi]
                         .iter()
-                        .map(|j| solve_group(j, delta0, dense_limit, &mut local, t))
+                        .map(|j| solve_group(j, delta0, &mut local, t))
                         .collect::<Vec<_>>();
                     (results, local)
                 }));
@@ -269,15 +271,9 @@ fn tail_closure(positions: &[Point], gps: &[Point], delta0: Dbu) -> Vec<usize> {
 /// Solves one group; returns the non-identity part of the assignment.
 /// Records a `maxdisp.group` span (attributed to `thread`), the group-size
 /// histogram and the matching's simplex pivots into `obs`.
-fn solve_group(
-    job: &GroupJob,
-    delta0: Dbu,
-    dense_limit: usize,
-    obs: &mut Meter,
-    thread: usize,
-) -> Vec<(usize, usize)> {
+fn solve_group(job: &GroupJob, delta0: Dbu, obs: &mut Meter, thread: usize) -> Vec<(usize, usize)> {
     let t_group = Stopwatch::start();
-    let out = solve_group_inner(job, delta0, dense_limit, obs);
+    let out = solve_group_inner(job, delta0, DENSE_LIMIT, obs);
     obs.record_span(SpanKind::MatchingGroup, t_group.elapsed_nanos(), thread);
     obs.observe(HistoKind::MatchingGroupCells, job.cells.len() as u64);
     out
@@ -363,8 +359,9 @@ fn solve_group_inner(
         }
     }
 
-    match min_cost_matching_with_witness_metered(n, job.positions.len(), &edges, obs) {
-        Some((m, _witness)) => {
+    match mcl_flow::min_cost_matching(n, job.positions.len(), &edges) {
+        Some((m, _witness, pivots)) => {
+            obs.add(CounterKind::MatchingSimplexPivots, pivots);
             // Every matching applied to the placement carries an optimality
             // certificate: the independent auditor re-derives feasibility and
             // complementary slackness from the witness's dual potentials.
@@ -482,51 +479,53 @@ mod tests {
 
     #[test]
     fn sparse_path_matches_dense_result() {
-        // A larger chain of shifted cells; force the sparse path and check
-        // the max displacement still collapses.
+        // A larger chain of shifted cells. Everyone's GP is at slot i, but
+        // placements are rotated by one: cell i sits at slot (i+1) % n.
         let mut d = Design::new("t", Technology::example(), Rect::new(0, 0, 40000, 900));
         d.add_cell_type(CellType::new("s", 20, 1));
         let n = 40;
         for i in 0..n {
-            // Everyone's GP is at slot i, but placements are rotated by one:
-            // cell i sits at slot (i+1) % n.
             let gp = Point::new(i as Dbu * 900, 0);
             let slot = ((i + 1) % n) as Dbu * 900;
             let mut c = Cell::new(format!("c{i}"), CellTypeId(0), gp);
             c.pos = Some(Point::new(slot, 0));
             d.add_cell(c);
         }
-        let mut cfg = LegalizerConfig::contest();
-        cfg.matching_dense_limit = 8; // force sparse
-                                      // δ0 below the 10-row per-cell displacement puts every cell in the
-                                      // tail closure, so the whole rotation chain participates.
-        cfg.delta0_rows = 5.0;
-        let mut state = PlacementState::from_design_positions(&d).unwrap();
-        optimize_max_disp(&mut state, &cfg);
-        let mut out = d.clone();
-        state.write_back(&mut out);
-        let after = Metrics::measure(&out);
+        // The whole chain as one group, solved on the sparse graph (a dense
+        // limit of 8) and on the dense one. δ0 of 5 rows is below the
+        // 10-row per-cell displacement, so every cell is in the tail.
+        let job = GroupJob {
+            cells: d.movable_cells().collect(),
+            positions: d.cells.iter().map(|c| c.pos.unwrap()).collect(),
+            gps: d.cells.iter().map(|c| c.gp).collect(),
+        };
+        let delta0 = 5 * d.tech.row_height;
+        let mut obs = Meter::new();
+        let sparse = solve_group_inner(&job, delta0, 8, &mut obs);
+        assert_eq!(sparse, solve_group_inner(&job, delta0, n, &mut obs));
         // Rotation undone: everyone home. Cell n-1 was 35100 dbu away.
-        assert_eq!(after.max_disp_rows, 0.0);
-        assert!(Checker::new(&out).check().is_legal());
+        assert_eq!(sparse.len(), n);
+        for &(i, j) in &sparse {
+            assert_eq!(job.positions[j], job.gps[i], "cell {i}");
+        }
 
         // With the default δ0 = 10 rows only the wrap-around outlier is in
         // the tail. A global rotation is the worst case for the tail
         // closure (full unwinding needs every cell), but the φ-optimal
         // local fix still cuts the outlier substantially.
         let before = Metrics::measure(&d).max_disp_rows;
-        let mut state2 = PlacementState::from_design_positions(&d).unwrap();
-        optimize_max_disp(&mut state2, &LegalizerConfig::contest());
-        let mut out2 = d.clone();
-        state2.write_back(&mut out2);
-        let after2 = Metrics::measure(&out2);
+        let mut state = PlacementState::from_design_positions(&d).unwrap();
+        optimize_max_disp(&mut state, &LegalizerConfig::contest());
+        let mut out = d.clone();
+        state.write_back(&mut out);
+        let after = Metrics::measure(&out);
         assert!(
-            after2.max_disp_rows <= 0.75 * before,
+            after.max_disp_rows <= 0.75 * before,
             "outlier reduced: {} -> {}",
             before,
-            after2.max_disp_rows
+            after.max_disp_rows
         );
-        assert!(Checker::new(&out2).check().is_legal());
+        assert!(Checker::new(&out).check().is_legal());
     }
 
     #[test]
@@ -545,14 +544,24 @@ mod tests {
             }
         }
         let run = |threads: usize| {
-            let mut cfg = LegalizerConfig::contest();
-            cfg.threads = threads;
+            let cfg = LegalizerConfig::contest();
             let mut state = PlacementState::from_design_positions(&d).unwrap();
-            optimize_max_disp(&mut state, &cfg);
+            let mut obs = Meter::new();
+            optimize_max_disp_metered(&mut state, &cfg, threads, &mut obs, None);
             let mut out = d.clone();
             state.write_back(&mut out);
-            out.cells.iter().map(|c| c.pos).collect::<Vec<_>>()
+            let positions = out.cells.iter().map(|c| c.pos).collect::<Vec<_>>();
+            (positions, obs)
         };
-        assert_eq!(run(1), run(4));
+        let ((serial, obs), (parallel, obs4)) = (run(1), run(4));
+        assert_eq!(serial, parallel);
+        if mcl_obs::compiled() && mcl_obs::recording() {
+            let pivots = obs.counter(CounterKind::MatchingSimplexPivots);
+            assert!(pivots > 0);
+            assert_eq!(obs4.counter(CounterKind::MatchingSimplexPivots), pivots);
+            // Stage 3's simplex counter and span stay untouched.
+            assert_eq!(obs.counter(CounterKind::SimplexPivots), 0);
+            assert_eq!(obs.span(SpanKind::FlowSimplex).count, 0);
+        }
     }
 }

@@ -124,7 +124,6 @@ mod tests {
         c1.threads = 1;
         let mut c2 = c1.clone();
         c2.threads = 2;
-        c2.clamp_threads_to_hardware = false;
         let (p1, s1) = run(&c1, &d);
         let (p2, s2) = run(&c2, &d);
         let mut g1 = build_run_report(&p1, &s1, &c1);

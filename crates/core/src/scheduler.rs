@@ -45,7 +45,8 @@ use crate::pipeline::Prep;
 use crate::state::PlacementState;
 use crate::winindex::WindowIndex;
 use mcl_db::prelude::*;
-use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
+use mcl_obs::clock::{thread_cpu_nanos, Stopwatch};
+use mcl_obs::{CounterKind, HistoKind, Meter, SpanKind};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -179,6 +180,7 @@ impl<'s, 'd> Hub<'s, 'd> {
         thread: usize,
     ) -> Meter {
         let mut obs = Meter::new();
+        let cpu = cpu_reading();
         let mut joined = 0u64;
         let mut done = Vec::new();
         'rounds: while let Some(round) = self.next_round(&mut joined) {
@@ -201,7 +203,21 @@ impl<'s, 'd> Hub<'s, 'd> {
                 }
             }
         }
+        book_cpu(&mut obs, cpu);
         obs
+    }
+}
+
+/// The calling thread's CPU clock, read only while metrics are recorded.
+fn cpu_reading() -> Option<u64> {
+    mcl_obs::recording().then(thread_cpu_nanos).flatten()
+}
+
+/// Adds the calling thread's CPU time since `start` (a [`cpu_reading`])
+/// to `mgl.cpu_nanos`.
+fn book_cpu(obs: &mut Meter, start: Option<u64>) {
+    if let (Some(a), Some(b)) = (start, cpu_reading()) {
+        obs.add(CounterKind::MglCpuNanos, b.saturating_sub(a));
     }
 }
 
@@ -247,8 +263,11 @@ pub(crate) fn drive_rounds(
         rail_penalty: config.rail_penalty,
     };
     let hub = Hub::new(&mut *state);
+    let cpu = cpu_reading();
     let fallback_queue = if helpers.is_empty() || backlog.len() <= 1 {
-        window_rounds(&hub, config, &model, backlog, main, None, &mut stats)?
+        let queue = window_rounds(&hub, config, &model, backlog, main, None, &mut stats);
+        book_cpu(&mut stats.obs, cpu);
+        queue?
     } else {
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
@@ -265,6 +284,7 @@ pub(crate) fn drive_rounds(
             drop(tx);
             let close = CloseOnDrop(&hub);
             let queue = window_rounds(&hub, config, &model, backlog, main, Some(&rx), &mut stats);
+            book_cpu(&mut stats.obs, cpu);
             drop(close);
             for h in handles {
                 let obs = h
@@ -548,7 +568,6 @@ mod tests {
     fn run_with_threads(d: &Design, threads: usize) -> Vec<Option<Point>> {
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = threads;
-        cfg.clamp_threads_to_hardware = false;
         cfg.window_list_capacity = 8;
         let mut state = PlacementState::new(d);
         let stats = run_mgl(&mut state, &cfg);
@@ -591,7 +610,6 @@ mod tests {
         let run = |threads: usize| {
             let mut c = cfg.clone();
             c.threads = threads;
-            c.clamp_threads_to_hardware = false;
             let mut state = PlacementState::new(&d);
             let stats = run_mgl(&mut state, &c);
             assert_eq!(stats.failed, 0, "{stats:?}");
@@ -637,7 +655,6 @@ mod tests {
         let run_cap = |cap: usize| {
             let mut cfg = LegalizerConfig::total_displacement();
             cfg.threads = 2;
-            cfg.clamp_threads_to_hardware = false;
             cfg.window_list_capacity = cap;
             let mut state = PlacementState::new(&d);
             let stats = run_mgl(&mut state, &cfg);
@@ -657,7 +674,6 @@ mod tests {
         let d = dense_design(200, 555);
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 4;
-        cfg.clamp_threads_to_hardware = false;
         let mut state = PlacementState::new(&d);
         let stats = run_mgl(&mut state, &cfg);
         assert_eq!(stats.failed, 0, "{stats:?}");
@@ -681,7 +697,6 @@ mod tests {
         }
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 2;
-        cfg.clamp_threads_to_hardware = false;
         cfg.max_expansions = 40;
         let mut state = PlacementState::new(&d);
         let stats = run_mgl(&mut state, &cfg);
@@ -703,7 +718,6 @@ mod tests {
         let d = dense_design(100, 2024);
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 2;
-        cfg.clamp_threads_to_hardware = false;
         let mut state = PlacementState::new(&d);
         let stats = run_mgl(&mut state, &cfg);
         assert!(stats.scratch.regions > 0);
@@ -736,7 +750,6 @@ mod tests {
         let d2 = dense_design(130, 43);
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 3;
-        cfg.clamp_threads_to_hardware = false;
         let solo = |d: &Design| {
             let mut state = PlacementState::new(d);
             let stats = run_mgl(&mut state, &cfg);
@@ -766,7 +779,6 @@ mod tests {
         let d = dense_design(140, 909);
         let mut cfg = LegalizerConfig::total_displacement();
         cfg.threads = 4;
-        cfg.clamp_threads_to_hardware = false;
         let w = Prep::new(&d, &cfg);
         let helped = run_with_threads(&d, 4);
         let mut state = PlacementState::new(&d);

@@ -44,7 +44,6 @@ fn crafted_config() -> LegalizerConfig {
     cfg.window_rows = 1;
     cfg.max_expansions = 12;
     cfg.routability = false;
-    cfg.clamp_threads_to_hardware = false;
     cfg
 }
 

@@ -25,7 +25,6 @@ fn medium_design() -> mcl_db::prelude::Design {
 fn run_once(design: &mcl_db::prelude::Design) -> f64 {
     let mut lc = LegalizerConfig::contest();
     lc.threads = 4;
-    lc.clamp_threads_to_hardware = false;
     let sw = Stopwatch::start();
     let out = Engine::new(lc)
         .run_one(design, &RunSpec::default())

@@ -44,7 +44,6 @@ fn messy_design(n: usize, seed: u64) -> Design {
 fn config(threads: usize) -> LegalizerConfig {
     let mut c = LegalizerConfig::total_displacement();
     c.threads = threads;
-    c.clamp_threads_to_hardware = false;
     c
 }
 
@@ -65,7 +64,6 @@ fn assert_eco_is_run(d: &Design, base: &LegalizerConfig) {
     for threads in [1usize, 2, 4] {
         let mut c = base.clone();
         c.threads = threads;
-        c.clamp_threads_to_hardware = false;
         let fresh = run(c.clone(), d, &RunSpec::default());
         let eco = run(c, d, &RunSpec::eco());
         assert_eq!(

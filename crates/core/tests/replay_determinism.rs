@@ -38,7 +38,6 @@ fn messy_design(n: usize, seed: u64) -> Design {
 fn run_with_threads(d: &Design, threads: usize, spec: &RunSpec) -> (Design, mcl_audit::ReplayLog) {
     let mut cfg = LegalizerConfig::contest();
     cfg.threads = threads;
-    cfg.clamp_threads_to_hardware = false;
     let out = Engine::new(cfg).run_one(d, spec).expect("fault-free run");
     assert_eq!(out.stats.mgl.failed, 0, "all cells must place");
     (out.design, out.replay)

@@ -30,7 +30,6 @@ fn busy_run(threads: usize) -> mcl_core::mgl::MglStats {
     let g = generate(&cfg).expect("benchmark must pack");
     let mut c = LegalizerConfig::total_displacement();
     c.threads = threads;
-    c.clamp_threads_to_hardware = false;
     // A small round capacity forces many rounds; a short expansion ladder
     // forces fallback scans — both paths must reuse pooled buffers.
     c.window_list_capacity = 64;

@@ -1,40 +1,45 @@
-//! # mcl-flow — min-cost flow solvers
+//! # mcl-flow — min-cost flow
 //!
-//! Self-contained network optimization used by the legalizer:
+//! Self-contained network optimization used by the legalizer, with one
+//! solver behind both of its flow problems:
 //!
-//! - [`NetworkSimplex`]: primal network simplex with the first-eligible
-//!   pivot rule (the solver configuration the paper uses through LEMON).
-//!   The one production solver: stage 2's matchings and stage 3's dual flow.
-//! - [`ssp`]: successive shortest paths, an independent solver kept only as
-//!   the tests' cross-check of the simplex.
-//! - [`matching`]: min-cost bipartite perfect matching.
+//! - [`solve`]: primal network simplex with the first-eligible pivot rule
+//!   (the solver configuration the paper uses through LEMON), solving
+//!   stage 3's dual flow.
+//! - [`min_cost_matching`]: min-cost bipartite matching on the same
+//!   simplex, solving stage 2's matchings.
 //!
-//! The production entry points have a `*_metered` variant that records
-//! their pivots into an [`mcl_obs::Meter`]: stage 3's solve under
-//! `flow.simplex` / `flow.simplex_pivots`, stage 2's matchings under
-//! `maxdisp.simplex_pivots`. The plain entry points record nothing.
+//! Both return their pivot count; the calling stage books it (and its own
+//! spans) under its own counter, so this crate records nothing and depends
+//! on nothing. The tests cross-check the simplex against an independent
+//! successive-shortest-paths solver kept in `tests/support/ssp.rs`.
 //!
 //! ```
-//! use mcl_flow::{FlowGraph, NodeId, NetworkSimplex};
+//! use mcl_flow::{FlowGraph, NodeId};
 //!
 //! let mut g = FlowGraph::with_nodes(2);
 //! g.set_supply(NodeId(0), 1);
 //! g.set_supply(NodeId(1), -1);
 //! g.add_arc(NodeId(0), NodeId(1), 1, 42);
-//! let sol = NetworkSimplex::new().solve(&g)?;
+//! let (sol, pivots) = mcl_flow::solve(&g)?;
 //! assert_eq!(sol.cost, 42);
+//! assert!(pivots > 0);
 //! # Ok::<(), mcl_flow::FlowError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod dimacs;
-pub mod graph;
-pub mod matching;
-pub mod network_simplex;
-pub mod ssp;
+// Unit tests include the tests' support files, which name this crate.
+#[cfg(test)]
+extern crate self as mcl_flow;
 
-pub use dimacs::{read_dimacs, write_dimacs, DimacsError};
+mod graph;
+#[cfg(test)]
+#[path = "../tests/support/instances.rs"]
+mod instances;
+mod matching;
+mod network_simplex;
+
 pub use graph::{Arc, ArcId, FlowError, FlowGraph, FlowSolution, NodeId, INF_CAP};
-pub use matching::{min_cost_matching, min_cost_matching_dense, Matching};
-pub use network_simplex::NetworkSimplex;
+pub use matching::{min_cost_matching, Matching, MatchingWitness};
+pub use network_simplex::solve;

@@ -3,11 +3,9 @@
 //! Used by the maximum-displacement optimization (stage 2): cells of one
 //! type within one fence region are matched to the multiset of their current
 //! positions under the convex cost `φ` of Eq. 3. Solved with the same
-//! [`NetworkSimplex`] as stage 3.
+//! network simplex ([`crate::solve`]) as stage 3.
 
 use crate::graph::{ArcId, FlowGraph, FlowSolution, NodeId};
-use crate::network_simplex::NetworkSimplex;
-use mcl_obs::{CounterKind, Meter};
 
 /// A perfect matching of all left vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,9 +34,15 @@ pub struct MatchingWitness {
 /// list `(left, right, cost)`. Returns `None` when no perfect matching
 /// exists. Costs must be non-negative.
 ///
+/// Alongside the matching come its optimality witness (the flow network
+/// and dual solution it was read from; for the trivial `n_left == 0` case
+/// an empty graph with an empty solution) and the simplex pivots it took,
+/// which the caller books under its own counter.
+///
 /// ```
-/// use mcl_flow::matching::min_cost_matching;
-/// let m = min_cost_matching(2, 2, &[(0, 0, 5), (0, 1, 1), (1, 0, 2), (1, 1, 9)]).unwrap();
+/// use mcl_flow::min_cost_matching;
+/// let (m, _witness, _pivots) =
+///     min_cost_matching(2, 2, &[(0, 0, 5), (0, 1, 1), (1, 0, 2), (1, 1, 9)]).unwrap();
 /// assert_eq!(m.assignment, vec![1, 0]);
 /// assert_eq!(m.cost, 3);
 /// ```
@@ -46,31 +50,7 @@ pub fn min_cost_matching(
     n_left: usize,
     n_right: usize,
     edges: &[(usize, usize, i64)],
-) -> Option<Matching> {
-    min_cost_matching_with_witness(n_left, n_right, edges).map(|(m, _)| m)
-}
-
-/// Like [`min_cost_matching`], additionally returning the underlying flow
-/// network and dual solution as an optimality witness. The witness for the
-/// trivial `n_left == 0` case is an empty graph with an empty solution.
-pub fn min_cost_matching_with_witness(
-    n_left: usize,
-    n_right: usize,
-    edges: &[(usize, usize, i64)],
-) -> Option<(Matching, MatchingWitness)> {
-    let mut meter = Meter::new();
-    min_cost_matching_with_witness_metered(n_left, n_right, edges, &mut meter)
-}
-
-/// [`min_cost_matching_with_witness`] that adds the simplex pivots to
-/// `meter`'s `maxdisp.simplex_pivots` counter, kept apart from stage 3's
-/// `flow.simplex_pivots`. The caller's group span covers the time.
-pub fn min_cost_matching_with_witness_metered(
-    n_left: usize,
-    n_right: usize,
-    edges: &[(usize, usize, i64)],
-    meter: &mut Meter,
-) -> Option<(Matching, MatchingWitness)> {
+) -> Option<(Matching, MatchingWitness, u64)> {
     if n_left == 0 {
         return Some((
             Matching {
@@ -86,6 +66,7 @@ pub fn min_cost_matching_with_witness_metered(
                 },
                 edge_arcs: Vec::new(),
             },
+            0,
         ));
     }
     if n_left > n_right {
@@ -110,8 +91,7 @@ pub fn min_cost_matching_with_witness_metered(
     for r in 0..n_right {
         g.add_arc(NodeId(right0 + r), NodeId(sink), 1, 0);
     }
-    let (sol, pivots) = NetworkSimplex::new().solve_counted(&g).ok()?;
-    meter.add(CounterKind::MatchingSimplexPivots, pivots);
+    let (sol, pivots) = crate::solve(&g).ok()?;
     let mut assignment = vec![usize::MAX; n_left];
     for (aid, &(l, r, _)) in edge_arcs.iter().zip(edges) {
         if sol.flow[aid.0] > 0 {
@@ -129,27 +109,25 @@ pub fn min_cost_matching_with_witness_metered(
             solution: sol,
             edge_arcs,
         },
+        pivots,
     ))
-}
-
-/// Dense variant: `costs[l][r]` is the cost of pairing left `l` with right
-/// `r`. All pairs are allowed.
-pub fn min_cost_matching_dense(costs: &[Vec<i64>]) -> Option<Matching> {
-    let n_left = costs.len();
-    let n_right = costs.first().map(Vec::len).unwrap_or(0);
-    let mut edges = Vec::with_capacity(n_left * n_right);
-    for (l, row) in costs.iter().enumerate() {
-        assert_eq!(row.len(), n_right, "cost matrix must be rectangular");
-        for (r, &c) in row.iter().enumerate() {
-            edges.push((l, r, c));
-        }
-    }
-    min_cost_matching(n_left, n_right, &edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The matching alone, over every pair of a dense cost matrix:
+    /// `costs[l][r]` is the cost of pairing left `l` with right `r`.
+    fn dense(costs: &[Vec<i64>]) -> Option<Matching> {
+        let n_right = costs.first().map_or(0, Vec::len);
+        let mut edges = Vec::with_capacity(costs.len() * n_right);
+        for (l, row) in costs.iter().enumerate() {
+            assert_eq!(row.len(), n_right, "cost matrix must be rectangular");
+            edges.extend(row.iter().enumerate().map(|(r, &c)| (l, r, c)));
+        }
+        min_cost_matching(costs.len(), n_right, &edges).map(|(m, _, _)| m)
+    }
 
     /// Brute-force optimum over all permutations (small n).
     fn brute(costs: &[Vec<i64>]) -> i128 {
@@ -182,7 +160,7 @@ mod tests {
     #[test]
     fn square_matches_brute_force() {
         let costs = vec![vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]];
-        let m = min_cost_matching_dense(&costs).unwrap();
+        let m = dense(&costs).unwrap();
         assert_eq!(m.cost, brute(&costs));
         // Assignment must be a permutation.
         let mut seen = [false; 3];
@@ -195,7 +173,7 @@ mod tests {
     #[test]
     fn rectangular_left_covered() {
         let costs = vec![vec![10, 1, 10], vec![1, 10, 10]];
-        let m = min_cost_matching_dense(&costs).unwrap();
+        let m = dense(&costs).unwrap();
         assert_eq!(m.cost, 2);
         assert_eq!(m.assignment, vec![1, 0]);
     }
@@ -213,16 +191,16 @@ mod tests {
 
     #[test]
     fn empty_is_trivial() {
-        let m = min_cost_matching(0, 5, &[]).unwrap();
+        let (m, _, pivots) = min_cost_matching(0, 5, &[]).unwrap();
         assert!(m.assignment.is_empty());
-        assert_eq!(m.cost, 0);
+        assert_eq!((m.cost, pivots), (0, 0));
     }
 
     #[test]
     fn identity_is_kept_when_optimal() {
         // Diagonal zeros: identity matching is optimal with cost 0.
         let costs = vec![vec![0, 7, 7], vec![7, 0, 7], vec![7, 7, 0]];
-        let m = min_cost_matching_dense(&costs).unwrap();
+        let m = dense(&costs).unwrap();
         assert_eq!(m.assignment, vec![0, 1, 2]);
         assert_eq!(m.cost, 0);
     }
@@ -230,26 +208,13 @@ mod tests {
     #[test]
     fn witness_carries_certified_solution() {
         let edges = [(0, 0, 5), (0, 1, 1), (1, 0, 2), (1, 1, 9)];
-        let (m, w) = min_cost_matching_with_witness(2, 2, &edges).unwrap();
+        let (m, w, pivots) = min_cost_matching(2, 2, &edges).unwrap();
         assert_eq!(m.cost, 3);
+        assert!(pivots > 0);
         assert!(w.solution.verify(&w.graph).is_none());
         // Exactly the matched edges carry flow.
         for (aid, &(l, r, _)) in w.edge_arcs.iter().zip(&edges) {
             assert_eq!(w.solution.flow[aid.0] > 0, m.assignment[l] == r);
-        }
-    }
-
-    #[test]
-    fn metered_matching_records_flow_work() {
-        let edges = [(0, 0, 5), (0, 1, 1), (1, 0, 2), (1, 1, 9)];
-        let mut meter = Meter::new();
-        let (m, _) = min_cost_matching_with_witness_metered(2, 2, &edges, &mut meter).unwrap();
-        assert_eq!(m.cost, 3);
-        if mcl_obs::compiled() && mcl_obs::recording() {
-            assert!(meter.counter(CounterKind::MatchingSimplexPivots) > 0);
-            // Stage 3's simplex counter and span stay untouched.
-            assert_eq!(meter.counter(CounterKind::SimplexPivots), 0);
-            assert_eq!(meter.span(mcl_obs::SpanKind::FlowSimplex).count, 0);
         }
     }
 
@@ -268,7 +233,7 @@ mod tests {
             let costs: Vec<Vec<i64>> = (0..n)
                 .map(|_| (0..n).map(|_| (rng() % 100) as i64).collect())
                 .collect();
-            let m = min_cost_matching_dense(&costs).unwrap();
+            let m = dense(&costs).unwrap();
             assert_eq!(m.cost, brute(&costs), "costs {costs:?}");
         }
     }

@@ -11,7 +11,6 @@
 //! the dual solution of LPs encoded as flows.
 
 use crate::graph::{Arc, FlowError, FlowGraph, FlowSolution, NodeId};
-use mcl_obs::{clock::Stopwatch, CounterKind, Meter, SpanKind};
 
 /// Arc state in the simplex basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,10 +23,12 @@ enum ArcState {
     Tree,
 }
 
-/// Min-cost flow via network simplex.
+/// Solves the min-cost flow problem by network simplex; returns the optimal
+/// solution and the number of pivots it took, for callers that book the
+/// work under their own counter.
 ///
 /// ```
-/// use mcl_flow::{FlowGraph, NodeId, NetworkSimplex};
+/// use mcl_flow::{FlowGraph, NodeId};
 ///
 /// let mut g = FlowGraph::with_nodes(3);
 /// g.set_supply(NodeId(0), 4);
@@ -35,66 +36,23 @@ enum ArcState {
 /// g.add_arc(NodeId(0), NodeId(1), 10, 1);
 /// g.add_arc(NodeId(1), NodeId(2), 10, 1);
 /// g.add_arc(NodeId(0), NodeId(2), 2, 5);
-/// let sol = NetworkSimplex::new().solve(&g)?;
+/// let (sol, _pivots) = mcl_flow::solve(&g)?;
 /// assert_eq!(sol.cost, 8); // all 4 units via the middle node at cost 2
 /// # Ok::<(), mcl_flow::FlowError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct NetworkSimplex {
-    /// Optional hard cap on pivots (0 = automatic generous bound).
-    pub max_pivots: usize,
-}
-
-impl NetworkSimplex {
-    /// Creates a solver with default settings.
-    pub fn new() -> Self {
-        Self::default()
+///
+/// # Errors
+///
+/// [`FlowError::Unbalanced`] when supplies do not sum to zero,
+/// [`FlowError::Infeasible`] when the supplies cannot be routed,
+/// [`FlowError::Unbounded`] when a negative cycle has infinite capacity,
+/// [`FlowError::IterationLimit`] when the pivot count passes a generous
+/// polynomial bound (a cycling guard, not a workload limit).
+pub fn solve(g: &FlowGraph) -> Result<(FlowSolution, u64), FlowError> {
+    if !g.is_balanced() {
+        return Err(FlowError::Unbalanced);
     }
-
-    /// Solves the min-cost flow problem.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Unbalanced`] when supplies do not sum to zero,
-    /// [`FlowError::Infeasible`] when the supplies cannot be routed,
-    /// [`FlowError::Unbounded`] when a negative cycle has infinite capacity,
-    /// [`FlowError::IterationLimit`] when the pivot cap is exceeded.
-    pub fn solve(&self, g: &FlowGraph) -> Result<FlowSolution, FlowError> {
-        self.solve_counted(g).map(|(sol, _)| sol)
-    }
-
-    /// [`NetworkSimplex::solve`] that also returns the number of pivots, for
-    /// callers that book the work under their own counter.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NetworkSimplex::solve`].
-    pub fn solve_counted(&self, g: &FlowGraph) -> Result<(FlowSolution, u64), FlowError> {
-        if !g.is_balanced() {
-            return Err(FlowError::Unbalanced);
-        }
-        Solver::new(g, self.max_pivots).run()
-    }
-
-    /// [`NetworkSimplex::solve`] that also records a `flow.simplex` span
-    /// (attributed to `thread`) and the pivot count into `meter`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NetworkSimplex::solve`].
-    pub fn solve_metered(
-        &self,
-        g: &FlowGraph,
-        meter: &mut Meter,
-        thread: usize,
-    ) -> Result<FlowSolution, FlowError> {
-        let t = Stopwatch::start();
-        let out = self.solve_counted(g);
-        meter.record_span(SpanKind::FlowSimplex, t.elapsed_nanos(), thread);
-        let (sol, pivots) = out?;
-        meter.add(CounterKind::SimplexPivots, pivots);
-        Ok(sol)
-    }
+    Solver::new(g).run()
 }
 
 const NONE: usize = usize::MAX;
@@ -111,11 +69,10 @@ struct Solver<'a> {
     children: Vec<Vec<usize>>,
     slot: Vec<usize>, // per node: its index in its parent's `children`
     pi: Vec<i128>,
-    max_pivots: usize,
 }
 
 impl<'a> Solver<'a> {
-    fn new(g: &'a FlowGraph, max_pivots: usize) -> Self {
+    fn new(g: &'a FlowGraph) -> Self {
         let n = g.num_nodes();
         let root = n;
         let max_cost: i128 = g
@@ -139,7 +96,6 @@ impl<'a> Solver<'a> {
             children: vec![Vec::new(); n + 1],
             slot: vec![NONE; n + 1],
             pi: vec![0i128; n + 1],
-            max_pivots,
         };
         solver.depth[root] = 0;
 
@@ -173,14 +129,9 @@ impl<'a> Solver<'a> {
     /// Runs the simplex to optimality; returns the solution and the number
     /// of pivots performed.
     fn run(mut self) -> Result<(FlowSolution, u64), FlowError> {
-        let m = self.arcs.len();
-        let budget = if self.max_pivots > 0 {
-            self.max_pivots
-        } else {
-            // Generous polynomial budget; practical pivot counts are far
-            // lower. Guards against cycling bugs rather than real workloads.
-            1_000_000usize.max(m.saturating_mul(2000))
-        };
+        // Generous polynomial budget; practical pivot counts are far lower.
+        // Guards against cycling bugs rather than real workloads.
+        let budget = 1_000_000usize.max(self.arcs.len().saturating_mul(2000));
         let mut cursor = 0usize;
         let mut pivots = 0usize;
         while let Some(e) = self.entering(&mut cursor) {
@@ -495,10 +446,11 @@ impl<'a> Solver<'a> {
 mod tests {
     use super::*;
     use crate::graph::INF_CAP;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use crate::instances::random_instance;
+    use rand::{rngs::StdRng, SeedableRng};
 
-    fn solve(g: &FlowGraph) -> FlowSolution {
-        NetworkSimplex::new().solve(g).expect("solvable")
+    fn optimum(g: &FlowGraph) -> FlowSolution {
+        solve(g).expect("solvable").0
     }
 
     #[test]
@@ -508,7 +460,7 @@ mod tests {
         g.set_supply(NodeId(2), -5);
         g.add_arc(NodeId(0), NodeId(1), 10, 2);
         g.add_arc(NodeId(1), NodeId(2), 10, 3);
-        let s = solve(&g);
+        let s = optimum(&g);
         assert_eq!(s.cost, 25);
         assert_eq!(s.flow, vec![5, 5]);
         assert!(s.verify(&g).is_none());
@@ -522,7 +474,7 @@ mod tests {
         g.add_arc(NodeId(0), NodeId(1), 10, 1);
         g.add_arc(NodeId(1), NodeId(2), 10, 1);
         g.add_arc(NodeId(0), NodeId(2), 2, 5);
-        let s = solve(&g);
+        let s = optimum(&g);
         // Direct arc costs 5 > 2, so everything goes via node 1.
         assert_eq!(s.cost, 8);
         assert!(s.verify(&g).is_none());
@@ -535,7 +487,7 @@ mod tests {
         g.set_supply(NodeId(1), -10);
         g.add_arc(NodeId(0), NodeId(1), 4, 1);
         g.add_arc(NodeId(0), NodeId(1), 20, 3);
-        let s = solve(&g);
+        let s = optimum(&g);
         assert_eq!(s.flow, vec![4, 6]);
         assert_eq!(s.cost, 4 + 18);
     }
@@ -548,7 +500,7 @@ mod tests {
         g.add_arc(NodeId(0), NodeId(1), 7, -5);
         g.add_arc(NodeId(1), NodeId(2), 7, 1);
         g.add_arc(NodeId(2), NodeId(0), 7, 1);
-        let s = solve(&g);
+        let s = optimum(&g);
         assert_eq!(s.flow, vec![7, 7, 7]);
         assert_eq!(s.cost, -21);
         assert!(s.verify(&g).is_none());
@@ -560,7 +512,7 @@ mod tests {
         g.add_arc(NodeId(0), NodeId(1), 7, 5);
         g.add_arc(NodeId(1), NodeId(2), 7, 1);
         g.add_arc(NodeId(2), NodeId(0), 7, 1);
-        let s = solve(&g);
+        let s = optimum(&g);
         assert_eq!(s.cost, 0);
         assert_eq!(s.flow, vec![0, 0, 0]);
     }
@@ -570,7 +522,7 @@ mod tests {
         let mut g = FlowGraph::with_nodes(2);
         g.add_arc(NodeId(0), NodeId(1), INF_CAP, -1);
         g.add_arc(NodeId(1), NodeId(0), INF_CAP, 0);
-        assert_eq!(NetworkSimplex::new().solve(&g), Err(FlowError::Unbounded));
+        assert_eq!(solve(&g), Err(FlowError::Unbounded));
     }
 
     #[test]
@@ -580,14 +532,14 @@ mod tests {
         g.set_supply(NodeId(2), -5);
         g.add_arc(NodeId(0), NodeId(1), 3, 1); // bottleneck < 5
         g.add_arc(NodeId(1), NodeId(2), 10, 1);
-        assert_eq!(NetworkSimplex::new().solve(&g), Err(FlowError::Infeasible));
+        assert_eq!(solve(&g), Err(FlowError::Infeasible));
     }
 
     #[test]
     fn unbalanced_detected() {
         let mut g = FlowGraph::with_nodes(2);
         g.set_supply(NodeId(0), 1);
-        assert_eq!(NetworkSimplex::new().solve(&g), Err(FlowError::Unbalanced));
+        assert_eq!(solve(&g), Err(FlowError::Unbalanced));
     }
 
     #[test]
@@ -605,59 +557,10 @@ mod tests {
                 g.add_arc(NodeId(i), NodeId(2 + j), 10, c);
             }
         }
-        let s = solve(&g);
+        let s = optimum(&g);
         // Optimal: s0->t0:2, s0->t2:1, s1->t1:2, s1->t2:2 = 8+9+6+16 = 39.
         assert_eq!(s.cost, 39);
         assert!(s.verify(&g).is_none());
-    }
-
-    #[test]
-    fn metered_solve_matches_and_counts_pivots() {
-        let mut g = FlowGraph::with_nodes(3);
-        g.set_supply(NodeId(0), 4);
-        g.set_supply(NodeId(2), -4);
-        g.add_arc(NodeId(0), NodeId(1), 10, 1);
-        g.add_arc(NodeId(1), NodeId(2), 10, 1);
-        g.add_arc(NodeId(0), NodeId(2), 2, 5);
-        let mut m = Meter::new();
-        let s = NetworkSimplex::new()
-            .solve_metered(&g, &mut m, 3)
-            .expect("solvable");
-        assert_eq!(s, solve(&g));
-        if mcl_obs::compiled() && mcl_obs::recording() {
-            assert!(m.counter(CounterKind::SimplexPivots) > 0);
-            let span = m.span(SpanKind::FlowSimplex);
-            assert_eq!(span.count, 1);
-            assert_eq!(span.thread_ids(), vec![3]);
-        }
-    }
-
-    /// Seeded random feasible instance: a bidirectional ring keeps every
-    /// supply routable, extra random arcs make the tree reshape often.
-    fn random_instance(rng: &mut StdRng, n: usize) -> FlowGraph {
-        let mut g = FlowGraph::with_nodes(n);
-        let mut total = 0;
-        for v in 0..n - 1 {
-            let b = rng.gen_range(-6i64..7);
-            g.set_supply(NodeId(v), b);
-            total += b;
-        }
-        g.set_supply(NodeId(n - 1), -total);
-        for v in 0..n {
-            let w = (v + 1) % n;
-            g.add_arc(NodeId(v), NodeId(w), INF_CAP, rng.gen_range(1i64..50));
-            g.add_arc(NodeId(w), NodeId(v), INF_CAP, rng.gen_range(1i64..50));
-        }
-        for _ in 0..3 * n {
-            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            g.add_arc(
-                NodeId(u),
-                NodeId(v),
-                rng.gen_range(0i64..15),
-                rng.gen_range(-5i64..40),
-            );
-        }
-        g
     }
 
     #[test]
@@ -666,7 +569,7 @@ mod tests {
         let (mut last, mut middle, mut most_left) = (0, 0, 0.0f64);
         for n in (8..120).step_by(7) {
             let g = random_instance(&mut rng, n);
-            let mut s = Solver::new(&g, 0);
+            let mut s = Solver::new(&g);
             s.check_tree();
             let (mut cursor, mut pivots, mut left) = (0, 0, 0);
             while let Some(e) = s.entering(&mut cursor) {
@@ -687,7 +590,6 @@ mod tests {
             most_left = most_left.max(f64::from(left) / n as f64);
             let (sol, _) = s.finish(pivots).expect("feasible instance");
             assert!(sol.verify(&g).is_none());
-            assert_eq!(sol.cost, crate::ssp::solve(&g).expect("feasible").cost);
         }
         assert!(last > 0 && middle > 0, "last {last}, middle {middle}");
         assert!(most_left > 0.5, "at most {most_left} of the star left");
@@ -702,7 +604,7 @@ mod tests {
         g.add_arc(NodeId(0), NodeId(2), 4, 3);
         g.add_arc(NodeId(1), NodeId(3), 5, 2);
         g.add_arc(NodeId(2), NodeId(3), 5, 1);
-        let s = solve(&g);
+        let s = optimum(&g);
         assert!(s.verify(&g).is_none());
         assert_eq!(s.cost, 4 * 4 + 2 * 4);
     }

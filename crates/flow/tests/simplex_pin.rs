@@ -7,8 +7,7 @@
 //! fixed for a given graph. A change to the spanning-tree bookkeeping must
 //! keep them; a change that alters any of them changes the pivot sequence.
 
-use mcl_flow::{FlowGraph, NetworkSimplex, NodeId, INF_CAP};
-use mcl_obs::{CounterKind, Meter};
+use mcl_flow::{FlowGraph, NodeId, INF_CAP};
 
 /// Dual MCF of `n` width-2 cells in rows of 200, each row in GP order with
 /// pseudo-random GPs (xorshift64) spread over a row twice as wide as its
@@ -60,22 +59,17 @@ fn digest(xs: &[i64]) -> u64 {
 #[test]
 fn rows_20k_pivot_sequence_is_pinned() {
     let g = rows_graph(20_000);
-    let mut meter = Meter::new();
-    let sol = NetworkSimplex::new()
-        .solve_metered(&g, &mut meter, 0)
-        .expect("chain graph is solvable");
+    let (sol, pivots) = mcl_flow::solve(&g).expect("chain graph is solvable");
     assert_eq!(sol.verify(&g), None);
-    let got = (sol.cost, digest(&sol.flow), digest(&sol.potential));
+    let got = (sol.cost, digest(&sol.flow), digest(&sol.potential), pivots);
     assert_eq!(
         got,
         (
             -11_937,
             17_798_741_598_276_477_300,
-            2_665_571_134_410_287_548
+            2_665_571_134_410_287_548,
+            42_983
         ),
-        "cost, flow digest, potential digest"
+        "cost, flow digest, potential digest, pivots"
     );
-    if mcl_obs::compiled() && mcl_obs::recording() {
-        assert_eq!(meter.counter(CounterKind::SimplexPivots), 42_983);
-    }
 }

@@ -44,9 +44,36 @@ impl Stopwatch {
     }
 }
 
+/// CPU time the calling thread has consumed so far, in nanoseconds: the
+/// first field of `/proc/thread-self/schedstat`. `None` where that file
+/// does not exist (a host without Linux procfs). It reads a file, so call
+/// it at phase boundaries, never per item of work.
+#[must_use]
+pub fn thread_cpu_nanos() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    stat.split_whitespace().next()?.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_cpu_time_never_outruns_wall_time() {
+        let Some(cpu0) = thread_cpu_nanos() else {
+            return; // no per-thread CPU clock on this host
+        };
+        let t = Stopwatch::start();
+        let mut x = 0u64;
+        while t.elapsed_nanos() < 20_000_000 {
+            x = std::hint::black_box(x.wrapping_add(1));
+        }
+        let cpu = thread_cpu_nanos().expect("the clock read once") - cpu0;
+        let wall = t.elapsed_nanos();
+        assert!(cpu > 0, "a busy thread accrues CPU time");
+        // The clock ticks at scheduler granularity: allow one tick of slack.
+        assert!(cpu <= wall + 10_000_000, "cpu {cpu} ns over wall {wall} ns");
+    }
 
     #[test]
     fn monotone_nonnegative() {

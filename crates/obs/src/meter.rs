@@ -122,6 +122,10 @@ pub enum CounterKind {
     AlignedRegions,
     /// Slot tuples skipped by the dedup set.
     DedupHits,
+    /// CPU nanoseconds the MGL runner and its helpers spent in their round
+    /// loops, from each thread's own CPU clock (not recorded on hosts
+    /// without one). Over the stage's wall time: its true parallelism.
+    MglCpuNanos,
     /// Matching groups solved in stage 2.
     MatchingGroups,
     /// Cells moved by stage-2 matchings.
@@ -146,7 +150,7 @@ pub enum CounterKind {
 
 impl CounterKind {
     /// Every kind, in report order.
-    pub const ALL: [CounterKind; 16] = [
+    pub const ALL: [CounterKind; 17] = [
         CounterKind::WindowsEvaluated,
         CounterKind::WindowsExpanded,
         CounterKind::FallbackScans,
@@ -154,6 +158,7 @@ impl CounterKind {
         CounterKind::InsertionAnchors,
         CounterKind::AlignedRegions,
         CounterKind::DedupHits,
+        CounterKind::MglCpuNanos,
         CounterKind::MatchingGroups,
         CounterKind::MatchingCellsMoved,
         CounterKind::MatchingSimplexPivots,
@@ -178,6 +183,7 @@ impl CounterKind {
             CounterKind::InsertionAnchors => "mgl.insertion_anchors",
             CounterKind::AlignedRegions => "mgl.aligned_regions",
             CounterKind::DedupHits => "mgl.dedup_hits",
+            CounterKind::MglCpuNanos => "mgl.cpu_nanos",
             CounterKind::MatchingGroups => "maxdisp.groups",
             CounterKind::MatchingCellsMoved => "maxdisp.cells_moved",
             CounterKind::MatchingSimplexPivots => "maxdisp.simplex_pivots",

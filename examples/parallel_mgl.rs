@@ -27,10 +27,9 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         let mut cfg = LegalizerConfig::contest();
         cfg.threads = threads;
-        // Spawn every helper even on machines with fewer cores, so the
-        // bit-identical assertion below actually compares different helper
-        // counts (the default clamps threads to the hardware).
-        cfg.clamp_threads_to_hardware = false;
+        // The engine spawns every helper even on machines with fewer
+        // cores, so the bit-identical assertion below actually compares
+        // different helper counts.
         let t = Instant::now();
         let out = Engine::new(cfg)
             .run_one(design, &RunSpec::default())

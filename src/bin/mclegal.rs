@@ -357,7 +357,6 @@ fn build_config(flags: &Flags) -> Result<LegalizerConfig, CliError> {
         // thread-count invariant, so snapshots taken at --threads 2
         // reproduce at any thread count on any machine).
         cfg.threads = t;
-        cfg.clamp_threads_to_hardware = false;
     }
     if let Some(b) = flags.num("stage-budget-secs")? {
         cfg.stage_budget_secs = Some(b);

@@ -43,7 +43,6 @@ fn parity_designs(n: usize) -> Vec<Design> {
 fn cfg(threads: usize, max_inflight: usize) -> LegalizerConfig {
     let mut c = LegalizerConfig::contest();
     c.threads = threads;
-    c.clamp_threads_to_hardware = false;
     c.max_inflight_designs = max_inflight;
     c
 }

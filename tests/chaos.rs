@@ -67,7 +67,6 @@ fn messy_design(n: usize, seed: u64) -> Design {
 fn cfg_threads(threads: usize) -> LegalizerConfig {
     let mut cfg = LegalizerConfig::contest();
     cfg.threads = threads;
-    cfg.clamp_threads_to_hardware = false;
     cfg
 }
 

@@ -66,7 +66,6 @@ fn write_bundle(root: &Path, name: &str, seed: u64) -> PathBuf {
 fn engine_config() -> LegalizerConfig {
     let mut c = LegalizerConfig::contest();
     c.threads = 2;
-    c.clamp_threads_to_hardware = false;
     c
 }
 

@@ -51,7 +51,6 @@ fn eco_design(seed: u64) -> Design {
 fn cfg(threads: usize) -> LegalizerConfig {
     let mut c = LegalizerConfig::contest();
     c.threads = threads;
-    c.clamp_threads_to_hardware = false;
     c
 }
 

@@ -45,8 +45,8 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// The pinned corpus configuration: the snapshots are taken at two threads
-/// (with hardware clamping off so CI core counts don't matter), which the
-/// scheduler guarantees is bit-identical to any other thread count.
+/// (honored exactly, so CI core counts don't matter), which the scheduler
+/// guarantees is bit-identical to any other thread count.
 ///
 /// The `threads` field of a report records this knob, so snapshots only
 /// match runs at two threads; [`golden_subset_is_identical_across_thread_counts`]
@@ -54,7 +54,6 @@ fn golden_path(name: &str) -> PathBuf {
 fn corpus_config() -> LegalizerConfig {
     let mut lc = LegalizerConfig::contest();
     lc.threads = 2;
-    lc.clamp_threads_to_hardware = false;
     lc
 }
 
