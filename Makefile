@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test fmt clippy analyze tsan audit chaos check bench stage3-gate tables
+.PHONY: build test fmt clippy doc analyze tsan audit chaos check bench stage3-gate tables
 
 build:
 	cargo build --release
@@ -13,6 +13,11 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings as errors: a doc link to a renamed or deleted item
+# fails the build.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The static-analysis pass (DESIGN.md §13): determinism taint from the
 # scheduler/stage seed set, the sanctioned-site rules (Instant only in
@@ -51,7 +56,7 @@ audit:
 chaos:
 	cargo test --features faultinject --test chaos --test chaos_serve
 
-check: build test fmt clippy analyze audit chaos
+check: build test fmt clippy doc analyze audit chaos
 
 # The perf bench (DESIGN.md §6, §12, §14-§16): writes all of BENCH_mgl.json
 # in one run. Sections, in order: mgl (seed scheduler vs current at

@@ -17,7 +17,7 @@ use mcl_db::prelude::*;
 pub fn legalize_mll(design: &Design) -> (Design, MglStats) {
     let cfg = LegalizerConfig::mll_baseline();
     debug_assert_eq!(cfg.reference, DisplacementReference::Current);
-    match Engine::new(cfg).run_one(design, &RunSpec::default()) {
+    match Engine::new(cfg).run_one(design, RunSpec::default()) {
         Ok(out) => (out.design, out.stats.mgl),
         Err(_) => {
             let mut out = design.clone();
@@ -122,7 +122,7 @@ mod tests {
         let (mll_out, s1) = legalize_mll(&d);
         assert_eq!(s1.failed, 0);
         let mgl = Engine::new(LegalizerConfig::total_displacement())
-            .run_one(&d, &RunSpec::default())
+            .run_one(&d, RunSpec::default())
             .unwrap();
         let (mgl_out, s2) = (mgl.design, mgl.stats);
         assert_eq!(s2.mgl.failed, 0);

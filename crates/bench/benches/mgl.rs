@@ -17,7 +17,7 @@ fn mgl_benches(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("contest_flow", n), &g.design, |b, d| {
             b.iter(|| {
                 let out = Engine::new(LegalizerConfig::contest())
-                    .run_one(d, &RunSpec::default())
+                    .run_one(d, RunSpec::default())
                     .unwrap();
                 std::hint::black_box(out.design.cells.len())
             });

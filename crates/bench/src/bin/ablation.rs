@@ -5,7 +5,7 @@
 //! `δ₀`, window size and processing order.
 
 use mcl_bench::{evaluate, fnum, legalize, save_artifact, scale_from_env, threads_from_env};
-use mcl_core::{CellOrder, DisplacementReference, LegalizerConfig, RunSpec};
+use mcl_core::{CellOrder, DisplacementReference, LegalizerConfig, RunSpec, Stage, StageSet};
 use mcl_gen::generate::generate;
 use mcl_gen::presets::{iccad17_config, ICCAD17};
 
@@ -34,18 +34,17 @@ fn main() {
         ("full flow (default)", base()),
         ("no stage 2 (matching)", {
             let mut c = base();
-            c.max_disp_matching = false;
+            c.stages = StageSet::of(&[Stage::Mgl, Stage::FixedOrder]);
             c
         }),
         ("no stage 3 (dual MCF)", {
             let mut c = base();
-            c.fixed_order_refine = false;
+            c.stages = StageSet::of(&[Stage::Mgl, Stage::MaxDisp]);
             c
         }),
         ("stage 1 only", {
             let mut c = base();
-            c.max_disp_matching = false;
-            c.fixed_order_refine = false;
+            c.stages = StageSet::of(&[Stage::Mgl]);
             c
         }),
         ("no curve normalization", {
@@ -112,7 +111,7 @@ fn main() {
 
     let mut table = String::new();
     for (name, cfg) in variants {
-        let e = evaluate(d, |d| legalize(&cfg, d, &RunSpec::default()).0);
+        let e = evaluate(d, |d| legalize(&cfg, d, RunSpec::default()).0);
         assert!(e.report.is_legal(), "{name} must stay legal");
         let line = format!(
             "| {:<28} | {:>8} | {:>8} | {:>5} | {:>5} | {:>8} | {:>6} |",

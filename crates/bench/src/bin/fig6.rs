@@ -5,8 +5,7 @@
 //! stage-2 matching and renders the same group again — the paper's Fig. 6.
 
 use mcl_bench::{legalize, scale_from_env, threads_from_env};
-use mcl_core::pipeline::POST_PIPELINE;
-use mcl_core::{LegalizerConfig, RunSpec};
+use mcl_core::{LegalizerConfig, RunSpec, Stage, StageSet};
 use mcl_db::prelude::*;
 use mcl_gen::generate::generate;
 use mcl_gen::presets::{iccad17_config, ICCAD17};
@@ -20,9 +19,8 @@ fn main() {
 
     let mut stage1 = LegalizerConfig::contest();
     stage1.threads = threads_from_env();
-    stage1.max_disp_matching = false;
-    stage1.fixed_order_refine = false;
-    let (before, s) = legalize(&stage1, &g.design, &RunSpec::default());
+    stage1.stages = StageSet::of(&[Stage::Mgl]);
+    let (before, s) = legalize(&stage1, &g.design, RunSpec::default());
     assert_eq!(s.mgl.failed, 0);
 
     // Worst group by max displacement.
@@ -43,8 +41,8 @@ fn main() {
 
     let mut post = LegalizerConfig::contest();
     post.threads = threads_from_env();
-    post.fixed_order_refine = false; // isolate stage 2, as in the figure
-    let (after, _) = legalize(&post, &before, &RunSpec::stages(&POST_PIPELINE));
+    post.stages = StageSet::of(&[Stage::MaxDisp]); // isolate stage 2, as in the figure
+    let (after, _) = legalize(&post, &before, RunSpec::default());
     let after_max = Metrics::measure(&after).max_disp_rows;
     println!("max displacement: before {before_max:.2} rows -> after {after_max:.2} rows");
     assert!(after_max <= before_max + 1e-9);

@@ -19,7 +19,7 @@
 //!    size's peak.
 //! 3. **eco** — same-sized deltas through a resident [`EcoSession`] on the
 //!    100k-cell design that `scale` generated, against a from-scratch ECO
-//!    run (`eco_delta` off) of one such delta.
+//!    run (`RunSpec::Eco`) of one such delta.
 //! 4. **serve** — closed-loop clients at concurrency 1/4/16 against an
 //!    in-process daemon with its report dir and write-ahead journal on, so
 //!    the measured path includes the fsync the real daemon pays.
@@ -40,8 +40,8 @@ use mcl_core::config::LegalizerConfig;
 use mcl_core::insertion::{CostModel, Insertion};
 use mcl_core::insertion_reference::best_insertion_reference;
 use mcl_core::mgl::{apply_insertion, cell_order, compute_weights, fallback_scan, window_for};
-use mcl_core::pipeline::{MglStage, StageTiming};
-use mcl_core::{EcoSession, Engine, PlacementState, RunSpec};
+use mcl_core::pipeline::StageTiming;
+use mcl_core::{EcoSession, Engine, PlacementState, RunSpec, Stage, StageSet};
 use mcl_db::prelude::*;
 use mcl_obs::clock::Stopwatch;
 use mcl_obs::{count_to_float, CounterKind, Meter, SpanKind};
@@ -574,9 +574,9 @@ fn seed_scheduler(
 }
 
 /// Every cell position of every design of one engine batch, in order.
-fn batch_positions(engine: &mut Engine, designs: &[Design], spec: &RunSpec) -> Vec<Option<Point>> {
+fn batch_positions(engine: &mut Engine, designs: &[Design]) -> Vec<Option<Point>> {
     engine
-        .run(designs, spec)
+        .run(designs, RunSpec::default())
         .into_iter()
         .zip(designs)
         .flat_map(|(r, d)| match r {
@@ -590,11 +590,11 @@ fn batch_positions(engine: &mut Engine, designs: &[Design], spec: &RunSpec) -> V
 }
 
 /// Every cell position of each design legalized on its own.
-fn solo_positions(cfg: &LegalizerConfig, designs: &[Design], spec: &RunSpec) -> Vec<Option<Point>> {
+fn solo_positions(cfg: &LegalizerConfig, designs: &[Design]) -> Vec<Option<Point>> {
     designs
         .iter()
         .flat_map(|d| {
-            let (placed, stats) = legalize(cfg, d, spec);
+            let (placed, stats) = legalize(cfg, d, RunSpec::default());
             assert_eq!(stats.mgl.failed, 0, "solo run failed cells");
             placed.cells.iter().map(|c| c.pos).collect::<Vec<_>>()
         })
@@ -621,7 +621,6 @@ fn mgl_section(mode: &Mode) -> (Vec<MglRow>, Vec<StageTiming>) {
     let mut cfg = LegalizerConfig::total_displacement();
     cfg.window_list_capacity = MGL_CAPACITY;
     let weights = compute_weights(&d, cfg.weights);
-    let mgl_only = RunSpec::stages(&[&MglStage]);
     let n = count_to_float(mode.mgl_cells as u64);
 
     println!(
@@ -640,6 +639,7 @@ fn mgl_section(mode: &Mode) -> (Vec<MglRow>, Vec<StageTiming>) {
     for threads in THREADS {
         let mut c = cfg.clone();
         c.threads = threads;
+        c.stages = StageSet::of(&[Stage::Mgl]);
         let (seed_s, seed_pos) = time_best(mode.reps, || {
             let mut state = PlacementState::new(&d);
             let failed = seed_scheduler(&mut state, &c, &weights);
@@ -648,7 +648,7 @@ fn mgl_section(mode: &Mode) -> (Vec<MglRow>, Vec<StageTiming>) {
         });
         let mut obs = Meter::new();
         let (new_s, new_pos) = time_best(mode.reps, || {
-            let (placed, stats) = legalize(&c, &d, &mgl_only);
+            let (placed, stats) = legalize(&c, &d, RunSpec::default());
             assert_eq!(stats.mgl.failed, 0, "new scheduler failed cells");
             obs = stats.obs;
             placed
@@ -678,7 +678,7 @@ fn mgl_section(mode: &Mode) -> (Vec<MglRow>, Vec<StageTiming>) {
 
     let mut pcfg = cfg;
     pcfg.threads = 4;
-    let (_, pstats) = legalize(&pcfg, &d, &RunSpec::default());
+    let (_, pstats) = legalize(&pcfg, &d, RunSpec::default());
     assert_eq!(pstats.mgl.failed, 0, "pipeline failed cells");
     (rows, pstats.stage_seconds)
 }
@@ -692,10 +692,10 @@ fn batch_section(reps: usize) -> (Vec<BatchRow>, f64) {
     let variants: Vec<Design> = (0..BATCH_DESIGNS)
         .map(|i| dense_design(BATCH_CELLS, BATCH_DENSITY, MGL_SEED + 1 + i as u64))
         .collect();
-    let mgl_only = RunSpec::stages(&[&MglStage]);
     let at = |threads: usize| {
         let mut c = LegalizerConfig::total_displacement();
         c.threads = threads;
+        c.stages = StageSet::of(&[Stage::Mgl]);
         c
     };
     let designs = count_to_float(BATCH_DESIGNS as u64);
@@ -709,9 +709,9 @@ fn batch_section(reps: usize) -> (Vec<BatchRow>, f64) {
     let mut rows = Vec::new();
     for threads in THREADS {
         let bc = at(threads);
-        let (solo_s, solo_pos) = time_best(reps, || solo_positions(&bc, &variants, &mgl_only));
+        let (solo_s, solo_pos) = time_best(reps, || solo_positions(&bc, &variants));
         let (engine_s, batch_pos) = time_best(reps, || {
-            batch_positions(&mut Engine::new(bc.clone()), &variants, &mgl_only)
+            batch_positions(&mut Engine::new(bc.clone()), &variants)
         });
         assert_eq!(
             solo_pos, batch_pos,
@@ -732,10 +732,10 @@ fn batch_section(reps: usize) -> (Vec<BatchRow>, f64) {
     let mut icfg = at(4);
     icfg.max_inflight_designs = 2;
     let (inter_s, inter_pos) = time_best(reps, || {
-        batch_positions(&mut Engine::new(icfg.clone()), &variants, &mgl_only)
+        batch_positions(&mut Engine::new(icfg.clone()), &variants)
     });
     assert_eq!(
-        solo_positions(&at(4), &variants, &mgl_only),
+        solo_positions(&at(4), &variants),
         inter_pos,
         "interleaved batch must match per-design runs bit-identically"
     );
@@ -764,11 +764,9 @@ fn scale_section(mode: &Mode) -> (Vec<ScaleRow>, Option<Design>) {
         let t = Stopwatch::start();
         let d = bench_design(n);
         let gen_s = t.elapsed_seconds();
-        let (placed, run) = legalize(
-            &bench_config(n, threads),
-            &d,
-            &RunSpec::stages(&[&MglStage]),
-        );
+        let mut mgl_only = bench_config(n, threads);
+        mgl_only.stages = StageSet::of(&[Stage::Mgl]);
+        let (placed, run) = legalize(&mgl_only, &d, RunSpec::default());
         assert_eq!(run.mgl.failed, 0, "scale run failed cells at n={n}");
         assert!(
             placed.cells.iter().all(|c| c.pos.is_some()),
@@ -805,12 +803,12 @@ fn eco_section(design: &Design, deltas: usize) -> EcoResult {
     println!("\n# eco — {ECO_CELLS} cells, {ECO_DELTA_CELLS}-cell deltas, {ECO_THREADS} threads");
     let cfg = bench_config(ECO_CELLS, ECO_THREADS);
     let t = Stopwatch::start();
-    let (base, base_stats) = legalize(&cfg, design, &RunSpec::default());
+    let (base, base_stats) = legalize(&cfg, design, RunSpec::default());
     assert_eq!(base_stats.mgl.failed, 0, "base legalization failed cells");
     println!("base legalize: {:.2}s", t.elapsed_seconds());
 
     // Full-run reference: one delta absorbed by a from-scratch ECO run
-    // (eco_delta off), whose post stages walk every cell.
+    // (`RunSpec::Eco`), whose post stages walk every cell.
     let moves = EcoSession::synthesize_delta(&base, ECO_DELTA_CELLS, BENCH_SEED ^ 0xf011);
     let mut candidate = base.clone();
     for &(cell, gp) in &moves {
@@ -819,7 +817,7 @@ fn eco_section(design: &Design, deltas: usize) -> EcoResult {
         c.pos = None;
     }
     let t = Stopwatch::start();
-    let (_, full_stats) = legalize(&cfg, &candidate, &RunSpec::eco());
+    let (_, full_stats) = legalize(&cfg, &candidate, RunSpec::Eco);
     let full_ms = t.elapsed_seconds() * 1e3;
     assert_eq!(full_stats.mgl.failed, 0, "full ECO run failed cells");
     let stages: Vec<String> = full_stats

@@ -40,7 +40,7 @@ fn main() {
         let champ = evaluate(d, |d| legalize_tetris(d).0);
         let mut lcfg = LegalizerConfig::contest();
         lcfg.threads = threads_from_env();
-        let ours = evaluate(d, |d| legalize(&lcfg, d, &RunSpec::default()).0);
+        let ours = evaluate(d, |d| legalize(&lcfg, d, RunSpec::default()).0);
 
         assert!(ours.report.is_legal(), "{}: ours must be legal", stats.name);
         assert!(

@@ -51,7 +51,7 @@ fn main() {
         let lcp = evaluate(d, |d| legalize_lcp(d).0);
         let mut lcfg = LegalizerConfig::total_displacement();
         lcfg.threads = threads_from_env();
-        let ours = evaluate(d, |d| legalize(&lcfg, d, &RunSpec::default()).0);
+        let ours = evaluate(d, |d| legalize(&lcfg, d, RunSpec::default()).0);
         assert!(ours.report.is_legal(), "{}: ours must be legal", stats.name);
 
         let line = format!(

@@ -7,7 +7,7 @@ use mcl_bench::{
     evaluate, fnum, legalize, norm_avg, save_artifact, scale_from_env, threads_from_env,
 };
 use mcl_core::pipeline::POST_PIPELINE;
-use mcl_core::{LegalizerConfig, RunSpec};
+use mcl_core::{LegalizerConfig, RunSpec, Stage, StageSet};
 use mcl_gen::generate::generate;
 use mcl_gen::presets::{iccad17_config, ICCAD17};
 
@@ -37,16 +37,16 @@ fn main() {
 
         let mut stage1_cfg = LegalizerConfig::contest();
         stage1_cfg.threads = threads_from_env();
-        stage1_cfg.max_disp_matching = false;
-        stage1_cfg.fixed_order_refine = false;
-        let before = evaluate(d, |d| legalize(&stage1_cfg, d, &RunSpec::default()).0);
+        stage1_cfg.stages = StageSet::of(&[Stage::Mgl]);
+        let before = evaluate(d, |d| legalize(&stage1_cfg, d, RunSpec::default()).0);
 
         // Run the post-processing on the stage-1 output (the paper's
         // "before/after" is exactly this refinement).
-        let mut full_cfg = LegalizerConfig::contest();
-        full_cfg.threads = threads_from_env();
+        let mut post_cfg = LegalizerConfig::contest();
+        post_cfg.threads = threads_from_env();
+        post_cfg.stages = POST_PIPELINE;
         let after = evaluate(&before.design, |d| {
-            legalize(&full_cfg, d, &RunSpec::stages(&POST_PIPELINE)).0
+            legalize(&post_cfg, d, RunSpec::default()).0
         });
         assert!(after.report.is_legal());
 

@@ -58,7 +58,7 @@ pub fn out_dir() -> std::path::PathBuf {
 pub fn legalize(
     config: &LegalizerConfig,
     design: &Design,
-    spec: &RunSpec,
+    spec: RunSpec,
 ) -> (Design, LegalizeStats) {
     match Engine::new(config.clone()).run_one(design, spec) {
         Ok(out) => (out.design, out.stats),

@@ -1,6 +1,7 @@
 //! Legalization configuration.
 
 use crate::faultinject::FaultPlan;
+use crate::pipeline::{Stage, StageSet, FULL_PIPELINE};
 use mcl_db::geom::Dbu;
 use std::sync::Arc;
 
@@ -80,22 +81,12 @@ pub struct LegalizerConfig {
     pub io_penalty: i64,
     /// Cost penalty per unavoidable vertical-rail violation.
     pub rail_penalty: i64,
-    /// Enable stage 2 (bipartite matching on max displacement).
-    pub max_disp_matching: bool,
+    /// The stages a run executes, always in canonical order (default: all
+    /// three). A set without [`Stage::Mgl`] refines existing positions, so
+    /// the engine adopts them.
+    pub stages: StageSet,
     /// `δ₀` of Eq. 3: tolerable max displacement, in rows.
     pub delta0_rows: f64,
-    /// Enable stage 3 (fixed row & order dual-MCF refinement).
-    pub fixed_order_refine: bool,
-    /// Delta-first ECO mode: the post stages (2 and 3) restrict themselves
-    /// to the transitive dirty-window closure of the cells mutated since
-    /// adoption ([`crate::dirty`]) — stage 2 re-matches only groups with a
-    /// dirty member (restricted to closure members), stage 3 solves the
-    /// flow over closure members with their nearest clean neighbors as
-    /// fixed walls. Only effective when the state adopted existing
-    /// positions ([`crate::RunSpec::eco`] / [`crate::legalizer::EcoSession`]); a fresh
-    /// full run ignores it. Off by default: batch runs keep today's
-    /// whole-design post stages.
-    pub eco_delta: bool,
     /// `n₀`: weight of the max-displacement terms in stage 3, relative to a
     /// unit cell weight (0 disables the extension).
     pub n0_factor: i64,
@@ -164,8 +155,7 @@ impl LegalizerConfig {
             window_list_capacity: 1,
             weights: WeightMode::Uniform,
             routability: false,
-            max_disp_matching: false,
-            fixed_order_refine: false,
+            stages: StageSet::of(&[Stage::Mgl]),
             ..Self::default()
         }
     }
@@ -207,10 +197,8 @@ impl Default for LegalizerConfig {
             normalize_curves: true,
             io_penalty: 2_000,
             rail_penalty: 1_000,
-            max_disp_matching: true,
+            stages: FULL_PIPELINE,
             delta0_rows: 10.0,
-            fixed_order_refine: true,
-            eco_delta: false,
             n0_factor: 4,
             threads: 1,
             max_inflight_designs: 0,
@@ -242,7 +230,7 @@ mod tests {
         assert!(!LegalizerConfig::total_displacement().routability);
         let mll = LegalizerConfig::mll_baseline();
         assert_eq!(mll.reference, DisplacementReference::Current);
-        assert!(!mll.fixed_order_refine);
+        assert!(!mll.stages.contains(Stage::FixedOrder));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A delta run mutates a handful of cells; everything the post stages are
 //! allowed to touch must be derivable from those mutations alone. This
 //! module turns the raw dirty set tracked by
-//! [`PlacementState`](crate::state::PlacementState) (epoch-stamped cells
+//! [`PlacementState`] (epoch-stamped cells
 //! plus the rects they vacated) into its *transitive geometric closure*:
 //! every placed cell within the edge-spacing halo of a dirty rect becomes
 //! dirty itself, and its own halo-expanded rect is scanned in turn, until

@@ -1,8 +1,8 @@
 //! The legalization engine: the one way to run the pipeline.
 //!
 //! [`Engine::run_jobs`] pulls [`Job`]s from a source — a slice, or a queue
-//! that blocks until more work arrives — runs each through a [`RunSpec`]
-//! (stage list, whether to adopt existing positions) and hands each job's
+//! that blocks until more work arrives — seeds each as its [`RunSpec`]
+//! says, runs the configuration's stage set over it and hands each job's
 //! fallible [`RunOutput`] to a callback the moment that job finishes.
 //! [`Engine::run`] (a batch, results in batch order) and [`Engine::run_one`]
 //! (a batch of one) are adaptors over it. The engine owns the setup state
@@ -38,7 +38,7 @@ use crate::config::LegalizerConfig;
 use crate::error::LegalizeError;
 use crate::insertion::InsertionScratch;
 use crate::legalizer::LegalizeStats;
-use crate::pipeline::{self, includes_mgl, Prep, Stage, FULL_PIPELINE};
+use crate::pipeline::{self, Prep, Stage};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use std::borrow::Cow;
@@ -60,45 +60,29 @@ pub struct EngineDiag {
     pub helpers: u64,
 }
 
-/// What an [`Engine`] call does to each job.
-#[derive(Clone)]
-pub struct RunSpec {
-    /// The stages to run, in canonical order ([`FULL_PIPELINE`],
-    /// [`pipeline::POST_PIPELINE`] or a [`pipeline::parse_stages`] list).
-    pub stages: Vec<&'static dyn Stage>,
-    /// Adopt each design's existing positions before the first stage
-    /// (ECO). Always on when `stages` skips MGL: post-processing needs a
-    /// placed input. An unadoptable position fails that job with
-    /// [`LegalizeError::SeedRejected`].
-    pub adopt_positions: bool,
-}
-
-impl RunSpec {
-    /// An explicit stage list; positions are adopted only when it skips
-    /// MGL.
-    pub fn stages(stages: &[&'static dyn Stage]) -> Self {
-        Self {
-            stages: stages.to_vec(),
-            adopt_positions: false,
-        }
-    }
-
-    /// The full pipeline over adopted positions: cells that already have a
-    /// legal position keep it as their starting point and only unplaced
-    /// cells go through MGL insertion.
-    pub fn eco() -> Self {
-        Self {
-            adopt_positions: true,
-            ..Self::default()
-        }
-    }
-}
-
-impl Default for RunSpec {
-    /// The full pipeline from scratch (input positions are ignored).
-    fn default() -> Self {
-        Self::stages(&FULL_PIPELINE)
-    }
+/// How an [`Engine`] call seeds each job's placement. Which stages then
+/// run is the configuration's [`LegalizerConfig::stages`].
+///
+/// An adopting seeding fails a job whose positions are not adoptable with
+/// [`LegalizeError::SeedRejected`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum RunSpec {
+    /// From scratch: input positions are ignored. A stage set without MGL
+    /// refines a placed input, so it adopts the positions all the same.
+    #[default]
+    Fresh,
+    /// ECO: adopt each design's existing positions. Cells that already
+    /// have a legal position keep it as their starting point, only
+    /// unplaced cells go through MGL insertion, and the post stages walk
+    /// every cell.
+    Eco,
+    /// ECO delta: adopt as [`Self::Eco`], then restrict the post stages to
+    /// the transitive dirty-window closure of the cells MGL placed
+    /// ([`crate::dirty`]). Stage 2 re-matches only groups with a dirty
+    /// member, restricted to closure members; stage 3 solves the flow over
+    /// closure members with their nearest clean neighbors as fixed walls.
+    /// [`crate::EcoSession`] runs every delta this way.
+    EcoDelta,
 }
 
 /// One job of an [`Engine::run_jobs`] source.
@@ -143,7 +127,7 @@ pub struct RunOutput {
 ///     designs.push(d);
 /// }
 /// let mut engine = Engine::new(LegalizerConfig::contest());
-/// let results = engine.run(&designs, &RunSpec::default());
+/// let results = engine.run(&designs, RunSpec::default());
 /// assert_eq!(results.len(), 3);
 /// for r in &results {
 ///     let out = r.as_ref().expect("legalized");
@@ -211,7 +195,7 @@ impl Engine {
     /// # Errors
     ///
     /// The job's terminal [`LegalizeError`] (see [`Self::run_jobs`]).
-    pub fn run_one(&mut self, design: &Design, spec: &RunSpec) -> Result<RunOutput, LegalizeError> {
+    pub fn run_one(&mut self, design: &Design, spec: RunSpec) -> Result<RunOutput, LegalizeError> {
         self.run(std::slice::from_ref(design), spec)
             .pop()
             .unwrap_or(Err(LegalizeError::PoolBroken {
@@ -225,7 +209,7 @@ impl Engine {
     pub fn run(
         &mut self,
         designs: &[Design],
-        spec: &RunSpec,
+        spec: RunSpec,
     ) -> Vec<Result<RunOutput, LegalizeError>> {
         let slots = Mutex::new(designs.iter().map(|_| None).collect::<Vec<_>>());
         let jobs = designs.iter().enumerate().map(|(i, d)| Job {
@@ -273,10 +257,9 @@ impl Engine {
     pub fn run_jobs<'d, T: Send>(
         &mut self,
         jobs: impl Iterator<Item = Job<'d, T>> + Send,
-        spec: &RunSpec,
+        spec: RunSpec,
         done: impl Fn(T, Result<RunOutput, LegalizeError>) + Sync,
     ) {
-        let stages = spec.stages.as_slice();
         let runners = self.batch_runners(jobs.size_hint().1.unwrap_or(usize::MAX));
         let helpers = self.config.threads - runners;
         let Self {
@@ -287,8 +270,7 @@ impl Engine {
         let call = Call {
             source: Mutex::new(jobs.fuse()),
             config,
-            stages,
-            adopt: spec.adopt_positions || !includes_mgl(stages),
+            spec,
             runs: AtomicU64::new(0),
             done,
         };
@@ -322,8 +304,7 @@ struct Call<'a, I, F> {
     /// blocks for work holds back only other claims.
     source: Mutex<I>,
     config: &'a LegalizerConfig,
-    stages: &'a [&'static dyn Stage],
-    adopt: bool,
+    spec: RunSpec,
     runs: AtomicU64,
     done: F,
 }
@@ -368,7 +349,11 @@ where
         config: &LegalizerConfig,
         share: &mut [InsertionScratch],
     ) -> Result<RunOutput, LegalizeError> {
-        let mut state = if self.adopt {
+        // The one place adoption is decided: every seeding but a fresh one
+        // adopts, and so does a stage set that skips MGL, since
+        // post-processing needs a placed input.
+        let adopt = self.spec != RunSpec::Fresh || !config.stages.contains(Stage::Mgl);
+        let mut state = if adopt {
             PlacementState::from_design_positions(design).map_err(|(cell, e)| {
                 LegalizeError::SeedRejected {
                     cell: Some(cell.0),
@@ -380,7 +365,7 @@ where
         };
         self.runs.fetch_add(1, Ordering::Relaxed);
         let prep = Prep::new(design, config);
-        let stats = pipeline::run_stages(design, &mut state, config, self.stages, &prep, share)?;
+        let stats = pipeline::run_stages(design, &mut state, config, self.spec, &prep, share)?;
         let mut out = design.clone();
         state.write_back(&mut out);
         Ok(RunOutput {
@@ -394,7 +379,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::MglStage;
+    use crate::pipeline::StageSet;
     use mcl_obs::SpanKind;
     use std::sync::Condvar;
     use std::time::Duration;
@@ -439,7 +424,7 @@ mod tests {
 
     fn solo(threads: usize, d: &Design) -> RunOutput {
         Engine::new(cfg(threads))
-            .run_one(d, &RunSpec::default())
+            .run_one(d, RunSpec::default())
             .expect("solo run")
     }
 
@@ -449,7 +434,7 @@ mod tests {
 
     fn batch(engine: &mut Engine, designs: &[Design]) -> Vec<RunOutput> {
         engine
-            .run(designs, &RunSpec::default())
+            .run(designs, RunSpec::default())
             .into_iter()
             .map(|r| r.expect("batch job"))
             .collect()
@@ -462,7 +447,7 @@ mod tests {
         let mut engine = Engine::new(cfg(8));
         assert_eq!(engine.config().threads, 8);
         engine
-            .run_one(&batch_designs(1)[0], &RunSpec::default())
+            .run_one(&batch_designs(1)[0], RunSpec::default())
             .expect("solo run");
         assert_eq!(engine.diag().helpers, 7);
     }
@@ -552,7 +537,7 @@ mod tests {
         // Per-design engines construct every scratch again for each design.
         for d in &designs {
             let out = Engine::new(cfg(3))
-                .run_one(d, &RunSpec::default())
+                .run_one(d, RunSpec::default())
                 .expect("solo run");
             assert_eq!(out.stats.mgl.scratch.created, 3);
         }
@@ -564,7 +549,6 @@ mod tests {
         // every design need a matching.
         let matching = |threads: usize| {
             let mut c = cfg(threads);
-            c.max_disp_matching = true;
             c.delta0_rows = 0.5;
             c
         };
@@ -584,7 +568,7 @@ mod tests {
         // helpers, and its matchings spread over them.
         let mut engine = Engine::new(matching(4));
         let out = engine
-            .run_one(&designs[0], &RunSpec::default())
+            .run_one(&designs[0], RunSpec::default())
             .expect("lone job");
         assert_eq!(engine.diag().helpers, 3);
         let groups = out.stats.obs.span(SpanKind::MatchingGroup);
@@ -641,7 +625,7 @@ mod tests {
             })
         });
         let mut engine = Engine::new(cfg(3));
-        engine.run_jobs(jobs, &RunSpec::default(), |k, out| {
+        engine.run_jobs(jobs, RunSpec::default(), |k, out| {
             record(&results, k, out);
             finished.0.lock().unwrap()[k] = true;
             finished.1.notify_all();
@@ -678,7 +662,7 @@ mod tests {
                     ticket: k,
                 })
             });
-            engine.run_jobs(jobs, &RunSpec::default(), |k, out| {
+            engine.run_jobs(jobs, RunSpec::default(), |k, out| {
                 record(&results, k, out);
                 completed.fetch_add(1, Ordering::SeqCst);
             });
@@ -706,22 +690,21 @@ mod tests {
     #[test]
     fn adopting_runs_report_seed_errors_per_job() {
         let designs = batch_designs(2);
+        let mut stage1 = cfg(2);
+        stage1.stages = StageSet::of(&[Stage::Mgl]);
         let mut engine = Engine::new(cfg(2));
         // Legal inputs: stage-1 legalize, then batch-ECO adopts cleanly.
-        let placed: Vec<Design> = engine
-            .run(&designs, &RunSpec::stages(&[&MglStage]))
+        let placed: Vec<Design> = Engine::new(stage1)
+            .run(&designs, RunSpec::Fresh)
             .into_iter()
             .map(|r| r.expect("stage 1").design)
             .collect();
-        assert!(engine
-            .run(&placed, &RunSpec::eco())
-            .iter()
-            .all(Result::is_ok));
+        assert!(engine.run(&placed, RunSpec::Eco).iter().all(Result::is_ok));
 
         // An illegal position in design 1 fails that job only.
         let mut bad = placed.clone();
         bad[1].cells[0].pos = Some(Point::new(13, 7));
-        let out = engine.run(&bad, &RunSpec::eco());
+        let out = engine.run(&bad, RunSpec::Eco);
         assert!(out[0].is_ok());
         match &out[1] {
             Err(LegalizeError::SeedRejected { cell, .. }) => assert_eq!(*cell, Some(0)),

@@ -11,7 +11,7 @@ use crate::error::{Degradation, FailureRecord, LegalizeError};
 use crate::fixed_order::FixedOrderStats;
 use crate::maxdisp::MaxDispStats;
 use crate::mgl::MglStats;
-use crate::pipeline::StageTiming;
+use crate::pipeline::{Stage, StageTiming};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use mcl_obs::Meter;
@@ -19,15 +19,15 @@ use mcl_obs::Meter;
 /// Combined statistics of a full legalization run.
 #[derive(Debug, Clone, Default)]
 pub struct LegalizeStats {
-    /// Stage 1 statistics.
+    /// Stage 1 statistics (zeroed when the stage did not run).
     pub mgl: MglStats,
-    /// Stage 2 statistics (zeroed when disabled).
+    /// Stage 2 statistics (zeroed when the stage did not run).
     pub max_disp: MaxDispStats,
-    /// Stage 3 statistics (zeroed when disabled).
+    /// Stage 3 statistics (zeroed when the stage did not run).
     pub fixed_order: FixedOrderStats,
-    /// Wall-clock seconds per *enabled* stage, in execution order, keyed by
-    /// stage name (`"mgl"`, `"maxdisp"`, `"fixed_order"`). Disabled stages
-    /// emit no entry.
+    /// Wall-clock seconds per stage that ran, in execution order, keyed by
+    /// stage name (`"mgl"`, `"maxdisp"`, `"fixed_order"`). Stages outside
+    /// the configuration's stage set emit no entry.
     pub stage_seconds: Vec<StageTiming>,
     /// Contained pipeline-level failures (stage panics, deadline misses,
     /// broken MGL helpers) recorded by the driver. Per-cell MGL failures live in
@@ -85,18 +85,18 @@ impl PartialEq for LegalizeStats {
 }
 
 /// A resident incremental-legalization session: the interactive-service
-/// counterpart of a one-shot ECO run ([`RunSpec::eco`]).
+/// counterpart of a one-shot ECO run ([`RunSpec::Eco`]).
 ///
 /// The session owns the evolving base placement. Each [`Self::apply_delta`]
 /// re-targets a handful of cells (new GP homes, positions vacated) and
-/// re-legalizes with [`LegalizerConfig::eco_delta`] forced on, so MGL only
-/// inserts the delta cells and the post stages confine themselves to the
+/// re-legalizes them as a [`RunSpec::EcoDelta`] run, so MGL only inserts
+/// the delta cells and the post stages confine themselves to the
 /// transitive dirty-window closure ([`crate::dirty`]). The result is
 /// committed as the next base, ready for the next delta.
 ///
 /// Determinism contract: a delta's output (positions, stats rows, replay
-/// log, audit certificate) is byte-identical to a from-scratch ECO run
-/// ([`RunSpec::eco`]) on the same mutated design under the same
+/// log, audit certificate) is byte-identical to a from-scratch
+/// [`RunSpec::EcoDelta`] run on the same mutated design under the same
 /// configuration, at any thread count — pinned by the `eco_parity` suite.
 /// Each delta's end-to-end wall time lands in the `eco.delta_nanos`
 /// histogram of the returned stats (observability stratum, never golden).
@@ -108,15 +108,21 @@ pub struct EcoSession {
 }
 
 impl EcoSession {
-    /// Opens a session over a legal base placement. `eco_delta` is forced
-    /// on; every other knob of `config` is honored as-is.
+    /// Opens a session over a legal base placement; every knob of `config`
+    /// is honored as-is.
     ///
     /// # Errors
     ///
     /// [`LegalizeError::SeedRejected`] when the base positions are not
-    /// adoptable (the base must be legal).
-    pub fn open(design: Design, mut config: LegalizerConfig) -> Result<Self, LegalizeError> {
-        config.eco_delta = true;
+    /// adoptable (the base must be legal), or when `config.stages` skips
+    /// MGL, which is what places a delta's moved cells.
+    pub fn open(design: Design, config: LegalizerConfig) -> Result<Self, LegalizeError> {
+        if !config.stages.contains(Stage::Mgl) {
+            return Err(LegalizeError::SeedRejected {
+                cell: None,
+                message: "an ECO session needs the mgl stage to place its deltas".into(),
+            });
+        }
         // Reject an illegal base now, not on the first delta.
         PlacementState::from_design_positions(&design).map_err(|(cell, e)| {
             LegalizeError::SeedRejected {
@@ -182,7 +188,7 @@ impl EcoSession {
         moves
     }
 
-    /// The session configuration (with `eco_delta` on).
+    /// The session configuration.
     pub fn config(&self) -> &LegalizerConfig {
         self.engine.config()
     }
@@ -238,7 +244,7 @@ impl EcoSession {
             design: out,
             mut stats,
             replay,
-        } = self.engine.run_one(&candidate, &RunSpec::eco())?;
+        } = self.engine.run_one(&candidate, RunSpec::EcoDelta)?;
         // Per-delta deadline: the session budget (`stage_budget_secs`)
         // bounds the *whole* delta. Inside the run the same budget drives
         // the pipeline's degradation ladder; if even the degraded result
@@ -287,20 +293,20 @@ impl EcoSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::POST_PIPELINE;
+    use crate::pipeline::{StageSet, POST_PIPELINE};
     use mcl_db::score::Metrics;
 
     fn run_with(
         config: LegalizerConfig,
         d: &Design,
-        spec: &RunSpec,
+        spec: RunSpec,
     ) -> Result<(Design, LegalizeStats), LegalizeError> {
         let out = Engine::new(config).run_one(d, spec)?;
         Ok((out.design, out.stats))
     }
 
     fn run(config: LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
-        run_with(config, d, &RunSpec::default()).expect("fault-free run")
+        run_with(config, d, RunSpec::default()).expect("fault-free run")
     }
 
     fn messy_design(n: usize, seed: u64) -> Design {
@@ -333,8 +339,7 @@ mod tests {
         let d = messy_design(250, 31);
         let full = LegalizerConfig::total_displacement();
         let mut cfg1 = LegalizerConfig::total_displacement();
-        cfg1.max_disp_matching = false;
-        cfg1.fixed_order_refine = false;
+        cfg1.stages = StageSet::of(&[Stage::Mgl]);
 
         let (out_full, s_full) = run(full, &d);
         let (out_1, s_1) = run(cfg1, &d);
@@ -365,8 +370,7 @@ mod tests {
         assert!(full.stage_seconds_for("mgl").is_some());
 
         let mut cfg1 = LegalizerConfig::total_displacement();
-        cfg1.max_disp_matching = false;
-        cfg1.fixed_order_refine = false;
+        cfg1.stages = StageSet::of(&[Stage::Mgl]);
         let (_, only1) = run(cfg1, &d);
         let names: Vec<_> = only1.stage_seconds.iter().map(|t| t.name).collect();
         assert_eq!(names, ["mgl"], "disabled stages must emit no timing row");
@@ -378,11 +382,12 @@ mod tests {
         let d = messy_design(150, 77);
         let cfg = LegalizerConfig::total_displacement();
         let mut stage1_cfg = cfg.clone();
-        stage1_cfg.max_disp_matching = false;
-        stage1_cfg.fixed_order_refine = false;
+        stage1_cfg.stages = StageSet::of(&[Stage::Mgl]);
         let (legal, _) = run(stage1_cfg, &d);
         let before = Metrics::measure(&legal);
-        let (refined, stats) = run_with(cfg, &legal, &RunSpec::stages(&POST_PIPELINE)).unwrap();
+        let mut post_cfg = cfg;
+        post_cfg.stages = POST_PIPELINE;
+        let (refined, stats) = run_with(post_cfg, &legal, RunSpec::default()).unwrap();
         assert!(stats.fixed_order.applied);
         let after = Metrics::measure(&refined);
         assert!(after.total_disp_dbu <= before.total_disp_dbu);
@@ -397,8 +402,7 @@ mod tests {
         let d = messy_design(150, 13);
         let stage1_only = {
             let mut c = LegalizerConfig::total_displacement();
-            c.max_disp_matching = false;
-            c.fixed_order_refine = false;
+            c.stages = StageSet::of(&[Stage::Mgl]);
             c
         };
         let (mut placed, _) = run(stage1_only, &d);
@@ -411,12 +415,8 @@ mod tests {
                 Point::new(200 + i * 150, 400),
             ));
         }
-        let (out, stats) = run_with(
-            LegalizerConfig::total_displacement(),
-            &placed,
-            &RunSpec::eco(),
-        )
-        .unwrap();
+        let (out, stats) =
+            run_with(LegalizerConfig::total_displacement(), &placed, RunSpec::Eco).unwrap();
         assert_eq!(stats.mgl.failed, 0);
         assert!(Checker::new(&out).check().is_legal());
         // Old cells: placed, and the vast majority untouched by the ECO.
@@ -493,10 +493,21 @@ mod tests {
     }
 
     #[test]
+    fn session_needs_the_mgl_stage() {
+        let (placed, _) = run(LegalizerConfig::total_displacement(), &messy_design(40, 3));
+        let mut post_only = LegalizerConfig::total_displacement();
+        post_only.stages = POST_PIPELINE;
+        assert!(matches!(
+            EcoSession::open(placed, post_only),
+            Err(LegalizeError::SeedRejected { cell: None, .. })
+        ));
+    }
+
+    #[test]
     fn eco_rejects_illegal_input() {
         let mut d = messy_design(10, 3);
         d.cells[0].pos = Some(Point::new(13, 7)); // misaligned
-        assert!(run_with(LegalizerConfig::total_displacement(), &d, &RunSpec::eco()).is_err());
+        assert!(run_with(LegalizerConfig::total_displacement(), &d, RunSpec::Eco).is_err());
     }
 
     #[test]

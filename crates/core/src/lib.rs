@@ -44,7 +44,7 @@ pub use engine::{Engine, EngineDiag, Job, RunOutput, RunSpec};
 pub use error::{Degradation, FailureClass, FailureRecord, LegalizeError};
 pub use faultinject::{FaultPlan, FaultSite};
 pub use legalizer::{EcoSession, LegalizeStats};
-pub use pipeline::{Stage, StageStats, StageTiming};
+pub use pipeline::{Stage, StageSet, StageTiming};
 pub use report::build_run_report;
 pub use spatial::{HierGrid, ItemId};
 pub use state::{CellSoA, PlaceError, PlacementState};

@@ -86,8 +86,7 @@ pub fn optimize_max_disp_metered(
     // Group placed movable cells by (type, fence). A BTreeMap so that the
     // group visit order below is the sorted key order by construction —
     // deterministic without a separate key sort (and without tripping the
-    // analyzer's hash-iter rule: this loop is reachable from
-    // `MaxDispStage::run`).
+    // analyzer's hash-iter rule: this fn seeds its determinism scope).
     let mut groups: BTreeMap<(u32, u16), Vec<CellId>> = BTreeMap::new();
     match delta {
         // Delta mode: only dirty-closure members participate (the closure

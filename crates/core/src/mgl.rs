@@ -561,13 +561,15 @@ pub use crate::config::DisplacementReference as Reference;
 mod tests {
     use super::*;
     use crate::engine::{Engine, RunSpec};
-    use crate::pipeline::MglStage;
+    use crate::pipeline::{Stage, StageSet};
     use mcl_db::legal::Checker;
 
     /// Stage 1 alone through the engine.
     fn run_mgl(design: &Design, config: &LegalizerConfig) -> (Design, MglStats) {
-        let out = Engine::new(config.clone())
-            .run_one(design, &RunSpec::stages(&[&MglStage]))
+        let mut config = config.clone();
+        config.stages = StageSet::of(&[Stage::Mgl]);
+        let out = Engine::new(config)
+            .run_one(design, RunSpec::default())
             .expect("MGL run");
         (out.design, out.stats.mgl)
     }

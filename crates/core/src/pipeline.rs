@@ -2,29 +2,29 @@
 //!
 //! The paper's flow is an ordered composition of stages (MGL insertion →
 //! max-displacement matching → fixed-order refinement). This module is the
-//! single place that composition lives: each stage is a [`Stage`] trait
-//! object, the driver [`run_stages`] walks a stage list, and every stage is
+//! single place that composition lives: a [`Stage`] names one stage, the
+//! configuration's [`StageSet`] says which of them run, the driver
+//! [`run_stages`] walks that set in canonical order, and every stage is
 //! wrapped uniformly by the same middleware — wall-clock timing into
 //! [`StageTiming`], a stage span in the meter, the per-stage displacement
 //! histogram, and the independent clean-room audit. A new stage therefore
 //! cannot forget to be timed, metered or audited. The one public entry
 //! point, [`crate::Engine::run`], differs per job only in how the initial
-//! [`PlacementState`] is built and which stage list it passes.
+//! [`PlacementState`] is seeded ([`RunSpec`]).
 //!
-//! Middleware order per enabled stage (fixed; meter merging is commutative
-//! so the aggregate is insensitive to it, but the order is kept identical to
-//! the pre-pipeline drivers so full reports diff cleanly):
+//! Middleware order per stage (fixed; meter merging is commutative, so
+//! the aggregate is insensitive to it):
 //!
-//! 1. run the stage body,
+//! 1. run the stage body and store its statistics in [`LegalizeStats`]
+//!    (MGL also merges its helpers' meters),
 //! 2. push the named [`StageTiming`],
 //! 3. record the stage span,
-//! 4. fold the stage's [`StageStats`] into [`LegalizeStats`] (MGL also
-//!    merges its helpers' meters),
-//! 5. record the displacement histogram of the current placement,
-//! 6. run the clean-room audit (`debug_assertions` / `audit` feature).
+//! 4. record the displacement histogram of the current placement,
+//! 5. run the clean-room audit (`debug_assertions` / `audit` feature).
 
 use crate::config::LegalizerConfig;
 use crate::dirty::DirtyClosure;
+use crate::engine::RunSpec;
 use crate::error::{panic_message, Degradation, FailureClass, LegalizeError};
 use crate::faultinject::FaultSite;
 use crate::fixed_order::optimize_fixed_order_metered;
@@ -39,20 +39,8 @@ use mcl_db::prelude::*;
 use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
 use std::panic::AssertUnwindSafe;
 
-/// Statistics returned by one stage, folded into [`LegalizeStats`] by the
-/// driver.
-#[derive(Debug, Clone)]
-pub enum StageStats {
-    /// Stage 1 (MGL insertion).
-    Mgl(crate::mgl::MglStats),
-    /// Stage 2 (max-displacement matching).
-    MaxDisp(crate::maxdisp::MaxDispStats),
-    /// Stage 3 (fixed row-and-order refinement).
-    FixedOrder(crate::fixed_order::FixedOrderStats),
-}
-
-/// Wall-clock seconds of one enabled stage, keyed by stage name. Disabled
-/// stages emit no entry (they used to report a misleading `0.0`).
+/// Wall-clock seconds of one stage that ran, keyed by stage name. Stages
+/// outside the run's [`StageSet`] emit no entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageTiming {
     /// The stage's [`Stage::name`].
@@ -61,141 +49,86 @@ pub struct StageTiming {
     pub seconds: f64,
 }
 
-/// Everything a stage body may read or mutate. `'d` is the design's
-/// lifetime.
-pub struct PipelineCtx<'run, 'd> {
-    /// The design being legalized.
-    pub design: &'d Design,
-    /// The working placement.
-    pub state: &'run mut PlacementState<'d>,
-    /// The run's configuration.
-    pub config: &'run LegalizerConfig,
-    /// Per-cell displacement weights and the routability oracle.
-    pub prep: &'run Prep<'d>,
-    /// The run's meter; stage bodies may record directly into it.
-    pub obs: &'run mut Meter,
-    /// The job's thread share, one caller-owned insertion scratch per
-    /// thread: the runner's own first, then one per helper. MGL spawns a
-    /// helper per extra scratch and stage 2 solves its matchings on that
-    /// many threads; one scratch runs everything on the calling thread —
-    /// same results. The engine reuses the scratches across runs.
-    pub scratches: &'run mut [InsertionScratch],
-    /// ECO delta closure, computed once by the driver before the first
-    /// post stage when `config.eco_delta` is on and the state tracks a
-    /// dirty epoch. Post stages restrict themselves to its members.
-    pub delta: Option<&'run DirtyClosure>,
+/// One stage of the flow, in canonical order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Stage {
+    /// Stage 1: MGL window insertion over the unplaced cells.
+    Mgl,
+    /// Stage 2: per (type × fence) min-cost bipartite matching minimizing
+    /// the convex max-displacement objective.
+    MaxDisp,
+    /// Stage 3: fixed row-and-order refinement via the dual min-cost flow.
+    FixedOrder,
 }
 
-/// One stage of the flow. Implementations are stateless unit structs; all
-/// run state flows through [`PipelineCtx`].
-pub trait Stage: Sync {
+impl Stage {
+    /// Every stage, in canonical order.
+    pub const ALL: [Stage; 3] = [Stage::Mgl, Stage::MaxDisp, Stage::FixedOrder];
+
     /// Stable stage name, used for [`StageTiming`], report rows and CLI
     /// `--stages` specs.
-    fn name(&self) -> &'static str;
-    /// Whether the configuration enables this stage.
-    fn enabled(&self, config: &LegalizerConfig) -> bool;
-    /// The span recorded around the stage body.
-    fn span(&self) -> SpanKind;
-    /// The displacement histogram recorded after the stage body.
-    fn histo(&self) -> HistoKind;
-    /// The stage body.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`LegalizeError`] when the stage cannot complete; the driver
-    /// rolls the placement back to the pre-stage checkpoint and consults
-    /// the degradation ladder. Panics out of a stage body are contained by
-    /// the driver and classified the same way.
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError>;
-}
+    pub const fn name(self) -> &'static str {
+        match self {
+            Stage::Mgl => "mgl",
+            Stage::MaxDisp => "maxdisp",
+            Stage::FixedOrder => "fixed_order",
+        }
+    }
 
-/// Stage 1: MGL window insertion over the unplaced cells.
-pub struct MglStage;
-
-impl Stage for MglStage {
-    fn name(&self) -> &'static str {
-        "mgl"
-    }
-    fn enabled(&self, _config: &LegalizerConfig) -> bool {
-        true
-    }
-    fn span(&self) -> SpanKind {
-        SpanKind::StageMgl
-    }
-    fn histo(&self) -> HistoKind {
-        HistoKind::DispSitesMgl
-    }
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError> {
-        let stats = drive_rounds(ctx.state, ctx.config, ctx.prep, ctx.scratches)?;
-        Ok(StageStats::Mgl(stats))
+    /// The span recorded around the stage body and the displacement
+    /// histogram recorded after it.
+    fn meters(self) -> (SpanKind, HistoKind) {
+        match self {
+            Stage::Mgl => (SpanKind::StageMgl, HistoKind::DispSitesMgl),
+            Stage::MaxDisp => (SpanKind::StageMaxDisp, HistoKind::DispSitesMaxDisp),
+            Stage::FixedOrder => (SpanKind::StageFixedOrder, HistoKind::DispSitesFixedOrder),
+        }
     }
 }
 
-/// Stage 2: per (type × fence) min-cost bipartite matching minimizing the
-/// convex max-displacement objective.
-pub struct MaxDispStage;
+/// Which stages a run executes. A set, not a list: it always iterates in
+/// canonical order, so a duplicated or reordered stage cannot be
+/// expressed.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StageSet(u8);
 
-impl Stage for MaxDispStage {
-    fn name(&self) -> &'static str {
-        "maxdisp"
+impl StageSet {
+    /// The set of the given stages; order and repeats are irrelevant.
+    pub const fn of(mut stages: &[Stage]) -> Self {
+        let mut bits = 0;
+        while let [stage, rest @ ..] = stages {
+            bits |= 1 << *stage as u8;
+            stages = rest;
+        }
+        Self(bits)
     }
-    fn enabled(&self, config: &LegalizerConfig) -> bool {
-        config.max_disp_matching
+
+    /// Whether `stage` runs.
+    pub const fn contains(self, stage: Stage) -> bool {
+        self.0 & (1 << stage as u8) != 0
     }
-    fn span(&self) -> SpanKind {
-        SpanKind::StageMaxDisp
-    }
-    fn histo(&self) -> HistoKind {
-        HistoKind::DispSitesMaxDisp
-    }
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError> {
-        Ok(StageStats::MaxDisp(optimize_max_disp_metered(
-            ctx.state,
-            ctx.config,
-            ctx.scratches.len(),
-            ctx.obs,
-            ctx.delta,
-        )))
+
+    /// The stages in canonical order.
+    pub fn iter(self) -> impl Iterator<Item = Stage> {
+        Stage::ALL.into_iter().filter(move |&s| self.contains(s))
     }
 }
 
-/// Stage 3: fixed row-and-order refinement via the dual min-cost flow.
-pub struct FixedOrderStage;
-
-impl Stage for FixedOrderStage {
-    fn name(&self) -> &'static str {
-        "fixed_order"
-    }
-    fn enabled(&self, config: &LegalizerConfig) -> bool {
-        config.fixed_order_refine
-    }
-    fn span(&self) -> SpanKind {
-        SpanKind::StageFixedOrder
-    }
-    fn histo(&self) -> HistoKind {
-        HistoKind::DispSitesFixedOrder
-    }
-    fn run(&self, ctx: &mut PipelineCtx<'_, '_>) -> Result<StageStats, LegalizeError> {
-        Ok(StageStats::FixedOrder(optimize_fixed_order_metered(
-            ctx.state,
-            ctx.config,
-            &ctx.prep.weights,
-            ctx.prep.oracle(),
-            ctx.obs,
-            ctx.delta,
-        )))
+impl std::fmt::Debug for StageSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 /// The full three-stage flow (fresh and ECO runs).
-pub static FULL_PIPELINE: [&dyn Stage; 3] = [&MglStage, &MaxDispStage, &FixedOrderStage];
+pub const FULL_PIPELINE: StageSet = StageSet::of(&Stage::ALL);
 
 /// The two post-processing stages only (refinement of a legal input,
 /// Table 3 ablations).
-pub static POST_PIPELINE: [&dyn Stage; 2] = [&MaxDispStage, &FixedOrderStage];
+pub const POST_PIPELINE: StageSet = StageSet::of(&[Stage::MaxDisp, Stage::FixedOrder]);
 
 /// Resolves a CLI-style comma-separated stage spec (`mgl,maxdisp,fixed`)
-/// into a stage list. Stage names are `mgl`, `maxdisp` and
+/// into a stage set. Stage names are `mgl`, `maxdisp` and
 /// `fixed`/`fixed_order`; the spec must be a non-empty subsequence of the
 /// canonical order (stages can be dropped, not reordered).
 ///
@@ -203,45 +136,34 @@ pub static POST_PIPELINE: [&dyn Stage; 2] = [&MaxDispStage, &FixedOrderStage];
 ///
 /// Returns a human-readable message for unknown names, duplicates, an empty
 /// spec, or out-of-order stages.
-pub fn parse_stages(spec: &str) -> Result<Vec<&'static dyn Stage>, String> {
-    let mut stages: Vec<&'static dyn Stage> = Vec::new();
-    let mut last = 0usize;
+pub fn parse_stages(spec: &str) -> Result<StageSet, String> {
+    let mut stages = Vec::new();
     for (i, raw) in spec.split(',').enumerate() {
         let name = raw.trim();
-        let (rank, stage): (usize, &'static dyn Stage) = match name {
-            "mgl" => (1, &MglStage),
-            "maxdisp" => (2, &MaxDispStage),
-            "fixed" | "fixed_order" => (3, &FixedOrderStage),
-            "" => {
-                return Err(format!("empty stage name at position {i} in `{spec}`"));
-            }
+        let stage = match name {
+            "mgl" => Stage::Mgl,
+            "maxdisp" => Stage::MaxDisp,
+            "fixed" | "fixed_order" => Stage::FixedOrder,
+            "" => return Err(format!("empty stage name at position {i} in `{spec}`")),
             other => {
                 return Err(format!(
                     "unknown stage `{other}` (expected mgl, maxdisp, fixed)"
                 ));
             }
         };
-        if rank == last {
-            return Err(format!("duplicate stage `{name}` in `{spec}`"));
+        match stages.last() {
+            Some(&last) if last == stage => {
+                return Err(format!("duplicate stage `{name}` in `{spec}`"));
+            }
+            Some(&last) if last > stage => {
+                return Err(format!(
+                    "stage `{name}` out of order in `{spec}` (canonical order: mgl,maxdisp,fixed)"
+                ));
+            }
+            _ => stages.push(stage),
         }
-        if rank < last {
-            return Err(format!(
-                "stage `{name}` out of order in `{spec}` (canonical order: mgl,maxdisp,fixed)"
-            ));
-        }
-        last = rank;
-        stages.push(stage);
     }
-    if stages.is_empty() {
-        return Err("empty stage list".into());
-    }
-    Ok(stages)
-}
-
-/// Whether a parsed stage list starts with MGL insertion (stage lists
-/// without it run in refine semantics: existing positions are adopted).
-pub fn includes_mgl(stages: &[&dyn Stage]) -> bool {
-    stages.iter().any(|s| s.name() == "mgl")
+    Ok(StageSet::of(&stages))
 }
 
 /// Per-run prepared inputs shared by every stage: displacement weights and
@@ -326,18 +248,19 @@ fn audit_stage(_state: &PlacementState<'_>, _design: &Design, _stage: &str) {}
 /// One guarded stage attempt: fault probes at the boundary (injected
 /// allocation failure, injected stage panic), then the stage body under
 /// `catch_unwind` so a panic anywhere inside is contained and classified
-/// instead of tearing the process down.
+/// instead of tearing the process down. Only a completed body stores its
+/// statistics in `stats`.
 #[allow(clippy::too_many_arguments)]
 fn run_stage_guarded<'d>(
-    stage: &dyn Stage,
+    stage: Stage,
     design: &'d Design,
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
     prep: &Prep<'d>,
-    obs: &mut Meter,
+    stats: &mut LegalizeStats,
     scratches: &mut [InsertionScratch],
     delta: Option<&DirtyClosure>,
-) -> Result<StageStats, LegalizeError> {
+) -> Result<(), LegalizeError> {
     let name = stage.name();
     let alloc_site = FaultSite::StageAlloc { stage: name };
     if crate::faultinject::fires(config.faults.as_ref(), &design.name, &alloc_site) {
@@ -351,16 +274,23 @@ fn run_stage_guarded<'d>(
         if crate::faultinject::fires(config.faults.as_ref(), &design.name, &panic_site) {
             crate::faultinject::injected_panic(&panic_site);
         }
-        let mut ctx = PipelineCtx {
-            design,
-            state: &mut *state,
-            config,
-            prep,
-            obs,
-            scratches: &mut *scratches,
-            delta,
-        };
-        stage.run(&mut ctx)
+        let obs = &mut stats.obs;
+        match stage {
+            Stage::Mgl => {
+                stats.mgl = drive_rounds(state, config, prep, scratches)?;
+                stats.obs.merge(&stats.mgl.obs);
+            }
+            Stage::MaxDisp => {
+                stats.max_disp =
+                    optimize_max_disp_metered(state, config, scratches.len(), obs, delta);
+            }
+            Stage::FixedOrder => {
+                let (weights, oracle) = (&prep.weights, prep.oracle());
+                stats.fixed_order =
+                    optimize_fixed_order_metered(state, config, weights, oracle, obs, delta);
+            }
+        }
+        Ok(())
     }));
     match caught {
         Ok(r) => r,
@@ -391,13 +321,21 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 }
 
 /// The single pipeline driver behind [`crate::Engine::run`]. Walks
-/// `stages`, skipping disabled ones, applying the module-doc middleware
-/// around each, and finishes with the run-level span. `scratches` is the
-/// job's thread share ([`PipelineCtx::scratches`]).
+/// `config.stages` in canonical order, applying the module-doc middleware
+/// around each, and finishes with the run-level span. Under
+/// [`RunSpec::EcoDelta`] the post stages restrict themselves to the dirty
+/// closure of the adopted `state`; any other `spec` has them walk every
+/// cell (seeding the state is the caller's job).
+///
+/// `scratches` is the job's thread share, one caller-owned insertion
+/// scratch per thread: the runner's own first, then one per helper. MGL
+/// spawns a helper per extra scratch and stage 2 solves its matchings on
+/// that many threads; one scratch runs everything on the calling thread —
+/// same results. The engine reuses the scratches across runs.
 ///
 /// # Fault containment (DESIGN.md §11)
 ///
-/// Every enabled stage runs against a checkpoint of the placement. A stage
+/// Every stage runs against a checkpoint of the placement. A stage
 /// that returns a typed [`LegalizeError`] or panics is rolled back — no
 /// partial mutation ever escapes a failed stage — and the declared
 /// degradation ladder decides what happens next:
@@ -423,7 +361,7 @@ pub fn run_stages<'d>(
     design: &'d Design,
     state: &mut PlacementState<'d>,
     config: &LegalizerConfig,
-    stages: &[&dyn Stage],
+    spec: RunSpec,
     prep: &Prep<'d>,
     scratches: &mut [InsertionScratch],
 ) -> Result<LegalizeStats, LegalizeError> {
@@ -435,12 +373,10 @@ pub fn run_stages<'d>(
     // members among their own positions, so the closure stays a fixed
     // point across both post stages and one computation serves both.
     let mut delta: Option<DirtyClosure> = None;
-    for stage in stages {
-        if !stage.enabled(config) {
-            continue;
-        }
+    for stage in config.stages.iter() {
         let name = stage.name();
-        if name != "mgl" && config.eco_delta && state.dirty_tracking() && delta.is_none() {
+        let post = stage != Stage::Mgl;
+        if post && spec == RunSpec::EcoDelta && state.dirty_tracking() && delta.is_none() {
             let dc = crate::dirty::compute(state);
             stats
                 .obs
@@ -476,10 +412,10 @@ pub fn run_stages<'d>(
             // are skipped, keeping the current assignment.
             stats.degradations.push(Degradation {
                 stage: name,
-                rung: if name == "mgl" { "serial" } else { "skip" },
+                rung: if post { "skip" } else { "serial" },
                 reason: err.to_string(),
             });
-            if name != "mgl" {
+            if post {
                 continue;
             }
         }
@@ -493,79 +429,67 @@ pub fn run_stages<'d>(
         // Checkpoint so a failed stage can never leak partial mutation.
         let checkpoint = state.clone();
         let first = run_stage_guarded(
-            *stage,
+            stage,
             design,
             state,
             config,
             prep,
-            &mut stats.obs,
+            &mut stats,
             &mut scratches[..share],
             delta.as_ref(),
         );
-        let folded = match first {
-            Ok(s) => s,
-            Err(e) => {
-                *state = checkpoint.clone();
-                if e.class() == FailureClass::Fatal {
-                    return Err(e);
-                }
-                stats.failures.push(e.to_record());
-                let reason = e.to_string();
-                if name != "mgl" {
-                    // Rung: skip. The placement is back to the pre-stage
-                    // state; like a disabled stage, no timing row is pushed.
-                    stats.degradations.push(Degradation {
-                        stage: name,
-                        rung: "skip",
-                        reason,
-                    });
-                    continue;
-                }
-                if deadline_hit {
-                    // Already at the bottom rung.
-                    return Err(e);
-                }
-                // Rung: rerun inline from the restored checkpoint.
-                match run_stage_guarded(
-                    *stage,
-                    design,
-                    state,
-                    config,
-                    prep,
-                    &mut stats.obs,
-                    &mut scratches[..inline],
-                    delta.as_ref(),
-                ) {
-                    Ok(s) => {
-                        stats.degradations.push(Degradation {
-                            stage: name,
-                            rung: "serial",
-                            reason,
-                        });
-                        s
-                    }
-                    Err(e2) => {
-                        // Ladder exhausted: restore and fail the job.
-                        *state = checkpoint;
-                        return Err(e2);
-                    }
+        if let Err(e) = first {
+            *state = checkpoint.clone();
+            if e.class() == FailureClass::Fatal {
+                return Err(e);
+            }
+            stats.failures.push(e.to_record());
+            let reason = e.to_string();
+            if post {
+                // Rung: skip. The placement is back to the pre-stage
+                // state; like a stage outside the set, no timing row
+                // is pushed.
+                stats.degradations.push(Degradation {
+                    stage: name,
+                    rung: "skip",
+                    reason,
+                });
+                continue;
+            }
+            if deadline_hit {
+                // Already at the bottom rung.
+                return Err(e);
+            }
+            // Rung: rerun inline from the restored checkpoint.
+            match run_stage_guarded(
+                stage,
+                design,
+                state,
+                config,
+                prep,
+                &mut stats,
+                &mut scratches[..inline],
+                delta.as_ref(),
+            ) {
+                Ok(()) => stats.degradations.push(Degradation {
+                    stage: name,
+                    rung: "serial",
+                    reason,
+                }),
+                Err(e2) => {
+                    // Ladder exhausted: restore and fail the job.
+                    *state = checkpoint;
+                    return Err(e2);
                 }
             }
-        };
+        }
         stats.stage_seconds.push(StageTiming {
             name,
             seconds: t.elapsed_seconds(),
         });
-        stats.obs.record_span(stage.span(), t.elapsed_nanos(), 0);
-        match folded {
-            StageStats::Mgl(s) => {
-                stats.mgl = s;
-                stats.obs.merge(&stats.mgl.obs);
-            }
-            StageStats::MaxDisp(s) => stats.max_disp = s,
-            StageStats::FixedOrder(s) => stats.fixed_order = s,
-        }
-        record_disp_histogram(&mut stats.obs, state, design, stage.histo());
+        let (span, histo) = stage.meters();
+        stats.obs.record_span(span, t.elapsed_nanos(), 0);
+        record_disp_histogram(&mut stats.obs, state, design, histo);
         audit_stage(state, design, name);
     }
     // Certification: a run that took any rung must still prove legality.
@@ -588,8 +512,12 @@ mod tests {
         assert_eq!(names, ["mgl", "maxdisp", "fixed_order"]);
         let post: Vec<_> = POST_PIPELINE.iter().map(|s| s.name()).collect();
         assert_eq!(post, ["maxdisp", "fixed_order"]);
-        assert!(includes_mgl(&FULL_PIPELINE));
-        assert!(!includes_mgl(&POST_PIPELINE));
+        assert!(FULL_PIPELINE.contains(Stage::Mgl));
+        assert!(!POST_PIPELINE.contains(Stage::Mgl));
+        // A set iterates in canonical order however it was built.
+        let set = StageSet::of(&[Stage::FixedOrder, Stage::Mgl, Stage::FixedOrder]);
+        let names: Vec<_> = set.iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["mgl", "fixed_order"]);
     }
 
     #[test]
@@ -630,10 +558,9 @@ mod tests {
     #[test]
     fn stage_enablement_follows_config() {
         let mut cfg = LegalizerConfig::contest();
-        cfg.max_disp_matching = false;
-        cfg.fixed_order_refine = true;
-        assert!(MglStage.enabled(&cfg));
-        assert!(!MaxDispStage.enabled(&cfg));
-        assert!(FixedOrderStage.enabled(&cfg));
+        cfg.stages = StageSet::of(&[Stage::Mgl, Stage::FixedOrder]);
+        assert!(cfg.stages.contains(Stage::Mgl));
+        assert!(!cfg.stages.contains(Stage::MaxDisp));
+        assert!(cfg.stages.contains(Stage::FixedOrder));
     }
 }

@@ -27,7 +27,7 @@ use mcl_obs::report::RunReport;
 /// let inv = d.add_cell_type(CellType::new("INV", 20, 1));
 /// d.add_cell(Cell::new("u1", inv, Point::new(33, 47)));
 /// let config = LegalizerConfig::contest();
-/// let out = Engine::new(config.clone()).run_one(&d, &RunSpec::default()).unwrap();
+/// let out = Engine::new(config.clone()).run_one(&d, RunSpec::default()).unwrap();
 /// let report = build_run_report(&out.design, &out.stats, &config);
 /// assert_eq!(report.design, "demo");
 /// assert!(report.golden_json().contains("\"quality\""));
@@ -92,7 +92,7 @@ mod tests {
 
     fn run(config: &LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
         let out = Engine::new(config.clone())
-            .run_one(d, &RunSpec::default())
+            .run_one(d, RunSpec::default())
             .expect("fault-free run");
         (out.design, out.stats)
     }

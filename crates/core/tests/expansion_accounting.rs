@@ -5,8 +5,7 @@
 //! that expanded before placing was double-counted).
 
 use mcl_core::mgl::MglStats;
-use mcl_core::pipeline::MglStage;
-use mcl_core::{Engine, LegalizerConfig, RunSpec};
+use mcl_core::{Engine, LegalizerConfig, RunSpec, Stage, StageSet};
 use mcl_db::prelude::*;
 
 /// One row, three movable 20-wide cells, two fixed blockers sized so the
@@ -50,9 +49,10 @@ fn crafted_config() -> LegalizerConfig {
 const EXPECTED_EXPANSIONS: usize = 4 + 1; // c0: 4, c1: 1, c2: 0
 
 /// Stage 1 alone on the crafted design.
-fn mgl_stats(cfg: LegalizerConfig) -> MglStats {
+fn mgl_stats(mut cfg: LegalizerConfig) -> MglStats {
+    cfg.stages = StageSet::of(&[Stage::Mgl]);
     Engine::new(cfg)
-        .run_one(&crafted_design(), &RunSpec::stages(&[&MglStage]))
+        .run_one(&crafted_design(), RunSpec::default())
         .expect("MGL run")
         .stats
         .mgl

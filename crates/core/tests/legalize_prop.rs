@@ -28,7 +28,7 @@ fn build_design(
 
 fn legalize(config: LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
     let out = Engine::new(config)
-        .run_one(d, &RunSpec::default())
+        .run_one(d, RunSpec::default())
         .expect("fault-free run");
     (out.design, out.stats)
 }

@@ -27,7 +27,7 @@ fn run_once(design: &mcl_db::prelude::Design) -> f64 {
     lc.threads = 4;
     let sw = Stopwatch::start();
     let out = Engine::new(lc)
-        .run_one(design, &RunSpec::default())
+        .run_one(design, RunSpec::default())
         .expect("fault-free run");
     let secs = sw.elapsed_seconds();
     assert_eq!(out.stats.mgl.failed, 0);

@@ -2,7 +2,7 @@
 //! and refinement are *the same flow* wearing different seeding, not three
 //! re-implementations.
 //!
-//! - An ECO run ([`RunSpec::eco`]) on a fully-unplaced design is exactly a
+//! - An ECO run ([`RunSpec::Eco`]) on a fully-unplaced design is exactly a
 //!   fresh run (bit-identical placements, equal stats, equal replay logs):
 //!   adopting zero positions must not perturb anything downstream.
 //! - Refinement ([`POST_PIPELINE`]) after a stage-1-only run reproduces the
@@ -12,8 +12,8 @@
 //! Both are checked at 1, 2 and 4 threads (inline and pooled MGL), and the
 //! outputs must also agree across those thread counts.
 
-use mcl_core::pipeline::{MglStage, POST_PIPELINE};
-use mcl_core::{Engine, LegalizerConfig, RunOutput, RunSpec};
+use mcl_core::pipeline::POST_PIPELINE;
+use mcl_core::{Engine, LegalizerConfig, RunOutput, RunSpec, Stage, StageSet};
 use mcl_db::prelude::*;
 
 fn messy_design(n: usize, seed: u64) -> Design {
@@ -51,7 +51,7 @@ fn positions(d: &Design) -> Vec<Option<Point>> {
     d.cells.iter().map(|c| c.pos).collect()
 }
 
-fn run(config: LegalizerConfig, d: &Design, spec: &RunSpec) -> RunOutput {
+fn run(config: LegalizerConfig, d: &Design, spec: RunSpec) -> RunOutput {
     Engine::new(config)
         .run_one(d, spec)
         .expect("fault-free run")
@@ -64,8 +64,8 @@ fn assert_eco_is_run(d: &Design, base: &LegalizerConfig) {
     for threads in [1usize, 2, 4] {
         let mut c = base.clone();
         c.threads = threads;
-        let fresh = run(c.clone(), d, &RunSpec::default());
-        let eco = run(c, d, &RunSpec::eco());
+        let fresh = run(c.clone(), d, RunSpec::default());
+        let eco = run(c, d, RunSpec::Eco);
         assert_eq!(
             positions(&fresh.design),
             positions(&eco.design),
@@ -125,14 +125,14 @@ fn refine_after_stage1_run_reproduces_full_run() {
     let d = messy_design(180, 4242);
     let mut first: Option<Vec<Option<Point>>> = None;
     for threads in [1usize, 2, 4] {
-        let full = run(config(threads), &d, &RunSpec::default());
-        let stage1 = run(config(threads), &d, &RunSpec::stages(&[&MglStage]));
+        let full = run(config(threads), &d, RunSpec::default());
+        let mut stage1 = config(threads);
+        stage1.stages = StageSet::of(&[Stage::Mgl]);
+        let stage1 = run(stage1, &d, RunSpec::default());
         assert_eq!(full.stats.mgl, stage1.stats.mgl, "{threads} threads");
-        let refined = run(
-            config(threads),
-            &stage1.design,
-            &RunSpec::stages(&POST_PIPELINE),
-        );
+        let mut post = config(threads);
+        post.stages = POST_PIPELINE;
+        let refined = run(post, &stage1.design, RunSpec::default());
         assert_eq!(
             positions(&full.design),
             positions(&refined.design),

@@ -5,8 +5,9 @@
 
 #![cfg(feature = "replay-log")]
 
-use mcl_core::pipeline::MglStage;
-use mcl_core::{Engine, LegalizerConfig, RunSpec};
+use mcl_audit::ReplayLog;
+use mcl_core::pipeline::FULL_PIPELINE;
+use mcl_core::{Engine, LegalizerConfig, RunSpec, Stage, StageSet};
 use mcl_db::prelude::*;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -35,21 +36,24 @@ fn messy_design(n: usize, seed: u64) -> Design {
     d
 }
 
-fn run_with_threads(d: &Design, threads: usize, spec: &RunSpec) -> (Design, mcl_audit::ReplayLog) {
+fn run_with_threads(d: &Design, threads: usize, stages: StageSet) -> (Design, ReplayLog) {
     let mut cfg = LegalizerConfig::contest();
     cfg.threads = threads;
-    let out = Engine::new(cfg).run_one(d, spec).expect("fault-free run");
+    cfg.stages = stages;
+    let out = Engine::new(cfg)
+        .run_one(d, RunSpec::default())
+        .expect("fault-free run");
     assert_eq!(out.stats.mgl.failed, 0, "all cells must place");
     (out.design, out.replay)
 }
 
-/// Runs `spec` at 1, 2 and 4 threads and asserts identical mutation
+/// Runs `stages` at 1, 2 and 4 threads and asserts identical mutation
 /// sequences and outputs. This is stronger than comparing final positions:
 /// two runs with equal logs are bit-identical step by step.
-fn assert_log_invariant_across_thread_counts(d: &Design, spec: &RunSpec) {
-    let (out1, log1) = run_with_threads(d, 1, spec);
+fn assert_log_invariant_across_thread_counts(d: &Design, stages: StageSet) {
+    let (out1, log1) = run_with_threads(d, 1, stages);
     for threads in [2usize, 4] {
-        let (out, log) = run_with_threads(d, threads, spec);
+        let (out, log) = run_with_threads(d, threads, stages);
         // Digest is the cheap fleet check; op-for-op equality gives a
         // usable failure message.
         assert_eq!(log1.digest(), log.digest(), "{threads} threads");
@@ -66,20 +70,20 @@ fn scheduler_mutation_sequence_invariant_across_thread_counts() {
     // MGL alone: windows evaluated inline (1 thread) or with helpers
     // (2, 4 threads) must commit the exact same mutation sequence.
     let d = messy_design(160, 0xC0FFEE);
-    assert_log_invariant_across_thread_counts(&d, &RunSpec::stages(&[&MglStage]));
+    assert_log_invariant_across_thread_counts(&d, StageSet::of(&[Stage::Mgl]));
 }
 
 #[test]
 fn full_pipeline_log_invariant_across_thread_counts() {
     // End-to-end: MGL + max-disp matching + fixed-order refinement.
     let d = messy_design(160, 0xC0FFEE);
-    assert_log_invariant_across_thread_counts(&d, &RunSpec::default());
+    assert_log_invariant_across_thread_counts(&d, FULL_PIPELINE);
 }
 
 #[test]
 fn single_thread_log_replays_cleanly() {
     let d = messy_design(100, 0xFACADE);
-    let (out, log) = run_with_threads(&d, 1, &RunSpec::default());
+    let (out, log) = run_with_threads(&d, 1, FULL_PIPELINE);
     let final_pos = log.verify(&d).expect("1-thread run must replay legally");
     for (c, p) in out.cells.iter().zip(&final_pos) {
         if !c.fixed {
@@ -91,7 +95,7 @@ fn single_thread_log_replays_cleanly() {
 #[test]
 fn replay_verifier_accepts_the_real_run_and_matches_final_positions() {
     let d = messy_design(120, 0xBADC0DE);
-    let (out, log) = run_with_threads(&d, 4, &RunSpec::default());
+    let (out, log) = run_with_threads(&d, 4, FULL_PIPELINE);
     assert!(!log.is_empty());
     // Independent replay: every op must be legal at the moment it applies.
     let final_pos = log.verify(&d).expect("replayed run must be legal");
@@ -106,7 +110,7 @@ fn replay_verifier_accepts_the_real_run_and_matches_final_positions() {
 fn tampered_log_is_rejected() {
     use mcl_audit::ReplayOp;
     let d = messy_design(60, 0x5EED);
-    let (_, log) = run_with_threads(&d, 1, &RunSpec::default());
+    let (_, log) = run_with_threads(&d, 1, FULL_PIPELINE);
     // Re-place the first placed cell at a misaligned x: the verifier must
     // reject the doctored sequence.
     let mut ops = log.ops().to_vec();

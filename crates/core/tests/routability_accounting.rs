@@ -160,7 +160,7 @@ proptest! {
         let mut config = LegalizerConfig::contest();
         config.routability = routability;
         let out = Engine::new(config.clone())
-            .run_one(&d, &RunSpec::default())
+            .run_one(&d, RunSpec::default())
             .expect("fault-free run");
         let (placed, stats) = (out.design, out.stats);
         prop_assert_eq!(stats.mgl.failed, 0);

@@ -11,8 +11,7 @@
 //! run inflates the total past the thread count.
 
 use mcl_core::config::LegalizerConfig;
-use mcl_core::pipeline::MglStage;
-use mcl_core::{Engine, RunSpec};
+use mcl_core::{Engine, RunSpec, Stage, StageSet};
 use mcl_gen::{generate, GeneratorConfig};
 use mcl_obs::SpanKind;
 
@@ -34,8 +33,9 @@ fn busy_run(threads: usize) -> mcl_core::mgl::MglStats {
     // forces fallback scans — both paths must reuse pooled buffers.
     c.window_list_capacity = 64;
     c.max_expansions = 3;
+    c.stages = StageSet::of(&[Stage::Mgl]);
     let stats = Engine::new(c)
-        .run_one(&g.design, &RunSpec::stages(&[&MglStage]))
+        .run_one(&g.design, RunSpec::default())
         .expect("MGL run")
         .stats
         .mgl;

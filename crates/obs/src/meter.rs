@@ -514,7 +514,7 @@ impl Meter {
     pub fn span(&self, kind: SpanKind) -> SpanAgg {
         #[cfg(feature = "enabled")]
         if let Some(i) = &self.inner {
-            return i.spans[kind as usize];
+            return i.spans.get(kind as usize).copied().unwrap_or_default();
         }
         let _ = kind;
         SpanAgg::default()
@@ -525,7 +525,7 @@ impl Meter {
     pub fn counter(&self, kind: CounterKind) -> u64 {
         #[cfg(feature = "enabled")]
         if let Some(i) = &self.inner {
-            return i.counters[kind as usize];
+            return i.counters.get(kind as usize).copied().unwrap_or_default();
         }
         let _ = kind;
         0
@@ -536,7 +536,7 @@ impl Meter {
     pub fn histogram(&self, kind: HistoKind) -> Histogram {
         #[cfg(feature = "enabled")]
         if let Some(i) = &self.inner {
-            return i.histos[kind as usize];
+            return i.histos.get(kind as usize).copied().unwrap_or_default();
         }
         let _ = kind;
         Histogram::default()

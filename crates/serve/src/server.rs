@@ -277,7 +277,7 @@ fn begin_drain(shared: &Shared) {
 fn serve_jobs(shared: &Shared, mut engine: Engine) {
     engine.run_jobs(
         std::iter::from_fn(|| next_admitted(shared)),
-        &RunSpec::default(),
+        RunSpec::default(),
         |meta, result| finalize(shared, meta, &result),
     );
     finish_shutdown(shared);
@@ -761,6 +761,22 @@ fn eco_delta(shared: &Shared, id: u64, delta: &DeltaSpec) -> String {
                 "cells_reused",
                 stats.obs.counter(CounterKind::EcoCellsReused),
             );
+            // The stage split and flow work, under the run report's names.
+            w.key("stage_seconds");
+            w.begin_object();
+            for t in &stats.stage_seconds {
+                w.field_f64(t.name, t.seconds, 6);
+            }
+            w.end_object();
+            w.key("counters");
+            w.begin_object();
+            for kind in [
+                CounterKind::MatchingSimplexPivots,
+                CounterKind::SimplexPivots,
+            ] {
+                w.field_u64(kind.name(), stats.obs.counter(kind));
+            }
+            w.end_object();
             w.end_object();
             w.finish()
         }

@@ -54,7 +54,7 @@ fn main() {
     }
 
     let out = Engine::new(LegalizerConfig::contest())
-        .run_one(&design, &RunSpec::default())
+        .run_one(&design, RunSpec::default())
         .expect("fault-free run");
     let (placed, stats) = (out.design, out.stats);
     println!(

@@ -65,7 +65,7 @@ fn main() {
 
     // --- Legalize the parsed design and export the result ----------------
     let placed = Engine::new(LegalizerConfig::contest())
-        .run_one(&parsed_def, &RunSpec::default())
+        .run_one(&parsed_def, RunSpec::default())
         .expect("fault-free run")
         .design;
     let report = Checker::new(&placed).check();

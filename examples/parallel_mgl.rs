@@ -32,7 +32,7 @@ fn main() {
         // different helper counts.
         let t = Instant::now();
         let out = Engine::new(cfg)
-            .run_one(design, &RunSpec::default())
+            .run_one(design, RunSpec::default())
             .expect("fault-free run");
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(out.stats.mgl.failed, 0);

@@ -33,7 +33,7 @@ fn main() {
     // Legalize with the contest configuration (fences + routability +
     // average/maximum displacement objective).
     let out = Engine::new(LegalizerConfig::contest())
-        .run_one(design, &RunSpec::default())
+        .run_one(design, RunSpec::default())
         .expect("fault-free run");
     let (placed, stats) = (out.design, out.stats);
     let secs = |name: &str| stats.stage_seconds_for(name).unwrap_or(0.0);

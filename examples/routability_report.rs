@@ -31,7 +31,7 @@ fn main() {
     blind.routability = false;
     let legalize = |config: LegalizerConfig| {
         Engine::new(config)
-            .run_one(design, &RunSpec::default())
+            .run_one(design, RunSpec::default())
             .expect("fault-free run")
             .design
     };

@@ -144,16 +144,20 @@ COMMANDS
                                 (a corrupt or failing bundle is reported and
                                 skipped; the rest of the batch still runs)
              --mode contest|total|mll    configuration (default contest)
-             --threads <n>      MGL worker threads
+             --threads <n>      thread budget (default 1): design runners
+                                plus their helpers, which serve both MGL and
+                                stage 2. Honored exactly; above the core
+                                count helpers mostly wait and slow the run
              --max-inflight <n> batch: designs in flight at once (default:
                                 --threads; fewer splits the leftover threads
-                                among the in-flight designs as MGL helpers —
+                                among the in-flight designs as helpers —
                                 results are identical either way)
              --stage-budget-secs <f>   per-run wall-clock budget; a stage
                                 starting past it takes its degradation rung
                                 (serial MGL / skip) instead of running
-             --stages mgl,maxdisp,fixed   run a pipeline stage subset
-                                (skipping mgl adopts the input placement)
+             --stages mgl,maxdisp,fixed   run this stage subset instead of
+                                the mode's stages (skipping mgl adopts the
+                                input placement)
              --baseline tetris|abacus|lcp   run a baseline instead
              --eco true            incremental: keep pre-placed cells
              --eco-delta N[:SEED]  after legalizing, open a resident ECO
@@ -343,8 +347,9 @@ fn preset_config(spec: &str, scale: f64) -> Result<gen::GeneratorConfig, CliErro
     }
 }
 
-/// Builds the legalizer configuration from `--mode`, `--threads` and
-/// `--order` (shared by the single-design and `--batch` paths).
+/// Builds the legalizer configuration from `--mode`, `--threads`,
+/// `--stage-budget-secs`, `--max-inflight` and `--order` (shared by
+/// `legalize` and `serve`).
 fn build_config(flags: &Flags) -> Result<LegalizerConfig, CliError> {
     let mut cfg = match flags.get("mode").unwrap_or("contest") {
         "contest" => LegalizerConfig::contest(),
@@ -381,19 +386,17 @@ fn build_config(flags: &Flags) -> Result<LegalizerConfig, CliError> {
     Ok(cfg)
 }
 
-/// What to run per design: the `--stages` list (default: the full
-/// pipeline), adopting existing positions under `--eco true`.
-fn run_spec(flags: &Flags) -> Result<RunSpec, CliError> {
-    let stages = match flags.get("stages") {
-        Some(spec) => {
-            pipeline::parse_stages(spec).map_err(|e| CliError::Usage(format!("--stages: {e}")))?
-        }
-        None => pipeline::FULL_PIPELINE.to_vec(),
-    };
-    Ok(RunSpec {
-        adopt_positions: flags.get("eco").is_some_and(|v| v == "true" || v == "1"),
-        ..RunSpec::stages(&stages)
-    })
+/// What `legalize` runs per design: the mode's configuration with its
+/// stage set replaced by `--stages`, seeded from the input positions under
+/// `--eco true`.
+fn legalize_run(flags: &Flags) -> Result<(LegalizerConfig, RunSpec), CliError> {
+    let mut cfg = build_config(flags)?;
+    if let Some(spec) = flags.get("stages") {
+        cfg.stages =
+            pipeline::parse_stages(spec).map_err(|e| CliError::Usage(format!("--stages: {e}")))?;
+    }
+    let eco = flags.get("eco").is_some_and(|v| v == "true" || v == "1");
+    Ok((cfg, if eco { RunSpec::Eco } else { RunSpec::Fresh }))
 }
 
 /// `--eco-delta N[:SEED]`: opens a resident [`EcoSession`] over the fresh
@@ -447,9 +450,9 @@ fn cmd_legalize(flags: &Flags) -> Result<(), CliError> {
             other => return Err(CliError::Usage(format!("unknown baseline {other:?}"))),
         }
     } else {
-        let cfg = build_config(flags)?;
+        let (cfg, spec) = legalize_run(flags)?;
         let out = Engine::new(cfg.clone())
-            .run_one(&design, &run_spec(flags)?)
+            .run_one(&design, spec)
             .map_err(|e| legalize_error(&e))?;
         run_info = Some((out.stats, cfg));
         out.design
@@ -487,12 +490,14 @@ fn cmd_legalize(flags: &Flags) -> Result<(), CliError> {
         ));
     }
     if let Some(spec) = flags.get("eco-delta") {
-        let Some((_, cfg)) = &run_info else {
+        if run_info.is_none() {
             return Err(CliError::Usage(
                 "--eco-delta requires the main legalizer (no --baseline)".into(),
             ));
-        };
-        run_eco_delta(&placed, cfg.clone(), spec)?;
+        }
+        // The session runs the mode's stages: `--stages` shapes the run
+        // above, not the deltas.
+        run_eco_delta(&placed, build_config(flags)?, spec)?;
     }
     write_outputs(flags, &placed)?;
     Ok(())
@@ -572,11 +577,10 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
         }
     }
 
-    let cfg = build_config(flags)?;
-    let spec = run_spec(flags)?;
+    let (cfg, spec) = legalize_run(flags)?;
     let t = mclegal::obs::clock::Stopwatch::start();
     let mut engine = Engine::new(cfg.clone());
-    let results = engine.run(&designs, &spec);
+    let results = engine.run(&designs, spec);
     let secs = t.elapsed_seconds();
 
     let report_dir = flags.get("report-dir").map(PathBuf::from);

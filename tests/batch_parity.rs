@@ -66,7 +66,7 @@ fn solo_refs(designs: &[Design], threads: usize) -> Vec<SoloRef> {
         .map(|d| {
             let c = cfg(threads, 0);
             let out = Engine::new(c.clone())
-                .run_one(d, &RunSpec::default())
+                .run_one(d, RunSpec::default())
                 .unwrap();
             let golden = build_run_report(&out.design, &out.stats, &c).golden_json();
             SoloRef {
@@ -97,7 +97,7 @@ fn shuffled_batches_match_solo_bit_identically() {
             for perm in permutations(designs.len()) {
                 let batch: Vec<Design> = perm.iter().map(|&i| designs[i].clone()).collect();
                 let mut engine = Engine::new(cfg(threads, max_inflight));
-                let results = engine.run(&batch, &RunSpec::default());
+                let results = engine.run(&batch, RunSpec::default());
                 for (slot, &i) in perm.iter().enumerate() {
                     let tag = format!(
                         "design p{i} at slot {slot}, {threads} threads, \
@@ -136,7 +136,7 @@ fn duplicate_members_are_independent() {
     let mut c = cfg(4, 2);
     c.max_inflight_designs = 2;
     let mut engine = Engine::new(c);
-    let results = engine.run(&batch, &RunSpec::default());
+    let results = engine.run(&batch, RunSpec::default());
     let solo = solo_refs(&designs, 4);
     for (slot, want) in [0usize, 1, 0, 1].iter().enumerate() {
         let out = results[slot].as_ref().unwrap();

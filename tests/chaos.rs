@@ -26,11 +26,11 @@
 
 use mclegal::audit;
 use mclegal::core::insertion::InsertionScratch;
-use mclegal::core::pipeline::{self, FULL_PIPELINE};
+use mclegal::core::pipeline;
 use mclegal::core::state::PlacementState;
 use mclegal::core::{
     build_run_report, Engine, FailureClass, FaultPlan, FaultSite, LegalizeError, LegalizeStats,
-    LegalizerConfig, RunOutput, RunSpec,
+    LegalizerConfig, RunOutput, RunSpec, Stage, StageSet,
 };
 use mclegal::db::prelude::*;
 use mclegal::gen::generate;
@@ -76,7 +76,7 @@ fn positions(d: &Design) -> Vec<Option<Point>> {
 
 /// One full-pipeline run of `d` on a fresh engine.
 fn try_run(config: &LegalizerConfig, d: &Design) -> Result<(Design, LegalizeStats), LegalizeError> {
-    let out = Engine::new(config.clone()).run_one(d, &RunSpec::default())?;
+    let out = Engine::new(config.clone()).run_one(d, RunSpec::default())?;
     Ok((out.design, out.stats))
 }
 
@@ -162,7 +162,7 @@ fn failed_stage_leaves_no_partial_mutation() {
         let before: Vec<Option<Point>> = d.cells.iter().map(|_| None).collect();
         // The first attempt runs with one helper, the inline retry without.
         let mut scratches = [InsertionScratch::new(), InsertionScratch::new()];
-        let r = pipeline::run_stages(&d, &mut state, &cfg, &FULL_PIPELINE, &prep, &mut scratches);
+        let r = pipeline::run_stages(&d, &mut state, &cfg, RunSpec::Fresh, &prep, &mut scratches);
         let err = r.expect_err("persistent fault must exhaust the ladder");
         assert!(
             matches!(err, LegalizeError::StagePanicked { stage: "mgl", .. }),
@@ -195,7 +195,7 @@ fn skip_rung_equals_stage_disabled_and_is_reported() {
         );
         let (placed_f, stats_f) = try_run(&faulted, &d).expect("skip rung absorbs the fault");
         let mut disabled = cfg_threads(threads);
-        disabled.max_disp_matching = false;
+        disabled.stages = StageSet::of(&[Stage::Mgl, Stage::FixedOrder]);
         let (placed_d, _) = try_run(&disabled, &d).expect("clean run");
         assert_eq!(
             positions(&placed_f),
@@ -335,8 +335,7 @@ fn exhausted_deadline_takes_declared_ladder() {
     assert_eq!(audit::verify(&placed).placement_violations(), 0);
     // The degraded result is exactly the fault-free MGL-only placement.
     let mut mgl_only = cfg_threads(2);
-    mgl_only.max_disp_matching = false;
-    mgl_only.fixed_order_refine = false;
+    mgl_only.stages = StageSet::of(&[Stage::Mgl]);
     let (placed_s, _) = try_run(&mgl_only, &d).expect("clean");
     assert_eq!(positions(&placed), positions(&placed_s));
 }
@@ -362,7 +361,7 @@ fn batch_survivors_are_byte_identical_to_goldens() {
         // Fault-free baseline at this thread count.
         let mut engine = Engine::new(cfg.clone());
         let baseline: Vec<String> = engine
-            .run(&designs, &RunSpec::default())
+            .run(&designs, RunSpec::default())
             .into_iter()
             .map(|r| {
                 let out = r.expect("fault-free baseline must succeed");
@@ -394,7 +393,7 @@ fn batch_survivors_are_byte_identical_to_goldens() {
                         .shared(),
                 );
                 let mut engine = Engine::new(faulted.clone());
-                let results = engine.run(&designs, &RunSpec::default());
+                let results = engine.run(&designs, RunSpec::default());
                 for (i, r) in results.iter().enumerate() {
                     if i == victim {
                         if terminal {
@@ -444,7 +443,7 @@ fn interleaved_batch_fault_leaves_peers_byte_identical() {
     cfg.max_inflight_designs = 2;
     let mut engine = Engine::new(cfg.clone());
     let baseline: Vec<(Vec<Option<Point>>, String)> = engine
-        .run(&designs, &RunSpec::default())
+        .run(&designs, RunSpec::default())
         .into_iter()
         .map(|r| {
             let out = r.expect("fault-free baseline must succeed");
@@ -466,7 +465,7 @@ fn interleaved_batch_fault_leaves_peers_byte_identical() {
                     .shared(),
             );
             let mut engine = Engine::new(faulted.clone());
-            let results = engine.run(&designs, &RunSpec::default());
+            let results = engine.run(&designs, RunSpec::default());
             for (i, r) in results.iter().enumerate() {
                 if i == victim {
                     if terminal {
@@ -500,7 +499,7 @@ fn fault_free_replay_logs_invariant_across_threads() {
     let d = messy_design(160, 0xC0FFEE);
     let run = |threads: usize| -> RunOutput {
         Engine::new(cfg_threads(threads))
-            .run_one(&d, &RunSpec::default())
+            .run_one(&d, RunSpec::default())
             .expect("fault-free run")
     };
     let one = run(1);

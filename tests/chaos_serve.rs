@@ -116,7 +116,7 @@ fn faulted_job_is_contained_at_the_wire() {
         .map(|name| {
             let d = parsers::read_bookshelf_dir(&root.join(name)).unwrap();
             let solo = Engine::new(engine_config())
-                .run_one(&d, &RunSpec::default())
+                .run_one(&d, RunSpec::default())
                 .unwrap();
             format!(
                 "{}\n",

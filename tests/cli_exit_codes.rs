@@ -8,7 +8,9 @@
 //! they are pinned here by driving the real binary.
 
 use mclegal::db::prelude::*;
+use mclegal::db::score::Metrics;
 use mclegal::parsers;
+use mclegal::serve::json::{parse, Json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -161,21 +163,67 @@ fn infeasible_results_exit_4() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `mclegal` with the whitespace-separated `args` (temp-dir paths
+/// have no spaces) and asserts it exits 0.
+fn run_ok(args: &str) {
+    let out = mclegal().args(args.split_whitespace()).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(exit_code(&out), 0, "{args} stderr: {stderr}");
+}
+
 #[test]
 fn success_exits_0() {
     let dir = tmp_dir("ok");
     let bundle = write_bundle(&dir, "s0", 23);
-    let out = mclegal()
-        .args(["legalize", "--bookshelf", bundle.to_str().unwrap()])
-        .args(["--threads", "2"])
-        .output()
-        .unwrap();
-    assert_eq!(
-        exit_code(&out),
-        0,
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    run_ok(&format!(
+        "legalize --bookshelf {} --threads 2",
+        bundle.display()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--mode mll` is the MGL stage alone: its report times only `mgl`.
+#[test]
+fn mll_mode_reports_only_the_mgl_stage() {
+    let dir = tmp_dir("mll");
+    let (bundle, report) = (write_bundle(&dir, "m0", 29), dir.join("m0.json"));
+    run_ok(&format!(
+        "legalize --bookshelf {} --mode mll --report-json {}",
+        bundle.display(),
+        report.display()
+    ));
+    let json = parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let Some(Json::Obj(stages)) = json.get("stage_seconds") else {
+        panic!("no stage_seconds object in {json:?}");
+    };
+    let names: Vec<&str> = stages.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["mgl"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stage subset without `mgl` adopts the input placement and refines it:
+/// the result is legal and no more displaced than its input.
+#[test]
+fn post_stages_refine_an_adopted_placement() {
+    let dir = tmp_dir("post");
+    let bundle = write_bundle(&dir, "p0", 31);
+    let (placed, refined) = (dir.join("placed.pl"), dir.join("refined.pl"));
+    let b = bundle.display();
+    let (placed_pl, refined_pl) = (placed.display(), refined.display());
+    run_ok(&format!(
+        "legalize --bookshelf {b} --stages mgl --out-pl {placed_pl}"
+    ));
+    run_ok(&format!(
+        "legalize --bookshelf {b} --pl {placed_pl} --stages maxdisp,fixed --out-pl {refined_pl}"
+    ));
+    run_ok(&format!("check --bookshelf {b} --pl {refined_pl}"));
+    let total_disp = |pl: &Path| {
+        let mut d = parsers::read_bookshelf_dir(&bundle).unwrap();
+        parsers::bookshelf::apply_pl(&mut d, &std::fs::read_to_string(pl).unwrap()).unwrap();
+        assert!(d.cells.iter().all(|c| c.pos.is_some()), "unplaced cells");
+        Metrics::measure(&d).total_disp_dbu
+    };
+    assert!(total_disp(&refined) <= total_disp(&placed));
     std::fs::remove_dir_all(&dir).ok();
 }
 

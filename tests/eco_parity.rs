@@ -82,7 +82,8 @@ fn hard_delta(base: &Design, n: usize, seed: u64) -> Vec<(CellId, Point)> {
 }
 
 /// The from-scratch reference: the same moves applied to the same base,
-/// legalized by a fresh ECO run with the session's exact configuration.
+/// legalized by a fresh [`RunSpec::EcoDelta`] run with the session's exact
+/// configuration.
 fn scratch_reference(
     base: &Design,
     moves: &[(CellId, Point)],
@@ -95,14 +96,14 @@ fn scratch_reference(
         c.pos = None;
     }
     Engine::new(config.clone())
-        .run_one(&candidate, &RunSpec::eco())
+        .run_one(&candidate, RunSpec::EcoDelta)
         .expect("scratch ECO must succeed")
 }
 
 /// A fresh full-pipeline base placement.
 fn legalize(d: &Design, config: LegalizerConfig) -> RunOutput {
     Engine::new(config)
-        .run_one(d, &RunSpec::default())
+        .run_one(d, RunSpec::default())
         .expect("base legalization")
 }
 

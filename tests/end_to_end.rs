@@ -3,14 +3,14 @@
 
 use mclegal::baselines::{legalize_abacus, legalize_lcp, legalize_mll, legalize_tetris};
 use mclegal::core::pipeline::POST_PIPELINE;
-use mclegal::core::{Engine, LegalizeStats, LegalizerConfig, RunSpec};
+use mclegal::core::{Engine, LegalizeStats, LegalizerConfig, RunSpec, Stage, StageSet};
 use mclegal::db::prelude::*;
 use mclegal::gen::presets::{iccad17_config, ispd15_config, ICCAD17, ISPD15};
 use mclegal::gen::{generate, GeneratorConfig};
 
 fn legalize(config: LegalizerConfig, d: &Design) -> (Design, LegalizeStats) {
     let out = Engine::new(config)
-        .run_one(d, &RunSpec::default())
+        .run_one(d, RunSpec::default())
         .expect("fault-free run");
     (out.design, out.stats)
 }
@@ -112,11 +112,12 @@ fn legalization_is_deterministic_end_to_end() {
 fn post_processing_improves_or_preserves_quality() {
     let d = tiny_iccad("edit_dist_a_md2");
     let mut stage1 = LegalizerConfig::contest();
-    stage1.max_disp_matching = false;
-    stage1.fixed_order_refine = false;
+    stage1.stages = StageSet::of(&[Stage::Mgl]);
     let (before, _) = legalize(stage1, &d);
-    let (after, stats) = Engine::new(LegalizerConfig::contest())
-        .run_one(&before, &RunSpec::stages(&POST_PIPELINE))
+    let mut post = LegalizerConfig::contest();
+    post.stages = POST_PIPELINE;
+    let (after, stats) = Engine::new(post)
+        .run_one(&before, RunSpec::default())
         .map(|o| (o.design, o.stats))
         .unwrap();
     assert!(stats.fixed_order.applied);

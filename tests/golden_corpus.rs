@@ -9,7 +9,9 @@
 //! UPDATE_GOLDENS=1 cargo test --test golden_corpus
 //! ```
 
-use mclegal::core::{build_run_report, Engine, LegalizerConfig, RunOutput, RunSpec};
+use mclegal::core::{
+    build_run_report, Engine, LegalizerConfig, RunOutput, RunSpec, Stage, StageSet,
+};
 use mclegal::db::prelude::*;
 use mclegal::gen::generate;
 use mclegal::gen::presets::golden_corpus;
@@ -58,7 +60,7 @@ fn corpus_config() -> LegalizerConfig {
 }
 
 /// A fault-free solo run of `design`.
-fn solo_run(config: &LegalizerConfig, design: &Design, spec: &RunSpec) -> RunOutput {
+fn solo_run(config: &LegalizerConfig, design: &Design, spec: RunSpec) -> RunOutput {
     Engine::new(config.clone())
         .run_one(design, spec)
         .unwrap_or_else(|e| panic!("{}: {e}", design.name))
@@ -75,7 +77,7 @@ fn golden_corpus_reports_match_snapshots() {
             design: placed,
             stats,
             ..
-        } = solo_run(&lc, &g.design, &RunSpec::default());
+        } = solo_run(&lc, &g.design, RunSpec::default());
         // The corpus must stay fully solvable: snapshots of broken runs
         // would freeze the breakage in.
         assert_eq!(stats.mgl.failed, 0, "{} failed cells", gen_cfg.name);
@@ -126,7 +128,7 @@ fn engine_batch_matches_individual_goldens() {
         })
         .collect();
     let mut engine = Engine::new(lc.clone());
-    let results = engine.run(&designs, &RunSpec::default());
+    let results = engine.run(&designs, RunSpec::default());
     assert_eq!(
         engine.diag().helpers,
         0,
@@ -150,7 +152,7 @@ fn engine_batch_matches_individual_goldens() {
 
 /// The ECO golden scenario: stage-1-legalize `golden_uniform`, insert a
 /// deterministic dozen of new unplaced cells, and ECO-legalize through the
-/// engine. Returns the design ready for an ECO run ([`RunSpec::eco`]).
+/// engine. Returns the design ready for an ECO run ([`RunSpec::Eco`]).
 fn eco_scenario() -> Design {
     let gen_cfg = golden_corpus()
         .into_iter()
@@ -158,9 +160,8 @@ fn eco_scenario() -> Design {
         .unwrap();
     let g = generate(&gen_cfg).unwrap_or_else(|e| panic!("{e}"));
     let mut stage1 = corpus_config();
-    stage1.max_disp_matching = false;
-    stage1.fixed_order_refine = false;
-    let base = solo_run(&stage1, &g.design, &RunSpec::default());
+    stage1.stages = StageSet::of(&[Stage::Mgl]);
+    let base = solo_run(&stage1, &g.design, RunSpec::default());
     assert_eq!(base.stats.mgl.failed, 0, "eco base must be fully placed");
     let mut placed = base.design;
     placed.name = "golden_eco".into();
@@ -194,7 +195,7 @@ fn golden_eco_report_matches_snapshot() {
         design: placed,
         stats,
         ..
-    } = solo_run(&lc, &design, &RunSpec::eco());
+    } = solo_run(&lc, &design, RunSpec::Eco);
     assert_eq!(stats.mgl.failed, 0, "eco insertions must all place");
     let rep = Checker::new(&placed).check();
     assert!(rep.is_legal(), "{:?}", rep.details);
@@ -225,7 +226,7 @@ fn golden_subset_is_identical_across_thread_counts() {
     for threads in [1usize, 2, 4] {
         let mut lc = corpus_config();
         lc.threads = threads;
-        let out = solo_run(&lc, &design, &RunSpec::default());
+        let out = solo_run(&lc, &design, RunSpec::default());
         // The threads field describes the run configuration; everything
         // else must be bit-identical.
         let mut report = build_run_report(&out.design, &out.stats, &lc);

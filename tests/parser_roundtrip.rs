@@ -9,7 +9,7 @@ use mclegal::parsers;
 /// The legalized design of a fault-free full-pipeline run.
 fn legalize(config: LegalizerConfig, d: &Design) -> Design {
     Engine::new(config)
-        .run_one(d, &RunSpec::default())
+        .run_one(d, RunSpec::default())
         .expect("fault-free run")
         .design
 }

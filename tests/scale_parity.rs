@@ -24,8 +24,10 @@
 //! want an optimized build and run in the CI `perf-smoke` job via
 //! `cargo test --release --test scale_parity -- --include-ignored`.
 
-use mclegal::core::pipeline::MglStage;
-use mclegal::core::{build_run_report, Engine, LegalizerConfig, RunOutput, RunSpec};
+use mclegal::core::pipeline::FULL_PIPELINE;
+use mclegal::core::{
+    build_run_report, Engine, LegalizerConfig, RunOutput, RunSpec, Stage, StageSet,
+};
 use mclegal::db::prelude::*;
 use mclegal::gen::{generate, GeneratorConfig};
 
@@ -83,9 +85,11 @@ fn check_digest(log: &mclegal::audit::ReplayLog, expected: u64, tag: &str) {
     );
 }
 
-fn run(d: &Design, n: usize, threads: usize, spec: &RunSpec) -> RunOutput {
-    Engine::new(cfg(n, threads))
-        .run_one(d, spec)
+fn run(d: &Design, n: usize, threads: usize, stages: StageSet) -> RunOutput {
+    let mut c = cfg(n, threads);
+    c.stages = stages;
+    Engine::new(c)
+        .run_one(d, RunSpec::default())
         .unwrap_or_else(|e| panic!("n={n}, {threads} threads: {e}"))
 }
 
@@ -94,7 +98,7 @@ fn run(d: &Design, n: usize, threads: usize, spec: &RunSpec) -> RunOutput {
 fn check_scheduler_parity(n: usize, expected_digest: u64) {
     let g = scale_design(n);
     let run = |threads: usize| {
-        let out = run(&g.design, n, threads, &RunSpec::stages(&[&MglStage]));
+        let out = run(&g.design, n, threads, StageSet::of(&[Stage::Mgl]));
         assert_eq!(
             out.stats.mgl.failed, 0,
             "n={n}, {threads} threads: cells failed"
@@ -131,7 +135,7 @@ fn run_pipeline(d: &Design, n: usize, threads: usize) -> RunOut {
         design: out,
         stats,
         replay: log,
-    } = run(d, n, threads, &RunSpec::default());
+    } = run(d, n, threads, FULL_PIPELINE);
     // The report echoes the configured thread count; zero it so the golden
     // compares the *result*, not the knob under test.
     let mut report = build_run_report(&out, &stats, &cfg(n, threads));

@@ -61,7 +61,7 @@ fn engine_config() -> LegalizerConfig {
 /// A solo (unserved) run of `design` under [`engine_config`].
 fn solo_run(design: &Design) -> mclegal::core::RunOutput {
     Engine::new(engine_config())
-        .run_one(design, &RunSpec::default())
+        .run_one(design, RunSpec::default())
         .unwrap()
 }
 
@@ -305,6 +305,21 @@ fn eco_session_lifecycle_over_the_wire() {
         .unwrap();
     assert_eq!(status_of(&delta), "OK", "{delta}");
     assert_eq!(field_u64(&delta, "moved"), 4);
+    // Reuse telemetry, the stage split and the flow work of the delta (on
+    // 80 cells its closure may take every cell, so none need be reused).
+    // Counters read 0 when observability is compiled out.
+    let counted = u64::from(mclegal::obs::compiled());
+    let movable_count = placed.movable_cells().count() as u64;
+    assert!(field_u64(&delta, "windows_dirty") >= counted, "{delta}");
+    assert!(field_u64(&delta, "cells_reused") < movable_count, "{delta}");
+    let reply = parse(&delta).unwrap();
+    let (stages, counters) = (&reply.get("stage_seconds"), &reply.get("counters"));
+    for stage in ["mgl", "maxdisp", "fixed_order"] {
+        assert!(stages.and_then(|s| s.num_field(stage)).is_some(), "{delta}");
+    }
+    let pivots = |name| counters.and_then(|c| c.u64_field(name));
+    assert!(pivots("maxdisp.simplex_pivots").is_some(), "{delta}");
+    assert!(pivots("flow.simplex_pivots") >= Some(counted), "{delta}");
 
     // Explicit-move form: move one known movable cell to its own position
     // (a legal no-op-ish delta).
@@ -320,6 +335,10 @@ fn eco_session_lifecycle_over_the_wire() {
         .unwrap()
         .unwrap();
     assert_eq!(status_of(&delta2), "OK", "{delta2}");
+    // One moved cell dirties a small closure; every other cell is reused.
+    assert!(field_u64(&delta2, "windows_dirty") >= counted, "{delta2}");
+    let reused = field_u64(&delta2, "cells_reused");
+    assert!(reused >= counted && reused < movable_count, "{delta2}");
 
     // Commit persists a loadable bundle.
     let out = root.join("committed");

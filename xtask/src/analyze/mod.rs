@@ -323,8 +323,8 @@ mod tests {
     use super::*;
 
     /// A miniature workspace exercising all three analyses end to end: the
-    /// acceptance mutation (hash iteration newly reachable from
-    /// `Stage::run`) must produce a failing finding.
+    /// acceptance mutation (hash iteration newly reachable from a stage
+    /// entry point) must produce a failing finding.
     fn mini_workspace(hash_iter_reachable: bool) -> Workspace {
         let helper_body = if hash_iter_reachable {
             "let m: HashMap<u32, u32> = HashMap::new(); for k in m.keys() { let _ = k; }"
@@ -338,17 +338,13 @@ mod tests {
              pub fn drive_rounds(tx: &Sender<u32>) {\n\
                  tx.send(1).ok();\n\
              }\n";
-        let pipeline = format!(
-            "pub trait Stage {{ fn run(&self); }}\n\
-             pub struct MglStage;\n\
-             impl Stage for MglStage {{\n\
-                 fn run(&self) {{ helper(); }}\n\
-             }}\n\
+        let maxdisp = format!(
+            "pub fn optimize_max_disp_metered() {{ helper(); }}\n\
              fn helper() {{ {helper_body} }}\n"
         );
         Workspace::from_sources(&[
             ("crates/core/src/scheduler.rs", scheduler),
-            ("crates/core/src/pipeline.rs", &pipeline),
+            ("crates/core/src/maxdisp.rs", &maxdisp),
         ])
     }
 
@@ -364,11 +360,11 @@ mod tests {
         // The unwrap under catch_unwind is contained, not a finding.
         assert_eq!(report.panic_contained, 1);
         assert_eq!(report.panic_uncontained, 0);
-        assert!(report.seeds >= 3, "eval_job, drive_rounds, Stage::run");
+        assert!(report.seeds >= 3, "eval_job, drive_rounds, maxdisp");
     }
 
     #[test]
-    fn acceptance_hash_iteration_reachable_from_stage_run_fails() {
+    fn acceptance_hash_iteration_reachable_from_a_stage_entry_fails() {
         let report = run_analyses(&mini_workspace(true));
         let hits: Vec<_> = report
             .findings
@@ -376,12 +372,10 @@ mod tests {
             .filter(|f| f.rule == "hash-iter")
             .collect();
         assert_eq!(hits.len(), 1, "{hits:?}");
-        // The reachability path pins the seed: MglStage::run → helper.
-        assert!(
-            hits[0].path.iter().any(|p| p.contains("MglStage::run")),
-            "{:?}",
-            hits[0].path
-        );
+        // The reachability path pins the seed:
+        // optimize_max_disp_metered → helper.
+        let seed = &hits[0].path[0];
+        assert!(seed.contains("optimize_max_disp_metered"), "{seed}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct FnDef {
     pub line: usize,
     /// Body token group (`{ … }`).
     pub body: Group,
-    /// `impl` self type (`MglStage` in `impl Stage for MglStage`), or the
+    /// `impl` self type (`S` in `impl Trait for S`), or the
     /// trait name for methods declared with a default body inside
     /// `trait … { }`. `None` for free functions.
     pub impl_type: Option<String>,

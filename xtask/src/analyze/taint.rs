@@ -1,9 +1,10 @@
 //! Determinism taint and the sanctioned-site rules.
 //!
-//! Seeds the "deterministic core" at the scheduler eval entry points
-//! (`eval_job`, `drive_rounds`), the ECO dirty-window closure and every
-//! `Stage::run` impl, computes the reachable function set over the
-//! conservative call graph, and flags nondeterminism sources:
+//! Seeds the "deterministic core" at the scheduler's `eval_job`, the ECO
+//! dirty-window closure and the three stage entry points the pipeline
+//! calls (`drive_rounds`, `optimize_max_disp_metered`,
+//! `optimize_fixed_order_metered`), computes the reachable function set
+//! over the conservative call graph, and flags nondeterminism sources:
 //!
 //! * `hash-iter` — iteration over a `HashMap`/`HashSet`, named or straight
 //!   off a constructor (order is randomized per process, so runs would
@@ -38,12 +39,17 @@ const CLOCK_FILES: &[&str] = &["crates/obs/src/clock.rs"];
 /// The one sanctioned float→int conversion point.
 const FLOAT_CAST_EXEMPT: &[&str] = &["crates/db/src/geom.rs"];
 
-/// Raw per-stage entry points that bypass the stage pipeline's middleware
-/// (span recording, displacement histograms, clean-room audit).
-const STAGE_BYPASS_FNS: &[&str] = &[
-    "drive_rounds",
-    "optimize_max_disp_metered",
-    "optimize_fixed_order_metered",
+/// The per-stage entry points, by (file suffix, name): the pipeline calls
+/// them inside its middleware (span recording, displacement histograms,
+/// clean-room audit), so they seed the deterministic core, and any other
+/// caller bypasses that middleware.
+const STAGE_FNS: &[(&str, &str)] = &[
+    ("crates/core/src/scheduler.rs", "drive_rounds"),
+    ("crates/core/src/maxdisp.rs", "optimize_max_disp_metered"),
+    (
+        "crates/core/src/fixed_order.rs",
+        "optimize_fixed_order_metered",
+    ),
 ];
 
 /// Files allowed to call the raw stage entry points: the pipeline module
@@ -68,20 +74,15 @@ const INT_TYPES: &[&str] = &[
 /// Float methods whose call marks a line as float arithmetic.
 const FLOAT_METHODS: &[&str] = &["round", "floor", "ceil", "powi", "sqrt"];
 
-/// Free fns seeded by (file suffix, name): the scheduler's eval entry
-/// points plus the ECO dirty-window closure, which decides the cell set
-/// the delta pipeline re-legalizes and so must be as deterministic as the
-/// stages it restricts.
+/// Free fns seeded by (file suffix, name) besides [`STAGE_FNS`]: the
+/// scheduler's window-evaluation entry point plus the ECO dirty-window
+/// closure, which decides the cell set the delta pipeline re-legalizes and
+/// so must be as deterministic as the stages it restricts.
 const SEED_FREE_FNS: &[(&str, &str)] = &[
     ("crates/core/src/scheduler.rs", "eval_job"),
-    ("crates/core/src/scheduler.rs", "drive_rounds"),
     ("crates/core/src/dirty.rs", "compute"),
     ("crates/core/src/dirty.rs", "compute_from_seeds"),
 ];
-
-/// Trait whose `run` impls seed the deterministic core.
-const SEED_TRAIT: &str = "Stage";
-const SEED_TRAIT_METHOD: &str = "run";
 
 /// Hash-container method calls that observe iteration order.
 const HASH_ITER_METHODS: &[&str] = &[
@@ -113,7 +114,7 @@ fn call_rule(c: &CallSite) -> Option<(&'static str, Scope)> {
     };
     Some(match (qual, c.name.as_str()) {
         ("Instant" | "SystemTime", "now") => ("instant-now", Scope::Except(CLOCK_FILES)),
-        (_, name) if c.kind != CallKind::Macro && STAGE_BYPASS_FNS.contains(&name) => {
+        (_, name) if c.kind != CallKind::Macro && STAGE_FNS.iter().any(|(_, f)| *f == name) => {
             ("stage-bypass", Scope::Except(STAGE_BYPASS_EXEMPT))
         }
         ("thread", "current") => ("det-thread-current", Scope::Reachable),
@@ -131,12 +132,12 @@ pub fn seed_fns(ws: &Workspace) -> Vec<usize> {
             continue;
         }
         let file = &ws.files[f.file].rel;
-        let free_seed = f.impl_type.is_none()
+        let seed = f.impl_type.is_none()
             && SEED_FREE_FNS
                 .iter()
+                .chain(STAGE_FNS)
                 .any(|(suf, name)| file.ends_with(suf) && f.name == *name);
-        let stage_seed = f.impl_trait.as_deref() == Some(SEED_TRAIT) && f.name == SEED_TRAIT_METHOD;
-        if free_seed || stage_seed {
+        if seed {
             seeds.push(i);
         }
     }
@@ -469,12 +470,8 @@ mod tests {
     #[test]
     fn reachable_hash_iteration_is_flagged_with_path() {
         let w = ws(&[(
-            "crates/core/src/pipeline.rs",
-            "trait Stage {}\n\
-             struct S;\n\
-             impl Stage for S {\n\
-                 fn run(&self) { helper(); }\n\
-             }\n\
+            "crates/core/src/fixed_order.rs",
+            "pub fn optimize_fixed_order_metered() { helper(); }\n\
              fn helper() {\n\
                  let m: HashMap<u32, u32> = HashMap::new();\n\
                  for k in m.keys() { let _ = k; }\n\
@@ -484,9 +481,13 @@ mod tests {
         let f = analyze(&w, &g);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "hash-iter");
-        assert_eq!(f[0].line, 8);
+        assert_eq!(f[0].line, 4);
         assert_eq!(f[0].path.len(), 2, "{:?}", f[0].path);
-        assert!(f[0].path[0].contains("S::run"), "{:?}", f[0].path);
+        assert!(
+            f[0].path[0].contains("optimize_fixed_order_metered"),
+            "{:?}",
+            f[0].path
+        );
     }
 
     #[test]
