@@ -47,7 +47,7 @@ tsan:
 audit:
 	cargo test --release -p mcl-audit
 	cargo test --release -p mcl-core --features audit
-	cargo test --release -p mcl-core --features replay-log --test replay_determinism
+	cargo test --release -p mcl-core --test replay_determinism
 
 # Chaos suite (DESIGN.md §11): deterministic fault injection against the
 # containment contract — no success-claiming reports under faults, no

@@ -108,7 +108,7 @@ pub struct RunOutput {
     pub stats: LegalizeStats,
     /// Every committed placement mutation, for the determinism auditor
     /// (`mcl_audit::replay`): two runs are bit-identical iff their logs are
-    /// equal. Empty unless the `replay-log` feature (default) is enabled.
+    /// equal.
     pub replay: mcl_audit::ReplayLog,
 }
 
@@ -559,9 +559,7 @@ mod tests {
         let mut engine = Engine::new(matching(2));
         for out in batch(&mut engine, &designs) {
             let groups = out.stats.obs.span(SpanKind::MatchingGroup);
-            if mcl_obs::compiled() {
-                assert!(groups.count > 1, "{groups:?}");
-            }
+            assert!(groups.count > 1, "{groups:?}");
             assert_eq!(groups.threads & !1, 0, "{groups:?}");
         }
         // A lone job at 4 threads gets the three leftover threads as
@@ -573,9 +571,7 @@ mod tests {
         assert_eq!(engine.diag().helpers, 3);
         let groups = out.stats.obs.span(SpanKind::MatchingGroup);
         assert!(groups.threads < 1 << 4, "{groups:?}");
-        if mcl_obs::compiled() {
-            assert!(groups.threads & !1 != 0, "{groups:?}");
-        }
+        assert!(groups.threads & !1 != 0, "{groups:?}");
     }
 
     /// Positions and stats of every streamed result, by ticket.
@@ -670,7 +666,7 @@ mod tests {
             assert_eq!(diag.runner_spawns, inflight as u64 - 1);
             assert_eq!(diag.helpers, 3 - inflight as u64);
             assert_eq!(diag.runs, 5);
-            if inflight == 1 && mcl_obs::compiled() {
+            if inflight == 1 {
                 // Owned designs fan out too: the lone runner's two helpers
                 // (thread ids 1 and 2) evaluated windows.
                 let threads = results

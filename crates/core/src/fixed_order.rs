@@ -346,13 +346,11 @@ mod tests {
         let mut obs = Meter::new();
         let stats = optimize_fixed_order_metered(&mut state, &cfg, &[1; 3], None, &mut obs, None);
         assert!(stats.applied);
-        if mcl_obs::compiled() && mcl_obs::recording() {
-            let span = obs.span(SpanKind::FlowSimplex);
-            assert_eq!((span.count, span.thread_ids()), (1, vec![0]));
-            assert!(obs.counter(CounterKind::SimplexPivots) > 0);
-            // Stage 2's matching counter stays untouched.
-            assert_eq!(obs.counter(CounterKind::MatchingSimplexPivots), 0);
-        }
+        let span = obs.span(SpanKind::FlowSimplex);
+        assert_eq!((span.count, span.thread_ids()), (1, vec![0]));
+        assert!(obs.counter(CounterKind::SimplexPivots) > 0);
+        // Stage 2's matching counter stays untouched.
+        assert_eq!(obs.counter(CounterKind::MatchingSimplexPivots), 0);
     }
 
     #[test]

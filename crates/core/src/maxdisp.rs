@@ -554,13 +554,11 @@ mod tests {
         };
         let ((serial, obs), (parallel, obs4)) = (run(1), run(4));
         assert_eq!(serial, parallel);
-        if mcl_obs::compiled() && mcl_obs::recording() {
-            let pivots = obs.counter(CounterKind::MatchingSimplexPivots);
-            assert!(pivots > 0);
-            assert_eq!(obs4.counter(CounterKind::MatchingSimplexPivots), pivots);
-            // Stage 3's simplex counter and span stay untouched.
-            assert_eq!(obs.counter(CounterKind::SimplexPivots), 0);
-            assert_eq!(obs.span(SpanKind::FlowSimplex).count, 0);
-        }
+        let pivots = obs.counter(CounterKind::MatchingSimplexPivots);
+        assert!(pivots > 0);
+        assert_eq!(obs4.counter(CounterKind::MatchingSimplexPivots), pivots);
+        // Stage 3's simplex counter and span stay untouched.
+        assert_eq!(obs.counter(CounterKind::SimplexPivots), 0);
+        assert_eq!(obs.span(SpanKind::FlowSimplex).count, 0);
     }
 }

@@ -205,7 +205,7 @@ fn record_disp_histogram(
     design: &Design,
     kind: HistoKind,
 ) {
-    if !(mcl_obs::compiled() && mcl_obs::recording()) {
+    if !mcl_obs::recording() {
         return;
     }
     let sw = design.tech.site_width.max(1);

@@ -149,20 +149,18 @@ mod tests {
         let outcome: Vec<&str> = rep.outcome.iter().map(|(n, _)| n.as_str()).collect();
         assert!(outcome.contains(&"placed_in_window"));
         assert_eq!(rep.stage_seconds.len(), 3);
-        if mcl_obs::compiled() && mcl_obs::recording() {
-            assert!(
-                rep.spans.iter().any(|s| s.name == "stage.mgl"),
-                "stage span missing: {:?}",
-                rep.spans
-            );
-            assert!(
-                rep.histograms
-                    .iter()
-                    .any(|h| h.name == "mgl.cell_disp_sites"),
-                "displacement histogram missing: {:?}",
-                rep.histograms
-            );
-        }
+        assert!(
+            rep.spans.iter().any(|s| s.name == "stage.mgl"),
+            "stage span missing: {:?}",
+            rep.spans
+        );
+        assert!(
+            rep.histograms
+                .iter()
+                .any(|h| h.name == "mgl.cell_disp_sites"),
+            "displacement histogram missing: {:?}",
+            rep.histograms
+        );
         // The full JSON parses as one object and keeps the golden prefix.
         let full = rep.to_json();
         assert!(full.starts_with(&rep.golden_json()[..rep.golden_json().len() - 1]));

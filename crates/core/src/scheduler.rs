@@ -726,19 +726,17 @@ mod tests {
         // for this standalone run.
         assert_eq!(stats.scratch.created, 2);
         // The meter is the run's one accounting of rounds, windows and
-        // phase times; builds without it record nothing.
-        if mcl_obs::compiled() {
-            let obs = &stats.obs;
-            assert!(obs.span(SpanKind::SchedSelect).count > 0);
-            let windows = obs.counter(CounterKind::WindowsEvaluated);
-            assert!(windows >= stats.placed_in_window as u64);
-            assert_eq!(obs.span(SpanKind::InsertionEval).count, windows);
-            assert!(obs.span(SpanKind::SchedEval).total_nanos > 0);
-            assert_eq!(
-                obs.counter(CounterKind::AlignedRegions),
-                stats.scratch.regions
-            );
-        }
+        // phase times.
+        let obs = &stats.obs;
+        assert!(obs.span(SpanKind::SchedSelect).count > 0);
+        let windows = obs.counter(CounterKind::WindowsEvaluated);
+        assert!(windows >= stats.placed_in_window as u64);
+        assert_eq!(obs.span(SpanKind::InsertionEval).count, windows);
+        assert!(obs.span(SpanKind::SchedEval).total_nanos > 0);
+        assert_eq!(
+            obs.counter(CounterKind::AlignedRegions),
+            stats.scratch.regions
+        );
     }
 
     #[test]

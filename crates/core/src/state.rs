@@ -190,7 +190,6 @@ pub struct PlacementState<'d> {
     soa: CellSoA,
     /// Append-only record of committed mutations, consumed by the
     /// determinism auditor (`mcl_audit::replay`).
-    #[cfg(feature = "replay-log")]
     replay: mcl_audit::ReplayLog,
     /// Current dirty epoch (compared against `CellSoA::dirty_epoch`).
     epoch: u64,
@@ -230,7 +229,6 @@ impl<'d> PlacementState<'d> {
             segmap,
             seg_cells,
             soa: CellSoA::from_design(design),
-            #[cfg(feature = "replay-log")]
             replay: mcl_audit::ReplayLog::new(),
             epoch: 1,
             track_dirty: false,
@@ -419,7 +417,6 @@ impl<'d> PlacementState<'d> {
             let idx = self.insert_index(&self.seg_cells[seg_idx], p.x);
             self.seg_cells[seg_idx].insert(idx, cell);
         }
-        #[cfg(feature = "replay-log")]
         self.replay.record_place(cell, p.x, p.y);
         Ok(())
     }
@@ -442,7 +439,6 @@ impl<'d> PlacementState<'d> {
         }
         self.mark_dirty(cell);
         self.soa.clear_pos(cell);
-        #[cfg(feature = "replay-log")]
         self.replay.record_remove(cell);
     }
 
@@ -455,29 +451,18 @@ impl<'d> PlacementState<'d> {
         debug_assert!(self.shift_is_order_preserving(cell, new_x));
         self.mark_dirty(cell);
         self.soa.set_pos(cell, Point::new(new_x, p.y));
-        #[cfg(feature = "replay-log")]
         self.replay.record_shift_x(cell, new_x);
     }
 
     /// The replay log of every committed mutation since construction (or the
     /// last [`Self::take_replay_log`]).
-    #[cfg(feature = "replay-log")]
     pub fn replay_log(&self) -> &mcl_audit::ReplayLog {
         &self.replay
     }
 
-    /// Takes ownership of the replay log, leaving an empty one. Without the
-    /// `replay-log` feature nothing is recorded and this returns an empty
-    /// log.
+    /// Takes ownership of the replay log, leaving an empty one.
     pub fn take_replay_log(&mut self) -> mcl_audit::ReplayLog {
-        #[cfg(feature = "replay-log")]
-        {
-            std::mem::take(&mut self.replay)
-        }
-        #[cfg(not(feature = "replay-log"))]
-        {
-            mcl_audit::ReplayLog::new()
-        }
+        std::mem::take(&mut self.replay)
     }
 
     #[allow(dead_code)]

@@ -79,10 +79,8 @@ fn expansion_counter_matches_obs_counter() {
     // The typed observability counter and the legacy stats field are two
     // views of the same events; they must never drift apart.
     let stats = mgl_stats(crafted_config());
-    if mcl_obs::compiled() {
-        assert_eq!(
-            stats.obs.counter(mcl_obs::CounterKind::WindowsExpanded),
-            stats.expansions as u64
-        );
-    }
+    assert_eq!(
+        stats.obs.counter(mcl_obs::CounterKind::WindowsExpanded),
+        stats.expansions as u64
+    );
 }

@@ -3,9 +3,9 @@
 //! obs_overhead -- --ignored`).
 //!
 //! Legalizes a medium generated design with recording toggled off and on
-//! (same binary, so the comparison isolates the runtime cost of the
-//! recording calls, not the compile-time gate) and requires the recorded
-//! run to stay within the 2% budget promised by DESIGN.md §9.
+//! (same binary, through the one runtime switch `mcl_obs::set_recording`)
+//! and requires the recorded run to stay within the 2% budget promised by
+//! DESIGN.md §9.
 
 use mcl_core::{Engine, LegalizerConfig, RunSpec};
 use mcl_gen::generate;
@@ -37,10 +37,6 @@ fn run_once(design: &mcl_db::prelude::Design) -> f64 {
 #[test]
 #[ignore = "timing-sensitive; run in the audit-suite CI job"]
 fn recording_overhead_within_two_percent() {
-    if !mcl_obs::compiled() {
-        eprintln!("obs feature off; overhead guard is vacuous");
-        return;
-    }
     let design = medium_design();
     // Warm up caches and the helper path once.
     run_once(&design);

@@ -3,8 +3,6 @@
 //! state in that sequence must be legal under the independent replay
 //! verifier (`mcl_audit::replay`).
 
-#![cfg(feature = "replay-log")]
-
 use mcl_audit::ReplayLog;
 use mcl_core::pipeline::FULL_PIPELINE;
 use mcl_core::{Engine, LegalizerConfig, RunSpec, Stage, StageSet};

@@ -2,9 +2,9 @@
 //! to call `std::time::Instant::now()` (enforced by the `instant-now` rule
 //! of `cargo xtask analyze`); everything else times through [`Stopwatch`].
 //!
-//! The clock is *not* feature-gated: always-on wall times (e.g.
-//! `mcl-core`'s per-stage `stage_seconds`) need real readings even in
-//! builds with metrics compiled out.
+//! The clock ignores [`crate::set_recording`]: always-on wall times (e.g.
+//! `mcl-core`'s per-stage `stage_seconds`) need real readings even with
+//! recording switched off.
 
 use std::time::Instant;
 

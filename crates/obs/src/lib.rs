@@ -7,7 +7,7 @@
 //!   ([`clock::Stopwatch`] wraps `std::time::Instant`). The `cargo xtask
 //!   analyze` rule `instant-now` forbids `Instant` anywhere else in the
 //!   workspace, the rest of this crate included, so all timing flows through
-//!   here whether or not metrics are compiled in.
+//!   here.
 //! - [`Meter`]: typed span/counter/histogram aggregation. Hierarchical
 //!   spans (run → stage → window → insertion-eval) carry monotonic nanos
 //!   and a thread-attribution bitmask; counters and log₂ histograms cover
@@ -20,9 +20,9 @@
 //! - [`report`]: the [`report::RunReport`] sink — schema-versioned,
 //!   deterministic-field-order JSON plus a human summary.
 //!
-//! The `enabled` feature (default) gates recording and storage; when off,
-//! every Meter operation compiles to a no-op and reads return zeros, while
-//! the clock and report types remain fully functional.
+//! Recording is always compiled in. [`set_recording`] is the one off
+//! switch: with recording off every Meter operation returns before touching
+//! storage and reads return zeros.
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +33,6 @@ pub mod report;
 
 pub use json::JsonWriter;
 pub use meter::{
-    compiled, count_to_float, recording, set_recording, CounterKind, HistoKind, Histogram, Meter,
-    SpanAgg, SpanKind,
+    count_to_float, recording, set_recording, CounterKind, HistoKind, Histogram, Meter, SpanAgg,
+    SpanKind,
 };

@@ -10,27 +10,21 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Runtime master switch for recording (compiled builds only). Defaults to
-/// on; the overhead guard test flips it to compare instrumented vs
-/// uninstrumented wall time within one binary.
+/// The one switch for recording. Defaults to on; the overhead guard test
+/// flips it to compare instrumented vs uninstrumented wall time within one
+/// binary.
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
-/// Enables or disables recording at runtime. No-op when the `enabled`
-/// feature is compiled out.
+/// Enables or disables recording at runtime, process-wide. Off, every
+/// [`Meter`] call returns before touching storage.
 pub fn set_recording(on: bool) {
     RECORDING.store(on, Ordering::Relaxed);
 }
 
-/// Whether recording is currently on (always `false` when compiled out).
+/// Whether recording is currently on.
 #[must_use]
 pub fn recording() -> bool {
-    compiled() && RECORDING.load(Ordering::Relaxed)
-}
-
-/// Whether metric recording is compiled into this build (`enabled` feature).
-#[must_use]
-pub const fn compiled() -> bool {
-    cfg!(feature = "enabled")
+    RECORDING.load(Ordering::Relaxed)
 }
 
 /// Span kinds of the pipeline hierarchy: run → stage → phase → window →
@@ -139,18 +133,11 @@ pub enum CounterKind {
     /// Placed movable cells outside the dirty closure, whose placement
     /// (and cached displacement curves) the delta run reused untouched.
     EcoCellsReused,
-    /// Jobs admitted past the serve daemon's bounded queue.
-    ServeJobsAdmitted,
-    /// Jobs rejected at admission (`RETRY_AFTER` backpressure).
-    ServeJobsRejected,
-    /// Accepted-but-unfinished jobs reported as `INTERRUPTED` by journal
-    /// recovery after a crash.
-    ServeJobsInterrupted,
 }
 
 impl CounterKind {
     /// Every kind, in report order.
-    pub const ALL: [CounterKind; 17] = [
+    pub const ALL: [CounterKind; 14] = [
         CounterKind::WindowsEvaluated,
         CounterKind::WindowsExpanded,
         CounterKind::FallbackScans,
@@ -165,9 +152,6 @@ impl CounterKind {
         CounterKind::SimplexPivots,
         CounterKind::EcoWindowsDirty,
         CounterKind::EcoCellsReused,
-        CounterKind::ServeJobsAdmitted,
-        CounterKind::ServeJobsRejected,
-        CounterKind::ServeJobsInterrupted,
     ];
     /// Number of kinds.
     pub const COUNT: usize = Self::ALL.len();
@@ -190,9 +174,6 @@ impl CounterKind {
             CounterKind::SimplexPivots => "flow.simplex_pivots",
             CounterKind::EcoWindowsDirty => "eco.windows_dirty",
             CounterKind::EcoCellsReused => "eco.cells_reused",
-            CounterKind::ServeJobsAdmitted => "serve.jobs_admitted",
-            CounterKind::ServeJobsRejected => "serve.jobs_rejected",
-            CounterKind::ServeJobsInterrupted => "serve.jobs_interrupted",
         }
     }
 }
@@ -222,14 +203,11 @@ pub enum HistoKind {
     /// nanoseconds — queue wait included. Wall time: observability, never
     /// golden.
     ServeJobNanos,
-    /// Queue depth observed at each admission decision (accepted or
-    /// rejected), so backpressure onset is visible in the daemon's stats.
-    ServeQueueDepth,
 }
 
 impl HistoKind {
     /// Every kind, in report order.
-    pub const ALL: [HistoKind; 9] = [
+    pub const ALL: [HistoKind; 8] = [
         HistoKind::DispSitesMgl,
         HistoKind::DispSitesMaxDisp,
         HistoKind::DispSitesFixedOrder,
@@ -238,7 +216,6 @@ impl HistoKind {
         HistoKind::SchedQueueWaitNanos,
         HistoKind::EcoDeltaNanos,
         HistoKind::ServeJobNanos,
-        HistoKind::ServeQueueDepth,
     ];
     /// Number of kinds.
     pub const COUNT: usize = Self::ALL.len();
@@ -255,7 +232,6 @@ impl HistoKind {
             HistoKind::SchedQueueWaitNanos => "mgl.queue_wait_nanos",
             HistoKind::EcoDeltaNanos => "eco.delta_nanos",
             HistoKind::ServeJobNanos => "serve.job_nanos",
-            HistoKind::ServeQueueDepth => "serve.queue_depth",
         }
     }
 }
@@ -276,7 +252,6 @@ pub struct SpanAgg {
 }
 
 impl SpanAgg {
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn record(&mut self, nanos: u64, thread: usize) {
         if self.count == 0 {
             self.min_nanos = nanos;
@@ -290,7 +265,6 @@ impl SpanAgg {
         self.threads |= 1u64 << thread.min(63);
     }
 
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn merge(&mut self, o: &SpanAgg) {
         if o.count == 0 {
             return;
@@ -417,16 +391,13 @@ pub fn count_to_float(v: u64) -> f64 {
 
 /// The metric sink: fixed arrays of span/counter/histogram aggregates.
 ///
-/// With the `enabled` feature off this struct is a unit and every method is
-/// an inlined no-op; reads return zeros. Storage is lazily boxed on first
-/// record, so an idle meter costs one pointer.
+/// Storage is lazily boxed on first record, so an idle meter costs one
+/// pointer; reads of a never-recorded meter return zeros.
 #[derive(Debug, Clone, Default)]
 pub struct Meter {
-    #[cfg(feature = "enabled")]
     inner: Option<Box<Inner>>,
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone)]
 struct Inner {
     spans: [SpanAgg; SpanKind::COUNT],
@@ -434,7 +405,6 @@ struct Inner {
     histos: [Histogram; HistoKind::COUNT],
 }
 
-#[cfg(feature = "enabled")]
 impl Default for Inner {
     fn default() -> Self {
         Self {
@@ -452,7 +422,6 @@ impl Meter {
         Self::default()
     }
 
-    #[cfg(feature = "enabled")]
     fn inner_mut(&mut self) -> &mut Inner {
         self.inner.get_or_insert_with(Box::default)
     }
@@ -460,39 +429,29 @@ impl Meter {
     /// Records one span of `nanos` duration attributed to `thread`.
     #[inline]
     pub fn record_span(&mut self, kind: SpanKind, nanos: u64, thread: usize) {
-        #[cfg(feature = "enabled")]
         if recording() {
             self.inner_mut().spans[kind as usize].record(nanos, thread);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (kind, nanos, thread);
     }
 
     /// Adds `n` to a counter.
     #[inline]
     pub fn add(&mut self, kind: CounterKind, n: u64) {
-        #[cfg(feature = "enabled")]
         if recording() && n > 0 {
             self.inner_mut().counters[kind as usize] += n;
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (kind, n);
     }
 
     /// Records one histogram observation.
     #[inline]
     pub fn observe(&mut self, kind: HistoKind, value: u64) {
-        #[cfg(feature = "enabled")]
         if recording() {
             self.inner_mut().histos[kind as usize].observe(value);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (kind, value);
     }
 
     /// Merges another meter into this one (deterministic, element-wise).
     pub fn merge(&mut self, other: &Meter) {
-        #[cfg(feature = "enabled")]
         if let Some(o) = &other.inner {
             let inner = self.inner_mut();
             for (a, b) in inner.spans.iter_mut().zip(&o.spans) {
@@ -505,52 +464,39 @@ impl Meter {
                 a.merge(b);
             }
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = other;
     }
 
     /// The aggregate for one span kind (zeros when never recorded).
     #[must_use]
     pub fn span(&self, kind: SpanKind) -> SpanAgg {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            return i.spans.get(kind as usize).copied().unwrap_or_default();
-        }
-        let _ = kind;
-        SpanAgg::default()
+        self.inner
+            .as_ref()
+            .and_then(|i| i.spans.get(kind as usize).copied())
+            .unwrap_or_default()
     }
 
     /// A counter's value (0 when never recorded).
     #[must_use]
     pub fn counter(&self, kind: CounterKind) -> u64 {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            return i.counters.get(kind as usize).copied().unwrap_or_default();
-        }
-        let _ = kind;
-        0
+        self.inner
+            .as_ref()
+            .and_then(|i| i.counters.get(kind as usize).copied())
+            .unwrap_or_default()
     }
 
     /// A histogram's aggregate (empty when never recorded).
     #[must_use]
     pub fn histogram(&self, kind: HistoKind) -> Histogram {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            return i.histos.get(kind as usize).copied().unwrap_or_default();
-        }
-        let _ = kind;
-        Histogram::default()
+        self.inner
+            .as_ref()
+            .and_then(|i| i.histos.get(kind as usize).copied())
+            .unwrap_or_default()
     }
 
     /// Whether nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.is_none()
-        }
-        #[cfg(not(feature = "enabled"))]
-        true
+        self.inner.is_none()
     }
 }
 
@@ -598,7 +544,6 @@ mod tests {
         assert_eq!(h.approx_quantile(0.0), 0);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn record_and_merge() {
         let mut a = Meter::new();
@@ -620,20 +565,6 @@ mod tests {
         assert_eq!(a.counter(CounterKind::WindowsEvaluated), 5);
         assert_eq!(a.histogram(HistoKind::DispSitesMgl).count(), 1);
         assert!(!a.is_empty());
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_is_noop() {
-        let mut a = Meter::new();
-        a.record_span(SpanKind::Window, 100, 0);
-        a.add(CounterKind::WindowsEvaluated, 3);
-        a.observe(HistoKind::DispSitesMgl, 7);
-        assert!(a.is_empty());
-        assert_eq!(a.span(SpanKind::Window).count, 0);
-        assert_eq!(a.counter(CounterKind::WindowsEvaluated), 0);
-        assert!(!recording());
-        assert!(!compiled());
     }
 
     #[test]

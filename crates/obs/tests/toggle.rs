@@ -17,11 +17,6 @@ fn set_recording_gates_all_sinks() {
 
     set_recording(true);
     m.add(CounterKind::WindowsEvaluated, 5);
-    if mcl_obs::compiled() {
-        assert!(recording());
-        assert_eq!(m.counter(CounterKind::WindowsEvaluated), 5);
-    } else {
-        assert!(!recording());
-        assert_eq!(m.counter(CounterKind::WindowsEvaluated), 0);
-    }
+    assert!(recording());
+    assert_eq!(m.counter(CounterKind::WindowsEvaluated), 5);
 }

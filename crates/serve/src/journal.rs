@@ -9,6 +9,7 @@
 //! and truncates the journal. A clean drain truncates the journal too, so
 //! "journal is empty" is the post-shutdown invariant CI asserts.
 
+use crate::server::write_failure_file;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -133,18 +134,11 @@ pub fn recover(
     if let Some(rd) = report_dir {
         sweep_partials(rd)?;
         for job in &interrupted {
-            let mut w = mcl_obs::JsonWriter::new();
-            w.begin_object();
-            w.field_str("design", &job.design);
-            w.field_str("class", "interrupted");
-            w.field_str(
-                "error",
+            write_failure_file(
+                rd,
+                &job.design,
+                "interrupted",
                 "daemon terminated before the accepted job finished",
-            );
-            w.end_object();
-            std::fs::write(
-                rd.join(format!("{}.failure.json", job.design)),
-                format!("{}\n", w.finish()),
             )?;
         }
     }

@@ -207,7 +207,6 @@ impl Server {
             .counters
             .interrupted
             .store(recovered.len() as u64, Ordering::SeqCst);
-        lock(&shared.meter).add(CounterKind::ServeJobsInterrupted, recovered.len() as u64);
 
         let engine_shared = Arc::clone(&shared);
         let accept_shared = Arc::clone(&shared);
@@ -371,7 +370,10 @@ fn finalize(shared: &Shared, meta: JobMeta, result: &Result<RunOutput, LegalizeE
     let _ = meta.reply.send(line);
 }
 
-fn write_report_files(rd: &Path, name: &str, full: &str, golden: &str) -> std::io::Result<()> {
+/// Publishes a run report into `rd` as `<name>.json` (the full report) and
+/// `<name>.golden.json` (its golden subset plus a newline), each through
+/// [`write_atomically`].
+pub fn write_report_files(rd: &Path, name: &str, full: &str, golden: &str) -> std::io::Result<()> {
     write_atomically(&rd.join(format!("{name}.json")), full)?;
     write_atomically(
         &rd.join(format!("{name}.golden.json")),
@@ -379,7 +381,9 @@ fn write_report_files(rd: &Path, name: &str, full: &str, golden: &str) -> std::i
     )
 }
 
-fn write_failure_file(rd: &Path, name: &str, class: &str, error: &str) -> std::io::Result<()> {
+/// Publishes a failed job's `{design, class, error}` record into `rd` as
+/// `<name>.failure.json`, through [`write_atomically`].
+pub fn write_failure_file(rd: &Path, name: &str, class: &str, error: &str) -> std::io::Result<()> {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("design", name);
@@ -393,9 +397,9 @@ fn write_failure_file(rd: &Path, name: &str, class: &str, error: &str) -> std::i
 }
 
 /// Tmp-then-rename publish: a crash mid-write leaves `<file>.<n>.tmp`
-/// (swept by recovery), never a torn report. Runners publish concurrently
+/// (swept by the daemon's journal recovery), never a torn report. Runners publish concurrently
 /// and two jobs may share a design name, so every write gets its own `n`.
-fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
+pub fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(format!(".{}.tmp", NEXT_TMP.fetch_add(1, Ordering::Relaxed)));
@@ -595,10 +599,6 @@ fn admit(
         return (line, None);
     }
     let depth = q.len() as u64;
-    {
-        let mut meter = lock(&shared.meter);
-        meter.observe(HistoKind::ServeQueueDepth, depth);
-    }
     // The injected admission race models losing a capacity check to a
     // concurrent admitter: the correct answer is the same backpressure
     // response a genuinely full queue earns.
@@ -619,7 +619,6 @@ fn admit(
     };
     if let Err(e) = journal_ok {
         shared.counters.rejected.fetch_add(1, Ordering::SeqCst);
-        lock(&shared.meter).add(CounterKind::ServeJobsRejected, 1);
         let line = wire::error_line(
             Status::Internal,
             &format!("journal write failed; job not admitted: {e}"),
@@ -640,14 +639,12 @@ fn admit(
     drop(q);
     shared.wake.notify_all();
     shared.counters.admitted.fetch_add(1, Ordering::SeqCst);
-    lock(&shared.meter).add(CounterKind::ServeJobsAdmitted, 1);
     (wire::accepted_line(id, &name), Some(rx))
 }
 
 /// Counts a capacity refusal and returns its `RETRY_AFTER` line.
 fn reject_full(shared: &Shared, depth: u64) -> String {
     shared.counters.rejected.fetch_add(1, Ordering::SeqCst);
-    lock(&shared.meter).add(CounterKind::ServeJobsRejected, 1);
     wire::retry_after_line(shared.cfg.retry_after_ms, depth, false)
 }
 

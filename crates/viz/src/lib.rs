@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn report_heatmap_without_histograms_still_renders() {
-        // Obs compiled out (or a baseline run): stage bars only.
+        // Recording off (or a baseline run): stage bars only.
         let mut r = mcl_obs::report::RunReport::new("bare");
         r.stage("mgl", 0.5);
         let svg = render_report_heatmap(&r);

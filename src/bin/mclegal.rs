@@ -34,8 +34,8 @@ use mclegal::core::{
 };
 use mclegal::db::prelude::*;
 use mclegal::gen::{self, presets};
-use mclegal::obs::JsonWriter;
 use mclegal::parsers;
+use mclegal::serve::server::{write_failure_file, write_report_files};
 use mclegal::viz;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -511,16 +511,6 @@ struct JobFailure {
     message: String,
 }
 
-fn failure_json(f: &JobFailure) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.field_str("design", &f.name);
-    w.field_str("class", f.class);
-    w.field_str("error", &f.message);
-    w.end_object();
-    w.finish()
-}
-
 /// `legalize --batch <dir>`: legalize every Bookshelf bundle found in the
 /// immediate subdirectories of `<dir>` (sorted by name) through one shared
 /// [`Engine`], so the per-thread scratches are set up once and amortized
@@ -605,13 +595,9 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
                 );
                 if let Some(rd) = &report_dir {
                     let rep = mclegal::core::build_run_report(placed, stats, &cfg);
-                    let full = rd.join(format!("{}.json", placed.name));
-                    std::fs::write(&full, rep.to_json())
-                        .map_err(|e| CliError::Internal(e.to_string()))?;
                     // The golden subset (quality + outcome, no timing) is the
                     // stable file: CI diffs it against `tests/goldens/`.
-                    let golden = rd.join(format!("{}.golden.json", placed.name));
-                    std::fs::write(&golden, format!("{}\n", rep.golden_json()))
+                    write_report_files(rd, &placed.name, &rep.to_json(), &rep.golden_json())
                         .map_err(|e| CliError::Internal(e.to_string()))?;
                 }
             }
@@ -627,8 +613,7 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
     }
     if let Some(rd) = &report_dir {
         for f in &failures {
-            let path = rd.join(format!("{}.failure.json", f.name));
-            std::fs::write(&path, format!("{}\n", failure_json(f)))
+            write_failure_file(rd, &f.name, f.class, &f.message)
                 .map_err(|e| CliError::Internal(e.to_string()))?;
         }
     }

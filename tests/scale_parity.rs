@@ -14,9 +14,6 @@
 //!    audit certificates byte-identical, plus a checked-in digest of the
 //!    pipeline's replay log.
 //!
-//! Replay logs are recorded only with the default `replay-log` feature;
-//! without it the digest checks are skipped and the rest still runs.
-//!
 //! A third check, also at 10k cells, samples the allocation-free
 //! `best_insertion_in` against the seed-faithful `insertion_reference`.
 //!
@@ -69,13 +66,8 @@ fn cfg(n: usize, threads: usize) -> LegalizerConfig {
     c
 }
 
-/// Checks a replay log against its checked-in digest. Without the
-/// `replay-log` feature every log is empty, so there is nothing to check;
-/// the position, stats and report parity checks still run.
+/// Checks a replay log against its checked-in digest.
 fn check_digest(log: &mclegal::audit::ReplayLog, expected: u64, tag: &str) {
-    if !cfg!(feature = "replay-log") {
-        return;
-    }
     assert_eq!(
         log.digest(),
         expected,

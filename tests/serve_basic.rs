@@ -307,10 +307,8 @@ fn eco_session_lifecycle_over_the_wire() {
     assert_eq!(field_u64(&delta, "moved"), 4);
     // Reuse telemetry, the stage split and the flow work of the delta (on
     // 80 cells its closure may take every cell, so none need be reused).
-    // Counters read 0 when observability is compiled out.
-    let counted = u64::from(mclegal::obs::compiled());
     let movable_count = placed.movable_cells().count() as u64;
-    assert!(field_u64(&delta, "windows_dirty") >= counted, "{delta}");
+    assert!(field_u64(&delta, "windows_dirty") >= 1, "{delta}");
     assert!(field_u64(&delta, "cells_reused") < movable_count, "{delta}");
     let reply = parse(&delta).unwrap();
     let (stages, counters) = (&reply.get("stage_seconds"), &reply.get("counters"));
@@ -319,7 +317,7 @@ fn eco_session_lifecycle_over_the_wire() {
     }
     let pivots = |name| counters.and_then(|c| c.u64_field(name));
     assert!(pivots("maxdisp.simplex_pivots").is_some(), "{delta}");
-    assert!(pivots("flow.simplex_pivots") >= Some(counted), "{delta}");
+    assert!(pivots("flow.simplex_pivots") >= Some(1), "{delta}");
 
     // Explicit-move form: move one known movable cell to its own position
     // (a legal no-op-ish delta).
@@ -336,9 +334,9 @@ fn eco_session_lifecycle_over_the_wire() {
         .unwrap();
     assert_eq!(status_of(&delta2), "OK", "{delta2}");
     // One moved cell dirties a small closure; every other cell is reused.
-    assert!(field_u64(&delta2, "windows_dirty") >= counted, "{delta2}");
+    assert!(field_u64(&delta2, "windows_dirty") >= 1, "{delta2}");
     let reused = field_u64(&delta2, "cells_reused");
-    assert!(reused >= counted && reused < movable_count, "{delta2}");
+    assert!(reused >= 1 && reused < movable_count, "{delta2}");
 
     // Commit persists a loadable bundle.
     let out = root.join("committed");
