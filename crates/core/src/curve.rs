@@ -436,6 +436,26 @@ impl PwlTerm {
         }
     }
 
+    /// Exact minimum of the term on the closed interval `[lo, hi]`
+    /// (`lo ≤ hi`). With a non-negative weight every term falls, then
+    /// rises (its valley is the V's apex, Type A/B's breakpoint, Type C's
+    /// `a + base`, Type D's `c`), so the minimum is at the valley clamped
+    /// into the interval; a negative weight flips that shape, putting the
+    /// minimum at an endpoint.
+    pub fn min_on(&self, lo: Dbu, hi: Dbu) -> i64 {
+        let (valley, w) = match *self {
+            PwlTerm::Vee { center, w } => (center, w),
+            PwlTerm::TypeA { a, w, .. } | PwlTerm::TypeB { a, w, .. } => (a, w),
+            PwlTerm::TypeC { a, base, w, .. } => (a + base, w),
+            PwlTerm::TypeD { c, w, .. } => (c, w),
+        };
+        if w >= 0 {
+            self.eval(valley.clamp(lo, hi))
+        } else {
+            self.eval(lo).min(self.eval(hi))
+        }
+    }
+
     /// The equivalent [`PwlCurve`], for tests and the reference path.
     pub fn to_curve(self) -> PwlCurve {
         match self {
@@ -578,6 +598,49 @@ mod tests {
         // Sums of convex curves stay convex.
         let s = PwlCurve::sum(vec![PwlCurve::vee(0, 1), PwlCurve::type_a(5, 2, 3)]);
         assert!(s.is_convex());
+    }
+
+    #[test]
+    fn term_min_on_matches_brute_force() {
+        for w in [-2, 0, 3] {
+            for dv in [0, -7] {
+                let terms = [
+                    PwlTerm::Vee { center: 5, w },
+                    PwlTerm::TypeA {
+                        a: 5,
+                        base: 4,
+                        w,
+                        dv,
+                    },
+                    PwlTerm::TypeB {
+                        a: 5,
+                        base: 4,
+                        w,
+                        dv,
+                    },
+                    PwlTerm::TypeC {
+                        a: 5,
+                        base: 4,
+                        w,
+                        dv,
+                    },
+                    PwlTerm::TypeD {
+                        c: 5,
+                        base: 4,
+                        w,
+                        dv,
+                    },
+                ];
+                for t in terms {
+                    for lo in -3..16 {
+                        for hi in lo..16 {
+                            let brute = (lo..=hi).map(|x| t.eval(x)).min().unwrap();
+                            assert_eq!(t.min_on(lo, hi), brute, "{t:?} on [{lo}, {hi}]");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,25 @@
 //!
 //! The evaluation loop is the hottest code in the legalizer, so it is
 //! written to be **allocation-free in steady state**: every growable buffer
-//! (row lineups, region lists, anchor lists, curve terms, the summed curve's
-//! event buffer, chain bookkeeping, the slot-tuple dedup set and the shift
-//! scratch) lives in a reusable [`InsertionScratch`], and slot tuples are
-//! deduplicated by a 64-bit hash of the tuple instead of storing an owned
-//! `Vec` per candidate. A seed-faithful, allocating twin lives in
+//! (row lineups, region lists, the base-row visiting order, anchor lists,
+//! curve terms, the summed curve's event buffer, chain bookkeeping and the
+//! shift scratch) lives in a reusable [`InsertionScratch`]. Slot tuples are
+//! deduplicated against the previous anchor's tuple alone: anchors ascend
+//! and every row's slot is monotone in the anchor, so equal tuples are
+//! adjacent. A seed-faithful, allocating twin lives in
 //! [`crate::insertion_reference`] and is differential-tested against this
 //! implementation.
+//!
+//! **Exact pruning.** Base rows are visited nearest to the GP first, so a
+//! cheap incumbent appears early, and three lower bounds then skip work
+//! that provably cannot beat it: a per-region bound (`y_cost − Σ w·base`
+//! over the shiftable lineup cells, before any prefix table or anchor), a
+//! per-candidate bound (the sum of each curve term's exact minimum on the
+//! feasible interval, before the curve is summed and minimized) and the
+//! curve minimum itself (before routability alternates, cost evaluation and
+//! shift reconstruction). Each skips only candidates whose cost is
+//! *strictly* greater than the incumbent's, so the winner — the minimum
+//! under `candidate_improves`' key — is unchanged; see DESIGN.md §6.
 //!
 //! Simplifications versus the paper, documented in DESIGN.md:
 //! - only single-row local cells are shiftable; multi-row neighbours act as
@@ -28,7 +40,6 @@ use crate::curve::{PwlCurve, PwlTerm};
 use crate::routability::RoutOracle;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
-use std::collections::HashSet;
 
 /// Cost model shared by all insertion evaluations.
 #[derive(Debug)]
@@ -79,7 +90,7 @@ pub struct ScratchStats {
     pub regions: u64,
     /// Candidate anchors inspected.
     pub anchors: u64,
-    /// Slot tuples skipped by the dedup hash.
+    /// Anchors skipped because their slot tuple equals the previous one's.
     pub dedup_hits: u64,
     /// Curve minimizations performed.
     pub curve_mins: u64,
@@ -113,12 +124,13 @@ pub struct InsertionScratch {
     regions: Vec<Interval>,
     /// Double buffer for region intersection across rows.
     regions_next: Vec<Interval>,
+    /// Admissible base rows, nearest to the target's GP first.
+    rows: Vec<usize>,
     /// Candidate anchor x positions.
     anchors: Vec<Dbu>,
-    /// Slot tuple of the current anchor (one slot index per spanned row).
+    /// Slot tuple of the current anchor (one slot index per spanned row);
+    /// holds the previous anchor's tuple until overwritten.
     tuple: Vec<u32>,
-    /// Hashes of slot tuples already evaluated for this region.
-    seen: HashSet<u64>,
     /// Curve terms of the current candidate.
     terms: Vec<PwlTerm>,
     /// Summed displacement curve (its event buffer is reused).
@@ -170,20 +182,6 @@ impl InsertionScratch {
     }
 }
 
-/// FNV-1a over the slot tuple; collisions would merge two distinct tuples,
-/// but at 64 bits over a handful of `u32`s that is beyond unlikely, and the
-/// hash is deterministic so results stay thread-count independent.
-fn tuple_hash(tuple: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in tuple {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Finds the best insertion of `target` within `window`, or `None` when no
 /// feasible insertion exists there. Convenience wrapper over
 /// [`best_insertion_in`] with a throwaway scratch; hot paths should hold a
@@ -219,27 +217,34 @@ pub fn best_insertion_in(
     let row_hi_incl = d.row_of_y((window.yh - 1).min(d.core.yh - 1)).unwrap_or(0);
     let max_base = d.num_rows.checked_sub(h)?;
 
+    // The lower bounds below take penalties as costs that only add; a
+    // negative penalty turns pruning off.
+    let bounded = model.oracle.is_none() || (model.io_penalty >= 0 && model.rail_penalty >= 0);
+
     let mut best: Option<Insertion> = None;
-    // Region buffers are taken out of the scratch so `scratch` can be
-    // reborrowed mutably by `evaluate_region` while we iterate them.
+    // Region and row buffers are taken out of the scratch so `scratch` can
+    // be reborrowed mutably by `evaluate_region` while we iterate them.
     let mut regions = std::mem::take(&mut scratch.regions);
     let mut regions_next = std::mem::take(&mut scratch.regions_next);
+    let mut rows = std::mem::take(&mut scratch.rows);
 
-    for base_row in row_lo..=row_hi_incl.min(max_base) {
+    // Nearest rows first: the winner is the minimum under
+    // `candidate_improves`' key, which orders candidates from different
+    // base rows totally, and the regions and anchors of one row keep their
+    // order, so visiting rows by distance changes no result — it only finds
+    // a cheap incumbent before the bounds below are tested.
+    rows.clear();
+    rows.extend((row_lo..=row_hi_incl.min(max_base)).filter(|&base_row| {
         // Target must fit inside the window vertically.
-        if d.row_y(base_row) + h as Dbu * d.tech.row_height > window.yh.min(d.core.yh) {
-            continue;
-        }
-        if let Some(par) = ct.rail_parity {
-            if !par.matches(base_row) {
-                continue;
-            }
-        }
-        if let Some(o) = model.oracle {
-            if !o.h_rails_ok(tc.type_id, base_row) {
-                continue;
-            }
-        }
+        d.row_y(base_row) + h as Dbu * d.tech.row_height <= window.yh.min(d.core.yh)
+            && ct.rail_parity.is_none_or(|par| par.matches(base_row))
+            && model
+                .oracle
+                .is_none_or(|o| o.h_rails_ok(tc.type_id, base_row))
+    }));
+    rows.sort_unstable_by_key(|&r| ((d.row_y(r) - tc.gp.y).abs(), r));
+
+    for &base_row in &rows {
         let y = d.row_y(base_row);
         let y_cost = w_target.saturating_mul((y - tc.gp.y).abs());
 
@@ -281,6 +286,7 @@ pub fn best_insertion_in(
                 region,
                 y_cost,
                 gp_x_snapped,
+                bounded,
                 scratch,
                 &mut best,
             );
@@ -288,7 +294,16 @@ pub fn best_insertion_in(
     }
     scratch.regions = regions;
     scratch.regions_next = regions_next;
+    scratch.rows = rows;
     best
+}
+
+/// Whether a lower bound on a candidate's cost proves it strictly costlier
+/// than the incumbent. The bound is clamped to `i64` first, as candidate
+/// costs saturate there, so a saturated tie is never pruned.
+fn exceeds(best: &Option<Insertion>, floor: i128) -> bool {
+    best.as_ref()
+        .is_some_and(|b| floor.min(i64::MAX as i128) > b.cost as i128)
 }
 
 /// Whether a candidate keyed by `(cost, base_row, x)` beats the incumbent.
@@ -336,6 +351,7 @@ fn evaluate_region(
     region: Interval,
     y_cost: i64,
     gp_x_snapped: Dbu,
+    bounded: bool,
     scratch: &mut InsertionScratch,
     best: &mut Option<Insertion>,
 ) {
@@ -375,6 +391,34 @@ fn evaluate_region(
             }
         }
         line.sort_unstable_by_key(|l| l.x);
+    }
+
+    // Region bound. With non-negative weights every Type A/B term is ≥ 0,
+    // every Type C/D term is ≥ its normalization offset −w·base (and ≥ 0
+    // unnormalized), and the target's V and the penalties are ≥ 0; chains
+    // hold only shiftable lineup cells, each at most once. So no candidate
+    // of this region costs less than `y_cost − Σ w·base`, and a region
+    // whose bound exceeds the incumbent is skipped whole. A negative weight
+    // voids the bound.
+    if bounded && best.is_some() && model.weights[target.0 as usize] >= 0 {
+        let mut floor = Some(y_cost as i128);
+        for c in scratch.lineups[..h]
+            .iter()
+            .flatten()
+            .filter(|c| c.shiftable)
+        {
+            let wgt = model.weights[c.id.0 as usize];
+            if wgt < 0 {
+                floor = None;
+                break;
+            }
+            if model.normalize {
+                floor = floor.map(|f| f - wgt as i128 * gp_ref(d, model, c).1 as i128);
+            }
+        }
+        if floor.is_some_and(|f| exceeds(best, f)) {
+            return;
+        }
     }
 
     let spacing = |a: u8, b: u8| -> Dbu {
@@ -494,19 +538,23 @@ fn evaluate_region(
         anchors.sort_unstable();
     }
 
-    scratch.seen.clear();
+    scratch.tuple.clear();
+    scratch.tuple.resize(h, 0);
     for ai in 0..scratch.anchors.len() {
         let anchor = scratch.anchors[ai];
         scratch.stats.anchors += 1;
-        // Slot tuple by center comparison, deduplicated by hash (the tuple
-        // itself lives in a reused buffer; nothing is cloned per candidate).
-        scratch.tuple.clear();
-        for line in &scratch.lineups[..h] {
-            scratch
-                .tuple
-                .push(line.partition_point(|l| 2 * l.x + l.w <= 2 * anchor + w_t) as u32);
+        // Slot tuple by center comparison, overwriting the previous
+        // anchor's tuple in place. Nothing below reads the anchor, so a
+        // repeated tuple would evaluate identically and is skipped; anchors
+        // ascend and each row's slot is monotone in the anchor, so every
+        // repeat is of the previous tuple.
+        let mut repeat = ai > 0;
+        for (slot, line) in scratch.tuple.iter_mut().zip(&scratch.lineups[..h]) {
+            let s = line.partition_point(|l| 2 * l.x + l.w <= 2 * anchor + w_t) as u32;
+            repeat &= *slot == s;
+            *slot = s;
         }
-        if !scratch.seen.insert(tuple_hash(&scratch.tuple)) {
+        if repeat {
             scratch.stats.dedup_hits += 1;
             continue;
         }
@@ -668,12 +716,31 @@ fn evaluate_region(
             continue;
         }
 
+        // Candidate bound: the summed curve's minimum on [lb, ub] is at
+        // least the sum of its terms' minima there, so a candidate whose
+        // term minima already exceed the incumbent skips the curve.
+        if bounded && best.is_some() {
+            let floor = scratch
+                .terms
+                .iter()
+                .map(|t| t.min_on(lb, ub) as i128)
+                .sum::<i128>();
+            if exceeds(best, floor + y_cost as i128) {
+                continue;
+            }
+        }
+
         scratch.total.sum_terms_into(&scratch.terms);
         let prefer = gp_x_snapped.clamp(lb, ub);
         scratch.stats.curve_mins += 1;
-        let Some((x0, _)) = scratch.total.min_on(lb, ub, prefer) else {
+        let Some((x0, v0)) = scratch.total.min_on(lb, ub, prefer) else {
             continue;
         };
+        // Every candidate x below lies in [lb, ub], where the curve is at
+        // least `v0`, and penalties only add.
+        if bounded && exceeds(best, v0.saturating_add(y_cost) as i128) {
+            continue;
+        }
 
         // Routability-aware candidate positions.
         scratch.cand_xs.clear();

@@ -13,8 +13,6 @@
 //!    ([`RoutOracle::io_overlaps`]).
 
 use mcl_db::prelude::*;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Routability query object for one design.
 #[derive(Debug)]
@@ -23,8 +21,12 @@ pub struct RoutOracle<'d> {
     /// IO pin rects per layer, sorted by xl.
     io_by_layer: Vec<Vec<Rect>>,
     io_max_w: Dbu,
-    /// Cache: (type, base_row % period) -> horizontal rails OK.
-    h_cache: Mutex<HashMap<(u32, usize), bool>>,
+    /// Horizontal-rail verdict per `(type, base_row % period)`, row-major
+    /// by type: `h_ok[type * cols + residue]`.
+    h_ok: Vec<bool>,
+    /// Residues tabulated per type: the period, capped at the row count
+    /// (a larger residue belongs to no row of the design).
+    cols: usize,
     /// Row period after which rail geometry (and parity) repeats.
     period: usize,
 }
@@ -47,11 +49,18 @@ impl<'d> RoutOracle<'d> {
         let pitch = design.grid.h_pitch_rows.max(1) as usize;
         // Orientation repeats every 2 rows; rail offsets every `pitch` rows.
         let period = lcm(2, pitch);
+        // Rails sit at multiples of the pitch from the core's bottom edge,
+        // so a base row's verdict is its residue's, computed once here.
+        let cols = period.min(design.num_rows.max(1));
+        let h_ok = (0..design.cell_types.len())
+            .flat_map(|t| (0..cols).map(move |r| h_rails_clear(design, t, r)))
+            .collect();
         Self {
             design,
             io_by_layer,
             io_max_w,
-            h_cache: Mutex::new(HashMap::new()),
+            h_ok,
+            cols,
             period,
         }
     }
@@ -59,31 +68,12 @@ impl<'d> RoutOracle<'d> {
     /// Whether placing `type_id` with its bottom on `base_row` keeps all its
     /// pins clear of horizontal P/G rails (both short and access layers).
     pub fn h_rails_ok(&self, type_id: CellTypeId, base_row: usize) -> bool {
-        let key = (type_id.0, base_row % self.period);
-        if let Some(&v) = self.h_cache.lock().unwrap().get(&key) {
-            return v;
+        let residue = base_row % self.period;
+        if residue < self.cols {
+            self.h_ok[type_id.0 as usize * self.cols + residue]
+        } else {
+            h_rails_clear(self.design, type_id.0 as usize, base_row)
         }
-        let v = self.compute_h_rails_ok(type_id, base_row);
-        self.h_cache.lock().unwrap().insert(key, v);
-        v
-    }
-
-    fn compute_h_rails_ok(&self, type_id: CellTypeId, base_row: usize) -> bool {
-        let d = self.design;
-        let ct = &d.cell_types[type_id.0 as usize];
-        let orient = d.orient_for_row(type_id, base_row);
-        let y0 = d.row_y(base_row);
-        for i in 0..ct.pins.len() {
-            let local = ct.pin_rect_local(i, orient, d.tech.row_height);
-            let y = Interval::new(y0 + local.yl, y0 + local.yh);
-            let layer = ct.pins[i].layer;
-            for l in [layer, layer + 1] {
-                if d.grid.h_rail_overlaps(l, y, d.core.yl, d.tech.row_height) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Number of pins of `type_id` at `(x, base_row)` that overlap a
@@ -299,6 +289,22 @@ impl<'d> RoutOracle<'d> {
     }
 }
 
+/// Whether cell type `t` with its bottom on `base_row` keeps every pin off
+/// the horizontal rails, on the pin's layer and the one above.
+fn h_rails_clear(d: &Design, t: usize, base_row: usize) -> bool {
+    let ct = &d.cell_types[t];
+    let orient = d.orient_for_row(CellTypeId(t as u32), base_row);
+    let y0 = d.row_y(base_row);
+    (0..ct.pins.len()).all(|i| {
+        let local = ct.pin_rect_local(i, orient, d.tech.row_height);
+        let y = Interval::new(y0 + local.yl, y0 + local.yh);
+        let layer = ct.pins[i].layer;
+        [layer, layer + 1]
+            .into_iter()
+            .all(|l| !d.grid.h_rail_overlaps(l, y, d.core.yl, d.tech.row_height))
+    })
+}
+
 fn lcm(a: usize, b: usize) -> usize {
     let gcd = |mut a: usize, mut b: usize| {
         while b != 0 {
@@ -443,6 +449,47 @@ mod tests {
         // Pin local [5,10)x[40,50): at x=498, abs [503,508)x[40,50) overlaps.
         assert_eq!(o.io_overlaps(safe, 0, 498), 1);
         assert_eq!(o.io_overlaps(safe, 0, 600), 0);
+    }
+
+    #[test]
+    fn rail_verdicts_repeat_with_the_row_period() {
+        // The table holds one verdict per residue; on a generated design
+        // with rails, every row must agree with a direct computation. The
+        // generator's pins sit mid-row and its rails on every boundary, so
+        // a rail pitch of 3 rows (period 6 with the flip) and a type pinned
+        // at its top edge make some rows blocked.
+        let mut cfg = mcl_gen::GeneratorConfig::small(3);
+        cfg.num_cells = 300;
+        let mut d = mcl_gen::generate(&cfg).expect("generation succeeds").design;
+        assert!(d.grid.h_width > 0, "the generator lays horizontal rails");
+        d.grid.h_pitch_rows = 3;
+        let (rh, sw) = (d.tech.row_height, d.tech.site_width);
+        let mut edge = CellType::new("edge", 2 * sw, 1);
+        edge.pins.push(PinShape {
+            name: "a".into(),
+            layer: d.grid.h_layer,
+            rect: Rect::new(0, rh - rh / 8, sw, rh),
+        });
+        d.add_cell_type(edge);
+        let o = RoutOracle::new(&d);
+        assert_eq!(o.period, 6);
+        let (mut clear, mut blocked) = (0, 0);
+        for t in 0..d.cell_types.len() {
+            for r in 0..d.num_rows {
+                let direct = h_rails_clear(&d, t, r);
+                assert_eq!(
+                    o.h_rails_ok(CellTypeId(t as u32), r),
+                    direct,
+                    "type {t} row {r}"
+                );
+                if direct {
+                    clear += 1;
+                } else {
+                    blocked += 1;
+                }
+            }
+        }
+        assert!(clear > 0 && blocked > 0, "{clear} clear, {blocked} blocked");
     }
 
     #[test]

@@ -454,13 +454,8 @@ impl<'d> PlacementState<'d> {
         self.replay.record_shift_x(cell, new_x);
     }
 
-    /// The replay log of every committed mutation since construction (or the
-    /// last [`Self::take_replay_log`]).
-    pub fn replay_log(&self) -> &mcl_audit::ReplayLog {
-        &self.replay
-    }
-
-    /// Takes ownership of the replay log, leaving an empty one.
+    /// Takes ownership of the replay log of every committed mutation since
+    /// construction (or the last take), leaving an empty one.
     pub fn take_replay_log(&mut self) -> mcl_audit::ReplayLog {
         std::mem::take(&mut self.replay)
     }

@@ -1,6 +1,12 @@
 //! Differential test: the allocation-free insertion evaluation must return
 //! bit-identical results to the seed-faithful reference implementation on
 //! randomized designs, across cost-model variants and windows.
+//!
+//! The fast kernel prunes candidates with lower bounds that depend on the
+//! weights, the penalties, the curve normalization and the oracle, and it
+//! visits base rows in a different order than the reference; the cases
+//! below vary each of those, including saturated windows where most
+//! anchors are infeasible.
 
 use mcl_core::config::DisplacementReference;
 use mcl_core::insertion::{best_insertion_in, CostModel, InsertionScratch};
@@ -10,71 +16,183 @@ use mcl_core::state::PlacementState;
 use mcl_db::prelude::*;
 use mcl_gen::{generate, GeneratorConfig};
 
-fn check(seed: u64, reference: DisplacementReference, normalize: bool, use_oracle: bool) {
-    let mut cfg = GeneratorConfig::small(seed);
+/// One differential run: the design, the placed share and the cost model.
+struct Case {
+    seed: u64,
+    reference: DisplacementReference,
+    normalize: bool,
+    use_oracle: bool,
+    /// Cell `i` weighs `1 + i % max_weight`.
+    max_weight: i64,
+    io_penalty: i64,
+    rail_penalty: i64,
+    density: f64,
+    /// Share of the cells placed at their golden positions before the rest
+    /// are inserted, as `(numerator, denominator)`.
+    placed: (usize, usize),
+    /// Window half-extents `(x, y)` around each target's GP.
+    windows: &'static [(Dbu, Dbu)],
+}
+
+impl Case {
+    fn new(seed: u64) -> Self {
+        Self {
+            seed,
+            reference: DisplacementReference::Gp,
+            normalize: true,
+            use_oracle: false,
+            max_weight: 3,
+            io_penalty: 10,
+            rail_penalty: 100,
+            density: 0.6,
+            placed: (2, 3),
+            windows: &[(240, 180), (900, 450)],
+        }
+    }
+}
+
+/// Runs `case` and returns `(feasible, infeasible)` query counts.
+fn check(case: &Case) -> (usize, usize) {
+    let mut cfg = GeneratorConfig::small(case.seed);
     cfg.num_cells = 250;
+    cfg.density = case.density;
     cfg.fences = 2;
     cfg.fence_cell_fraction = 0.15;
     cfg.io_pins = 20;
     let g = generate(&cfg).expect("generation succeeds");
     let d = &g.design;
     let n = d.cells.len();
-    // Place two thirds of the cells at their legal golden positions; the
-    // remaining third are insertion targets into a realistically crowded
-    // placement.
-    let split = n * 2 / 3;
+    // Place a share of the cells at their legal golden positions; the
+    // rest are insertion targets into a realistically crowded placement.
+    let split = n * case.placed.0 / case.placed.1;
     let mut state = PlacementState::new(d);
     for i in 0..split {
         state
             .place(CellId(i as u32), g.golden[i])
             .expect("golden positions are legal");
     }
-    let weights: Vec<i64> = (0..n as i64).map(|i| 1 + i % 3).collect();
+    let weights: Vec<i64> = (0..n as i64).map(|i| 1 + i % case.max_weight).collect();
     let oracle = RoutOracle::new(d);
     let model = CostModel {
-        reference,
-        normalize,
+        reference: case.reference,
+        normalize: case.normalize,
         weights: &weights,
-        oracle: use_oracle.then_some(&oracle),
-        io_penalty: 10,
-        rail_penalty: 100,
+        oracle: case.use_oracle.then_some(&oracle),
+        io_penalty: case.io_penalty,
+        rail_penalty: case.rail_penalty,
     };
     let mut scratch = InsertionScratch::new();
-    let mut found = 0usize;
+    let (mut found, mut missed) = (0usize, 0usize);
     for i in split..n {
         let t = CellId(i as u32);
         let gp = d.cells[i].gp;
-        for (wx, wy) in [(240, 180), (900, 450)] {
+        for &(wx, wy) in case.windows {
             let win = Rect::new(gp.x - wx, gp.y - wy, gp.x + wx, gp.y + wy);
             let fast = best_insertion_in(&state, t, win, &model, &mut scratch);
             let slow = best_insertion_reference(&state, t, win, &model);
-            assert_eq!(fast, slow, "seed {seed} cell {i} window {win:?}");
-            found += usize::from(fast.is_some());
+            assert_eq!(fast, slow, "seed {} cell {i} window {win:?}", case.seed);
+            if fast.is_some() {
+                found += 1;
+            } else {
+                missed += 1;
+            }
         }
     }
     assert!(
         found > 0,
-        "test exercised no feasible insertions (seed {seed})"
+        "test exercised no feasible insertions (seed {})",
+        case.seed
     );
+    (found, missed)
 }
 
 #[test]
 fn matches_reference_gp_mode() {
-    check(11, DisplacementReference::Gp, true, false);
+    check(&Case::new(11));
 }
 
 #[test]
 fn matches_reference_current_mode() {
-    check(12, DisplacementReference::Current, true, false);
+    check(&Case {
+        reference: DisplacementReference::Current,
+        ..Case::new(12)
+    });
 }
 
 #[test]
 fn matches_reference_unnormalized() {
-    check(13, DisplacementReference::Gp, false, false);
+    check(&Case {
+        normalize: false,
+        ..Case::new(13)
+    });
 }
 
 #[test]
 fn matches_reference_with_oracle() {
-    check(14, DisplacementReference::Gp, true, true);
-    check(15, DisplacementReference::Current, true, true);
+    for (seed, reference) in [
+        (14, DisplacementReference::Gp),
+        (15, DisplacementReference::Current),
+    ] {
+        check(&Case {
+            reference,
+            use_oracle: true,
+            ..Case::new(seed)
+        });
+    }
+}
+
+#[test]
+fn matches_reference_unnormalized_with_oracle() {
+    check(&Case {
+        normalize: false,
+        use_oracle: true,
+        ..Case::new(16)
+    });
+}
+
+/// Heavy local cells make pushing costly and the region bound loose; a
+/// heavy target makes `y_cost` dominate the row choice.
+#[test]
+fn matches_reference_with_weights_up_to_50() {
+    for (seed, normalize, use_oracle) in [(17, true, false), (18, true, true), (19, false, true)] {
+        check(&Case {
+            normalize,
+            use_oracle,
+            max_weight: 50,
+            ..Case::new(seed)
+        });
+    }
+}
+
+/// Zero penalties leave the curve minimum as the whole cost; large ones
+/// make the routability alternates and the post-minimum bound decide.
+#[test]
+fn matches_reference_with_zero_and_large_penalties() {
+    for (seed, io, rail) in [(20, 0, 0), (21, 1_000_000, 5_000_000), (22, 0, 1_000_000)] {
+        check(&Case {
+            use_oracle: true,
+            io_penalty: io,
+            rail_penalty: rail,
+            max_weight: 7,
+            ..Case::new(seed)
+        });
+    }
+}
+
+/// Dense designs with almost every cell placed and tight windows: most
+/// anchors are infeasible and some windows have no insertion at all.
+#[test]
+fn matches_reference_in_saturated_windows() {
+    let mut missed = 0;
+    for (seed, use_oracle) in [(23, false), (24, true)] {
+        missed += check(&Case {
+            use_oracle,
+            density: 0.9,
+            placed: (19, 20),
+            windows: &[(40, 90), (120, 180), (400, 270)],
+            ..Case::new(seed)
+        })
+        .1;
+    }
+    assert!(missed > 0, "no window was saturated");
 }

@@ -149,8 +149,14 @@ pub fn recover(
 }
 
 /// Deletes `*.tmp` files (reports that were mid-write at the crash; the
-/// rename that publishes a report never ran, so they are garbage).
-fn sweep_partials(report_dir: &Path) -> std::io::Result<()> {
+/// rename that publishes a report never ran, so they are garbage). Both
+/// publishers of `write_report_files` call it before writing: the daemon's
+/// recovery and `legalize --batch --report-dir`.
+///
+/// # Errors
+///
+/// I/O errors listing the directory or removing a file.
+pub fn sweep_partials(report_dir: &Path) -> std::io::Result<()> {
     let entries = match std::fs::read_dir(report_dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),

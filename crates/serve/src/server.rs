@@ -397,7 +397,8 @@ pub fn write_failure_file(rd: &Path, name: &str, class: &str, error: &str) -> st
 }
 
 /// Tmp-then-rename publish: a crash mid-write leaves `<file>.<n>.tmp`
-/// (swept by the daemon's journal recovery), never a torn report. Runners publish concurrently
+/// (swept by [`crate::journal::sweep_partials`] before the next daemon or
+/// batch run writes), never a torn report. Runners publish concurrently
 /// and two jobs may share a design name, so every write gets its own `n`.
 pub fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);

@@ -576,6 +576,7 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
     let report_dir = flags.get("report-dir").map(PathBuf::from);
     if let Some(rd) = &report_dir {
         std::fs::create_dir_all(rd)
+            .and_then(|()| mclegal::serve::journal::sweep_partials(rd))
             .map_err(|e| CliError::Internal(format!("--report-dir: {e}")))?;
     }
     let mut succeeded = 0usize;

@@ -297,3 +297,36 @@ fn batch_continues_past_corrupt_bundle() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A batch run publishes reports tmp-then-rename, so a killed run leaves
+/// `<file>.<n>.tmp` behind; the next `--report-dir` run sweeps them before
+/// it writes, as the daemon's journal recovery does.
+#[test]
+fn batch_sweeps_stale_tmp_reports() {
+    let dir = tmp_dir("sweep");
+    let batch = dir.join("bundles");
+    std::fs::create_dir_all(&batch).unwrap();
+    write_bundle(&batch, "s0", 41);
+    let reports = dir.join("reports");
+    std::fs::create_dir_all(&reports).unwrap();
+    let stale = reports.join("s0.golden.json.7.tmp");
+    std::fs::write(&stale, "{\"torn\":").unwrap();
+    let keep = reports.join("notes.txt");
+    std::fs::write(&keep, "not a partial report").unwrap();
+
+    let out = mclegal()
+        .args(["legalize", "--batch", batch.to_str().unwrap()])
+        .args(["--report-dir", reports.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!stale.exists(), "stale partial report survived the batch");
+    assert!(keep.is_file(), "the sweep removed a file that is not *.tmp");
+    assert!(reports.join("s0.golden.json").is_file());
+    std::fs::remove_dir_all(&dir).ok();
+}
