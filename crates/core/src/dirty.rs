@@ -1,37 +1,56 @@
-//! Transitive dirty-window closure for delta-first (ECO) legalization.
+//! Bounded dirty-window closure for delta-first (ECO) legalization.
 //!
 //! A delta run mutates a handful of cells; everything the post stages are
 //! allowed to touch must be derivable from those mutations alone. This
-//! module turns the raw dirty set tracked by
-//! [`PlacementState`] (epoch-stamped cells
-//! plus the rects they vacated) into its *transitive geometric closure*:
-//! every placed cell within the edge-spacing halo of a dirty rect becomes
-//! dirty itself, and its own halo-expanded rect is scanned in turn, until
-//! a fixed point — re-running the closure on its own result adds nothing
-//! (pinned by the property suite in `crates/core/tests/dirty_props.rs`).
+//! module turns the raw dirty set tracked by [`PlacementState`]
+//! (epoch-stamped cells plus the rects they vacated) into the *closure*:
+//! the cells a delta-mode post stage may move.
 //!
-//! The scanned windows are deduplicated through a [`HierGrid`] so repeat
-//! coverage of the same region is skipped instead of re-walked; the grid
-//! is also how the windows are reported outward (`eco.windows_dirty`).
-//! Cells outside the closure are guaranteed untouched by the delta post
-//! stages: stage 2 only re-matches groups restricted to closure members
-//! and stage 3 treats the nearest clean neighbors as fixed walls.
+//! Each seed (a mutated cell) anchors one box on the rect it vacated and
+//! one on the rect it now occupies. A box is the anchor rect grown by the
+//! MGL base window — [`LegalizerConfig::window_sites`] sites left and
+//! right, [`LegalizerConfig::window_rows`] rows up and down — the local
+//! neighbourhood stage 1 inserts into (§3.1). From each anchor the halo
+//! walk is transitive: every placed cell within the edge-spacing halo of a
+//! member joins, and its own halo-expanded rect is scanned in turn, but
+//! every scanned window is clipped to the box of the seed the walk started
+//! from. A cell first reached from one box expands inside that box only,
+//! and the worklist order is fixed by the seed order, so the same seeds
+//! always give the same set. The closure is therefore local: a 64-cell
+//! delta re-legalizes a few hundred cells however dense the design is.
+//!
+//! The scanned windows are deduplicated by containment through a
+//! [`HierGrid`] (a covered window can only find members already found),
+//! and they are how the closure is reported outward (`eco.windows_dirty`).
+//!
+//! Safety does not rest on the closure being closed: clean neighbours are
+//! walls. Stage 2 permutes closure members of one (type, fence) group
+//! among their own positions, so every footprint — and with it every
+//! overlap, edge-spacing and pin relation to any neighbour, clean or not —
+//! is unchanged. Stage 3 keeps each member's rows and order, and a
+//! member's nearest clean neighbour in each segment clips its x range at
+//! the wall minus the required separation (relaxed to the incumbent gap,
+//! as for member pairs). Clean cells are never moved, and no member can
+//! come closer to one than the rules allow. The property suite in
+//! `crates/core/tests/dirty_props.rs` pins the geometry; the wall path is
+//! exercised by `tests/eco_parity.rs`.
 
+use crate::config::LegalizerConfig;
 use crate::spatial::HierGrid;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 
-/// The transitive closure of a delta's dirty set: the cells a delta-mode
-/// post stage may move, and the halo-expanded windows that were scanned
-/// to find them.
+/// The closure of a delta's dirty set: the cells a delta-mode post stage
+/// may move, and the clipped, halo-expanded windows that were scanned to
+/// find them.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyClosure {
     /// Per-cell membership, indexed by `CellId`.
     in_closure: Vec<bool>,
     /// Closure members in ascending id order.
     cells: Vec<CellId>,
-    /// Every halo-expanded window scanned while growing the closure (in
-    /// scan order, deduplicated by containment).
+    /// Every clipped window scanned while growing the closure (in scan
+    /// order, deduplicated by containment).
     windows: Vec<Rect>,
 }
 
@@ -50,7 +69,8 @@ impl DirtyClosure {
         &self.cells
     }
 
-    /// The scanned dirty windows (halo-expanded, containment-deduped).
+    /// The scanned dirty windows (halo-expanded, clipped to their anchor
+    /// box, containment-deduped).
     pub fn windows(&self) -> &[Rect] {
         &self.windows
     }
@@ -76,20 +96,31 @@ pub fn halo(d: &Design) -> Dbu {
     (s + sw - 1).div_euclid(sw) * sw + sw
 }
 
-/// Computes the transitive dirty-window closure of the state's current
-/// dirty set (see [`PlacementState::dirty_cells`]): seeds are each dirty
-/// cell's pre-mutation rect and current rect; any placed cell overlapping
-/// a halo-expanded window joins the closure and contributes its own
-/// window, until no window finds a new cell.
-pub fn compute(state: &PlacementState<'_>) -> DirtyClosure {
-    let seeds: Vec<(CellId, Option<Rect>)> = state.dirty_cells().to_vec();
-    compute_from_seeds(state, &seeds)
+/// The box a seed rect anchors: `r` grown by the MGL base window
+/// (`window_sites` sites on each side, `window_rows` rows above and
+/// below), clamped to the core. Every closure member overlaps the box of
+/// the seed whose walk found it.
+pub fn anchor_box(d: &Design, config: &LegalizerConfig, r: Rect) -> Rect {
+    let hw = config.window_sites as Dbu * d.tech.site_width;
+    let hh = config.window_rows as Dbu * d.tech.row_height;
+    Rect::new(r.xl - hw, r.yl - hh, r.xh + hw, r.yh + hh).intersect(d.core)
+}
+
+/// Computes the bounded closure of the state's current dirty set (see
+/// [`PlacementState::dirty_cells`]): seeds are each dirty cell's
+/// pre-mutation rect and current rect, each anchoring a box
+/// ([`anchor_box`]); any placed cell overlapping a halo-expanded window
+/// clipped to its walk's box joins the closure and contributes its own
+/// window in the same box, until no window finds a new cell.
+pub fn compute(state: &PlacementState<'_>, config: &LegalizerConfig) -> DirtyClosure {
+    compute_from_seeds(state, config, state.dirty_cells())
 }
 
 /// [`compute`] over an explicit seed list (cell, pre-mutation rect).
-/// Exposed for the fixed-point property suite.
+/// Exposed for the property suite.
 pub fn compute_from_seeds(
     state: &PlacementState<'_>,
+    config: &LegalizerConfig,
     seeds: &[(CellId, Option<Rect>)],
 ) -> DirtyClosure {
     let d = state.design();
@@ -103,31 +134,34 @@ pub fn compute_from_seeds(
     // Windows already scanned, for containment dedup; a generous band
     // height keeps multi-row windows in few bands.
     let mut scanned = HierGrid::new(d.core, d.tech.row_height.max(1) * 4);
-    let mut worklist: Vec<Rect> = Vec::new();
+    // Pending scans: a clipped window and the anchor box it belongs to.
+    let mut worklist: Vec<(Rect, Rect)> = Vec::new();
 
-    let expand = |r: Rect| Rect::new(r.xl - h, r.yl, r.xh + h, r.yh);
+    let window =
+        |r: Rect, anchor: Rect| Rect::new(r.xl - h, r.yl, r.xh + h, r.yh).intersect(anchor);
     for &(cell, origin) in seeds {
         if !out.in_closure[cell.0 as usize] {
             out.in_closure[cell.0 as usize] = true;
             out.cells.push(cell);
         }
-        if let Some(r) = origin {
-            worklist.push(expand(r));
-        }
-        if let Some(r) = state.cell_rect(cell) {
-            worklist.push(expand(r));
+        for r in origin.into_iter().chain(state.cell_rect(cell)) {
+            let anchor = anchor_box(d, config, r);
+            worklist.push((window(r, anchor), anchor));
         }
     }
 
     let rh = d.tech.row_height;
-    while let Some(win) = worklist.pop() {
+    while let Some((win, anchor)) = worklist.pop() {
+        if win.is_empty() {
+            continue;
+        }
         // Skip windows fully covered by an already-scanned window.
         let mut covered = false;
         scanned.range_query(
             win,
             |_| true,
             |_, r, _| {
-                if r.xl <= win.xl && r.yl <= win.yl && r.xh >= win.xh && r.yh >= win.yh {
+                if r.covers(win) {
                     covered = true;
                 }
             },
@@ -161,7 +195,7 @@ pub fn compute_from_seeds(
                     out.in_closure[c.0 as usize] = true;
                     out.cells.push(c);
                     if let Some(r) = state.cell_rect(c) {
-                        worklist.push(expand(r));
+                        worklist.push((window(r, anchor), anchor));
                     }
                 }
             }
@@ -195,7 +229,7 @@ mod tests {
             d.cells[i].pos = Some(Point::new(i as Dbu * 60, 0));
         }
         let s = PlacementState::from_design_positions(&d).unwrap();
-        let c = compute(&s);
+        let c = compute(&s, &LegalizerConfig::contest());
         assert!(c.is_empty());
         assert!(c.windows().is_empty());
     }
@@ -214,11 +248,35 @@ mod tests {
         // whose rects border 0 and 4 — the whole chain is in the closure.
         s.remove(CellId(2));
         s.place(CellId(2), Point::new(400, 0)).unwrap();
-        let c = compute(&s);
+        let c = compute(&s, &LegalizerConfig::contest());
         for i in 0..5 {
             assert!(c.contains(CellId(i)), "chain member {i} missing");
         }
         assert!(!c.contains(CellId(11)), "distant cell must stay clean");
         assert!(!c.windows().is_empty());
+    }
+
+    #[test]
+    fn walk_stops_at_the_anchor_box() {
+        // One abutted chain of 12 cells at x = 0, 20, ..., 220 on row 0.
+        let mut d = design();
+        for i in 0..12 {
+            d.cells[i].pos = Some(Point::new(i as Dbu * 20, 0));
+        }
+        let mut s = PlacementState::from_design_positions(&d).unwrap();
+        s.remove(CellId(0));
+        s.place(CellId(0), Point::new(0, 180)).unwrap();
+        // Two sites either side of the vacated rect [0, 20): the box is
+        // [0, 40), so the walk reaches cell 1 only. Cell 2 abuts it but
+        // lies outside the box: a clean wall.
+        let mut cfg = LegalizerConfig::contest();
+        cfg.window_sites = 2;
+        cfg.window_rows = 1;
+        let c = compute(&s, &cfg);
+        assert_eq!(c.cells(), &[CellId(0), CellId(1)]);
+        assert!(c.windows().iter().all(|w| w.xh <= 40));
+        // The unbounded walk would have taken the whole chain.
+        cfg.window_sites = 100;
+        assert_eq!(compute(&s, &cfg).len(), 12);
     }
 }

@@ -41,6 +41,7 @@ use crate::legalizer::LegalizeStats;
 use crate::pipeline::{self, Prep, Stage};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
+use mcl_obs::{clock::Stopwatch, SpanKind};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -77,7 +78,7 @@ pub enum RunSpec {
     /// every cell.
     Eco,
     /// ECO delta: adopt as [`Self::Eco`], then restrict the post stages to
-    /// the transitive dirty-window closure of the cells MGL placed
+    /// the bounded dirty-window closure of the cells MGL placed
     /// ([`crate::dirty`]). Stage 2 re-matches only groups with a dirty
     /// member, restricted to closure members; stage 3 solves the flow over
     /// closure members with their nearest clean neighbors as fixed walls.
@@ -353,6 +354,7 @@ where
         // adopts, and so does a stage set that skips MGL, since
         // post-processing needs a placed input.
         let adopt = self.spec != RunSpec::Fresh || !config.stages.contains(Stage::Mgl);
+        let t_adopt = Stopwatch::start();
         let mut state = if adopt {
             PlacementState::from_design_positions(design).map_err(|(cell, e)| {
                 LegalizeError::SeedRejected {
@@ -365,9 +367,18 @@ where
         };
         self.runs.fetch_add(1, Ordering::Relaxed);
         let prep = Prep::new(design, config);
-        let stats = pipeline::run_stages(design, &mut state, config, self.spec, &prep, share)?;
+        let adopt_nanos = t_adopt.elapsed_nanos();
+        let mut stats = pipeline::run_stages(design, &mut state, config, self.spec, &prep, share)?;
+        let t_commit = Stopwatch::start();
         let mut out = design.clone();
         state.write_back(&mut out);
+        if self.spec == RunSpec::EcoDelta {
+            // The delta's own layers outside the stages (the session adds
+            // its share of each).
+            let obs = &mut stats.obs;
+            obs.record_span(SpanKind::EcoAdopt, adopt_nanos, 0);
+            obs.record_span(SpanKind::EcoCommit, t_commit.elapsed_nanos(), 0);
+        }
         Ok(RunOutput {
             design: out,
             stats,

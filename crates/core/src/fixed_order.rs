@@ -85,11 +85,14 @@ pub fn optimize_fixed_order_metered(
     let sw = d.tech.site_width;
     let mut stats = FixedOrderStats::default();
 
-    // Index placed movable cells (closure members only in delta mode).
-    let cells: Vec<CellId> = d
-        .movable_cells()
-        .filter(|&c| state.pos(c).is_some() && delta.is_none_or(|dc| dc.contains(c)))
-        .collect();
+    // Index placed movable cells. In delta mode that is the placed closure
+    // members, in the closure's ascending id order (members are movable:
+    // the state only ever places and mutates movable cells).
+    let placed = |&c: &CellId| state.pos(c).is_some();
+    let cells: Vec<CellId> = match delta {
+        Some(dc) => dc.cells().iter().copied().filter(placed).collect(),
+        None => d.movable_cells().filter(placed).collect(),
+    };
     let k = cells.len();
     if k == 0 {
         stats.applied = true;
@@ -137,51 +140,44 @@ pub fn optimize_fixed_order_metered(
         debug_assert!(lo[i] <= cur[i] && cur[i] <= hi[i]);
     }
 
-    // Neighbor pairs from segment occupant lists (deduped across rows).
+    // Neighbor pairs from segment occupant lists.
     let mut pairs: Vec<(usize, usize, i64)> = Vec::new();
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
     let spacing_snapped = |a: u8, b: u8| -> i64 {
         let s = d.tech.edge_spacing.spacing(a, b);
         (s + sw - 1).div_euclid(sw)
     };
-    for seg in 0..state.segments().len() {
-        let occ = state.cells_in_segment(seg);
-        for w2 in occ.windows(2) {
-            let (a, b) = (w2[0], w2[1]);
-            if seen.insert((a.0, b.0)) {
-                let ia = index[a.0 as usize];
-                let ib = index[b.0 as usize];
-                let ta = d.type_of(a);
-                let tb = d.type_of(b);
-                let sep = ta.width / sw + spacing_snapped(ta.edge_class.1, tb.edge_class.0);
-                // On dense designs stage 1 may leave *soft* edge-spacing
-                // violations; requiring the full rule here would make the
-                // constraint system infeasible (the dual flow then pushes
-                // INF_CAP around a negative cycle and its potentials are
-                // meaningless). Never ask for more separation than the
-                // incumbent has: the LP stays feasible and an existing
-                // soft gap can only grow, never shrink.
-                match (ia != usize::MAX, ib != usize::MAX) {
-                    (true, true) => pairs.push((ia, ib, sep.min(cur[ib] - cur[ia]))),
-                    // Delta mode: a clean neighbor is a fixed wall. Clip
-                    // the closure cell's bound at the wall minus the
-                    // (relaxed) separation; the incumbent stays feasible
-                    // because the relaxation never asks for more than the
-                    // current gap.
-                    (true, false) => {
-                        let bx = to_sites(state.soa().x(b));
-                        let s = sep.min(bx - cur[ia]);
-                        hi[ia] = hi[ia].min(bx - s);
-                    }
-                    (false, true) => {
-                        let ax = to_sites(state.soa().x(a));
-                        let s = sep.min(cur[ib] - ax);
-                        lo[ib] = lo[ib].max(ax + s);
-                    }
-                    // Both clean: nothing in the flow touches them.
-                    (false, false) => {}
-                }
+    for (a, b) in neighbor_pairs(state, delta) {
+        let ia = index[a.0 as usize];
+        let ib = index[b.0 as usize];
+        let ta = d.type_of(a);
+        let tb = d.type_of(b);
+        let sep = ta.width / sw + spacing_snapped(ta.edge_class.1, tb.edge_class.0);
+        // On dense designs stage 1 may leave *soft* edge-spacing
+        // violations; requiring the full rule here would make the
+        // constraint system infeasible (the dual flow then pushes INF_CAP
+        // around a negative cycle and its potentials are meaningless).
+        // Never ask for more separation than the incumbent has: the LP
+        // stays feasible and an existing soft gap can only grow, never
+        // shrink.
+        match (ia != usize::MAX, ib != usize::MAX) {
+            (true, true) => pairs.push((ia, ib, sep.min(cur[ib] - cur[ia]))),
+            // Delta mode: a clean neighbor is a fixed wall. Clip the
+            // closure cell's bound at the wall minus the (relaxed)
+            // separation; the incumbent stays feasible because the
+            // relaxation never asks for more than the current gap.
+            (true, false) => {
+                let bx = to_sites(state.soa().x(b));
+                let s = sep.min(bx - cur[ia]);
+                hi[ia] = hi[ia].min(bx - s);
             }
+            (false, true) => {
+                let ax = to_sites(state.soa().x(a));
+                let s = sep.min(cur[ib] - ax);
+                lo[ib] = lo[ib].max(ax + s);
+            }
+            // Both clean: never emitted in delta mode, impossible in a
+            // full run (every occupant is indexed).
+            (false, false) => {}
         }
     }
     stats.neighbor_arcs = pairs.len();
@@ -297,6 +293,49 @@ pub fn optimize_fixed_order_metered(
     }
     stats.applied = true;
     stats
+}
+
+/// Adjacent occupant pairs `(left, right)` of the segments, in ascending
+/// segment order, each pair once (a pair of multi-row cells can abut in
+/// several rows; its first segment counts).
+///
+/// With `delta` set only the segments holding a closure member are
+/// scanned and only pairs with a member are kept: exactly the full scan
+/// filtered to pairs with a member, in the same order, at a cost that
+/// follows the closure instead of the design.
+fn neighbor_pairs(
+    state: &PlacementState<'_>,
+    delta: Option<&crate::dirty::DirtyClosure>,
+) -> Vec<(CellId, CellId)> {
+    let segs: Vec<usize> = match delta {
+        Some(dc) => {
+            let mut segs: Vec<usize> = dc
+                .cells()
+                .iter()
+                .filter(|&&c| state.pos(c).is_some())
+                .flat_map(|&c| state.segment_memberships(c))
+                .map(|(seg, _)| seg)
+                .collect();
+            segs.sort_unstable();
+            segs.dedup();
+            segs
+        }
+        None => (0..state.segments().len()).collect(),
+    };
+    let mut pairs = Vec::new();
+    let mut seen: HashSet<(u32, u32)> = HashSet::new();
+    for seg in segs {
+        for w2 in state.cells_in_segment(seg).windows(2) {
+            let (a, b) = (w2[0], w2[1]);
+            if delta.is_some_and(|dc| !dc.contains(a) && !dc.contains(b)) {
+                continue;
+            }
+            if seen.insert((a.0, b.0)) {
+                pairs.push((a, b));
+            }
+        }
+    }
+    pairs
 }
 
 #[cfg(test)]
@@ -541,5 +580,34 @@ mod tests {
         // GP pull is to 100 but the fence holds it at its left edge 500.
         assert_eq!(out.cells[0].pos.unwrap().x, 500);
         assert!(Checker::new(&out).check().is_legal());
+    }
+
+    #[test]
+    fn delta_pairs_are_the_full_scan_filtered_to_members() {
+        let mut gen = mcl_gen::GeneratorConfig::small(41);
+        gen.num_cells = 1_500;
+        gen.density = 0.55;
+        gen.fences = 2;
+        gen.fence_cell_fraction = 0.15;
+        let design = mcl_gen::generate(&gen).expect("generation succeeds").design;
+        let placed = crate::Engine::new(LegalizerConfig::contest())
+            .run_one(&design, crate::RunSpec::Fresh)
+            .expect("legalized")
+            .design;
+        let mut state = PlacementState::from_design_positions(&placed).unwrap();
+        // Vacate every 97th movable cell: the closure then spans many
+        // segments, multi-row cells and both fences.
+        let vacated: Vec<CellId> = placed.movable_cells().step_by(97).collect();
+        for &c in &vacated {
+            state.remove(c);
+        }
+        let dc = crate::dirty::compute(&state, &LegalizerConfig::contest());
+        let delta = neighbor_pairs(&state, Some(&dc));
+        let full: Vec<(CellId, CellId)> = neighbor_pairs(&state, None)
+            .into_iter()
+            .filter(|&(a, b)| dc.contains(a) || dc.contains(b))
+            .collect();
+        assert!(full.len() > vacated.len(), "{} pairs", full.len());
+        assert_eq!(delta, full);
     }
 }

@@ -14,7 +14,7 @@ use crate::mgl::MglStats;
 use crate::pipeline::{Stage, StageTiming};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
-use mcl_obs::Meter;
+use mcl_obs::{Meter, SpanKind};
 
 /// Combined statistics of a full legalization run.
 #[derive(Debug, Clone, Default)]
@@ -91,7 +91,7 @@ impl PartialEq for LegalizeStats {
 /// re-targets a handful of cells (new GP homes, positions vacated) and
 /// re-legalizes them as a [`RunSpec::EcoDelta`] run, so MGL only inserts
 /// the delta cells and the post stages confine themselves to the
-/// transitive dirty-window closure ([`crate::dirty`]). The result is
+/// bounded dirty-window closure ([`crate::dirty`]). The result is
 /// committed as the next base, ready for the next delta.
 ///
 /// Determinism contract: a delta's output (positions, stats rows, replay
@@ -230,6 +230,7 @@ impl EcoSession {
                 Some(_) => {}
             }
         }
+        let t_adopt = mcl_obs::clock::Stopwatch::start();
         let mut candidate = self.design.clone();
         for &(cell, gp) in moves {
             // In range: every move was validated against the cell table
@@ -240,6 +241,7 @@ impl EcoSession {
             c.gp = gp;
             c.pos = None;
         }
+        let adopt_nanos = t_adopt.elapsed_nanos();
         let RunOutput {
             design: out,
             mut stats,
@@ -268,6 +270,7 @@ impl EcoSession {
                 budget_secs: budget.unwrap_or(0.0),
             });
         }
+        let t_commit = mcl_obs::clock::Stopwatch::start();
         // Re-certify only the bands the delta touched: dirty = every cell
         // whose committed pos/orient differs from the previous base (the
         // moved cells are covered — a move that lands exactly back home is
@@ -283,6 +286,10 @@ impl EcoSession {
             .collect();
         self.cert.splice(&out, &changed);
         self.design = out;
+        stats.obs.record_span(SpanKind::EcoAdopt, adopt_nanos, 0);
+        stats
+            .obs
+            .record_span(SpanKind::EcoCommit, t_commit.elapsed_nanos(), 0);
         stats
             .obs
             .observe(mcl_obs::HistoKind::EcoDeltaNanos, sw.elapsed_nanos());

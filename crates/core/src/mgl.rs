@@ -99,7 +99,14 @@ pub fn compute_weights(design: &Design, mode: WeightMode) -> Vec<i64> {
 
 /// The deterministic order MGL processes cells in.
 pub fn cell_order(design: &Design, order: CellOrder) -> Vec<CellId> {
-    let mut ids: Vec<CellId> = design.movable_cells().collect();
+    order_cells(design, order, design.movable_cells().collect())
+}
+
+/// `ids` in [`cell_order`]'s order. Every order is a total order on the
+/// cells (ties break on the id), so ordering a subset gives exactly the
+/// subsequence [`cell_order`] would: an ECO run orders only the cells it
+/// has to place.
+pub fn order_cells(design: &Design, order: CellOrder, mut ids: Vec<CellId>) -> Vec<CellId> {
     let order = match order {
         CellOrder::Auto => {
             if design.density() > 0.82 {

@@ -367,17 +367,18 @@ pub fn run_stages<'d>(
 ) -> Result<LegalizeStats, LegalizeError> {
     let mut stats = LegalizeStats::default();
     let run_sw = Stopwatch::start();
-    // Delta-first ECO: frozen transitive closure of everything mutated
-    // since adoption (computed lazily before the first post stage, after
-    // MGL has placed the delta cells). Stage 2 only permutes closure
-    // members among their own positions, so the closure stays a fixed
-    // point across both post stages and one computation serves both.
+    // Delta-first ECO: the bounded closure of everything mutated since
+    // adoption (computed lazily before the first post stage, after MGL has
+    // placed the delta cells). Neither post stage moves a clean cell, so
+    // the walls the closure leaves stay put and one computation serves
+    // both.
     let mut delta: Option<DirtyClosure> = None;
     for stage in config.stages.iter() {
         let name = stage.name();
         let post = stage != Stage::Mgl;
         if post && spec == RunSpec::EcoDelta && state.dirty_tracking() && delta.is_none() {
-            let dc = crate::dirty::compute(state);
+            let t_closure = Stopwatch::start();
+            let dc = crate::dirty::compute(state, config);
             stats
                 .obs
                 .add(CounterKind::EcoWindowsDirty, dc.windows().len() as u64);
@@ -394,6 +395,9 @@ pub fn run_stages<'d>(
                 CounterKind::EcoCellsReused,
                 placed.saturating_sub(in_closure_placed) as u64,
             );
+            stats
+                .obs
+                .record_span(SpanKind::EcoClosure, t_closure.elapsed_nanos(), 0);
             delta = Some(dc);
         }
         // Deadline at the stage boundary: wall-clock budget already spent by

@@ -39,7 +39,7 @@ use crate::error::{panic_message, LegalizeError};
 use crate::faultinject::{FaultPlan, FaultSite};
 use crate::insertion::{best_insertion_in, CostModel, Insertion, InsertionScratch};
 use crate::mgl::{
-    apply_insertion_with, cell_order, fallback_scan, record_fallback_reject, window_for, MglStats,
+    apply_insertion_with, fallback_scan, order_cells, record_fallback_reject, window_for, MglStats,
 };
 use crate::pipeline::Prep;
 use crate::state::PlacementState;
@@ -249,9 +249,10 @@ pub(crate) fn drive_rounds(
     };
     let oracle = prep.oracle();
     let mut stats = MglStats::default();
-    let backlog: VecDeque<(CellId, usize)> = cell_order(state.design(), config.order)
+    let design = state.design();
+    let pending = design.movable_cells().filter(|&c| state.pos(c).is_none());
+    let backlog: VecDeque<(CellId, usize)> = order_cells(design, config.order, pending.collect())
         .into_iter()
-        .filter(|&c| state.pos(c).is_none())
         .map(|c| (c, 0usize))
         .collect();
     let model = CostModel {

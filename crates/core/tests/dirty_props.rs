@@ -1,20 +1,24 @@
-//! Property suite for the transitive dirty-window closure (ECO deltas).
+//! Property suite for the bounded dirty-window closure (ECO deltas).
 //!
-//! The delta pipeline's safety argument rests on one geometric invariant:
-//! the closure computed by [`mcl_core::dirty::compute`] is a *fixed point*.
-//! Every mutated cell is a member, every placed cell overlapping any
-//! scanned window is a member, and re-running the closure seeded with its
-//! own members discovers nothing new. A hole in any of these would let a
-//! delta-restricted post stage move a cell whose neighbors were never
-//! re-examined.
+//! The closure computed by [`mcl_core::dirty::compute`] decides which
+//! cells a delta's post stages may move. Its rule: each mutated cell is a
+//! member and anchors a box (its vacated and its current rect, grown by
+//! the MGL base window); the edge-spacing halo walk from each anchor is
+//! transitive but clipped to that box. The suite pins the rule: every
+//! mutated cell is a member, every member overlaps a seed's box, every
+//! placed cell overlapping a scanned window is a member (soundness against
+//! a naive scan), the same seeds always give the same set, and a contained
+//! delta never floods the design. Legality does not depend on the set
+//! (clean neighbours are walls to the post stages), so there is no
+//! fixed-point property: a clean cell may abut a member.
 //!
 //! The base placement is a collision-free slot grid; mutations relocate a
 //! random subset of cells to a disjoint slot pool, so every generated
 //! sequence is legal by construction and the properties run on thousands
-//! of distinct dirty patterns.
+//! of distinct dirty patterns and window sizes.
 
 use mcl_core::dirty::{compute, compute_from_seeds};
-use mcl_core::PlacementState;
+use mcl_core::{LegalizerConfig, PlacementState};
 use mcl_db::prelude::*;
 use proptest::prelude::*;
 
@@ -49,9 +53,38 @@ fn slot_target(slot: usize, two_rows: bool) -> Point {
     Point::new(x, row as Dbu * 90)
 }
 
-/// The placed rect of a cell, straight from the state.
-fn rect_of(s: &PlacementState<'_>, c: CellId) -> Option<Rect> {
-    s.cell_rect(c)
+/// The slotted design with the generated moves applied under dirty
+/// tracking; returns the moved cells.
+fn mutate<'d>(d: &'d Design, raw_moves: &[(usize, usize)]) -> (PlacementState<'d>, Vec<CellId>) {
+    let mut s = PlacementState::from_design_positions(d).unwrap();
+    let mut used_cells = [false; 36];
+    let mut used_slots = [false; 24];
+    let mut moved = Vec::new();
+    for &(cell, slot) in raw_moves {
+        if used_cells[cell] || used_slots[slot] {
+            continue;
+        }
+        used_cells[cell] = true;
+        used_slots[slot] = true;
+        let id = CellId(cell as u32);
+        s.remove(id);
+        s.place(id, slot_target(slot, cell >= 30)).unwrap();
+        moved.push(id);
+    }
+    (s, moved)
+}
+
+/// A contest configuration with the given MGL base window.
+fn config(window_sites: usize, window_rows: usize) -> LegalizerConfig {
+    let mut c = LegalizerConfig::contest();
+    c.window_sites = window_sites;
+    c.window_rows = window_rows;
+    c
+}
+
+/// Strict (positive-area) overlap.
+fn overlaps(a: Rect, b: Rect) -> bool {
+    a.xl < b.xh && a.xh > b.xl && a.yl < b.yh && a.yh > b.yl
 }
 
 proptest! {
@@ -62,35 +95,20 @@ proptest! {
     /// any scanned window is a member.
     #[test]
     fn closure_covers_dirty_cells_and_window_occupants(
-        raw_moves in prop::collection::vec((0usize..36, 0usize..24), 1..10)
+        raw_moves in prop::collection::vec((0usize..36, 0usize..24), 1..10),
+        window_sites in 0usize..30,
+        window_rows in 0usize..4,
     ) {
         let d = slotted_design();
-        let mut s = PlacementState::from_design_positions(&d).unwrap();
-        let mut used_cells = [false; 36];
-        let mut used_slots = [false; 24];
-        let mut moved = Vec::new();
-        for (cell, slot) in raw_moves {
-            if used_cells[cell] || used_slots[slot] {
-                continue;
-            }
-            used_cells[cell] = true;
-            used_slots[slot] = true;
-            let id = CellId(cell as u32);
-            s.remove(id);
-            s.place(id, slot_target(slot, cell >= 30)).unwrap();
-            moved.push(id);
-        }
-        let c = compute(&s);
+        let (s, moved) = mutate(&d, &raw_moves);
+        let c = compute(&s, &config(window_sites, window_rows));
         for &id in &moved {
             prop_assert!(c.contains(id), "moved cell {} missing from closure", id.0);
         }
         for i in 0..36u32 {
             let id = CellId(i);
-            let Some(r) = rect_of(&s, id) else { continue };
-            let hit = c.windows().iter().any(|w| {
-                r.xl < w.xh && r.xh > w.xl && r.yl < w.yh && r.yh > w.yl
-            });
-            if hit {
+            let Some(r) = s.cell_rect(id) else { continue };
+            if c.windows().iter().any(|&w| overlaps(r, w)) {
                 prop_assert!(
                     c.contains(id),
                     "cell {i} overlaps a scanned window but is not a member"
@@ -99,34 +117,56 @@ proptest! {
         }
     }
 
-    /// The closure is a fixed point: re-seeding the computation with its
-    /// own members (current rects only) discovers exactly the same set.
+    /// The closure is bounded by its anchors: every scanned window lies
+    /// inside a seed's box (its vacated or current rect grown by the MGL
+    /// base window), and every member overlaps one.
     #[test]
-    fn closure_is_a_fixed_point(
-        raw_moves in prop::collection::vec((0usize..36, 0usize..24), 1..10)
+    fn members_and_windows_stay_inside_the_seed_boxes(
+        raw_moves in prop::collection::vec((0usize..36, 0usize..24), 1..10),
+        window_sites in 0usize..30,
+        window_rows in 0usize..4,
     ) {
         let d = slotted_design();
-        let mut s = PlacementState::from_design_positions(&d).unwrap();
-        let mut used_cells = [false; 36];
-        let mut used_slots = [false; 24];
-        for (cell, slot) in raw_moves {
-            if used_cells[cell] || used_slots[slot] {
-                continue;
-            }
-            used_cells[cell] = true;
-            used_slots[slot] = true;
-            let id = CellId(cell as u32);
-            s.remove(id);
-            s.place(id, slot_target(slot, cell >= 30)).unwrap();
+        let (s, _) = mutate(&d, &raw_moves);
+        let c = compute(&s, &config(window_sites, window_rows));
+        let (hw, hh) = (window_sites as Dbu * 10, window_rows as Dbu * 90);
+        let boxes: Vec<Rect> = s
+            .dirty_cells()
+            .iter()
+            .flat_map(|&(id, origin)| origin.into_iter().chain(s.cell_rect(id)))
+            .map(|r| Rect::new(r.xl - hw, r.yl - hh, r.xh + hw, r.yh + hh).intersect(d.core))
+            .collect();
+        for &w in c.windows() {
+            prop_assert!(
+                boxes.iter().any(|b| b.covers(w)),
+                "window {w:?} leaves every seed box"
+            );
         }
-        let c = compute(&s);
-        let reseed: Vec<(CellId, Option<Rect>)> =
-            c.cells().iter().map(|&id| (id, None)).collect();
-        let c2 = compute_from_seeds(&s, &reseed);
-        prop_assert_eq!(
-            c.cells(), c2.cells(),
-            "re-running the closure on its own members changed the set"
-        );
+        for &id in c.cells() {
+            let Some(r) = s.cell_rect(id) else { continue };
+            prop_assert!(
+                boxes.iter().any(|&b| overlaps(r, b)),
+                "member {} overlaps no seed box", id.0
+            );
+        }
+    }
+
+    /// The same seeds always give the same set (and the same scanned
+    /// windows): the closure is a function of the seed list.
+    #[test]
+    fn same_seeds_give_the_same_closure(
+        raw_moves in prop::collection::vec((0usize..36, 0usize..24), 1..10),
+        window_sites in 0usize..30,
+        window_rows in 0usize..4,
+    ) {
+        let d = slotted_design();
+        let (s, _) = mutate(&d, &raw_moves);
+        let cfg = config(window_sites, window_rows);
+        let c = compute(&s, &cfg);
+        let seeds = s.dirty_cells().to_vec();
+        let again = compute_from_seeds(&s, &cfg, &seeds);
+        prop_assert_eq!(c.cells(), again.cells());
+        prop_assert_eq!(c.windows(), again.windows());
     }
 
     /// Cells far outside every halo stay clean: a closure never floods the
@@ -138,7 +178,7 @@ proptest! {
         // Move exactly one single-row cell into the empty target area.
         s.remove(CellId(0));
         s.place(CellId(0), slot_target(slot, false)).unwrap();
-        let c = compute(&s);
+        let c = compute(&s, &LegalizerConfig::contest());
         // The slot grid is 200 dbu apart and the target pool 80 dbu with
         // one cell placed: the closure must stay a small local set, and in
         // particular cells in distant columns must stay clean.

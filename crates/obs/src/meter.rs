@@ -57,11 +57,19 @@ pub enum SpanKind {
     MatchingGroup,
     /// One stage-3 network-simplex flow solve.
     FlowSimplex,
+    /// ECO delta: adopting the delta into a run (the session's copy of
+    /// its base, the placement state and the run's `Prep`).
+    EcoAdopt,
+    /// ECO delta: computing the bounded dirty closure.
+    EcoClosure,
+    /// ECO delta: committing the result (the engine's write-back, the
+    /// session's diff against its base and the certificate splice).
+    EcoCommit,
 }
 
 impl SpanKind {
     /// Every kind, in report order.
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 15] = [
         SpanKind::Run,
         SpanKind::StageMgl,
         SpanKind::StageMaxDisp,
@@ -74,6 +82,9 @@ impl SpanKind {
         SpanKind::FallbackScan,
         SpanKind::MatchingGroup,
         SpanKind::FlowSimplex,
+        SpanKind::EcoAdopt,
+        SpanKind::EcoClosure,
+        SpanKind::EcoCommit,
     ];
     /// Number of kinds.
     pub const COUNT: usize = Self::ALL.len();
@@ -94,6 +105,9 @@ impl SpanKind {
             SpanKind::FallbackScan => "mgl.fallback_scan",
             SpanKind::MatchingGroup => "maxdisp.group",
             SpanKind::FlowSimplex => "flow.simplex",
+            SpanKind::EcoAdopt => "eco.adopt",
+            SpanKind::EcoClosure => "eco.closure",
+            SpanKind::EcoCommit => "eco.commit",
         }
     }
 }

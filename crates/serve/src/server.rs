@@ -32,7 +32,7 @@ use mcl_core::{
 };
 use mcl_db::prelude::Design;
 use mcl_obs::clock::Stopwatch;
-use mcl_obs::{count_to_float, CounterKind, HistoKind, JsonWriter, Meter};
+use mcl_obs::{count_to_float, CounterKind, HistoKind, JsonWriter, Meter, SpanKind};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -764,6 +764,18 @@ fn eco_delta(shared: &Shared, id: u64, delta: &DeltaSpec) -> String {
             w.begin_object();
             for t in &stats.stage_seconds {
                 w.field_f64(t.name, t.seconds, 6);
+            }
+            w.end_object();
+            // What the delta spends outside the stages, in seconds.
+            w.key("layers");
+            w.begin_object();
+            for kind in [
+                SpanKind::EcoAdopt,
+                SpanKind::EcoClosure,
+                SpanKind::EcoCommit,
+            ] {
+                let nanos = stats.obs.span(kind).total_nanos;
+                w.field_f64(kind.name(), count_to_float(nanos) / 1e9, 6);
             }
             w.end_object();
             w.key("counters");

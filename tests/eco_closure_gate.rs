@@ -1,0 +1,53 @@
+//! Work gate for the bounded ECO closure: a 64-cell delta on a dense
+//! design may re-legalize at most 16 cells per moved cell. Each seed's
+//! walk is clipped to the MGL base window around the rects it vacated and
+//! took, so the closure stays local however far the edge-spacing halo
+//! chains run; an unbounded (transitive) walk leaves every output legal
+//! and every parity test green, and this ceiling is what notices.
+//!
+//! Measured on this design: 423–756 closure cells per delta with the
+//! bounded walk, 3,051–3,519 over the first five with the unbounded one.
+
+use mclegal::core::{EcoSession, Engine, LegalizerConfig, RunSpec};
+use mclegal::gen::{generate, GeneratorConfig};
+use mclegal::obs::CounterKind;
+
+const DELTA_CELLS: usize = 64;
+const MAX_CLOSURE_PER_MOVED_CELL: u64 = 16;
+
+#[test]
+fn delta_closure_stays_local() {
+    let gen = GeneratorConfig {
+        num_cells: 20_000,
+        density: 0.55,
+        fences: 2,
+        fence_cell_fraction: 0.15,
+        seed: 500,
+        ..GeneratorConfig::default()
+    };
+    let design = generate(&gen).expect("generation succeeds").design;
+    let mut cfg = LegalizerConfig::contest();
+    cfg.threads = 2;
+    let placed = Engine::new(cfg.clone())
+        .run_one(&design, RunSpec::Fresh)
+        .expect("base legalizes")
+        .design;
+    let movable = placed.movable_cells().count() as u64;
+    let mut session = EcoSession::open(placed, cfg).expect("legal base opens");
+    let ceiling = MAX_CLOSURE_PER_MOVED_CELL * DELTA_CELLS as u64;
+    for seed in 1..=8 {
+        let moves = EcoSession::synthesize_delta(session.design(), DELTA_CELLS, seed);
+        let (stats, _) = session.apply_delta(&moves).expect("delta applies");
+        let closure = movable - stats.obs.counter(CounterKind::EcoCellsReused);
+        println!("delta {seed}: {closure} closure cells");
+        assert!(
+            closure >= DELTA_CELLS as u64,
+            "delta {seed}: {closure} closure cells cannot cover {DELTA_CELLS} moved cells"
+        );
+        assert!(
+            closure <= ceiling,
+            "delta {seed}: {closure} closure cells exceed {ceiling}: \
+             is the dirty walk still clipped to its anchor boxes?"
+        );
+    }
+}

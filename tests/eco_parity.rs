@@ -207,3 +207,66 @@ fn session_rejects_bad_moves_atomically() {
         mclegal::audit::verify(session.design())
     );
 }
+
+/// Clean neighbours are walls: a delta's closure ends inside an
+/// edge-spacing chain, so clean cells sit within the spacing halo of
+/// members. The post stages must keep those cells where they are and the
+/// spacing to them intact, even where the members' GPs pull into them.
+#[test]
+fn clean_cells_at_the_closure_edge_are_walls() {
+    let mut d = Design::new("walls", Technology::example(), Rect::new(0, 0, 4000, 900));
+    let mut spacing = EdgeSpacingTable::new(2);
+    spacing.set(1, 1, 20);
+    d.tech.edge_spacing = spacing;
+    let free = d.add_cell_type(CellType::new("s", 20, 1));
+    let mut ruled = CellType::new("r", 20, 1);
+    ruled.edge_class = (1, 1);
+    let ruled = d.add_cell_type(ruled);
+    // Row 0: a halo-connected chain with a free slot at x = 400 for the
+    // moved cell, whose box is then [160, 660). The spacing-ruled cells at
+    // 150 and 650 are the last members (just outside MGL's window, so only
+    // the post stages can move them) and pull outwards; the ruled cells at
+    // 110 and 690 are the first clean ones, at exactly the spacing rule.
+    let mut row: Vec<(Dbu, CellTypeId, Dbu)> = vec![(0, free, 0), (30, free, 30), (60, free, 60)];
+    row.push((110, ruled, 110));
+    row.push((150, ruled, 0));
+    row.extend((0..7).map(|k| (180 + 30 * k, free, 180 + 30 * k)));
+    row.extend((0..7).map(|k| (430 + 30 * k, free, 430 + 30 * k)));
+    row.push((650, ruled, 1000));
+    row.push((690, ruled, 690));
+    row.extend((0..10).map(|k| (740 + 30 * k, free, 740 + 30 * k)));
+    let (wall_l, wall_r) = (3usize, 20usize);
+    for (i, &(x, t, gp_x)) in row.iter().enumerate() {
+        let mut c = Cell::new(format!("c{i}"), t, Point::new(gp_x, 0));
+        c.pos = Some(Point::new(x, 0));
+        d.add_cell(c);
+    }
+    let mover = d.add_cell({
+        let mut c = Cell::new("mover", free, Point::new(3000, 360));
+        c.pos = Some(Point::new(3000, 360));
+        c
+    });
+    assert_eq!(mclegal::audit::verify(&d).placement_violations(), 0);
+    let mut session = EcoSession::open(d.clone(), cfg(2)).expect("base placement is legal");
+    let (stats, _) = session
+        .apply_delta(&[(mover, Point::new(400, 0))])
+        .expect("delta applies");
+
+    let out = session.design();
+    assert_eq!(out.cells[mover.0 as usize].pos, Some(Point::new(400, 0)));
+    // The closure is the moved cell and the 16 chain cells of its box.
+    let reused = stats.obs.counter(mclegal::obs::CounterKind::EcoCellsReused);
+    assert_eq!(reused, d.cells.len() as u64 - 17, "closure is not the box");
+    assert!(stats.fixed_order.applied);
+    assert_eq!(mclegal::audit::verify(out).placement_violations(), 0);
+    let x = |i: usize| out.cells[i].pos.expect("placed").x;
+    assert_eq!((x(wall_l), x(wall_r)), (110, 690), "a clean wall moved");
+    assert!(
+        x(wall_l + 1) - (x(wall_l) + 20) >= 20,
+        "left wall spacing lost"
+    );
+    assert!(
+        x(wall_r) - (x(wall_r - 1) + 20) >= 20,
+        "right wall spacing lost"
+    );
+}

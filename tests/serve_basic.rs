@@ -318,6 +318,12 @@ fn eco_session_lifecycle_over_the_wire() {
     let pivots = |name| counters.and_then(|c| c.u64_field(name));
     assert!(pivots("maxdisp.simplex_pivots").is_some(), "{delta}");
     assert!(pivots("flow.simplex_pivots") >= Some(1), "{delta}");
+    // And what it spent outside the stages.
+    let layers = reply.get("layers");
+    for layer in ["eco.adopt", "eco.closure", "eco.commit"] {
+        let secs = layers.and_then(|l| l.num_field(layer));
+        assert!(secs.is_some_and(|s| s > 0.0), "{layer}: {delta}");
+    }
 
     // Explicit-move form: move one known movable cell to its own position
     // (a legal no-op-ish delta).
