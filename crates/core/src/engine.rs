@@ -41,7 +41,6 @@ use crate::legalizer::LegalizeStats;
 use crate::pipeline::{self, Prep, Stage};
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
-use mcl_obs::{clock::Stopwatch, SpanKind};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -189,6 +188,22 @@ impl Engine {
     /// adoptable (the base must be legal).
     pub fn eco_session(&self, design: Design) -> Result<crate::EcoSession, LegalizeError> {
         crate::EcoSession::open(design, self.config.clone())
+    }
+
+    /// Runs one [`RunSpec::EcoDelta`] job over a state the caller seeded
+    /// and keeps, on every thread of the engine (a lone job's share, as in
+    /// [`Self::run_one`]). This is how [`crate::EcoSession`] runs its
+    /// deltas without adopting the design again.
+    pub(crate) fn run_delta<'d>(
+        &mut self,
+        design: &'d Design,
+        state: &mut PlacementState<'d>,
+        prep: &Prep<'d>,
+    ) -> Result<LegalizeStats, LegalizeError> {
+        self.diag.runs += 1;
+        self.diag.helpers += self.config.threads as u64 - 1;
+        let spec = RunSpec::EcoDelta;
+        pipeline::run_stages(design, state, &self.config, spec, prep, &mut self.scratches)
     }
 
     /// Runs one design: exactly [`Self::run`] on a one-element batch.
@@ -354,7 +369,6 @@ where
         // adopts, and so does a stage set that skips MGL, since
         // post-processing needs a placed input.
         let adopt = self.spec != RunSpec::Fresh || !config.stages.contains(Stage::Mgl);
-        let t_adopt = Stopwatch::start();
         let mut state = if adopt {
             PlacementState::from_design_positions(design).map_err(|(cell, e)| {
                 LegalizeError::SeedRejected {
@@ -367,18 +381,9 @@ where
         };
         self.runs.fetch_add(1, Ordering::Relaxed);
         let prep = Prep::new(design, config);
-        let adopt_nanos = t_adopt.elapsed_nanos();
-        let mut stats = pipeline::run_stages(design, &mut state, config, self.spec, &prep, share)?;
-        let t_commit = Stopwatch::start();
+        let stats = pipeline::run_stages(design, &mut state, config, self.spec, &prep, share)?;
         let mut out = design.clone();
         state.write_back(&mut out);
-        if self.spec == RunSpec::EcoDelta {
-            // The delta's own layers outside the stages (the session adds
-            // its share of each).
-            let obs = &mut stats.obs;
-            obs.record_span(SpanKind::EcoAdopt, adopt_nanos, 0);
-            obs.record_span(SpanKind::EcoCommit, t_commit.elapsed_nanos(), 0);
-        }
         Ok(RunOutput {
             design: out,
             stats,

@@ -6,15 +6,16 @@
 //! legal base placement resident and re-legalizes small deltas of it.
 
 use crate::config::LegalizerConfig;
-use crate::engine::{Engine, RunOutput, RunSpec};
+use crate::engine::Engine;
 use crate::error::{Degradation, FailureRecord, LegalizeError};
 use crate::fixed_order::FixedOrderStats;
 use crate::maxdisp::MaxDispStats;
-use crate::mgl::MglStats;
-use crate::pipeline::{Stage, StageTiming};
-use crate::state::PlacementState;
+use crate::mgl::{compute_weights, MglStats};
+use crate::pipeline::{Prep, Stage, StageTiming};
+use crate::state::{Columns, PlacementState};
 use mcl_db::prelude::*;
 use mcl_obs::{Meter, SpanKind};
+use std::borrow::Cow;
 
 /// Combined statistics of a full legalization run.
 #[derive(Debug, Clone, Default)]
@@ -85,26 +86,37 @@ impl PartialEq for LegalizeStats {
 }
 
 /// A resident incremental-legalization session: the interactive-service
-/// counterpart of a one-shot ECO run ([`RunSpec::Eco`]).
+/// counterpart of a one-shot ECO run ([`crate::RunSpec::Eco`]).
 ///
-/// The session owns the evolving base placement. Each [`Self::apply_delta`]
-/// re-targets a handful of cells (new GP homes, positions vacated) and
-/// re-legalizes them as a [`RunSpec::EcoDelta`] run, so MGL only inserts
-/// the delta cells and the post stages confine themselves to the
-/// bounded dirty-window closure ([`crate::dirty`]). The result is
-/// committed as the next base, ready for the next delta.
+/// The session owns the evolving base placement and keeps its placement
+/// state and displacement weights resident between deltas. Each
+/// [`Self::apply_delta`] re-targets a handful of cells (new GP homes,
+/// positions vacated) in the base and in the resident state, then
+/// re-legalizes them as a [`crate::RunSpec::EcoDelta`] run over that state, so
+/// MGL only inserts the delta cells and the post stages confine
+/// themselves to the bounded dirty-window closure ([`crate::dirty`]).
+/// Only the cells the delta touched are written back and re-certified,
+/// so a delta's cost follows its closure, not the design.
 ///
-/// Determinism contract: a delta's output (positions, stats rows, replay
-/// log, audit certificate) is byte-identical to a from-scratch
-/// [`RunSpec::EcoDelta`] run on the same mutated design under the same
-/// configuration, at any thread count — pinned by the `eco_parity` suite.
-/// Each delta's end-to-end wall time lands in the `eco.delta_nanos`
-/// histogram of the returned stats (observability stratum, never golden).
+/// Determinism contract: a delta's positions, stats rows, golden report
+/// and audit certificate are byte-identical to a from-scratch
+/// [`crate::RunSpec::EcoDelta`] run on the same mutated design under the same
+/// configuration, at any thread count, and its replay log is that run's
+/// log without the adoption prefix (one `place` per placed movable cell):
+/// the delta's own mutations. Pinned by the `eco_parity` suite. Each
+/// delta's end-to-end wall time lands in the `eco.delta_nanos` histogram
+/// of the returned stats (observability stratum, never golden).
 pub struct EcoSession {
     design: Design,
     /// Runs every delta, so its scratches are built once per session.
     engine: Engine,
     cert: mcl_audit::BandCert,
+    /// The base's placement state, detached from `design` between deltas;
+    /// its dirty set is empty and its replay log holds nothing.
+    resident: Columns,
+    /// The run's displacement weights: they depend on cell types and
+    /// heights only, which a delta never changes.
+    weights: Vec<i64>,
 }
 
 impl EcoSession {
@@ -123,18 +135,23 @@ impl EcoSession {
                 message: "an ECO session needs the mgl stage to place its deltas".into(),
             });
         }
-        // Reject an illegal base now, not on the first delta.
-        PlacementState::from_design_positions(&design).map_err(|(cell, e)| {
+        let mut state = PlacementState::from_design_positions(&design).map_err(|(cell, e)| {
             LegalizeError::SeedRejected {
                 cell: Some(cell.0),
                 message: e.to_string(),
             }
         })?;
+        // A delta's log holds its own mutations, never the adoption.
+        state.take_replay_log();
+        let resident = state.detach();
+        let weights = compute_weights(&design, config.weights);
         let cert = mcl_audit::BandCert::build(&design);
         Ok(Self {
             design,
             engine: Engine::new(config),
             cert,
+            resident,
+            weights,
         })
     }
 
@@ -204,8 +221,9 @@ impl EcoSession {
     /// Applies one ECO delta: each `(cell, gp)` move re-targets the cell's
     /// global-placement home and vacates its current position, then the
     /// whole delta re-legalizes through the dirty-window pipeline. On
-    /// success the result becomes the session's new base; on error the
-    /// base is left exactly as it was (the delta is atomic).
+    /// success the result becomes the session's new base; on error (or an
+    /// unwind) the base, the resident state and the certificate are left
+    /// exactly as they were (the delta is atomic).
     ///
     /// # Errors
     ///
@@ -231,37 +249,34 @@ impl EcoSession {
             }
         }
         let t_adopt = mcl_obs::clock::Stopwatch::start();
-        let mut candidate = self.design.clone();
-        for &(cell, gp) in moves {
-            // In range: every move was validated against the cell table
-            // above.
-            let Some(c) = candidate.cells.get_mut(cell.0 as usize) else {
-                continue;
-            };
-            c.gp = gp;
-            c.pos = None;
-        }
+        let Self {
+            design,
+            engine,
+            cert,
+            resident,
+            weights,
+        } = self;
+        let mut base = MovedCells::apply(design, moves);
+        let design: &Design = base.design;
+        let mut run = Attached::start(resident, design, &base.undo);
+        let prep = Prep::with_weights(design, engine.config(), Cow::Borrowed(weights));
         let adopt_nanos = t_adopt.elapsed_nanos();
-        let RunOutput {
-            design: out,
-            mut stats,
-            replay,
-        } = self.engine.run_one(&candidate, RunSpec::EcoDelta)?;
+        let mut stats = run.run(engine, &prep)?;
+        drop(prep);
         // Per-delta deadline: the session budget (`stage_budget_secs`)
         // bounds the *whole* delta. Inside the run the same budget drives
         // the pipeline's degradation ladder; if even the degraded result
         // lands past the budget, the delta fails atomically with
-        // `DeadlineExceeded` — the resident base and its certificate stay
-        // exactly as they were, because nothing is spliced or committed
-        // until after this check. The injected `StageDeadline { stage:
-        // "eco_delta" }` site forces expiry deterministically, mirroring
-        // the pipeline's stage-boundary probe.
-        let config = self.engine.config();
+        // `DeadlineExceeded`: the guards roll the resident state and the
+        // base back, and nothing is spliced. The injected
+        // `StageDeadline { stage: "eco_delta" }` site forces expiry
+        // deterministically, mirroring the pipeline's stage-boundary probe.
+        let config = engine.config();
         let budget = config.stage_budget_secs;
         let expired = budget.is_some_and(|b| sw.elapsed_seconds() > b)
             || crate::faultinject::fires(
                 config.faults.as_ref(),
-                &self.design.name,
+                &design.name,
                 &crate::faultinject::FaultSite::StageDeadline { stage: "eco_delta" },
             );
         if expired {
@@ -271,21 +286,13 @@ impl EcoSession {
             });
         }
         let t_commit = mcl_obs::clock::Stopwatch::start();
-        // Re-certify only the bands the delta touched: dirty = every cell
-        // whose committed pos/orient differs from the previous base (the
-        // moved cells are covered — a move that lands exactly back home is
-        // audit-neutral and legitimately clean).
-        let changed: Vec<CellId> = self
-            .design
-            .cells
-            .iter()
-            .zip(out.cells.iter())
-            .enumerate()
-            .filter(|(_, (old, new))| old.pos != new.pos || old.orient != new.orient)
-            .map(|(i, _)| CellId(i as u32))
-            .collect();
-        self.cert.splice(&out, &changed);
-        self.design = out;
+        let (changed, replay) = run.commit();
+        let design = base.commit();
+        // Only the cells the delta touched changed: write them back and
+        // re-certify the bands they touch (a moved cell that lands exactly
+        // back home is re-checked all the same, which is audit-neutral).
+        resident.write_back_cells(design, &changed);
+        cert.splice(design, &changed);
         stats.obs.record_span(SpanKind::EcoAdopt, adopt_nanos, 0);
         stats
             .obs
@@ -297,9 +304,155 @@ impl EcoSession {
     }
 }
 
+/// A moved cell's base values, restored if its delta fails.
+struct Undo {
+    cell: CellId,
+    pos: Option<Point>,
+    gp: Point,
+}
+
+/// A delta's moves written into the session's design: each moved cell's
+/// GP home re-targeted and its position vacated, as a one-shot
+/// [`crate::RunSpec::EcoDelta`] run's input has them. Dropped before
+/// [`Self::commit`], it restores both.
+struct MovedCells<'s> {
+    design: &'s mut Design,
+    /// One entry per move, in move order.
+    undo: Vec<Undo>,
+    committed: bool,
+}
+
+impl<'s> MovedCells<'s> {
+    fn apply(design: &'s mut Design, moves: &[(CellId, Point)]) -> Self {
+        let mut undo = Vec::with_capacity(moves.len());
+        for &(cell, gp) in moves {
+            if let Some(c) = design.cells.get_mut(cell.0 as usize) {
+                undo.push(Undo {
+                    cell,
+                    pos: c.pos,
+                    gp: c.gp,
+                });
+                c.gp = gp;
+                c.pos = None;
+            }
+        }
+        Self {
+            design,
+            undo,
+            committed: false,
+        }
+    }
+
+    /// Keeps the moves and hands back the design, for the delta's
+    /// positions to be written into.
+    fn commit(&mut self) -> &mut Design {
+        self.committed = true;
+        self.design
+    }
+}
+
+impl Drop for MovedCells<'_> {
+    fn drop(&mut self) {
+        if self.committed {
+            return;
+        }
+        // In reverse, so a cell moved twice ends at its first entry.
+        for u in self.undo.iter().rev() {
+            if let Some(c) = self.design.cells.get_mut(u.cell.0 as usize) {
+                c.pos = u.pos;
+                c.gp = u.gp;
+            }
+        }
+    }
+}
+
+/// The session's resident state, attached to its design for one delta.
+/// Dropped before [`Self::commit`] (an error return or an unwind), it
+/// rolls the delta back: the epoch's dirty cells return to their origin
+/// rects and the moved cells to their base positions. Either way the
+/// state goes back to the session with an empty epoch and log.
+struct Attached<'s, 'd> {
+    /// `None` once handed back.
+    state: Option<PlacementState<'d>>,
+    home: &'s mut Columns,
+    moved: &'d [Undo],
+}
+
+impl<'s, 'd> Attached<'s, 'd> {
+    /// Attaches the resident state and vacates the moved cells in it.
+    fn start(home: &'s mut Columns, design: &'d Design, moved: &'d [Undo]) -> Self {
+        let mut state = PlacementState::attach(std::mem::take(home), design);
+        for u in moved {
+            if state.pos(u.cell).is_some() {
+                state.remove(u.cell);
+            }
+        }
+        // The vacated cells seed the delta the way adoption seeds a
+        // one-shot run: outside its epoch and its log, so the dirty seeds
+        // and every output are the reference's.
+        state.take_replay_log();
+        state.begin_epoch();
+        Self {
+            state: Some(state),
+            home,
+            moved,
+        }
+    }
+
+    /// Runs the delta's stages over the attached state.
+    fn run(
+        &mut self,
+        engine: &mut Engine,
+        prep: &Prep<'d>,
+    ) -> Result<LegalizeStats, LegalizeError> {
+        let Some(state) = &mut self.state else {
+            return Err(LegalizeError::PoolBroken {
+                during: "resident state",
+            });
+        };
+        engine.run_delta(state.design(), state, prep)
+    }
+
+    /// Keeps the delta and hands the state back. Returns the cells whose
+    /// position may have changed (the epoch's dirty cells, then the moved
+    /// ones) and the delta's replay log.
+    fn commit(mut self) -> (Vec<CellId>, mcl_audit::ReplayLog) {
+        let Some(mut state) = self.state.take() else {
+            return (Vec::new(), mcl_audit::ReplayLog::new());
+        };
+        let mut changed: Vec<CellId> = state.dirty_cells().iter().map(|&(c, _)| c).collect();
+        let undirtied = self.moved.iter().map(|u| u.cell);
+        changed.extend(undirtied.filter(|&c| !state.is_dirty(c)));
+        let replay = state.take_replay_log();
+        state.begin_epoch();
+        *self.home = state.detach();
+        (changed, replay)
+    }
+}
+
+impl Drop for Attached<'_, '_> {
+    fn drop(&mut self) {
+        let Some(mut state) = self.state.take() else {
+            return;
+        };
+        state.roll_back_epoch();
+        for u in self.moved {
+            if let (Some(p), None) = (u.pos, state.pos(u.cell)) {
+                // The base footprint is free again once the epoch is
+                // rolled back, so this cannot fail (and must not panic).
+                let _ = state.place(u.cell, p);
+            }
+        }
+        state.take_replay_log();
+        state.begin_epoch();
+        *self.home = state.detach();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RunSpec;
     use crate::pipeline::{StageSet, POST_PIPELINE};
     use mcl_db::score::Metrics;
 
@@ -456,7 +609,11 @@ mod tests {
         let mut strict = base_cfg.clone();
         strict.stage_budget_secs = Some(0.0);
         let mut session = EcoSession::open(placed.clone(), strict).expect("legal base must open");
-        let before: Vec<_> = session.design().cells.iter().map(|c| c.pos).collect();
+        let cells = |s: &EcoSession| -> Vec<_> {
+            let cells = &s.design().cells;
+            cells.iter().map(|c| (c.pos, c.gp, c.orient)).collect()
+        };
+        let before = cells(&session);
         let cert_before = session.certificate().report();
         let moves = EcoSession::synthesize_delta(session.design(), 8, 77);
         match session.apply_delta(&moves) {
@@ -466,20 +623,50 @@ mod tests {
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        let after: Vec<_> = session.design().cells.iter().map(|c| c.pos).collect();
-        assert_eq!(before, after, "failed delta must not mutate the base");
+        assert_eq!(
+            before,
+            cells(&session),
+            "failed delta must not mutate the base"
+        );
         assert_eq!(
             session.certificate().report(),
             cert_before,
             "failed delta must not touch the rolling certificate"
         );
 
+        // The resident state is the base again, with nothing pending.
+        let state = PlacementState::attach(session.resident.clone(), &session.design);
+        for id in session.design.movable_cells() {
+            assert_eq!(state.pos(id), session.design.cells[id.0 as usize].pos);
+        }
+        assert!(state.dirty_cells().is_empty());
+
         // The same delta through an unbudgeted session over the same base
         // succeeds — the rollback above was the budget, not the delta.
-        let mut relaxed = EcoSession::open(placed, base_cfg).expect("legal base must open");
+        let mut relaxed = EcoSession::open(placed.clone(), base_cfg.clone()).expect("legal base");
         relaxed
             .apply_delta(&moves)
             .expect("unbudgeted delta must succeed");
+
+        // With the budget lifted in place, the failed session's next delta
+        // matches a fresh session's byte for byte. It re-targets other
+        // cells onto the spots the failed delta vacated, where a state that
+        // kept any of the failed delta would place them differently.
+        let others = placed
+            .movable_cells()
+            .filter(|&c| moves.iter().all(|&(m, _)| m != c));
+        let next: Vec<(CellId, Point)> = moves
+            .iter()
+            .zip(others)
+            .map(|(&(m, _), c)| (c, placed.cells[m.0 as usize].pos.expect("placed")))
+            .collect();
+        let mut fresh = EcoSession::open(placed, base_cfg.clone()).expect("legal base must open");
+        session.engine = Engine::new(base_cfg);
+        let (f_stats, f_log) = fresh.apply_delta(&next).expect("fresh delta");
+        let (s_stats, s_log) = session.apply_delta(&next).expect("delta after rollback");
+        assert_eq!(cells(&session), cells(&fresh));
+        assert_eq!((s_stats, s_log), (f_stats, f_log));
+        assert_eq!(session.certificate().report(), fresh.certificate().report());
     }
 
     #[test]

@@ -37,6 +37,7 @@ use crate::scheduler::drive_rounds;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
 use mcl_obs::{clock::Stopwatch, CounterKind, HistoKind, Meter, SpanKind};
+use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 
 /// Wall-clock seconds of one stage that ran, keyed by stage name. Stages
@@ -170,21 +171,38 @@ pub fn parse_stages(spec: &str) -> Result<StageSet, String> {
 /// the optional routability oracle. Building one of these (plus the initial
 /// [`PlacementState`]) is all the engine does before handing off to
 /// [`run_stages`]. The engine builds each job's `Prep` at claim time and
-/// drops it when the job finishes.
+/// drops it when the job finishes; an [`crate::EcoSession`] computes the
+/// weights once and lends them to every delta.
 pub struct Prep<'d> {
-    /// Per-cell displacement weights. A plain `Vec`, never an `Arc<[i64]>`:
-    /// converting would copy the vector and free the original, and freeing
-    /// a block that large raises glibc's dynamic mmap threshold, which
-    /// slowed stage 3 by about a quarter at 100k cells.
-    pub weights: Vec<i64>,
+    /// Per-cell displacement weights: a job's own `Vec` or a session's
+    /// borrowed one, never an `Arc<[i64]>`: converting would copy the
+    /// vector and free the original, and freeing a block that large raises
+    /// glibc's dynamic mmap threshold, which slowed stage 3 by about a
+    /// quarter at 100k cells.
+    pub weights: Cow<'d, [i64]>,
     pub(crate) oracle: Option<RoutOracle<'d>>,
 }
 
 impl<'d> Prep<'d> {
     /// Computes weights and (when configured) the routability oracle.
     pub fn new(design: &'d Design, config: &LegalizerConfig) -> Self {
+        Self::with_weights(
+            design,
+            config,
+            Cow::Owned(compute_weights(design, config.weights)),
+        )
+    }
+
+    /// A `Prep` over weights computed earlier for the same design and
+    /// `config.weights` (they depend on neither positions nor GP homes);
+    /// the oracle is rebuilt, which costs a table over cell types.
+    pub(crate) fn with_weights(
+        design: &'d Design,
+        config: &LegalizerConfig,
+        weights: Cow<'d, [i64]>,
+    ) -> Self {
         Prep {
-            weights: compute_weights(design, config.weights),
+            weights,
             oracle: config.routability.then(|| RoutOracle::new(design)),
         }
     }
@@ -195,29 +213,29 @@ impl<'d> Prep<'d> {
     }
 }
 
-/// Records the per-cell displacement histogram of the current placement
-/// (Manhattan distance from the global-placement position, in site widths)
-/// into `obs` under `kind`. Fixed and unplaced cells are skipped, matching
-/// `Metrics::measure`.
+/// Records the per-cell displacement histogram of `cells` in the current
+/// placement (Manhattan distance from the global-placement position, in
+/// site widths) into `obs` under `kind`. Fixed and unplaced cells are
+/// skipped, matching `Metrics::measure`.
 fn record_disp_histogram(
     obs: &mut Meter,
     state: &PlacementState<'_>,
     design: &Design,
     kind: HistoKind,
+    cells: impl IntoIterator<Item = CellId>,
 ) {
     if !mcl_obs::recording() {
         return;
     }
     let sw = design.tech.site_width.max(1);
-    for (i, cell) in design.cells.iter().enumerate() {
-        if cell.fixed {
-            continue;
-        }
-        let Some(p) = state.pos(CellId(i as u32)) else {
+    for id in cells {
+        let (Some(cell), Some(p)) = (design.cells.get(id.0 as usize), state.pos(id)) else {
             continue;
         };
-        let d = (p.x - cell.gp.x).abs() + (p.y - cell.gp.y).abs();
-        obs.observe(kind, (d / sw) as u64);
+        if !cell.fixed {
+            let d = (p.x - cell.gp.x).abs() + (p.y - cell.gp.y).abs();
+            obs.observe(kind, (d / sw) as u64);
+        }
     }
 }
 
@@ -382,10 +400,7 @@ pub fn run_stages<'d>(
             stats
                 .obs
                 .add(CounterKind::EcoWindowsDirty, dc.windows().len() as u64);
-            let placed = design
-                .movable_cells()
-                .filter(|&c| state.pos(c).is_some())
-                .count();
+            let placed = state.placed_count();
             let in_closure_placed = dc
                 .cells()
                 .iter()
@@ -493,7 +508,21 @@ pub fn run_stages<'d>(
         });
         let (span, histo) = stage.meters();
         stats.obs.record_span(span, t.elapsed_nanos(), 0);
-        record_disp_histogram(&mut stats.obs, state, design, histo);
+        // A delta's histograms cover the cells it may have moved so far,
+        // so they cost what the delta does: the closure once it exists,
+        // before that the cells MGL touched (the epoch's dirty set).
+        let obs = &mut stats.obs;
+        match &delta {
+            Some(dc) => {
+                let members = dc.cells().iter().copied();
+                record_disp_histogram(obs, state, design, histo, members);
+            }
+            None if spec == RunSpec::EcoDelta => {
+                let dirty = state.dirty_cells().iter().map(|&(c, _)| c);
+                record_disp_histogram(obs, state, design, histo, dirty);
+            }
+            None => record_disp_histogram(obs, state, design, histo, design.movable_cells()),
+        }
         audit_stage(state, design, name);
     }
     // Certification: a run that took any rung must still prove legality.

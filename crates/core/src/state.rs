@@ -52,7 +52,7 @@ impl std::error::Error for PlaceError {}
 /// `Design::cell_types`, which is what makes the difference between 4k-
 /// and 1M-cell designs. `width`/`height_rows`/`fence` are immutable
 /// copies of design data; `x`/`y`/`placed` are the working position.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CellSoA {
     x: Vec<Dbu>,
     y: Vec<Dbu>,
@@ -183,6 +183,16 @@ impl CellSoA {
 #[derive(Debug, Clone)]
 pub struct PlacementState<'d> {
     design: &'d Design,
+    cols: Columns,
+}
+
+/// Everything a [`PlacementState`] owns, apart from its design borrow.
+/// [`PlacementState::detach`] and [`PlacementState::attach`] move these
+/// columns out of and into a state in O(1), which is how a resident ECO
+/// session keeps one state across deltas while owning the design it
+/// borrows.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Columns {
     segmap: SegmentMap,
     /// Per segment: occupant cells sorted by x.
     seg_cells: Vec<Vec<CellId>>,
@@ -202,6 +212,33 @@ pub struct PlacementState<'d> {
     /// the cell occupied *before* its first mutation of the epoch (`None`
     /// if it was unplaced). The current rect is read from the SoA.
     dirty: Vec<(CellId, Option<Rect>)>,
+    /// Number of placed cells (the state places movable cells only).
+    placed: usize,
+}
+
+impl Columns {
+    /// Writes the working position of `cells` (and their row-derived
+    /// orientations) into `design`, the design the columns belong to.
+    pub(crate) fn write_back_cells(&self, design: &mut Design, cells: &[CellId]) {
+        for &id in cells {
+            self.write_cell(design, id);
+        }
+    }
+
+    fn write_cell(&self, design: &mut Design, id: CellId) {
+        let pos = self.soa.pos(id);
+        let Some(type_id) = design.cells.get(id.0 as usize).map(|c| c.type_id) else {
+            return;
+        };
+        let orient = pos.map(|p| {
+            let row = ((p.y - design.core.yl) / design.tech.row_height) as usize;
+            design.orient_for_row(type_id, row)
+        });
+        if let Some(c) = design.cells.get_mut(id.0 as usize) {
+            c.pos = pos;
+            c.orient = orient.unwrap_or(c.orient);
+        }
+    }
 }
 
 impl<'d> PlacementState<'d> {
@@ -226,13 +263,16 @@ impl<'d> PlacementState<'d> {
         let seg_cells = vec![Vec::new(); segmap.len()];
         Self {
             design,
-            segmap,
-            seg_cells,
-            soa: CellSoA::from_design(design),
-            replay: mcl_audit::ReplayLog::new(),
-            epoch: 1,
-            track_dirty: false,
-            dirty: Vec::new(),
+            cols: Columns {
+                segmap,
+                seg_cells,
+                soa: CellSoA::from_design(design),
+                replay: mcl_audit::ReplayLog::new(),
+                epoch: 1,
+                track_dirty: false,
+                dirty: Vec::new(),
+                placed: 0,
+            },
         }
     }
 
@@ -258,42 +298,76 @@ impl<'d> PlacementState<'d> {
     /// Starts a fresh dirty epoch (enabling dirty tracking): the dirty set
     /// empties and subsequent mutations stamp cells with the new epoch.
     pub fn begin_epoch(&mut self) {
-        self.epoch += 1;
-        self.track_dirty = true;
-        self.dirty.clear();
+        self.cols.epoch += 1;
+        self.cols.track_dirty = true;
+        self.cols.dirty.clear();
+    }
+
+    /// Moves the owned columns out, ending the design borrow; O(1).
+    pub(crate) fn detach(self) -> Columns {
+        self.cols
+    }
+
+    /// Re-attaches columns taken by [`Self::detach`] to `design`; O(1).
+    /// The design must be the one the columns were built over, up to the
+    /// per-cell fields the state does not cache (`pos`, `orient`, `gp`).
+    pub(crate) fn attach(cols: Columns, design: &'d Design) -> Self {
+        debug_assert_eq!(cols.soa.len(), design.cells.len());
+        Self { design, cols }
+    }
+
+    /// Undoes every mutation of the current epoch: dirty cells return to
+    /// the rects they held before their first mutation of the epoch (or
+    /// to unplaced), and the dirty set empties. The restored footprints
+    /// are the epoch's starting placement, so re-placing them cannot
+    /// fail; the mutations it makes are logged like any other. Rollbacks
+    /// run in `Drop`, so a failed re-place is ignored rather than raised.
+    pub(crate) fn roll_back_epoch(&mut self) {
+        let dirty = std::mem::take(&mut self.cols.dirty);
+        for &(cell, _) in &dirty {
+            if self.pos(cell).is_some() {
+                self.remove(cell);
+            }
+        }
+        for &(cell, origin) in &dirty {
+            if let Some(r) = origin {
+                let _ = self.place(cell, Point::new(r.xl, r.yl));
+            }
+        }
+        self.cols.dirty.clear();
     }
 
     /// The current dirty epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.cols.epoch
     }
 
     /// Whether dirty tracking is on (a [`Self::begin_epoch`] happened).
     pub fn dirty_tracking(&self) -> bool {
-        self.track_dirty
+        self.cols.track_dirty
     }
 
     /// Cells mutated since [`Self::begin_epoch`], in first-touch order,
     /// each with the rect it occupied before its first mutation of the
     /// epoch (`None` if it was unplaced). Empty unless tracking is on.
     pub fn dirty_cells(&self) -> &[(CellId, Option<Rect>)] {
-        &self.dirty
+        &self.cols.dirty
     }
 
     /// Whether `cell` was mutated in the current epoch.
     #[inline]
     pub fn is_dirty(&self, cell: CellId) -> bool {
-        self.soa.dirty_epoch(cell) == self.epoch
+        self.cols.soa.dirty_epoch(cell) == self.cols.epoch
     }
 
     /// The rect currently occupied by a placed cell (`None` if unplaced).
     pub fn cell_rect(&self, cell: CellId) -> Option<Rect> {
-        self.soa.pos(cell).map(|p| {
+        self.cols.soa.pos(cell).map(|p| {
             Rect::new(
                 p.x,
                 p.y,
-                p.x + self.soa.width(cell),
-                p.y + self.soa.height_rows(cell) as Dbu * self.design.tech.row_height,
+                p.x + self.cols.soa.width(cell),
+                p.y + self.cols.soa.height_rows(cell) as Dbu * self.design.tech.row_height,
             )
         })
     }
@@ -302,14 +376,14 @@ impl<'d> PlacementState<'d> {
     /// touch. Must run *before* the mutation commits.
     #[inline]
     fn mark_dirty(&mut self, cell: CellId) {
-        if !self.track_dirty {
+        if !self.cols.track_dirty {
             return;
         }
         let i = cell.0 as usize;
-        if self.soa.dirty_epoch[i] != self.epoch {
-            self.soa.dirty_epoch[i] = self.epoch;
+        if self.cols.soa.dirty_epoch[i] != self.cols.epoch {
+            self.cols.soa.dirty_epoch[i] = self.cols.epoch;
             let origin = self.cell_rect(cell);
-            self.dirty.push((cell, origin));
+            self.cols.dirty.push((cell, origin));
         }
     }
 
@@ -320,24 +394,24 @@ impl<'d> PlacementState<'d> {
 
     /// The fence segments.
     pub fn segments(&self) -> &SegmentMap {
-        &self.segmap
+        &self.cols.segmap
     }
 
     /// Current working position of a cell.
     #[inline]
     pub fn pos(&self, cell: CellId) -> Option<Point> {
-        self.soa.pos(cell)
+        self.cols.soa.pos(cell)
     }
 
     /// The hot per-cell state (positions + cached dimensions) in SoA layout.
     #[inline]
     pub fn soa(&self) -> &CellSoA {
-        &self.soa
+        &self.cols.soa
     }
 
     /// Occupants of segment `seg`, sorted by x.
     pub fn cells_in_segment(&self, seg: usize) -> &[CellId] {
-        &self.seg_cells[seg]
+        &self.cols.seg_cells[seg]
     }
 
     /// The occupants of segment `seg` whose span `[x, x+w)` overlaps
@@ -348,10 +422,10 @@ impl<'d> PlacementState<'d> {
     /// contiguous: O(log n + k) instead of the O(n) full-list filter that
     /// stops scaling once rows hold thousands of cells.
     pub fn occupants_overlapping(&self, seg: usize, lo: Dbu, hi: Dbu) -> &[CellId] {
-        let list = &self.seg_cells[seg];
-        let start = list.partition_point(|&c| self.soa.end_x(c) <= lo);
+        let list = &self.cols.seg_cells[seg];
+        let start = list.partition_point(|&c| self.cols.soa.end_x(c) <= lo);
         let rest = &list[start..];
-        let len = rest.partition_point(|&c| self.soa.x(c) < hi);
+        let len = rest.partition_point(|&c| self.cols.soa.x(c) < hi);
         &rest[..len]
     }
 
@@ -368,12 +442,12 @@ impl<'d> PlacementState<'d> {
     ///
     /// See [`PlaceError`]. On error the state is unchanged.
     pub fn place(&mut self, cell: CellId, p: Point) -> Result<(), PlaceError> {
-        if self.soa.pos(cell).is_some() {
+        if self.cols.soa.pos(cell).is_some() {
             return Err(PlaceError::AlreadyPlaced);
         }
         let d = self.design;
         let ct = d.type_of(cell);
-        let fence = self.soa.fence(cell);
+        let fence = self.cols.soa.fence(cell);
         if !d.tech.is_site_aligned(d.core.xl, p.x)
             || (p.y - d.core.yl).rem_euclid(d.tech.row_height) != 0
         {
@@ -394,17 +468,17 @@ impl<'d> PlacementState<'d> {
                 return Err(PlaceError::NoSegment { row: r });
             };
             // Overlap test against neighbors in the segment.
-            let list = &self.seg_cells[seg_idx];
+            let list = &self.cols.seg_cells[seg_idx];
             let idx = self.insert_index(list, p.x);
             if idx < list.len() {
                 let nb = list[idx];
-                if self.soa.x(nb) < span.hi {
+                if self.cols.soa.x(nb) < span.hi {
                     return Err(PlaceError::Occupied { by: nb });
                 }
             }
             if idx > 0 {
                 let nb = list[idx - 1];
-                if self.soa.end_x(nb) > span.lo {
+                if self.cols.soa.end_x(nb) > span.lo {
                     return Err(PlaceError::Occupied { by: nb });
                 }
             }
@@ -412,12 +486,13 @@ impl<'d> PlacementState<'d> {
         }
         // Commit.
         self.mark_dirty(cell);
-        self.soa.set_pos(cell, p);
+        self.cols.soa.set_pos(cell, p);
+        self.cols.placed += 1;
         for seg_idx in segs {
-            let idx = self.insert_index(&self.seg_cells[seg_idx], p.x);
-            self.seg_cells[seg_idx].insert(idx, cell);
+            let idx = self.insert_index(&self.cols.seg_cells[seg_idx], p.x);
+            self.cols.seg_cells[seg_idx].insert(idx, cell);
         }
-        self.replay.record_place(cell, p.x, p.y);
+        self.cols.replay.record_place(cell, p.x, p.y);
         Ok(())
     }
 
@@ -427,19 +502,20 @@ impl<'d> PlacementState<'d> {
     ///
     /// Panics if the cell is not placed.
     pub fn remove(&mut self, cell: CellId) {
-        let p = self.soa.pos(cell).expect("cell not placed");
+        let p = self.cols.soa.pos(cell).expect("cell not placed");
         let d = self.design;
         let row = ((p.y - d.core.yl) / d.tech.row_height) as usize;
-        let span = Interval::new(p.x, p.x + self.soa.width(cell));
-        for r in row..row + self.soa.height_rows(cell) as usize {
+        let span = Interval::new(p.x, p.x + self.cols.soa.width(cell));
+        for r in row..row + self.cols.soa.height_rows(cell) as usize {
             let seg_idx = self
-                .find_covering_segment(r, self.soa.fence(cell), span)
+                .find_covering_segment(r, self.cols.soa.fence(cell), span)
                 .expect("placed cell must have segments");
-            self.seg_cells[seg_idx].retain(|&x| x != cell);
+            self.cols.seg_cells[seg_idx].retain(|&x| x != cell);
         }
         self.mark_dirty(cell);
-        self.soa.clear_pos(cell);
-        self.replay.record_remove(cell);
+        self.cols.soa.clear_pos(cell);
+        self.cols.placed -= 1;
+        self.cols.replay.record_remove(cell);
     }
 
     /// Horizontally shifts a placed cell to `new_x`. The caller must
@@ -447,28 +523,28 @@ impl<'d> PlacementState<'d> {
     /// and the span stays inside its segments; this is checked with debug
     /// assertions only (hot path of the spreading step).
     pub fn shift_x(&mut self, cell: CellId, new_x: Dbu) {
-        let p = self.soa.pos(cell).expect("cell not placed");
+        let p = self.cols.soa.pos(cell).expect("cell not placed");
         debug_assert!(self.shift_is_order_preserving(cell, new_x));
         self.mark_dirty(cell);
-        self.soa.set_pos(cell, Point::new(new_x, p.y));
-        self.replay.record_shift_x(cell, new_x);
+        self.cols.soa.set_pos(cell, Point::new(new_x, p.y));
+        self.cols.replay.record_shift_x(cell, new_x);
     }
 
     /// Takes ownership of the replay log of every committed mutation since
     /// construction (or the last take), leaving an empty one.
     pub fn take_replay_log(&mut self) -> mcl_audit::ReplayLog {
-        std::mem::take(&mut self.replay)
+        std::mem::take(&mut self.cols.replay)
     }
 
     #[allow(dead_code)]
     fn shift_is_order_preserving(&self, cell: CellId, new_x: Dbu) -> bool {
-        let w = self.soa.width(cell);
+        let w = self.cols.soa.width(cell);
         for (seg_idx, i) in self.segment_memberships(cell) {
-            let list = &self.seg_cells[seg_idx];
-            if i > 0 && new_x < self.soa.end_x(list[i - 1]) {
+            let list = &self.cols.seg_cells[seg_idx];
+            if i > 0 && new_x < self.cols.soa.end_x(list[i - 1]) {
                 return false;
             }
-            if i + 1 < list.len() && new_x + w > self.soa.x(list[i + 1]) {
+            if i + 1 < list.len() && new_x + w > self.cols.soa.x(list[i + 1]) {
                 return false;
             }
             let seg = &self.segments().segments()[seg_idx];
@@ -482,17 +558,17 @@ impl<'d> PlacementState<'d> {
     /// The segments a placed cell occupies, with its index in each occupant
     /// list.
     pub fn segment_memberships(&self, cell: CellId) -> Vec<(usize, usize)> {
-        let p = self.soa.pos(cell).expect("cell not placed");
+        let p = self.cols.soa.pos(cell).expect("cell not placed");
         let d = self.design;
-        let h = self.soa.height_rows(cell) as usize;
+        let h = self.cols.soa.height_rows(cell) as usize;
         let row = ((p.y - d.core.yl) / d.tech.row_height) as usize;
-        let span = Interval::new(p.x, p.x + self.soa.width(cell));
+        let span = Interval::new(p.x, p.x + self.cols.soa.width(cell));
         let mut out = Vec::with_capacity(h);
         for r in row..row + h {
             let seg_idx = self
-                .find_covering_segment(r, self.soa.fence(cell), span)
+                .find_covering_segment(r, self.cols.soa.fence(cell), span)
                 .expect("placed cell must have segments");
-            let i = self.seg_cells[seg_idx]
+            let i = self.cols.seg_cells[seg_idx]
                 .iter()
                 .position(|&x| x == cell)
                 .expect("cell must be in its segment list");
@@ -508,8 +584,8 @@ impl<'d> PlacementState<'d> {
         fence: FenceId,
         span: Interval,
     ) -> Option<usize> {
-        self.segmap.in_row(row).iter().copied().find(|&i| {
-            let s = &self.segmap.segments()[i];
+        self.cols.segmap.in_row(row).iter().copied().find(|&i| {
+            let s = &self.cols.segmap.segments()[i];
             s.fence == fence && s.x.covers(span)
         })
     }
@@ -521,17 +597,27 @@ impl<'d> PlacementState<'d> {
         fence: FenceId,
         window: Interval,
     ) -> impl Iterator<Item = usize> + '_ {
-        self.segmap.in_row(row).iter().copied().filter(move |&i| {
-            let s = &self.segmap.segments()[i];
-            s.fence == fence && s.x.overlaps(window)
-        })
+        self.cols
+            .segmap
+            .in_row(row)
+            .iter()
+            .copied()
+            .filter(move |&i| {
+                let s = &self.cols.segmap.segments()[i];
+                s.fence == fence && s.x.overlaps(window)
+            })
+    }
+
+    /// Number of placed cells; O(1).
+    pub fn placed_count(&self) -> usize {
+        self.cols.placed
     }
 
     /// Number of unplaced movable cells.
     pub fn unplaced_count(&self) -> usize {
         self.design
             .movable_cells()
-            .filter(|id| self.soa.pos(*id).is_none())
+            .filter(|id| self.cols.soa.pos(*id).is_none())
             .count()
     }
 
@@ -539,17 +625,12 @@ impl<'d> PlacementState<'d> {
     /// a clone of the design.
     pub fn write_back(&self, design: &mut Design) {
         for id in self.design.movable_cells() {
-            let c = &mut design.cells[id.0 as usize];
-            c.pos = self.soa.pos(id);
-            if let Some(p) = c.pos {
-                let row = ((p.y - self.design.core.yl) / self.design.tech.row_height) as usize;
-                c.orient = self.design.orient_for_row(c.type_id, row);
-            }
+            self.cols.write_cell(design, id);
         }
     }
 
     fn insert_index(&self, list: &[CellId], x: Dbu) -> usize {
-        list.partition_point(|&c| self.soa.x(c) < x)
+        list.partition_point(|&c| self.cols.soa.x(c) < x)
     }
 }
 
@@ -715,6 +796,31 @@ mod tests {
         d.cells[0].pos = Some(Point::new(0, 0));
         d.cells[1].pos = Some(Point::new(10, 0));
         assert!(PlacementState::from_design_positions(&d).is_err());
+    }
+
+    #[test]
+    fn roll_back_epoch_restores_the_epoch_start_across_detach() {
+        let mut d = design();
+        for (i, x) in [(0usize, 0), (1, 40), (3, 120)] {
+            d.cells[i].pos = Some(Point::new(x, 0));
+        }
+        let positions = |s: &PlacementState<'_>| -> Vec<_> {
+            (0..d.cells.len() as u32)
+                .map(|i| s.pos(CellId(i)))
+                .collect()
+        };
+        let s = PlacementState::from_design_positions(&d).unwrap();
+        let start = positions(&s);
+        let mut s = PlacementState::attach(s.detach(), &d);
+        s.remove(CellId(0));
+        s.place(CellId(0), Point::new(200, 0)).unwrap();
+        s.shift_x(CellId(1), 60);
+        s.place(CellId(4), Point::new(0, 0)).unwrap();
+        assert_eq!(s.dirty_cells().len(), 3);
+        s.roll_back_epoch();
+        assert_eq!(positions(&s), start);
+        assert!(s.dirty_cells().is_empty());
+        assert_eq!(s.placed_count(), 3);
     }
 
     #[test]

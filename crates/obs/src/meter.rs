@@ -57,13 +57,14 @@ pub enum SpanKind {
     MatchingGroup,
     /// One stage-3 network-simplex flow solve.
     FlowSimplex,
-    /// ECO delta: adopting the delta into a run (the session's copy of
-    /// its base, the placement state and the run's `Prep`).
+    /// ECO delta: applying the moves to the session's resident state
+    /// (re-targeting and vacating the moved cells, re-attaching the state,
+    /// the run's `Prep` over the resident weights).
     EcoAdopt,
     /// ECO delta: computing the bounded dirty closure.
     EcoClosure,
-    /// ECO delta: committing the result (the engine's write-back, the
-    /// session's diff against its base and the certificate splice).
+    /// ECO delta: committing the result (writing back the dirty and moved
+    /// cells and splicing the certificate over them).
     EcoCommit,
 }
 

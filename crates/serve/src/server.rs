@@ -766,7 +766,9 @@ fn eco_delta(shared: &Shared, id: u64, delta: &DeltaSpec) -> String {
                 w.field_f64(t.name, t.seconds, 6);
             }
             w.end_object();
-            // What the delta spends outside the stages, in seconds.
+            // What the delta spends outside the stages, in seconds:
+            // applying the moves to the resident state, the closure, and
+            // the write-back of the touched cells with the splice.
             w.key("layers");
             w.begin_object();
             for kind in [

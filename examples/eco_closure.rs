@@ -3,7 +3,10 @@
 //! defaults otherwise), opens a resident session over it and pushes a
 //! stream of synthetic 64-cell deltas, printing one line per delta (wall
 //! time, stage and span split, closure size, cells moved per stage) and
-//! the whole-design quality at the end.
+//! the whole-design quality at the end. The spans are the delta's layers
+//! outside the stages: `eco.adopt` applies the moves to the session's
+//! resident state, `eco.closure` grows the dirty closure and `eco.commit`
+//! writes back the dirty and moved cells and splices the certificate.
 //!
 //! ```sh
 //! cargo run --release --example eco_closure -- [CELLS] [GEN_SEED] [DELTAS] [THREADS]

@@ -21,6 +21,9 @@
 //! 6. **The `serial` rung is the fault-free algorithm** — MGL rerun inline,
 //!    without helpers, reproduces the fault-free placement at the same
 //!    thread count.
+//! 7. **A failed ECO delta is atomic** — an exhausted MGL ladder or the
+//!    session deadline leaves the session's base, certificate and resident
+//!    state as they were: its next delta matches a fresh session's.
 
 #![cfg(feature = "faultinject")]
 
@@ -29,8 +32,8 @@ use mclegal::core::insertion::InsertionScratch;
 use mclegal::core::pipeline;
 use mclegal::core::state::PlacementState;
 use mclegal::core::{
-    build_run_report, Engine, FailureClass, FaultPlan, FaultSite, LegalizeError, LegalizeStats,
-    LegalizerConfig, RunOutput, RunSpec, Stage, StageSet,
+    build_run_report, EcoSession, Engine, FailureClass, FaultPlan, FaultSite, LegalizeError,
+    LegalizeStats, LegalizerConfig, RunOutput, RunSpec, Stage, StageSet,
 };
 use mclegal::db::prelude::*;
 use mclegal::gen::generate;
@@ -338,6 +341,68 @@ fn exhausted_deadline_takes_declared_ladder() {
     mgl_only.stages = StageSet::of(&[Stage::Mgl]);
     let (placed_s, _) = try_run(&mgl_only, &d).expect("clean");
     assert_eq!(positions(&placed), positions(&placed_s));
+}
+
+/// Invariant 7: an ECO delta that fails inside the run (an MGL fault on a
+/// moved cell, armed for both the first attempt and the inline retry) or
+/// after it (the session's `eco_delta` deadline) rolls back completely.
+/// Every cell keeps its position, GP home and orientation, the certificate
+/// is untouched, and the session's next delta is byte-identical to the
+/// same delta on a fresh session over the same base.
+#[test]
+fn failed_eco_delta_rolls_back_the_resident_state() {
+    let d = messy_design(160, 0xEC0);
+    let (base, _) = try_run(&cfg_threads(2), &d).expect("fault-free base");
+    let failing = EcoSession::synthesize_delta(&base, 12, 3);
+    let victim = failing[5].0;
+    // Other cells re-targeted onto the spots the failing delta vacates,
+    // where a resident state that kept any of it would place them
+    // differently.
+    let others = base
+        .movable_cells()
+        .filter(|&c| failing.iter().all(|&(f, _)| f != c));
+    let next: Vec<(CellId, Point)> = failing
+        .iter()
+        .zip(others)
+        .map(|(&(f, _), c)| (c, base.cells[f.0 as usize].pos.expect("placed")))
+        .collect();
+    let cells = |s: &EcoSession| -> Vec<_> {
+        let cells = &s.design().cells;
+        cells.iter().map(|c| (c.pos, c.gp, c.orient)).collect()
+    };
+    let cases = [
+        (FaultSite::MglApply { cell: victim.0 }, 2, "mgl"),
+        (
+            FaultSite::StageDeadline { stage: "eco_delta" },
+            1,
+            "eco_delta",
+        ),
+    ];
+    for (site, fires, stage) in cases {
+        let mut cfg = cfg_threads(2);
+        cfg.faults = Some(FaultPlan::new().arm(site.clone(), fires).shared());
+        let mut session = EcoSession::open(base.clone(), cfg).expect("legal base");
+        let before = cells(&session);
+        let cert = session.certificate().report();
+        let err = session
+            .apply_delta(&failing)
+            .expect_err("armed delta fails");
+        assert_eq!(err.stage(), Some(stage), "{site:?}: {err}");
+        assert_eq!(cells(&session), before, "{site:?}: base changed");
+        assert_eq!(session.certificate().report(), cert, "{site:?}");
+
+        let mut fresh = EcoSession::open(base.clone(), cfg_threads(2)).expect("legal base");
+        let (f_stats, f_log) = fresh.apply_delta(&next).expect("fresh delta");
+        let (s_stats, s_log) = session.apply_delta(&next).expect("delta after rollback");
+        assert_eq!(cells(&session), cells(&fresh), "{site:?}: positions");
+        assert_eq!(s_stats, f_stats, "{site:?}: stats");
+        assert_eq!(s_log, f_log, "{site:?}: replay log");
+        assert_eq!(
+            session.certificate().report(),
+            fresh.certificate().report(),
+            "{site:?}: certificate"
+        );
+    }
 }
 
 /// Invariant 3 (the acceptance criterion): with faults injected into any

@@ -2,15 +2,19 @@
 //! invisible in results.
 //!
 //! The invariant pinned here: a resident [`EcoSession`] delta is
-//! byte-identical — positions, stats rows, replay log, golden report JSON
-//! and audit certificate — to a from-scratch ECO run on the same mutated
-//! design under the same configuration, at 1, 2 and 4 threads (which must
-//! also agree with each other). The session's spliced band certificate
-//! must equal a full clean-room `mcl_audit::verify` after every delta.
+//! byte-identical — positions, stats rows, golden report JSON and audit
+//! certificate — to a from-scratch ECO run on the same mutated design under
+//! the same configuration, at 1, 2 and 4 threads (which must also agree
+//! with each other). The session's replay log is the delta's own
+//! mutations: the from-scratch log minus its adoption prefix, and the
+//! adoption plus the session's log replays legally to the session's
+//! positions. The session's spliced band certificate must equal a full
+//! clean-room `mcl_audit::verify` after every delta.
 //!
 //! Deltas cover the hard cases: cells inside and straddling fence
 //! boundaries, and multi-row cells whose windows span several row bands.
 
+use mclegal::audit::{ReplayLog, ReplayOp};
 use mclegal::core::{build_run_report, EcoSession, Engine, LegalizerConfig, RunOutput, RunSpec};
 use mclegal::db::prelude::*;
 
@@ -81,23 +85,69 @@ fn hard_delta(base: &Design, n: usize, seed: u64) -> Vec<(CellId, Point)> {
     moves
 }
 
-/// The from-scratch reference: the same moves applied to the same base,
-/// legalized by a fresh [`RunSpec::EcoDelta`] run with the session's exact
-/// configuration.
-fn scratch_reference(
-    base: &Design,
-    moves: &[(CellId, Point)],
-    config: &LegalizerConfig,
-) -> RunOutput {
+/// The same moves applied to the same base: new GP homes, positions
+/// vacated.
+fn candidate(base: &Design, moves: &[(CellId, Point)]) -> Design {
     let mut candidate = base.clone();
     for &(cell, gp) in moves {
         let c = &mut candidate.cells[cell.0 as usize];
         c.gp = gp;
         c.pos = None;
     }
+    candidate
+}
+
+/// The from-scratch reference: the candidate legalized by a fresh
+/// [`RunSpec::EcoDelta`] run with the session's exact configuration.
+fn scratch_reference(candidate: &Design, config: &LegalizerConfig) -> RunOutput {
     Engine::new(config.clone())
-        .run_one(&candidate, RunSpec::EcoDelta)
+        .run_one(candidate, RunSpec::EcoDelta)
         .expect("scratch ECO must succeed")
+}
+
+/// What a from-scratch run logs before its first stage: adopting the
+/// candidate, one `place` per placed movable cell in id order.
+fn adoption_ops(candidate: &Design) -> ReplayLog {
+    let mut log = ReplayLog::new();
+    for id in candidate.movable_cells() {
+        if let Some(p) = candidate.cells[id.0 as usize].pos {
+            log.record_place(id, p.x, p.y);
+        }
+    }
+    log
+}
+
+/// The session's delta log against the reference's: the reference log is
+/// the adoption prefix followed by exactly the session's ops, and the
+/// adoption plus the session's ops replay legally to the session's
+/// positions.
+fn assert_delta_log(
+    candidate: &Design,
+    session_log: &ReplayLog,
+    reference_log: &ReplayLog,
+    session: &Design,
+    what: &str,
+) {
+    let mut log = adoption_ops(candidate);
+    let (prefix, delta) = reference_log.ops().split_at(log.len());
+    assert_eq!(prefix, log.ops(), "{what}: reference log opens otherwise");
+    assert_eq!(session_log.ops(), delta, "{what}: replay logs diverge");
+    for op in session_log.ops() {
+        match *op {
+            ReplayOp::Place { cell, x, y } => log.record_place(cell, x, y),
+            ReplayOp::Remove { cell } => log.record_remove(cell),
+            ReplayOp::ShiftX { cell, x } => log.record_shift_x(cell, x),
+        }
+    }
+    let replayed = log
+        .verify(candidate)
+        .unwrap_or_else(|e| panic!("{what}: adoption + delta log replays illegally: {e}"));
+    let movable: Vec<Option<Point>> = session
+        .cells
+        .iter()
+        .map(|c| c.pos.filter(|_| !c.fixed))
+        .collect();
+    assert_eq!(replayed, movable, "{what}: replay ends elsewhere");
 }
 
 /// A fresh full-pipeline base placement.
@@ -125,20 +175,23 @@ fn session_delta_matches_scratch_run_eco_at_every_thread_count() {
         let (s_stats, s_log) = session.apply_delta(&moves).expect("session delta");
         let s_cfg = session.config().clone();
 
+        let candidate = candidate(&base, &moves);
         let RunOutput {
             design: r_out,
             stats: r_stats,
             replay: r_log,
-        } = scratch_reference(&base, &moves, &s_cfg);
+        } = scratch_reference(&candidate, &s_cfg);
 
-        // Positions, stats rows, replay log: byte-identical.
+        // Positions, stats rows: byte-identical; the replay log is the
+        // reference's after its adoption prefix.
         assert_eq!(
             positions(session.design()),
             positions(&r_out),
             "threads {threads}: positions diverge"
         );
         assert_eq!(s_stats, r_stats, "threads {threads}: stats diverge");
-        assert_eq!(s_log, r_log, "threads {threads}: replay logs diverge");
+        let what = format!("threads {threads}");
+        assert_delta_log(&candidate, &s_log, &r_log, session.design(), &what);
 
         // Golden report subset: byte-identical.
         let s_rep = build_run_report(session.design(), &s_stats, &s_cfg).golden_json();
@@ -167,13 +220,15 @@ fn chained_deltas_keep_certificate_and_base_in_lockstep() {
     for round in 0..4 {
         let moves = hard_delta(session.design(), 8, 100 + round);
         let (_, s_log) = session.apply_delta(&moves).expect("session delta");
-        let r = scratch_reference(&rolling, &moves, session.config());
+        let candidate = candidate(&rolling, &moves);
+        let r = scratch_reference(&candidate, session.config());
         assert_eq!(
             positions(session.design()),
             positions(&r.design),
             "round {round}: positions diverge"
         );
-        assert_eq!(s_log, r.replay, "round {round}: replay logs diverge");
+        let what = format!("round {round}");
+        assert_delta_log(&candidate, &s_log, &r.replay, session.design(), &what);
         assert_eq!(
             session.certificate().report(),
             mclegal::audit::verify(session.design()),
