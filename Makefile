@@ -54,7 +54,7 @@ audit:
 # partial mutation out of failed stages, degradation rungs equal their
 # declared algorithms, batch survivors byte-identical, at 1/2/4 threads.
 chaos:
-	cargo test --features faultinject --test chaos --test chaos_serve
+	cargo test --test chaos --test chaos_serve
 
 check: build test fmt clippy doc analyze audit chaos
 

@@ -455,17 +455,6 @@ impl PwlTerm {
             self.eval(lo).min(self.eval(hi))
         }
     }
-
-    /// The equivalent [`PwlCurve`], for tests and the reference path.
-    pub fn to_curve(self) -> PwlCurve {
-        match self {
-            PwlTerm::Vee { center, w } => PwlCurve::vee(center, w),
-            PwlTerm::TypeA { a, base, w, dv } => PwlCurve::type_a(a, base, w).offset(dv),
-            PwlTerm::TypeB { a, base, w, dv } => PwlCurve::type_b(a, base, w).offset(dv),
-            PwlTerm::TypeC { a, base, w, dv } => PwlCurve::type_c(a, base, w).offset(dv),
-            PwlTerm::TypeD { c, base, w, dv } => PwlCurve::type_d(c, base, w).offset(dv),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -156,20 +156,10 @@ pub fn compute_from_seeds(
             continue;
         }
         // Skip windows fully covered by an already-scanned window.
-        let mut covered = false;
-        scanned.range_query(
-            win,
-            |_| true,
-            |_, r, _| {
-                if r.covers(win) {
-                    covered = true;
-                }
-            },
-        );
-        if covered {
+        if scanned.covers_any(win) {
             continue;
         }
-        scanned.insert(win, 0);
+        scanned.insert(win);
         out.windows.push(win);
 
         // Scan every segment row the window touches for overlapping

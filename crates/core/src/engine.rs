@@ -179,17 +179,6 @@ impl Engine {
         limit.min(self.config.threads).min(n.max(1)).max(1)
     }
 
-    /// Opens a resident incremental-legalization session over `design`
-    /// with this engine's configuration (see [`crate::EcoSession`]).
-    ///
-    /// # Errors
-    ///
-    /// [`LegalizeError::SeedRejected`] when the base positions are not
-    /// adoptable (the base must be legal).
-    pub fn eco_session(&self, design: Design) -> Result<crate::EcoSession, LegalizeError> {
-        crate::EcoSession::open(design, self.config.clone())
-    }
-
     /// Runs one [`RunSpec::EcoDelta`] job over a state the caller seeded
     /// and keeps, on every thread of the engine (a lone job's share, as in
     /// [`Self::run_one`]). This is how [`crate::EcoSession`] runs its

@@ -1,4 +1,4 @@
-//! Deterministic fault-injection harness (`faultinject` feature).
+//! Deterministic fault-injection harness.
 //!
 //! A [`FaultPlan`] is a set of armed [`FaultSite`]s with per-site fire
 //! budgets. Sites are keyed by *semantic identity* (cell id, stage name),
@@ -7,9 +7,8 @@
 //! count — the property the chaos suite leans on to assert bit-identical
 //! containment behavior at 1/2/4 threads.
 //!
-//! Without the `faultinject` feature the plan type still compiles (so
-//! `LegalizerConfig` keeps one shape) but no constructor can arm a site:
-//! every probe is a `None`-check that the optimizer folds away.
+//! The harness is always compiled in. Production configs carry no plan
+//! (`LegalizerConfig::faults` is `None`), so every probe is a `None`-check.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -100,7 +99,6 @@ impl PartialEq for FaultPlan {
     }
 }
 
-#[cfg(feature = "faultinject")]
 impl FaultPlan {
     /// An empty plan (fires nothing).
     pub fn new() -> Self {
@@ -206,7 +204,7 @@ pub fn corrupt_text(text: &str) -> String {
     out
 }
 
-#[cfg(all(test, feature = "faultinject"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -36,7 +36,6 @@ pub mod routability;
 pub mod scheduler;
 pub mod spatial;
 pub mod state;
-pub mod winindex;
 
 pub use config::{CellOrder, DisplacementReference, LegalizerConfig, WeightMode};
 pub use dirty::DirtyClosure;
@@ -46,5 +45,5 @@ pub use faultinject::{FaultPlan, FaultSite};
 pub use legalizer::{EcoSession, LegalizeStats};
 pub use pipeline::{Stage, StageSet, StageTiming};
 pub use report::build_run_report;
-pub use spatial::{HierGrid, ItemId};
+pub use spatial::HierGrid;
 pub use state::{CellSoA, PlaceError, PlacementState};

@@ -30,9 +30,9 @@
 //! costs the runner at most `HELPER_WAIT` (one minute) before
 //! [`LegalizeError::PoolBroken`].
 //!
-//! Window-overlap selection uses a [`WindowIndex`] (row-band interval
-//! index) instead of scanning the selected list per pending cell, keeping
-//! each round's selection near-linear in the pending count.
+//! Window-overlap selection asks a [`HierGrid`] (row bands × x-buckets)
+//! instead of scanning the selected list per pending cell, keeping each
+//! round's selection near-linear in the pending count.
 
 use crate::config::LegalizerConfig;
 use crate::error::{panic_message, LegalizeError};
@@ -42,8 +42,8 @@ use crate::mgl::{
     apply_insertion_with, fallback_scan, order_cells, record_fallback_reject, window_for, MglStats,
 };
 use crate::pipeline::Prep;
+use crate::spatial::HierGrid;
 use crate::state::PlacementState;
-use crate::winindex::WindowIndex;
 use mcl_db::prelude::*;
 use mcl_obs::clock::{thread_cpu_nanos, Stopwatch};
 use mcl_obs::{CounterKind, HistoKind, Meter, SpanKind};
@@ -353,7 +353,7 @@ fn window_rounds(
     // quadratic in the cell count (ruinous at 1M cells) into linear.
     let mut carry: VecDeque<(CellId, usize)> = VecDeque::new();
     let mut fallback_queue: Vec<CellId> = Vec::new();
-    let mut windex = WindowIndex::new(design.core, design.tech.row_height);
+    let mut selected_windows = HierGrid::new(design.core, design.tech.row_height);
     // Reused per round; results are slotted by job index. A slot left at
     // `None` after the repair pass marks a quarantined cell.
     let mut results: Vec<Option<EvalResult>> = Vec::new();
@@ -363,13 +363,13 @@ fn window_rounds(
         let t_select = Stopwatch::start();
         let mut selected: Vec<Job> = Vec::new();
         let mut deferred: VecDeque<(CellId, usize)> = VecDeque::new();
-        windex.clear();
+        selected_windows.clear();
         while let Some((cell, n)) = carry.pop_front().or_else(|| backlog.pop_front()) {
             let win = window_for(design, cell, config, n);
-            if windex.overlaps_any(win) {
+            if selected_windows.overlaps_any(win) {
                 deferred.push_back((cell, n));
             } else {
-                windex.insert(win);
+                selected_windows.insert(win);
                 selected.push((cell, n, win));
                 if selected.len() >= capacity {
                     // Capacity reached: everything not yet popped simply

@@ -7,35 +7,27 @@
 //! hundreds of rows with thousands of windows live per round, and the
 //! flat per-band lists become the linear structure that stops scaling.
 //!
-//! The grid is purely a pruning layer: every candidate is confirmed with
-//! the exact strict-overlap predicate, so query results are identical to
-//! a naive scan over all live rectangles (the property suite in
-//! `crates/core/tests/spatial_props.rs` pins this). Degenerate (zero
-//! width/height) rectangles are stored and indexable but never overlap
-//! anything, exactly like the naive predicate says.
+//! It answers the two questions the legalizer asks. The MGL scheduler's
+//! window selection (`scheduler::window_rounds`) asks whether a window
+//! strictly overlaps one already selected this round
+//! ([`HierGrid::overlaps_any`]); the bounded ECO closure
+//! (`dirty::compute_from_seeds`) asks whether a window lies inside one it
+//! has already scanned ([`HierGrid::covers_any`]).
 //!
-//! Entries carry a `u64` key so callers can filter (e.g. by fence region)
-//! during traversal, and an id for incremental removal — the ECO path
-//! and the window selector reuse one grid across rounds via [`HierGrid::
-//! clear`], which is O(touched buckets), not O(grid).
+//! The grid is purely a pruning layer: every candidate is confirmed with
+//! the exact predicate, so answers are identical to a naive scan over all
+//! inserted rectangles (the property suite in
+//! `crates/core/tests/spatial_props.rs` pins this). Degenerate (zero
+//! width/height) rectangles are stored and indexable but never overlap or
+//! cover anything. The scheduler reuses one grid across rounds via
+//! [`HierGrid::clear`], which is O(touched buckets), not O(grid).
 
 use mcl_db::prelude::*;
 
-/// Default number of x-buckets per band; windows are narrow relative to
-/// the core, so a modest fan-out keeps bucket lists near-constant size
-/// without blowing up the clear cost.
-const DEFAULT_X_BUCKETS: usize = 64;
-
-/// Stable handle of an inserted rectangle, valid until removal or clear.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ItemId(u32);
-
-#[derive(Debug, Clone)]
-struct Item {
-    rect: Rect,
-    key: u64,
-    alive: bool,
-}
+/// Number of x-buckets per band; windows are narrow relative to the core,
+/// so a modest fan-out keeps bucket lists near-constant size without
+/// blowing up the clear cost.
+const X_BUCKETS: usize = 64;
 
 /// Two-level (y-band × x-bucket) rectangle index.
 #[derive(Debug)]
@@ -47,59 +39,31 @@ pub struct HierGrid {
     band_h: Dbu,
     /// Level 2: x-bucket width within a band.
     bucket_w: Dbu,
-    nx: usize,
     ny: usize,
-    /// `ny × nx` bucket lists of item indices (row-major by band).
-    buckets: Vec<Vec<u32>>,
-    /// Item arena; removal marks dead and detaches from buckets.
-    items: Vec<Item>,
+    /// `ny × X_BUCKETS` bucket lists (row-major by band); a rectangle is
+    /// listed in every bucket its extent touches.
+    buckets: Vec<Vec<Rect>>,
     /// Buckets with at least one entry, for O(touched) clearing.
     touched: Vec<u32>,
-    /// Per-item visit stamp, deduplicating multi-bucket hits per query.
-    stamp: Vec<u32>,
-    cur_stamp: u32,
 }
 
 impl HierGrid {
-    /// An empty grid over `core` with `band_h`-tall bands and the default
-    /// x fan-out.
+    /// An empty grid over `core` with `band_h`-tall bands.
     pub fn new(core: Rect, band_h: Dbu) -> Self {
-        Self::with_buckets(core, band_h, DEFAULT_X_BUCKETS)
-    }
-
-    /// An empty grid with an explicit number of x-buckets per band.
-    pub fn with_buckets(core: Rect, band_h: Dbu, nx: usize) -> Self {
         let band_h = band_h.max(1);
         let ny = ((core.yh - core.yl).max(1) as u64)
             .div_ceil(band_h as u64)
             .max(1) as usize;
-        let nx = nx.max(1);
-        let bucket_w = ((core.xh - core.xl).max(1) as u64)
-            .div_ceil(nx as u64)
-            .max(1) as Dbu;
+        let bucket_w = ((core.xh - core.xl).max(1) as u64).div_ceil(X_BUCKETS as u64) as Dbu;
         Self {
             x0: core.xl,
             y0: core.yl,
             band_h,
             bucket_w,
-            nx,
             ny,
-            buckets: vec![Vec::new(); nx * ny],
-            items: Vec::new(),
+            buckets: vec![Vec::new(); X_BUCKETS * ny],
             touched: Vec::new(),
-            stamp: Vec::new(),
-            cur_stamp: 0,
         }
-    }
-
-    /// Number of live rectangles.
-    pub fn len(&self) -> usize {
-        self.items.iter().filter(|i| i.alive).count()
-    }
-
-    /// Whether no rectangle is live.
-    pub fn is_empty(&self) -> bool {
-        self.items.iter().all(|i| !i.alive)
     }
 
     /// The inclusive band range of a rect's y-extent (clamped; degenerate
@@ -113,194 +77,66 @@ impl HierGrid {
 
     /// The inclusive x-bucket range of a rect's x-extent (clamped).
     fn bucket_range(&self, r: Rect) -> (usize, usize) {
-        let last = self.nx - 1;
+        let last = X_BUCKETS - 1;
         let lo = ((r.xl - self.x0).max(0) / self.bucket_w) as usize;
         let hi = ((r.xh.max(r.xl + 1) - 1 - self.x0).max(0) / self.bucket_w) as usize;
         (lo.min(last), hi.min(last).max(lo.min(last)))
     }
 
-    /// Inserts a rectangle with a caller-defined key, returning its id.
-    pub fn insert(&mut self, rect: Rect, key: u64) -> ItemId {
-        let idx = self.items.len() as u32;
-        self.items.push(Item {
-            rect,
-            key,
-            alive: true,
-        });
-        self.stamp.push(0);
+    /// Inserts a rectangle.
+    pub fn insert(&mut self, rect: Rect) {
         let (blo, bhi) = self.band_range(rect);
         let (xlo, xhi) = self.bucket_range(rect);
         for b in blo..=bhi {
             for x in xlo..=xhi {
-                let bucket = &mut self.buckets[b * self.nx + x];
+                let bucket = &mut self.buckets[b * X_BUCKETS + x];
                 if bucket.is_empty() {
-                    self.touched.push((b * self.nx + x) as u32);
+                    self.touched.push((b * X_BUCKETS + x) as u32);
                 }
-                bucket.push(idx);
-            }
-        }
-        ItemId(idx)
-    }
-
-    /// Removes a rectangle by id. Idempotent: removing twice is a no-op.
-    pub fn remove(&mut self, id: ItemId) {
-        let idx = id.0 as usize;
-        if idx >= self.items.len() || !self.items[idx].alive {
-            return;
-        }
-        self.items[idx].alive = false;
-        let rect = self.items[idx].rect;
-        let (blo, bhi) = self.band_range(rect);
-        let (xlo, xhi) = self.bucket_range(rect);
-        for b in blo..=bhi {
-            for x in xlo..=xhi {
-                self.buckets[b * self.nx + x].retain(|&i| i != id.0);
+                bucket.push(rect);
             }
         }
     }
 
-    /// Whether any live rectangle strictly overlaps `probe` (touching
+    /// Whether any inserted rectangle strictly overlaps `probe` (touching
     /// edges do not conflict; degenerate rects overlap nothing).
     pub fn overlaps_any(&self, probe: Rect) -> bool {
-        self.find_overlap(probe, |_| true).is_some()
-    }
-
-    /// The first live rectangle (in bucket traversal order) strictly
-    /// overlapping `probe` whose key passes `filter`.
-    pub fn find_overlap(&self, probe: Rect, mut filter: impl FnMut(u64) -> bool) -> Option<ItemId> {
         let (blo, bhi) = self.band_range(probe);
         let (xlo, xhi) = self.bucket_range(probe);
         for b in blo..=bhi {
             for x in xlo..=xhi {
-                for &i in &self.buckets[b * self.nx + x] {
-                    let it = &self.items[i as usize];
-                    if it.alive && it.rect.overlaps(probe) && filter(it.key) {
-                        return Some(ItemId(i));
-                    }
+                if self.buckets[b * X_BUCKETS + x]
+                    .iter()
+                    .any(|r| r.overlaps(probe))
+                {
+                    return true;
                 }
             }
         }
-        None
+        false
     }
 
-    /// Visits every live rectangle strictly overlapping `probe` whose key
-    /// passes `filter`, exactly once each, in ascending id order.
-    pub fn range_query(
-        &mut self,
-        probe: Rect,
-        mut filter: impl FnMut(u64) -> bool,
-        mut visit: impl FnMut(ItemId, Rect, u64),
-    ) {
-        self.cur_stamp = self.cur_stamp.wrapping_add(1);
-        if self.cur_stamp == 0 {
-            // Stamp wrapped: reset so stale stamps can't alias the new one.
-            self.stamp.fill(0);
-            self.cur_stamp = 1;
+    /// Whether any inserted rectangle contains `probe` (a degenerate probe
+    /// is covered by nothing). A rectangle that contains a non-empty probe
+    /// touches the bucket of the probe's lower-left corner, so that one
+    /// bucket is the only one scanned.
+    pub fn covers_any(&self, probe: Rect) -> bool {
+        if probe.is_empty() {
+            return false;
         }
-        let (blo, bhi) = self.band_range(probe);
-        let (xlo, xhi) = self.bucket_range(probe);
-        // Collect ids first so visit order is bucket-layout independent.
-        let mut hits: Vec<u32> = Vec::new();
-        for b in blo..=bhi {
-            for x in xlo..=xhi {
-                for &i in &self.buckets[b * self.nx + x] {
-                    if self.stamp[i as usize] == self.cur_stamp {
-                        continue;
-                    }
-                    self.stamp[i as usize] = self.cur_stamp;
-                    let it = &self.items[i as usize];
-                    if it.alive && it.rect.overlaps(probe) && filter(it.key) {
-                        hits.push(i);
-                    }
-                }
-            }
-        }
-        hits.sort_unstable();
-        for i in hits {
-            let it = &self.items[i as usize];
-            visit(ItemId(i), it.rect, it.key);
-        }
+        let (b, _) = self.band_range(probe);
+        let (x, _) = self.bucket_range(probe);
+        self.buckets[b * X_BUCKETS + x]
+            .iter()
+            .any(|r| r.covers(probe))
     }
 
-    /// The live rectangle nearest to `p` by Manhattan distance to the
-    /// rect (0 inside), keyed `(distance, id)` so ties break on the lowest
-    /// id — identical to a naive full scan. Expands outward over bucket
-    /// rings and stops once the ring's lower-bound distance exceeds the
-    /// incumbent.
-    pub fn nearest(&self, p: Point, mut filter: impl FnMut(u64) -> bool) -> Option<(ItemId, Dbu)> {
-        let px = (((p.x - self.x0).max(0)) / self.bucket_w).min(self.nx as Dbu - 1) as usize;
-        let py = (((p.y - self.y0).max(0)) / self.band_h).min(self.ny as Dbu - 1) as usize;
-        let max_ring = self.nx.max(self.ny);
-        let mut best: Option<(Dbu, u32)> = None;
-        for ring in 0..=max_ring {
-            // Any rect in a bucket `ring` steps away is at least
-            // `(ring-1) * min(bucket_w, band_h)` from p (its own bucket and
-            // the adjacent ring can touch p's bucket edge).
-            if let Some((bd, _)) = best {
-                let lower = (ring as Dbu - 1).max(0) * self.bucket_w.min(self.band_h);
-                if lower > bd {
-                    break;
-                }
-            }
-            let mut any_bucket = false;
-            let xlo = px.saturating_sub(ring);
-            let xhi = (px + ring).min(self.nx - 1);
-            let ylo = py.saturating_sub(ring);
-            let yhi = (py + ring).min(self.ny - 1);
-            for b in ylo..=yhi {
-                for x in xlo..=xhi {
-                    // Ring perimeter only (interior was visited earlier).
-                    let on_ring = b == ylo || b == yhi || x == xlo || x == xhi;
-                    let is_outer =
-                        b + ring == py || b == py + ring || x + ring == px || x == px + ring;
-                    if ring > 0 && !(on_ring && is_outer) {
-                        continue;
-                    }
-                    any_bucket = true;
-                    for &i in &self.buckets[b * self.nx + x] {
-                        let it = &self.items[i as usize];
-                        if !it.alive || !filter(it.key) {
-                            continue;
-                        }
-                        let dx = (it.rect.xl - p.x).max(p.x - (it.rect.xh - 1).max(it.rect.xl));
-                        let dy = (it.rect.yl - p.y).max(p.y - (it.rect.yh - 1).max(it.rect.yl));
-                        let d = dx.max(0) + dy.max(0);
-                        let cand = (d, i);
-                        if best.is_none_or(|b| cand < b) {
-                            best = Some(cand);
-                        }
-                    }
-                }
-            }
-            if !any_bucket
-                && ring > 0
-                && xlo == 0
-                && ylo == 0
-                && xhi == self.nx - 1
-                && yhi == self.ny - 1
-            {
-                break;
-            }
-        }
-        best.map(|(d, i)| (ItemId(i), d))
-    }
-
-    /// The rect of a live item.
-    pub fn rect_of(&self, id: ItemId) -> Option<Rect> {
-        self.items
-            .get(id.0 as usize)
-            .filter(|i| i.alive)
-            .map(|i| i.rect)
-    }
-
-    /// Drops every item, retaining bucket and arena capacity.
+    /// Drops every rectangle, retaining bucket capacity.
     /// O(touched buckets), not O(grid).
     pub fn clear(&mut self) {
         for &b in &self.touched {
             self.buckets[b as usize].clear();
         }
         self.touched.clear();
-        self.items.clear();
-        self.stamp.clear();
     }
 }

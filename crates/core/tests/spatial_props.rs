@@ -1,14 +1,13 @@
 //! Property suite for the two-level hierarchical spatial index.
 //!
-//! [`HierGrid`] is a pure pruning layer: every query must return exactly
-//! what a naive O(n) scan over the live rectangles returns — including
-//! fence-key filtering, zero-area degenerate rects, and rects spanning
-//! many row bands. The naive model here is deliberately dumb (a `Vec` of
-//! `(rect, key, alive)`), so any divergence is a grid bug, not a model
-//! bug. An incremental insert/remove sequence pins that the grid never
-//! returns stale (removed) or missing (live) entries mid-stream.
+//! [`HierGrid`] is a pure pruning layer: both of its queries must answer
+//! exactly what a naive O(n) scan over the inserted rectangles answers —
+//! for random rect sets, band heights from 1 to 200, zero-area degenerate
+//! rects and rects spanning every band. The naive model here is
+//! deliberately dumb (a `Vec<Rect>`), so any divergence is a grid bug, not
+//! a model bug.
 
-use mcl_core::spatial::{HierGrid, ItemId};
+use mcl_core::spatial::HierGrid;
 use mcl_db::prelude::*;
 use proptest::prelude::*;
 
@@ -21,197 +20,70 @@ const CORE: Rect = Rect {
 
 /// Rect strategy mixing regular windows, multi-row-tall spans, and
 /// zero-area degenerates (w and/or h drawn from `0..`): the degenerate
-/// cases must index cleanly and overlap nothing.
+/// cases must index cleanly and overlap or cover nothing.
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0i64..2900, 0i64..1700, 0i64..600, 0i64..900)
         .prop_map(|(x, y, w, h)| Rect::new(x, y, (x + w).min(3000), (y + h).min(1800)))
 }
 
-/// `(rect, fence key)` — a handful of key values so filtered queries hit
-/// both matching and non-matching entries.
-fn arb_entry() -> impl Strategy<Value = (Rect, u64)> {
-    (arb_rect(), 0u64..3).prop_map(|(r, k)| (r, k))
+/// Stored rects: mostly [`arb_rect`], plus full-height spans that cross
+/// every band whatever the band height.
+fn arb_entry() -> impl Strategy<Value = Rect> {
+    (0u8..5, arb_rect()).prop_map(|(pick, r)| {
+        if pick == 0 {
+            Rect::new(r.xl, 0, r.xh, 1800)
+        } else {
+            r
+        }
+    })
 }
 
-/// The naive reference: full scan with the exact strict-overlap predicate.
-struct Naive {
-    items: Vec<(Rect, u64, bool)>,
-}
-
-impl Naive {
-    fn new() -> Self {
-        Self { items: Vec::new() }
+/// Probes: random rects, plus sub-rects of a stored one so the coverage
+/// test sees covered probes, not only uncovered ones.
+fn probes_for(entries: &[Rect], picks: &[(usize, u64)], randoms: &[Rect]) -> Vec<Rect> {
+    let mut probes = randoms.to_vec();
+    for &(i, cut) in picks {
+        let r = entries[i % entries.len()];
+        let (w, h) = (r.xh - r.xl, r.yh - r.yl);
+        let dx = (cut % 7) as Dbu * w / 16;
+        let dy = ((cut >> 3) % 7) as Dbu * h / 16;
+        probes.push(Rect::new(
+            r.xl + dx,
+            r.yl + dy,
+            r.xh - dx / 2,
+            r.yh - dy / 2,
+        ));
+        probes.push(r);
     }
-
-    fn insert(&mut self, r: Rect, k: u64) -> usize {
-        self.items.push((r, k, true));
-        self.items.len() - 1
-    }
-
-    fn remove(&mut self, i: usize) {
-        self.items[i].2 = false;
-    }
-
-    fn range(&self, probe: Rect, key: Option<u64>) -> Vec<usize> {
-        self.items
-            .iter()
-            .enumerate()
-            .filter(|(_, (r, k, alive))| {
-                *alive && r.overlaps(probe) && key.is_none_or(|want| *k == want)
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Mirrors `HierGrid::nearest`: Manhattan distance to the closed
-    /// integer box `[xl, max(xh-1, xl)] x [yl, max(yh-1, yl)]`, ties to
-    /// the lowest id.
-    fn nearest(&self, p: Point, key: Option<u64>) -> Option<(usize, Dbu)> {
-        self.items
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, k, alive))| *alive && key.is_none_or(|want| *k == want))
-            .map(|(i, (r, _, _))| {
-                let dx = (r.xl - p.x).max(p.x - (r.xh - 1).max(r.xl));
-                let dy = (r.yl - p.y).max(p.y - (r.yh - 1).max(r.yl));
-                (i, dx.max(0) + dy.max(0))
-            })
-            .min_by_key(|&(i, d)| (d, i))
-    }
-}
-
-/// Ids visited by a grid range query, as raw indices (insertion order ==
-/// arena order, which both sides share).
-fn grid_range(grid: &mut HierGrid, ids: &[ItemId], probe: Rect, key: Option<u64>) -> Vec<usize> {
-    let mut hits = Vec::new();
-    grid.range_query(
-        probe,
-        |k| key.is_none_or(|want| k == want),
-        |id, _, _| {
-            let i = ids
-                .iter()
-                .position(|&x| x == id)
-                .expect("visited id was inserted");
-            hits.push(i);
-        },
-    );
-    hits
+    probes
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Range queries agree with the naive scan for every probe, with and
-    /// without fence-key filtering, across band counts.
+    /// `overlaps_any` and `covers_any` agree with the naive scan for every
+    /// probe across band heights 1–200.
     #[test]
-    fn range_query_matches_naive(
+    fn queries_match_naive(
         entries in prop::collection::vec(arb_entry(), 1..120),
-        probes in prop::collection::vec(arb_rect(), 1..20),
-        band_h in 1i64..200,
+        picks in prop::collection::vec((0usize..120, 0u64..64), 0..20),
+        randoms in prop::collection::vec(arb_rect(), 1..20),
+        band_h in 1i64..=200,
     ) {
         let mut grid = HierGrid::new(CORE, band_h);
-        let mut naive = Naive::new();
-        let mut ids = Vec::new();
-        for &(r, k) in &entries {
-            ids.push(grid.insert(r, k));
-            naive.insert(r, k);
+        for &r in &entries {
+            grid.insert(r);
         }
-        for &probe in &probes {
-            for key in [None, Some(0), Some(1), Some(2)] {
-                let mut got = grid_range(&mut grid, &ids, probe, key);
-                got.sort_unstable();
-                prop_assert_eq!(got, naive.range(probe, key), "probe {:?} key {:?}", probe, key);
-                prop_assert_eq!(
-                    grid.find_overlap(probe, |k| key.is_none_or(|w| k == w)).is_some(),
-                    !naive.range(probe, key).is_empty(),
-                    "find_overlap at probe {:?} key {:?}", probe, key
-                );
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Nearest queries agree with the naive argmin — distance AND identity
-    /// (ties break to the lowest id on both sides).
-    #[test]
-    fn nearest_matches_naive(
-        entries in prop::collection::vec(arb_entry(), 1..80),
-        probes in prop::collection::vec((0i64..3000, 0i64..1800), 1..25),
-        band_h in 1i64..200,
-    ) {
-        let mut grid = HierGrid::new(CORE, band_h);
-        let mut naive = Naive::new();
-        let mut ids = Vec::new();
-        for &(r, k) in &entries {
-            ids.push(grid.insert(r, k));
-            naive.insert(r, k);
-        }
-        for &(px, py) in &probes {
-            let p = Point::new(px, py);
-            for key in [None, Some(0), Some(1)] {
-                let got = grid
-                    .nearest(p, |k| key.is_none_or(|w| k == w))
-                    .map(|(id, d)| (ids.iter().position(|&x| x == id).unwrap(), d));
-                prop_assert_eq!(got, naive.nearest(p, key), "probe {:?} key {:?}", p, key);
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Incremental insert/remove stream: after every operation the grid
-    /// returns exactly the live set — no stale hit after a removal, no
-    /// missing hit for a live rect, and re-removal stays a no-op.
-    #[test]
-    fn incremental_insert_remove_never_stale(
-        entries in prop::collection::vec(arb_entry(), 4..60),
-        ops in prop::collection::vec((0u64..4, 0u64..64), 8..80),
-        probe_seed in 0u64..1000,
-    ) {
-        let mut grid = HierGrid::new(CORE, 90);
-        let mut naive = Naive::new();
-        let mut ids: Vec<ItemId> = Vec::new();
-        let mut next = 0usize;
-        let mut probe_rng = probe_seed;
-        for &(op, pick) in &ops {
-            match op {
-                // Insert the next unseen entry (cycling through the pool).
-                0 | 1 => {
-                    let (r, k) = entries[next % entries.len()];
-                    next += 1;
-                    ids.push(grid.insert(r, k));
-                    naive.insert(r, k);
-                }
-                // Remove an arbitrary previously inserted entry (possibly
-                // already dead: removal must be idempotent on both sides).
-                2 => {
-                    if !ids.is_empty() {
-                        let i = (pick as usize) % ids.len();
-                        grid.remove(ids[i]);
-                        naive.remove(i);
-                    }
-                }
-                // Clear and restart.
-                _ => {
-                    grid.clear();
-                    ids.clear();
-                    naive = Naive::new();
-                }
-            }
-            // Deterministic probe per step.
-            probe_rng = probe_rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let px = (probe_rng >> 33) as i64 % 2900;
-            let py = (probe_rng >> 13) as i64 % 1700;
-            let probe = Rect::new(px, py, px + 90, py + 120);
-            let mut got = grid_range(&mut grid, &ids, probe, None);
-            got.sort_unstable();
-            prop_assert_eq!(got, naive.range(probe, None), "after op {:?}", (op, pick));
+        for probe in probes_for(&entries, &picks, &randoms) {
             prop_assert_eq!(
                 grid.overlaps_any(probe),
-                !naive.range(probe, None).is_empty()
+                entries.iter().any(|r| r.overlaps(probe)),
+                "overlaps_any at probe {:?}", probe
+            );
+            prop_assert_eq!(
+                grid.covers_any(probe),
+                !probe.is_empty() && entries.iter().any(|r| r.covers(probe)),
+                "covers_any at probe {:?}", probe
             );
         }
     }
@@ -219,16 +91,45 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Degenerate (zero-area) rects index cleanly and overlap nothing, in
-    /// either role (stored or probe) — exactly like the naive predicate.
+
+    /// The scheduler's use: insert each probe that overlaps nothing so
+    /// far, clearing now and then; answers track the naive model across
+    /// clears.
+    #[test]
+    fn insert_clear_stream_matches_naive(
+        stream in prop::collection::vec((arb_rect(), 0u8..16), 1..200),
+        band_h in 1i64..=200,
+    ) {
+        let mut grid = HierGrid::new(CORE, band_h);
+        let mut naive: Vec<Rect> = Vec::new();
+        for &(probe, op) in &stream {
+            if op == 0 {
+                grid.clear();
+                naive.clear();
+            }
+            let expect = naive.iter().any(|r| r.overlaps(probe));
+            prop_assert_eq!(grid.overlaps_any(probe), expect, "probe {:?}", probe);
+            if !expect {
+                grid.insert(probe);
+                naive.push(probe);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Degenerate (zero-area) rects index cleanly and overlap or cover
+    /// nothing, in either role (stored or probe).
     #[test]
     fn degenerate_rects_overlap_nothing(
         x in 0i64..3000, y in 0i64..1800,
         others in prop::collection::vec(arb_entry(), 1..40),
     ) {
         let mut grid = HierGrid::new(CORE, 90);
-        for &(r, k) in &others {
-            grid.insert(r, k);
+        for &r in &others {
+            grid.insert(r);
         }
         // Zero width, zero height, and zero both.
         for probe in [
@@ -237,31 +138,48 @@ proptest! {
             Rect::new(x, y, x, y),
         ] {
             prop_assert!(!grid.overlaps_any(probe), "degenerate probe {:?}", probe);
+            prop_assert!(!grid.covers_any(probe), "degenerate probe {:?}", probe);
         }
-        let id = grid.insert(Rect::new(x, y, x, y), 0);
-        prop_assert!(!grid.overlaps_any(Rect::new(0, 0, 3000, 1800)) || {
-            // The full-core probe may hit the *other* rects; the degenerate
-            // entry itself must never be the hit.
-            grid.find_overlap(Rect::new(0, 0, 3000, 1800), |_| true) != Some(id)
-        });
+        // A degenerate entry alone answers no to everything.
+        let mut lone = HierGrid::new(CORE, 90);
+        lone.insert(Rect::new(x, y, x, y));
+        prop_assert!(!lone.overlaps_any(CORE));
+        prop_assert!(!lone.covers_any(Rect::new(x, y, x + 1, y + 1)));
     }
 }
 
-/// Multi-row spans: one rect covering many bands is reported once per
-/// query (the stamp dedup), not once per band it touches.
 #[test]
-fn tall_rect_visits_once() {
+fn touching_edges_do_not_overlap() {
     let mut grid = HierGrid::new(CORE, 90);
-    let tall = grid.insert(Rect::new(100, 0, 200, 1800), 7);
-    let mut visits = 0;
-    grid.range_query(
-        Rect::new(0, 0, 3000, 1800),
-        |_| true,
-        |id, _, k| {
-            assert_eq!(id, tall);
-            assert_eq!(k, 7);
-            visits += 1;
-        },
-    );
-    assert_eq!(visits, 1, "one visit despite spanning every band");
+    grid.insert(Rect::new(100, 100, 200, 200));
+    // Abutting on each side: strict overlap is false.
+    assert!(!grid.overlaps_any(Rect::new(200, 100, 300, 200)));
+    assert!(!grid.overlaps_any(Rect::new(0, 100, 100, 200)));
+    assert!(!grid.overlaps_any(Rect::new(100, 200, 200, 300)));
+    assert!(!grid.overlaps_any(Rect::new(100, 0, 200, 100)));
+    // One unit of intrusion overlaps.
+    assert!(grid.overlaps_any(Rect::new(199, 100, 300, 200)));
+    // Containment is closed: a rect covers itself and its edge-flush
+    // sub-rects, and nothing one unit past its edge.
+    assert!(grid.covers_any(Rect::new(100, 100, 200, 200)));
+    assert!(grid.covers_any(Rect::new(150, 100, 200, 150)));
+    assert!(!grid.covers_any(Rect::new(150, 100, 201, 150)));
+}
+
+#[test]
+fn full_core_rect_is_found_from_every_corner() {
+    let mut grid = HierGrid::new(CORE, 90);
+    grid.insert(CORE);
+    for probe in [
+        Rect::new(0, 0, 1, 1),
+        Rect::new(2999, 1799, 3000, 1800),
+        Rect::new(0, 1799, 1, 1800),
+        Rect::new(2999, 0, 3000, 1),
+    ] {
+        assert!(grid.overlaps_any(probe), "{probe:?}");
+        assert!(grid.covers_any(probe), "{probe:?}");
+    }
+    grid.clear();
+    assert!(!grid.overlaps_any(CORE));
+    assert!(!grid.covers_any(Rect::new(0, 0, 1, 1)));
 }

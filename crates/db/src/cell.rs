@@ -94,11 +94,6 @@ impl CellType {
         }
     }
 
-    /// Whether the cell spans more than one row.
-    pub fn is_multi_row(&self) -> bool {
-        self.height_rows > 1
-    }
-
     /// The pin rectangle of pin `idx` under the given orientation and row
     /// height, still cell-local.
     pub fn pin_rect_local(&self, idx: usize, orient: Orient, row_height: Dbu) -> Rect {

@@ -41,11 +41,6 @@ impl FenceRegion {
             .copied()
             .fold(Rect::default(), |acc, r| acc.union(r))
     }
-
-    /// Whether the region is the implicit default fence.
-    pub fn is_default(&self) -> bool {
-        self.rects.is_empty()
-    }
 }
 
 /// Resolves which fence owns a given rectangle among a list of fences

@@ -366,16 +366,6 @@ pub fn golden_corpus() -> Vec<GeneratorConfig> {
     ]
 }
 
-/// All Table-1 configurations at `scale`.
-pub fn iccad17_suite(scale: f64) -> Vec<GeneratorConfig> {
-    ICCAD17.iter().map(|s| iccad17_config(s, scale)).collect()
-}
-
-/// All Table-2 configurations at `scale`.
-pub fn ispd15_suite(scale: f64) -> Vec<GeneratorConfig> {
-    ISPD15.iter().map(|s| ispd15_config(s, scale)).collect()
-}
-
 fn scaled(cells: usize, scale: f64) -> usize {
     ((cells as f64 * scale).round() as usize).max(200)
 }

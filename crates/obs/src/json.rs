@@ -169,12 +169,6 @@ impl JsonWriter {
         self.value_u64(v);
     }
 
-    /// `key` + signed integer value.
-    pub fn field_i64(&mut self, k: &str, v: i64) {
-        self.key(k);
-        self.value_i64(v);
-    }
-
     /// `key` + fixed-decimal float value.
     pub fn field_f64(&mut self, k: &str, v: f64, decimals: usize) {
         self.key(k);

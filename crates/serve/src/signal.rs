@@ -50,8 +50,3 @@ pub fn install() {
 pub fn requested() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
-
-/// Test hook: simulates a termination signal in-process.
-pub fn raise_for_test() {
-    SIGNALLED.store(true, Ordering::SeqCst);
-}

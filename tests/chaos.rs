@@ -1,5 +1,5 @@
 //! Chaos suite: deterministic fault injection against the containment
-//! contract of DESIGN.md §11 (run with `--features faultinject`).
+//! contract of DESIGN.md §11 (`make chaos`).
 //!
 //! The invariants pinned here, at 1/2/4 threads where thread count is part
 //! of the contract:
@@ -16,16 +16,14 @@
 //!    snapshots.
 //! 4. **Degradation costs quality, never legality** — every degraded
 //!    result passes the clean-room legality auditor.
-//! 5. **The harness itself is inert** — with `faultinject` compiled in but
-//!    no plan armed, replay logs stay bit-identical across thread counts.
+//! 5. **The harness itself is inert** — with no plan armed, replay logs
+//!    stay bit-identical across thread counts.
 //! 6. **The `serial` rung is the fault-free algorithm** — MGL rerun inline,
 //!    without helpers, reproduces the fault-free placement at the same
 //!    thread count.
 //! 7. **A failed ECO delta is atomic** — an exhausted MGL ladder or the
 //!    session deadline leaves the session's base, certificate and resident
 //!    state as they were: its next delta matches a fresh session's.
-
-#![cfg(feature = "faultinject")]
 
 use mclegal::audit;
 use mclegal::core::insertion::InsertionScratch;

@@ -1,4 +1,4 @@
-//! Server-layer chaos suite (run with `--features faultinject`): the
+//! Server-layer chaos suite (`make chaos`): the
 //! daemon's containment contract under injected faults.
 //!
 //! Invariants pinned here:
@@ -18,8 +18,6 @@
 //! 5. **Client disconnect** — a connection lost after acceptance never
 //!    decides a job's fate: the report lands, the journal says DONE, and
 //!    the daemon stays healthy.
-
-#![cfg(feature = "faultinject")]
 
 use mclegal::core::{Engine, FaultPlan, FaultSite, LegalizerConfig, RunSpec};
 use mclegal::db::prelude::*;
