@@ -22,7 +22,14 @@ use mcl_db::geom::{Dbu, Point};
 
 use crate::legality::{clipped_rows, FenceSpans};
 
-/// One committed placement mutation.
+/// One committed placement mutation, with what it overwrote.
+///
+/// `Remove` and `ShiftX` carry the position they replaced, so every op can
+/// be inverted from the log alone: undoing the ops after a mark, newest
+/// first, and truncating the log back to that mark is how an uncommitted
+/// stage or ECO delta leaves the placement and the log. The before-fields
+/// follow from the log's prefix, so [`ReplayLog::digest`] leaves them out
+/// and [`ReplayLog::verify`] checks them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayOp {
     /// Cell placed with its lower-left corner at `(x, y)`.
@@ -38,17 +45,35 @@ pub enum ReplayOp {
     Remove {
         /// Cell removed.
         cell: CellId,
+        /// Lower-left x it vacated.
+        x: Dbu,
+        /// Lower-left y it vacated.
+        y: Dbu,
     },
     /// Placed cell moved horizontally to `x` within its rows.
     ShiftX {
         /// Cell shifted.
         cell: CellId,
+        /// Lower-left x before the shift.
+        from: Dbu,
         /// New lower-left x.
         x: Dbu,
     },
 }
 
-/// An append-only record of placement mutations, in commit order.
+impl ReplayOp {
+    /// The cell the op mutates.
+    pub fn cell(self) -> CellId {
+        match self {
+            ReplayOp::Place { cell, .. }
+            | ReplayOp::Remove { cell, .. }
+            | ReplayOp::ShiftX { cell, .. } => cell,
+        }
+    }
+}
+
+/// A record of placement mutations, in commit order: appended to, and
+/// split at a mark when the ops after it are undone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayLog {
     ops: Vec<ReplayOp>,
@@ -65,14 +90,14 @@ impl ReplayLog {
         self.ops.push(ReplayOp::Place { cell, x, y });
     }
 
-    /// Records a removal.
-    pub fn record_remove(&mut self, cell: CellId) {
-        self.ops.push(ReplayOp::Remove { cell });
+    /// Records the removal of a cell from `(x, y)`.
+    pub fn record_remove(&mut self, cell: CellId, x: Dbu, y: Dbu) {
+        self.ops.push(ReplayOp::Remove { cell, x, y });
     }
 
-    /// Records a horizontal shift.
-    pub fn record_shift_x(&mut self, cell: CellId, x: Dbu) {
-        self.ops.push(ReplayOp::ShiftX { cell, x });
+    /// Records a horizontal shift from `from` to `x`.
+    pub fn record_shift_x(&mut self, cell: CellId, from: Dbu, x: Dbu) {
+        self.ops.push(ReplayOp::ShiftX { cell, from, x });
     }
 
     /// The recorded operations in commit order.
@@ -90,13 +115,18 @@ impl ReplayLog {
         self.ops.is_empty()
     }
 
-    /// Discards all recorded operations.
-    pub fn clear(&mut self) {
-        self.ops.clear();
+    /// Splits the log at `mark`: returns the operations from `mark` on,
+    /// keeping those before it.
+    pub fn split_off(&mut self, mark: usize) -> ReplayLog {
+        ReplayLog {
+            ops: self.ops.split_off(mark.min(self.ops.len())),
+        }
     }
 
     /// Order-sensitive FNV-1a digest of the log. Equal digests on runs with
-    /// different thread counts are the determinism invariant.
+    /// different thread counts are the determinism invariant. The
+    /// before-fields of `Remove` and `ShiftX` are not hashed: they follow
+    /// from the ops before them.
     pub fn digest(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -114,11 +144,11 @@ impl ReplayLog {
                     eat(x as u64);
                     eat(y as u64);
                 }
-                ReplayOp::Remove { cell } => {
+                ReplayOp::Remove { cell, .. } => {
                     eat(2);
                     eat(u64::from(cell.0));
                 }
-                ReplayOp::ShiftX { cell, x } => {
+                ReplayOp::ShiftX { cell, x, .. } => {
                     eat(3);
                     eat(u64::from(cell.0));
                     eat(x as u64);
@@ -174,6 +204,9 @@ pub enum ReplayErrorKind {
     OutsideFence,
     /// Target rectangle overlaps another cell or a fixed blockage.
     Overlap(CellId),
+    /// A remove or shift records a before-position other than where the
+    /// cell is.
+    WrongOrigin,
 }
 
 impl fmt::Display for ReplayError {
@@ -311,11 +344,7 @@ impl<'a> Replayer<'a> {
         let d = self.design;
         let rh = d.tech.row_height;
         for (op_index, op) in ops.iter().enumerate() {
-            let cell = match *op {
-                ReplayOp::Place { cell, .. }
-                | ReplayOp::Remove { cell }
-                | ReplayOp::ShiftX { cell, .. } => cell,
-            };
+            let cell = op.cell();
             let fail = |kind| ReplayError {
                 op_index,
                 cell,
@@ -336,15 +365,21 @@ impl<'a> Replayer<'a> {
                     let fp = self.check_site(cell, x, y, true).map_err(fail)?;
                     self.placed[idx] = Some(fp);
                 }
-                ReplayOp::Remove { .. } => {
-                    if self.placed[idx].take().is_none() {
+                ReplayOp::Remove { x, y, .. } => {
+                    let Some(cur) = self.placed[idx].take() else {
                         return Err(fail(ReplayErrorKind::NotPlaced));
+                    };
+                    if (cur.xl, d.core.yl + cur.row_lo as Dbu * rh) != (x, y) {
+                        return Err(fail(ReplayErrorKind::WrongOrigin));
                     }
                 }
-                ReplayOp::ShiftX { x, .. } => {
+                ReplayOp::ShiftX { from, x, .. } => {
                     let Some(cur) = self.placed[idx] else {
                         return Err(fail(ReplayErrorKind::NotPlaced));
                     };
+                    if cur.xl != from {
+                        return Err(fail(ReplayErrorKind::WrongOrigin));
+                    }
                     let y = d.core.yl + cur.row_lo as Dbu * rh;
                     let fp = self.check_site(cell, x, y, true).map_err(fail)?;
                     self.placed[idx] = Some(fp);
@@ -396,8 +431,8 @@ mod tests {
         let mut log = ReplayLog::new();
         log.record_place(CellId(0), 0, 0);
         log.record_place(CellId(1), 20, 0);
-        log.record_shift_x(CellId(1), 40);
-        log.record_remove(CellId(0));
+        log.record_shift_x(CellId(1), 20, 40);
+        log.record_remove(CellId(0), 0, 0);
         log.record_place(CellId(2), 0, 0);
         let pos = log.verify(&d).expect("legal sequence");
         assert_eq!(pos[0], None);
@@ -411,7 +446,7 @@ mod tests {
         let mut log = ReplayLog::new();
         log.record_place(CellId(0), 0, 0);
         log.record_place(CellId(1), 10, 0); // overlaps cell 0
-        log.record_remove(CellId(0)); // "fixed" afterwards — still illegal
+        log.record_remove(CellId(0), 0, 0); // "fixed" afterwards — still illegal
         let err = log.verify(&d).unwrap_err();
         assert_eq!(err.op_index, 1);
         assert_eq!(err.kind, ReplayErrorKind::Overlap(CellId(0)));
@@ -428,7 +463,7 @@ mod tests {
             ReplayErrorKind::AlreadyPlaced
         );
         let mut log = ReplayLog::new();
-        log.record_remove(CellId(1));
+        log.record_remove(CellId(1), 40, 0);
         assert_eq!(log.verify(&d).unwrap_err().kind, ReplayErrorKind::NotPlaced);
         let mut log = ReplayLog::new();
         log.record_place(CellId(9), 0, 0);
@@ -443,10 +478,58 @@ mod tests {
         let d = design();
         let mut log = ReplayLog::new();
         log.record_place(CellId(0), 0, 0);
-        log.record_shift_x(CellId(0), 15);
+        log.record_shift_x(CellId(0), 0, 15);
         assert_eq!(
             log.verify(&d).unwrap_err().kind,
             ReplayErrorKind::Misaligned
         );
+    }
+
+    #[test]
+    fn verify_rejects_wrong_origins() {
+        let d = design();
+        for op in [
+            ReplayOp::Remove {
+                cell: CellId(0),
+                x: 20,
+                y: 0,
+            },
+            ReplayOp::Remove {
+                cell: CellId(0),
+                x: 0,
+                y: 90,
+            },
+            ReplayOp::ShiftX {
+                cell: CellId(0),
+                from: 20,
+                x: 40,
+            },
+        ] {
+            let mut log = ReplayLog::new();
+            log.record_place(CellId(0), 0, 0);
+            log.ops.push(op);
+            let err = log.verify(&d).unwrap_err();
+            assert_eq!((err.op_index, err.kind), (1, ReplayErrorKind::WrongOrigin));
+        }
+    }
+
+    #[test]
+    fn ops_stay_24_bytes_and_digest_skips_before_fields() {
+        assert_eq!(std::mem::size_of::<ReplayOp>(), 24);
+        let mut a = ReplayLog::new();
+        a.record_shift_x(CellId(0), 0, 40);
+        a.record_remove(CellId(0), 40, 0);
+        let mut b = ReplayLog::new();
+        b.record_shift_x(CellId(0), 20, 40);
+        b.record_remove(CellId(0), 60, 90);
+        assert_eq!(a.digest(), b.digest());
+        let tail = a.split_off(1);
+        assert_eq!(a.len(), 1);
+        let removal = ReplayOp::Remove {
+            cell: CellId(0),
+            x: 40,
+            y: 0,
+        };
+        assert_eq!(tail.ops(), &[removal]);
     }
 }

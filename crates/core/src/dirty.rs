@@ -2,9 +2,10 @@
 //!
 //! A delta run mutates a handful of cells; everything the post stages are
 //! allowed to touch must be derivable from those mutations alone. This
-//! module turns the raw dirty set tracked by [`PlacementState`]
-//! (epoch-stamped cells plus the rects they vacated) into the *closure*:
-//! the cells a delta-mode post stage may move.
+//! module turns the raw dirty set [`PlacementState::dirty_cells`] derives
+//! from the delta's replay log (the cells mutated since the epoch's log
+//! mark, with the rects they held at it) into the *closure*: the cells a
+//! delta-mode post stage may move.
 //!
 //! Each seed (a mutated cell) anchors one box on the rect it vacated and
 //! one on the rect it now occupies. A box is the anchor rect grown by the
@@ -113,7 +114,7 @@ pub fn anchor_box(d: &Design, config: &LegalizerConfig, r: Rect) -> Rect {
 /// clipped to its walk's box joins the closure and contributes its own
 /// window in the same box, until no window finds a new cell.
 pub fn compute(state: &PlacementState<'_>, config: &LegalizerConfig) -> DirtyClosure {
-    compute_from_seeds(state, config, state.dirty_cells())
+    compute_from_seeds(state, config, &state.dirty_cells())
 }
 
 /// [`compute`] over an explicit seed list (cell, pre-mutation rect).

@@ -11,8 +11,8 @@
 //! * [`FailureClass::Degradable`] — the stage as a whole cannot complete,
 //!   but a declared fallback rung exists (pooled MGL → inline MGL,
 //!   maxdisp → skip with identity assignment, refine → skip). The driver
-//!   rolls the placement back to the pre-stage checkpoint and takes the
-//!   rung; the rung taken is recorded as a [`Degradation`].
+//!   undoes the placement back to the stage's replay-log mark and takes
+//!   the rung; the rung taken is recorded as a [`Degradation`].
 //! * [`FailureClass::Fatal`] — no rung is left (or a degraded result
 //!   failed the clean-room audit); the job errors out as a whole. In a
 //!   batch this stays per-job: other jobs are unaffected.
@@ -57,7 +57,7 @@ impl fmt::Display for FailureClass {
 #[non_exhaustive]
 pub enum LegalizeError {
     /// A stage body (or an injected fault standing in for one) panicked.
-    /// The placement has been rolled back to the pre-stage checkpoint.
+    /// The placement has been undone back to its pre-stage state.
     StagePanicked {
         /// Stage name (`"mgl"`, `"maxdisp"`, `"fixed_order"`).
         stage: &'static str,

@@ -112,7 +112,7 @@ pub struct EcoSession {
     engine: Engine,
     cert: mcl_audit::BandCert,
     /// The base's placement state, detached from `design` between deltas;
-    /// its dirty set is empty and its replay log holds nothing.
+    /// its replay log holds nothing, so its dirty set is empty.
     resident: Columns,
     /// The run's displacement weights: they depend on cell types and
     /// heights only, which a delta never changes.
@@ -367,20 +367,21 @@ impl Drop for MovedCells<'_> {
 }
 
 /// The session's resident state, attached to its design for one delta.
-/// Dropped before [`Self::commit`] (an error return or an unwind), it
-/// rolls the delta back: the epoch's dirty cells return to their origin
-/// rects and the moved cells to their base positions. Either way the
-/// state goes back to the session with an empty epoch and log.
+/// Its replay log is empty on attach, so log mark 0 is the base. Dropped
+/// before [`Self::commit`] (an error return or an unwind), it undoes the
+/// delta, the moved cells' removals included, back to that mark. Either
+/// way the state goes back to the session with an empty log.
 struct Attached<'s, 'd> {
     /// `None` once handed back.
     state: Option<PlacementState<'d>>,
     home: &'s mut Columns,
-    moved: &'d [Undo],
+    /// Log mark after the moved cells' removals: the delta's epoch.
+    epoch: usize,
 }
 
 impl<'s, 'd> Attached<'s, 'd> {
     /// Attaches the resident state and vacates the moved cells in it.
-    fn start(home: &'s mut Columns, design: &'d Design, moved: &'d [Undo]) -> Self {
+    fn start(home: &'s mut Columns, design: &'d Design, moved: &[Undo]) -> Self {
         let mut state = PlacementState::attach(std::mem::take(home), design);
         for u in moved {
             if state.pos(u.cell).is_some() {
@@ -388,14 +389,14 @@ impl<'s, 'd> Attached<'s, 'd> {
             }
         }
         // The vacated cells seed the delta the way adoption seeds a
-        // one-shot run: outside its epoch and its log, so the dirty seeds
-        // and every output are the reference's.
-        state.take_replay_log();
+        // one-shot run: before its epoch and outside its log, so the dirty
+        // seeds and every output are the reference's.
+        let epoch = state.mark();
         state.begin_epoch();
         Self {
             state: Some(state),
             home,
-            moved,
+            epoch,
         }
     }
 
@@ -414,17 +415,15 @@ impl<'s, 'd> Attached<'s, 'd> {
     }
 
     /// Keeps the delta and hands the state back. Returns the cells whose
-    /// position may have changed (the epoch's dirty cells, then the moved
-    /// ones) and the delta's replay log.
+    /// position may have changed (every cell the log touched since the
+    /// base, the moved cells' removals included) and the delta's replay
+    /// log (the ops after the removals).
     fn commit(mut self) -> (Vec<CellId>, mcl_audit::ReplayLog) {
         let Some(mut state) = self.state.take() else {
             return (Vec::new(), mcl_audit::ReplayLog::new());
         };
-        let mut changed: Vec<CellId> = state.dirty_cells().iter().map(|&(c, _)| c).collect();
-        let undirtied = self.moved.iter().map(|u| u.cell);
-        changed.extend(undirtied.filter(|&c| !state.is_dirty(c)));
-        let replay = state.take_replay_log();
-        state.begin_epoch();
+        let changed = state.touched_since(0).into_iter().map(|(c, _)| c).collect();
+        let replay = state.take_replay_log().split_off(self.epoch);
         *self.home = state.detach();
         (changed, replay)
     }
@@ -435,16 +434,7 @@ impl Drop for Attached<'_, '_> {
         let Some(mut state) = self.state.take() else {
             return;
         };
-        state.roll_back_epoch();
-        for u in self.moved {
-            if let (Some(p), None) = (u.pos, state.pos(u.cell)) {
-                // The base footprint is free again once the epoch is
-                // rolled back, so this cannot fail (and must not panic).
-                let _ = state.place(u.cell, p);
-            }
-        }
-        state.take_replay_log();
-        state.begin_epoch();
+        state.undo_to(0);
         *self.home = state.detach();
     }
 }

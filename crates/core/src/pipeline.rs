@@ -353,10 +353,11 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 ///
 /// # Fault containment (DESIGN.md §11)
 ///
-/// Every stage runs against a checkpoint of the placement. A stage
-/// that returns a typed [`LegalizeError`] or panics is rolled back — no
-/// partial mutation ever escapes a failed stage — and the declared
-/// degradation ladder decides what happens next:
+/// Every stage starts at a mark in the placement's replay log. A stage
+/// that returns a typed [`LegalizeError`] or panics is undone back to
+/// that mark from the log (`PlacementState::undo_to`; no copy of the
+/// placement is kept), so no partial mutation ever escapes a failed
+/// stage, and the declared degradation ladder decides what happens next:
 ///
 /// - `mgl`: retry once inline, without helpers (rung `"serial"`). MGL
 ///   output does not depend on the thread count, so the rung reproduces
@@ -394,7 +395,7 @@ pub fn run_stages<'d>(
     for stage in config.stages.iter() {
         let name = stage.name();
         let post = stage != Stage::Mgl;
-        if post && spec == RunSpec::EcoDelta && state.dirty_tracking() && delta.is_none() {
+        if post && spec == RunSpec::EcoDelta && delta.is_none() {
             let t_closure = Stopwatch::start();
             let dc = crate::dirty::compute(state, config);
             stats
@@ -445,8 +446,8 @@ pub fn run_stages<'d>(
             scratches.len()
         };
         let t = Stopwatch::start();
-        // Checkpoint so a failed stage can never leak partial mutation.
-        let checkpoint = state.clone();
+        // A failed stage is undone to here: no partial mutation escapes.
+        let mark = state.mark();
         let first = run_stage_guarded(
             stage,
             design,
@@ -458,7 +459,7 @@ pub fn run_stages<'d>(
             delta.as_ref(),
         );
         if let Err(e) = first {
-            *state = checkpoint.clone();
+            state.undo_to(mark);
             if e.class() == FailureClass::Fatal {
                 return Err(e);
             }
@@ -479,7 +480,7 @@ pub fn run_stages<'d>(
                 // Already at the bottom rung.
                 return Err(e);
             }
-            // Rung: rerun inline from the restored checkpoint.
+            // Rung: rerun inline from the restored pre-stage state.
             match run_stage_guarded(
                 stage,
                 design,
@@ -497,7 +498,7 @@ pub fn run_stages<'d>(
                 }),
                 Err(e2) => {
                     // Ladder exhausted: restore and fail the job.
-                    *state = checkpoint;
+                    state.undo_to(mark);
                     return Err(e2);
                 }
             }
@@ -518,7 +519,7 @@ pub fn run_stages<'d>(
                 record_disp_histogram(obs, state, design, histo, members);
             }
             None if spec == RunSpec::EcoDelta => {
-                let dirty = state.dirty_cells().iter().map(|&(c, _)| c);
+                let dirty = state.dirty_cells().into_iter().map(|(c, _)| c);
                 record_disp_histogram(obs, state, design, histo, dirty);
             }
             None => record_disp_histogram(obs, state, design, histo, design.movable_cells()),

@@ -4,7 +4,16 @@
 //! occupying it. Fixed cells are *not* tracked: segments are built with
 //! fixed obstructions already subtracted, so walls seen by the algorithms
 //! are segment boundaries and other movable cells only.
+//!
+//! Every mutation goes through [`PlacementState::place`],
+//! [`PlacementState::remove`] or [`PlacementState::shift_x`], each of which
+//! either completes or changes nothing, and is recorded in the state's
+//! replay log together with the position it overwrote. That log is the
+//! state's one journal: `PlacementState::undo_to` rolls a failed stage or
+//! ECO delta back to a log mark, and [`PlacementState::touched_since`]
+//! derives the cells a delta mutated (the ECO dirty set) from it.
 
+use mcl_audit::ReplayOp;
 use mcl_db::prelude::*;
 
 /// Error placing a cell.
@@ -61,10 +70,6 @@ pub struct CellSoA {
     height_rows: Vec<u32>,
     fence: Vec<FenceId>,
     edge_class: Vec<(u8, u8)>,
-    /// Epoch stamp of the last mutation touching the cell; `0` = never.
-    /// Compared against [`PlacementState`]'s current epoch to answer
-    /// "did this cell move since the delta began" without a scan.
-    dirty_epoch: Vec<u64>,
 }
 
 impl CellSoA {
@@ -90,14 +95,7 @@ impl CellSoA {
             height_rows,
             fence,
             edge_class,
-            dirty_epoch: vec![0; n],
         }
-    }
-
-    /// Epoch stamp of the cell's last mutation (`0` = never mutated).
-    #[inline]
-    pub fn dirty_epoch(&self, cell: CellId) -> u64 {
-        self.dirty_epoch[cell.0 as usize]
     }
 
     /// Number of cells.
@@ -126,12 +124,6 @@ impl CellSoA {
     #[inline]
     pub fn x(&self, cell: CellId) -> Dbu {
         self.x[cell.0 as usize]
-    }
-
-    /// Working y of a *placed* cell.
-    #[inline]
-    pub fn y(&self, cell: CellId) -> Dbu {
-        self.y[cell.0 as usize]
     }
 
     /// Cell width (cached from the cell type).
@@ -198,20 +190,13 @@ pub(crate) struct Columns {
     seg_cells: Vec<Vec<CellId>>,
     /// Hot per-cell state (positions + cached dimensions), SoA layout.
     soa: CellSoA,
-    /// Append-only record of committed mutations, consumed by the
-    /// determinism auditor (`mcl_audit::replay`).
+    /// Record of committed mutations in commit order, each with what it
+    /// overwrote: consumed by the determinism auditor
+    /// (`mcl_audit::replay`), undone by `PlacementState::undo_to`.
     replay: mcl_audit::ReplayLog,
-    /// Current dirty epoch (compared against `CellSoA::dirty_epoch`).
-    epoch: u64,
-    /// When set, every committed mutation stamps the cell's dirty epoch
-    /// and records the cell (with the rect it vacated, if any) in
-    /// `dirty`. Off for batch runs — dirty bookkeeping only pays for
-    /// itself on the ECO path, where the delta closure consumes it.
-    track_dirty: bool,
-    /// Cells touched this epoch, in first-touch order, each with the rect
-    /// the cell occupied *before* its first mutation of the epoch (`None`
-    /// if it was unplaced). The current rect is read from the SoA.
-    dirty: Vec<(CellId, Option<Rect>)>,
+    /// Log mark where the dirty epoch starts: the ops from here on are
+    /// the ones [`PlacementState::dirty_cells`] derives from.
+    epoch: usize,
     /// Number of placed cells (the state places movable cells only).
     placed: usize,
 }
@@ -268,9 +253,7 @@ impl<'d> PlacementState<'d> {
                 seg_cells,
                 soa: CellSoA::from_design(design),
                 replay: mcl_audit::ReplayLog::new(),
-                epoch: 1,
-                track_dirty: false,
-                dirty: Vec::new(),
+                epoch: 0,
                 placed: 0,
             },
         }
@@ -289,18 +272,16 @@ impl<'d> PlacementState<'d> {
                 s.place(id, p).map_err(|e| (id, e))?;
             }
         }
-        // Adoption is the baseline, not a delta: start dirty tracking
-        // *after* it so only post-adoption mutations count as dirty.
+        // Adoption is the baseline, not a delta: the epoch starts *after*
+        // it so only post-adoption mutations count as dirty.
         s.begin_epoch();
         Ok(s)
     }
 
-    /// Starts a fresh dirty epoch (enabling dirty tracking): the dirty set
-    /// empties and subsequent mutations stamp cells with the new epoch.
+    /// Starts a fresh dirty epoch at the current log mark: the dirty set
+    /// empties and holds the cells mutated from here on.
     pub fn begin_epoch(&mut self) {
-        self.cols.epoch += 1;
-        self.cols.track_dirty = true;
-        self.cols.dirty.clear();
+        self.cols.epoch = self.mark();
     }
 
     /// Moves the owned columns out, ending the design borrow; O(1).
@@ -316,75 +297,86 @@ impl<'d> PlacementState<'d> {
         Self { design, cols }
     }
 
-    /// Undoes every mutation of the current epoch: dirty cells return to
-    /// the rects they held before their first mutation of the epoch (or
-    /// to unplaced), and the dirty set empties. The restored footprints
-    /// are the epoch's starting placement, so re-placing them cannot
-    /// fail; the mutations it makes are logged like any other. Rollbacks
-    /// run in `Drop`, so a failed re-place is ignored rather than raised.
-    pub(crate) fn roll_back_epoch(&mut self) {
-        let dirty = std::mem::take(&mut self.cols.dirty);
-        for &(cell, _) in &dirty {
-            if self.pos(cell).is_some() {
-                self.remove(cell);
+    /// A mark in the replay log: the number of mutations logged so far.
+    pub fn mark(&self) -> usize {
+        self.cols.replay.len()
+    }
+
+    /// Undoes every mutation logged after `mark`, newest first, and
+    /// truncates the log back to it: positions, occupant lists and the
+    /// placed count are what they were at the mark, and the epoch starts
+    /// no later than it. Each op is inverted from what it overwrote; a
+    /// re-place lands on the footprint the cell held at that point of the
+    /// log, so it cannot fail. Undo runs in `Drop`, so it raises nothing.
+    pub(crate) fn undo_to(&mut self, mark: usize) {
+        let undone = self.cols.replay.split_off(mark);
+        for &op in undone.ops().iter().rev() {
+            match op {
+                ReplayOp::Place { cell, .. } => self.unplace(cell),
+                ReplayOp::Remove { cell, x, y } => {
+                    let _ = self.insert(cell, Point::new(x, y));
+                }
+                ReplayOp::ShiftX { cell, from, .. } => self.cols.soa.x[cell.0 as usize] = from,
             }
         }
-        for &(cell, origin) in &dirty {
-            if let Some(r) = origin {
-                let _ = self.place(cell, Point::new(r.xl, r.yl));
-            }
-        }
-        self.cols.dirty.clear();
+        self.cols.epoch = self.cols.epoch.min(mark);
     }
 
-    /// The current dirty epoch.
-    pub fn epoch(&self) -> u64 {
-        self.cols.epoch
+    /// Cells mutated since [`Self::begin_epoch`] (the ECO dirty set): see
+    /// [`Self::touched_since`] at the epoch's mark.
+    pub fn dirty_cells(&self) -> Vec<(CellId, Option<Rect>)> {
+        self.touched_since(self.cols.epoch)
     }
 
-    /// Whether dirty tracking is on (a [`Self::begin_epoch`] happened).
-    pub fn dirty_tracking(&self) -> bool {
-        self.cols.track_dirty
-    }
-
-    /// Cells mutated since [`Self::begin_epoch`], in first-touch order,
-    /// each with the rect it occupied before its first mutation of the
-    /// epoch (`None` if it was unplaced). Empty unless tracking is on.
-    pub fn dirty_cells(&self) -> &[(CellId, Option<Rect>)] {
-        &self.cols.dirty
-    }
-
-    /// Whether `cell` was mutated in the current epoch.
-    #[inline]
-    pub fn is_dirty(&self, cell: CellId) -> bool {
-        self.cols.soa.dirty_epoch(cell) == self.cols.epoch
+    /// The cells the log's ops after `mark` mutate, in first-touch order,
+    /// each with the rect it occupied at the mark (`None` if unplaced).
+    ///
+    /// A cell's first op after the mark says where it was: a `Place` means
+    /// unplaced, a `Remove` or `ShiftX` carries the corner it overwrote. A
+    /// shift keeps the row, so a cell first shifted takes its y from its
+    /// first later removal, or from its current position if it has none.
+    /// Costs a sort of the ops after the mark, nothing per design cell.
+    pub fn touched_since(&self, mark: usize) -> Vec<(CellId, Option<Rect>)> {
+        let ops = self.cols.replay.ops().get(mark..).unwrap_or_default();
+        // Each cell's ops, in commit order, as one run.
+        let mut by_cell: Vec<(u32, usize)> = ops.iter().map(|op| op.cell().0).zip(0..).collect();
+        by_cell.sort_unstable();
+        let mut touched: Vec<(usize, CellId, Option<Rect>)> = by_cell
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let (cell, first) = (CellId(run[0].0), run[0].1);
+                let corner = match ops[first] {
+                    ReplayOp::Place { .. } => None,
+                    ReplayOp::Remove { x, y, .. } => Some(Point::new(x, y)),
+                    ReplayOp::ShiftX { from, .. } => run
+                        .iter()
+                        .find_map(|&(_, i)| match ops[i] {
+                            ReplayOp::Remove { y, .. } => Some(y),
+                            _ => None,
+                        })
+                        .or_else(|| self.pos(cell).map(|p| p.y))
+                        .map(|y| Point::new(from, y)),
+                };
+                (first, cell, corner.map(|p| self.rect_at(cell, p)))
+            })
+            .collect();
+        touched.sort_unstable_by_key(|t| t.0);
+        touched.into_iter().map(|(_, c, r)| (c, r)).collect()
     }
 
     /// The rect currently occupied by a placed cell (`None` if unplaced).
     pub fn cell_rect(&self, cell: CellId) -> Option<Rect> {
-        self.cols.soa.pos(cell).map(|p| {
-            Rect::new(
-                p.x,
-                p.y,
-                p.x + self.cols.soa.width(cell),
-                p.y + self.cols.soa.height_rows(cell) as Dbu * self.design.tech.row_height,
-            )
-        })
+        self.cols.soa.pos(cell).map(|p| self.rect_at(cell, p))
     }
 
-    /// Stamps `cell` dirty, recording its pre-mutation rect on first
-    /// touch. Must run *before* the mutation commits.
-    #[inline]
-    fn mark_dirty(&mut self, cell: CellId) {
-        if !self.cols.track_dirty {
-            return;
-        }
-        let i = cell.0 as usize;
-        if self.cols.soa.dirty_epoch[i] != self.cols.epoch {
-            self.cols.soa.dirty_epoch[i] = self.cols.epoch;
-            let origin = self.cell_rect(cell);
-            self.cols.dirty.push((cell, origin));
-        }
+    /// The rect `cell` would occupy with its lower-left corner at `p`.
+    fn rect_at(&self, cell: CellId, p: Point) -> Rect {
+        Rect::new(
+            p.x,
+            p.y,
+            p.x + self.cols.soa.width(cell),
+            p.y + self.cols.soa.height_rows(cell) as Dbu * self.design.tech.row_height,
+        )
     }
 
     /// The underlying design.
@@ -442,6 +434,13 @@ impl<'d> PlacementState<'d> {
     ///
     /// See [`PlaceError`]. On error the state is unchanged.
     pub fn place(&mut self, cell: CellId, p: Point) -> Result<(), PlaceError> {
+        self.insert(cell, p)?;
+        self.cols.replay.record_place(cell, p.x, p.y);
+        Ok(())
+    }
+
+    /// [`Self::place`] without the log entry.
+    fn insert(&mut self, cell: CellId, p: Point) -> Result<(), PlaceError> {
         if self.cols.soa.pos(cell).is_some() {
             return Err(PlaceError::AlreadyPlaced);
         }
@@ -485,14 +484,12 @@ impl<'d> PlacementState<'d> {
             segs.push(seg_idx);
         }
         // Commit.
-        self.mark_dirty(cell);
         self.cols.soa.set_pos(cell, p);
         self.cols.placed += 1;
         for seg_idx in segs {
             let idx = self.insert_index(&self.cols.seg_cells[seg_idx], p.x);
             self.cols.seg_cells[seg_idx].insert(idx, cell);
         }
-        self.cols.replay.record_place(cell, p.x, p.y);
         Ok(())
     }
 
@@ -500,22 +497,21 @@ impl<'d> PlacementState<'d> {
     ///
     /// # Panics
     ///
-    /// Panics if the cell is not placed.
+    /// Panics, before changing anything, if the cell is not placed.
     pub fn remove(&mut self, cell: CellId) {
         let p = self.cols.soa.pos(cell).expect("cell not placed");
-        let d = self.design;
-        let row = ((p.y - d.core.yl) / d.tech.row_height) as usize;
-        let span = Interval::new(p.x, p.x + self.cols.soa.width(cell));
-        for r in row..row + self.cols.soa.height_rows(cell) as usize {
-            let seg_idx = self
-                .find_covering_segment(r, self.cols.soa.fence(cell), span)
-                .expect("placed cell must have segments");
-            self.cols.seg_cells[seg_idx].retain(|&x| x != cell);
+        self.unplace(cell);
+        self.cols.replay.record_remove(cell, p.x, p.y);
+    }
+
+    /// [`Self::remove`] without the log entry. Every row's segment is
+    /// found before anything changes.
+    fn unplace(&mut self, cell: CellId) {
+        for (seg_idx, i) in self.segment_memberships(cell) {
+            self.cols.seg_cells[seg_idx].remove(i);
         }
-        self.mark_dirty(cell);
         self.cols.soa.clear_pos(cell);
         self.cols.placed -= 1;
-        self.cols.replay.record_remove(cell);
     }
 
     /// Horizontally shifts a placed cell to `new_x`. The caller must
@@ -525,14 +521,15 @@ impl<'d> PlacementState<'d> {
     pub fn shift_x(&mut self, cell: CellId, new_x: Dbu) {
         let p = self.cols.soa.pos(cell).expect("cell not placed");
         debug_assert!(self.shift_is_order_preserving(cell, new_x));
-        self.mark_dirty(cell);
         self.cols.soa.set_pos(cell, Point::new(new_x, p.y));
-        self.cols.replay.record_shift_x(cell, new_x);
+        self.cols.replay.record_shift_x(cell, p.x, new_x);
     }
 
     /// Takes ownership of the replay log of every committed mutation since
-    /// construction (or the last take), leaving an empty one.
+    /// construction (or the last take), leaving an empty one at which the
+    /// epoch restarts.
     pub fn take_replay_log(&mut self) -> mcl_audit::ReplayLog {
+        self.cols.epoch = 0;
         std::mem::take(&mut self.cols.replay)
     }
 
@@ -613,14 +610,6 @@ impl<'d> PlacementState<'d> {
         self.cols.placed
     }
 
-    /// Number of unplaced movable cells.
-    pub fn unplaced_count(&self) -> usize {
-        self.design
-            .movable_cells()
-            .filter(|id| self.cols.soa.pos(*id).is_none())
-            .count()
-    }
-
     /// Writes the working positions (and row-derived orientations) back into
     /// a clone of the design.
     pub fn write_back(&self, design: &mut Design) {
@@ -660,10 +649,10 @@ mod tests {
         s.place(CellId(0), Point::new(0, 0)).unwrap();
         s.place(CellId(1), Point::new(20, 0)).unwrap();
         assert_eq!(s.pos(CellId(0)), Some(Point::new(0, 0)));
-        assert_eq!(s.unplaced_count(), 6);
+        assert_eq!(s.placed_count(), 2);
         s.remove(CellId(0));
         assert_eq!(s.pos(CellId(0)), None);
-        assert_eq!(s.unplaced_count(), 7);
+        assert_eq!(s.placed_count(), 1);
         // Slot is free again.
         s.place(CellId(3), Point::new(0, 0)).unwrap();
     }
@@ -757,7 +746,7 @@ mod tests {
         d.cells[0].pos = Some(Point::new(0, 0));
         d.cells[1].pos = Some(Point::new(40, 0));
         let s = PlacementState::from_design_positions(&d).unwrap();
-        assert_eq!(s.unplaced_count(), 6);
+        assert_eq!(s.placed_count(), 2);
         assert_eq!(
             s.cells_in_segment(s.segment_memberships(CellId(0))[0].0)
                 .len(),
@@ -798,29 +787,115 @@ mod tests {
         assert!(PlacementState::from_design_positions(&d).is_err());
     }
 
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// One random mutation: place an unplaced cell at a random aligned
+    /// corner, or remove or shift a placed one; a move the state would
+    /// reject is skipped.
+    fn random_op(s: &mut PlacementState<'_>, rng: &mut u64) {
+        let d = s.design();
+        let (sw, rh) = (d.tech.site_width, d.tech.row_height);
+        let cell = CellId((xorshift(rng) % d.cells.len() as u64) as u32);
+        match s.pos(cell) {
+            None => {
+                let x = (xorshift(rng) % (d.core.width() / sw) as u64) as Dbu * sw;
+                let y = (xorshift(rng) % d.num_rows as u64) as Dbu * rh;
+                let _ = s.place(cell, Point::new(x, y));
+            }
+            Some(_) if xorshift(rng) % 3 == 0 => s.remove(cell),
+            Some(p) => {
+                let x = p.x + ((xorshift(rng) % 7) as Dbu - 3) * sw;
+                if s.shift_is_order_preserving(cell, x) {
+                    s.shift_x(cell, x);
+                }
+            }
+        }
+    }
+
+    type Snapshot = (
+        Vec<Option<Point>>,
+        Vec<Vec<CellId>>,
+        usize,
+        Vec<(CellId, Option<Rect>)>,
+        Vec<ReplayOp>,
+    );
+
+    fn snapshot(s: &PlacementState<'_>) -> Snapshot {
+        let n = s.design().cells.len() as u32;
+        (
+            (0..n).map(|i| s.pos(CellId(i))).collect(),
+            s.cols.seg_cells.clone(),
+            s.placed_count(),
+            s.dirty_cells(),
+            s.cols.replay.ops().to_vec(),
+        )
+    }
+
     #[test]
-    fn roll_back_epoch_restores_the_epoch_start_across_detach() {
+    fn undo_to_a_mark_restores_the_state_cloned_at_it() {
+        let mut d = Design::new("u", Technology::example(), Rect::new(0, 0, 400, 360));
+        d.add_cell_type(CellType::new("s", 20, 1));
+        d.add_cell_type(CellType::new("m", 30, 2));
+        for i in 0..24 {
+            let t = CellTypeId(u32::from(i % 4 == 3));
+            d.add_cell(Cell::new(format!("c{i}"), t, Point::new(0, 0)));
+        }
+        for seed in 1..=200u64 {
+            let mut rng = seed;
+            let steps = |rng: &mut u64| 1 + xorshift(rng) % 40;
+            let mut s = PlacementState::new(&d);
+            for _ in 0..steps(&mut rng) {
+                random_op(&mut s, &mut rng);
+            }
+            // An epoch opened before the mark, and a detach/attach round
+            // trip between the mark and the undo.
+            s.begin_epoch();
+            for _ in 0..steps(&mut rng) {
+                random_op(&mut s, &mut rng);
+            }
+            let mark = s.mark();
+            let at_mark = s.clone();
+            let mut s = PlacementState::attach(s.detach(), &d);
+            for _ in 0..steps(&mut rng) {
+                random_op(&mut s, &mut rng);
+            }
+            s.undo_to(mark);
+            assert_eq!(snapshot(&s), snapshot(&at_mark), "seed {seed}");
+            // All the way back: nothing placed, nothing dirty.
+            s.undo_to(0);
+            assert_eq!(snapshot(&s), snapshot(&PlacementState::new(&d)));
+        }
+    }
+
+    #[test]
+    fn dirty_cells_keep_the_corner_each_cell_held_at_the_epoch() {
         let mut d = design();
         for (i, x) in [(0usize, 0), (1, 40), (3, 120)] {
             d.cells[i].pos = Some(Point::new(x, 0));
         }
-        let positions = |s: &PlacementState<'_>| -> Vec<_> {
-            (0..d.cells.len() as u32)
-                .map(|i| s.pos(CellId(i)))
-                .collect()
-        };
-        let s = PlacementState::from_design_positions(&d).unwrap();
-        let start = positions(&s);
-        let mut s = PlacementState::attach(s.detach(), &d);
-        s.remove(CellId(0));
-        s.place(CellId(0), Point::new(200, 0)).unwrap();
+        let mut s = PlacementState::from_design_positions(&d).unwrap();
         s.shift_x(CellId(1), 60);
-        s.place(CellId(4), Point::new(0, 0)).unwrap();
-        assert_eq!(s.dirty_cells().len(), 3);
-        s.roll_back_epoch();
-        assert_eq!(positions(&s), start);
-        assert!(s.dirty_cells().is_empty());
-        assert_eq!(s.placed_count(), 3);
+        s.remove(CellId(1));
+        s.place(CellId(1), Point::new(300, 90)).unwrap();
+        s.shift_x(CellId(3), 140);
+        s.place(CellId(4), Point::new(0, 90)).unwrap();
+        s.remove(CellId(0));
+        let rect = |x, y| Some(Rect::new(x, y, x + 20, y + 90));
+        assert_eq!(
+            s.dirty_cells(),
+            vec![
+                (CellId(1), rect(40, 0)),
+                (CellId(3), rect(120, 0)),
+                (CellId(4), None),
+                (CellId(0), rect(0, 0)),
+            ]
+        );
+        assert_eq!(s.touched_since(s.mark()), vec![]);
     }
 
     #[test]

@@ -163,7 +163,7 @@ proptest! {
         let (s, _) = mutate(&d, &raw_moves);
         let cfg = config(window_sites, window_rows);
         let c = compute(&s, &cfg);
-        let seeds = s.dirty_cells().to_vec();
+        let seeds = s.dirty_cells();
         let again = compute_from_seeds(&s, &cfg, &seeds);
         prop_assert_eq!(c.cells(), again.cells());
         prop_assert_eq!(c.windows(), again.windows());

@@ -106,25 +106,44 @@ fn replay_verifier_accepts_the_real_run_and_matches_final_positions() {
 
 #[test]
 fn tampered_log_is_rejected() {
-    use mcl_audit::ReplayOp;
+    use mcl_audit::{ReplayErrorKind, ReplayOp};
     let d = messy_design(60, 0x5EED);
     let (_, log) = run_with_threads(&d, 1, FULL_PIPELINE);
-    // Re-place the first placed cell at a misaligned x: the verifier must
-    // reject the doctored sequence.
-    let mut ops = log.ops().to_vec();
-    let Some(ReplayOp::Place { cell, x, y }) = ops.first().copied() else {
+    let Some(ReplayOp::Place { cell, .. }) = log.ops().first().copied() else {
         panic!("first op is a placement");
     };
-    ops.push(ReplayOp::Remove { cell });
-    ops.push(ReplayOp::Place { cell, x: x + 1, y });
-    let mut doctored = mcl_audit::ReplayLog::new();
-    for op in ops {
-        match op {
-            ReplayOp::Place { cell, x, y } => doctored.record_place(cell, x, y),
-            ReplayOp::Remove { cell } => doctored.record_remove(cell),
-            ReplayOp::ShiftX { cell, x } => doctored.record_shift_x(cell, x),
+    let end = log.verify(&d).expect("untampered log")[cell.0 as usize].expect("placed");
+    let doctored = |tail: &[ReplayOp]| {
+        let mut doctored = mcl_audit::ReplayLog::new();
+        for &op in log.ops().iter().chain(tail) {
+            match op {
+                ReplayOp::Place { cell, x, y } => doctored.record_place(cell, x, y),
+                ReplayOp::Remove { cell, x, y } => doctored.record_remove(cell, x, y),
+                ReplayOp::ShiftX { cell, from, x } => doctored.record_shift_x(cell, from, x),
+            }
         }
+        doctored.verify(&d).expect_err("tampered log")
+    };
+    // Re-place the first placed cell at a misaligned x.
+    let (x, y) = (end.x, end.y);
+    let err = doctored(&[
+        ReplayOp::Remove { cell, x, y },
+        ReplayOp::Place { cell, x: x + 1, y },
+    ]);
+    assert_eq!((err.cell, err.kind), (cell, ReplayErrorKind::Misaligned));
+    // Remove it from, or shift it away from, where it is not.
+    let sw = d.tech.site_width;
+    for op in [
+        ReplayOp::Remove { cell, x: x + sw, y },
+        ReplayOp::ShiftX {
+            cell,
+            from: x + sw,
+            x,
+        },
+    ] {
+        let err = doctored(&[op]);
+        let at = log.len();
+        assert_eq!((err.op_index, err.cell), (at, cell));
+        assert_eq!(err.kind, ReplayErrorKind::WrongOrigin, "{op:?}");
     }
-    let err = doctored.verify(&d).expect_err("misaligned replacement");
-    assert_eq!(err.cell, cell);
 }

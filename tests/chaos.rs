@@ -6,7 +6,7 @@
 //!
 //! 1. **No partial mutation** — a stage that fails (panic, allocation
 //!    failure, deadline) leaves the placement exactly as it found it; the
-//!    degradation rung (inline MGL, skip) then runs from that checkpoint.
+//!    degradation rung (inline MGL, skip) then runs from that state.
 //! 2. **No lying reports** — an injected fault never produces a
 //!    `RunReport` that claims full success; the matching failure /
 //!    degradation rows are present.
@@ -23,7 +23,8 @@
 //!    thread count.
 //! 7. **A failed ECO delta is atomic** — an exhausted MGL ladder or the
 //!    session deadline leaves the session's base, certificate and resident
-//!    state as they were: its next delta matches a fresh session's.
+//!    state as they were: its next delta matches a fresh session's. A post
+//!    stage failing inside a delta is undone alone and skipped.
 
 use mclegal::audit;
 use mclegal::core::insertion::InsertionScratch;
@@ -401,6 +402,68 @@ fn failed_eco_delta_rolls_back_the_resident_state() {
             "{site:?}: certificate"
         );
     }
+}
+
+/// Invariant 7, degradable flavor: a post stage that panics inside a
+/// session delta takes the skip rung, undone from the log. With maxdisp
+/// armed persistently the delta (and the next one) equals a session whose
+/// stage set drops maxdisp: positions, stats, replay log and certificate.
+/// Armed once, the session's next delta runs fault-free and matches a
+/// fresh session over the same base byte for byte.
+#[test]
+fn failed_post_stage_in_a_delta_takes_the_skip_rung() {
+    let d = messy_design(160, 0x5EC0);
+    let (base, _) = try_run(&cfg_threads(2), &d).expect("fault-free base");
+    let deltas = [
+        EcoSession::synthesize_delta(&base, 12, 4),
+        EcoSession::synthesize_delta(&base, 12, 9),
+    ];
+    let cells = |s: &EcoSession| -> Vec<_> {
+        let cells = &s.design().cells;
+        cells.iter().map(|c| (c.pos, c.gp, c.orient)).collect()
+    };
+    let site = FaultSite::StagePanic { stage: "maxdisp" };
+    let mut dropped = cfg_threads(2);
+    dropped.stages = StageSet::of(&[Stage::Mgl, Stage::FixedOrder]);
+    let mut reference = EcoSession::open(base.clone(), dropped).expect("legal base");
+    let mut persistent = cfg_threads(2);
+    persistent.faults = Some(FaultPlan::new().arm_persistent(site.clone()).shared());
+    let mut session = EcoSession::open(base.clone(), persistent).expect("legal base");
+    for moves in &deltas {
+        let (s_stats, s_log) = session.apply_delta(moves).expect("skip rung absorbs it");
+        let (r_stats, r_log) = reference.apply_delta(moves).expect("clean delta");
+        let rungs: Vec<_> = s_stats
+            .degradations
+            .iter()
+            .map(|g| (g.stage, g.rung))
+            .collect();
+        assert_eq!(rungs, [("maxdisp", "skip")]);
+        assert!(s_stats.failures.iter().any(|f| f.stage == "maxdisp"));
+        assert_eq!(cells(&session), cells(&reference), "positions");
+        assert_eq!(
+            (&s_stats.mgl, &s_stats.max_disp, &s_stats.fixed_order),
+            (&r_stats.mgl, &r_stats.max_disp, &r_stats.fixed_order),
+            "stats"
+        );
+        assert_eq!(s_log, r_log, "replay log");
+        assert_eq!(
+            session.certificate().report(),
+            reference.certificate().report()
+        );
+    }
+
+    let mut once = cfg_threads(2);
+    once.faults = Some(FaultPlan::new().arm_once(site).shared());
+    let mut session = EcoSession::open(base.clone(), once).expect("legal base");
+    let (stats, _) = session.apply_delta(&deltas[0]).expect("skip rung");
+    assert_eq!(stats.degradations.len(), 1);
+    let mut fresh = EcoSession::open(session.design().clone(), cfg_threads(2)).expect("legal");
+    let (f_stats, f_log) = fresh.apply_delta(&deltas[1]).expect("fresh delta");
+    let (s_stats, s_log) = session.apply_delta(&deltas[1]).expect("fault-free delta");
+    assert!(s_stats.claims_full_success());
+    assert_eq!(cells(&session), cells(&fresh), "positions");
+    assert_eq!((s_stats, s_log), (f_stats, f_log));
+    assert_eq!(session.certificate().report(), fresh.certificate().report());
 }
 
 /// Invariant 3 (the acceptance criterion): with faults injected into any

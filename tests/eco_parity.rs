@@ -135,8 +135,8 @@ fn assert_delta_log(
     for op in session_log.ops() {
         match *op {
             ReplayOp::Place { cell, x, y } => log.record_place(cell, x, y),
-            ReplayOp::Remove { cell } => log.record_remove(cell),
-            ReplayOp::ShiftX { cell, x } => log.record_shift_x(cell, x),
+            ReplayOp::Remove { cell, x, y } => log.record_remove(cell, x, y),
+            ReplayOp::ShiftX { cell, from, x } => log.record_shift_x(cell, from, x),
         }
     }
     let replayed = log
