@@ -31,12 +31,12 @@ analyze:
 	cargo xtask analyze
 
 # ThreadSanitizer over the concurrency-heavy subset (scheduler, engine,
-# batch parity). Needs a nightly toolchain with rust-src; mirrors the
-# nightly `tsan` CI job.
+# ECO session deltas, stage-2 fan-out, batch parity). Needs a nightly
+# toolchain with rust-src; mirrors the nightly `tsan` CI job.
 tsan:
 	RUSTFLAGS="-Zsanitizer=thread" TSAN_OPTIONS="suppressions=.tsan-suppressions" \
 		cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-		-p mcl-core --lib -- scheduler:: engine::
+		-p mcl-core --lib -- scheduler:: engine:: legalizer:: maxdisp::
 	RUSTFLAGS="-Zsanitizer=thread" TSAN_OPTIONS="suppressions=.tsan-suppressions" \
 		cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
 		--test batch_parity

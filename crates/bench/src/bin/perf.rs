@@ -11,8 +11,10 @@
 //!    time at 4 threads (`stage_breakdown`), and 16 small sparse designs
 //!    through one shared engine against one fresh engine per design
 //!    (`batch`), plus one throttled-admission run that gives each runner a
-//!    helper. Every pair is asserted bit-identical, so every ratio is pure
-//!    scheduling.
+//!    helper. Both columns build each MGL stage's scratches and spawn its
+//!    helpers per design, and every pair is asserted bit-identical, so
+//!    every ratio is pure scheduling: designs side by side on runners
+//!    against one after the other.
 //! 2. **scale** — MGL throughput and peak RSS per size on
 //!    [`mcl_bench::bench_design`]. Sizes run in ascending order, so the
 //!    process-lifetime `VmHWM` read after each row approximates that
@@ -87,8 +89,9 @@ const MGL_SEED: u64 = 1234;
 const MGL_DENSITY: f64 = 0.45;
 const MGL_CAPACITY: usize = 64;
 /// The `batch` workload: many small, sparse designs — the regime batch
-/// scheduling exists for, where a solo run's fixed costs (helper spawns,
-/// round hand-offs, scratch construction) are a large share of each run.
+/// scheduling exists for, where a run's fixed costs (helper spawns, round
+/// hand-offs, scratch construction) are a large share of it, and running
+/// designs side by side on runners hides them.
 const BATCH_DESIGNS: usize = 16;
 const BATCH_CELLS: usize = 40;
 const BATCH_DENSITY: f64 = 0.25;

@@ -5,9 +5,9 @@
 //! says, runs the configuration's stage set over it and hands each job's
 //! fallible [`RunOutput`] to a callback the moment that job finishes.
 //! [`Engine::run`] (a batch, results in batch order) and [`Engine::run_one`]
-//! (a batch of one) are adaptors over it. The engine owns the setup state
-//! that is worth keeping across calls — one [`InsertionScratch`] arena per
-//! thread — and runs each job through the same [`crate::pipeline`] driver.
+//! (a batch of one) are adaptors over it. The engine holds the
+//! configuration and its scheduling counters, nothing else, and runs each
+//! job through the same [`crate::pipeline`] driver.
 //!
 //! ## Job scheduling
 //!
@@ -19,24 +19,20 @@
 //! finishes, so memory scales with in-flight work, never with the length of
 //! the source. The `W = threads − R` leftover threads are split statically:
 //! runner `i` gets `W / R` helpers, plus one for the first `W mod R`
-//! runners. A runner hands its job the scratches of its share, its own
-//! first; the job's MGL stage spawns one helper per extra scratch for the
-//! stage's duration, and stage 2 solves its matchings on that many
-//! threads. Helpers read the runner's own placement, so a design borrowed
-//! for the call and one the job owns fan out alike.
+//! runners. A runner hands its job its share as a thread count; the job's
+//! MGL stage spawns one helper per thread past the runner's own for the
+//! stage's duration, each thread building one insertion scratch for it,
+//! and stage 2 solves its matchings on that many threads. Helpers read the
+//! runner's own placement, so a design borrowed for the call and one the
+//! job owns fan out alike.
 //!
 //! Determinism is per design: selection, retry and apply order are decided
 //! by each design's own runner, so outputs, replay logs and reports are
 //! bit-identical at any thread count (1 included), any admission bound and
 //! any batch composition (pinned by `tests/batch_parity.rs`).
-//!
-//! Buffer-reuse contract (asserted by tests via the scratch `created`
-//! counter): every scratch — one per thread — is constructed at most once
-//! for the engine's lifetime.
 
 use crate::config::LegalizerConfig;
 use crate::error::LegalizeError;
-use crate::insertion::InsertionScratch;
 use crate::legalizer::LegalizeStats;
 use crate::pipeline::{self, Prep, Stage};
 use crate::state::PlacementState;
@@ -112,7 +108,7 @@ pub struct RunOutput {
     pub replay: mcl_audit::ReplayLog,
 }
 
-/// A reusable legalization engine: configuration plus long-lived scratch.
+/// A reusable legalization engine: configuration plus scheduling counters.
 ///
 /// ```
 /// use mcl_core::{Engine, LegalizerConfig, RunSpec};
@@ -138,8 +134,6 @@ pub struct RunOutput {
 #[derive(Debug)]
 pub struct Engine {
     config: LegalizerConfig,
-    /// Scratch arenas, one per thread, reused across calls.
-    scratches: Vec<InsertionScratch>,
     diag: EngineDiag,
 }
 
@@ -148,9 +142,6 @@ impl Engine {
     pub fn new(mut config: LegalizerConfig) -> Self {
         config.threads = config.threads.max(1);
         Self {
-            scratches: (0..config.threads)
-                .map(|_| InsertionScratch::new())
-                .collect(),
             config,
             diag: EngineDiag::default(),
         }
@@ -191,8 +182,8 @@ impl Engine {
     ) -> Result<LegalizeStats, LegalizeError> {
         self.diag.runs += 1;
         self.diag.helpers += self.config.threads as u64 - 1;
-        let spec = RunSpec::EcoDelta;
-        pipeline::run_stages(design, state, &self.config, spec, prep, &mut self.scratches)
+        let (config, spec) = (&self.config, RunSpec::EcoDelta);
+        pipeline::run_stages(design, state, config, spec, prep, config.threads)
     }
 
     /// Runs one design: exactly [`Self::run`] on a one-element batch.
@@ -267,39 +258,25 @@ impl Engine {
     ) {
         let runners = self.batch_runners(jobs.size_hint().1.unwrap_or(usize::MAX));
         let helpers = self.config.threads - runners;
-        let Self {
-            config,
-            scratches,
-            diag,
-        } = self;
+        let share = |i: usize| 1 + helpers / runners + usize::from(i < helpers % runners);
         let call = Call {
             source: Mutex::new(jobs.fuse()),
-            config,
+            config: &self.config,
             spec,
             runs: AtomicU64::new(0),
             done,
         };
         std::thread::scope(|scope| {
-            let mut rest = scratches.as_mut_slice();
-            let mut shares = (0..runners).map(|i| {
-                let n = 1 + helpers / runners + usize::from(i < helpers % runners);
-                let (share, tail) = std::mem::take(&mut rest).split_at_mut(n);
-                rest = tail;
-                share
-            });
-            let main_share = shares.next();
-            for share in shares {
-                diag.runner_spawns += 1;
+            for i in 1..runners {
+                self.diag.runner_spawns += 1;
                 let call = &call;
-                scope.spawn(move || call.runner(share));
+                scope.spawn(move || call.runner(share(i)));
             }
-            if let Some(share) = main_share {
-                call.runner(share);
-            }
+            call.runner(share(0));
             // The scope joins the extra runners before returning.
         });
-        diag.runs += call.runs.load(Ordering::Relaxed);
-        diag.helpers += helpers as u64;
+        self.diag.runs += call.runs.load(Ordering::Relaxed);
+        self.diag.helpers += helpers as u64;
     }
 }
 
@@ -320,8 +297,9 @@ where
     F: Fn(T, Result<RunOutput, LegalizeError>),
 {
     /// One runner's admission loop: claim the next job, run it on the
-    /// runner's thread share, report it, repeat until the source runs dry.
-    fn runner(&self, share: &mut [InsertionScratch]) {
+    /// runner's `threads` (its own plus its helpers), report it, repeat
+    /// until the source runs dry.
+    fn runner(&self, threads: usize) {
         loop {
             // The guard drops at the end of this statement, so no other
             // claim waits on a running job.
@@ -338,7 +316,7 @@ where
                 let engine_b = config.stage_budget_secs;
                 config.to_mut().stage_budget_secs = Some(engine_b.map_or(b, |e| e.min(b)));
             }
-            let out = self.run_job(&job.design, &config, share);
+            let out = self.run_job(&job.design, &config, threads);
             // The seed state and prep died with `run_job`; an owned design
             // goes too, before the result is published, so residency
             // follows the in-flight count.
@@ -347,12 +325,12 @@ where
         }
     }
 
-    /// Seeds one claimed job and runs it through the pipeline on `share`.
+    /// Seeds one claimed job and runs it through the pipeline on `threads`.
     fn run_job(
         &self,
         design: &Design,
         config: &LegalizerConfig,
-        share: &mut [InsertionScratch],
+        threads: usize,
     ) -> Result<RunOutput, LegalizeError> {
         // The one place adoption is decided: every seeding but a fresh one
         // adopts, and so does a stage set that skips MGL, since
@@ -370,7 +348,7 @@ where
         };
         self.runs.fetch_add(1, Ordering::Relaxed);
         let prep = Prep::new(design, config);
-        let stats = pipeline::run_stages(design, &mut state, config, self.spec, &prep, share)?;
+        let stats = pipeline::run_stages(design, &mut state, config, self.spec, &prep, threads)?;
         let mut out = design.clone();
         state.write_back(&mut out);
         Ok(RunOutput {
@@ -500,35 +478,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_reuses_scratch() {
+    fn batch_splits_threads_into_runners_and_helpers() {
         let designs = batch_designs(4);
         // Default admission: every thread is a runner, so no helpers.
         let mut engine = Engine::new(cfg(3));
-        let batch1 = batch(&mut engine, &designs);
+        batch(&mut engine, &designs);
         let diag = engine.diag();
         assert_eq!(diag.runs, 4);
         assert_eq!(diag.helpers, 0, "full-width admission leaves no helpers");
         assert_eq!(diag.runner_spawns, 2, "3 runners = main + 2 spawned");
-        // Which runner ran which design races (a runner that arrives after
-        // the cursor drains reports nothing), but the lifetime bound is
-        // exact: at most one construction per runner scratch, ever. Without
-        // reuse each of the 8 runs below would construct its own.
-        let created =
-            |b: &[RunOutput]| -> u64 { b.iter().map(|o| o.stats.mgl.scratch.created).sum() };
-        let created1 = created(&batch1);
-        assert!((1..=3).contains(&created1), "saw {created1} constructions");
-        let created2 = created(&batch(&mut engine, &designs));
-        assert!(
-            created1 + created2 <= 3,
-            "second batch call must reuse runner scratches (saw {created1} then {created2})"
-        );
 
         // One in-flight design: sequential schedule, the one runner gets
-        // both helpers, deterministic per-design scratch charging.
+        // both helpers.
         let mut c = cfg(3);
         c.max_inflight_designs = 1;
         let mut engine = Engine::new(c);
-        let batch1 = batch(&mut engine, &designs);
+        batch(&mut engine, &designs);
         let diag = engine.diag();
         assert_eq!(diag.runs, 4);
         assert_eq!(
@@ -536,16 +501,6 @@ mod tests {
             "the single runner gets both leftover threads"
         );
         assert_eq!(diag.runner_spawns, 0);
-        let per_design: Vec<u64> = batch1.iter().map(|o| o.stats.mgl.scratch.created).collect();
-        assert_eq!(per_design, vec![3, 0, 0, 0]);
-
-        // Per-design engines construct every scratch again for each design.
-        for d in &designs {
-            let out = Engine::new(cfg(3))
-                .run_one(d, RunSpec::default())
-                .expect("solo run");
-            assert_eq!(out.stats.mgl.scratch.created, 3);
-        }
     }
 
     #[test]

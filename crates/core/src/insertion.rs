@@ -94,10 +94,9 @@ pub struct ScratchStats {
     pub dedup_hits: u64,
     /// Curve minimizations performed.
     pub curve_mins: u64,
-    /// Scratches constructed and charged to this run. A fresh scratch
-    /// starts at 1; taking the stats (end of run) resets it to 0, so a
-    /// reused scratch contributes 0 to its next run — which is exactly
-    /// what the engine's buffer-reuse tests assert on.
+    /// Scratches constructed: a fresh scratch starts at 1, so the merged
+    /// stats of a run count its constructions (one per thread per MGL
+    /// stage, which `tests/scratch_reuse.rs` pins).
     pub created: u64,
 }
 
@@ -112,10 +111,11 @@ impl ScratchStats {
     }
 }
 
-/// Reusable buffers for [`best_insertion_in`]. One per worker thread; after
-/// a few evaluations every buffer reaches steady-state capacity and the hot
-/// path stops allocating entirely (the only remaining allocation is cloning
-/// the shift list of a *new best* candidate, which is rare by construction).
+/// Reusable buffers for [`best_insertion_in`]. One per thread per MGL
+/// stage; after a few evaluations every buffer reaches steady-state
+/// capacity and the hot path stops allocating entirely (the only remaining
+/// allocation is cloning the shift list of a *new best* candidate, which is
+/// rare by construction).
 #[derive(Debug, Default)]
 pub struct InsertionScratch {
     /// Per-row lineups (index 0 = base row); only the first `h` are live.

@@ -108,7 +108,7 @@ impl PartialEq for LegalizeStats {
 /// of the returned stats (observability stratum, never golden).
 pub struct EcoSession {
     design: Design,
-    /// Runs every delta, so its scratches are built once per session.
+    /// Runs every delta.
     engine: Engine,
     cert: mcl_audit::BandCert,
     /// The base's placement state, detached from `design` between deltas;
@@ -657,23 +657,6 @@ mod tests {
         assert_eq!(cells(&session), cells(&fresh));
         assert_eq!((s_stats, s_log), (f_stats, f_log));
         assert_eq!(session.certificate().report(), fresh.certificate().report());
-    }
-
-    #[test]
-    fn session_deltas_reuse_the_engine_scratches() {
-        let d = messy_design(120, 21);
-        let mut cfg = LegalizerConfig::total_displacement();
-        cfg.threads = 2;
-        let (placed, _) = run(cfg.clone(), &d);
-        let mut session = EcoSession::open(placed, cfg).expect("legal base must open");
-        let mut created = Vec::new();
-        for seed in [5, 6] {
-            let moves = EcoSession::synthesize_delta(session.design(), 8, seed);
-            let (stats, _) = session.apply_delta(&moves).expect("delta");
-            created.push(stats.mgl.scratch.created);
-        }
-        // The runner's and its helper's scratches, built once.
-        assert_eq!(created, vec![2, 0]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use mcl_obs::{CounterKind, Meter};
 /// Statistics of one MGL run.
 ///
 /// Equality compares the *placement outcome* counters only; [`Self::scratch`]
-/// and [`Self::obs`] depend on buffer reuse and wall-clock time, which
+/// and [`Self::obs`] depend on the thread count and wall-clock time, which
 /// legitimately differ between otherwise identical runs, and are excluded
 /// from `==`.
 #[derive(Debug, Clone, Default)]
@@ -42,8 +42,7 @@ pub struct MglStats {
     /// surfaced into `LegalizeStats` and the RunReport `failures` array.
     pub failures: Vec<FailureRecord>,
     /// Merged hot-path counters of every insertion scratch of the run;
-    /// `created` counts scratch constructions charged to it (not part of
-    /// equality).
+    /// `created` counts their constructions (not part of equality).
     pub scratch: crate::insertion::ScratchStats,
     /// Structured spans/counters/histograms: rounds (`mgl.select` spans),
     /// windows evaluated, phase wall times and evaluation time summed over

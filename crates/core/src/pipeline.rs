@@ -28,7 +28,6 @@ use crate::engine::RunSpec;
 use crate::error::{panic_message, Degradation, FailureClass, LegalizeError};
 use crate::faultinject::FaultSite;
 use crate::fixed_order::optimize_fixed_order_metered;
-use crate::insertion::InsertionScratch;
 use crate::legalizer::LegalizeStats;
 use crate::maxdisp::optimize_max_disp_metered;
 use crate::mgl::compute_weights;
@@ -276,7 +275,7 @@ fn run_stage_guarded<'d>(
     config: &LegalizerConfig,
     prep: &Prep<'d>,
     stats: &mut LegalizeStats,
-    scratches: &mut [InsertionScratch],
+    threads: usize,
     delta: Option<&DirtyClosure>,
 ) -> Result<(), LegalizeError> {
     let name = stage.name();
@@ -295,12 +294,11 @@ fn run_stage_guarded<'d>(
         let obs = &mut stats.obs;
         match stage {
             Stage::Mgl => {
-                stats.mgl = drive_rounds(state, config, prep, scratches)?;
+                stats.mgl = drive_rounds(state, config, prep, threads)?;
                 stats.obs.merge(&stats.mgl.obs);
             }
             Stage::MaxDisp => {
-                stats.max_disp =
-                    optimize_max_disp_metered(state, config, scratches.len(), obs, delta);
+                stats.max_disp = optimize_max_disp_metered(state, config, threads, obs, delta);
             }
             Stage::FixedOrder => {
                 let (weights, oracle) = (&prep.weights, prep.oracle());
@@ -345,11 +343,10 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 /// closure of the adopted `state`; any other `spec` has them walk every
 /// cell (seeding the state is the caller's job).
 ///
-/// `scratches` is the job's thread share, one caller-owned insertion
-/// scratch per thread: the runner's own first, then one per helper. MGL
-/// spawns a helper per extra scratch and stage 2 solves its matchings on
-/// that many threads; one scratch runs everything on the calling thread —
-/// same results. The engine reuses the scratches across runs.
+/// `threads` is the job's thread share: MGL spawns a helper per thread past
+/// the first, each thread building its own insertion scratch for the
+/// stage, and stage 2 solves its matchings on that many threads. One
+/// thread runs everything on the calling thread — same results.
 ///
 /// # Fault containment (DESIGN.md §11)
 ///
@@ -382,7 +379,7 @@ pub fn run_stages<'d>(
     config: &LegalizerConfig,
     spec: RunSpec,
     prep: &Prep<'d>,
-    scratches: &mut [InsertionScratch],
+    threads: usize,
 ) -> Result<LegalizeStats, LegalizeError> {
     let mut stats = LegalizeStats::default();
     let run_sw = Stopwatch::start();
@@ -439,12 +436,7 @@ pub fn run_stages<'d>(
                 continue;
             }
         }
-        let inline = scratches.len().min(1);
-        let share = if deadline_hit {
-            inline
-        } else {
-            scratches.len()
-        };
+        let share = if deadline_hit { 1 } else { threads };
         let t = Stopwatch::start();
         // A failed stage is undone to here: no partial mutation escapes.
         let mark = state.mark();
@@ -455,7 +447,7 @@ pub fn run_stages<'d>(
             config,
             prep,
             &mut stats,
-            &mut scratches[..share],
+            share,
             delta.as_ref(),
         );
         if let Err(e) = first {
@@ -488,7 +480,7 @@ pub fn run_stages<'d>(
                 config,
                 prep,
                 &mut stats,
-                &mut scratches[..inline],
+                1,
                 delta.as_ref(),
             ) {
                 Ok(()) => stats.degradations.push(Degradation {

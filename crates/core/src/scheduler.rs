@@ -13,16 +13,17 @@
 //!
 //! ## Execution model
 //!
-//! A run's parallelism is its own. `drive_rounds` gets one scratch per
-//! thread of its job's share (DESIGN.md §12) and, for the whole stage,
-//! spawns one helper thread per scratch past the first inside a
-//! `std::thread::scope`. Each round the runner publishes the selected jobs;
-//! the runner and its helpers claim them from one atomic cursor (work
-//! stealing, so one expensive window does not stall the rest) and evaluate
-//! them against the one `PlacementState`, which sits behind an `RwLock`:
-//! shared while a round is evaluated, exclusive to the runner while it
-//! applies the results in selection order. Results travel back keyed by job
-//! index, so the apply order never depends on which thread evaluated what.
+//! A run's parallelism is its own. `drive_rounds` gets its job's thread
+//! share (DESIGN.md §12) and, for the whole stage, spawns one helper thread
+//! per thread past the first inside a `std::thread::scope`; the runner and
+//! each helper build their own insertion scratch for the stage. Each round
+//! the runner publishes the selected jobs; the runner and its helpers
+//! claim them from one atomic cursor (work stealing, so one expensive
+//! window does not stall the rest) and evaluate them against the one
+//! `PlacementState`, which sits behind an `RwLock`: shared while a round
+//! is evaluated, exclusive to the runner while it applies the results in
+//! selection order. Results travel back keyed by job index, so the apply
+//! order never depends on which thread evaluated what.
 //!
 //! The stage cannot hang on a failure. The runner closes the hand-off when
 //! it leaves the round loop, on unwind too, so helpers blocked on the next
@@ -37,7 +38,7 @@
 use crate::config::LegalizerConfig;
 use crate::error::{panic_message, LegalizeError};
 use crate::faultinject::{FaultPlan, FaultSite};
-use crate::insertion::{best_insertion_in, CostModel, Insertion, InsertionScratch};
+use crate::insertion::{best_insertion_in, CostModel, Insertion, InsertionScratch, ScratchStats};
 use crate::mgl::{
     apply_insertion_with, fallback_scan, order_cells, record_fallback_reject, window_for, MglStats,
 };
@@ -170,16 +171,16 @@ impl<'s, 'd> Hub<'s, 'd> {
 
     /// A helper's loop: join each published round, claim its jobs until the
     /// cursor runs dry, and hand the results to the runner. Returns the
-    /// helper's meter.
+    /// helper's meter and the counters of the scratch it built.
     fn help(
         &self,
         model: &CostModel<'_>,
         faults: Option<&Arc<FaultPlan>>,
-        scratch: &mut InsertionScratch,
         results: &mpsc::Sender<(usize, EvalResult)>,
         thread: usize,
-    ) -> Meter {
+    ) -> (Meter, ScratchStats) {
         let mut obs = Meter::new();
+        let mut scratch = InsertionScratch::new();
         let cpu = cpu_reading();
         let mut joined = 0u64;
         let mut done = Vec::new();
@@ -188,7 +189,7 @@ impl<'s, 'd> Hub<'s, 'd> {
                 let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
                 while let Some((i, (cell, _, win))) = round.claim() {
                     let t = Stopwatch::start();
-                    done.push((i, eval_job(&state, cell, win, model, scratch, faults)));
+                    done.push((i, eval_job(&state, cell, win, model, &mut scratch, faults)));
                     let dt = t.elapsed_nanos();
                     obs.record_span(SpanKind::InsertionEval, dt, thread);
                     obs.observe(HistoKind::InsertionEvalNanos, dt);
@@ -204,7 +205,7 @@ impl<'s, 'd> Hub<'s, 'd> {
             }
         }
         book_cpu(&mut obs, cpu);
-        obs
+        (obs, scratch.stats)
     }
 }
 
@@ -232,21 +233,17 @@ impl Drop for CloseOnDrop<'_, '_, '_> {
 }
 
 /// The single MGL driver behind every engine run: the deterministic round
-/// loop, then the fallback scan for cells no window could take.
-/// `scratches` holds one scratch per thread of the job's share, the
-/// runner's own first; a helper is spawned for each of the others, once
-/// for the whole stage. One scratch (or a run with at most one pending
-/// cell) runs every round inline: same rounds, same results. The caller
-/// owns the scratches, so they survive across runs.
+/// loop, then the fallback scan for cells no window could take. `threads`
+/// is the job's share: the runner spawns a helper for each thread past the
+/// first, once for the whole stage, and every thread builds one insertion
+/// scratch for it. One thread (or a run with at most one pending cell)
+/// runs every round inline: same rounds, same results.
 pub(crate) fn drive_rounds(
     state: &mut PlacementState<'_>,
     config: &LegalizerConfig,
     prep: &Prep<'_>,
-    scratches: &mut [InsertionScratch],
+    threads: usize,
 ) -> Result<MglStats, LegalizeError> {
-    let Some((main, helpers)) = scratches.split_first_mut() else {
-        return drive_rounds(state, config, prep, &mut [InsertionScratch::new()]);
-    };
     let oracle = prep.oracle();
     let mut stats = MglStats::default();
     let design = state.design();
@@ -263,23 +260,22 @@ pub(crate) fn drive_rounds(
         io_penalty: config.io_penalty,
         rail_penalty: config.rail_penalty,
     };
+    // The runner's own scratch; each helper builds its own.
+    let main = &mut InsertionScratch::new();
     let hub = Hub::new(&mut *state);
     let cpu = cpu_reading();
-    let fallback_queue = if helpers.is_empty() || backlog.len() <= 1 {
+    let fallback_queue = if threads <= 1 || backlog.len() <= 1 {
         let queue = window_rounds(&hub, config, &model, backlog, main, None, &mut stats);
         book_cpu(&mut stats.obs, cpu);
         queue?
     } else {
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = helpers
-                .iter_mut()
-                .enumerate()
-                .map(|(k, scratch)| {
+            // Helper thread ids start at 1; 0 is the runner.
+            let handles: Vec<_> = (1..threads)
+                .map(|k| {
                     let (hub, model, tx) = (&hub, &model, tx.clone());
-                    // Helper thread ids start at 1; 0 is the runner.
-                    scope
-                        .spawn(move || hub.help(model, config.faults.as_ref(), scratch, &tx, k + 1))
+                    scope.spawn(move || hub.help(model, config.faults.as_ref(), &tx, k))
                 })
                 .collect();
             drop(tx);
@@ -288,18 +284,17 @@ pub(crate) fn drive_rounds(
             book_cpu(&mut stats.obs, cpu);
             drop(close);
             for h in handles {
-                let obs = h
+                let (obs, helper) = h
                     .join()
                     .map_err(|_| LegalizeError::PoolBroken { during: "join" })?;
                 stats.obs.merge(&obs);
+                stats.scratch.merge(&helper);
             }
             queue
         })?
     };
     drop(hub);
-    for s in scratches.iter_mut() {
-        stats.scratch.merge(&std::mem::take(&mut s.stats));
-    }
+    stats.scratch.merge(&main.stats);
     crate::mgl::record_scratch_counters(&mut stats.obs, &stats.scratch);
 
     let t_fb = Stopwatch::start();
@@ -527,19 +522,11 @@ mod tests {
     use crate::config::CellOrder;
     use mcl_db::legal::Checker;
 
-    /// One scratch per thread: the runner's plus a helper's for each
-    /// thread past the first.
-    fn scratches(threads: usize) -> Vec<InsertionScratch> {
-        (0..threads.max(1))
-            .map(|_| InsertionScratch::new())
-            .collect()
-    }
-
     /// One MGL run with `threads - 1` helpers (none at one thread: every
     /// round runs inline).
     fn run_mgl(state: &mut PlacementState<'_>, config: &LegalizerConfig) -> MglStats {
         let prep = Prep::new(state.design(), config);
-        drive_rounds(state, config, &prep, &mut scratches(config.threads)).expect("mgl run")
+        drive_rounds(state, config, &prep, config.threads).expect("mgl run")
     }
 
     fn dense_design(n_cells: usize, seed: u64) -> Design {
@@ -741,38 +728,8 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_runs_is_bit_identical() {
-        // One set of scratches serving two consecutive runs must produce
-        // exactly what fresh scratches produce, and the second run must not
-        // construct new ones.
-        let d1 = dense_design(120, 42);
-        let d2 = dense_design(130, 43);
-        let mut cfg = LegalizerConfig::total_displacement();
-        cfg.threads = 3;
-        let solo = |d: &Design| {
-            let mut state = PlacementState::new(d);
-            let stats = run_mgl(&mut state, &cfg);
-            assert_eq!(stats.failed, 0);
-            d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
-        };
-        let mut shared = scratches(3);
-        let mut created = Vec::new();
-        for d in [&d1, &d2] {
-            let mut state = PlacementState::new(d);
-            let s = drive_rounds(&mut state, &cfg, &Prep::new(d, &cfg), &mut shared).unwrap();
-            assert_eq!(s.failed, 0);
-            created.push(s.scratch.created);
-            let reused: Vec<_> = d.movable_cells().map(|c| state.pos(c)).collect();
-            assert_eq!(solo(d), reused);
-        }
-        // The first run sees the runner's and both helpers' constructions;
-        // the second reuses all three.
-        assert_eq!(created, vec![3, 0]);
-    }
-
-    #[test]
     fn inline_rounds_match_helper_rounds() {
-        // `drive_rounds` with one scratch must reproduce the rounds it runs
+        // `drive_rounds` on one thread must reproduce the rounds it runs
         // with helpers bit-for-bit: this is what lets a runner without
         // helpers skip the hand-off entirely.
         let d = dense_design(140, 909);
@@ -781,7 +738,7 @@ mod tests {
         let w = Prep::new(&d, &cfg);
         let helped = run_with_threads(&d, 4);
         let mut state = PlacementState::new(&d);
-        let stats = drive_rounds(&mut state, &cfg, &w, &mut scratches(1)).unwrap();
+        let stats = drive_rounds(&mut state, &cfg, &w, 1).unwrap();
         assert_eq!(stats.failed, 0);
         let inline: Vec<_> = d.movable_cells().map(|c| state.pos(c)).collect();
         assert_eq!(helped, inline);

@@ -27,7 +27,7 @@ pub fn recording() -> bool {
     RECORDING.load(Ordering::Relaxed)
 }
 
-/// Span kinds of the pipeline hierarchy: run → stage → phase → window →
+/// Span kinds of the pipeline hierarchy: run → stage → phase →
 /// insertion-eval, plus the flow-solver leaves. Names follow the
 /// `<scope>.<quantity>` convention of DESIGN.md §9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +47,6 @@ pub enum SpanKind {
     SchedEval,
     /// Scheduler: sequential apply phase (per round).
     SchedApply,
-    /// One target cell's window search (all expansions + apply).
-    Window,
     /// One `best_insertion_in` call (thread-attributed).
     InsertionEval,
     /// One whole-design fallback scan.
@@ -70,7 +68,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in report order.
-    pub const ALL: [SpanKind; 15] = [
+    pub const ALL: [SpanKind; 14] = [
         SpanKind::Run,
         SpanKind::StageMgl,
         SpanKind::StageMaxDisp,
@@ -78,7 +76,6 @@ impl SpanKind {
         SpanKind::SchedSelect,
         SpanKind::SchedEval,
         SpanKind::SchedApply,
-        SpanKind::Window,
         SpanKind::InsertionEval,
         SpanKind::FallbackScan,
         SpanKind::MatchingGroup,
@@ -101,7 +98,6 @@ impl SpanKind {
             SpanKind::SchedSelect => "mgl.select",
             SpanKind::SchedEval => "mgl.eval",
             SpanKind::SchedApply => "mgl.apply",
-            SpanKind::Window => "mgl.window",
             SpanKind::InsertionEval => "mgl.insertion_eval",
             SpanKind::FallbackScan => "mgl.fallback_scan",
             SpanKind::MatchingGroup => "maxdisp.group",
@@ -563,15 +559,15 @@ mod tests {
     fn record_and_merge() {
         let mut a = Meter::new();
         assert!(a.is_empty());
-        a.record_span(SpanKind::Window, 100, 0);
-        a.record_span(SpanKind::Window, 50, 1);
+        a.record_span(SpanKind::InsertionEval, 100, 0);
+        a.record_span(SpanKind::InsertionEval, 50, 1);
         a.add(CounterKind::WindowsEvaluated, 3);
         a.observe(HistoKind::DispSitesMgl, 7);
         let mut b = Meter::new();
-        b.record_span(SpanKind::Window, 200, 2);
+        b.record_span(SpanKind::InsertionEval, 200, 2);
         b.add(CounterKind::WindowsEvaluated, 2);
         a.merge(&b);
-        let s = a.span(SpanKind::Window);
+        let s = a.span(SpanKind::InsertionEval);
         assert_eq!(s.count, 3);
         assert_eq!(s.total_nanos, 350);
         assert_eq!(s.min_nanos, 50);

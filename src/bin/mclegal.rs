@@ -90,7 +90,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let flags = match Flags::parse(rest) {
+    let flags = match Flags::parse(rest, command_flags(cmd).as_deref()) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -158,7 +158,10 @@ COMMANDS
              --stages mgl,maxdisp,fixed   run this stage subset instead of
                                 the mode's stages (skipping mgl adopts the
                                 input placement)
+             --order auto|gpx|height|shuffled|id   MGL cell order instead
+                                of the mode's (contest: height, else auto)
              --baseline tetris|abacus|lcp   run a baseline instead
+             --pl <file>        overlay a result .pl as the input placement
              --eco true            incremental: keep pre-placed cells
              --eco-delta N[:SEED]  after legalizing, open a resident ECO
                                 session over the result and push one
@@ -172,14 +175,14 @@ COMMANDS
                                 <name>.failure.json for failed jobs)
              --heatmap <file>   write the per-stage displacement/latency heatmap SVG
              --out-pl <file>    write placed .pl
-             --out-def <file>   write placed DEF
+             --out-def <file> --out-lef <file>   write placed DEF / LEF
              --svg <file>       write an SVG rendering
   serve      run the legalization daemon (newline-delimited JSON over TCP;
              see DESIGN.md §16 for the wire protocol)
              --addr <ip:port>   bind address (default 127.0.0.1:0; the
                                 picked port is printed as `LISTENING <addr>`)
-             --mode/--threads/--stage-budget-secs   engine config, as for
-                                `legalize`
+             --mode/--threads/--stage-budget-secs/--max-inflight/--order
+                                engine config, as for `legalize`
              --queue-cap <n>    bounded admission queue (default 64); past
                                 it jobs get RETRY_AFTER, never buffered
              --deadline-secs <f>   default per-job wall-clock budget
@@ -207,22 +210,71 @@ COMMANDS
   convert    convert between formats
              --bookshelf <dir> | --lef <file> --def <file>   input
              --out <dir> | --out-def <file> --out-lef <file>  output
+             --out-pl <file> --svg <file>   also write a .pl / SVG
   presets    list the available paper presets
 
 EXIT CODES
   0 success | 2 usage | 3 parse/input | 4 infeasible result | 5 internal";
 
+/// The flags `cmd` reads, or `None` for an unknown command. Any other flag
+/// is a usage error, so a typo cannot silently fall back to a default.
+fn command_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    const INPUT: &[&str] = &["bookshelf", "lef", "def", "pl"];
+    const OUTPUT: &[&str] = &["out-pl", "out-def", "out-lef", "svg"];
+    const ENGINE: &[&str] = &[
+        "mode",
+        "threads",
+        "stage-budget-secs",
+        "max-inflight",
+        "order",
+    ];
+    let groups: &[&[&str]] = match cmd {
+        "generate" => &[&[
+            "preset", "scale", "cells", "density", "fences", "seed", "out",
+        ]],
+        "legalize" => &[
+            INPUT,
+            OUTPUT,
+            ENGINE,
+            &["batch", "stages", "baseline", "eco", "eco-delta"],
+            &["report", "report-json", "report-dir", "heatmap"],
+        ],
+        "serve" => &[
+            ENGINE,
+            &[
+                "addr",
+                "queue-cap",
+                "deadline-secs",
+                "report-dir",
+                "journal",
+            ],
+            &["idle-evict-secs", "retry-after-ms", "admit-hold-secs"],
+        ],
+        "rpc" => &[&["addr", "json"]],
+        "check" | "score" => &[INPUT],
+        "convert" => &[INPUT, OUTPUT, &["out"]],
+        "presets" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    };
+    Some(groups.concat())
+}
+
 #[derive(Default)]
 struct Flags(HashMap<String, String>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `--key value` pairs; with `known`, a key outside it is an
+    /// error.
+    fn parse(args: &[String], known: Option<&[&str]>) -> Result<Self, String> {
         let mut map = HashMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a:?}"));
             };
+            if known.is_some_and(|k| !k.contains(&key)) {
+                return Err(format!("unknown flag --{key}"));
+            }
             let val = it
                 .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -513,8 +565,8 @@ struct JobFailure {
 
 /// `legalize --batch <dir>`: legalize every Bookshelf bundle found in the
 /// immediate subdirectories of `<dir>` (sorted by name) through one shared
-/// [`Engine`], so the per-thread scratches are set up once and amortized
-/// across the whole batch.
+/// [`Engine`], whose runners claim the bundles and split the thread
+/// budget between them.
 ///
 /// Fault containment: a bundle that fails to parse, fails to seed, or
 /// exhausts its degradation ladder is recorded as a per-job failure row —

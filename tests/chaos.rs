@@ -27,7 +27,6 @@
 //!    stage failing inside a delta is undone alone and skipped.
 
 use mclegal::audit;
-use mclegal::core::insertion::InsertionScratch;
 use mclegal::core::pipeline;
 use mclegal::core::state::PlacementState;
 use mclegal::core::{
@@ -163,8 +162,7 @@ fn failed_stage_leaves_no_partial_mutation() {
         let mut state = PlacementState::new(&d);
         let before: Vec<Option<Point>> = d.cells.iter().map(|_| None).collect();
         // The first attempt runs with one helper, the inline retry without.
-        let mut scratches = [InsertionScratch::new(), InsertionScratch::new()];
-        let r = pipeline::run_stages(&d, &mut state, &cfg, RunSpec::Fresh, &prep, &mut scratches);
+        let r = pipeline::run_stages(&d, &mut state, &cfg, RunSpec::Fresh, &prep, 2);
         let err = r.expect_err("persistent fault must exhaust the ladder");
         assert!(
             matches!(err, LegalizeError::StagePanicked { stage: "mgl", .. }),

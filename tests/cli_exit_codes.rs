@@ -68,13 +68,16 @@ fn usage_errors_exit_2() {
     // legalize without an input.
     let out = mclegal().arg("legalize").output().unwrap();
     assert_eq!(exit_code(&out), 2);
-    // Unknown mode and malformed stage spec.
+    // Unknown mode, malformed stage spec, bad order, and flags the command
+    // does not read (a typo must not fall back to the default).
     let dir = tmp_dir("usage");
     let bundle = write_bundle(&dir, "u0", 11);
     for extra in [
         ["--mode", "bogus"],
         ["--stages", "fixed,mgl"],
         ["--order", "nope"],
+        ["--thread", "2"],
+        ["--bogus-flag", "7"],
     ] {
         let out = mclegal()
             .args(["legalize", "--bookshelf", bundle.to_str().unwrap()])

@@ -115,9 +115,8 @@ fn golden_corpus_reports_match_snapshots() {
 #[test]
 fn engine_batch_matches_individual_goldens() {
     // A batched Engine run over the whole corpus must hit the *same*
-    // snapshots as the per-design runs above: runners side by side and
-    // reused scratches are pure setup amortization, never visible in
-    // results.
+    // snapshots as the per-design runs above: running designs side by
+    // side on runners is pure scheduling, never visible in results.
     let lc = corpus_config();
     let designs: Vec<Design> = golden_corpus()
         .iter()
