@@ -67,7 +67,7 @@ pub fn legalize_lcp_with(design: &Design, max_iters: usize, tol: f64) -> (Design
     let mut hi = vec![f64::INFINITY; k];
     for (i, &c) in cells.iter().enumerate() {
         let w = design.type_of(c).width;
-        for (seg_idx, _) in state.segment_memberships(c) {
+        for seg_idx in state.segments_of(c) {
             let seg = &state.segments().segments()[seg_idx];
             lo[i] = lo[i].max(seg.x.lo as f64);
             hi[i] = hi[i].min((seg.x.hi - w) as f64);

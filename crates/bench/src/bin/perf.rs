@@ -121,9 +121,12 @@ const MAX_ECO_P99_MS: f64 = 2_000.0;
 const MIN_ECO_SPEEDUP: f64 = 10.0;
 /// A slower stage 2 slows only the full ECO reference, which raises
 /// `speedup_vs_full`, so the speedup floor cannot catch it; the ratio of
-/// two stages of one run does not depend on machine speed. About 60 when
-/// stage 2 ran successive shortest paths, about 1 on the network simplex.
-const MAX_MAXDISP_OVER_FIXED_ORDER: f64 = 4.0;
+/// two stages of one process does not depend on machine speed. The
+/// yardstick is the base run's MGL stage: stage 3 was, until its
+/// component solve made it 5–9x faster than stage 2 here. 0.5–0.85 on the
+/// network simplex (`--smoke`, 2 vCPUs); successive shortest paths took
+/// about 60x the one-graph stage 3, which is about 35x this yardstick.
+const MAX_MAXDISP_OVER_BASE_MGL: f64 = 3.0;
 /// Single-client serve p99: twice the largest of five default-mode runs
 /// on a 2-vCPU container (461.7–508.6 ms).
 const MAX_SERVE_P99_MS: f64 = 1_017.2;
@@ -163,9 +166,10 @@ struct EcoResult {
     /// Of the last delta.
     cells_reused: u64,
     full_ms: f64,
-    /// The full reference's stage 2 and stage 3 wall time.
+    /// The full reference's stage 2 wall time.
     maxdisp_s: f64,
-    fixed_order_s: f64,
+    /// The base legalization's MGL stage wall time.
+    base_mgl_s: f64,
 }
 
 impl EcoResult {
@@ -238,14 +242,11 @@ fn gate_violations(r: &Results) -> Vec<String> {
             "eco: speedup_vs_full {speedup:.1}x < {MIN_ECO_SPEEDUP}x"
         ));
     }
-    if !within(
-        eco.maxdisp_s,
-        MAX_MAXDISP_OVER_FIXED_ORDER * eco.fixed_order_s,
-    ) {
+    if !within(eco.maxdisp_s, MAX_MAXDISP_OVER_BASE_MGL * eco.base_mgl_s) {
         out.push(format!(
-            "eco: full reference maxdisp {:.2}s > {MAX_MAXDISP_OVER_FIXED_ORDER}x fixed_order \
-             {:.2}s",
-            eco.maxdisp_s, eco.fixed_order_s
+            "eco: full reference maxdisp {:.2}s > {MAX_MAXDISP_OVER_BASE_MGL}x the base run's \
+             mgl {:.2}s",
+            eco.maxdisp_s, eco.base_mgl_s
         ));
     }
     if let Some(solo) = r.serve.as_ref().and_then(|levels| levels.first()) {
@@ -808,7 +809,11 @@ fn eco_section(design: &Design, deltas: usize) -> EcoResult {
     let t = Stopwatch::start();
     let (base, base_stats) = legalize(&cfg, design, RunSpec::default());
     assert_eq!(base_stats.mgl.failed, 0, "base legalization failed cells");
-    println!("base legalize: {:.2}s", t.elapsed_seconds());
+    let base_mgl_s = base_stats.stage_seconds_for("mgl").unwrap_or(f64::NAN);
+    println!(
+        "base legalize: {:.2}s (mgl {base_mgl_s:.2}s)",
+        t.elapsed_seconds()
+    );
 
     // Full-run reference: one delta absorbed by a from-scratch ECO run
     // (`RunSpec::Eco`), whose post stages walk every cell.
@@ -864,7 +869,7 @@ fn eco_section(design: &Design, deltas: usize) -> EcoResult {
         cells_reused,
         full_ms,
         maxdisp_s: stage("maxdisp"),
-        fixed_order_s: stage("fixed_order"),
+        base_mgl_s,
     };
     println!(
         "p50 {:.2}ms, p99 {:.2}ms, full {full_ms:.2}ms -> speedup_vs_full {:.1}x",
@@ -1075,7 +1080,7 @@ mod tests {
                 cells_reused: 99_315,
                 full_ms: 40_000.0,
                 maxdisp_s: 2.0,
-                fixed_order_s: 1.5,
+                base_mgl_s: 1.5,
             },
             serve: serve.then(|| {
                 SERVE_LEVELS
@@ -1189,8 +1194,8 @@ mod tests {
     #[test]
     fn eco_stage_two_ceiling() {
         assert_gate(
-            |r| r.eco.maxdisp_s = MAX_MAXDISP_OVER_FIXED_ORDER * r.eco.fixed_order_s + 0.01,
-            |r| r.eco.maxdisp_s = MAX_MAXDISP_OVER_FIXED_ORDER * r.eco.fixed_order_s,
+            |r| r.eco.maxdisp_s = MAX_MAXDISP_OVER_BASE_MGL * r.eco.base_mgl_s + 0.01,
+            |r| r.eco.maxdisp_s = MAX_MAXDISP_OVER_BASE_MGL * r.eco.base_mgl_s,
         );
         assert_eq!(violations_after(|r| r.eco.maxdisp_s = f64::NAN).len(), 1);
     }

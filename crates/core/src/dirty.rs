@@ -40,15 +40,16 @@ use crate::config::LegalizerConfig;
 use crate::spatial::HierGrid;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The closure of a delta's dirty set: the cells a delta-mode post stage
 /// may move, and the clipped, halo-expanded windows that were scanned to
 /// find them.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyClosure {
-    /// Per-cell membership, indexed by `CellId`.
-    in_closure: Vec<bool>,
-    /// Closure members in ascending id order.
+    /// Closure members in ascending id order (membership is a binary
+    /// search, so nothing is sized by the design).
     cells: Vec<CellId>,
     /// Every clipped window scanned while growing the closure (in scan
     /// order, deduplicated by containment).
@@ -59,10 +60,7 @@ impl DirtyClosure {
     /// Whether `cell` is in the closure (may be moved by delta stages).
     #[inline]
     pub fn contains(&self, cell: CellId) -> bool {
-        self.in_closure
-            .get(cell.0 as usize)
-            .copied()
-            .unwrap_or(false)
+        self.cells.binary_search(&cell).is_ok()
     }
 
     /// Closure members in ascending id order.
@@ -126,12 +124,12 @@ pub fn compute_from_seeds(
 ) -> DirtyClosure {
     let d = state.design();
     let h = halo(d);
-    let n = d.cells.len();
-    let mut out = DirtyClosure {
-        in_closure: vec![false; n],
-        cells: Vec::new(),
-        windows: Vec::new(),
-    };
+    let mut out = DirtyClosure::default();
+    // Membership while the walk grows the closure; members are sorted
+    // once it stops. A 64-cell delta closes over 400–700 cells, about ten
+    // per seed, so the set rarely rehashes.
+    let mut found: HashSet<CellId, BuildHasherDefault<IdHasher>> =
+        HashSet::with_capacity_and_hasher(16 * seeds.len(), BuildHasherDefault::default());
     // Windows already scanned, for containment dedup; a generous band
     // height keeps multi-row windows in few bands.
     let mut scanned = HierGrid::new(d.core, d.tech.row_height.max(1) * 4);
@@ -141,8 +139,7 @@ pub fn compute_from_seeds(
     let window =
         |r: Rect, anchor: Rect| Rect::new(r.xl - h, r.yl, r.xh + h, r.yh).intersect(anchor);
     for &(cell, origin) in seeds {
-        if !out.in_closure[cell.0 as usize] {
-            out.in_closure[cell.0 as usize] = true;
+        if found.insert(cell) {
             out.cells.push(cell);
         }
         for r in origin.into_iter().chain(state.cell_rect(cell)) {
@@ -180,10 +177,9 @@ pub fn compute_from_seeds(
                     continue;
                 }
                 for &c in state.occupants_overlapping(seg, win.xl, win.xh) {
-                    if out.in_closure[c.0 as usize] {
+                    if !found.insert(c) {
                         continue;
                     }
-                    out.in_closure[c.0 as usize] = true;
                     out.cells.push(c);
                     if let Some(r) = state.cell_rect(c) {
                         worklist.push((window(r, anchor), anchor));
@@ -194,6 +190,31 @@ pub fn compute_from_seeds(
     }
     out.cells.sort_unstable_by_key(|c| c.0);
     out
+}
+
+/// Hashes a cell id with one multiply (Fibonacci hashing). Ids are dense
+/// integers, so the multiply spreads them well, and SipHash's resistance
+/// to chosen keys would only slow the closure walk's membership checks.
+#[derive(Default)]
+struct IdHasher(u64);
+
+/// `2^64` over the golden ratio, odd.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(FIBONACCI);
+    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //! coordinates solve the LP of Eq. 4 (weighted total displacement, neighbor
 //! separation, segment/feasible-range bounds), extended with the
 //! max-displacement terms of Eq. 8. The LP is solved through its dual
-//! min-cost flow (Eq. 5–9) with `m + 1` vertices (plus `v_p`, `v_n` for the
-//! extension), and the optimal positions are recovered from the network
-//! simplex node potentials: `x_i = π_i − π_z`.
+//! min-cost flow (Eq. 5–9), and the optimal positions are recovered from
+//! the network simplex node potentials: `x_i = π_i − π_z`.
 //!
 //! ## Flow construction (derivation summary)
 //!
@@ -27,14 +26,66 @@
 //! With routability enabled, `[l_i, r_i]` is additionally intersected with
 //! the maximal x range where the cell's pins stay clear of vertical P/G
 //! stripes (§3.4), i.e. `C_L = C_R = C`.
+//!
+//! ## Independent components, exact by relax-and-verify
+//!
+//! The flow is not solved as one graph. Legalization moves are local, so
+//! most neighbour pairs cannot bind: a pair whose current slack
+//! `x_b − x_a − w̃_ab` exceeds the two cells' summed distance `|x_i − x'_i|`
+//! from their targets is *dropped* from a relaxation, and the relaxation
+//! falls apart into the connected components of the kept pairs (union-find
+//! over the cells). Each component gets its own graph with its own `z`: the
+//! Eq. 5–7 arcs of its cells plus every pair with both ends inside it.
+//! Components are claimed largest first from one atomic cursor by the job's
+//! threads (one thread runs inline) and each yields `x_i = π_i − π_z` for
+//! its cells.
+//!
+//! The relaxation's feasible set contains the LP's, so an optimum of it
+//! that meets every dropped constraint is optimal for the LP. After each
+//! round every dropped pair is checked on the assembled x; the components
+//! of each violated pair are merged and only merged components are solved
+//! again, until none is violated. Every round lowers the component count,
+//! so the worst case is the one full graph; there is no cap and no
+//! fallback. Components are unions of whole earlier components, their
+//! graphs list cells in ascending index and pairs in scan order, and the
+//! merges of a round form the same partition in any order, so the result
+//! does not depend on the thread count or on which thread solved what.
+//!
+//! The certificate for the full graph is the components' flows and
+//! potentials (each shifted to `π_z = 0`) plus zero flow on every dropped
+//! arc: a dropped pair arc `a→b` has `rc = x_b − x_a − w̃_ab ≥ 0`, so zero
+//! flow on it meets complementary slackness. Debug and `audit` builds
+//! build the full graph and run `mcl_audit::certify` on the assembly.
+//!
+//! ## The Eq. 8–9 extension
+//!
+//! `v_p` and `v_n` touch every cell, so they would join everything into
+//! one component. They are priced instead. With `π_z = 0` and no flow on
+//! the extension, the arcs `z→p` (`rc = max δ_y + π_p`) and `p→i`
+//! (`rc = x_i − x'_i − δ_yi − π_p`) all price non-negative for some `π_p`
+//! iff `min_i(x_i − x'_i − δ_yi) ≥ −max δ_y`; on the `v_n` side the arcs
+//! `i→n` and `n→z` need `max_i(x_i − x'_i + δ_yi) ≤ max δ_y`. (`max δ_y`
+//! stays global, as in the one-graph formulation.) The cells that break
+//! either condition are merged, with their components, into one component
+//! that carries `v_p`, `v_n` and its members' p/n arcs. Once it is solved,
+//! every cell outside it is priced against its `π_p`/`π_n`: a cell with
+//! `x_i − x'_i − δ_yi < π_p` or `x_i − x'_i + δ_yi > π_n` joins it, and the
+//! loop repeats. At the fixed point the p/n arcs outside it carry zero flow
+//! at non-negative reduced cost, which completes the certificate.
+//!
+//! The run's `fixed_order.components`, `fixed_order.largest_component`,
+//! `fixed_order.repair_rounds` and `fixed_order.ext_cells` counters report
+//! the final partition; `flow.simplex` records one span per component
+//! solve, on the thread that solved it.
 
 use crate::config::LegalizerConfig;
 use crate::routability::RoutOracle;
 use crate::state::PlacementState;
 use mcl_db::prelude::*;
-use mcl_flow::{FlowGraph, NodeId, INF_CAP};
+use mcl_flow::{FlowError, FlowGraph, NodeId, INF_CAP};
 use mcl_obs::{clock::Stopwatch, CounterKind, Meter, SpanKind};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Statistics of one stage-3 run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -54,7 +105,7 @@ pub struct FixedOrderStats {
     pub applied: bool,
 }
 
-/// Runs the fixed row & order refinement in place.
+/// Runs the fixed row & order refinement in place, on one thread.
 pub fn optimize_fixed_order(
     state: &mut PlacementState<'_>,
     config: &LegalizerConfig,
@@ -62,11 +113,13 @@ pub fn optimize_fixed_order(
     oracle: Option<&RoutOracle<'_>>,
 ) -> FixedOrderStats {
     let mut obs = Meter::new();
-    optimize_fixed_order_metered(state, config, weights, oracle, &mut obs, None)
+    optimize_fixed_order_metered(state, config, weights, oracle, &mut obs, None, 1)
 }
 
-/// [`optimize_fixed_order`] that records the dual flow solve (span + pivot
-/// count) into `obs`.
+/// [`optimize_fixed_order`] that solves the components on `threads`
+/// threads and records the flow solves (spans + pivot count) and the
+/// partition counters into `obs`. The result does not depend on
+/// `threads`.
 ///
 /// With `delta` set (ECO delta mode) the flow is built over dirty-closure
 /// members only; a closure cell's nearest clean segment neighbors become
@@ -80,6 +133,7 @@ pub fn optimize_fixed_order_metered(
     oracle: Option<&RoutOracle<'_>>,
     obs: &mut Meter,
     delta: Option<&crate::dirty::DirtyClosure>,
+    threads: usize,
 ) -> FixedOrderStats {
     let d = state.design();
     let sw = d.tech.site_width;
@@ -98,32 +152,53 @@ pub fn optimize_fixed_order_metered(
         stats.applied = true;
         return stats;
     }
-    let mut index = vec![usize::MAX; d.cells.len()];
-    for (i, &c) in cells.iter().enumerate() {
-        index[c.0 as usize] = i;
-    }
+    // A full run indexes every cell of the design; a delta's index is a
+    // binary search in its ascending member list, so its set-up follows
+    // the closure, not the design.
+    let dense: Vec<usize> = match delta {
+        Some(_) => Vec::new(),
+        None => {
+            let mut index = vec![usize::MAX; d.cells.len()];
+            for (i, &c) in cells.iter().enumerate() {
+                index[c.0 as usize] = i;
+            }
+            index
+        }
+    };
+    let index_of = |c: CellId| -> Option<usize> {
+        match delta {
+            Some(_) => cells.binary_search(&c).ok(),
+            None => Some(dense[c.0 as usize]).filter(|&i| i != usize::MAX),
+        }
+    };
     stats.cells = k;
 
     let to_sites = |x: Dbu| -> i64 { (x - d.core.xl) / sw };
     let snap = |x: Dbu| d.tech.snap_x_nearest(d.core.xl, x);
 
     // Per-cell data.
-    let mut xp = vec![0i64; k]; // x'_i in sites
-    let mut lo = vec![0i64; k];
-    let mut hi = vec![0i64; k];
-    let mut dy = vec![0i64; k]; // δ_yi in sites
-    let mut cur = vec![0i64; k];
+    let mut lp = Lp {
+        w: cells.iter().map(|&c| weights[c.0 as usize]).collect(),
+        xp: vec![0; k],
+        lo: vec![0; k],
+        hi: vec![0; k],
+        dy: vec![0; k],
+        cur: vec![0; k],
+        pairs: Vec::new(),
+        n0: 0,
+        max_dy: 0,
+    };
     for (i, &c) in cells.iter().enumerate() {
         let cell = &d.cells[c.0 as usize];
         let p = state.pos(c).unwrap();
         let w = d.type_of(c).width;
-        cur[i] = to_sites(p.x);
-        xp[i] = to_sites(snap(cell.gp.x));
-        dy[i] = ((p.y - cell.gp.y).abs() + sw / 2) / sw;
+        lp.cur[i] = to_sites(p.x);
+        lp.xp[i] = to_sites(snap(cell.gp.x));
+        lp.dy[i] = ((p.y - cell.gp.y).abs() + sw / 2) / sw;
         // Segment bounds across all spanned rows.
         let mut l = d.core.xl;
         let mut r = d.core.xh;
-        for (seg_idx, _) in state.segment_memberships(c) {
+        for seg_idx in state.segments_of(c) {
             let seg = &state.segments().segments()[seg_idx];
             l = l.max(seg.x.lo);
             r = r.min(seg.x.hi - w);
@@ -135,20 +210,17 @@ pub fn optimize_fixed_order_metered(
             l = cl;
             r = ch;
         }
-        lo[i] = to_sites(l);
-        hi[i] = to_sites(r);
-        debug_assert!(lo[i] <= cur[i] && cur[i] <= hi[i]);
+        lp.lo[i] = to_sites(l);
+        lp.hi[i] = to_sites(r);
+        debug_assert!(lp.lo[i] <= lp.cur[i] && lp.cur[i] <= lp.hi[i]);
     }
 
     // Neighbor pairs from segment occupant lists.
-    let mut pairs: Vec<(usize, usize, i64)> = Vec::new();
     let spacing_snapped = |a: u8, b: u8| -> i64 {
         let s = d.tech.edge_spacing.spacing(a, b);
         (s + sw - 1).div_euclid(sw)
     };
     for (a, b) in neighbor_pairs(state, delta) {
-        let ia = index[a.0 as usize];
-        let ib = index[b.0 as usize];
         let ta = d.type_of(a);
         let tb = d.type_of(b);
         let sep = ta.width / sw + spacing_snapped(ta.edge_class.1, tb.edge_class.0);
@@ -159,113 +231,64 @@ pub fn optimize_fixed_order_metered(
         // Never ask for more separation than the incumbent has: the LP
         // stays feasible and an existing soft gap can only grow, never
         // shrink.
-        match (ia != usize::MAX, ib != usize::MAX) {
-            (true, true) => pairs.push((ia, ib, sep.min(cur[ib] - cur[ia]))),
+        match (index_of(a), index_of(b)) {
+            (Some(ia), Some(ib)) => {
+                let sep = sep.min(lp.cur[ib] - lp.cur[ia]);
+                lp.pairs.push((ia as u32, ib as u32, sep));
+            }
             // Delta mode: a clean neighbor is a fixed wall. Clip the
             // closure cell's bound at the wall minus the (relaxed)
             // separation; the incumbent stays feasible because the
             // relaxation never asks for more than the current gap.
-            (true, false) => {
+            (Some(ia), None) => {
                 let bx = to_sites(state.soa().x(b));
-                let s = sep.min(bx - cur[ia]);
-                hi[ia] = hi[ia].min(bx - s);
+                let s = sep.min(bx - lp.cur[ia]);
+                lp.hi[ia] = lp.hi[ia].min(bx - s);
             }
-            (false, true) => {
+            (None, Some(ib)) => {
                 let ax = to_sites(state.soa().x(a));
-                let s = sep.min(cur[ib] - ax);
-                lo[ib] = lo[ib].max(ax + s);
+                let s = sep.min(lp.cur[ib] - ax);
+                lp.lo[ib] = lp.lo[ib].max(ax + s);
             }
             // Both clean: never emitted in delta mode, impossible in a
             // full run (every occupant is indexed).
-            (false, false) => {}
+            (None, None) => {}
         }
     }
-    stats.neighbor_arcs = pairs.len();
+    stats.neighbor_arcs = lp.pairs.len();
 
     // Weighted displacement before.
-    let weighted = |xs: &dyn Fn(usize) -> i64| -> i64 {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| weights[c.0 as usize] * (xs(i) - xp[i]).abs())
-            .sum()
-    };
-    stats.weighted_before = weighted(&|i| cur[i]);
+    let weighted = |xs: &[i64]| -> i64 { (0..k).map(|i| lp.w[i] * (xs[i] - lp.xp[i]).abs()).sum() };
+    stats.weighted_before = weighted(&lp.cur);
 
-    // Build the flow graph: node 0 = z, 1..=k cells, then p, n.
-    let n0 = if config.n0_factor > 0 {
-        config.n0_factor
-            * cells
-                .iter()
-                .map(|&c| weights[c.0 as usize])
-                .max()
-                .unwrap_or(1)
-    } else {
-        0
-    };
-    let extension = n0 > 0;
-    let num_nodes = 1 + k + if extension { 2 } else { 0 };
-    let mut g = FlowGraph::with_nodes(num_nodes);
-    let z = NodeId(0);
-    let node = |i: usize| NodeId(1 + i);
-    for (i, &c) in cells.iter().enumerate() {
-        let ni = weights[c.0 as usize];
-        g.add_arc(z, node(i), ni, -xp[i]);
-        g.add_arc(node(i), z, ni, xp[i]);
-        g.add_arc(z, node(i), INF_CAP, -lo[i]);
-        g.add_arc(node(i), z, INF_CAP, hi[i]);
+    if config.n0_factor > 0 {
+        lp.n0 = config.n0_factor * lp.w.iter().copied().max().unwrap_or(1);
+        lp.max_dy = lp.dy.iter().copied().max().unwrap_or(0);
     }
-    for &(ia, ib, sep) in &pairs {
-        g.add_arc(node(ia), node(ib), INF_CAP, -sep);
-    }
-    if extension {
-        let p = NodeId(1 + k);
-        let nn = NodeId(2 + k);
-        let max_dy = dy.iter().copied().max().unwrap_or(0);
-        for i in 0..k {
-            g.add_arc(p, node(i), INF_CAP, -(xp[i] + dy[i]));
-            g.add_arc(node(i), nn, INF_CAP, xp[i] - dy[i]);
-        }
-        g.add_arc(z, p, n0, max_dy);
-        g.add_arc(nn, z, n0, max_dy);
-    }
+    let extension = lp.n0 > 0;
 
-    let t_flow = Stopwatch::start();
-    let solved = mcl_flow::solve(&g);
-    obs.record_span(SpanKind::FlowSimplex, t_flow.elapsed_nanos(), 0);
-    let Ok((sol, pivots)) = solved else {
+    let Ok(xs) = lp.solve(threads.max(1), obs) else {
         return stats;
     };
-    obs.add(CounterKind::SimplexPivots, pivots);
-    // The independent auditor re-derives feasibility and complementary
-    // slackness of the dual flow before its potentials become positions.
-    #[cfg(any(debug_assertions, feature = "audit"))]
-    assert_eq!(
-        mcl_audit::certify(&g, &sol).map(|cert| cert.cost),
-        Ok(sol.cost),
-        "stage-3 dual flow failed its optimality certificate"
-    );
-    let pi_z = sol.potential[0];
-    let xs: Vec<i64> = (0..k).map(|i| sol.potential[1 + i] - pi_z).collect();
 
     // Validate the recovered primal solution.
-    for i in 0..k {
-        if xs[i] < lo[i] || xs[i] > hi[i] {
+    for (i, &x) in xs.iter().enumerate() {
+        if x < lp.lo[i] || x > lp.hi[i] {
             debug_assert!(
                 false,
-                "bound violated for cell {i}: {} not in [{}, {}]",
-                xs[i], lo[i], hi[i]
+                "bound violated for cell {i}: {x} not in [{}, {}]",
+                lp.lo[i], lp.hi[i]
             );
             return stats;
         }
     }
-    for &(ia, ib, sep) in &pairs {
-        if xs[ib] - xs[ia] < sep {
+    for &(ia, ib, sep) in &lp.pairs {
+        if xs[ib as usize] - xs[ia as usize] < sep {
             debug_assert!(false, "separation violated");
             return stats;
         }
     }
-    stats.weighted_after = weighted(&|i| xs[i]);
+    stats.weighted_after = weighted(&xs);
     if !extension && stats.weighted_after > stats.weighted_before {
         // Without the max-disp terms the optimum can't be worse than the
         // incumbent; guard against solver surprises. With the extension the
@@ -277,6 +300,7 @@ pub fn optimize_fixed_order_metered(
 
     // Apply: left-movers in ascending current x, then right-movers in
     // descending current x (no transient overlap).
+    let cur = &lp.cur;
     let mut order: Vec<usize> = (0..k).filter(|&i| xs[i] != cur[i]).collect();
     order.sort_by_key(|&i| {
         if xs[i] < cur[i] {
@@ -295,43 +319,494 @@ pub fn optimize_fixed_order_metered(
     stats
 }
 
+/// Stage 3's LP over the indexed cells, in site units.
+struct Lp {
+    /// Weight `n_i`.
+    w: Vec<i64>,
+    /// Target `x'_i`.
+    xp: Vec<i64>,
+    /// Feasible range `[l_i, r_i]`: `lo` holds `l_i`, `hi` holds `r_i`.
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    /// y displacement `δ_yi`.
+    dy: Vec<i64>,
+    /// Incumbent x.
+    cur: Vec<i64>,
+    /// Neighbour pairs `(a, b, w̃_ab)`: `x_b − x_a ≥ w̃_ab`, in scan order.
+    pairs: Vec<(u32, u32, i64)>,
+    /// Extension capacity `n₀` (0: no extension) and `max δ_y`.
+    n0: i64,
+    max_dy: i64,
+}
+
+/// The optimum of one component: its cells' x in member order, its
+/// extension potentials `(π_p − π_z, π_n − π_z)` when it carries the
+/// extension, and (read by the certificate) its arc flows in
+/// [`Lp::graph`] order and its cost.
+struct Solved {
+    xs: Vec<i64>,
+    ext_pot: Option<(i64, i64)>,
+    #[cfg_attr(not(any(debug_assertions, feature = "audit")), allow(dead_code))]
+    flow: Vec<i64>,
+    #[cfg_attr(not(any(debug_assertions, feature = "audit")), allow(dead_code))]
+    cost: i128,
+}
+
+/// The components of one round: cells and internal pairs of each, in
+/// compressed rows. Components are numbered in the order of their lowest
+/// cell; cells ascend and pairs keep scan order within each.
+struct Partition {
+    /// Component of each cell.
+    comp: Vec<u32>,
+    /// Index of each cell within its component's member list.
+    local: Vec<u32>,
+    cells: Vec<u32>,
+    cell_start: Vec<usize>,
+    pairs: Vec<u32>,
+    pair_start: Vec<usize>,
+    /// The component carrying `v_p` / `v_n`, if any.
+    ext: Option<usize>,
+}
+
+impl Partition {
+    fn len(&self) -> usize {
+        self.cell_start.len() - 1
+    }
+
+    fn cells(&self, c: usize) -> &[u32] {
+        &self.cells[self.cell_start[c]..self.cell_start[c + 1]]
+    }
+
+    fn pairs(&self, c: usize) -> &[u32] {
+        &self.pairs[self.pair_start[c]..self.pair_start[c + 1]]
+    }
+
+    /// The classes of `uf` over `k` cells; `anchor` is the union-find
+    /// element standing for the extension nodes.
+    fn of(uf: &mut UnionFind, k: usize, pairs: &[(u32, u32, i64)], anchor: Option<usize>) -> Self {
+        let mut id_of_root = vec![u32::MAX; uf.parent.len()];
+        let mut n = 0;
+        let comp: Vec<u32> = (0..k)
+            .map(|i| {
+                let r = uf.find(i);
+                if id_of_root[r] == u32::MAX {
+                    id_of_root[r] = n;
+                    n += 1;
+                }
+                id_of_root[r]
+            })
+            .collect();
+        let n = n as usize;
+        let by_comp = comp.iter().enumerate().map(|(i, &c)| (c, i as u32));
+        let (cells, cell_start) = compress(n, by_comp);
+        let mut local = vec![0u32; k];
+        for c in 0..n {
+            for (j, &i) in cells[cell_start[c]..cell_start[c + 1]].iter().enumerate() {
+                local[i as usize] = j as u32;
+            }
+        }
+        let internal = pairs
+            .iter()
+            .enumerate()
+            .filter(|(_, &(a, b, _))| comp[a as usize] == comp[b as usize])
+            .map(|(q, &(a, _, _))| (comp[a as usize], q as u32));
+        let (pairs, pair_start) = compress(n, internal);
+        let ext = anchor.and_then(|a| {
+            let r = uf.find(a);
+            (id_of_root[r] != u32::MAX).then(|| id_of_root[r] as usize)
+        });
+        Self {
+            comp,
+            local,
+            cells,
+            cell_start,
+            pairs,
+            pair_start,
+            ext,
+        }
+    }
+}
+
+/// Groups `(group, value)` items (`group < n`) into compressed rows:
+/// the values in item order, and each group's start (plus the end).
+fn compress(n: usize, items: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<usize>) {
+    let mut start = vec![0usize; n + 1];
+    for (g, _) in items.clone() {
+        start[g as usize + 1] += 1;
+    }
+    for g in 0..n {
+        start[g + 1] += start[g];
+    }
+    let mut fill = start[..n].to_vec();
+    let mut values = vec![0u32; start[n]];
+    for (g, v) in items {
+        values[fill[g as usize]] = v;
+        fill[g as usize] += 1;
+    }
+    (values, start)
+}
+
+impl Lp {
+    fn len(&self) -> usize {
+        self.cur.len()
+    }
+
+    /// The dual flow graph of the LP restricted to `cells` (ascending),
+    /// the `pairs` among them and, with `ext`, the extension nodes:
+    /// node 0 is `z`, node `1 + local[i]` is cell `i`, then `p`, `n`.
+    /// Arcs: each cell's four Eq. 5–7 arcs in member order, the pairs,
+    /// then (with `ext`) each cell's `p→i`, `i→n` and finally `z→p`,
+    /// `n→z`.
+    fn graph(&self, cells: &[u32], pairs: &[u32], ext: bool, local: &[u32]) -> FlowGraph {
+        let m = cells.len();
+        let mut g = FlowGraph::with_nodes(1 + m + if ext { 2 } else { 0 });
+        let z = NodeId(0);
+        let node = |i: u32| NodeId(1 + local[i as usize] as usize);
+        for &i in cells {
+            let i = i as usize;
+            let v = node(i as u32);
+            g.add_arc(z, v, self.w[i], -self.xp[i]);
+            g.add_arc(v, z, self.w[i], self.xp[i]);
+            g.add_arc(z, v, INF_CAP, -self.lo[i]);
+            g.add_arc(v, z, INF_CAP, self.hi[i]);
+        }
+        for &q in pairs {
+            let (a, b, sep) = self.pairs[q as usize];
+            g.add_arc(node(a), node(b), INF_CAP, -sep);
+        }
+        if ext {
+            let (p, n) = (NodeId(1 + m), NodeId(2 + m));
+            for &i in cells {
+                let (v, i) = (node(i), i as usize);
+                g.add_arc(p, v, INF_CAP, -(self.xp[i] + self.dy[i]));
+                g.add_arc(v, n, INF_CAP, self.xp[i] - self.dy[i]);
+            }
+            g.add_arc(z, p, self.n0, self.max_dy);
+            g.add_arc(n, z, self.n0, self.max_dy);
+        }
+        g
+    }
+
+    /// Solves one component by network simplex.
+    fn solve_component(&self, part: &Partition, c: usize) -> Result<(Solved, u64), FlowError> {
+        let cells = part.cells(c);
+        let ext = part.ext == Some(c);
+        let g = self.graph(cells, part.pairs(c), ext, &part.local);
+        let (sol, pivots) = mcl_flow::solve(&g)?;
+        let pz = sol.potential[0];
+        let m = cells.len();
+        let solved = Solved {
+            xs: (0..m).map(|j| sol.potential[1 + j] - pz).collect(),
+            ext_pot: ext.then(|| (sol.potential[1 + m] - pz, sol.potential[2 + m] - pz)),
+            flow: sol.flow,
+            cost: sol.cost,
+        };
+        Ok((solved, pivots))
+    }
+
+    /// Solves components `todo` (largest first) on `threads` threads (no
+    /// more than there are components): each claims the next component
+    /// from one atomic cursor, and the runner is thread 0. Returns the
+    /// solutions in `todo` order.
+    fn solve_components(
+        &self,
+        part: &Partition,
+        todo: &[usize],
+        threads: usize,
+        obs: &mut Meter,
+    ) -> Result<Vec<Solved>, FlowError> {
+        let cursor = AtomicUsize::new(0);
+        let work = |t: usize| {
+            let mut meter = Meter::new();
+            let mut done = Vec::new();
+            loop {
+                let at = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&c) = todo.get(at) else { break };
+                let clock = Stopwatch::start();
+                let solved = self.solve_component(part, c);
+                meter.record_span(SpanKind::FlowSimplex, clock.elapsed_nanos(), t);
+                if let Ok((_, pivots)) = &solved {
+                    meter.add(CounterKind::SimplexPivots, *pivots);
+                }
+                done.push((at, solved.map(|(s, _)| s)));
+            }
+            (done, meter)
+        };
+        let work = &work;
+        let helpers = threads.min(todo.len()).saturating_sub(1);
+        let mut parts = Vec::with_capacity(helpers + 1);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..=helpers)
+                .map(|t| scope.spawn(move || work(t)))
+                .collect();
+            parts.push(work(0));
+            for h in handles {
+                parts.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+        });
+        let mut slots: Vec<Option<Result<Solved, FlowError>>> = todo.iter().map(|_| None).collect();
+        for (done, meter) in parts {
+            obs.merge(&meter);
+            for (at, solved) in done {
+                slots[at] = Some(solved);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|s| s.unwrap_or(Err(FlowError::Infeasible)))
+            .collect()
+    }
+
+    /// Solves the LP by components, repairing the relaxation until the
+    /// assembled solution is optimal for the full graph (module doc).
+    /// Returns every cell's x.
+    fn solve(&self, threads: usize, obs: &mut Meter) -> Result<Vec<i64>, FlowError> {
+        let k = self.len();
+        let anchor = (self.n0 > 0).then_some(k);
+        let mut uf = UnionFind::new(k + 1);
+        for &(a, b, sep) in &self.pairs {
+            let (a, b) = (a as usize, b as usize);
+            let slack = self.cur[b] - self.cur[a] - sep;
+            if slack <= (self.cur[a] - self.xp[a]).abs() + (self.cur[b] - self.xp[b]).abs() {
+                uf.union(a, b);
+            }
+        }
+
+        let mut xs = vec![0i64; k];
+        // `(π_p, π_n)` of the component carrying the extension; without
+        // one, the widest prices that keep `z→p` and `n→z` empty.
+        let mut ext_pot = (-self.max_dy, self.max_dy);
+        // The (size, carries extension) of the component each cell was
+        // last solved in; a component equal to one already solved is not
+        // solved again.
+        let mut solved_as = vec![(0usize, false); k];
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        let mut assembly = Assembly::new(self);
+        let mut rounds = 0u64;
+        let part = loop {
+            let part = Partition::of(&mut uf, k, &self.pairs, anchor);
+            let mut todo: Vec<usize> = (0..part.len())
+                .filter(|&c| {
+                    let key = (part.cells(c).len(), part.ext == Some(c));
+                    solved_as[part.cells(c)[0] as usize] != key
+                })
+                .collect();
+            todo.sort_by_key(|&c| std::cmp::Reverse(part.cells(c).len()));
+            let solved = self.solve_components(&part, &todo, threads, obs)?;
+            for (c, s) in todo.into_iter().zip(solved) {
+                let key = (part.cells(c).len(), part.ext == Some(c));
+                for (&i, &x) in part.cells(c).iter().zip(&s.xs) {
+                    xs[i as usize] = x;
+                    solved_as[i as usize] = key;
+                }
+                if let Some(pot) = s.ext_pot {
+                    ext_pot = pot;
+                }
+                #[cfg(any(debug_assertions, feature = "audit"))]
+                assembly.record(self, &part, c, &s);
+            }
+
+            // Verify the dropped pairs, then price the extension arcs of
+            // the cells outside the component carrying it.
+            let mut merged = false;
+            for &(a, b, sep) in &self.pairs {
+                let (a, b) = (a as usize, b as usize);
+                if part.comp[a] != part.comp[b] && xs[b] - xs[a] < sep {
+                    uf.union(a, b);
+                    merged = true;
+                }
+            }
+            if let Some(anchor) = anchor {
+                let (pp, pn) = ext_pot;
+                for (i, &x) in xs.iter().enumerate() {
+                    let outside = part.ext != Some(part.comp[i] as usize);
+                    let dx = x - self.xp[i];
+                    if outside && (dx - self.dy[i] < pp || dx + self.dy[i] > pn) {
+                        uf.union(i, anchor);
+                        merged = true;
+                    }
+                }
+            }
+            if !merged {
+                break part;
+            }
+            rounds += 1;
+        };
+
+        let size = |c: usize| part.cells(c).len() as u64;
+        obs.add(CounterKind::FixedOrderComponents, part.len() as u64);
+        let largest = (0..part.len()).map(size).max().unwrap_or(0);
+        obs.add(CounterKind::FixedOrderLargestComponent, largest);
+        obs.add(CounterKind::FixedOrderRepairRounds, rounds);
+        obs.add(CounterKind::FixedOrderExtCells, part.ext.map_or(0, size));
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        assembly.certify(self, &part, &xs, ext_pot);
+        Ok(xs)
+    }
+}
+
+/// The full graph's flow ([`Lp::graph`] order over all cells and pairs)
+/// assembled from the component solves, and each solved component's cost
+/// keyed by its lowest cell: the certificate debug and `audit` builds
+/// check before the potentials become positions.
+#[cfg(any(debug_assertions, feature = "audit"))]
+struct Assembly {
+    flow: Vec<i64>,
+    cost: Vec<i128>,
+}
+
+#[cfg(any(debug_assertions, feature = "audit"))]
+impl Assembly {
+    fn new(lp: &Lp) -> Self {
+        let k = lp.len();
+        let ext_arcs = if lp.n0 > 0 { 2 * k + 2 } else { 0 };
+        Self {
+            flow: vec![0; 4 * k + lp.pairs.len() + ext_arcs],
+            cost: vec![0; k],
+        }
+    }
+
+    /// Copies component `c`'s flows to their full-graph arcs. A dropped
+    /// pair keeps zero flow, as do the extension arcs of cells outside the
+    /// component carrying it: components only grow, so an arc once inside
+    /// one stays inside.
+    fn record(&mut self, lp: &Lp, part: &Partition, c: usize, s: &Solved) {
+        let (k, cells, pairs) = (lp.len(), part.cells(c), part.pairs(c));
+        let m = cells.len();
+        for (j, &i) in cells.iter().enumerate() {
+            let i = i as usize;
+            self.flow[4 * i..4 * i + 4].copy_from_slice(&s.flow[4 * j..4 * j + 4]);
+        }
+        for (t, &q) in pairs.iter().enumerate() {
+            self.flow[4 * k + q as usize] = s.flow[4 * m + t];
+        }
+        if s.ext_pot.is_some() {
+            let (at, base) = (4 * m + pairs.len(), 4 * k + lp.pairs.len());
+            for (j, &i) in cells.iter().enumerate() {
+                let i = i as usize;
+                self.flow[base + 2 * i..base + 2 * i + 2]
+                    .copy_from_slice(&s.flow[at + 2 * j..at + 2 * j + 2]);
+            }
+            self.flow[base + 2 * k..].copy_from_slice(&s.flow[at + 2 * m..]);
+        }
+        self.cost[cells[0] as usize] = s.cost;
+    }
+
+    /// Runs the independent auditor on the full graph: feasibility and
+    /// complementary slackness of the assembled flow under the potentials
+    /// `π_z = 0`, `π_i = x_i`, `(π_p, π_n) = ext_pot`.
+    fn certify(self, lp: &Lp, part: &Partition, xs: &[i64], ext_pot: (i64, i64)) {
+        let all: Vec<u32> = (0..lp.len() as u32).collect();
+        let pairs: Vec<u32> = (0..lp.pairs.len() as u32).collect();
+        let extension = lp.n0 > 0;
+        let g = lp.graph(&all, &pairs, extension, &all);
+        let mut potential = vec![0i64];
+        potential.extend_from_slice(xs);
+        if extension {
+            potential.extend([ext_pot.0, ext_pot.1]);
+        }
+        let cost = (0..part.len())
+            .map(|c| self.cost[part.cells(c)[0] as usize])
+            .sum();
+        let sol = mcl_flow::FlowSolution {
+            flow: self.flow,
+            potential,
+            cost,
+        };
+        assert_eq!(
+            mcl_audit::certify(&g, &sol).map(|cert| cert.cost),
+            Ok(sol.cost),
+            "stage-3 dual flow failed its optimality certificate"
+        );
+    }
+}
+
+/// Union-find by size with path halving; the classes do not depend on the
+/// order of the unions.
+struct UnionFind {
+    parent: Vec<usize>,
+    size: Vec<usize>,
+}
+
+impl UnionFind {
+    fn new(n: usize) -> Self {
+        Self {
+            parent: (0..n).collect(),
+            size: vec![1; n],
+        }
+    }
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
+        }
+        x
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (mut a, mut b) = (self.find(a), self.find(b));
+        if a == b {
+            return;
+        }
+        if self.size[a] < self.size[b] {
+            std::mem::swap(&mut a, &mut b);
+        }
+        self.parent[b] = a;
+        self.size[a] += self.size[b];
+    }
+}
+
 /// Adjacent occupant pairs `(left, right)` of the segments, in ascending
 /// segment order, each pair once (a pair of multi-row cells can abut in
 /// several rows; its first segment counts).
 ///
-/// With `delta` set only the segments holding a closure member are
-/// scanned and only pairs with a member are kept: exactly the full scan
+/// With `delta` set only the pairs with a closure member are kept: each
+/// member's slot in its segments gives its two pairs, which are then
+/// visited in segment and list order. That is exactly the full scan
 /// filtered to pairs with a member, in the same order, at a cost that
 /// follows the closure instead of the design.
 fn neighbor_pairs(
     state: &PlacementState<'_>,
     delta: Option<&crate::dirty::DirtyClosure>,
 ) -> Vec<(CellId, CellId)> {
-    let segs: Vec<usize> = match delta {
-        Some(dc) => {
-            let mut segs: Vec<usize> = dc
-                .cells()
-                .iter()
-                .filter(|&&c| state.pos(c).is_some())
-                .flat_map(|&c| state.segment_memberships(c))
-                .map(|(seg, _)| seg)
-                .collect();
-            segs.sort_unstable();
-            segs.dedup();
-            segs
-        }
-        None => (0..state.segments().len()).collect(),
-    };
     let mut pairs = Vec::new();
     let mut seen: HashSet<(u32, u32)> = HashSet::new();
-    for seg in segs {
-        for w2 in state.cells_in_segment(seg).windows(2) {
-            let (a, b) = (w2[0], w2[1]);
-            if delta.is_some_and(|dc| !dc.contains(a) && !dc.contains(b)) {
-                continue;
+    // The pair of the occupants at `i` and `i + 1` of segment `seg`.
+    let mut visit = |seg: usize, i: usize| {
+        let list = state.cells_in_segment(seg);
+        let (a, b) = (list[i], list[i + 1]);
+        // Only two multi-row cells can abut in more than one segment.
+        let soa = state.soa();
+        let once = soa.height_rows(a) == 1 || soa.height_rows(b) == 1;
+        if once || seen.insert((a.0, b.0)) {
+            pairs.push((a, b));
+        }
+    };
+    match delta {
+        Some(dc) => {
+            let mut at: Vec<(usize, usize)> = Vec::new();
+            for &c in dc.cells().iter().filter(|&&c| state.pos(c).is_some()) {
+                for (seg, i) in state.segment_memberships(c) {
+                    if i > 0 {
+                        at.push((seg, i - 1));
+                    }
+                    if i + 1 < state.cells_in_segment(seg).len() {
+                        at.push((seg, i));
+                    }
+                }
             }
-            if seen.insert((a.0, b.0)) {
-                pairs.push((a, b));
+            at.sort_unstable();
+            at.dedup();
+            for (seg, i) in at {
+                visit(seg, i);
+            }
+        }
+        None => {
+            for seg in 0..state.segments().len() {
+                for i in 1..state.cells_in_segment(seg).len() {
+                    visit(seg, i - 1);
+                }
             }
         }
     }
@@ -383,7 +858,8 @@ mod tests {
         let cfg = LegalizerConfig::total_displacement();
         let mut state = PlacementState::from_design_positions(&d).unwrap();
         let mut obs = Meter::new();
-        let stats = optimize_fixed_order_metered(&mut state, &cfg, &[1; 3], None, &mut obs, None);
+        let stats =
+            optimize_fixed_order_metered(&mut state, &cfg, &[1; 3], None, &mut obs, None, 1);
         assert!(stats.applied);
         let span = obs.span(SpanKind::FlowSimplex);
         assert_eq!((span.count, span.thread_ids()), (1, vec![0]));

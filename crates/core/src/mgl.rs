@@ -139,7 +139,10 @@ pub fn order_cells(design: &Design, order: CellOrder, mut ids: Vec<CellId>) -> V
             });
         }
         CellOrder::HeightThenShuffled => {
-            // splitmix64 of the id: deterministic, input-order independent.
+            // splitmix64 of the id: deterministic, but the id is the
+            // cell's index in the input, so the shuffle still depends on
+            // the input order (ROADMAP: "Same design, same placement,
+            // whatever order its cells are listed in").
             let mix = |mut z: u64| {
                 z = z.wrapping_add(0x9E3779B97F4A7C15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -302,8 +302,9 @@ fn run_stage_guarded<'d>(
             }
             Stage::FixedOrder => {
                 let (weights, oracle) = (&prep.weights, prep.oracle());
-                stats.fixed_order =
-                    optimize_fixed_order_metered(state, config, weights, oracle, obs, delta);
+                stats.fixed_order = optimize_fixed_order_metered(
+                    state, config, weights, oracle, obs, delta, threads,
+                );
             }
         }
         Ok(())
@@ -345,8 +346,9 @@ fn certify_degraded(state: &PlacementState<'_>, design: &Design) -> Result<(), L
 ///
 /// `threads` is the job's thread share: MGL spawns a helper per thread past
 /// the first, each thread building its own insertion scratch for the
-/// stage, and stage 2 solves its matchings on that many threads. One
-/// thread runs everything on the calling thread — same results.
+/// stage, stage 2 solves its matchings on that many threads, and stage 3
+/// its independent flow components. One thread runs everything on the
+/// calling thread — same results.
 ///
 /// # Fault containment (DESIGN.md §11)
 ///

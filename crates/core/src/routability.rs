@@ -201,6 +201,14 @@ impl<'d> RoutOracle<'d> {
     /// `type_id` stays free of vertical-stripe violations. Returns the
     /// containing maximal clean interval clipped to `[lo, hi]`; when `x_now`
     /// itself is dirty, returns the degenerate `[x_now, x_now]`.
+    ///
+    /// The interval is the one a site-by-site walk from `x_now` would find,
+    /// stopped after `v_pitch / site_width + 2` sites each way, but each
+    /// side is found in closed form: a pin `[a, b)` overlaps the stripe
+    /// centred on `c_k = v_offset + k·v_pitch` exactly when the cell's x
+    /// lies in the open interval `(c_k − b − ⌊w/2⌋, c_k − a + ⌈w/2⌉)` (`w`
+    /// the stripe width), so the first dirty site on each side is a few
+    /// divisions per pin.
     pub fn clean_x_range(
         &self,
         type_id: CellTypeId,
@@ -210,31 +218,39 @@ impl<'d> RoutOracle<'d> {
         hi: Dbu,
     ) -> (Dbu, Dbu) {
         let d = self.design;
-        if d.grid.v_pitch == 0 || d.grid.v_width == 0 {
+        let g = &d.grid;
+        if g.v_pitch <= 0 || g.v_width <= 0 {
             return (lo, hi);
         }
         if self.v_violations(type_id, base_row, x_now) > 0 {
             return (x_now, x_now);
         }
-        // Expand outward in site steps until a dirty position or the bound.
-        // Rail pitch bounds the scan.
         let sw = d.tech.site_width;
-        let max_steps = (d.grid.v_pitch / sw + 2) as usize;
-        let mut l = x_now;
-        for _ in 0..max_steps {
-            if l - sw < lo || self.v_violations(type_id, base_row, l - sw) > 0 {
-                break;
+        // The walk's horizon, and the last sites inside `[lo, hi]`.
+        let max_steps = g.v_pitch / sw + 2;
+        let mut left = max_steps.min((x_now - lo).div_euclid(sw).max(0));
+        let mut right = max_steps.min((hi - x_now).div_euclid(sw).max(0));
+        let ct = &d.cell_types[type_id.0 as usize];
+        let orient = d.orient_for_row(type_id, base_row);
+        let half = g.v_width / 2;
+        for i in 0..ct.pins.len() {
+            let layer = ct.pins[i].layer;
+            if layer != g.v_layer && layer + 1 != g.v_layer {
+                continue;
             }
-            l -= sw;
-        }
-        let mut r = x_now;
-        for _ in 0..max_steps {
-            if r + sw > hi || self.v_violations(type_id, base_row, r + sw) > 0 {
-                break;
+            let local = ct.pin_rect_local(i, orient, d.tech.row_height);
+            if local.xh <= local.xl {
+                continue;
             }
-            r += sw;
+            // The pin is dirty at cell x in `(c_k − bb, c_k − aa)`.
+            let aa = local.xl - half - (g.v_width & 1);
+            let bb = local.xh + half;
+            right = clean_steps_right(x_now, sw, right, g.v_offset, g.v_pitch, aa, bb);
+            // Mirrored: x ↦ −x maps the stripes onto `−c_k` and the
+            // interval onto `(−c_k + aa, −c_k + bb)`.
+            left = clean_steps_right(-x_now, sw, left, -g.v_offset, g.v_pitch, -bb, -aa);
         }
-        (l.max(lo), r.min(hi))
+        ((x_now - left * sw).max(lo), (x_now + right * sw).min(hi))
     }
 
     /// Independent recount of soft pin violations over every placed movable
@@ -303,6 +319,38 @@ fn h_rails_clear(d: &Design, t: usize, base_row: usize) -> bool {
             .into_iter()
             .all(|l| !d.grid.h_rail_overlaps(l, y, d.core.yl, d.tech.row_height))
     })
+}
+
+/// Clean site steps right of the clean position `x0` (at most `limit`)
+/// before the first site `x0 + j·sw` (`j ≥ 1`) inside a dirty interval
+/// `(c_k − bb, c_k − aa)`, where `c_k = offset + k·pitch` (`pitch > 0`).
+///
+/// Intervals are visited in ascending `k` from the first one that ends
+/// right of `x0 + sw`; their left ends ascend, so the first interval
+/// holding a site gives the nearest dirty site, and once the first site
+/// past an interval's left end lies beyond `limit` steps, no later one can
+/// be nearer.
+fn clean_steps_right(
+    x0: Dbu,
+    sw: Dbu,
+    limit: Dbu,
+    offset: Dbu,
+    pitch: Dbu,
+    aa: Dbu,
+    bb: Dbu,
+) -> Dbu {
+    let mut k = (x0 + sw + aa - offset).div_euclid(pitch) + 1;
+    loop {
+        let c = offset + k * pitch;
+        let j = ((c - bb - x0).div_euclid(sw) + 1).max(1);
+        if j > limit {
+            return limit;
+        }
+        if x0 + j * sw < c - aa {
+            return j - 1;
+        }
+        k += 1;
+    }
 }
 
 fn lcm(a: usize, b: usize) -> usize {

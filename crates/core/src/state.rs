@@ -507,7 +507,10 @@ impl<'d> PlacementState<'d> {
     /// [`Self::remove`] without the log entry. Every row's segment is
     /// found before anything changes.
     fn unplace(&mut self, cell: CellId) {
-        for (seg_idx, i) in self.segment_memberships(cell) {
+        let rows: Vec<(usize, usize)> = self.segment_memberships(cell).collect();
+        // Rows are distinct segments: removing the cell from one leaves the
+        // indices found in the others valid.
+        for (seg_idx, i) in rows {
             self.cols.seg_cells[seg_idx].remove(i);
         }
         self.cols.soa.clear_pos(cell);
@@ -552,26 +555,43 @@ impl<'d> PlacementState<'d> {
         true
     }
 
-    /// The segments a placed cell occupies, with its index in each occupant
-    /// list.
-    pub fn segment_memberships(&self, cell: CellId) -> Vec<(usize, usize)> {
+    /// The segments a placed cell occupies, bottom row first.
+    ///
+    /// # Panics
+    ///
+    /// When the cell is not placed, or (on a corrupted state) a row of it
+    /// has no covering segment; the panic comes when the iterator reaches
+    /// that row.
+    pub fn segments_of(&self, cell: CellId) -> impl Iterator<Item = usize> + '_ {
         let p = self.cols.soa.pos(cell).expect("cell not placed");
-        let d = self.design;
-        let h = self.cols.soa.height_rows(cell) as usize;
-        let row = ((p.y - d.core.yl) / d.tech.row_height) as usize;
+        let row = ((p.y - self.design.core.yl) / self.design.tech.row_height) as usize;
         let span = Interval::new(p.x, p.x + self.cols.soa.width(cell));
-        let mut out = Vec::with_capacity(h);
-        for r in row..row + h {
-            let seg_idx = self
-                .find_covering_segment(r, self.cols.soa.fence(cell), span)
-                .expect("placed cell must have segments");
-            let i = self.cols.seg_cells[seg_idx]
-                .iter()
-                .position(|&x| x == cell)
-                .expect("cell must be in its segment list");
-            out.push((seg_idx, i));
-        }
-        out
+        let fence = self.cols.soa.fence(cell);
+        (row..row + self.cols.soa.height_rows(cell) as usize).map(move |r| {
+            self.find_covering_segment(r, fence, span)
+                .expect("placed cell must have segments")
+        })
+    }
+
+    /// [`Self::segments_of`] with the cell's index in each segment's
+    /// occupant list. Occupant lists are sorted by x and their spans are
+    /// disjoint, so the index is a binary search on the cell's x; nothing
+    /// is allocated.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::segments_of`], and when a segment's list lacks the cell.
+    pub fn segment_memberships(&self, cell: CellId) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let x = self.cols.soa.x(cell);
+        self.segments_of(cell).map(move |seg_idx| {
+            let list = &self.cols.seg_cells[seg_idx];
+            let i = list.partition_point(|&c| self.cols.soa.x(c) < x);
+            assert!(
+                list.get(i) == Some(&cell),
+                "cell must be in its segment list"
+            );
+            (seg_idx, i)
+        })
     }
 
     /// Index of the segment on `row` of fence `fence` covering `span`.
@@ -735,7 +755,7 @@ mod tests {
         s.place(CellId(1), Point::new(100, 0)).unwrap();
         s.shift_x(CellId(1), 50);
         assert_eq!(s.pos(CellId(1)).unwrap().x, 50);
-        let m = s.segment_memberships(CellId(1));
+        let m: Vec<(usize, usize)> = s.segment_memberships(CellId(1)).collect();
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].1, 1, "order preserved");
     }
@@ -748,7 +768,7 @@ mod tests {
         let s = PlacementState::from_design_positions(&d).unwrap();
         assert_eq!(s.placed_count(), 2);
         assert_eq!(
-            s.cells_in_segment(s.segment_memberships(CellId(0))[0].0)
+            s.cells_in_segment(s.segment_memberships(CellId(0)).next().unwrap().0)
                 .len(),
             2
         );
@@ -762,7 +782,7 @@ mod tests {
         for (id, x) in [(0u32, 0), (1, 40), (3, 120), (4, 200)] {
             s.place(CellId(id), Point::new(x, 0)).unwrap();
         }
-        let seg = s.segment_memberships(CellId(0))[0].0;
+        let seg = s.segment_memberships(CellId(0)).next().unwrap().0;
         for (lo, hi) in [(0, 1000), (10, 130), (20, 40), (60, 120), (500, 900)] {
             let fast: Vec<CellId> = s.occupants_overlapping(seg, lo, hi).to_vec();
             let slow: Vec<CellId> = s

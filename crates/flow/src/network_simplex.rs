@@ -69,6 +69,25 @@ struct Solver<'a> {
     children: Vec<Vec<usize>>,
     slot: Vec<usize>, // per node: its index in its parent's `children`
     pi: Vec<i128>,
+    /// Per-pivot work lists, kept between pivots so a pivot allocates
+    /// nothing once they have grown.
+    scratch: Scratch,
+}
+
+/// A tree or entering arc on a pivot's oriented cycle.
+#[derive(Clone, Copy)]
+struct CycArc {
+    id: usize,
+    down: bool, // traversed in arc direction (flow increases)?
+}
+
+#[derive(Default)]
+struct Scratch {
+    up_path: Vec<usize>,
+    down_path: Vec<usize>,
+    cyc: Vec<CycArc>,
+    path: Vec<usize>,
+    stack: Vec<usize>,
 }
 
 impl<'a> Solver<'a> {
@@ -96,6 +115,7 @@ impl<'a> Solver<'a> {
             children: vec![Vec::new(); n + 1],
             slot: vec![NONE; n + 1],
             pi: vec![0i128; n + 1],
+            scratch: Scratch::default(),
         };
         solver.depth[root] = 0;
 
@@ -148,8 +168,8 @@ impl<'a> Solver<'a> {
     /// `None` at optimality.
     fn entering(&self, cursor: &mut usize) -> Option<usize> {
         let m = self.arcs.len();
-        let a = (0..m)
-            .map(|step| (*cursor + step) % m)
+        let a = (*cursor..m)
+            .chain(0..*cursor)
             .find(|&a| self.is_eligible(a))?;
         *cursor = (a + 1) % m;
         Some(a)
@@ -218,8 +238,17 @@ impl<'a> Solver<'a> {
         // The oriented cycle is: apex -> ... -> start, e, end -> ... -> apex.
         // Collect tree arcs on both paths.
         let (mut u, mut v) = (start, end);
-        let mut up_path: Vec<usize> = Vec::new(); // arcs from start up to apex
-        let mut down_path: Vec<usize> = Vec::new(); // arcs from end up to apex
+        let Scratch {
+            mut up_path,   // arcs from start up to apex
+            mut down_path, // arcs from end up to apex
+            mut cyc,
+            mut path,
+            mut stack,
+        } = std::mem::take(&mut self.scratch);
+        up_path.clear();
+        down_path.clear();
+        cyc.clear();
+        path.clear();
         while self.depth[u] > self.depth[v] {
             up_path.push(self.parent_arc[u]);
             u = self.parent[u];
@@ -240,12 +269,6 @@ impl<'a> Solver<'a> {
         // For each, a +1 direction means flow increases along orientation.
         // Tree arc t connects child c to parent p; traversing downward
         // (apex->start) goes parent->child, upward child->parent.
-        #[derive(Clone, Copy)]
-        struct CycArc {
-            id: usize,
-            down: bool, // traversed in arc direction (flow increases)?
-        }
-        let mut cyc: Vec<CycArc> = Vec::with_capacity(up_path.len() + down_path.len() + 1);
         for &t in up_path.iter().rev() {
             // Traversal goes parent -> child here. The arc's stored direction
             // is from/to; child is the node whose parent_arc == t. Flow
@@ -308,6 +331,13 @@ impl<'a> Solver<'a> {
             } else {
                 ArcState::Lower
             };
+            self.scratch = Scratch {
+                up_path,
+                down_path,
+                cyc,
+                path,
+                stack,
+            };
             return Ok(());
         }
         // Replace `leave` by `e` in the tree.
@@ -335,7 +365,6 @@ impl<'a> Solver<'a> {
 
         // Re-root the detached subtree at `s` by reversing parent pointers
         // along the path s -> ... -> leave_child.
-        let mut path = Vec::new();
         let mut w = s;
         while w != NONE && w != leave_child {
             path.push(w);
@@ -352,7 +381,7 @@ impl<'a> Solver<'a> {
         self.link(s, t, e);
 
         // Recompute depth and potentials of the re-hung subtree.
-        let mut stack = vec![s];
+        stack.push(s);
         while let Some(x) = stack.pop() {
             let p = self.parent[x];
             let a = self.parent_arc[x];
@@ -366,6 +395,13 @@ impl<'a> Solver<'a> {
             };
             stack.extend(self.children[x].iter().copied());
         }
+        self.scratch = Scratch {
+            up_path,
+            down_path,
+            cyc,
+            path,
+            stack,
+        };
         Ok(())
     }
 
@@ -427,14 +463,18 @@ impl<'a> Solver<'a> {
         assert_eq!(tree_arcs.count(), root);
     }
 
-    /// Walks parent pointers; the detached subtree's root has parent `NONE`,
-    /// as does the tree root, so the walk always terminates.
+    /// Walks parent pointers up to `root`'s depth; the detached subtree's
+    /// root has parent `NONE`, as does the tree root, so the walk always
+    /// terminates. Depths strictly decrease along parent pointers (a
+    /// detached subtree keeps the depths it had), so no node at or above
+    /// `root`'s depth can lead to it.
     fn in_subtree(&self, root: usize, mut v: usize) -> bool {
+        let top = self.depth[root];
         loop {
             if v == root {
                 return true;
             }
-            if self.parent[v] == NONE {
+            if self.parent[v] == NONE || self.depth[v] <= top {
                 return false;
             }
             v = self.parent[v];

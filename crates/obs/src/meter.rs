@@ -139,6 +139,16 @@ pub enum CounterKind {
     MatchingSimplexPivots,
     /// Network-simplex pivots of the stage-3 dual flow.
     SimplexPivots,
+    /// Independent components stage 3 solved its flow in (final
+    /// partition).
+    FixedOrderComponents,
+    /// Cells in stage 3's largest component.
+    FixedOrderLargestComponent,
+    /// Stage-3 rounds that merged components and solved them again.
+    FixedOrderRepairRounds,
+    /// Cells in the stage-3 component carrying the Eq. 8–9 extension
+    /// nodes (0 when no extension arc needed flow).
+    FixedOrderExtCells,
     /// Dirty windows scanned by the ECO delta closure.
     EcoWindowsDirty,
     /// Placed movable cells outside the dirty closure, whose placement
@@ -148,7 +158,7 @@ pub enum CounterKind {
 
 impl CounterKind {
     /// Every kind, in report order.
-    pub const ALL: [CounterKind; 14] = [
+    pub const ALL: [CounterKind; 18] = [
         CounterKind::WindowsEvaluated,
         CounterKind::WindowsExpanded,
         CounterKind::FallbackScans,
@@ -161,6 +171,10 @@ impl CounterKind {
         CounterKind::MatchingCellsMoved,
         CounterKind::MatchingSimplexPivots,
         CounterKind::SimplexPivots,
+        CounterKind::FixedOrderComponents,
+        CounterKind::FixedOrderLargestComponent,
+        CounterKind::FixedOrderRepairRounds,
+        CounterKind::FixedOrderExtCells,
         CounterKind::EcoWindowsDirty,
         CounterKind::EcoCellsReused,
     ];
@@ -183,6 +197,10 @@ impl CounterKind {
             CounterKind::MatchingCellsMoved => "maxdisp.cells_moved",
             CounterKind::MatchingSimplexPivots => "maxdisp.simplex_pivots",
             CounterKind::SimplexPivots => "flow.simplex_pivots",
+            CounterKind::FixedOrderComponents => "fixed_order.components",
+            CounterKind::FixedOrderLargestComponent => "fixed_order.largest_component",
+            CounterKind::FixedOrderRepairRounds => "fixed_order.repair_rounds",
+            CounterKind::FixedOrderExtCells => "fixed_order.ext_cells",
             CounterKind::EcoWindowsDirty => "eco.windows_dirty",
             CounterKind::EcoCellsReused => "eco.cells_reused",
         }

@@ -162,13 +162,15 @@ COMMANDS
                                 of the mode's (contest: height, else auto)
              --baseline tetris|abacus|lcp   run a baseline instead
              --pl <file>        overlay a result .pl as the input placement
-             --eco true            incremental: keep pre-placed cells
+             --eco true|false      incremental: keep pre-placed cells
+                                (default false; 1|0 also accepted)
              --eco-delta N[:SEED]  after legalizing, open a resident ECO
                                 session over the result and push one
                                 synthetic N-cell delta through the
                                 dirty-window pipeline, printing the delta
                                 latency and reuse telemetry
-             --report true      print the structured run-report summary
+             --report true|false   print the structured run-report
+                                summary (default false; 1|0 also accepted)
              --report-json <file>   write the full run report as JSON
              --report-dir <dir>   batch: write per-design run reports there
                                 (<name>.json full, <name>.golden.json subset,
@@ -212,6 +214,8 @@ COMMANDS
              --out <dir> | --out-def <file> --out-lef <file>  output
              --out-pl <file> --svg <file>   also write a .pl / SVG
   presets    list the available paper presets
+
+A flag may be given once per command.
 
 EXIT CODES
   0 success | 2 usage | 3 parse/input | 4 infeasible result | 5 internal";
@@ -264,7 +268,8 @@ struct Flags(HashMap<String, String>);
 
 impl Flags {
     /// Parses `--key value` pairs; with `known`, a key outside it is an
-    /// error.
+    /// error, and so is a key given twice (a script that appends a flag it
+    /// already passed must not change the run silently).
     fn parse(args: &[String], known: Option<&[&str]>) -> Result<Self, String> {
         let mut map = HashMap::new();
         let mut it = args.iter();
@@ -278,13 +283,27 @@ impl Flags {
             let val = it
                 .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            map.insert(key.to_string(), val.clone());
+            if map.insert(key.to_string(), val.clone()).is_some() {
+                return Err(format!("flag --{key} given twice"));
+            }
         }
         Ok(Self(map))
     }
 
     fn get(&self, key: &str) -> Option<&str> {
         self.0.get(key).map(String::as_str)
+    }
+
+    /// A boolean flag: absent is `false`; `true`/`1` and `false`/`0` are
+    /// the only values.
+    fn switch(&self, key: &str) -> Result<bool, CliError> {
+        match self.get(key) {
+            None | Some("false" | "0") => Ok(false),
+            Some("true" | "1") => Ok(true),
+            Some(v) => Err(CliError::Usage(format!(
+                "--{key}: expected true|false|1|0, got {v:?}"
+            ))),
+        }
     }
 
     fn num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
@@ -447,7 +466,7 @@ fn legalize_run(flags: &Flags) -> Result<(LegalizerConfig, RunSpec), CliError> {
         cfg.stages =
             pipeline::parse_stages(spec).map_err(|e| CliError::Usage(format!("--stages: {e}")))?;
     }
-    let eco = flags.get("eco").is_some_and(|v| v == "true" || v == "1");
+    let eco = flags.switch("eco")?;
     Ok((cfg, if eco { RunSpec::Eco } else { RunSpec::Fresh }))
 }
 
@@ -487,6 +506,7 @@ fn run_eco_delta(placed: &Design, cfg: LegalizerConfig, spec: &str) -> Result<()
 }
 
 fn cmd_legalize(flags: &Flags) -> Result<(), CliError> {
+    let want_report = flags.switch("report")?;
     if flags.get("batch").is_some() {
         return cmd_legalize_batch(flags);
     }
@@ -513,10 +533,6 @@ fn cmd_legalize(flags: &Flags) -> Result<(), CliError> {
     print_report(&placed);
     println!("runtime: {secs:.2}s");
     if let Some((stats, cfg)) = &run_info {
-        let want_report = flags
-            .get("report")
-            .map(|v| v == "true" || v == "1")
-            .unwrap_or(false);
         if want_report || flags.get("report-json").is_some() || flags.get("heatmap").is_some() {
             let rep = mclegal::core::build_run_report(&placed, stats, cfg);
             if want_report {

@@ -68,17 +68,24 @@ fn usage_errors_exit_2() {
     // legalize without an input.
     let out = mclegal().arg("legalize").output().unwrap();
     assert_eq!(exit_code(&out), 2);
-    // Unknown mode, malformed stage spec, bad order, and flags the command
-    // does not read (a typo must not fall back to the default).
+    // Unknown mode, malformed stage spec, bad order, flags the command
+    // does not read (a typo must not fall back to the default), boolean
+    // flags with a value other than true|false|1|0, and a flag given twice
+    // (neither may silently pick a run).
     let dir = tmp_dir("usage");
     let bundle = write_bundle(&dir, "u0", 11);
-    for extra in [
-        ["--mode", "bogus"],
-        ["--stages", "fixed,mgl"],
-        ["--order", "nope"],
-        ["--thread", "2"],
-        ["--bogus-flag", "7"],
-    ] {
+    let cases: [&[&str]; 9] = [
+        &["--mode", "bogus"],
+        &["--stages", "fixed,mgl"],
+        &["--order", "nope"],
+        &["--thread", "2"],
+        &["--bogus-flag", "7"],
+        &["--eco", "yes"],
+        &["--report", "maybe"],
+        &["--threads", "2", "--threads", "4"],
+        &["--report", "true", "--report", "true"],
+    ];
+    for extra in cases {
         let out = mclegal()
             .args(["legalize", "--bookshelf", bundle.to_str().unwrap()])
             .args(extra)
