@@ -20,8 +20,9 @@
 //! **Exact pruning.** Base rows are visited nearest to the GP first, so a
 //! cheap incumbent appears early, and three lower bounds then skip work
 //! that provably cannot beat it: a per-region bound (`y_cost − Σ w·base`
-//! over the shiftable lineup cells, before any prefix table or anchor), a
-//! per-candidate bound (the sum of each curve term's exact minimum on the
+//! over the shiftable lineup cells, before any prefix table, then plus the
+//! target's weighted distance to the region's feasible x-range, before any
+//! anchor), a per-candidate bound (the sum of each curve term's exact minimum on the
 //! feasible interval, before the curve is summed and minimized) and the
 //! curve minimum itself (before routability alternates, cost evaluation and
 //! shift reconstruction). Each skips only candidates whose cost is
@@ -94,6 +95,10 @@ pub struct ScratchStats {
     pub dedup_hits: u64,
     /// Curve minimizations performed.
     pub curve_mins: u64,
+    /// Regions skipped because their feasible x-range is empty.
+    pub empty_ranges: u64,
+    /// Regions skipped by the bound over their feasible x-range.
+    pub range_prunes: u64,
     /// Scratches constructed: a fresh scratch starts at 1, so the merged
     /// stats of a run count its constructions (one per thread per MGL
     /// stage, which `tests/scratch_reuse.rs` pins).
@@ -107,6 +112,8 @@ impl ScratchStats {
         self.anchors += other.anchors;
         self.dedup_hits += other.dedup_hits;
         self.curve_mins += other.curve_mins;
+        self.empty_ranges += other.empty_ranges;
+        self.range_prunes += other.range_prunes;
         self.created += other.created;
     }
 }
@@ -126,8 +133,16 @@ pub struct InsertionScratch {
     regions_next: Vec<Interval>,
     /// Admissible base rows, nearest to the target's GP first.
     rows: Vec<usize>,
-    /// Candidate anchor x positions.
+    /// Candidate anchor x positions, and the double buffer they are
+    /// merged through.
     anchors: Vec<Dbu>,
+    anchors_next: Vec<Dbu>,
+    /// Feasible x-range of the current region as sorted disjoint closed
+    /// intervals, one row's union of slot intervals, and the double buffer
+    /// of their intersection.
+    feas: Vec<(Dbu, Dbu)>,
+    feas_row: Vec<(Dbu, Dbu)>,
+    feas_next: Vec<(Dbu, Dbu)>,
     /// Slot tuple of the current anchor (one slot index per spanned row);
     /// holds the previous anchor's tuple until overwritten.
     tuple: Vec<u32>,
@@ -395,13 +410,16 @@ fn evaluate_region(
 
     // Region bound. With non-negative weights every Type A/B term is ≥ 0,
     // every Type C/D term is ≥ its normalization offset −w·base (and ≥ 0
-    // unnormalized), and the target's V and the penalties are ≥ 0; chains
-    // hold only shiftable lineup cells, each at most once. So no candidate
-    // of this region costs less than `y_cost − Σ w·base`, and a region
-    // whose bound exceeds the incumbent is skipped whole. A negative weight
-    // voids the bound.
-    if bounded && best.is_some() && model.weights[target.0 as usize] >= 0 {
-        let mut floor = Some(y_cost as i128);
+    // unnormalized), and the penalties are ≥ 0; chains hold only shiftable
+    // lineup cells, each at most once. So no candidate of this region costs
+    // less than `y_cost + V − Σ w·base`, where V is the target's own term:
+    // at least 0 here, and at least its weighted distance to the feasible
+    // x-range once that is known (below). A region whose bound exceeds the
+    // incumbent is skipped whole. A negative weight voids the bound.
+    let w_target = model.weights[target.0 as usize];
+    let mut floor = None;
+    if bounded && best.is_some() && w_target >= 0 {
+        floor = Some(y_cost as i128);
         for c in scratch.lineups[..h]
             .iter()
             .flatten()
@@ -478,17 +496,20 @@ fn evaluate_region(
         }
     }
 
-    // Slot-level infeasibility scan. Every anchor resolves to a slot tuple,
-    // and an anchor's bounds are `max` / `min` of its rows' per-slot bounds,
-    // so a row in which *no* slot admits the target (snapped lb > ub even
-    // against the region's own edges) proves every anchor in this region
-    // infeasible — before any anchors are collected or sorted. This is the
-    // out for the expansion-retry tail: a saturated pocket's fully-expanded
-    // window fails in O(lineup) per row instead of O(anchors × lineup).
+    // Feasible x-range. Every anchor resolves to a slot tuple, and its
+    // candidates lie in `[snap_up(lb), snap_down(ub)]`, where `lb` / `ub`
+    // are the max / min of its rows' per-slot bounds (clamped to the
+    // region). Snapping is monotone, so a candidate lies in its slot's
+    // interval `[snap_up(lb_s), snap_down(ub_s)]` on every row, hence in
+    // each row's union of slot intervals and in their intersection over the
+    // rows. An empty intersection proves every anchor infeasible before any
+    // is collected — the out for a saturated pocket's fully-expanded
+    // window, in O(lineup) per row — and otherwise the target's own term is
+    // at least `w_t · dist(gp, intersection)`, which tightens the bound.
     for (i, line) in scratch.lineups[..h].iter().enumerate() {
-        let lp = &scratch.lbp[i];
-        let up = &scratch.ubp[i];
-        let mut feasible = false;
+        let (lp, up) = (&scratch.lbp[i], &scratch.ubp[i]);
+        let row = &mut scratch.feas_row;
+        row.clear();
         for s in 0..=line.len() {
             let (e, cls) = lp[s];
             let lb = e
@@ -504,39 +525,53 @@ fn evaluate_region(
                 } else {
                     spacing(ct.edge_class.1, cls)
                 }) - w_t;
-            if snap_up(lb.max(region.lo)) <= snap_down(ub.min(region.hi - w_t)) {
-                feasible = true;
-                break;
+            let iv = (
+                snap_up(lb.max(region.lo)),
+                snap_down(ub.min(region.hi - w_t)),
+            );
+            if iv.0 <= iv.1 {
+                row.push(iv);
             }
         }
-        if !feasible {
+        // Spacing classes can reorder the slots' lower ends (a wall's class
+        // may ask less spacing than a compacted cell's), so sort when needed.
+        if !row.is_sorted() {
+            row.sort_unstable();
+        }
+        union_sorted(row);
+        if i == 0 {
+            std::mem::swap(&mut scratch.feas, row);
+        } else {
+            intersect_sorted(&scratch.feas, row, &mut scratch.feas_next);
+            std::mem::swap(&mut scratch.feas, &mut scratch.feas_next);
+        }
+        if scratch.feas.is_empty() {
+            scratch.stats.empty_ranges += 1;
+            return;
+        }
+    }
+    if let Some(f) = floor {
+        let dist = scratch
+            .feas
+            .iter()
+            .map(|&(a, b)| (a - gp_x_snapped).max(gp_x_snapped - b).max(0))
+            .min()
+            .unwrap_or(0);
+        if exceeds(best, f + w_target as i128 * dist as i128) {
+            scratch.stats.range_prunes += 1;
             return;
         }
     }
 
-    // Candidate anchors.
-    let lo_limit = region.lo;
-    let hi_limit = region.hi - w_t;
-    let anchors = &mut scratch.anchors;
-    anchors.clear();
-    anchors.push(gp_x_snapped.clamp(lo_limit, hi_limit));
-    for line in &scratch.lineups[..h] {
-        for c in line {
-            anchors.push(snap_up(c.x + c.w).clamp(lo_limit, hi_limit));
-            anchors.push(snap_down(c.x - w_t).clamp(lo_limit, hi_limit));
-        }
-    }
-    anchors.sort_unstable();
-    anchors.dedup();
-    // Bound the work on expanded windows: keep the anchors nearest the
-    // target's GP (deterministic; distant anchors are cost-dominated unless
-    // the region is badly fragmented, which window expansion revisits).
-    const MAX_ANCHORS: usize = 96;
-    if anchors.len() > MAX_ANCHORS {
-        anchors.sort_unstable_by_key(|&a| ((a - gp_x_snapped).abs(), a));
-        anchors.truncate(MAX_ANCHORS);
-        anchors.sort_unstable();
-    }
+    candidate_anchors(
+        &scratch.lineups[..h],
+        w_t,
+        gp_x_snapped,
+        (region.lo, region.hi - w_t),
+        (d.core.xl, sw),
+        &mut scratch.anchors,
+        &mut scratch.anchors_next,
+    );
 
     scratch.tuple.clear();
     scratch.tuple.resize(h, 0);
@@ -545,14 +580,21 @@ fn evaluate_region(
         scratch.stats.anchors += 1;
         // Slot tuple by center comparison, overwriting the previous
         // anchor's tuple in place. Nothing below reads the anchor, so a
-        // repeated tuple would evaluate identically and is skipped; anchors
-        // ascend and each row's slot is monotone in the anchor, so every
-        // repeat is of the previous tuple.
+        // repeated tuple would evaluate identically and is skipped. Centers
+        // ascend along a lineup and anchors ascend, so each row's slot only
+        // moves right (one pointer per row, no search) and every repeat is
+        // of the previous tuple.
         let mut repeat = ai > 0;
         for (slot, line) in scratch.tuple.iter_mut().zip(&scratch.lineups[..h]) {
-            let s = line.partition_point(|l| 2 * l.x + l.w <= 2 * anchor + w_t) as u32;
-            repeat &= *slot == s;
-            *slot = s;
+            let mut s = *slot as usize;
+            while line
+                .get(s)
+                .is_some_and(|l| 2 * l.x + l.w <= 2 * anchor + w_t)
+            {
+                s += 1;
+            }
+            repeat &= *slot == s as u32;
+            *slot = s as u32;
         }
         if repeat {
             scratch.stats.dedup_hits += 1;
@@ -593,7 +635,7 @@ fn evaluate_region(
         scratch.terms.clear();
         scratch.terms.push(PwlTerm::Vee {
             center: gp_x_snapped,
-            w: model.weights[target.0 as usize],
+            w: w_target,
         });
         scratch.chain_info.clear();
 
@@ -801,6 +843,112 @@ fn evaluate_region(
                     shifts: scratch.shifts.clone(),
                 });
             }
+        }
+    }
+}
+
+/// Most anchors one region evaluates: on expanded windows the ones nearest
+/// the target's GP are kept (deterministic; distant anchors are
+/// cost-dominated unless the region is badly fragmented, which window
+/// expansion revisits).
+const MAX_ANCHORS: usize = 96;
+
+/// Collects a region's candidate anchors into `anchors`, ascending and
+/// distinct: the target's GP and, per row, every lineup cell's right edge
+/// and its left edge minus `w_t`, snapped to the site grid `(xl, sw)` and
+/// clamped to `limits`, then cut to the [`MAX_ANCHORS`] nearest the GP by
+/// `(|a − gp|, a)`. `next` is a scratch buffer.
+///
+/// A lineup is sorted by x and non-overlapping (the state's occupant
+/// invariant), so both of a row's sequences ascend, and merging them row
+/// by row into the ascending, deduplicated list builds exactly what
+/// sorting and deduplicating the whole collection would. Distance to the
+/// GP falls then rises along that list, so the nearest anchors are the
+/// contiguous run grown from the GP's insertion point, taking the nearer
+/// end each step (the left one, the smaller anchor, on a tie).
+fn candidate_anchors(
+    lineups: &[Vec<Line>],
+    w_t: Dbu,
+    gp: Dbu,
+    (lo, hi): (Dbu, Dbu),
+    (xl, sw): (Dbu, Dbu),
+    anchors: &mut Vec<Dbu>,
+    next: &mut Vec<Dbu>,
+) {
+    let snap_up = |x: Dbu| xl + (x - xl + sw - 1).div_euclid(sw) * sw;
+    let snap_down = |x: Dbu| xl + (x - xl).div_euclid(sw) * sw;
+    anchors.clear();
+    anchors.push(gp.clamp(lo, hi));
+    for line in lineups {
+        debug_assert!(line.windows(2).all(|p| p[0].x + p[0].w <= p[1].x));
+        let rights = line.iter().map(|c| snap_up(c.x + c.w).clamp(lo, hi));
+        let lefts = line.iter().map(|c| snap_down(c.x - w_t).clamp(lo, hi));
+        next.clear();
+        for a in merge_ascending(anchors.iter().copied(), merge_ascending(rights, lefts)) {
+            if next.last() != Some(&a) {
+                next.push(a);
+            }
+        }
+        std::mem::swap(anchors, next);
+    }
+    if anchors.len() > MAX_ANCHORS {
+        let mut l = anchors.partition_point(|&a| a < gp);
+        let mut r = l;
+        while r - l < MAX_ANCHORS {
+            if r == anchors.len() || (l > 0 && gp - anchors[l - 1] <= anchors[r] - gp) {
+                l -= 1;
+            } else {
+                r += 1;
+            }
+        }
+        anchors.truncate(r);
+        anchors.drain(..l);
+    }
+}
+
+/// Merges two ascending sequences into one ascending sequence.
+fn merge_ascending(
+    a: impl Iterator<Item = Dbu>,
+    b: impl Iterator<Item = Dbu>,
+) -> impl Iterator<Item = Dbu> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y < x => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// Merges a sorted list of closed intervals in place into disjoint ones.
+fn union_sorted(ivs: &mut Vec<(Dbu, Dbu)>) {
+    let mut k = 0;
+    for j in 0..ivs.len() {
+        let (a, b) = ivs[j];
+        if k > 0 && a <= ivs[k - 1].1 {
+            ivs[k - 1].1 = ivs[k - 1].1.max(b);
+        } else {
+            ivs[k] = (a, b);
+            k += 1;
+        }
+    }
+    ivs.truncate(k);
+}
+
+/// The intersection of two sorted lists of disjoint closed intervals, by a
+/// linear merge into `out`.
+fn intersect_sorted(a: &[(Dbu, Dbu)], b: &[(Dbu, Dbu)], out: &mut Vec<(Dbu, Dbu)>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let lo = a[i].0.max(b[j].0);
+        let hi = a[i].1.min(b[j].1);
+        if lo <= hi {
+            out.push((lo, hi));
+        }
+        if a[i].1 < b[j].1 {
+            i += 1;
+        } else {
+            j += 1;
         }
     }
 }
@@ -1062,6 +1210,91 @@ mod tests {
             a_x - (ins.x + 20)
         };
         assert!(gap >= 20, "{ins:?}");
+    }
+
+    /// `candidate_anchors` must yield exactly what collecting every anchor,
+    /// sorting, deduplicating and keeping the `MAX_ANCHORS` nearest the GP
+    /// by `(|a − gp|, a)` yields, for 1-4 rows, with narrow limits that
+    /// clamp many anchors onto the same value and long lineups that
+    /// overflow the cap.
+    #[test]
+    fn merged_anchors_equal_sorted_and_deduplicated() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move |n: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n) as Dbu
+        };
+        let line = |id: u32, x: Dbu, w: Dbu| Line {
+            id: CellId(id),
+            x,
+            w,
+            lc: 0,
+            rc: 0,
+            shiftable: true,
+        };
+        let (mut anchors, mut next) = (Vec::new(), Vec::new());
+        let (mut clamped, mut truncated) = (0, 0);
+        for case in 0..3_000u64 {
+            let h = 1 + case % 4;
+            let (xl, sw) = (
+                [0, 7][(case % 2) as usize],
+                [1, 10][(case / 2 % 2) as usize],
+            );
+            let lineups: Vec<Vec<Line>> = (0..h)
+                .map(|_| {
+                    let n = rng(if case % 5 == 0 { 90 } else { 14 });
+                    let mut x = xl + rng(200) - 60;
+                    (0..n as u32)
+                        .map(|k| {
+                            x += rng(30);
+                            let c = line(k, x, 1 + rng(40));
+                            x += c.w;
+                            c
+                        })
+                        .collect()
+                })
+                .collect();
+            let w_t = 1 + rng(50);
+            let lo = xl + rng(300);
+            let hi = lo + rng(if case % 3 == 0 { 40 } else { 3_000 });
+            let gp = xl + rng(3_400) - 200;
+            candidate_anchors(
+                &lineups,
+                w_t,
+                gp,
+                (lo, hi),
+                (xl, sw),
+                &mut anchors,
+                &mut next,
+            );
+
+            let snap_up = |x: Dbu| xl + (x - xl + sw - 1).div_euclid(sw) * sw;
+            let snap_down = |x: Dbu| xl + (x - xl).div_euclid(sw) * sw;
+            let mut want = vec![gp.clamp(lo, hi)];
+            for c in lineups.iter().flatten() {
+                want.push(snap_up(c.x + c.w).clamp(lo, hi));
+                want.push(snap_down(c.x - w_t).clamp(lo, hi));
+            }
+            clamped += usize::from(want.iter().filter(|&&a| a == lo || a == hi).count() > 2);
+            want.sort_unstable();
+            want.dedup();
+            if want.len() > MAX_ANCHORS {
+                truncated += 1;
+                want.sort_unstable_by_key(|&a| ((a - gp).abs(), a));
+                want.truncate(MAX_ANCHORS);
+                want.sort_unstable();
+            }
+            assert_eq!(
+                anchors, want,
+                "case {case}: h {h}, limits {lo}..={hi}, gp {gp}"
+            );
+        }
+        assert!(
+            clamped > 100 && truncated > 100,
+            "{clamped} clamped, {truncated} truncated"
+        );
     }
 
     #[test]

@@ -44,6 +44,6 @@ pub use error::{Degradation, FailureClass, FailureRecord, LegalizeError};
 pub use faultinject::{FaultPlan, FaultSite};
 pub use legalizer::{EcoSession, LegalizeStats};
 pub use pipeline::{Stage, StageSet, StageTiming};
-pub use report::build_run_report;
+pub use report::{build_run_report, run_report_measured};
 pub use spatial::HierGrid;
 pub use state::{CellSoA, PlaceError, PlacementState};

@@ -38,19 +38,32 @@ pub fn build_run_report(
     stats: &LegalizeStats,
     config: &LegalizerConfig,
 ) -> RunReport {
+    let legality = Checker::new(placed).check();
+    run_report_measured(placed, stats, config, &Metrics::measure(placed), &legality)
+}
+
+/// [`build_run_report`] over quality numbers the caller has already taken:
+/// `m` and `legality` must be [`Metrics::measure`] and [`Checker::check`]
+/// of `placed`. Lets a caller that prints them too measure only once.
+#[must_use]
+pub fn run_report_measured(
+    placed: &Design,
+    stats: &LegalizeStats,
+    config: &LegalizerConfig,
+    m: &Metrics,
+    legality: &LegalityReport,
+) -> RunReport {
     let mut rep = RunReport::new(&placed.name);
     rep.threads = config.threads as u64;
     rep.cells = placed.cells.iter().filter(|c| !c.fixed).count() as u64;
     rep.fences = placed.fences.len() as u64;
 
-    let m = Metrics::measure(placed);
     rep.quality_f64("avg_disp_rows", m.avg_disp_rows);
     rep.quality_f64("max_disp_rows", m.max_disp_rows);
     rep.quality_f64("total_disp_sites", m.total_disp_sites);
     rep.quality_u64("total_disp_dbu", m.total_disp_dbu.unsigned_abs());
     rep.quality_u64("hpwl", m.hpwl.unsigned_abs());
 
-    let legality = Checker::new(placed).check();
     rep.quality_u64("hard_violations", legality.hard_violations() as u64);
     rep.quality_u64("edge_spacing_violations", legality.edge_spacing as u64);
     rep.quality_u64("pin_shorts", legality.pin_shorts as u64);

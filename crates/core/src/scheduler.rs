@@ -25,6 +25,15 @@
 //! selection order. Results travel back keyed by job index, so the apply
 //! order never depends on which thread evaluated what.
 //!
+//! The hand-off does not sleep while rounds follow each other closely. A
+//! helper between rounds watches an atomic tick, yielding its core between
+//! looks, for up to `POLL_NANOS`, and only then blocks on the condvar; the
+//! runner notifies only when a helper is blocked, so a busy stage pays no
+//! futex wake per round. The runner waits for helper results the same way:
+//! it polls the channel, yielding, before it blocks on it. Yielding rather
+//! than spinning keeps a helper polite to whoever shares its core, such as
+//! the job runners of a busy `serve`.
+//!
 //! The stage cannot hang on a failure. The runner closes the hand-off when
 //! it leaves the round loop, on unwind too, so helpers blocked on the next
 //! round exit before the scope joins them; a helper that stops answering
@@ -50,7 +59,7 @@ use mcl_obs::clock::{thread_cpu_nanos, Stopwatch};
 use mcl_obs::{CounterKind, HistoKind, Meter, SpanKind};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
@@ -61,6 +70,11 @@ type Job = (CellId, usize, Rect);
 /// stage broken. Only reachable on error paths: a helper answers every job
 /// it claims.
 const HELPER_WAIT: Duration = Duration::from_mins(1);
+
+/// How long a thread waiting on the hand-off polls, yielding its core
+/// between looks, before it blocks: about the gap between the rounds of a
+/// busy stage, so the common hand-off costs no futex sleep and wake.
+const POLL_NANOS: u64 = 50_000;
 
 /// Deterministic retries of a failed per-cell insertion evaluation before
 /// the cell is quarantined (DESIGN.md §11). Retries run on the runner in
@@ -114,6 +128,8 @@ struct Slot {
     published: u64,
     round: Option<Arc<Round>>,
     closed: bool,
+    /// Helpers blocked on the condvar: the runner notifies only if any.
+    parked: usize,
 }
 
 /// What a runner shares with its helpers for one MGL stage: the placement
@@ -125,6 +141,12 @@ struct Hub<'s, 'd> {
     state: RwLock<&'s mut PlacementState<'d>>,
     slot: Mutex<Slot>,
     wake: Condvar,
+    /// Slot changes so far: every publish, then the close. Bumped under the
+    /// slot lock, so while the stage runs it equals `Slot::published`; a
+    /// polling helper watches it instead of taking the lock. It carries no
+    /// data: a helper that sees it move (the `Release` bump pairs with its
+    /// `Acquire` load) reads the round under the lock.
+    ticks: AtomicU64,
 }
 
 impl<'s, 'd> Hub<'s, 'd> {
@@ -134,12 +156,21 @@ impl<'s, 'd> Hub<'s, 'd> {
             state: RwLock::new(state),
             slot: Mutex::default(),
             wake: Condvar::new(),
+            ticks: AtomicU64::new(0),
         }
     }
 
     fn update(&self, f: impl FnOnce(&mut Slot)) {
-        f(&mut self.slot.lock().unwrap_or_else(PoisonError::into_inner));
-        self.wake.notify_all();
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        f(&mut slot);
+        self.ticks.fetch_add(1, Ordering::Release);
+        // A helper raises `parked` under this lock before it waits, so
+        // either it sees this change before waiting or it is counted here.
+        let parked = slot.parked > 0;
+        drop(slot);
+        if parked {
+            self.wake.notify_all();
+        }
     }
 
     fn publish(&self, round: &Arc<Round>) {
@@ -154,13 +185,23 @@ impl<'s, 'd> Hub<'s, 'd> {
     }
 
     /// The next round this helper has not joined yet, or `None` once the
-    /// stage is over.
-    fn next_round(&self, joined: &mut u64) -> Option<Arc<Round>> {
-        let slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let slot = self
-            .wake
-            .wait_while(slot, |s| !s.closed && s.published == *joined)
-            .unwrap_or_else(PoisonError::into_inner);
+    /// stage is over: polled for up to [`POLL_NANOS`], then waited for on
+    /// the condvar, which adds one to `parks`.
+    fn next_round(&self, joined: &mut u64, parks: &mut u64) -> Option<Arc<Round>> {
+        let poll = Stopwatch::start();
+        while self.ticks.load(Ordering::Acquire) == *joined && poll.elapsed_nanos() < POLL_NANOS {
+            std::thread::yield_now();
+        }
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if !slot.closed && slot.published == *joined {
+            slot.parked += 1;
+            *parks += 1;
+            slot = self
+                .wake
+                .wait_while(slot, |s| !s.closed && s.published == *joined)
+                .unwrap_or_else(PoisonError::into_inner);
+            slot.parked -= 1;
+        }
         *joined = slot.published;
         if slot.closed {
             None
@@ -171,7 +212,8 @@ impl<'s, 'd> Hub<'s, 'd> {
 
     /// A helper's loop: join each published round, claim its jobs until the
     /// cursor runs dry, and hand the results to the runner. Returns the
-    /// helper's meter and the counters of the scratch it built.
+    /// helper's meter (with its window and park counts) and the counters of
+    /// the scratch it built.
     fn help(
         &self,
         model: &CostModel<'_>,
@@ -182,9 +224,9 @@ impl<'s, 'd> Hub<'s, 'd> {
         let mut obs = Meter::new();
         let mut scratch = InsertionScratch::new();
         let cpu = cpu_reading();
-        let mut joined = 0u64;
+        let (mut joined, mut parks) = (0u64, 0u64);
         let mut done = Vec::new();
-        'rounds: while let Some(round) = self.next_round(&mut joined) {
+        'rounds: while let Some(round) = self.next_round(&mut joined, &mut parks) {
             {
                 let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
                 while let Some((i, (cell, _, win))) = round.claim() {
@@ -198,14 +240,37 @@ impl<'s, 'd> Hub<'s, 'd> {
             // Sent once the read guard is gone. The runner needs every
             // result of the round before it moves on, so batching costs it
             // nothing.
+            obs.add(CounterKind::HelperWindows, done.len() as u64);
             for r in done.drain(..) {
                 if results.send(r).is_err() {
                     break 'rounds;
                 }
             }
         }
+        obs.add(CounterKind::HelperParks, parks);
         book_cpu(&mut obs, cpu);
         (obs, scratch.stats)
+    }
+}
+
+/// The next helper result: polled for up to [`POLL_NANOS`], yielding the
+/// core between looks, then waited for up to [`HELPER_WAIT`].
+fn collect_one(
+    rx: &mpsc::Receiver<(usize, EvalResult)>,
+) -> Result<(usize, EvalResult), LegalizeError> {
+    let broken = LegalizeError::PoolBroken { during: "collect" };
+    let poll = Stopwatch::start();
+    loop {
+        match rx.try_recv() {
+            Ok(r) => return Ok(r),
+            Err(mpsc::TryRecvError::Empty) if poll.elapsed_nanos() < POLL_NANOS => {
+                std::thread::yield_now();
+            }
+            Err(mpsc::TryRecvError::Empty) => {
+                return rx.recv_timeout(HELPER_WAIT).map_err(|_| broken)
+            }
+            Err(mpsc::TryRecvError::Disconnected) => return Err(broken),
+        }
     }
 }
 
@@ -410,9 +475,7 @@ fn window_rounds(
             // still computing. One observation per fanned-out round.
             let t_wait = Stopwatch::start();
             while outstanding > 0 {
-                let (i, r) = rx
-                    .recv_timeout(HELPER_WAIT)
-                    .map_err(|_| LegalizeError::PoolBroken { during: "collect" })?;
+                let (i, r) = collect_one(rx)?;
                 results[i] = Some(r);
                 outstanding -= 1;
             }
@@ -573,11 +636,9 @@ mod tests {
         assert_eq!(p2, p4);
     }
 
-    #[test]
-    fn thread_count_invariance_with_oracle() {
-        // The routability oracle feeds penalties and alternate candidate
-        // positions into the evaluation; they must be identical whether a
-        // window was evaluated by the runner or any of its helpers.
+    /// A dense design with vertical stripes and a pin on the single-row
+    /// type, so the routability oracle has penalties to charge.
+    fn oracle_design() -> Design {
         let mut d = dense_design(140, 4321);
         d.grid = PowerGrid {
             h_layer: 2,
@@ -593,6 +654,15 @@ mod tests {
             layer: 2,
             rect: Rect::new(4, 30, 12, 50),
         });
+        d
+    }
+
+    #[test]
+    fn thread_count_invariance_with_oracle() {
+        // The routability oracle feeds penalties and alternate candidate
+        // positions into the evaluation; they must be identical whether a
+        // window was evaluated by the runner or any of its helpers.
+        let d = oracle_design();
         let mut cfg = LegalizerConfig::contest();
         cfg.window_list_capacity = 8;
         let run = |threads: usize| {
@@ -633,6 +703,45 @@ mod tests {
         let p4 = run(4);
         assert_eq!(p1, p2);
         assert_eq!(p2, p4);
+    }
+
+    #[test]
+    fn polling_hand_off_stays_thread_count_invariant_over_many_runs() {
+        // Which thread evaluates which window, and whether a helper polls or
+        // parks between rounds, depends on timing alone; none of it may
+        // reach a placement. The thread-parity designs above, 50 times each
+        // at 2 and 4 threads against one inline run.
+        let mut shuffled = LegalizerConfig::total_displacement();
+        shuffled.order = CellOrder::HeightThenShuffled;
+        let cases = [
+            (
+                dense_design(150, 1234),
+                LegalizerConfig::total_displacement(),
+            ),
+            (oracle_design(), LegalizerConfig::contest()),
+            (dense_design(150, 777), shuffled),
+        ];
+        let mut helper_windows = 0;
+        for (d, cfg) in &cases {
+            let mut run = |threads: usize| {
+                let mut c = cfg.clone();
+                c.threads = threads;
+                c.window_list_capacity = 8;
+                let mut state = PlacementState::new(d);
+                let stats = run_mgl(&mut state, &c);
+                let windows = stats.obs.counter(CounterKind::WindowsEvaluated);
+                let helped = stats.obs.counter(CounterKind::HelperWindows);
+                assert!(helped <= windows, "{helped} of {windows} windows");
+                helper_windows += helped;
+                d.movable_cells().map(|c| state.pos(c)).collect::<Vec<_>>()
+            };
+            let inline = run(1);
+            for _ in 0..50 {
+                assert_eq!(run(2), inline);
+                assert_eq!(run(4), inline);
+            }
+        }
+        assert!(helper_windows > 0, "no window was evaluated off the runner");
     }
 
     #[test]

@@ -407,18 +407,27 @@ impl<'d> PlacementState<'d> {
     }
 
     /// The occupants of segment `seg` whose span `[x, x+w)` overlaps
-    /// `[lo, hi)`, as a sub-slice located by binary search.
+    /// `[lo, hi)`, as a sub-slice located by search.
     ///
     /// Occupants are non-overlapping and sorted by x, so both `x` and
     /// `x + w` are monotone along the list and the overlapping run is
     /// contiguous: O(log n + k) instead of the O(n) full-list filter that
     /// stops scaling once rows hold thousands of cells.
     pub fn occupants_overlapping(&self, seg: usize, lo: Dbu, hi: Dbu) -> &[CellId] {
-        let list = &self.cols.seg_cells[seg];
-        let start = list.partition_point(|&c| self.cols.soa.end_x(c) <= lo);
-        let rest = &list[start..];
-        let len = rest.partition_point(|&c| self.cols.soa.x(c) < hi);
-        &rest[..len]
+        let (list, soa) = (&self.cols.seg_cells[seg], &self.cols.soa);
+        // Each probe is a dependent read of a random cell's x, so the start
+        // is searched outward from where `lo` would sit if the segment's
+        // cells were spread evenly, and the end is scanned: every caller
+        // reads the run anyway.
+        let span = self.cols.segmap.segments()[seg].x;
+        let guess = usize::try_from(
+            (lo - span.lo).clamp(0, span.len()) as i128 * list.len() as i128
+                / i128::from(span.len().max(1)),
+        )
+        .unwrap_or(0);
+        let start = partition_point_near(list, guess, |&c| soa.end_x(c) <= lo);
+        let len = list[start..].iter().take_while(|&&c| soa.x(c) < hi).count();
+        &list[start..start + len]
     }
 
     /// Bottom row of a placed cell.
@@ -643,6 +652,32 @@ impl<'d> PlacementState<'d> {
     }
 }
 
+/// `slice.partition_point(pred)` for a predicate that is true on a prefix,
+/// found by galloping out from `guess` and then bisecting the last step:
+/// O(log d) probes for a guess `d` places off, instead of O(log n).
+fn partition_point_near<T>(slice: &[T], guess: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let g = guess.min(slice.len());
+    if g < slice.len() && pred(&slice[g]) {
+        // The point lies right of `g`: double the step until it is passed.
+        let (mut lo, mut step) = (g + 1, 1);
+        while lo + step <= slice.len() && pred(&slice[lo + step - 1]) {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step).min(slice.len());
+        lo + slice[lo..hi].partition_point(pred)
+    } else {
+        // The point is at or left of `g`.
+        let (mut hi, mut step) = (g, 1);
+        while hi >= step && !pred(&slice[hi - step]) {
+            hi -= step;
+            step *= 2;
+        }
+        let lo = hi.saturating_sub(step);
+        lo + slice[lo..hi].partition_point(pred)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,6 +807,22 @@ mod tests {
                 .len(),
             2
         );
+    }
+
+    #[test]
+    fn partition_point_near_matches_partition_point_from_any_guess() {
+        for n in 0..40usize {
+            let v: Vec<usize> = (0..n).collect();
+            for p in 0..=n {
+                for guess in 0..=n + 3 {
+                    assert_eq!(
+                        partition_point_near(&v, guess, |&x| x < p),
+                        p,
+                        "n {n}, point {p}, guess {guess}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

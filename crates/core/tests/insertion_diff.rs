@@ -6,10 +6,12 @@
 //! weights, the penalties, the curve normalization and the oracle, and it
 //! visits base rows in a different order than the reference; the cases
 //! below vary each of those, including saturated windows where most
-//! anchors are infeasible.
+//! anchors are infeasible, multi-row targets among multi-row walls and
+//! fence edges (where the feasible-x range empties or bounds a region), and
+//! negative weights and penalties (where the cost bounds must stay off).
 
 use mcl_core::config::DisplacementReference;
-use mcl_core::insertion::{best_insertion_in, CostModel, InsertionScratch};
+use mcl_core::insertion::{best_insertion_in, CostModel, InsertionScratch, ScratchStats};
 use mcl_core::insertion_reference::best_insertion_reference;
 use mcl_core::routability::RoutOracle;
 use mcl_core::state::PlacementState;
@@ -22,11 +24,17 @@ struct Case {
     reference: DisplacementReference,
     normalize: bool,
     use_oracle: bool,
-    /// Cell `i` weighs `1 + i % max_weight`.
+    /// Cell `i` weighs `1 + i % max_weight`, negated when `i` is a multiple
+    /// of `negate_every` (0: never).
     max_weight: i64,
+    negate_every: usize,
     io_penalty: i64,
     rail_penalty: i64,
     density: f64,
+    /// Generator share of cells 1..=4 rows tall.
+    height_mix: [f64; 4],
+    /// Only cells at least this many rows tall are insertion targets.
+    min_rows: u32,
     /// Share of the cells placed at their golden positions before the rest
     /// are inserted, as `(numerator, denominator)`.
     placed: (usize, usize),
@@ -42,20 +50,25 @@ impl Case {
             normalize: true,
             use_oracle: false,
             max_weight: 3,
+            negate_every: 0,
             io_penalty: 10,
             rail_penalty: 100,
             density: 0.6,
+            height_mix: GeneratorConfig::default().height_mix,
+            min_rows: 1,
             placed: (2, 3),
             windows: &[(240, 180), (900, 450)],
         }
     }
 }
 
-/// Runs `case` and returns `(feasible, infeasible)` query counts.
-fn check(case: &Case) -> (usize, usize) {
+/// Runs `case` and returns `(feasible, infeasible)` query counts and the
+/// fast kernel's work counters.
+fn check(case: &Case) -> (usize, usize, ScratchStats) {
     let mut cfg = GeneratorConfig::small(case.seed);
     cfg.num_cells = 250;
     cfg.density = case.density;
+    cfg.height_mix = case.height_mix;
     cfg.fences = 2;
     cfg.fence_cell_fraction = 0.15;
     cfg.io_pins = 20;
@@ -71,7 +84,16 @@ fn check(case: &Case) -> (usize, usize) {
             .place(CellId(i as u32), g.golden[i])
             .expect("golden positions are legal");
     }
-    let weights: Vec<i64> = (0..n as i64).map(|i| 1 + i % case.max_weight).collect();
+    let weights: Vec<i64> = (0..n)
+        .map(|i| {
+            let w = 1 + i as i64 % case.max_weight;
+            if case.negate_every > 0 && i % case.negate_every == 0 {
+                -w
+            } else {
+                w
+            }
+        })
+        .collect();
     let oracle = RoutOracle::new(d);
     let model = CostModel {
         reference: case.reference,
@@ -85,6 +107,9 @@ fn check(case: &Case) -> (usize, usize) {
     let (mut found, mut missed) = (0usize, 0usize);
     for i in split..n {
         let t = CellId(i as u32);
+        if d.type_of(t).height_rows < case.min_rows {
+            continue;
+        }
         let gp = d.cells[i].gp;
         for &(wx, wy) in case.windows {
             let win = Rect::new(gp.x - wx, gp.y - wy, gp.x + wx, gp.y + wy);
@@ -103,7 +128,7 @@ fn check(case: &Case) -> (usize, usize) {
         "test exercised no feasible insertions (seed {})",
         case.seed
     );
-    (found, missed)
+    (found, missed, scratch.stats)
 }
 
 #[test]
@@ -195,4 +220,75 @@ fn matches_reference_in_saturated_windows() {
         .1;
     }
     assert!(missed > 0, "no window was saturated");
+}
+
+/// Multi-row targets (2-4 rows) in saturated, expanded windows, with many
+/// multi-row cells as walls and two fences: the feasible-x range of a
+/// region is the intersection over several rows, so it empties where each
+/// row alone still has room, and it bounds regions whose room lies far
+/// from the GP. Both exits must fire here, and change no result.
+#[test]
+fn matches_reference_for_multi_row_targets_in_saturated_windows() {
+    let mut stats = ScratchStats::default();
+    let mut missed = 0;
+    for (seed, use_oracle, reference) in [
+        (25, false, DisplacementReference::Gp),
+        (26, true, DisplacementReference::Gp),
+        (27, false, DisplacementReference::Current),
+    ] {
+        let (_, m, s) = check(&Case {
+            reference,
+            use_oracle,
+            density: 0.9,
+            height_mix: [0.4, 0.25, 0.2, 0.15],
+            min_rows: 2,
+            placed: (9, 10),
+            windows: &[(120, 180), (400, 360), (900, 720)],
+            ..Case::new(seed)
+        });
+        missed += m;
+        stats.merge(&s);
+    }
+    assert!(missed > 0, "no multi-row window was saturated");
+    assert!(stats.empty_ranges > 0, "{stats:?}");
+    assert!(stats.range_prunes > 0, "{stats:?}");
+}
+
+/// Negative weights (on targets and local cells alike) void the cost
+/// bounds, so every candidate must still be weighed; the feasible-x range
+/// still rules out whole regions.
+#[test]
+fn matches_reference_with_negative_weights() {
+    for (seed, normalize, use_oracle) in [(28, true, false), (29, false, true), (30, true, true)] {
+        check(&Case {
+            normalize,
+            use_oracle,
+            negate_every: 3,
+            max_weight: 5,
+            height_mix: [0.6, 0.2, 0.1, 0.1],
+            ..Case::new(seed)
+        });
+    }
+}
+
+/// A negative penalty turns every cost bound off: no region may be pruned
+/// by its bound, whatever the weights.
+#[test]
+fn matches_reference_with_negative_penalties() {
+    for (seed, io, rail) in [
+        (31, -50, 100),
+        (32, 10, -1_000),
+        (33, -7, -7),
+        (34, -100_000, -100_000),
+    ] {
+        let (_, _, stats) = check(&Case {
+            use_oracle: true,
+            io_penalty: io,
+            rail_penalty: rail,
+            height_mix: [0.6, 0.2, 0.1, 0.1],
+            density: 0.8,
+            ..Case::new(seed)
+        });
+        assert_eq!(stats.range_prunes, 0, "seed {seed}: {stats:?}");
+    }
 }

@@ -1,21 +1,25 @@
 //! Work gate for the insertion kernel's exact pruning: on a fixed generated
 //! design, stage 1 may run at most a fixed number of curve minimizations
-//! per evaluated window. The bounds skip candidates that provably cannot
-//! beat the incumbent without changing any placement, so turning them off
-//! changes no output and no other test; this ceiling is what notices.
+//! and inspect at most a fixed number of candidate anchors per evaluated
+//! window. The bounds skip candidates that provably cannot beat the
+//! incumbent without changing any placement, so turning them off changes
+//! no output and no other test; these ceilings are what notice.
 //!
-//! Measured on this design: 2.42 minimizations per window with pruning and
-//! 12.93 without it (the count is deterministic). The ceiling leaves about
-//! 25% headroom over the pruned figure.
+//! Measured on this design (the counts are deterministic): 2.42
+//! minimizations per window with pruning and 12.93 without it; 11.43
+//! anchors per window with the feasible-x region bound, 15.04 with only its
+//! empty-range exit and 18.52 without either. Each ceiling leaves about 25%
+//! headroom over the pruned figure.
 
 use mcl_core::{Engine, LegalizerConfig, RunSpec, Stage, StageSet};
 use mcl_gen::{generate, GeneratorConfig};
 use mcl_obs::CounterKind;
 
 const MAX_CURVE_MINS_PER_WINDOW: f64 = 3.0;
+const MAX_ANCHORS_PER_WINDOW: f64 = 14.25;
 
 #[test]
-fn curve_minimizations_per_window_stay_pruned() {
+fn insertion_work_per_window_stays_pruned() {
     let mut gen = GeneratorConfig::small(1000);
     gen.num_cells = 2_000;
     gen.density = 0.55;
@@ -32,6 +36,7 @@ fn curve_minimizations_per_window_stay_pruned() {
         .mgl;
     let windows = stats.obs.counter(CounterKind::WindowsEvaluated);
     let mins = stats.scratch.curve_mins;
+    let anchors = stats.scratch.anchors;
     assert!(windows >= 2_000, "{windows} windows for 2,000 cells");
     let per_window = mins as f64 / windows as f64;
     println!("{mins} curve minimizations over {windows} windows = {per_window:.2} per window");
@@ -39,5 +44,12 @@ fn curve_minimizations_per_window_stay_pruned() {
         per_window <= MAX_CURVE_MINS_PER_WINDOW,
         "{per_window:.2} curve minimizations per window exceeds {MAX_CURVE_MINS_PER_WINDOW}: \
          has the insertion kernel's pruning been disabled?"
+    );
+    let per_window = anchors as f64 / windows as f64;
+    println!("{anchors} anchors over {windows} windows = {per_window:.2} per window");
+    assert!(
+        per_window <= MAX_ANCHORS_PER_WINDOW,
+        "{per_window:.2} anchors per window exceeds {MAX_ANCHORS_PER_WINDOW}: \
+         has the feasible-x region bound been disabled?"
     );
 }

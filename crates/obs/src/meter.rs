@@ -131,6 +131,11 @@ pub enum CounterKind {
     /// loops, from each thread's own CPU clock (not recorded on hosts
     /// without one). Over the stage's wall time: its true parallelism.
     MglCpuNanos,
+    /// MGL windows evaluated on a helper thread rather than the runner.
+    HelperWindows,
+    /// Times an MGL helper found no round after polling and blocked until
+    /// the runner woke it.
+    HelperParks,
     /// Matching groups solved in stage 2.
     MatchingGroups,
     /// Cells moved by stage-2 matchings.
@@ -158,7 +163,7 @@ pub enum CounterKind {
 
 impl CounterKind {
     /// Every kind, in report order.
-    pub const ALL: [CounterKind; 18] = [
+    pub const ALL: [CounterKind; 20] = [
         CounterKind::WindowsEvaluated,
         CounterKind::WindowsExpanded,
         CounterKind::FallbackScans,
@@ -167,6 +172,8 @@ impl CounterKind {
         CounterKind::AlignedRegions,
         CounterKind::DedupHits,
         CounterKind::MglCpuNanos,
+        CounterKind::HelperWindows,
+        CounterKind::HelperParks,
         CounterKind::MatchingGroups,
         CounterKind::MatchingCellsMoved,
         CounterKind::MatchingSimplexPivots,
@@ -193,6 +200,8 @@ impl CounterKind {
             CounterKind::AlignedRegions => "mgl.aligned_regions",
             CounterKind::DedupHits => "mgl.dedup_hits",
             CounterKind::MglCpuNanos => "mgl.cpu_nanos",
+            CounterKind::HelperWindows => "mgl.helper_windows",
+            CounterKind::HelperParks => "mgl.helper_parks",
             CounterKind::MatchingGroups => "maxdisp.groups",
             CounterKind::MatchingCellsMoved => "maxdisp.cells_moved",
             CounterKind::MatchingSimplexPivots => "maxdisp.simplex_pivots",

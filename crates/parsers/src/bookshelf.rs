@@ -213,6 +213,22 @@ pub fn apply_pl(design: &mut Design, pl: &str) -> Result<()> {
     Ok(())
 }
 
+/// The `.pl` text of a design alone: the legal placement when present, the
+/// GP otherwise; fixed cells are marked. Equal to [`write()`]'s `pl`.
+pub fn write_pl(design: &Design) -> String {
+    let mut pl = String::from("UCLA pl 1.0\n\n");
+    for c in &design.cells {
+        let p = c.pos.unwrap_or(c.gp);
+        let orient = c.orient;
+        if c.fixed {
+            let _ = writeln!(pl, "{} {} {} : {} /FIXED", c.name, p.x, p.y, orient);
+        } else {
+            let _ = writeln!(pl, "{} {} {} : {}", c.name, p.x, p.y, orient);
+        }
+    }
+    pl
+}
+
 /// Writes a design to a Bookshelf bundle. Positions go to `.pl` (the legal
 /// placement when present, the GP otherwise); fixed cells are marked.
 pub fn write(design: &Design) -> Bundle {
@@ -230,16 +246,7 @@ pub fn write(design: &Design) -> Bundle {
         }
     }
 
-    let mut pl = String::from("UCLA pl 1.0\n\n");
-    for c in &design.cells {
-        let p = c.pos.unwrap_or(c.gp);
-        let orient = c.orient;
-        if c.fixed {
-            let _ = writeln!(pl, "{} {} {} : {} /FIXED", c.name, p.x, p.y, orient);
-        } else {
-            let _ = writeln!(pl, "{} {} {} : {}", c.name, p.x, p.y, orient);
-        }
-    }
+    let pl = write_pl(design);
 
     let mut scl = String::from("UCLA scl 1.0\n\n");
     let _ = writeln!(scl, "NumRows : {}", design.num_rows);

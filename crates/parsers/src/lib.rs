@@ -15,7 +15,7 @@ pub mod error;
 pub mod fsio;
 pub mod lefdef;
 
-pub use bookshelf::{read as read_bookshelf, write as write_bookshelf, Bundle};
+pub use bookshelf::{read as read_bookshelf, write as write_bookshelf, write_pl, Bundle};
 pub use error::{ParseError, Result};
 pub use fsio::{read_bookshelf_dir, read_lefdef_files, write_bookshelf_dir};
 pub use lefdef::{read_def, read_lef, write_def, write_lef, LefLibrary};

@@ -530,11 +530,13 @@ fn cmd_legalize(flags: &Flags) -> Result<(), CliError> {
         out.design
     };
     let secs = t.elapsed_seconds();
-    print_report(&placed);
+    // Measured once for the printed lines and the run report alike.
+    let (metrics, legality) = (Metrics::measure(&placed), Checker::new(&placed).check());
+    print_report(&placed, &metrics, &legality);
     println!("runtime: {secs:.2}s");
     if let Some((stats, cfg)) = &run_info {
         if want_report || flags.get("report-json").is_some() || flags.get("heatmap").is_some() {
-            let rep = mclegal::core::build_run_report(&placed, stats, cfg);
+            let rep = mclegal::core::run_report_measured(&placed, stats, cfg, &metrics, &legality);
             if want_report {
                 print!("{}", rep.summary());
             }
@@ -654,16 +656,18 @@ fn cmd_legalize_batch(flags: &Flags) -> Result<(), CliError> {
                 let (placed, stats) = (&out.design, &out.stats);
                 succeeded += 1;
                 let check = Checker::new(placed).check();
+                let metrics = Metrics::measure(placed);
                 println!(
                     "{:<24} {:>7} cells | {} failed | {} hard violations | score {:.4}",
                     placed.name,
                     placed.cells.len(),
                     stats.mgl.failed,
                     check.hard_violations(),
-                    Metrics::measure(placed).contest_score(placed, &check)
+                    metrics.contest_score(placed, &check)
                 );
                 if let Some(rd) = &report_dir {
-                    let rep = mclegal::core::build_run_report(placed, stats, &cfg);
+                    let rep =
+                        mclegal::core::run_report_measured(placed, stats, &cfg, &metrics, &check);
                     // The golden subset (quality + outcome, no timing) is the
                     // stable file: CI diffs it against `tests/goldens/`.
                     write_report_files(rd, &placed.name, &rep.to_json(), &rep.golden_json())
@@ -834,7 +838,8 @@ fn cmd_check(flags: &Flags) -> Result<(), CliError> {
 
 fn cmd_score(flags: &Flags) -> Result<(), CliError> {
     let design = load_design(flags)?;
-    print_report(&design);
+    let (metrics, legality) = (Metrics::measure(&design), Checker::new(&design).check());
+    print_report(&design, &metrics, &legality);
     Ok(())
 }
 
@@ -882,9 +887,7 @@ fn cmd_presets() -> Result<(), CliError> {
     Ok(())
 }
 
-fn print_report(design: &Design) {
-    let rep = Checker::new(design).check();
-    let m = Metrics::measure(design);
+fn print_report(design: &Design, m: &Metrics, rep: &LegalityReport) {
     println!("cells            : {}", m.num_cells);
     println!("avg displacement : {:.4} rows", m.avg_disp_rows);
     println!("max displacement : {:.2} rows", m.max_disp_rows);
@@ -898,13 +901,13 @@ fn print_report(design: &Design) {
         rep.pin_shorts,
         rep.pin_access
     );
-    println!("contest score S  : {:.4}", m.contest_score(design, &rep));
+    println!("contest score S  : {:.4}", m.contest_score(design, rep));
 }
 
 fn write_outputs(flags: &Flags, design: &Design) -> Result<(), CliError> {
     if let Some(p) = flags.get("out-pl") {
-        let bundle = parsers::write_bookshelf(design);
-        std::fs::write(p, bundle.pl).map_err(|e| CliError::Internal(format!("{p}: {e}")))?;
+        std::fs::write(p, parsers::write_pl(design))
+            .map_err(|e| CliError::Internal(format!("{p}: {e}")))?;
         println!("wrote {p}");
     }
     if let Some(p) = flags.get("out-def") {
